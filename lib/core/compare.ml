@@ -3,13 +3,11 @@
    positions, same per-cell RNG seeds), with every selected strategy
    applied to every die.  Row-major ordered reduction keeps reports
    bit-identical for any domain count. *)
-module Sg = Stage
-module Pool = Pvtol_util.Pool
-module Srng = Pvtol_util.Srng
 module Stream_stats = Pvtol_util.Stream_stats
 module Welford = Stream_stats.Welford
 module Table = Pvtol_util.Table
 module Metrics = Pvtol_util.Metrics
+module Json = Pvtol_util.Json
 
 let m_compare_dies = Metrics.counter "compare_dies_total"
 
@@ -117,49 +115,31 @@ let rec has_dup = function
   | c :: rest -> List.mem c rest || has_dup rest
 
 let run ?pool (t : Flow.t) (v : Flow.variant) cfg =
-  if cfg.nx <= 0 || cfg.ny <= 0 || cfg.dies_per_cell <= 0 || cfg.fields <= 0
-  then invalid_arg "Compare.run: grid, dies and fields must be positive";
   if cfg.choices = [] then invalid_arg "Compare.run: no strategies selected";
   if has_dup cfg.choices then
     invalid_arg "Compare.run: duplicate strategy selected";
-  if v.Flow.direction <> cfg.direction then
-    invalid_arg "Compare.run: variant direction does not match the config";
   let ctx = Compensation.context t in
   let strategies =
     Array.of_list (List.map (Compensation.build t ctx v) cfg.choices)
   in
   let n_strats = Array.length strategies in
-  let wcfg = wafer_config cfg in
-  let pool = match pool with Some p -> p | None -> Pool.shared () in
-  let total_cells = cfg.nx * cfg.ny in
-  (* One chunk per grid cell; each worker carries the shared detect
-     scratch plus one private apply state per strategy, reused across
-     every cell it picks up.  A cell's dies run serially field-major,
-     applying the strategies in request order on each die. *)
+  (* Each worker carries the shared detect scratch plus one private
+     apply state per strategy; every die is detected once, then the
+     strategies are applied to it in request order. *)
   let accs =
-    Pool.parallel_chunks pool ~chunks:total_cells
-      ~init:(fun ~worker:_ ->
+    Wafer.drive ?pool ~who:"Compare.run" v (wafer_config cfg)
+      ~scratch:(fun () ->
         ( Compensation.scratch ctx,
           Array.map (fun s -> s.Compensation.fresh_apply ()) strategies ))
-      ~f:(fun (sc, applies) c ->
-        let ix = c mod cfg.nx and iy = c / cfg.nx in
-        let systematic =
-          Compensation.systematic ctx (Wafer.cell_position wcfg ~ix ~iy)
-        in
-        let acc = acc_create n_strats in
-        for field = 0 to cfg.fields - 1 do
-          let rng = Srng.create (Wafer.cell_seed wcfg ~field ~ix ~iy) in
-          for _ = 1 to cfg.dies_per_cell do
-            let d = Compensation.detect ctx sc ~systematic rng in
-            acc.a_dies <- acc.a_dies + 1;
-            if d.Compensation.violating = 0 then acc.a_unc <- acc.a_unc + 1;
-            for i = 0 to n_strats - 1 do
-              sacc_add acc.a_strats.(i) (applies.(i) sc d)
-            done
-          done
-        done;
-        Metrics.add m_compare_dies acc.a_dies;
-        acc)
+      ~systematic:(Compensation.systematic ctx)
+      ~acc:(fun () -> acc_create n_strats)
+      ~die:(fun (sc, applies) acc ~systematic rng ->
+        let d = Compensation.detect ctx sc ~systematic rng in
+        acc.a_dies <- acc.a_dies + 1;
+        if d.Compensation.violating = 0 then acc.a_unc <- acc.a_unc + 1;
+        for i = 0 to n_strats - 1 do
+          sacc_add acc.a_strats.(i) (applies.(i) sc d)
+        done)
   in
   (* Ordered reduction (row-major): totals are bit-identical no matter
      how the chunks were scheduled. *)
@@ -178,6 +158,7 @@ let run ?pool (t : Flow.t) (v : Flow.variant) cfg =
           Welford.merge ~into:ta.s_area sa.s_area)
         acc.a_strats)
     accs;
+  Metrics.add m_compare_dies total.a_dies;
   let dies = float_of_int total.a_dies in
   let results =
     Array.to_list
@@ -211,39 +192,16 @@ let run ?pool (t : Flow.t) (v : Flow.variant) cfg =
 (* Stage-graph exposure                                                 *)
 
 let config_label cfg =
-  Printf.sprintf "%dx%d-d%d-f%d-s%d-%s-%s" cfg.nx cfg.ny cfg.dies_per_cell
-    cfg.fields cfg.seed
-    (Island.direction_name cfg.direction)
-    (Compensation.choices_label cfg.choices)
+  Wafer.config_label (wafer_config cfg)
+  ^ "-" ^ Compensation.choices_label cfg.choices
 
-(* One keyed stage family per flow handle, registered on its graph the
-   first time a comparison is requested (the family cannot be declared
-   in Flow itself: Compare sits above Flow in the module order). *)
-let families_mu = Mutex.create ()
-let families : (Sg.graph * (config, report) Sg.keyed) list ref = ref []
+let compare_family =
+  Flow.keyed_family ~name:"compare"
+    ~direction:(fun cfg -> cfg.direction)
+    ~key_label:config_label
+    (fun (_ : unit option) t v cfg -> run t v cfg)
 
-let family (t : Flow.t) : (config, report) Sg.keyed =
-  let g = Flow.graph t in
-  Mutex.lock families_mu;
-  let f =
-    match List.find_opt (fun (g', _) -> g' == g) !families with
-    | Some (_, f) -> f
-    | None ->
-      let f =
-        Sg.keyed g ~name:"compare"
-          ~deps:(fun cfg ->
-            [ "sta"; "placed"; "sampler"; "clock";
-              "shifters[" ^ Island.direction_name cfg.direction ^ "]" ])
-          ~key_label:config_label
-          (fun cfg -> run t (Flow.variant t cfg.direction) cfg)
-      in
-      families := (g, f) :: !families;
-      f
-  in
-  Mutex.unlock families_mu;
-  f
-
-let compare t cfg = Sg.get_keyed (family t) cfg
+let compare t cfg = compare_family t None cfg
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                            *)
@@ -288,39 +246,21 @@ let pp fmt r = Format.pp_print_string fmt (render r)
 (* ------------------------------------------------------------------ *)
 (* JSON export                                                          *)
 
-let json_float f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.9g" f
-
 let to_json r =
-  let cfg = r.config in
-  let buf = Buffer.create 2048 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "{\n";
-  add "  \"grid\": { \"nx\": %d, \"ny\": %d },\n" cfg.nx cfg.ny;
-  add "  \"dies_per_cell\": %d,\n" cfg.dies_per_cell;
-  add "  \"fields\": %d,\n" cfg.fields;
-  add "  \"seed\": %d,\n" cfg.seed;
-  add "  \"direction\": \"%s\",\n" (Island.direction_name cfg.direction);
-  add "  \"clock_ns\": %s,\n" (json_float r.clock_ns);
-  add "  \"dies\": %d,\n" r.dies;
-  add "  \"yield_uncompensated\": %s,\n" (json_float r.yield_uncompensated);
-  add "  \"power_baseline_mw\": %s,\n" (json_float r.power_baseline_mw);
-  add "  \"strategies\": [\n";
-  List.iteri
-    (fun i s ->
-      add
-        "    { \"name\": \"%s\", \"title\": \"%s\", \"yield\": %s, \
-         \"mean_power_mw\": %s, \"mean_knob\": %s, \"knob_total\": %d, \
-         \"knob_units\": \"%s\", \"max_knob\": %d, \"mean_area_um2\": %s, \
-         \"static_area_um2\": %s }%s\n"
-        s.name s.title (json_float s.yield)
-        (json_float s.mean_power_mw)
-        (json_float s.mean_knob)
-        s.knob_total s.knob_units s.max_knob
-        (json_float s.mean_area_um2)
-        (json_float s.static_area_um2)
-        (if i < List.length r.results - 1 then "," else ""))
-    r.results;
-  add "  ]\n}\n";
-  Buffer.contents buf
+  let f x = Json.Float x in
+  let strategy s =
+    Json.Obj
+      [ ("name", Json.Str s.name); ("title", Json.Str s.title);
+        ("yield", f s.yield); ("mean_power_mw", f s.mean_power_mw);
+        ("mean_knob", f s.mean_knob); ("knob_total", Json.Int s.knob_total);
+        ("knob_units", Json.Str s.knob_units); ("max_knob", Json.Int s.max_knob);
+        ("mean_area_um2", f s.mean_area_um2);
+        ("static_area_um2", f s.static_area_um2) ]
+  in
+  Json.to_string
+    (Json.Obj
+       (Wafer.config_fields (wafer_config r.config)
+       @ [ ("clock_ns", f r.clock_ns); ("dies", Json.Int r.dies);
+           ("yield_uncompensated", f r.yield_uncompensated);
+           ("power_baseline_mw", f r.power_baseline_mw);
+           ("strategies", Json.List (List.map strategy r.results)) ]))

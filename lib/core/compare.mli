@@ -10,11 +10,9 @@
     (grid, dies, fields, seed) bit-for-bit — pinned by the
     differential tests — while the skew-tuning and tunable-buffer
     rivals answer the question no single source paper does: how do the
-    competing knobs trade yield against power and area.
-
-    Parallelism: one pool chunk per grid cell, each worker carrying its
-    own scratch and per-strategy apply state, reduced in row-major
-    order — reports are bit-identical for every [PVTOL_DOMAINS]. *)
+    competing knobs trade yield against power and area.  The sweep is
+    {!Wafer.drive}, so reports are bit-identical for every
+    [PVTOL_DOMAINS]. *)
 
 type config = {
   nx : int;

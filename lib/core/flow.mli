@@ -130,6 +130,19 @@ val graph : t -> Sg.graph
 val trace : t -> Pvtol_util.Trace.t
 (** The span trace of every stage computed so far on this handle. *)
 
+(** {2 Downstream stage families} *)
+
+val keyed_family :
+  name:string -> direction:('k -> Island.direction) -> key_label:('k -> string) ->
+  ('p option -> t -> variant -> 'k -> 'a) -> t -> 'p option -> 'k -> 'a
+(** The force function of a keyed stage family for the modules above
+    Flow (wafer sweeps, comparisons, sampling estimates), registered on
+    each handle's graph on first use with deps [sta], [placed],
+    [sampler], [clock], [shifters[<dir>]].  Key [k] computes
+    [compute progress t (variant t (direction k)) k] under the span
+    [name[key_label k]]; [progress] reaches only the force that
+    actually computes. *)
+
 val growth_targets : Slicing.target list
 (** The scenario ladder the islands compensate: island 1 for the
     single-stage scenario at C, island 2 for B, island 3 for A. *)

@@ -3,7 +3,6 @@
    field (optionally replicated over several exposure fields), batched
    on the shared domain pool and reduced with streaming statistics so
    the sweep's memory is O(grid), not O(dies). *)
-module Sg = Stage
 module Pool = Pvtol_util.Pool
 module Srng = Pvtol_util.Srng
 module Stats = Pvtol_util.Stats
@@ -16,6 +15,7 @@ module Sampler = Pvtol_variation.Sampler
 module Metrics = Pvtol_util.Metrics
 module Monte_carlo = Pvtol_ssta.Monte_carlo
 module Smart_sampling = Pvtol_ssta.Smart_sampling
+module Json = Pvtol_util.Json
 
 let m_cells = Metrics.counter "wafer_cells_total"
 let m_wafer_dies = Metrics.counter "wafer_dies_total"
@@ -153,15 +153,16 @@ let cell_of_acc cfg ~ix ~iy acc =
   }
 
 (* ------------------------------------------------------------------ *)
-(* The sweep                                                            *)
+(* The grid driver                                                      *)
 
-let run ?pool ?on_cell (t : Flow.t) (v : Flow.variant) cfg =
+type on_cell = completed:int -> total:int -> unit
+
+let drive ?pool ?on_cell ~who (v : Flow.variant) cfg ~scratch ~systematic ~acc
+    ~die =
   if cfg.nx <= 0 || cfg.ny <= 0 || cfg.dies_per_cell <= 0 || cfg.fields <= 0
-  then invalid_arg "Wafer.run: grid, dies and fields must be positive";
+  then invalid_arg (who ^ ": grid, dies and fields must be positive");
   if v.Flow.direction <> cfg.direction then
-    invalid_arg "Wafer.run: variant direction does not match the config";
-  let k = Postsilicon.kernel t v in
-  let n_islands = Postsilicon.n_islands k in
+    invalid_arg (who ^ ": variant direction does not match the config");
   let pool = match pool with Some p -> p | None -> Pool.shared () in
   let total_cells = cfg.nx * cfg.ny in
   let completed = Atomic.make 0 in
@@ -170,35 +171,45 @@ let run ?pool ?on_cell (t : Flow.t) (v : Flow.variant) cfg =
      run serially inside its chunk in a fixed field-major order, so the
      per-cell accumulators — including the order-sensitive P^2 markers
      — are independent of scheduling. *)
+  Pool.parallel_chunks pool ~chunks:total_cells
+    ~init:(fun ~worker:_ -> scratch ())
+    ~f:(fun sc c ->
+      let ix = c mod cfg.nx and iy = c / cfg.nx in
+      let systematic = systematic (cell_position cfg ~ix ~iy) in
+      let a = acc () in
+      for field = 0 to cfg.fields - 1 do
+        let rng = Srng.create (cell_seed cfg ~field ~ix ~iy) in
+        for _ = 1 to cfg.dies_per_cell do
+          die sc a ~systematic rng
+        done
+      done;
+      (* Progress callbacks fire from whichever domain finished the
+         cell; the count is an Atomic so it is monotone across them.
+         A raising callback would poison the sweep — swallow. *)
+      (match on_cell with
+      | None -> ()
+      | Some f -> (
+        let done_ = 1 + Atomic.fetch_and_add completed 1 in
+        try f ~completed:done_ ~total:total_cells with _ -> ()));
+      a)
+
+(* ------------------------------------------------------------------ *)
+(* The census                                                           *)
+
+let run ?pool ?on_cell (t : Flow.t) (v : Flow.variant) cfg =
+  let k = Postsilicon.kernel t v in
+  let n_islands = Postsilicon.n_islands k in
   let accs =
-    Pool.parallel_chunks pool ~chunks:total_cells
-      ~init:(fun ~worker:_ -> Postsilicon.scratch k)
-      ~f:(fun sc c ->
-        let ix = c mod cfg.nx and iy = c / cfg.nx in
-        let systematic = Postsilicon.systematic k (cell_position cfg ~ix ~iy) in
-        let acc = acc_create ~n_islands in
-        for field = 0 to cfg.fields - 1 do
-          let rng = Srng.create (cell_seed cfg ~field ~ix ~iy) in
-          for _ = 1 to cfg.dies_per_cell do
-            acc_add k acc (Postsilicon.simulate_die k sc ~systematic rng)
-          done
-        done;
-        Metrics.incr m_cells;
-        Metrics.add m_wafer_dies acc.a_dies;
-        (* Progress callbacks fire from whichever domain finished the
-           cell; the count is an Atomic so it is monotone across them.
-           A raising callback would poison the sweep — swallow. *)
-        (match on_cell with
-        | None -> ()
-        | Some f -> (
-          let done_ = 1 + Atomic.fetch_and_add completed 1 in
-          try f ~completed:done_ ~total:total_cells with _ -> ()));
-        acc)
+    drive ?pool ?on_cell ~who:"Wafer.run" v cfg
+      ~scratch:(fun () -> Postsilicon.scratch k)
+      ~systematic:(Postsilicon.systematic k)
+      ~acc:(fun () -> acc_create ~n_islands)
+      ~die:(fun sc acc ~systematic rng ->
+        acc_add k acc (Postsilicon.simulate_die k sc ~systematic rng))
   in
   (* Ordered reduction (row-major), so wafer totals are bit-identical
      no matter how the chunks were scheduled. *)
   let total = acc_create ~n_islands in
-  let delay_all = Welford.create () in
   Array.iter
     (fun acc ->
       total.a_dies <- total.a_dies + acc.a_dies;
@@ -208,9 +219,11 @@ let run ?pool ?on_cell (t : Flow.t) (v : Flow.variant) cfg =
       Welford.merge ~into:total.a_raised acc.a_raised;
       Welford.merge ~into:total.a_pow_isl acc.a_pow_isl;
       Welford.merge ~into:total.a_pow_chip acc.a_pow_chip;
-      Welford.merge ~into:delay_all acc.a_delay;
+      Welford.merge ~into:total.a_delay acc.a_delay;
       Counter.merge ~into:total.a_scen acc.a_scen)
     accs;
+  Metrics.add m_cells (Array.length accs);
+  Metrics.add m_wafer_dies total.a_dies;
   let cells =
     Array.mapi
       (fun c acc -> cell_of_acc cfg ~ix:(c mod cfg.nx) ~iy:(c / cfg.nx) acc)
@@ -230,7 +243,7 @@ let run ?pool ?on_cell (t : Flow.t) (v : Flow.variant) cfg =
     scenario_counts = Counter.to_array total.a_scen;
     mean_power_islands_mw = Welford.mean total.a_pow_isl;
     mean_power_chip_wide_mw = Welford.mean total.a_pow_chip;
-    delay = Welford.summary delay_all;
+    delay = Welford.summary total.a_delay;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -241,54 +254,13 @@ let config_label cfg =
     cfg.fields cfg.seed
     (Island.direction_name cfg.direction)
 
-(* One keyed stage family per flow handle, registered on its graph the
-   first time a sweep is requested (the family cannot be declared in
-   Flow itself: Postsilicon sits above Flow in the module order).
+let sweep_family =
+  Flow.keyed_family ~name:"wafer"
+    ~direction:(fun cfg -> cfg.direction)
+    ~key_label:config_label
+    (fun on_cell t v cfg -> run ?on_cell t v cfg)
 
-   Each family carries a progress-callback slot read by the compute
-   closure at compute time: {!sweep} installs its [?on_cell] around the
-   force.  A memoized re-force never computes, so progress only streams
-   the first time a (flow, config) sweep actually runs — which is the
-   only time there is progress to report. *)
-type on_cell = completed:int -> total:int -> unit
-
-let families_mu = Mutex.create ()
-
-let families :
-    (Sg.graph * ((config, sweep) Sg.keyed * on_cell option ref)) list ref =
-  ref []
-
-let family (t : Flow.t) : (config, sweep) Sg.keyed * on_cell option ref =
-  let g = Flow.graph t in
-  Mutex.lock families_mu;
-  let f =
-    match List.find_opt (fun (g', _) -> g' == g) !families with
-    | Some (_, f) -> f
-    | None ->
-      let cbref = ref None in
-      let f =
-        Sg.keyed g ~name:"wafer"
-          ~deps:(fun cfg ->
-            [ "sta"; "placed"; "sampler"; "clock";
-              "shifters[" ^ Island.direction_name cfg.direction ^ "]" ])
-          ~key_label:config_label
-          (fun cfg -> run ?on_cell:!cbref t (Flow.variant t cfg.direction) cfg)
-      in
-      families := (g, (f, cbref)) :: !families;
-      (f, cbref)
-  in
-  Mutex.unlock families_mu;
-  f
-
-let sweep ?on_cell t cfg =
-  let f, cbref = family t in
-  match on_cell with
-  | None -> Sg.get_keyed f cfg
-  | Some _ ->
-    cbref := on_cell;
-    Fun.protect
-      ~finally:(fun () -> cbref := None)
-      (fun () -> Sg.get_keyed f cfg)
+let sweep ?on_cell t cfg = sweep_family t on_cell cfg
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                            *)
@@ -374,70 +346,56 @@ let pp fmt s =
 (* ------------------------------------------------------------------ *)
 (* JSON export                                                          *)
 
-let json_float f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.9g" f
+let config_fields cfg =
+  [ ("grid", Json.Obj [ ("nx", Json.Int cfg.nx); ("ny", Json.Int cfg.ny) ]);
+    ("dies_per_cell", Json.Int cfg.dies_per_cell);
+    ("fields", Json.Int cfg.fields);
+    ("seed", Json.Int cfg.seed);
+    ("direction", Json.Str (Island.direction_name cfg.direction)) ]
 
-let json_int_array a =
-  "[" ^ String.concat ", " (Array.to_list (Array.map string_of_int a)) ^ "]"
+let ints a = Json.List (Array.to_list (Array.map (fun n -> Json.Int n) a))
 
 let to_json s =
-  let cfg = s.config in
-  let buf = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "{\n";
-  add "  \"grid\": { \"nx\": %d, \"ny\": %d },\n" cfg.nx cfg.ny;
-  add "  \"dies_per_cell\": %d,\n" cfg.dies_per_cell;
-  add "  \"fields\": %d,\n" cfg.fields;
-  add "  \"seed\": %d,\n" cfg.seed;
-  add "  \"direction\": \"%s\",\n" (Island.direction_name cfg.direction);
-  add "  \"n_islands\": %d,\n" s.n_islands;
-  add "  \"clock_ns\": %s,\n" (json_float s.clock_ns);
-  add "  \"wafer\": {\n";
-  add "    \"dies\": %d,\n" s.dies;
-  add "    \"yield_uncompensated\": %s,\n" (json_float s.yield_uncompensated);
-  add "    \"yield_compensated\": %s,\n" (json_float s.yield_compensated);
-  add "    \"yield_chip_wide\": %s,\n" (json_float s.yield_chip_wide);
-  add "    \"mean_raised\": %s,\n" (json_float s.mean_raised);
-  add "    \"scenario_counts\": %s,\n" (json_int_array s.scenario_counts);
-  add "    \"mean_power_islands_mw\": %s,\n" (json_float s.mean_power_islands_mw);
-  add "    \"mean_power_chip_wide_mw\": %s,\n"
-    (json_float s.mean_power_chip_wide_mw);
-  add "    \"delay_ns\": { \"mean\": %s, \"stddev\": %s, \"min\": %s, \"max\": %s }\n"
-    (json_float s.delay.Stats.mean)
-    (json_float s.delay.Stats.stddev)
-    (json_float s.delay.Stats.min)
-    (json_float s.delay.Stats.max);
-  add "  },\n";
-  add "  \"cells\": [\n";
-  Array.iteri
-    (fun i (c : cell) ->
-      add
-        "    { \"ix\": %d, \"iy\": %d, \"x_frac\": %s, \"y_frac\": %s, \
-         \"dies\": %d, \"yield_uncompensated\": %s, \"yield_compensated\": \
-         %s, \"yield_chip_wide\": %s, \"mean_raised\": %s, \
-         \"scenario_counts\": %s, \"raised_counts\": %s, \
-         \"mean_power_islands_mw\": %s, \"mean_power_chip_wide_mw\": %s, \
-         \"delay_mean_ns\": %s, \"delay_stddev_ns\": %s, \"delay_p50_ns\": \
-         %s, \"delay_p90_ns\": %s }%s\n"
-        c.ix c.iy (json_float c.x_frac) (json_float c.y_frac) c.dies
-        (json_float c.yield_uncompensated)
-        (json_float c.yield_compensated)
-        (json_float c.yield_chip_wide)
-        (json_float c.mean_raised)
-        (json_int_array c.scenario_counts)
-        (json_int_array c.raised_counts)
-        (json_float c.mean_power_islands_mw)
-        (json_float c.mean_power_chip_wide_mw)
-        (json_float c.delay.Stats.mean)
-        (json_float c.delay.Stats.stddev)
-        (json_float c.delay_p50_ns)
-        (json_float c.delay_p90_ns)
-        (if i < Array.length s.cells - 1 then "," else ""))
-    s.cells;
-  add "  ]\n}\n";
-  Buffer.contents buf
+  let f x = Json.Float x in
+  let cell (c : cell) =
+    Json.Obj
+      [ ("ix", Json.Int c.ix); ("iy", Json.Int c.iy);
+        ("x_frac", f c.x_frac); ("y_frac", f c.y_frac);
+        ("dies", Json.Int c.dies);
+        ("yield_uncompensated", f c.yield_uncompensated);
+        ("yield_compensated", f c.yield_compensated);
+        ("yield_chip_wide", f c.yield_chip_wide);
+        ("mean_raised", f c.mean_raised);
+        ("scenario_counts", ints c.scenario_counts);
+        ("raised_counts", ints c.raised_counts);
+        ("mean_power_islands_mw", f c.mean_power_islands_mw);
+        ("mean_power_chip_wide_mw", f c.mean_power_chip_wide_mw);
+        ("delay_mean_ns", f c.delay.Stats.mean);
+        ("delay_stddev_ns", f c.delay.Stats.stddev);
+        ("delay_p50_ns", f c.delay_p50_ns);
+        ("delay_p90_ns", f c.delay_p90_ns) ]
+  in
+  let wafer =
+    Json.Obj
+      [ ("dies", Json.Int s.dies);
+        ("yield_uncompensated", f s.yield_uncompensated);
+        ("yield_compensated", f s.yield_compensated);
+        ("yield_chip_wide", f s.yield_chip_wide);
+        ("mean_raised", f s.mean_raised);
+        ("scenario_counts", ints s.scenario_counts);
+        ("mean_power_islands_mw", f s.mean_power_islands_mw);
+        ("mean_power_chip_wide_mw", f s.mean_power_chip_wide_mw);
+        ( "delay_ns",
+          Json.Obj
+            [ ("mean", f s.delay.Stats.mean); ("stddev", f s.delay.Stats.stddev);
+              ("min", f s.delay.Stats.min); ("max", f s.delay.Stats.max) ] ) ]
+  in
+  Json.to_string
+    (Json.Obj
+       (config_fields s.config
+       @ [ ("n_islands", Json.Int s.n_islands); ("clock_ns", f s.clock_ns);
+           ("wafer", wafer);
+           ("cells", Json.List (Array.to_list (Array.map cell s.cells))) ]))
 
 (* ------------------------------------------------------------------ *)
 (* Variance-reduced sampling estimator                                  *)
@@ -779,54 +737,17 @@ let sampling_config_label c =
 
 type on_round = round:int -> max_rounds:int -> ci_halfwidth:float -> unit
 
-let sampling_families_mu = Mutex.create ()
+let estimate_family =
+  Flow.keyed_family ~name:"sampling"
+    ~direction:(fun cfg -> cfg.s_direction)
+    ~key_label:sampling_config_label
+    (fun on_round t v cfg -> run_sampling ?on_round t v ~mode:Wafer_field cfg)
 
-let sampling_families :
-    (Sg.graph
-    * ((sampling_config, sampling_report) Sg.keyed * on_round option ref))
-    list
-    ref =
-  ref []
-
-let sampling_family (t : Flow.t) :
-    (sampling_config, sampling_report) Sg.keyed * on_round option ref =
-  let g = Flow.graph t in
-  Mutex.lock sampling_families_mu;
-  let f =
-    match List.find_opt (fun (g', _) -> g' == g) !sampling_families with
-    | Some (_, f) -> f
-    | None ->
-      let cbref = ref None in
-      let f =
-        Sg.keyed g ~name:"sampling"
-          ~deps:(fun cfg ->
-            [ "sta"; "placed"; "sampler"; "clock";
-              "shifters[" ^ Island.direction_name cfg.s_direction ^ "]" ])
-          ~key_label:sampling_config_label
-          (fun cfg ->
-            run_sampling ?on_round:!cbref t
-              (Flow.variant t cfg.s_direction)
-              ~mode:Wafer_field cfg)
-      in
-      sampling_families := (g, (f, cbref)) :: !sampling_families;
-      (f, cbref)
-  in
-  Mutex.unlock sampling_families_mu;
-  f
+let estimate ?on_round t cfg = estimate_family t on_round cfg
 
 let estimate_run ?pool ?on_round t cfg =
   run_sampling ?pool ?on_round t (Flow.variant t cfg.s_direction)
     ~mode:Wafer_field cfg
-
-let estimate ?on_round t cfg =
-  let f, cbref = sampling_family t in
-  match on_round with
-  | None -> Sg.get_keyed f cfg
-  | Some _ ->
-    cbref := on_round;
-    Fun.protect
-      ~finally:(fun () -> cbref := None)
-      (fun () -> Sg.get_keyed f cfg)
 
 let estimate_at ?pool ?on_round t ~position cfg =
   run_sampling ?pool ?on_round t
@@ -864,53 +785,49 @@ let pp_sampling fmt r =
 
 let sampling_to_json r =
   let c = r.sr_config in
-  let buf = Buffer.create 2048 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let interval_json { mid; hw } =
-    Printf.sprintf "{ \"mean\": %s, \"ci_halfwidth\": %s }" (json_float mid)
-      (json_float hw)
+  let f x = Json.Float x in
+  (* A stratum with fewer than two dies has no variance estimate: its
+     half-width is infinite, written as null. *)
+  let interval { mid; hw } =
+    Json.Obj [ ("mean", f mid); ("ci_halfwidth", Json.float_or_null hw) ]
   in
-  add "{\n";
-  add "  \"sampler\": \"%s\",\n" (Smart_sampling.method_name c.s_method);
-  add "  \"strata\": %d,\n" c.s_strata;
-  add "  \"dies_per_round\": %d,\n" c.s_dies_per_round;
-  add "  \"max_rounds\": %d,\n" c.s_max_rounds;
-  add "  \"ci_target\": %s,\n" (json_float c.s_ci_target);
-  add "  \"ci_metric\": \"%s\",\n" (ci_metric_name c.s_ci_metric);
-  add "  \"rare_scenario\": %d,\n" c.s_rare;
-  add "  \"confidence\": %s,\n" (json_float c.s_confidence);
-  add "  \"seed\": %d,\n" c.s_seed;
-  add "  \"direction\": \"%s\",\n" (Island.direction_name c.s_direction);
-  (match r.sr_position with
-  | None -> ()
-  | Some p ->
-    add "  \"position\": { \"x_frac\": %s, \"y_frac\": %s },\n"
-      (json_float (Position.x_frac p))
-      (json_float (Position.y_frac p)));
-  add "  \"clock_ns\": %s,\n" (json_float r.sr_clock_ns);
-  add "  \"rounds\": %d,\n" r.sr_rounds;
-  add "  \"converged\": %b,\n" r.sr_converged;
-  add "  \"dies\": %d,\n" r.sr_dies;
-  add "  \"estimate\": %s,\n" (json_float r.sr_estimate);
-  add "  \"ci_halfwidth\": %s,\n" (json_float r.sr_ci_halfwidth);
-  add "  \"effective_samples\": %s,\n" (json_float r.sr_effective_samples);
-  add "  \"yield_uncompensated\": %s,\n" (interval_json r.sr_yield_uncompensated);
-  add "  \"yield_compensated\": %s,\n" (interval_json r.sr_yield_compensated);
-  add "  \"yield_chip_wide\": %s,\n" (interval_json r.sr_yield_chip_wide);
-  add "  \"rare\": %s,\n" (interval_json r.sr_rare);
-  add "  \"groups\": [\n";
-  Array.iteri
-    (fun i g ->
-      add
-        "    { \"ix\": %d, \"iy\": %d, \"dies\": %d, \"components\": %d, \
-         \"yield_uncompensated\": %s, \"rare\": %s, \"mean_weight\": %s, \
-         \"effective_samples\": %s }%s\n"
-        g.sg_ix g.sg_iy g.sg_dies g.sg_components
-        (json_float g.sg_yield_uncompensated)
-        (json_float g.sg_rare)
-        (json_float g.sg_mean_weight)
-        (json_float g.sg_effective_samples)
-        (if i < Array.length r.sr_groups - 1 then "," else ""))
-    r.sr_groups;
-  add "  ]\n}\n";
-  Buffer.contents buf
+  let group g =
+    Json.Obj
+      [ ("ix", Json.Int g.sg_ix); ("iy", Json.Int g.sg_iy);
+        ("dies", Json.Int g.sg_dies); ("components", Json.Int g.sg_components);
+        ("yield_uncompensated", f g.sg_yield_uncompensated);
+        ("rare", f g.sg_rare); ("mean_weight", f g.sg_mean_weight);
+        ("effective_samples", f g.sg_effective_samples) ]
+  in
+  let position =
+    match r.sr_position with
+    | None -> []
+    | Some p ->
+      [ ( "position",
+          Json.Obj
+            [ ("x_frac", f (Position.x_frac p));
+              ("y_frac", f (Position.y_frac p)) ] ) ]
+  in
+  Json.to_string
+    (Json.Obj
+       ([ ("sampler", Json.Str (Smart_sampling.method_name c.s_method));
+          ("strata", Json.Int c.s_strata);
+          ("dies_per_round", Json.Int c.s_dies_per_round);
+          ("max_rounds", Json.Int c.s_max_rounds);
+          ("ci_target", f c.s_ci_target);
+          ("ci_metric", Json.Str (ci_metric_name c.s_ci_metric));
+          ("rare_scenario", Json.Int c.s_rare);
+          ("confidence", f c.s_confidence);
+          ("seed", Json.Int c.s_seed);
+          ("direction", Json.Str (Island.direction_name c.s_direction)) ]
+       @ position
+       @ [ ("clock_ns", f r.sr_clock_ns); ("rounds", Json.Int r.sr_rounds);
+           ("converged", Json.Bool r.sr_converged); ("dies", Json.Int r.sr_dies);
+           ("estimate", f r.sr_estimate);
+           ("ci_halfwidth", Json.float_or_null r.sr_ci_halfwidth);
+           ("effective_samples", f r.sr_effective_samples);
+           ("yield_uncompensated", interval r.sr_yield_uncompensated);
+           ("yield_compensated", interval r.sr_yield_compensated);
+           ("yield_chip_wide", interval r.sr_yield_chip_wide);
+           ("rare", interval r.sr_rare);
+           ("groups", Json.List (Array.to_list (Array.map group r.sr_groups))) ]))

@@ -77,19 +77,36 @@ val cell_seed : config -> field:int -> ix:int -> iy:int -> int
 (** The RNG seed of one cell's die stream.  Exposed so tests can
     recompute any cell independently of the sweep. *)
 
-val run :
-  ?pool:Pvtol_util.Pool.t ->
-  ?on_cell:(completed:int -> total:int -> unit) ->
-  Flow.t -> Flow.variant -> config -> sweep
-(** Run the sweep on [pool] (default: the shared pool), one pool chunk
-    per grid cell.  Results are bit-identical for every pool size.
-    [on_cell] fires after each grid cell completes, from whichever
-    domain finished it, with a monotone completed count — exceptions it
-    raises are swallowed.  [Invalid_argument] if the grid is empty or
-    the variant's direction does not match the config. *)
+type on_cell = completed:int -> total:int -> unit
 
-val sweep :
-  ?on_cell:(completed:int -> total:int -> unit) -> Flow.t -> config -> sweep
+val drive :
+  ?pool:Pvtol_util.Pool.t -> ?on_cell:on_cell -> who:string -> Flow.variant ->
+  config -> scratch:(unit -> 's) ->
+  systematic:(Pvtol_variation.Position.t -> 'p) -> acc:(unit -> 'a) ->
+  die:('s -> 'a -> systematic:'p -> Pvtol_util.Srng.t -> unit) -> 'a array
+(** The grid driver of {!run} and {!Compare.run}.  Per grid cell it
+    makes [acc ()] and calls [die] once per die, field-major, each field
+    on its {!cell_seed} stream, every die at the cell's
+    [systematic (cell_position ..)].  One pool chunk per cell, [scratch]
+    built once per worker; the accumulators come back row-major
+    ([.(iy * nx + ix)]), bit-identical for every pool size.  [on_cell]
+    fires after each cell from whichever domain finished it, with a
+    monotone count; exceptions it raises are swallowed.
+    [Invalid_argument] (prefixed by [who]) if the grid is empty or the
+    variant's direction does not match the config. *)
+
+val run :
+  ?pool:Pvtol_util.Pool.t -> ?on_cell:on_cell -> Flow.t -> Flow.variant ->
+  config -> sweep
+(** The census: {!drive} with the {!Postsilicon.simulate_die} kernel
+    (detect, then voltage islands and chip-wide adaptation) on [pool]
+    (default: the shared pool), reduced row-major into per-cell and
+    wafer statistics.  Raises like {!drive}. *)
+
+val config_label : config -> string
+(** The stage key, e.g. [8x8-d12-f1-s7-vertical]. *)
+
+val sweep : ?on_cell:on_cell -> Flow.t -> config -> sweep
 (** Like {!run}, but memoized on the flow's stage graph as the keyed
     stage [wafer[<nx>x<ny>-d<dies>-f<fields>-s<seed>-<dir>]] — traced
     and computed at most once per (flow, config), like every other
@@ -237,6 +254,11 @@ val render_map : sweep -> metric -> string
 val pp : Format.formatter -> sweep -> unit
 (** Wafer-level summary: yields, mean raised, power, delay spread and
     the scenario histogram. *)
+
+val config_fields : config -> (string * Pvtol_util.Json.t) list
+(** The config as the leading report fields ([grid], [dies_per_cell],
+    [fields], [seed], [direction]) shared by {!to_json} and
+    {!Compare.to_json}. *)
 
 val to_json : sweep -> string
 (** The whole sweep as a JSON document (wafer aggregates plus one

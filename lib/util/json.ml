@@ -28,6 +28,9 @@ let escape s =
     s;
   Buffer.contents buf
 
+(* The shortest of %.15g/%.16g/%.17g that parses back to [f] exactly
+   (%.17g always does), with a ".0" kept on integral values so they
+   re-read as floats, not ints. *)
 let float_repr f =
   match Float.classify_float f with
   | Float.FP_nan | Float.FP_infinite ->
@@ -35,7 +38,17 @@ let float_repr f =
       (Printf.sprintf "Json.to_string: non-finite number (%h) in document" f)
   | _ ->
     if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-    else Printf.sprintf "%.12g" f
+    else
+      let s =
+        List.find
+          (fun s -> float_of_string s = f)
+          (List.map (fun p -> Printf.sprintf "%.*g" p f) [ 15; 16; 17 ])
+      in
+      if String.for_all (function '0' .. '9' | '-' -> true | _ -> false) s
+      then s ^ ".0"
+      else s
+
+let float_or_null f = if Float.is_finite f then Float f else Null
 
 let to_string v =
   let buf = Buffer.create 1024 in

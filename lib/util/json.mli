@@ -22,8 +22,15 @@ type t =
 
 val to_string : t -> string
 (** Pretty-printed (2-space indent, stable key order) JSON text ending
-    in a newline.  Raises [Invalid_argument] if the tree contains a
-    NaN or infinite float. *)
+    in a newline.  Floats are written exactly: the shortest of 15, 16
+    or 17 significant digits that parses back to the same bits
+    (integral values as [3.0]).  Raises [Invalid_argument] if the tree
+    contains a NaN or infinite float. *)
+
+val float_or_null : float -> t
+(** [Float f] for finite [f], [Null] otherwise — for values that are
+    legitimately undefined, such as the CI half-width of a stratum with
+    fewer than two samples. *)
 
 val of_string : string -> (t, string) result
 (** Parse a complete JSON document; [Error] carries a message with the

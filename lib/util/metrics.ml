@@ -238,58 +238,6 @@ let snapshot () =
                } ))
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let json_float f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.9g" f
-
-let to_json (snap : snapshot) =
-  let buf = Buffer.create 1024 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let section title filter render =
-    let entries = List.filter_map filter snap in
-    add "  \"%s\": {" title;
-    List.iteri
-      (fun i (name, v) ->
-        add "%s\n    \"%s\": %s" (if i > 0 then "," else "") name (render v))
-      entries;
-    if entries <> [] then add "\n  ";
-    add "}"
-  in
-  add "{\n";
-  section "counters"
-    (function n, Counter c -> Some (n, c) | _ -> None)
-    string_of_int;
-  add ",\n";
-  section "gauges"
-    (function n, Gauge g -> Some (n, g) | _ -> None)
-    json_float;
-  add ",\n";
-  section "histograms"
-    (function n, Histogram h -> Some (n, h) | _ -> None)
-    (fun h ->
-      let b = Buffer.create 128 in
-      Buffer.add_string b
-        (Printf.sprintf "{ \"count\": %d, \"sum\": %s, \"buckets\": [" h.count
-           (json_float h.sum));
-      Array.iteri
-        (fun i c ->
-          let le =
-            if i < Array.length h.buckets then
-              Printf.sprintf "%s" (json_float h.buckets.(i))
-            else "\"+Inf\""
-          in
-          Buffer.add_string b
-            (Printf.sprintf "%s{ \"le\": %s, \"count\": %d }"
-               (if i > 0 then ", " else "")
-               le c))
-        h.counts;
-      Buffer.add_string b "] }";
-      Buffer.contents b);
-  add "\n}\n";
-  Buffer.contents buf
-
-(* The same payload as [to_json], as a tree — the run ledger embeds the
-   snapshot inside a larger document. *)
 let to_value (snap : snapshot) =
   let counters =
     List.filter_map
@@ -335,6 +283,12 @@ let to_value (snap : snapshot) =
       ("histograms", Json.Obj histograms);
     ]
 
+let to_json snap = Json.to_string (to_value snap)
+
+let prom_float f =
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+  else Printf.sprintf "%.9g" f
+
 let to_prometheus (snap : snapshot) =
   let buf = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -343,7 +297,7 @@ let to_prometheus (snap : snapshot) =
       match v with
       | Counter c ->
         add "# TYPE %s counter\n%s %d\n" name name c
-      | Gauge g -> add "# TYPE %s gauge\n%s %s\n" name name (json_float g)
+      | Gauge g -> add "# TYPE %s gauge\n%s %s\n" name name (prom_float g)
       | Histogram h ->
         add "# TYPE %s histogram\n" name;
         let cum = ref 0 in
@@ -357,7 +311,7 @@ let to_prometheus (snap : snapshot) =
             in
             add "%s_bucket{le=\"%s\"} %d\n" name le !cum)
           h.counts;
-        add "%s_sum %s\n%s_count %d\n" name (json_float h.sum) name h.count)
+        add "%s_sum %s\n%s_count %d\n" name (prom_float h.sum) name h.count)
     snap;
   Buffer.contents buf
 
@@ -374,11 +328,8 @@ let summary_line (snap : snapshot) =
 
 let write ~file =
   let snap = snapshot () in
-  let text =
-    if Filename.check_suffix file ".prom" || Filename.check_suffix file ".txt"
-    then to_prometheus snap
-    else to_json snap
-  in
-  let oc = open_out file in
-  output_string oc text;
-  close_out oc
+  if Filename.check_suffix file ".prom" || Filename.check_suffix file ".txt"
+  then
+    Out_channel.with_open_text file (fun oc ->
+        output_string oc (to_prometheus snap))
+  else Json.write_file file (to_value snap)

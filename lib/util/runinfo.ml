@@ -67,24 +67,6 @@ let iso8601 epoch =
     (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
     tm.Unix.tm_sec
 
-let span_json (s : Trace.span) =
-  Json.Obj
-    [
-      ("name", Json.Str s.Trace.name);
-      ("deps", Json.List (List.map (fun d -> Json.Str d) s.Trace.deps));
-      ("start_s", Json.Float s.Trace.start_s);
-      ("dur_s", Json.Float s.Trace.dur_s);
-      ("self_s", Json.Float s.Trace.self_s);
-      ("minor_words", Json.Float s.Trace.minor_words);
-      ("major_words", Json.Float s.Trace.major_words);
-      ("promoted_words", Json.Float s.Trace.promoted_words);
-      ("minor_collections", Json.Int s.Trace.minor_collections);
-      ("major_collections", Json.Int s.Trace.major_collections);
-      ("compactions", Json.Int s.Trace.compactions);
-      ("ok", Json.Bool s.Trace.ok);
-      ("domain", Json.Int s.Trace.domain);
-    ]
-
 (* Pool attribution: queue-wait and job-latency totals recovered from
    the metrics histograms (zero when metrics were disabled or the pool
    never ran a parallel job). *)
@@ -122,7 +104,7 @@ let to_json ?trace ?metrics t =
   let stages =
     match trace with
     | None -> []
-    | Some tr -> List.map span_json (Trace.sort_by_start tr)
+    | Some tr -> List.map Trace.span_json (Trace.sort_by_start tr)
   in
   let metrics_fields =
     match metrics with

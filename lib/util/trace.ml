@@ -123,46 +123,24 @@ let pp fmt t =
         (if s.ok then "" else "  [FAILED]"))
     spans
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let strs l = Json.List (List.map (fun d -> Json.Str d) l)
 
-let to_json t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"spans\": [\n";
-  let spans = spans t in
-  let n = List.length spans in
-  List.iteri
-    (fun i s ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"name\": \"%s\", \"deps\": [%s], \"start_s\": %.6f, \
-            \"dur_s\": %.6f, \"self_s\": %.6f, \"minor_words\": %.0f, \
-            \"major_words\": %.0f, \"promoted_words\": %.0f, \
-            \"minor_collections\": %d, \"major_collections\": %d, \
-            \"compactions\": %d, \"ok\": %b, \"domain\": %d}%s\n"
-           (json_escape s.name)
-           (String.concat ", "
-              (List.map (fun d -> "\"" ^ json_escape d ^ "\"") s.deps))
-           s.start_s s.dur_s s.self_s s.minor_words s.major_words
-           s.promoted_words s.minor_collections s.major_collections
-           s.compactions s.ok s.domain
-           (if i < n - 1 then "," else "")))
-    spans;
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.contents buf
+let span_json s =
+  Json.Obj
+    [ ("name", Json.Str s.name); ("deps", strs s.deps);
+      ("start_s", Json.Float s.start_s); ("dur_s", Json.Float s.dur_s);
+      ("self_s", Json.Float s.self_s);
+      ("minor_words", Json.Float s.minor_words);
+      ("major_words", Json.Float s.major_words);
+      ("promoted_words", Json.Float s.promoted_words);
+      ("minor_collections", Json.Int s.minor_collections);
+      ("major_collections", Json.Int s.major_collections);
+      ("compactions", Json.Int s.compactions); ("ok", Json.Bool s.ok);
+      ("domain", Json.Int s.domain) ]
 
-let write_json t file =
-  let oc = open_out file in
-  output_string oc (to_json t);
-  close_out oc
+let json_value t = Json.Obj [ ("spans", Json.List (List.map span_json (spans t))) ]
+let to_json t = Json.to_string (json_value t)
+let write_json t file = Json.write_file file (json_value t)
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace-event export (chrome://tracing, Perfetto).  One
@@ -170,49 +148,35 @@ let write_json t file =
    computed it, preceded by metadata events naming the process and each
    domain track.  Timestamps are microseconds since trace creation. *)
 
-let chrome_event buf ~first ~name ~ph ~ts ~tid ~extra =
-  if not first then Buffer.add_string buf ",\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  {\"name\": \"%s\", \"ph\": \"%s\", \"ts\": %.3f, \"pid\": 1, \
-        \"tid\": %d%s}"
-       (json_escape name) ph ts tid extra)
+let chrome_event ~name ~ph ~ts ~tid extra =
+  Json.Obj
+    ([ ("name", Json.Str name); ("ph", Json.Str ph); ("ts", Json.Float ts);
+       ("pid", Json.Int 1); ("tid", Json.Int tid) ]
+    @ extra)
 
-let to_chrome_json t =
+let chrome_value t =
   let spans = sort_by_start t in
-  let tids =
-    List.sort_uniq compare (List.map (fun s -> s.domain) spans)
+  let meta name ~tid label =
+    chrome_event ~name ~ph:"M" ~ts:0.0 ~tid
+      [ ("args", Json.Obj [ ("name", Json.Str label) ]) ]
   in
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "[\n";
-  chrome_event buf ~first:true ~name:"process_name" ~ph:"M" ~ts:0.0 ~tid:0
-    ~extra:", \"args\": {\"name\": \"pvtol\"}";
-  List.iter
-    (fun tid ->
-      chrome_event buf ~first:false ~name:"thread_name" ~ph:"M" ~ts:0.0 ~tid
-        ~extra:(Printf.sprintf ", \"args\": {\"name\": \"domain %d\"}" tid))
-    tids;
-  List.iter
-    (fun s ->
-      let deps =
-        String.concat ", "
-          (List.map (fun d -> "\"" ^ json_escape d ^ "\"") s.deps)
-      in
-      chrome_event buf ~first:false ~name:s.name ~ph:"X"
-        ~ts:(s.start_s *. 1e6) ~tid:s.domain
-        ~extra:
-          (Printf.sprintf
-             ", \"dur\": %.3f, \"cat\": \"stage\", \"args\": {\"deps\": \
-              [%s], \"self_us\": %.3f, \"minor_words\": %.0f, \
-              \"major_words\": %.0f, \"minor_collections\": %d, \
-              \"major_collections\": %d, \"ok\": %b}"
-             (s.dur_s *. 1e6) deps (s.self_s *. 1e6) s.minor_words
-             s.major_words s.minor_collections s.major_collections s.ok))
-    spans;
-  Buffer.add_string buf "\n]\n";
-  Buffer.contents buf
+  let track tid = meta "thread_name" ~tid (Printf.sprintf "domain %d" tid) in
+  let event s =
+    chrome_event ~name:s.name ~ph:"X" ~ts:(s.start_s *. 1e6) ~tid:s.domain
+      [ ("dur", Json.Float (s.dur_s *. 1e6)); ("cat", Json.Str "stage");
+        ( "args",
+          Json.Obj
+            [ ("deps", strs s.deps); ("self_us", Json.Float (s.self_s *. 1e6));
+              ("minor_words", Json.Float s.minor_words);
+              ("major_words", Json.Float s.major_words);
+              ("minor_collections", Json.Int s.minor_collections);
+              ("major_collections", Json.Int s.major_collections);
+              ("ok", Json.Bool s.ok) ] ) ]
+  in
+  Json.List
+    ((meta "process_name" ~tid:0 "pvtol"
+     :: List.map track (List.sort_uniq compare (List.map (fun s -> s.domain) spans)))
+    @ List.map event spans)
 
-let write_chrome_json t file =
-  let oc = open_out file in
-  output_string oc (to_chrome_json t);
-  close_out oc
+let to_chrome_json t = Json.to_string (chrome_value t)
+let write_chrome_json t file = Json.write_file file (chrome_value t)

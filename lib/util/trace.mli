@@ -54,7 +54,14 @@ val duplicates : t -> string list
 val pp : Format.formatter -> t -> unit
 (** Pretty span report (one line per span, completion order). *)
 
+val span_json : span -> Json.t
+(** One span as a JSON object with every field of {!span} — the
+    element of {!to_json}'s [spans] list and of the run ledger's
+    [stages]. *)
+
 val to_json : t -> string
+(** [{"spans": [..]}] in completion order. *)
+
 val write_json : t -> string -> unit
 
 val to_chrome_json : t -> string

@@ -42,6 +42,22 @@ let test_json_rejects_nonfinite () =
       | s -> Alcotest.failf "non-finite float emitted as %s" s)
     [ Float.nan; Float.infinity; Float.neg_infinity ]
 
+(* Every finite float survives emit -> parse bit for bit (random bit
+   patterns reach subnormals, huge magnitudes and -0.0); non-finite
+   ones are refused rather than written. *)
+let prop_json_float_exact =
+  QCheck.Test.make ~name:"json floats round-trip exactly" ~count:5000
+    QCheck.(oneof [ float; map Int64.float_of_bits int64 ])
+    (fun f ->
+      match Json.to_string (Json.Float f) with
+      | exception Invalid_argument _ -> not (Float.is_finite f)
+      | text -> (
+        Float.is_finite f
+        &&
+        match Json.of_string text with
+        | Ok (Json.Float g) -> Int64.bits_of_float g = Int64.bits_of_float f
+        | _ -> false))
+
 let test_json_parse_escapes () =
   (match Json.of_string {|"café 😀 \n\t\\"|} with
   | Ok (Json.Str s) ->
@@ -203,6 +219,72 @@ let test_ledger_domain_stability () =
         d1 d)
     [ 2; 4 ]
 
+(* Every artifact the CLI can write must parse: the wafer, sampler and
+   comparison reports (including the degenerate one-die-per-stratum
+   sampler, whose half-widths are undefined), the metrics snapshot, both
+   trace exports and the run ledger. *)
+let test_cli_artifacts_parse () =
+  let dir = Filename.temp_file "pvtol_artifacts" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let file name = Filename.concat dir name in
+  let run args outputs =
+    let cmd =
+      Printf.sprintf "%s %s > /dev/null 2>&1" (Filename.quote pvtol_exe) args
+    in
+    Alcotest.(check int) ("exit: " ^ args) 0 (Sys.command cmd);
+    List.map
+      (fun name ->
+        match Json.read_file (file name) with
+        | Ok j ->
+          Sys.remove (file name);
+          j
+        | Error e -> Alcotest.failf "%s (from %s): %s" name args e)
+      outputs
+  in
+  let q = Filename.quote in
+  ignore
+    (run
+       (Printf.sprintf
+          "wafer --quick --grid 2x2 --dies 2 --json %s --metrics-out %s \
+           --trace --trace-out %s --trace-chrome %s --run-ledger %s"
+          (q (file "wafer.json")) (q (file "metrics.json"))
+          (q (file "trace.json")) (q (file "chrome.json"))
+          (q (file "ledger.json")))
+       [ "wafer.json"; "metrics.json"; "trace.json"; "chrome.json";
+         "ledger.json" ]);
+  List.iter
+    (fun sampler ->
+      ignore
+        (run
+           (Printf.sprintf
+              "wafer --quick --sampler %s --strata 2 --dies 2 --rounds 2 \
+               --json %s"
+              sampler (q (file "sampler.json")))
+           [ "sampler.json" ]))
+    [ "is"; "lhs"; "mc" ];
+  (match
+     run
+       (Printf.sprintf
+          "wafer --quick --sampler mc --strata 2 --dies 1 --rounds 1 --json %s"
+          (q (file "degenerate.json")))
+       [ "degenerate.json" ]
+   with
+  | [ j ] ->
+    Alcotest.(check bool) "starved half-width is null" true
+      (Json.member "ci_halfwidth" j = Some Json.Null
+      && Option.bind (Json.member "rare" j) (Json.member "ci_halfwidth")
+         = Some Json.Null);
+    Alcotest.(check bool) "not converged" true
+      (Json.member "converged" j = Some (Json.Bool false))
+  | _ -> assert false);
+  ignore
+    (run
+       (Printf.sprintf "compare --quick --grid 2x2 --dies 2 --json %s"
+          (q (file "compare.json")))
+       [ "compare.json" ]);
+  Sys.rmdir dir
+
 (* --- bench compare ------------------------------------------------- *)
 
 let bench_file kernels =
@@ -322,11 +404,14 @@ let suite =
         test_json_rejects_nonfinite;
       Alcotest.test_case "json escape parsing" `Quick test_json_parse_escapes;
       Alcotest.test_case "json member access" `Quick test_json_members;
+      QCheck_alcotest.to_alcotest prop_json_float_exact;
       Alcotest.test_case "empty trace exports" `Quick test_trace_empty;
       Alcotest.test_case "span gc deltas" `Quick test_trace_gc_fields;
       Alcotest.test_case "ledger round-trip" `Quick test_ledger_roundtrip;
       Alcotest.test_case "ledger digests vs PVTOL_DOMAINS" `Slow
         test_ledger_domain_stability;
+      Alcotest.test_case "every cli artifact parses" `Slow
+        test_cli_artifacts_parse;
       Alcotest.test_case "compare: identical files" `Quick
         test_compare_identical;
       Alcotest.test_case "compare: inflated kernel flagged" `Quick
