@@ -21,8 +21,9 @@ bench:
 bench-quick:
 	dune exec bench/main.exe -- --quick kernels --json
 
-# Golden-vs-batched Monte-Carlo engine comparison only: the per-sample
-# MC kernels and their speedup ratio (scaled-down design).
+# Monte-Carlo kernels only: the scalar reference loop (fig3/mc-sample)
+# against the batched per-sample kernel, and their speedup ratio
+# (scaled-down design).
 bench-mc:
 	dune exec bench/main.exe -- --quick kernels-mc
 

@@ -13,8 +13,9 @@
      bench/main.exe kernels --json  -- also write BENCH_ssta.json (perf
                                         trajectory for future changes)
      bench/main.exe ... --out FILE  -- write the JSON somewhere else
-     bench/main.exe kernels-mc      -- only the golden-vs-batched MC
-                                        kernels and their speedup ratio
+     bench/main.exe kernels-mc      -- only the MC kernels (scalar
+                                        reference loop vs batched) and
+                                        their speedup ratio
      bench/main.exe --quick ...     -- scaled-down design (fast smoke run)
 
    One Bechamel Test.make per table/figure kernel: the measured loop is
@@ -22,8 +23,8 @@
    Fig. 2, an STA pass for Table 1's timing, a Monte-Carlo sample for
    Fig. 3 / §4.4, a corner compensation check for Fig. 4, crossing
    analysis for Table 2, and a power pass for Figs. 5-6).  Kernel lines
-   are printed sorted by name so runs diff cleanly.  The Monte-Carlo
-   engine is additionally timed end-to-end with a 1-domain pool and with
+   are printed sorted by name so runs diff cleanly.  [Monte_carlo.run]
+   is additionally timed end-to-end with a 1-domain pool and with
    the shared pool (PVTOL_DOMAINS / Domain.recommended_domain_count) to
    report the parallel speedup; both runs produce bit-identical
    samples.
@@ -141,7 +142,7 @@ let mc_throughput ~quick () =
   let pool = Pool.shared () in
   let _, r2 = time_run ~pool () in
   if r1.MC.worst_samples <> r2.MC.worst_samples then
-    failwith "mc-parallel: samples differ from the serial engine";
+    failwith "mc-parallel: samples differ from the 1-domain run";
   let parallel = timed_reps ~reps:4 (fun () -> fst (time_run ~pool ())) in
   { mc_samples = samples; domains = Pool.domains pool; serial; parallel }
 
@@ -188,7 +189,7 @@ let wafer_throughput ~quick () =
   Pool.shutdown serial_pool;
   let pool = Pool.shared () in
   let _, s2 = time_run ~pool () in
-  if s1 <> s2 then failwith "wafer-parallel: sweep differs from the serial engine";
+  if s1 <> s2 then failwith "wafer-parallel: sweep differs from the 1-domain run";
   let wafer_parallel = timed_reps ~reps:2 (fun () -> fst (time_run ~pool ())) in
   {
     wafer_dies = s1.Wafer.dies;
@@ -380,8 +381,8 @@ let print_sampling_calibration s =
 
 (* MC-related kernels carry [per_run > 1]: one staged run covers a full
    lane block, and the reported estimate is divided by [per_run] so
-   every fig3/table1 line stays ns per SAMPLE and the engines compare
-   directly. *)
+   every fig3/table1 line stays ns per SAMPLE and the scalar reference
+   loop ([fig3/mc-sample]) compares directly with the batched kernel. *)
 let mc_kernel_names =
   [
     "fig3/mc-sample"; "fig3/mc-sample-batched"; "fig3/mc-sample-is";
@@ -407,7 +408,7 @@ let kernel_estimates ~quick ?(only = fun _ -> true) () =
       .Pvtol_stdcell.Process.vdd_low
   in
   let field = Field.default in
-  (* Batched-engine scratch: one block of [lanes] samples per run. *)
+  (* Batched-kernel scratch: one block of [lanes] samples per run. *)
   let lanes = 32 in
   let bw = Sta.batch_workspace ~lanes sta in
   let stride = Sta.batch_stride bw in
@@ -611,15 +612,15 @@ let kernel_estimates ~quick ?(only = fun _ -> true) () =
      report is stable run to run. *)
   List.sort (fun (a, _) (b, _) -> String.compare a b) rows
 
-(* Golden-vs-batched engine ratio from the per-sample kernel lines;
+(* Scalar-reference-vs-batched ratio from the per-sample kernel lines;
    [None] until both kernels have estimates. *)
 let mc_engine_speedup rows =
   match
     (List.assoc_opt "fig3/mc-sample" rows,
      List.assoc_opt "fig3/mc-sample-batched" rows)
   with
-  | Some (Some golden), Some (Some batched) when batched.BC.ns > 0.0 ->
-    Some (golden.BC.ns /. batched.BC.ns)
+  | Some (Some scalar), Some (Some batched) when batched.BC.ns > 0.0 ->
+    Some (scalar.BC.ns /. batched.BC.ns)
   | _ -> None
 
 (* Schema 2: every kernel line is {ns, ci, n} (or null), every
@@ -733,7 +734,8 @@ let print_engine_speedup rows =
   match mc_engine_speedup rows with
   | Some s ->
     Printf.printf
-      "\nMC engine speedup (golden / batched, per sample): %.2fx\n%!" s
+      "\nMC kernel speedup (scalar reference / batched, per sample): %.2fx\n%!"
+      s
   | None -> ()
 
 let kernels ~quick ~json ~out () =
@@ -751,8 +753,8 @@ let kernels ~quick ~json ~out () =
   if json then write_json ~file:out rows mc wf tel smp;
   if warn_missing rows then 1 else 0
 
-(* Just the golden-vs-batched comparison: the four per-sample MC
-   kernels and their ratio ([make bench-mc]). *)
+(* Just the MC kernels — the scalar reference loop against the batched
+   kernel — and their ratio ([make bench-mc]). *)
 let kernels_mc ~quick () =
   let rows =
     kernel_estimates ~quick ~only:(fun n -> List.mem n mc_kernel_names) ()

@@ -95,13 +95,10 @@ let with_flow ~quick ~samples ~seed ~trace ~trace_out ~metrics_out
   Runinfo.add_config ledger "quick" (Json.Bool quick);
   Runinfo.add_config ledger "mc_samples" (Json.Int config.Flow.mc_samples);
   Runinfo.add_config ledger "mc_seed" (Json.Int config.Flow.mc_seed);
-  List.iter
-    (fun var ->
-      Runinfo.add_config ledger var
-        (match Sys.getenv_opt var with
-        | Some v -> Json.Str v
-        | None -> Json.Null))
-    [ "PVTOL_DOMAINS"; "PVTOL_MC_ENGINE" ];
+  Runinfo.add_config ledger "PVTOL_DOMAINS"
+    (match Sys.getenv_opt "PVTOL_DOMAINS" with
+    | Some v -> Json.Str v
+    | None -> Json.Null);
   let t = Flow.prepare ~config () in
   let emit () =
     if trace then begin

@@ -10,7 +10,6 @@ module Cell = Pvtol_stdcell.Cell
 module Kind = Pvtol_stdcell.Kind
 module Process = Pvtol_stdcell.Process
 module Metrics = Pvtol_util.Metrics
-module Monte_carlo = Pvtol_ssta.Monte_carlo
 
 let m_vi_applied = Metrics.counter "compensation_vi_applied_total"
 let m_chipwide_applied = Metrics.counter "compensation_chipwide_applied_total"
@@ -33,7 +32,6 @@ type ctx = {
   high : float;
   base : float array;
   n_cells : int;
-  engine : Monte_carlo.engine;
   power_chip_wide : float;
   power_baseline : float;
 }
@@ -57,7 +55,7 @@ type outcome = {
   area_um2 : float;
 }
 
-let context ?(engine = Monte_carlo.engine_of_env ()) (t : Flow.t) =
+let context (t : Flow.t) =
   let nl = Flow.netlist t in
   let lib = nl.Netlist.lib in
   let low = lib.Cell.process.Process.vdd_low in
@@ -80,7 +78,6 @@ let context ?(engine = Monte_carlo.engine_of_env ()) (t : Flow.t) =
     high;
     base = Sta.nominal_delays sta;
     n_cells = Netlist.cell_count nl;
-    engine;
     power_chip_wide;
     power_baseline;
   }
@@ -102,17 +99,13 @@ let systematic c position =
   Sampler.systematic_lgates c.sampler c.placement position
 
 (* Re-time the shared scratch's current Lgate realisation under a
-   per-cell supply map.  This is THE analysis step of the pre-refactor
-   settle loop, verbatim: the incremental pass is bit-identical to the
-   full one (bound 0.), so both engines produce the same die verdicts;
-   the supply reconfigurations are where the cached arrivals pay off. *)
+   per-cell supply map.  The incremental pass is bit-identical to a full
+   one; the supply reconfigurations of the settle loops are where the
+   cached arrivals pay off. *)
 let analyze_shared c sc ~vdd =
   Sampler.scale_delays c.sampler ~base:c.base ~lgates:sc.lgates ~vdd
     ~out:sc.delays;
-  match c.engine with
-  | Monte_carlo.Golden -> Sta.analyze_into c.sta sc.ws ~delays:sc.delays
-  | Monte_carlo.Batched ->
-    Sta.analyze_incremental_into c.sta sc.inc ~delays:sc.delays
+  Sta.analyze_incremental_into c.sta sc.inc ~delays:sc.delays
 
 let count_violating ws clock =
   List.length

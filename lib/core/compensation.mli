@@ -17,10 +17,10 @@
     precomputed state is immutable and safe to share across domains;
     everything mutable lives in the closure returned by
     [fresh_apply] (one per concurrent caller) and in the shared
-    {!scratch}.  The island/chip-wide strategies reuse the scratch's
-    incremental STA exactly as the pre-refactor settle loop did, so
-    they are engine-agnostic via [PVTOL_MC_ENGINE] and bit-identical to
-    the golden-pinned [Postsilicon.run] study and [Wafer] sweeps. *)
+    {!scratch}.  The island/chip-wide strategies re-time through the
+    scratch's incremental STA, which is exact, so they stay
+    bit-identical to the golden-pinned [Postsilicon.run] study and
+    [Wafer] sweeps. *)
 
 open Pvtol_netlist
 
@@ -32,8 +32,8 @@ val analyzed : Stage.t list
 
 type ctx
 (** Everything die-independent that every strategy shares: the STA, the
-    sampler, nominal delays, clock, the two supplies, the engine choice
-    and the baseline/chip-wide power levels.  Immutable. *)
+    sampler, nominal delays, clock, the two supplies and the
+    baseline/chip-wide power levels.  Immutable. *)
 
 type scratch
 (** Per-caller mutable state (STA workspaces, Lgate and delay buffers)
@@ -52,13 +52,9 @@ type outcome = {
   area_um2 : float;   (** area of the knob hardware exercised on this die *)
 }
 
-val context :
-  ?engine:Pvtol_ssta.Monte_carlo.engine -> Flow.t -> ctx
+val context : Flow.t -> ctx
 (** Forces the flow stages every strategy reads (netlist, placement,
-    STA, sampler, clock, baseline and chip-wide power at position B).
-    [engine] (default {!Pvtol_ssta.Monte_carlo.engine_of_env}) selects
-    full vs incremental STA for the shared-scratch strategies; die
-    results are bit-identical either way. *)
+    STA, sampler, clock, baseline and chip-wide power at position B). *)
 
 val scratch : ctx -> scratch
 val clock : ctx -> float

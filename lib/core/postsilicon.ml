@@ -2,7 +2,6 @@ module Position = Pvtol_variation.Position
 module Power = Pvtol_power.Power
 module Metrics = Pvtol_util.Metrics
 module Srng = Pvtol_util.Srng
-module Monte_carlo = Pvtol_ssta.Monte_carlo
 
 let m_dies = Metrics.counter "postsilicon_dies_total"
 let m_raised = Metrics.counter "postsilicon_islands_raised_total"
@@ -59,8 +58,8 @@ type die = {
   die_worst_low_ns : float;
 }
 
-let kernel ?engine (t : Flow.t) (v : Flow.variant) =
-  let ctx = Compensation.context ?engine t in
+let kernel (t : Flow.t) (v : Flow.variant) =
+  let ctx = Compensation.context t in
   let vi = Compensation.voltage_islands t ctx v in
   let cw = Compensation.chip_wide ctx in
   let power_of_raised =
@@ -98,7 +97,7 @@ let simulate_die k s ~systematic rng =
   (* Detect once (the die's only RNG consumption), then play both
      reference strategies on the same Lgate realisation — the exact
      analysis sequence of the pre-refactor loop, so die records are
-     bit-identical to it under either engine. *)
+     bit-identical to it. *)
   let d = Compensation.detect k.ctx s.sc ~systematic rng in
   let vi = s.vi_apply s.sc d in
   let cw = s.cw_apply s.sc d in

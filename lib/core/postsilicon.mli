@@ -77,19 +77,13 @@ type die = {
           pre-compensation critical path *)
 }
 
-val kernel :
-  ?engine:Pvtol_ssta.Monte_carlo.engine -> Flow.t -> Flow.variant -> kernel
+val kernel : Flow.t -> Flow.variant -> kernel
 (** Forces the flow stages it reads (netlist, placement, STA, sampler,
     clock, the variant's power configurations); afterwards
     {!simulate_die} touches no stage graph and no shared mutable
-    state.
-
-    [engine] (default {!Pvtol_ssta.Monte_carlo.engine_of_env}) selects
-    the STA strategy of the settle loop: [Golden] runs a full forward
-    pass per supply configuration, [Batched] re-propagates
-    incrementally from the previous configuration's arrivals
-    ({!Pvtol_timing.Sta.analyze_incremental_into}, exact — die results
-    are bit-identical either way). *)
+    state.  The settle loop re-propagates each supply configuration
+    incrementally from the previous one's arrivals
+    ({!Pvtol_timing.Sta.analyze_incremental_into}, exact). *)
 
 val scratch : kernel -> scratch
 val n_islands : kernel -> int

@@ -132,9 +132,8 @@ val sweep : ?on_cell:on_cell -> Flow.t -> config -> sweep
     zero half-width never satisfies the rule: for indicator metrics an
     all-constant sample is evidence of starvation, not certainty.
     Every stratum round is an independent RNG substream keyed by
-    [(seed, round, stratum)], rounds are merged in stratum order, and
-    the per-die kernel is engine-exact — so a report is bit-identical
-    across [PVTOL_DOMAINS] and both [PVTOL_MC_ENGINE] values. *)
+    [(seed, round, stratum)] and rounds are merged in stratum order,
+    so a report is bit-identical across [PVTOL_DOMAINS]. *)
 
 type ci_metric =
   | Ci_yield  (** uncompensated timing yield *)

@@ -160,7 +160,8 @@ let of_string lib src =
             in
             let rpar =
               match String.rindex_opt code ')' with
-              | Some j -> j
+              | Some j when j > lpar -> j
+              | Some _ -> fail lnum "missing pin list"
               | None -> fail lnum "missing ')'"
             in
             let pins = parse_pins lnum (String.sub code (lpar + 1) (rpar - lpar - 1)) in
@@ -182,8 +183,9 @@ let of_string lib src =
             |> List.iter (fun w ->
                    if String.length w > 2 && String.sub w 0 2 = "s=" then begin
                      match
-                       stage_of_index
-                         (int_of_string (String.sub w 2 (String.length w - 2)))
+                       Option.bind
+                         (int_of_string_opt (String.sub w 2 (String.length w - 2)))
+                         stage_of_index
                      with
                      | Some s -> stage := s
                      | None -> fail lnum "bad stage index"

@@ -7,29 +7,13 @@ module Stats = Pvtol_util.Stats
 module Fit = Pvtol_util.Fit
 module Pool = Pvtol_util.Pool
 module Metrics = Pvtol_util.Metrics
-module Log = Pvtol_util.Log
 
 let m_samples = Metrics.counter "mc_samples_total"
 let m_mc_chunks = Metrics.counter "mc_chunks_total"
-let m_batches = Metrics.counter "mc_batches_total"
 
 type config = { samples : int; seed : int }
 
 let default_config = { samples = 400; seed = 2024 }
-
-type engine = Golden | Batched
-
-let engine_warn = Log.once ()
-
-let engine_of_env () =
-  match Sys.getenv_opt "PVTOL_MC_ENGINE" with
-  | None | Some "" | Some "batched" -> Batched
-  | Some "golden" -> Golden
-  | Some other ->
-    Log.warn_once engine_warn
-      "PVTOL_MC_ENGINE=%S is not a known engine (golden|batched); using batched"
-      other;
-    Batched
 
 type stage_stats = {
   stage : Stage.t;
@@ -61,8 +45,8 @@ let substream_seed seed keys = List.fold_left mix seed keys
    raw draws, and an odd count leaves the pair's second half cached.
    (Box-Muller's u1 = 0 rejection re-draw has probability 2^-53 per
    pair; we ignore it, as does every practical SplitMix64 jump.)  This
-   makes the chunked engine bit-identical to the legacy serial loop,
-   independent of both chunk size and domain count. *)
+   makes every chunk draw exactly the gaussians a single serial stream
+   would, independent of both chunk size and domain count. *)
 let rng_at_sample ~seed ~gaussians =
   let g = Srng.create seed in
   if gaussians land 1 = 0 then Srng.jump g gaussians
@@ -74,21 +58,15 @@ let rng_at_sample ~seed ~gaussians =
   end;
   g
 
+(* Per-worker scratch: the SoA block plus one sample-major gaussian
+   buffer sized for a full chunk. *)
 type scratch = {
-  ws : Sta.workspace;
-  lgates : float array;
-  delays : float array;
-}
-
-(* Batched-engine per-worker scratch: the SoA block plus one
-   sample-major gaussian buffer sized for a full chunk. *)
-type bscratch = {
   bw : Sta.batch_workspace;
   gauss : float array;
 }
 
-let run ?(config = default_config) ?(engine = engine_of_env ()) ?vdd ?pool
-    ~sampler ~sta ~placement ~position () =
+let run ?(config = default_config) ?vdd ?pool ~sampler ~sta ~placement
+    ~position () =
   let nl = Sta.netlist sta in
   let vdd =
     match vdd with
@@ -101,7 +79,7 @@ let run ?(config = default_config) ?(engine = engine_of_env ()) ?vdd ?pool
   let systematic = Sampler.systematic_lgates sampler placement position in
   let base = Sta.nominal_delays sta in
   (* Endpoint sets are precomputed once: the per-sample loop must not
-     re-filter the flop array (satellite of the parallel rewrite). *)
+     re-filter the flop array. *)
   let active_stages =
     List.filter_map
       (fun s ->
@@ -113,98 +91,53 @@ let run ?(config = default_config) ?(engine = engine_of_env ()) ?vdd ?pool
   let worst_samples = Array.make config.samples 0.0 in
   let chunks = (config.samples + chunk_size - 1) / chunk_size in
   let pool = match pool with Some p -> p | None -> Pool.shared () in
+  (* Per-die scale state (polynomial fits) is immutable after
+     construction; workers share it read-only. *)
+  let batch = Sampler.batch sampler ~base ~systematic ~vdd in
+  let init ~worker:_ =
+    {
+      bw = Sta.batch_workspace ~lanes:chunk_size sta;
+      gauss = Array.make (chunk_size * n) 0.0;
+    }
+  in
   (* Each chunk owns a disjoint slice of every sample array, so workers
      write without synchronisation; the per-chunk criticality counts
      are returned and merged in chunk order below. *)
-  let crit_chunks =
-    match engine with
-    | Golden ->
-      let init ~worker:_ =
-        {
-          ws = Sta.workspace sta;
-          lgates = Array.make n 0.0;
-          delays = Array.make n 0.0;
-        }
-      in
-      let run_chunk st c =
-        let s0 = c * chunk_size in
-        let s1 = min config.samples (s0 + chunk_size) in
-        Metrics.incr m_mc_chunks;
-        Metrics.add m_samples (s1 - s0);
-        let rng = rng_at_sample ~seed:config.seed ~gaussians:(s0 * n) in
-        let crit = Array.make n 0 in
-        for k = s0 to s1 - 1 do
-          Sampler.sample_lgates sampler ~systematic rng st.lgates;
-          Sampler.scale_delays sampler ~base ~lgates:st.lgates ~vdd
-            ~out:st.delays;
-          Sta.analyze_into sta st.ws ~delays:st.delays;
-          worst_samples.(k) <- Sta.ws_worst st.ws;
-          List.iter
-            (fun (s, eps, arr) ->
-              match Sta.ws_stage_delay st.ws s with
-              | None -> ()
-              | Some stage_worst ->
-                arr.(k) <- stage_worst;
-                (* Endpoint criticality: flops within 2% of their
-                   stage's worst. *)
-                Array.iter
-                  (fun cid ->
-                    if Sta.ws_endpoint_delay st.ws cid >= 0.98 *. stage_worst
-                    then crit.(cid) <- crit.(cid) + 1)
-                  eps)
-            active_stages
-        done;
-        crit
-      in
-      Pool.parallel_chunks pool ~chunks ~init ~f:run_chunk
-    | Batched ->
-      (* Per-die scale state (polynomial fits) is immutable after
-         construction; workers share it read-only. *)
-      let batch = Sampler.batch sampler ~base ~systematic ~vdd in
-      let init ~worker:_ =
-        {
-          bw = Sta.batch_workspace ~lanes:chunk_size sta;
-          gauss = Array.make (chunk_size * n) 0.0;
-        }
-      in
-      let run_chunk st c =
-        let s0 = c * chunk_size in
-        let s1 = min config.samples (s0 + chunk_size) in
-        let kb = s1 - s0 in
-        Metrics.incr m_mc_chunks;
-        Metrics.incr m_batches;
-        Metrics.add m_samples kb;
-        (* The gaussian stream is drawn in exactly the golden order —
-           sample-major, cells in id order — so the chunk consumes the
-           same [kb * n] draws from the same serial stream position. *)
-        let rng = rng_at_sample ~seed:config.seed ~gaussians:(s0 * n) in
-        Srng.fill_gaussians rng st.gauss ~pos:0 ~len:(kb * n);
-        Sampler.scale_delays_batch batch ~gauss:st.gauss ~samples:kb
-          ~stride:(Sta.batch_stride st.bw) ~out:(Sta.batch_delays st.bw);
-        Sta.analyze_batch_into sta st.bw ~lanes:kb;
-        let crit = Array.make n 0 in
-        for lane = 0 to kb - 1 do
-          let k = s0 + lane in
-          worst_samples.(k) <- Sta.bw_worst st.bw lane;
-          List.iter
-            (fun (s, eps, arr) ->
-              match Sta.bw_stage_delay st.bw s lane with
-              | None -> ()
-              | Some stage_worst ->
-                arr.(k) <- stage_worst;
-                Array.iter
-                  (fun cid ->
-                    if
-                      Sta.bw_endpoint_delay sta st.bw cid lane
-                      >= 0.98 *. stage_worst
-                    then crit.(cid) <- crit.(cid) + 1)
-                  eps)
-            active_stages
-        done;
-        crit
-      in
-      Pool.parallel_chunks pool ~chunks ~init ~f:run_chunk
+  let run_chunk st c =
+    let s0 = c * chunk_size in
+    let s1 = min config.samples (s0 + chunk_size) in
+    let kb = s1 - s0 in
+    Metrics.incr m_mc_chunks;
+    Metrics.add m_samples kb;
+    (* Sample-major, cells in id order: the chunk consumes the same
+       [kb * n] draws from the same serial stream position. *)
+    let rng = rng_at_sample ~seed:config.seed ~gaussians:(s0 * n) in
+    Srng.fill_gaussians rng st.gauss ~pos:0 ~len:(kb * n);
+    Sampler.scale_delays_batch batch ~gauss:st.gauss ~samples:kb
+      ~stride:(Sta.batch_stride st.bw) ~out:(Sta.batch_delays st.bw);
+    Sta.analyze_batch_into sta st.bw ~lanes:kb;
+    let crit = Array.make n 0 in
+    for lane = 0 to kb - 1 do
+      let k = s0 + lane in
+      worst_samples.(k) <- Sta.bw_worst st.bw lane;
+      List.iter
+        (fun (s, eps, arr) ->
+          match Sta.bw_stage_delay st.bw s lane with
+          | None -> ()
+          | Some stage_worst ->
+            arr.(k) <- stage_worst;
+            (* Endpoint criticality: flops within 2% of their stage's
+               worst. *)
+            Array.iter
+              (fun cid ->
+                if Sta.bw_endpoint_delay sta st.bw cid lane >= 0.98 *. stage_worst
+                then crit.(cid) <- crit.(cid) + 1)
+              eps)
+        active_stages
+    done;
+    crit
   in
+  let crit_chunks = Pool.parallel_chunks pool ~chunks ~init ~f:run_chunk in
   let critical_count = Hashtbl.create 256 in
   Array.iter
     (fun crit ->

@@ -18,22 +18,6 @@ type config = {
 val default_config : config
 (** 400 samples, seed 2024. *)
 
-type engine =
-  | Golden
-      (** The scalar reference engine: one full STA pass per sample.
-          Bit-for-bit the historical results. *)
-  | Batched
-      (** Structure-of-arrays fast path: 32 samples propagated per
-          graph walk with a polynomial delay-scale.  Identical gaussian
-          draws; worst-slack values agree with [Golden] to ~1e-12
-          relative (the documented {!Pvtol_variation.Sampler} fit
-          bound). *)
-
-val engine_of_env : unit -> engine
-(** Engine selected by the [PVTOL_MC_ENGINE] environment variable:
-    [golden] or [batched] (the default, also used — with a one-shot
-    warning — for unrecognised values). *)
-
 val substream_seed : int -> int list -> int
 (** [substream_seed seed keys] folds the boost-style hash combine over
     [keys] to derive a deterministic, non-negative RNG seed for one
@@ -62,7 +46,6 @@ type result = {
 
 val run :
   ?config:config ->
-  ?engine:engine ->
   ?vdd:(Netlist.cell_id -> float) ->
   ?pool:Pvtol_util.Pool.t ->
   sampler:Pvtol_variation.Sampler.t ->
@@ -71,22 +54,23 @@ val run :
   position:Pvtol_variation.Position.t ->
   unit ->
   result
-(** [vdd] defaults to the library's low supply for every cell;
-    [engine] defaults to {!engine_of_env}.
+(** [vdd] defaults to the library's low supply for every cell.
 
     The sample range is cut into fixed 32-sample chunks executed on
     [pool] (default {!Pvtol_util.Pool.shared}, sized by the
     [PVTOL_DOMAINS] environment variable).  Each chunk reconstructs —
     via an O(1) SplitMix64 jump ({!Pvtol_util.Srng.jump}) — the exact
-    RNG state the legacy serial loop would hold at the chunk's first
-    sample, and every chunk writes a disjoint slice of the sample
-    arrays, so the output is {e bit-identical} for every domain count
-    (and, under [Golden], to the pre-parallel serial engine).  The
-    [Batched] engine consumes the same gaussian stream chunk by chunk
-    and is likewise domain-count invariant; versus [Golden] its
-    worst-slack samples differ only within the documented delay-scale
-    fit bound.  Per-worker workspaces keep both inner loops free of
-    per-sample heap allocation. *)
+    RNG state a single serial stream would hold at the chunk's first
+    sample, draws the chunk's gaussians in sample-major order, scales
+    them with the {!Pvtol_variation.Sampler.batch} delay-scale fit and
+    propagates all lanes in one structure-of-arrays STA pass
+    ({!Pvtol_timing.Sta.analyze_batch_into}).  Every chunk writes a
+    disjoint slice of the sample arrays, so the output is
+    {e bit-identical} for every domain count.  Against a scalar
+    one-sample-at-a-time loop over the same stream, worst-delay samples
+    differ only within the documented delay-scale fit bound.
+    Per-worker workspaces keep the inner loop free of per-sample heap
+    allocation. *)
 
 val stage_stats : result -> Stage.t -> stage_stats option
 

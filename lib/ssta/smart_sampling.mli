@@ -19,8 +19,8 @@
       ({!Pvtol_variation.Sampler.shifted_systematic}) while the RNG
       stream is replayed via {!Pvtol_util.Srng.copy} +
       {!Pvtol_util.Srng.fill_gaussians} to recover the raw draw's
-      projections for the likelihood ratio — bit-compatible with both
-      MC engines, which consume the identical gaussian stream.
+      projections for the likelihood ratio — bit-compatible with the
+      die kernel, which consumes the identical gaussian stream.
     - {b Tilt construction}: one component per worst endpoint
       ({!Pvtol_timing.Paths.worst_endpoints}) of each analyzed stage
       that sits below the clock among the [rare] slowest; its direction

@@ -344,14 +344,13 @@ let batch_workspace ?(lanes = 32) t =
 let batch_stride bw = bw.stride_b
 let batch_delays bw = bw.delays_b
 
-let analyze_batch_into ?skew t bw ~lanes =
+let analyze_batch_into t bw ~lanes =
   if lanes < 1 || lanes > bw.stride_b then
     invalid_arg "Sta.analyze_batch_into: lanes out of range";
   (* One logical analysis per lane, so the analyze counter stays
-     comparable across engines. *)
+     comparable with the scalar passes. *)
   Metrics.add m_analyzes lanes;
   let nl = t.nl in
-  let skew = match skew with Some f -> f | None -> zero_skew in
   let cap = bw.stride_b in
   let arrival = bw.arrival_b in
   let delays = bw.delays_b in
@@ -359,15 +358,12 @@ let analyze_batch_into ?skew t bw ~lanes =
   (* Unsafe lane accesses are sound: every row index is [id * cap] for
      an id bounded by the array's construction ([cells * cap],
      [nets * cap], [flops * cap]) and [k < lanes <= cap]. *)
+  (* Launch points: flop outputs (ideal clock). *)
   Array.iter
     (fun cid ->
-      let sk = skew cid in
-      let row = nl.Netlist.cells.(cid).Netlist.fanout * cap in
-      let drow = cid * cap in
-      for k = 0 to lanes - 1 do
-        Array.unsafe_set arrival (row + k)
-          (Array.unsafe_get delays (drow + k) +. sk)
-      done)
+      Array.blit delays (cid * cap) arrival
+        (nl.Netlist.cells.(cid).Netlist.fanout * cap)
+        lanes)
     t.flops;
   let pin_wire = t.pin_wire and pin_off = t.pin_off in
   let acc = bw.acc_b in
@@ -403,13 +399,12 @@ let analyze_batch_into ?skew t bw ~lanes =
       let arow = c.Netlist.fanins.(0) * cap in
       let pw = pin_wire.(pin_off.(cid)) in
       let setup = t.setup in
-      let sk = skew cid in
       let erow = slot * cap in
       match t.capture_of.(cid) with
       | Some stage ->
         let srow = Stage.index stage * cap in
         for k = 0 to lanes - 1 do
-          let a = arrival.(arow + k) +. pw +. setup -. sk in
+          let a = arrival.(arow + k) +. pw +. setup in
           bw.endpoint_b.(erow + k) <- a;
           if a > bw.worst_b.(k) then begin
             bw.worst_b.(k) <- a;
@@ -422,7 +417,7 @@ let analyze_batch_into ?skew t bw ~lanes =
         done
       | None ->
         for k = 0 to lanes - 1 do
-          let a = arrival.(arow + k) +. pw +. setup -. sk in
+          let a = arrival.(arow + k) +. pw +. setup in
           bw.endpoint_b.(erow + k) <- a;
           if a > bw.worst_b.(k) then begin
             bw.worst_b.(k) <- a;
@@ -453,15 +448,17 @@ let bw_stage_delay bw stage k =
    the supply assignment of a few islands, so most cell delays are
    bitwise unchanged between calls.  The workspace keeps the previous
    delay vector and the previous arrivals; an analysis seeds a
-   levelized worklist with the cells whose delay moved more than
-   [bound] and re-propagates only their fan-out cones, pruning any cell
-   whose recomputed arrival is bitwise unchanged.  With [bound = 0.]
-   (the default) the result is bit-identical to [analyze_into]: every
-   bitwise delay change is re-propagated through the same per-cell
-   arithmetic, and the endpoint reduction is shared code.  When the
-   seed set or the touched cone exceeds [max_frac] of the netlist the
-   pass abandons incrementality and falls back to one full forward
-   pass (counted in [sta_full_fallbacks_total]). *)
+   levelized worklist with the cells whose delay changed bitwise and
+   re-propagates only their fan-out cones, pruning any cell whose
+   recomputed arrival is bitwise unchanged.  The result is
+   bit-identical to [analyze_into]: every delay change is re-propagated
+   through the same per-cell arithmetic, and the endpoint reduction is
+   shared code.  When the seed set or the touched cone exceeds
+   [max_frac] of the netlist the pass abandons incrementality and falls
+   back to one full forward pass (counted in
+   [sta_full_fallbacks_total]). *)
+
+let max_frac = 0.25
 
 type inc_workspace = {
   iw_ws : workspace;
@@ -486,22 +483,18 @@ let inc_workspace t =
 let inc_ws iw = iw.iw_ws
 let inc_invalidate iw = iw.iw_valid <- false
 
-let analyze_incremental_into ?skew ?(bound = 0.0) ?(max_frac = 0.25) t iw
-    ~delays =
+let analyze_incremental_into t iw ~delays =
   let nl = t.nl in
   let n_cells = Netlist.cell_count nl in
   let ws = iw.iw_ws in
   let full () =
-    analyze_into ?skew t ws ~delays;
+    analyze_into t ws ~delays;
     Array.blit delays 0 iw.prev 0 n_cells;
     iw.iw_valid <- true
   in
   if not iw.iw_valid then full ()
   else begin
-    let changed cid =
-      if bound = 0.0 then delays.(cid) <> iw.prev.(cid)
-      else Float.abs (delays.(cid) -. iw.prev.(cid)) > bound
-    in
+    let changed cid = delays.(cid) <> iw.prev.(cid) in
     let limit =
       max 1 (int_of_float (max_frac *. float_of_int (max 1 n_cells)))
     in
@@ -514,7 +507,6 @@ let analyze_incremental_into ?skew ?(bound = 0.0) ?(max_frac = 0.25) t iw
       full ()
     end
     else begin
-      let skew_f = match skew with Some f -> f | None -> zero_skew in
       let arrival = ws.arrival_ws in
       let push cid =
         if not iw.in_bucket.(cid) then begin
@@ -536,7 +528,7 @@ let analyze_incremental_into ?skew ?(bound = 0.0) ?(max_frac = 0.25) t iw
         (fun cid ->
           if changed cid then begin
             iw.prev.(cid) <- delays.(cid);
-            let a = delays.(cid) +. skew_f cid in
+            let a = delays.(cid) in
             let net = nl.Netlist.cells.(cid).Netlist.fanout in
             if a <> arrival.(net) then begin
               arrival.(net) <- a;
@@ -591,8 +583,7 @@ let analyze_incremental_into ?skew ?(bound = 0.0) ?(max_frac = 0.25) t iw
       else begin
         Metrics.add m_inc_gates !processed;
         Metrics.incr m_analyzes;
-        let skew = skew_f in
-        endpoint_pass ~skew t ws
+        endpoint_pass ~skew:zero_skew t ws
       end
     end
   end

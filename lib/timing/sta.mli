@@ -126,11 +126,10 @@ val batch_delays : batch_workspace -> float array
     [i * stride + k] — the layout {!Pvtol_variation.Sampler.scale_delays_batch}
     writes. *)
 
-val analyze_batch_into :
-  ?skew:(Netlist.cell_id -> float) -> t -> batch_workspace -> lanes:int -> unit
+val analyze_batch_into : t -> batch_workspace -> lanes:int -> unit
 (** Analyze the first [lanes] columns of {!batch_delays} in one forward
-    pass ([1 <= lanes <= stride]).  Results are read per lane through
-    the [bw_*] accessors. *)
+    pass ([1 <= lanes <= stride]) under an ideal clock.  Results are
+    read per lane through the [bw_*] accessors. *)
 
 val bw_worst : batch_workspace -> int -> float
 val bw_worst_endpoint : batch_workspace -> int -> Netlist.cell_id
@@ -147,9 +146,9 @@ val bw_stage_delay : batch_workspace -> Stage.t -> int -> float option
     post-silicon settle loop re-times one Lgate realisation under a
     handful of island supply assignments — the workspace keeps the
     previous delays and arrivals, seeds a levelized worklist with the
-    cells whose delay moved more than [bound], and re-propagates only
-    their fan-out cones, pruning wherever a recomputed arrival is
-    bitwise unchanged. *)
+    cells whose delay changed, and re-propagates only their fan-out
+    cones, pruning wherever a recomputed arrival is bitwise
+    unchanged. *)
 
 type inc_workspace
 (** A {!workspace} plus the previous delay vector and the worklist
@@ -163,31 +162,17 @@ val inc_ws : inc_workspace -> workspace
 
 val inc_invalidate : inc_workspace -> unit
 (** Forget the cached arrivals; the next analysis runs a full pass.
-    Call it if the arrivals were mutated externally or the [skew]
-    function changed identity. *)
+    Call it if the arrivals were mutated externally. *)
 
-val analyze_incremental_into :
-  ?skew:(Netlist.cell_id -> float) ->
-  ?bound:float ->
-  ?max_frac:float ->
-  t ->
-  inc_workspace ->
-  delays:float array ->
-  unit
-(** Same observable semantics as {!analyze_into} into [inc_ws].  With
-    [bound = 0.] (default) results are bit-identical to a full pass:
-    every bitwise delay change re-propagates through the same per-cell
-    arithmetic and the endpoint reduction is shared code.  A positive
-    [bound] trades exactness for work: delay moves within [bound] are
-    left un-propagated (stale arrivals persist until the cell is next
-    touched), bounding the error by [bound] per level of stale logic.
-    When the changed-cell set or the touched cone exceeds [max_frac]
-    (default [0.25]) of the netlist, the pass falls back to one full
-    forward pass — counted in [sta_full_fallbacks_total]; cells
-    actually re-evaluated are counted in [sta_incremental_gates_total].
-    The [skew] function must assign each flop the same offsets as the
-    previous call on this workspace (use {!inc_invalidate} when it
-    changes). *)
+val analyze_incremental_into : t -> inc_workspace -> delays:float array -> unit
+(** Same observable semantics as {!analyze_into} (ideal clock) into
+    [inc_ws], and bit-identical to a full pass: every bitwise delay
+    change re-propagates through the same per-cell arithmetic and the
+    endpoint reduction is shared code.  When the changed-cell set or
+    the touched cone exceeds a quarter of the netlist, the pass falls
+    back to one full forward pass — counted in
+    [sta_full_fallbacks_total]; cells actually re-evaluated are counted
+    in [sta_incremental_gates_total]. *)
 
 val required : t -> delays:float array -> clock:float -> float array
 (** Backward pass: per-net required time under the clock constraint.

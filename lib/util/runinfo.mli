@@ -2,7 +2,7 @@
 
     The paper's claims are quantitative, so every run should leave
     behind what was run (version, git revision, argv), under which
-    knobs (seed, [PVTOL_DOMAINS], [PVTOL_MC_ENGINE], …), what it cost
+    knobs (seed, [PVTOL_DOMAINS], …), what it cost
     (wall/CPU time, GC totals, per-stage time/allocation/GC-collection
     attribution from the {!Trace}, pool queue-wait totals from the
     {!Metrics} histograms) and what it produced (an MD5 digest per
@@ -38,7 +38,7 @@ val create : ?argv:string list -> unit -> t
 (** Start a collector.  [argv] defaults to the live [Sys.argv]. *)
 
 val add_config : t -> string -> Json.t -> unit
-(** Record one configuration entry (seed, domain count, engine, …).
+(** Record one configuration entry (seed, domain count, …).
     Later entries with the same key override earlier ones. *)
 
 val add_artifact : t -> name:string -> string -> unit

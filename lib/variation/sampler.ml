@@ -61,7 +61,7 @@ let scale_delays t ~base ~lgates ~vdd ~out =
 
    [delay_scale] costs an [exp] and two [( ** )] per (cell, sample) —
    and it is a smooth function of Lgate alone once the cell's supply is
-   fixed.  The batched engine replaces it with a per-supply Chebyshev
+   fixed.  The batched path replaces it with a per-supply Chebyshev
    interpolant evaluated by Horner's rule: over the few-sigma Lgate
    window the Monte-Carlo sampler can actually produce, a degree-12 fit
    agrees with the exact model to ~3e-14 relative (the nearest complex
@@ -193,24 +193,6 @@ let batch t ~base ~systematic ~vdd =
         })
   in
   { bt = t; b_base = base; b_systematic = systematic; b_vdd; b_poly; polys }
-
-let batch_scale b i ~lgate_nm =
-  let pi = b.b_poly.(i) in
-  if pi < 0 then delay_scale b.bt ~lgate_nm ~vdd:b.b_vdd.(i)
-  else begin
-    let p = b.polys.(pi) in
-    if lgate_nm < p.p_lo || lgate_nm > p.p_hi then
-      delay_scale b.bt ~lgate_nm ~vdd:p.p_vdd
-    else begin
-      let u = ((2.0 *. lgate_nm) -. p.p_lo -. p.p_hi) /. (p.p_hi -. p.p_lo) in
-      let mono = p.mono in
-      let acc = ref mono.(poly_degree) in
-      for k = poly_degree - 1 downto 0 do
-        acc := (!acc *. u) +. mono.(k)
-      done;
-      !acc
-    end
-  end
 
 let scale_delays_batch b ~gauss ~samples ~stride ~out =
   let n = Array.length b.b_base in

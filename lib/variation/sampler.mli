@@ -45,8 +45,8 @@ val shifted_systematic :
     expressed as a modified systematic field.  Because
     {!sample_lgates} adds the random draw on top of whatever
     systematic it is given, passing the shifted field to an unchanged
-    die kernel realises the importance-sampling tilt exactly, for both
-    Monte-Carlo engines, without touching their sampling loops. *)
+    die kernel realises the importance-sampling tilt exactly, without
+    touching any sampling loop. *)
 
 val delay_scale :
   t -> lgate_nm:float -> vdd:float -> float
@@ -60,11 +60,11 @@ val scale_delays :
   out:float array ->
   unit
 (** [out.(i) <- base.(i) * delay_scale lgates.(i) (vdd i)] for all
-    cells — the per-sample inner loop of the Monte Carlo engine. *)
+    cells — one die's delay rescale in the post-silicon kernels. *)
 
 (** {2 Batched structure-of-arrays path}
 
-    The batched Monte-Carlo engine replaces the per-(cell, sample)
+    The Monte-Carlo run replaces the per-(cell, sample)
     transcendental delay-scale evaluation with a per-supply Chebyshev
     interpolant over the reachable Lgate window.  The interpolant
     matches {!delay_scale} to within [1e-12] relative (observed
@@ -86,12 +86,6 @@ val batch :
 (** [batch t ~base ~systematic ~vdd] fits the fast delay-scale
     polynomials for one die position.  Cost is O(cells + degree^2 per
     distinct supply); amortized over every sample of the run. *)
-
-val batch_scale : batch -> int -> lgate_nm:float -> float
-(** [batch_scale b i ~lgate_nm] — the scale factor the batched path
-    assigns cell [i] at [lgate_nm] (polynomial inside the fitted
-    window, exact {!delay_scale} outside).  Exposed for the
-    differential tests. *)
 
 val scale_delays_batch :
   batch ->

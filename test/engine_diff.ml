@@ -1,76 +1,117 @@
-(* Reusable differential harness for the two Monte-Carlo engines.
+(* Serial Monte-Carlo oracle and the diff that holds [Monte_carlo.run]
+   to it.
 
-   Any MC-consuming path — [Monte_carlo.run], the [Postsilicon] die
-   kernel, a [Wafer] cell — can be run under both engines and diffed
-   here.  Comparison contract:
+   [oracle] is the plainest possible SSTA loop: one sequential
+   [Srng.create seed] stream over all samples and, per sample,
+   [Sampler.sample_lgates] -> [Sampler.scale_delays] (the exact
+   transcendental delay scale) -> [Sta.analyze_into], with the same
+   worst, per-stage and 2%-criticality bookkeeping as the library.  It
+   has no chunks, RNG jumps, pool, delay-scale fit or SoA kernel, so it
+   is independent of everything the library run adds for speed.
 
-   - The batched engine replaces the per-(cell, sample) transcendental
-     delay scale with a polynomial whose documented relative error is
+   Comparison contract ([check_mc]):
+   - The library replaces the per-(cell, sample) transcendental delay
+     scale with a polynomial whose documented relative error is
      <= 1e-12 ({!Pvtol_variation.Sampler.batch}); the forward STA pass
      adds and maxes those delays without amplifying relative error, so
-     Monte-Carlo worst-slack samples must agree within {!rel_bound} —
-     orders looser than observed (~1e-14), tight enough that any real
-     regression (a swapped lane, a stale arrival, a misordered draw)
-     trips it at once.
-   - The incremental STA used by the post-silicon settle loop is exact
-     (bound 0.), so die records and wafer cells must match bit for
-     bit, and integer outputs (criticality counts, scenario verdicts)
-     must be equal everywhere. *)
+     worst-delay samples must agree within {!rel_bound} — orders looser
+     than observed (~1e-14), tight enough that any real regression (a
+     swapped lane, a stale arrival, a misordered draw) trips it at
+     once.
+   - Integer outputs (criticality counts) must be equal. *)
 
 module MC = Pvtol_ssta.Monte_carlo
+module Sta = Pvtol_timing.Sta
+module Sampler = Pvtol_variation.Sampler
+module Netlist = Pvtol_netlist.Netlist
+module Stage = Pvtol_netlist.Stage
+module Srng = Pvtol_util.Srng
+module Stats = Pvtol_util.Stats
+module Fit = Pvtol_util.Fit
 
 let rel_bound = 1e-9
 
-(* Run [f] with [PVTOL_MC_ENGINE] set to [name] — exercises the same
-   environment plumbing users rely on; restored afterwards.  (An unset
-   variable is restored as [""], which selects the same default.) *)
-let with_engine_env name f =
-  let old = Sys.getenv_opt "PVTOL_MC_ENGINE" in
-  Unix.putenv "PVTOL_MC_ENGINE" name;
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "PVTOL_MC_ENGINE" (Option.value old ~default:""))
-    f
+let oracle ~(config : MC.config) ~sampler ~sta ~placement ~position =
+  let nl = Sta.netlist sta in
+  let n = Netlist.cell_count nl in
+  let low = nl.Netlist.lib.Pvtol_stdcell.Cell.process.Pvtol_stdcell.Process.vdd_low in
+  let samples = config.MC.samples in
+  let systematic = Sampler.systematic_lgates sampler placement position in
+  let base = Sta.nominal_delays sta in
+  let ws = Sta.workspace sta in
+  let lgates = Array.make n 0.0 and delays = Array.make n 0.0 in
+  let stages =
+    List.filter_map
+      (fun s ->
+        let eps = Sta.stage_endpoint_ids sta s in
+        if Array.length eps > 0 then Some (s, eps, Array.make samples 0.0)
+        else None)
+      Stage.all
+  in
+  let worst_samples = Array.make samples 0.0 in
+  let crit = Hashtbl.create 256 in
+  let rng = Srng.create config.MC.seed in
+  for k = 0 to samples - 1 do
+    Sampler.sample_lgates sampler ~systematic rng lgates;
+    Sampler.scale_delays sampler ~base ~lgates ~vdd:(fun _ -> low) ~out:delays;
+    Sta.analyze_into sta ws ~delays;
+    worst_samples.(k) <- Sta.ws_worst ws;
+    List.iter
+      (fun (s, eps, arr) ->
+        match Sta.ws_stage_delay ws s with
+        | None -> ()
+        | Some stage_worst ->
+          arr.(k) <- stage_worst;
+          Array.iter
+            (fun cid ->
+              if Sta.ws_endpoint_delay ws cid >= 0.98 *. stage_worst then
+                Hashtbl.replace crit cid
+                  (1 + Option.value (Hashtbl.find_opt crit cid) ~default:0))
+            eps)
+      stages
+  done;
+  let stages =
+    List.map
+      (fun (stage, _, samples) ->
+        let fit, gof = Fit.fit_and_test samples in
+        { MC.stage; samples; summary = Stats.summarize samples; fit; gof })
+      stages
+  in
+  { MC.position; stages; worst_samples; endpoint_critical_count = crit }
 
-(* Apply [f] to both engines: [(golden, batched)]. *)
-let both f = (f MC.Golden, f MC.Batched)
-
-let check_floats ~label ?(rel = rel_bound) golden batched =
-  if Array.length golden <> Array.length batched then
-    Alcotest.failf "%s: length %d vs %d" label (Array.length golden)
-      (Array.length batched);
+let check_floats ~label ?(rel = rel_bound) expected got =
+  if Array.length expected <> Array.length got then
+    Alcotest.failf "%s: length %d vs %d" label (Array.length expected)
+      (Array.length got);
   Array.iteri
-    (fun i g ->
-      let b = batched.(i) in
+    (fun i e ->
+      let g = got.(i) in
       let ok =
-        g = b
-        || Float.is_finite g && Float.is_finite b
-           && Float.abs (b -. g)
-              <= rel *. Float.max (Float.abs g) (Float.abs b)
+        e = g
+        || Float.is_finite e && Float.is_finite g
+           && Float.abs (g -. e) <= rel *. Float.max (Float.abs e) (Float.abs g)
       in
       if not ok then
-        Alcotest.failf "%s: sample %d differs beyond %g rel (golden %h, batched %h)"
-          label i rel g b)
-    golden
+        Alcotest.failf "%s: sample %d differs beyond %g rel (oracle %h, run %h)"
+          label i rel e g)
+    expected
 
 let sorted_crit (r : MC.result) =
   Hashtbl.fold (fun cid n acc -> (cid, n) :: acc) r.MC.endpoint_critical_count []
   |> List.sort compare
 
-(* Full Monte-Carlo result diff: worst-slack and per-stage sample
-   arrays within [rel], criticality tables equal. *)
-let check_mc ~label ?rel (golden : MC.result) (batched : MC.result) =
-  check_floats ~label:(label ^ ": worst_samples") ?rel golden.MC.worst_samples
-    batched.MC.worst_samples;
+(* Full Monte-Carlo result diff: worst-delay and per-stage sample arrays
+   within [rel], criticality tables equal. *)
+let check_mc ~label ?rel (expected : MC.result) (got : MC.result) =
+  check_floats ~label:(label ^ ": worst_samples") ?rel expected.MC.worst_samples
+    got.MC.worst_samples;
   List.iter2
-    (fun (g : MC.stage_stats) (b : MC.stage_stats) ->
-      if not (Pvtol_netlist.Stage.equal g.MC.stage b.MC.stage) then
+    (fun (e : MC.stage_stats) (g : MC.stage_stats) ->
+      if not (Stage.equal e.MC.stage g.MC.stage) then
         Alcotest.failf "%s: stage list mismatch" label;
       check_floats
-        ~label:
-          (Printf.sprintf "%s: %s samples" label
-             (Pvtol_netlist.Stage.name g.MC.stage))
-        ?rel g.MC.samples b.MC.samples)
-    golden.MC.stages batched.MC.stages;
-  if sorted_crit golden <> sorted_crit batched then
+        ~label:(Printf.sprintf "%s: %s samples" label (Stage.name e.MC.stage))
+        ?rel e.MC.samples g.MC.samples)
+    expected.MC.stages got.MC.stages;
+  if sorted_crit expected <> sorted_crit got then
     Alcotest.failf "%s: criticality tables differ" label

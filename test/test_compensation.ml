@@ -14,6 +14,8 @@ module Compare = Pvtol_core.Compare
 module Postsilicon = Pvtol_core.Postsilicon
 module Wafer = Pvtol_core.Wafer
 module Position = Pvtol_variation.Position
+module Sampler = Pvtol_variation.Sampler
+module Sta = Pvtol_timing.Sta
 module Pool = Pvtol_util.Pool
 module Srng = Pvtol_util.Srng
 
@@ -294,6 +296,51 @@ let test_vi_strategy_matches_postsilicon () =
       done)
     [ Position.point_a; Position.point_c ]
 
+let test_detect_matches_full_pass () =
+  (* [detect] re-times through the scratch's incremental STA; a plain
+     sample -> scale -> full-pass replay of the same RNG stream must
+     give the same verdict and the same worst delay, bit for bit.  The
+     island strategy runs between dies so each detect starts from a
+     raised-supply state. *)
+  let t, v = Lazy.force env in
+  let ctx = Compensation.context t in
+  let sc = Compensation.scratch ctx in
+  let vi_apply = (Compensation.voltage_islands t ctx v).Compensation.fresh_apply () in
+  let sampler = Flow.sampler t and sta = Flow.sta t in
+  let clock = Flow.clock t in
+  let nl = Flow.netlist t in
+  let low =
+    nl.Pvtol_netlist.Netlist.lib.Pvtol_stdcell.Cell.process
+      .Pvtol_stdcell.Process.vdd_low
+  in
+  let base = Sta.nominal_delays sta in
+  let n = Array.length base in
+  let lgates = Array.make n 0.0 and delays = Array.make n 0.0 in
+  let ws = Sta.workspace sta in
+  List.iter
+    (fun pos ->
+      let systematic = Compensation.systematic ctx pos in
+      let rng = Srng.create 23 and replay = Srng.create 23 in
+      for die = 1 to 6 do
+        let d = Compensation.detect ctx sc ~systematic rng in
+        ignore (vi_apply sc d);
+        Sampler.sample_lgates sampler ~systematic replay lgates;
+        Sampler.scale_delays sampler ~base ~lgates ~vdd:(fun _ -> low)
+          ~out:delays;
+        Sta.analyze_into sta ws ~delays;
+        let stage_delays =
+          List.filter_map (Sta.ws_stage_delay ws) Compensation.analyzed
+        in
+        let label = Printf.sprintf "%s die %d" pos.Position.label die in
+        Alcotest.(check int) (label ^ ": violating")
+          (List.length (List.filter (fun d -> d > clock +. 1e-12) stage_delays))
+          d.Compensation.violating;
+        check_bits (label ^ ": worst low delay")
+          (List.fold_left Float.max 0.0 stage_delays)
+          d.Compensation.worst_low_ns
+      done)
+    Position.named
+
 (* --- harness behaviour --- *)
 
 let test_compare_memoized () =
@@ -387,6 +434,8 @@ let suite =
         test_cost_monotone_in_knob;
       Alcotest.test_case "vi strategy = postsilicon kernel" `Quick
         test_vi_strategy_matches_postsilicon;
+      Alcotest.test_case "detect = full-pass replay (A-D)" `Quick
+        test_detect_matches_full_pass;
       Alcotest.test_case "compare memoized per key" `Quick
         test_compare_memoized;
       Alcotest.test_case "compare validation" `Quick test_compare_validation;

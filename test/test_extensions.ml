@@ -70,7 +70,10 @@ let test_verilog_errors () =
   in
   expect "module m (a);\n  input a;\n  FROB_X1 u0 (.o(x), .i0(a));\nendmodule\n";
   expect "module m (a);\n  input a;\n  INV_X1 u0 (.i0(a));\nendmodule\n";
-  expect "module m (a, z);\n  input a;\n  output z;\nendmodule\n" (* undriven output *)
+  expect "module m (a, z);\n  input a;\n  output z;\nendmodule\n" (* undriven output *);
+  (* A non-numeric stage tag, and a ')' before the '(' of the pin list. *)
+  expect "module m (a);\n  input a;\n  INV_X1 u0 (.o(x), .i0(a)); // s=x\nendmodule\n";
+  expect "module m (a);\n  input a;\n  INV_X1 u0 ) (;\nendmodule\n"
 
 let test_verilog_sequential_loop () =
   (* q = DFF(not q): forward reference to the inverter output. *)

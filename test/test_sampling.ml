@@ -1,8 +1,8 @@
 (* Statistical test harness for the variance-reduced yield estimators:
    likelihood-ratio exactness on a synthetic mixture, LHS quota
-   accounting, stopping-rule behaviour, cross-domain / cross-engine
-   bit-identity of sampling reports — and, behind PVTOL_SLOW_TESTS=1,
-   the differential oracle against long brute-force runs and the
+   accounting, stopping-rule behaviour, cross-domain bit-identity of
+   sampling reports — and, behind PVTOL_SLOW_TESTS=1, the differential
+   oracle against long brute-force runs and the
    analytic SSTA model at the paper's die positions. *)
 
 module Smart_sampling = Pvtol_ssta.Smart_sampling
@@ -233,7 +233,7 @@ let test_stopping_rule () =
         (r.Wafer.sr_ci_halfwidth = infinity))
 
 (* ------------------------------------------------------------------ *)
-(* Bit-identity across domains and engines                              *)
+(* Bit-identity across domains                                          *)
 
 let sampling_cfg method_ =
   {
@@ -265,22 +265,6 @@ let test_domain_invariance () =
         Alcotest.(check string) (name ^ ": 1 vs 4 domains") r1 r4
       | _ -> assert false)
     [ Smart_sampling.Mc; Smart_sampling.Is; Smart_sampling.Lhs ]
-
-let test_engine_invariance () =
-  (* The die kernel under both engines differs only in STA strategy
-     (the incremental pass is exact), so sampling reports must be bit
-     identical.  Fresh flows per engine: the kernel bakes the engine in
-     at creation. *)
-  let report engine_name =
-    Engine_diff.with_engine_env engine_name (fun () ->
-        let t = Flow.prepare ~config:Flow.quick_config () in
-        with_pool ~domains:2 (fun pool ->
-            Wafer.sampling_to_json
-              (Wafer.estimate_run ~pool t
-                 (sampling_cfg Smart_sampling.Is))))
-  in
-  Alcotest.(check string) "is report: golden vs batched" (report "golden")
-    (report "batched")
 
 (* ------------------------------------------------------------------ *)
 (* Stage-graph exposure                                                 *)
@@ -446,7 +430,6 @@ let suite =
       Alcotest.test_case "lhs strata quota" `Quick test_lhs_strata_quota;
       Alcotest.test_case "stopping rule" `Quick test_stopping_rule;
       Alcotest.test_case "domain invariance" `Quick test_domain_invariance;
-      Alcotest.test_case "engine invariance" `Quick test_engine_invariance;
       Alcotest.test_case "keyed stage memoized" `Quick
         test_keyed_stage_memoized;
     ]

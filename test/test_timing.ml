@@ -401,7 +401,7 @@ let check_ws_matches_lane label sta ws bw lane =
 let test_analyze_batch_matches_scalar () =
   (* Every lane of a batched pass must be bit-identical to a scalar
      [analyze_into] of that lane's delay column — including a partial
-     batch ([lanes] below the stride) and a skewed clock. *)
+     batch ([lanes] below the stride). *)
   let _, sta = Lazy.force vex_sta in
   let base = Sta.nominal_delays sta in
   let n = Array.length base in
@@ -410,36 +410,23 @@ let test_analyze_batch_matches_scalar () =
   let block = Sta.batch_delays bw in
   let ws = Sta.workspace sta in
   let scalar = Array.make n 0.0 in
-  let skews =
-    [ ("no skew", None); ("skewed", Some (fun cid -> 0.01 *. float_of_int (cid mod 5))) ]
-  in
-  List.iter
-    (fun (sname, skew) ->
-      let lanes = 5 in
-      for i = 0 to n - 1 do
-        for k = 0 to lanes - 1 do
-          block.((i * stride) + k) <- wiggled base i k
-        done
-      done;
-      (match skew with
-      | None -> Sta.analyze_batch_into sta bw ~lanes
-      | Some sk -> Sta.analyze_batch_into ~skew:sk sta bw ~lanes);
-      for k = 0 to lanes - 1 do
-        for i = 0 to n - 1 do
-          scalar.(i) <- wiggled base i k
-        done;
-        (match skew with
-        | None -> Sta.analyze_into sta ws ~delays:scalar
-        | Some sk -> Sta.analyze_into ~skew:sk sta ws ~delays:scalar);
-        check_ws_matches_lane
-          (Printf.sprintf "%s lane %d" sname k)
-          sta ws bw k
-      done)
-    skews
+  let lanes = 5 in
+  for i = 0 to n - 1 do
+    for k = 0 to lanes - 1 do
+      block.((i * stride) + k) <- wiggled base i k
+    done
+  done;
+  Sta.analyze_batch_into sta bw ~lanes;
+  for k = 0 to lanes - 1 do
+    for i = 0 to n - 1 do
+      scalar.(i) <- wiggled base i k
+    done;
+    Sta.analyze_into sta ws ~delays:scalar;
+    check_ws_matches_lane (Printf.sprintf "lane %d" k) sta ws bw k
+  done
 
 let test_analyze_incremental_matches_full () =
-  (* The default-bound incremental pass must stay bit-identical to a
-     full pass across a settle-loop-like sequence of delay vectors:
+  (* The incremental pass must stay bit-identical to a full pass across a settle-loop-like sequence of delay vectors:
      first call (cold), a sparse island raise, a single-cell change, an
      identical re-analysis, a whole-netlist change (fallback), and a
      post-invalidate call. *)
@@ -484,28 +471,6 @@ let test_analyze_incremental_matches_full () =
   Sta.inc_invalidate iw;
   apply "after invalidate" (fun () -> ())
 
-let test_analyze_incremental_bound () =
-  (* A positive [bound] leaves sub-bound delay moves un-propagated: the
-     cached results must then match the PREVIOUS vector's full pass,
-     not the new one's. *)
-  let _, sta = Lazy.force vex_sta in
-  let base = Sta.nominal_delays sta in
-  let iw = Sta.inc_workspace sta in
-  Sta.analyze_incremental_into sta iw ~delays:base;
-  let worst0 = Sta.ws_worst (Sta.inc_ws iw) in
-  let nudged = Array.map (fun d -> d +. 1e-6) base in
-  Sta.analyze_incremental_into ~bound:1e-3 sta iw ~delays:nudged;
-  Alcotest.(check bool) "sub-bound moves are skipped" true
-    (Sta.ws_worst (Sta.inc_ws iw) = worst0);
-  (* The same nudge with the exact default bound propagates. *)
-  Sta.analyze_incremental_into sta iw ~delays:nudged;
-  let ws_full = Sta.workspace sta in
-  Sta.analyze_into sta ws_full ~delays:nudged;
-  Alcotest.(check bool) "exact pass catches up" true
-    (Sta.ws_worst (Sta.inc_ws iw) = Sta.ws_worst ws_full);
-  Alcotest.(check bool) "nudge was visible" true
-    (Sta.ws_worst ws_full <> worst0)
-
 let test_stage_endpoint_ids () =
   let nl = chain_netlist 2 in
   let sta = Sta.build nl ~wire_length:no_wire ~capture:capture_all in
@@ -527,8 +492,6 @@ let suite =
         test_analyze_batch_matches_scalar;
       Alcotest.test_case "incremental matches full" `Quick
         test_analyze_incremental_matches_full;
-      Alcotest.test_case "incremental bound semantics" `Quick
-        test_analyze_incremental_bound;
       Alcotest.test_case "stage endpoint ids" `Quick test_stage_endpoint_ids;
       qcheck test_delay_monotonicity;
       Alcotest.test_case "required consistency" `Quick test_required_consistency;
