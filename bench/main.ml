@@ -44,6 +44,7 @@ module Island = Pvtol_core.Island
 module Slicing = Pvtol_core.Slicing
 module Level_shifter = Pvtol_core.Level_shifter
 module Sta = Pvtol_timing.Sta
+module Sizing = Pvtol_timing.Sizing
 module Sampler = Pvtol_variation.Sampler
 module Field = Pvtol_variation.Field
 module Position = Pvtol_variation.Position
@@ -118,7 +119,17 @@ type mc_report = {
   parallel : tput;  (* samples / second, shared pool *)
 }
 
-let mc_speedup r = r.parallel.t_mean /. r.serial.t_mean
+(* The ratio of two 1-domain runs is noise, not a speedup: [None]. *)
+let speedup ~domains ~parallel ~serial =
+  if domains > 1 then Some (parallel.t_mean /. serial.t_mean) else None
+
+let mc_speedup r = speedup ~domains:r.domains ~parallel:r.parallel ~serial:r.serial
+
+let pp_speedup = function
+  | Some s -> Printf.sprintf "%.2fx" s
+  | None -> "n/a (1 domain)"
+
+let speedup_json = function Some s -> Json.Float s | None -> Json.Null
 
 let mc_throughput ~quick () =
   let t = context ~quick () in
@@ -151,9 +162,9 @@ let print_mc_report r =
     "\nMonte-Carlo SSTA throughput (%d samples, bit-identical results):\n\
     \  mc-serial    (1 domain)    %s samples/s\n\
     \  mc-parallel  (%d domains)  %s samples/s\n\
-    \  speedup: %.2fx\n%!"
+    \  speedup: %s\n%!"
     r.mc_samples (pp_tput r.serial) r.domains (pp_tput r.parallel)
-    (mc_speedup r)
+    (pp_speedup (mc_speedup r))
 
 (* ------------------------------------------------------------------ *)
 (* Wafer-sweep throughput: serial vs parallel, dies / second            *)
@@ -166,7 +177,8 @@ type wafer_report = {
   wafer_parallel : tput;  (* dies / second, shared pool *)
 }
 
-let wafer_speedup r = r.wafer_parallel.t_mean /. r.wafer_serial.t_mean
+let wafer_speedup r =
+  speedup ~domains:r.wafer_domains ~parallel:r.wafer_parallel ~serial:r.wafer_serial
 
 let wafer_throughput ~quick () =
   let t = context ~quick () in
@@ -205,9 +217,9 @@ let print_wafer_report r =
     "\nWafer sweep throughput (%dx%d grid, %d dies, bit-identical results):\n\
     \  wafer-serial    (1 domain)    %s dies/s\n\
     \  wafer-parallel  (%d domains)  %s dies/s\n\
-    \  speedup: %.2fx\n%!"
+    \  speedup: %s\n%!"
     nx ny r.wafer_dies (pp_tput r.wafer_serial) r.wafer_domains
-    (pp_tput r.wafer_parallel) (wafer_speedup r)
+    (pp_tput r.wafer_parallel) (pp_speedup (wafer_speedup r))
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry overhead: MC throughput with metrics off vs on             *)
@@ -458,6 +470,21 @@ let kernel_estimates ~quick ?(only = fun _ -> true) () =
   let apply_buf = comp_apply Compensation.Buffers in
   let det_sc = Compensation.scratch comp_ctx in
   let det_rng = Srng.create 11 in
+  (* Enough cycles per run that the simulation, not its one-off
+     flattening of the netlist, dominates; reported per cycle. *)
+  let gatesim_cycles = 16 in
+  (* Timing closure as the sizing stage first runs it: the unsized
+     design netlist, its placement's wire lengths, the stage budgets and
+     the initial clock.  Always on the quick design, since a full-size
+     run takes seconds. *)
+  let sizing_flow =
+    if quick then t else Flow.prepare ~config:Flow.quick_config ()
+  in
+  let sizing_design = Flow.design sizing_flow in
+  let sizing_wire =
+    Array.get (Pvtol_place.Placement.wire_lengths (Flow.placement sizing_flow))
+  in
+  let sizing_clock = (Flow.sizing sizing_flow).Sizing.clock in
   let tests =
     [
       ( "fig2/field-eval-4096", 1,
@@ -546,11 +573,18 @@ let kernel_estimates ~quick ?(only = fun _ -> true) () =
       ( "compare/apply-skew", 1, fun () -> ignore (apply_skew comp_sc comp_d) );
       ( "compare/apply-buffers", 1,
         fun () -> ignore (apply_buf comp_sc comp_d) );
-      ( "gatesim/cycle", 1,
+      ( "gatesim/cycle", gatesim_cycles,
         fun () ->
           ignore
-            (Gatesim.run ~cycles:1 (Flow.netlist t)
+            (Gatesim.run ~cycles:gatesim_cycles (Flow.netlist t)
                (Gatesim.random_stimulus ~seed:5)) );
+      ( "table1/sizing", 1,
+        fun () ->
+          ignore
+            (Sizing.close_timing ~frac:Sizing.balanced_fracs ~clock:sizing_clock
+               ~wire_length:sizing_wire
+               ~capture:sizing_design.Pvtol_vex.Vex_core.capture_stage
+               sizing_design.Pvtol_vex.Vex_core.netlist) );
     ]
   in
   let tests = List.filter (fun (name, _, _) -> only name) tests in
@@ -654,7 +688,7 @@ let bench_json rows mc wf tel smp =
             ("domains", Json.Int mc.domains);
             ("serial", tput_json ~rate_key:"samples_per_sec" mc.serial);
             ("parallel", tput_json ~rate_key:"samples_per_sec" mc.parallel);
-            ("speedup", Json.Float (mc_speedup mc));
+            ("speedup", speedup_json (mc_speedup mc));
           ] );
       ( "wafer",
         Json.Obj
@@ -664,7 +698,7 @@ let bench_json rows mc wf tel smp =
             ("domains", Json.Int wf.wafer_domains);
             ("serial", tput_json ~rate_key:"dies_per_sec" wf.wafer_serial);
             ("parallel", tput_json ~rate_key:"dies_per_sec" wf.wafer_parallel);
-            ("speedup", Json.Float (wafer_speedup wf));
+            ("speedup", speedup_json (wafer_speedup wf));
           ] );
       ( "telemetry",
         Json.Obj

@@ -407,12 +407,13 @@ let grouping_ablation ctx =
   ignore low;
   (* Strategy power comparison on the unmodified netlist (no shifters),
      so only the raised-capacitance difference shows. *)
+  let wire = Array.get (Placement.wire_lengths (Flow.placement t)) in
   let power_of domains =
     Power.total_mw
       (Power.analyze
          ~vdd:(fun cid -> if domains.(cid) <= 3 then high else low)
          ~activity:(Flow.activity t)
-         ~wire_length:(fun nid -> Placement.wire_length (Flow.placement t) nid)
+         ~wire_length:wire
          ~clock_ns:(Flow.clock t) (Flow.netlist t))
         .Power.total
   in
@@ -651,7 +652,7 @@ let power_integrity ctx =
     Power.analyze
       ~vdd:(fun _ -> high)
       ~activity:(Flow.activity t)
-      ~wire_length:(fun nid -> Placement.wire_length (Flow.placement t) nid)
+      ~wire_length:(Array.get (Placement.wire_lengths (Flow.placement t)))
       ~clock_ns:(Flow.clock t) (Flow.netlist t)
   in
   let current_ma cid =
@@ -744,7 +745,7 @@ let workload_sensitivity ctx =
              ~lgate_nm:(fun i -> systematic.(i))
              ~vdd:(fun _ -> high)
              ~activity:act_base
-             ~wire_length:(fun nid -> Placement.wire_length (Flow.placement t) nid)
+             ~wire_length:(Array.get (Placement.wire_lengths (Flow.placement t)))
              ~clock_ns:(Flow.clock t) (Flow.netlist t))
             .Power.total
       in
@@ -758,8 +759,8 @@ let workload_sensitivity ctx =
              ~lgate_nm:(fun i -> systematic_sh.(i))
              ~vdd:(fun cid -> Level_shifter.vdd_assignment shifted ~raised:1 cid)
              ~activity:act_shifted
-             ~wire_length:(fun nid ->
-               Placement.wire_length shifted.Level_shifter.placement nid)
+             ~wire_length:
+               (Array.get (Placement.wire_lengths shifted.Level_shifter.placement))
              ~clock_ns:(Flow.clock t) shifted.Level_shifter.netlist)
             .Power.total
       in

@@ -139,13 +139,16 @@ let prepare ?(config = default_config) () =
         Placer.place ~iterations:config.place_iterations
           ~seed:config.place_seed nl0 fp)
   in
-  (* Wire-length estimates and the capture-stage map are shared by every
-     timing stage; both resolve their stage-graph inputs lazily. *)
-  let wire nid = Placement.wire_length (Sg.get placement0_n) nid in
-  let capture cell = (Sg.get design_n).Vex_core.capture_stage cell in
+  (* Each timing stage forces its inputs once in its own compute and
+     looks wire lengths up in a per-net table: sizing leaves the
+     connectivity unchanged, so the initial placement's table serves
+     every netlist up to level-shifter insertion. *)
   let sizing_n =
     Sg.node g ~name:"sizing" ~deps:[ "design"; "placement" ] (fun () ->
-        let nl0 = (Sg.get design_n).Vex_core.netlist in
+        let design = Sg.get design_n in
+        let nl0 = design.Vex_core.netlist in
+        let capture = design.Vex_core.capture_stage in
+        let wire = Array.get (Placement.wire_lengths (Sg.get placement0_n)) in
         let sta0 = Sta.build nl0 ~wire_length:wire ~capture in
         let r0 = Sta.analyze sta0 ~delays:(Sta.nominal_delays sta0) in
         let initial_clock =
@@ -166,7 +169,9 @@ let prepare ?(config = default_config) () =
   in
   let sta_n =
     Sg.node g ~name:"sta" ~deps:[ "netlist"; "placement"; "design" ] (fun () ->
-        Sta.build (Sg.get netlist_n) ~wire_length:wire ~capture)
+        let wire = Array.get (Placement.wire_lengths (Sg.get placement0_n)) in
+        Sta.build (Sg.get netlist_n) ~wire_length:wire
+          ~capture:(Sg.get design_n).Vex_core.capture_stage)
   in
   let nominal_n =
     Sg.node g ~name:"timing" ~deps:[ "sta" ] (fun () ->
@@ -247,9 +252,10 @@ let prepare ?(config = default_config) () =
         let shifted =
           Level_shifter.insert slicing.Slicing.partition placement netlist
         in
-        let wire nid =
-          Placement.wire_length shifted.Level_shifter.placement nid
+        let wire =
+          Array.get (Placement.wire_lengths shifted.Level_shifter.placement)
         in
+        let capture = (Sg.get design_n).Vex_core.capture_stage in
         (* Fig. 1's final step: incremental placement (done inside the
            insertion) and timing closure — upsizing recovers the paths
            that shifter insertion and cell displacement stretched.
@@ -338,7 +344,7 @@ let prepare ?(config = default_config) () =
             ~lgate_nm:(fun i -> systematic.(i))
             ~vdd:(fun _ -> v)
             ~activity:(Sg.get activity_n)
-            ~wire_length:(fun nid -> Placement.wire_length placement nid)
+            ~wire_length:(Array.get (Placement.wire_lengths placement))
             ~clock_ns:clock netlist
         | Islands (dir, raised) ->
           let v = Sg.get_keyed variant_k dir in
@@ -351,8 +357,8 @@ let prepare ?(config = default_config) () =
             ~lgate_nm:(fun i -> systematic.(i))
             ~vdd:(fun cid -> Level_shifter.vdd_assignment shifted ~raised cid)
             ~activity:v.activity_shifted
-            ~wire_length:(fun nid ->
-              Placement.wire_length shifted.Level_shifter.placement nid)
+            ~wire_length:
+              (Array.get (Placement.wire_lengths shifted.Level_shifter.placement))
             ~clock_ns:clock shifted.Level_shifter.netlist)
   in
   {

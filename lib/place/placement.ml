@@ -23,24 +23,33 @@ let cell_width (c : Netlist.cell) (fp : Floorplan.t) =
 
 let pos t cid = Geom.point t.xs.(cid) t.ys.(cid)
 
+(* Pins are visited last sink first and driver last, straight from the
+   net's arrays: no per-net point list. *)
 let net_bbox t nid =
   let net = t.netlist.Netlist.nets.(nid) in
-  let pts = ref [] in
-  (match net.Netlist.driver with
-  | Some d -> pts := (t.xs.(d), t.ys.(d)) :: !pts
-  | None -> ());
-  Array.iter (fun (cid, _) -> pts := (t.xs.(cid), t.ys.(cid)) :: !pts) net.Netlist.sinks;
-  match !pts with
-  | [] -> None
-  | (x0, y0) :: rest ->
-    let llx = ref x0 and lly = ref y0 and urx = ref x0 and ury = ref y0 in
-    List.iter
-      (fun (x, y) ->
-        if x < !llx then llx := x;
-        if x > !urx then urx := x;
-        if y < !lly then lly := y;
-        if y > !ury then ury := y)
-      rest;
+  let sinks = net.Netlist.sinks in
+  let fanout = Array.length sinks in
+  let first =
+    if fanout > 0 then Some (fst sinks.(fanout - 1)) else net.Netlist.driver
+  in
+  match first with
+  | None -> None
+  | Some c0 ->
+    let llx = ref t.xs.(c0) and lly = ref t.ys.(c0) in
+    let urx = ref t.xs.(c0) and ury = ref t.ys.(c0) in
+    let visit cid =
+      let x = t.xs.(cid) and y = t.ys.(cid) in
+      if x < !llx then llx := x;
+      if x > !urx then urx := x;
+      if y < !lly then lly := y;
+      if y > !ury then ury := y
+    in
+    for i = fanout - 2 downto 0 do
+      visit (fst sinks.(i))
+    done;
+    (match net.Netlist.driver with
+    | Some d when fanout > 0 -> visit d
+    | Some _ | None -> ());
     Some (Geom.rect ~llx:!llx ~lly:!lly ~urx:!urx ~ury:!ury)
 
 let hpwl t nid =
@@ -52,6 +61,8 @@ let wire_length t nid =
   let fanout = Array.length t.netlist.Netlist.nets.(nid).Netlist.sinks in
   if fanout <= 1 then hpwl t nid
   else hpwl t nid *. (1.0 +. (0.35 *. (sqrt (float_of_int fanout) -. 1.0)))
+
+let wire_lengths t = Array.init (Netlist.net_count t.netlist) (wire_length t)
 
 let total_hpwl t =
   let acc = ref 0.0 in

@@ -36,6 +36,10 @@ val wire_length : t -> Netlist.net_id -> float
     loaded register-file write and select nets as slow as they are in
     synthesized (non-custom) register files. *)
 
+val wire_lengths : t -> float array
+(** {!wire_length} of every net, indexed by net id.  Tabulate once and
+    index it wherever lengths are looked up per pin or per round. *)
+
 val total_hpwl : t -> float
 
 val copy : t -> t

@@ -51,8 +51,46 @@ let topo_order (nl : Netlist.t) =
   done;
   Array.sub order 0 !k
 
-let run ?(cycles = 512) (nl : Netlist.t) stimulus =
+(* The levelized combinational cells flattened once into parallel
+   arrays: kind, output net and up to three input nets per slot (unused
+   pins hold net 0 and are never read).  Evaluation is a direct match
+   on the kind over these arrays, with no per-cell allocation. *)
+type compiled = {
+  cell_id : int array;
+  kind : Kind.t array;
+  out : int array;
+  pin0 : int array;
+  pin1 : int array;
+  pin2 : int array;
+}
+
+let compile (nl : Netlist.t) =
   let order = topo_order nl in
+  let cell cid = nl.Netlist.cells.(cid) in
+  let pin k cid =
+    let fanins = (cell cid).Netlist.fanins in
+    if k < Array.length fanins then fanins.(k) else 0
+  in
+  Array.iter
+    (fun cid ->
+      let c = cell cid in
+      if Array.length c.Netlist.fanins <> Kind.arity c.Netlist.cell.Cell_lib.kind
+      then invalid_arg "Gatesim.run: arity mismatch")
+    order;
+  {
+    cell_id = order;
+    kind = Array.map (fun cid -> (cell cid).Netlist.cell.Cell_lib.kind) order;
+    out = Array.map (fun cid -> (cell cid).Netlist.fanout) order;
+    pin0 = Array.map (pin 0) order;
+    pin1 = Array.map (pin 1) order;
+    pin2 = Array.map (pin 2) order;
+  }
+
+let eval_comb p (value : bool array) i =
+  Kind.eval3 p.kind.(i) value.(p.pin0.(i)) value.(p.pin1.(i)) value.(p.pin2.(i))
+
+let run ?(cycles = 512) (nl : Netlist.t) stimulus =
+  let p = compile nl in
   let value = Array.make (Netlist.net_count nl) false in
   let toggles = Array.make (Netlist.cell_count nl) 0 in
   let flops =
@@ -61,34 +99,36 @@ let run ?(cycles = 512) (nl : Netlist.t) stimulus =
            Kind.is_sequential c.Netlist.cell.Cell_lib.kind)
     |> Array.of_list
   in
-  let eval_cell (c : Netlist.cell) =
-    let kind = c.Netlist.cell.Cell_lib.kind in
-    let ins = Array.map (fun nid -> value.(nid)) c.Netlist.fanins in
-    Kind.eval kind ins
-  in
+  let flop_d = Array.map (fun (c : Netlist.cell) -> c.Netlist.fanins.(0)) flops in
+  let flop_q = Array.map (fun (c : Netlist.cell) -> c.Netlist.fanout) flops in
+  let captured = Array.make (Array.length flops) false in
+  let inputs = nl.Netlist.inputs in
   for cycle = 0 to cycles - 1 do
-    Array.iteri
-      (fun idx nid -> value.(nid) <- stimulus ~cycle ~input_index:idx)
-      nl.Netlist.inputs;
+    for idx = 0 to Array.length inputs - 1 do
+      value.(inputs.(idx)) <- stimulus ~cycle ~input_index:idx
+    done;
     (* Flop outputs already hold this cycle's Q; evaluate logic. *)
-    Array.iter
-      (fun cid ->
-        let c = nl.Netlist.cells.(cid) in
-        let v = eval_cell c in
-        if v <> value.(c.Netlist.fanout) then
-          toggles.(cid) <- toggles.(cid) + 1;
-        value.(c.Netlist.fanout) <- v)
-      order;
+    for i = 0 to Array.length p.cell_id - 1 do
+      let v = eval_comb p value i in
+      let o = p.out.(i) in
+      if v <> value.(o) then begin
+        let cid = p.cell_id.(i) in
+        toggles.(cid) <- toggles.(cid) + 1
+      end;
+      value.(o) <- v
+    done;
     (* Clock edge: all flops capture D simultaneously. *)
-    let captured =
-      Array.map (fun (c : Netlist.cell) -> value.(c.Netlist.fanins.(0))) flops
-    in
-    Array.iteri
-      (fun i (c : Netlist.cell) ->
-        if captured.(i) <> value.(c.Netlist.fanout) then
-          toggles.(c.Netlist.id) <- toggles.(c.Netlist.id) + 1;
-        value.(c.Netlist.fanout) <- captured.(i))
-      flops
+    for i = 0 to Array.length flops - 1 do
+      captured.(i) <- value.(flop_d.(i))
+    done;
+    for i = 0 to Array.length flops - 1 do
+      let q = flop_q.(i) in
+      if captured.(i) <> value.(q) then begin
+        let cid = flops.(i).Netlist.id in
+        toggles.(cid) <- toggles.(cid) + 1
+      end;
+      value.(q) <- captured.(i)
+    done
   done;
   {
     cycles;
@@ -108,23 +148,27 @@ let trace_stimulus (nl : Netlist.t) ~instr_prefix ~words ~fallback =
   let words = Array.of_list words in
   let n_cycles = Array.length words in
   assert (n_cycles > 0);
-  (* Map input index -> (word, bit) when the input belongs to the
-     instruction bus. *)
+  (* Map input index -> bit of the per-cycle word bundle when the input
+     is [instr_prefix[k]] with [k] inside every bundle; any other name,
+     a non-integer index or one past the bundle takes [fallback]. *)
+  let bundle_bits =
+    32 * Array.fold_left (fun acc w -> min acc (Array.length w)) max_int words
+  in
   let classify =
     Array.map
       (fun nid ->
         let name = nl.Netlist.nets.(nid).Netlist.net_name in
         let plen = String.length instr_prefix in
+        let len = String.length name in
         if
-          String.length name > plen + 1
+          len > plen + 1
           && String.sub name 0 plen = instr_prefix
           && name.[plen] = '['
+          && name.[len - 1] = ']'
         then
-          let idx =
-            int_of_string
-              (String.sub name (plen + 1) (String.length name - plen - 2))
-          in
-          Some idx
+          match int_of_string_opt (String.sub name (plen + 1) (len - plen - 2)) with
+          | Some idx when idx >= 0 && idx < bundle_bits -> Some idx
+          | Some _ | None -> None
         else None)
       nl.Netlist.inputs
   in

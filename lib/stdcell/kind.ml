@@ -30,25 +30,29 @@ let arity = function
 let is_sequential = function Dff -> true | _ -> false
 let is_level_shifter = function Ls -> true | _ -> false
 
-let eval k ins =
-  if Array.length ins <> arity k then
-    invalid_arg "Kind.eval: arity mismatch";
+let eval3 k a b c =
   match k with
-  | Inv -> not ins.(0)
-  | Buf | Dff | Ls -> ins.(0)
-  | Nand2 -> not (ins.(0) && ins.(1))
-  | Nand3 -> not (ins.(0) && ins.(1) && ins.(2))
-  | Nor2 -> not (ins.(0) || ins.(1))
-  | Nor3 -> not (ins.(0) || ins.(1) || ins.(2))
-  | And2 -> ins.(0) && ins.(1)
-  | Or2 -> ins.(0) || ins.(1)
-  | Xor2 -> ins.(0) <> ins.(1)
-  | Xnor2 -> ins.(0) = ins.(1)
-  | Aoi21 -> not ((ins.(0) && ins.(1)) || ins.(2))
-  | Oai21 -> not ((ins.(0) || ins.(1)) && ins.(2))
-  | Mux2 -> if ins.(2) then ins.(1) else ins.(0)
+  | Inv -> not a
+  | Buf | Dff | Ls -> a
+  | Nand2 -> not (a && b)
+  | Nand3 -> not (a && b && c)
+  | Nor2 -> not (a || b)
+  | Nor3 -> not (a || b || c)
+  | And2 -> a && b
+  | Or2 -> a || b
+  | Xor2 -> a <> b
+  | Xnor2 -> a = b
+  | Aoi21 -> not ((a && b) || c)
+  | Oai21 -> not ((a || b) && c)
+  | Mux2 -> if c then b else a
   | Tiehi -> true
   | Tielo -> false
+
+let eval k ins =
+  let n = Array.length ins in
+  if n <> arity k then invalid_arg "Kind.eval: arity mismatch";
+  let pin i = i < n && ins.(i) in
+  eval3 k (pin 0) (pin 1) (pin 2)
 
 let name = function
   | Inv -> "INV"

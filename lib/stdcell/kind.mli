@@ -37,6 +37,11 @@ val eval : t -> bool array -> bool
     transparently (the sequential behaviour lives in the simulator).
     Raises [Invalid_argument] on arity mismatch. *)
 
+val eval3 : t -> bool -> bool -> bool -> bool
+(** [eval3 k a b c] is {!eval} on the first {!arity} of the pin values
+    [a], [b], [c]; the rest are ignored.  No arity check and no
+    allocation, for simulators that store pins in flat arrays. *)
+
 val name : t -> string
 val of_name : string -> t option
 

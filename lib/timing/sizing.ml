@@ -41,6 +41,11 @@ let meets_constraints (result : Sta.result) ~clock ~frac =
     (fun (s, d, _) -> d <= clock *. frac s +. 1e-9)
     result.Sta.stage_worst
 
+(* A sizing run times one netlist graph whose cell masters change from
+   round to round: it builds the graph once and re-times each round's
+   netlist with [Sta.resize]. *)
+let retime sta nl = if Sta.netlist sta == nl then sta else Sta.resize sta nl
+
 let recover ?(max_rounds = 16) ?(guard = 10.0) ?(rollback = true)
     ?(frac = fun _ -> 1.0) ~clock ~wire_length ~capture nl =
   let lib = nl.Netlist.lib in
@@ -49,11 +54,13 @@ let recover ?(max_rounds = 16) ?(guard = 10.0) ?(rollback = true)
   let rounds = ref 0 in
   let downsized = ref 0 in
   let guard = ref guard in
+  let graph = ref (Sta.build nl ~wire_length ~capture) in
   let continue_ = ref true in
   while !continue_ && !rounds < max_rounds do
     incr rounds;
     let nl = !current in
-    let sta = Sta.build nl ~wire_length ~capture in
+    let sta = retime !graph nl in
+    graph := sta;
     let delays = Sta.nominal_delays sta in
     let result = Sta.analyze sta ~delays in
     let req = stage_required sta ~delays ~clock ~frac in
@@ -71,15 +78,9 @@ let recover ?(max_rounds = 16) ?(guard = 10.0) ?(rollback = true)
               Cell_lib.find lib cell.Cell_lib.kind d
             else begin
               let candidate = Cell_lib.find lib cell.Cell_lib.kind d in
-              let load =
-                lib.Cell_lib.wire_cap_per_um *. wire_length out
-                +. Array.fold_left
-                     (fun acc (cid, _) ->
-                       acc +. nl.Netlist.cells.(cid).Netlist.cell.Cell_lib.input_cap)
-                     0.0 nl.Netlist.nets.(out).Netlist.sinks
-              in
               let delta =
-                (candidate.Cell_lib.drive_res -. cell.Cell_lib.drive_res) *. load
+                (candidate.Cell_lib.drive_res -. cell.Cell_lib.drive_res)
+                *. Sta.net_load sta out
               in
               if slack > !guard *. delta && delta >= 0.0 then begin
                 incr changed;
@@ -95,10 +96,11 @@ let recover ?(max_rounds = 16) ?(guard = 10.0) ?(rollback = true)
     end
     else begin
       (* Verify the round; roll back and tighten the guard on failure. *)
-      let sta' = Sta.build next ~wire_length ~capture in
+      let sta' = Sta.resize sta next in
       let result' = Sta.analyze sta' ~delays:(Sta.nominal_delays sta') in
       if meets_constraints result' ~clock ~frac then begin
         current := next;
+        graph := sta';
         downsized := !downsized + !changed
       end
       else guard := !guard *. 2.0
@@ -120,11 +122,13 @@ let close_timing ?(max_rounds = 60) ?(frac = fun _ -> 1.0) ~clock ~wire_length
   let current = ref nl in
   let rounds = ref 0 in
   let upsized = ref 0 in
+  let graph = ref (Sta.build nl ~wire_length ~capture) in
   let continue_ = ref true in
   while !continue_ && !rounds < max_rounds do
     incr rounds;
     let nl = !current in
-    let sta = Sta.build nl ~wire_length ~capture in
+    let sta = retime !graph nl in
+    graph := sta;
     let delays = Sta.nominal_delays sta in
     let result = Sta.analyze sta ~delays in
     if meets_constraints result ~clock ~frac then continue_ := false

@@ -12,7 +12,12 @@
     [clock *. frac s].  [recover] performs iterative greedy downsizing
     with a shared-slack guard and full STA verification between rounds;
     a round that breaks any stage constraint is rolled back and retried
-    more conservatively. *)
+    more conservatively.
+
+    Rounds change only drive strengths, so each [recover] or
+    [close_timing] call builds one timing graph ({!Sta.build}, one
+    [wire_length] lookup per net) and re-times every later round's
+    netlist with {!Sta.resize}. *)
 
 open Pvtol_netlist
 

@@ -16,6 +16,8 @@ let m_fallbacks = Metrics.counter "sta_full_fallbacks_total"
 type t = {
   nl : Netlist.t;
   order : int array;             (* combinational cells, topological *)
+  wire_um : float array;         (* per net: tabulated wire length *)
+  net_load : float array;        (* per net: sink pin caps + wire cap *)
   base_delay : float array;      (* per cell *)
   pin_off : int array;           (* CSR row offsets into pin_wire, length cells+1 *)
   pin_wire : float array;        (* flattened per-pin wire delays, pin order *)
@@ -75,23 +77,27 @@ let topo_order (nl : Netlist.t) =
   done;
   Array.sub order 0 !k
 
-let build nl ~wire_length ~capture =
+(* The drive-dependent part of a timing graph: per-net loads from the
+   sink pin caps plus the tabulated wire cap, then per-cell delays.
+   Shared by [build] and [resize], so both do the same float ops. *)
+let loads_and_delays nl wire_um =
   let lib = nl.Netlist.lib in
-  let net_load = Array.make (Netlist.net_count nl) 0.0 in
-  Array.iter
-    (fun (net : Netlist.net) ->
-      let pins =
-        Array.fold_left
-          (fun acc (cid, _) ->
-            acc +. nl.Netlist.cells.(cid).Netlist.cell.Cell_lib.input_cap)
-          0.0 net.Netlist.sinks
-      in
-      let wire =
-        if net.Netlist.driver = None && Array.length net.Netlist.sinks = 0 then 0.0
-        else lib.Cell_lib.wire_cap_per_um *. wire_length net.Netlist.net_id
-      in
-      net_load.(net.Netlist.net_id) <- pins +. wire)
-    nl.Netlist.nets;
+  let net_load =
+    Array.map
+      (fun (net : Netlist.net) ->
+        let pins =
+          Array.fold_left
+            (fun acc (cid, _) ->
+              acc +. nl.Netlist.cells.(cid).Netlist.cell.Cell_lib.input_cap)
+            0.0 net.Netlist.sinks
+        in
+        let wire =
+          if net.Netlist.driver = None && Array.length net.Netlist.sinks = 0 then 0.0
+          else lib.Cell_lib.wire_cap_per_um *. wire_um.(net.Netlist.net_id)
+        in
+        pins +. wire)
+      nl.Netlist.nets
+  in
   let base_delay =
     Array.map
       (fun (c : Netlist.cell) ->
@@ -103,6 +109,14 @@ let build nl ~wire_length ~capture =
         else cell.Cell_lib.d0 +. (cell.Cell_lib.drive_res *. load))
       nl.Netlist.cells
   in
+  (net_load, base_delay)
+
+let build nl ~wire_length ~capture =
+  let lib = nl.Netlist.lib in
+  (* One lookup per net: the per-pin wire delays below index this table
+     rather than re-estimating a net once per sink. *)
+  let wire_um = Array.init (Netlist.net_count nl) wire_length in
+  let net_load, base_delay = loads_and_delays nl wire_um in
   (* Flattened CSR layout for the per-pin wire delays: one contiguous
      float array walked linearly by the forward pass, instead of a
      pointer chase through an array of per-cell arrays. *)
@@ -123,7 +137,7 @@ let build nl ~wire_length ~capture =
         (fun pin nid ->
           (* Lumped per-sink wire delay: half the net length. *)
           pin_wire.(off + pin) <-
-            lib.Cell_lib.wire_delay_per_um *. (wire_length nid /. 2.0))
+            lib.Cell_lib.wire_delay_per_um *. (wire_um.(nid) /. 2.0))
         c.Netlist.fanins)
     nl.Netlist.cells;
   let capture_of = Array.map (fun c -> capture c) nl.Netlist.cells in
@@ -174,6 +188,8 @@ let build nl ~wire_length ~capture =
   {
     nl;
     order;
+    wire_um;
+    net_load;
     base_delay;
     pin_off;
     pin_wire;
@@ -187,10 +203,33 @@ let build nl ~wire_length ~capture =
     level_off;
   }
 
+(* Same library, nets, per-cell pins and sequential/combinational
+   split: everything [build] derives its structure from, so only the
+   drive strengths may differ.  [Netlist.remap_cells] shares the nets
+   array and every fanin array, so the physical equalities make the
+   check cheap on the path sizing takes. *)
+let same_connectivity (a : Netlist.t) (b : Netlist.t) =
+  a.Netlist.lib == b.Netlist.lib
+  && (a.Netlist.nets == b.Netlist.nets || a.Netlist.nets = b.Netlist.nets)
+  && Array.length a.Netlist.cells = Array.length b.Netlist.cells
+  && Array.for_all2
+       (fun (x : Netlist.cell) (y : Netlist.cell) ->
+         (x.Netlist.fanins == y.Netlist.fanins || x.Netlist.fanins = y.Netlist.fanins)
+         && x.Netlist.fanout = y.Netlist.fanout
+         && is_seq x = is_seq y)
+       a.Netlist.cells b.Netlist.cells
+
+let resize t nl =
+  if not (same_connectivity t.nl nl) then
+    invalid_arg "Sta.resize: netlist connectivity differs";
+  let net_load, base_delay = loads_and_delays nl t.wire_um in
+  { t with nl; net_load; base_delay }
+
 let of_placement p ~capture =
-  build p.Pvtol_place.Placement.netlist
-    ~wire_length:(fun nid -> Pvtol_place.Placement.wire_length p nid)
-    ~capture
+  let wire_um = Pvtol_place.Placement.wire_lengths p in
+  build p.Pvtol_place.Placement.netlist ~wire_length:(Array.get wire_um) ~capture
+
+let net_load t nid = t.net_load.(nid)
 
 let comb_order t = Array.copy t.order
 let flop_ids t = Array.copy t.flops

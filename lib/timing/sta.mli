@@ -22,7 +22,20 @@ val build :
   capture:(Netlist.cell -> Stage.t option) ->
   t
 (** [wire_length] estimates each net's routed length in um (HPWL after
-    placement, a fanout-based wireload model before). *)
+    placement, a fanout-based wireload model before).  It is called
+    once per net and tabulated. *)
+
+val resize : t -> Netlist.t -> t
+(** [resize t nl'] is [build nl'] for a netlist that differs from
+    [netlist t] only in its cell masters (drive strengths), e.g. the
+    result of {!Netlist.remap_cells}.  It reuses the topological order,
+    levels, per-pin wire delays, capture map and endpoint sets, and
+    recomputes only the net loads and nominal delays, with the same
+    float operations as {!build}: every result is bit-identical to a
+    fresh [build] with the same [wire_length] and [capture] (the
+    capture map is kept, so [capture] must not depend on drive
+    strength).  Raises [Invalid_argument] unless [nl'] has the same
+    library, nets, cell pins and sequential cells as [netlist t]. *)
 
 val of_placement :
   Pvtol_place.Placement.t -> capture:(Netlist.cell -> Stage.t option) -> t
@@ -46,6 +59,10 @@ val pin_wire_delay : t -> Netlist.cell_id -> int -> float
 (** Wire delay charged at a cell's input pin. *)
 
 val capture_stage_of : t -> Netlist.cell_id -> Stage.t option
+
+val net_load : t -> Netlist.net_id -> float
+(** Capacitive load on a net, fF: its sink pin caps plus its wire cap
+    (the load the nominal delays were computed from). *)
 
 (** {2 Delay vectors} *)
 

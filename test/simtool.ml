@@ -104,3 +104,36 @@ let combinational ~(widths : int list)
       List.iter2 (fun bus v -> set_bus sim bus v) inputs args;
       eval_comb sim;
       read_bus sim out )
+
+(* Reference switching-activity simulator: the plain per-cell loop the
+   production [Gatesim.run] compiles away.  Each cycle drives the
+   inputs, evaluates every combinational cell with [Kind.eval] on a
+   freshly allocated pin array and counts output changes, then clocks
+   the flops from a freshly captured D vector.  Returns per-cell toggle
+   counts. *)
+let toggles ~cycles nl (stimulus : Pvtol_power.Gatesim.stimulus) =
+  let t = create nl in
+  let toggles = Array.make (Netlist.cell_count nl) 0 in
+  let bump cid = toggles.(cid) <- toggles.(cid) + 1 in
+  for cycle = 0 to cycles - 1 do
+    Array.iteri
+      (fun idx nid -> set_input t nid (stimulus ~cycle ~input_index:idx))
+      nl.Netlist.inputs;
+    Array.iter
+      (fun cid ->
+        let c = nl.Netlist.cells.(cid) in
+        let ins = Array.map (fun nid -> t.values.(nid)) c.Netlist.fanins in
+        let v = Kind.eval c.Netlist.cell.Pvtol_stdcell.Cell.kind ins in
+        if v <> t.values.(c.Netlist.fanout) then bump cid;
+        t.values.(c.Netlist.fanout) <- v)
+      t.order;
+    let captured =
+      Array.map (fun (c : Netlist.cell) -> t.values.(c.Netlist.fanins.(0))) t.flops
+    in
+    Array.iteri
+      (fun i (c : Netlist.cell) ->
+        if captured.(i) <> t.values.(c.Netlist.fanout) then bump c.Netlist.id;
+        t.values.(c.Netlist.fanout) <- captured.(i))
+      t.flops
+  done;
+  toggles

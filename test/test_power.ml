@@ -90,6 +90,63 @@ let test_trace_stimulus_mapping () =
   Alcotest.(check bool) "bit mapping" true
     (stim ~cycle:0 ~input_index:!idx = (Int32.logand w0 1l = 1l))
 
+(* A trace stimulus must never crash on an odd input name: a
+   non-integer index or one past the word bundle takes the fallback. *)
+let test_trace_stimulus_bad_names () =
+  let b = Builder.create lib in
+  let names = [ "instr[x]"; "instr[64]"; "instr[-1]"; "instr[3"; "instr[1]" ] in
+  let ins = List.map (Builder.input b) names in
+  List.iteri
+    (fun i n ->
+      let o = Builder.add b ~stage ~unit_name:"u" Kind.Inv [| n |] in
+      Builder.output b o (Printf.sprintf "out%d" i))
+    ins;
+  let nl = Builder.freeze b in
+  let fallback ~cycle:_ ~input_index:_ = true in
+  (* One 2-word bundle: bits 0..63 exist, bit 1 is clear. *)
+  let stim, _ =
+    Gatesim.trace_stimulus nl ~instr_prefix:"instr" ~words:[ [| 0l; 0l |] ]
+      ~fallback
+  in
+  List.iteri
+    (fun i name ->
+      Alcotest.(check bool) name (name <> "instr[1]") (stim ~cycle:0 ~input_index:i))
+    names;
+  let act = Gatesim.run ~cycles:4 nl stim in
+  Alcotest.(check int) "simulates" 4 act.Gatesim.cycles
+
+(* The compiled simulator against the allocating reference loop. *)
+let check_against_reference label nl stim =
+  let cycles = 64 in
+  let act = Gatesim.run ~cycles nl stim in
+  let expected = Simtool.toggles ~cycles nl stim in
+  Alcotest.(check (array int)) label expected act.Gatesim.toggles;
+  Alcotest.(check bool) (label ^ ": some activity") true
+    (Array.exists (fun t -> t > 0) expected)
+
+let test_gatesim_matches_reference_random () =
+  let nl, _, _ = Lazy.force small in
+  check_against_reference "random stimulus" nl (Gatesim.random_stimulus ~seed:11)
+
+let test_gatesim_matches_reference_fir () =
+  let nl, _, _ = Lazy.force small in
+  let fir = Pvtol_vexsim.Fir.run ~taps:8 ~samples:16 () in
+  let stim, _ =
+    Gatesim.trace_stimulus nl ~instr_prefix:"instr"
+      ~words:fir.Pvtol_vexsim.Fir.trace
+      ~fallback:(Gatesim.random_stimulus ~seed:5)
+  in
+  check_against_reference "fir trace" nl stim
+
+let test_gatesim_matches_reference_shifted () =
+  let _, v = Lazy.force Test_core.env in
+  let nl = v.Pvtol_core.Flow.shifted.Pvtol_core.Level_shifter.netlist in
+  Alcotest.(check bool) "netlist has level shifters" true
+    (Array.exists
+       (fun (c : Netlist.cell) -> Kind.is_level_shifter c.Netlist.cell.Cell.kind)
+       nl.Netlist.cells);
+  check_against_reference "level-shifted" nl (Gatesim.random_stimulus ~seed:13)
+
 let analyze ?(vdd = fun _ -> 1.0) () =
   let nl, p, act = Lazy.force small in
   Power.analyze ~vdd ~activity:act
@@ -167,6 +224,13 @@ let suite =
       Alcotest.test_case "gatesim dff divider" `Quick test_gatesim_dff_divider;
       Alcotest.test_case "gatesim deterministic" `Quick test_gatesim_deterministic_stimulus;
       Alcotest.test_case "trace stimulus mapping" `Quick test_trace_stimulus_mapping;
+      Alcotest.test_case "trace stimulus bad names" `Quick test_trace_stimulus_bad_names;
+      Alcotest.test_case "gatesim = reference (random)" `Quick
+        test_gatesim_matches_reference_random;
+      Alcotest.test_case "gatesim = reference (fir trace)" `Quick
+        test_gatesim_matches_reference_fir;
+      Alcotest.test_case "gatesim = reference (level shifters)" `Quick
+        test_gatesim_matches_reference_shifted;
       Alcotest.test_case "power consistency" `Quick test_power_positive_and_consistent;
       Alcotest.test_case "power vdd monotone" `Quick test_power_vdd_monotone;
       Alcotest.test_case "power partial vdd" `Quick test_power_partial_vdd_between;

@@ -40,7 +40,15 @@ let test_kind_truth_tables () =
           Alcotest.(check bool)
             (Printf.sprintf "%s truth table" (Kind.name k))
             (reference_eval k ins) (Kind.eval k ins))
-        (bool_vectors (Kind.arity k)))
+        (bool_vectors (Kind.arity k));
+      (* [eval3] ignores the pins past the kind's arity. *)
+      List.iter
+        (fun v ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s eval3" (Kind.name k))
+            (reference_eval k (Array.sub v 0 (Kind.arity k)))
+            (Kind.eval3 k v.(0) v.(1) v.(2)))
+        (bool_vectors 3))
     Kind.all
 
 let test_kind_arity_mismatch () =

@@ -471,6 +471,92 @@ let test_analyze_incremental_matches_full () =
   Sta.inc_invalidate iw;
   apply "after invalidate" (fun () -> ())
 
+(* --- one timing graph per sizing run --- *)
+
+let same_bits label a b =
+  if Array.length a <> Array.length b then Alcotest.failf "%s: length differs" label;
+  Array.iteri
+    (fun i x ->
+      if Int64.bits_of_float x <> Int64.bits_of_float b.(i) then
+        Alcotest.failf "%s: index %d differs (%h vs %h)" label i x b.(i))
+    a
+
+let check_resize_equals_build label ~resized ~fresh =
+  let nl = Sta.netlist fresh in
+  let delays = Sta.nominal_delays fresh in
+  same_bits (label ^ ": nominal delays") (Sta.nominal_delays resized) delays;
+  same_bits (label ^ ": net loads")
+    (Array.init (Netlist.net_count nl) (Sta.net_load resized))
+    (Array.init (Netlist.net_count nl) (Sta.net_load fresh));
+  let r = Sta.analyze resized ~delays and r' = Sta.analyze fresh ~delays in
+  same_bits (label ^ ": arrivals") r.Sta.arrival r'.Sta.arrival;
+  same_bits (label ^ ": endpoint delays") r.Sta.endpoint_delay r'.Sta.endpoint_delay;
+  same_bits (label ^ ": worst") [| r.Sta.worst |] [| r'.Sta.worst |];
+  Alcotest.(check int) (label ^ ": worst endpoint") r'.Sta.worst_endpoint
+    r.Sta.worst_endpoint;
+  Alcotest.(check bool) (label ^ ": stage worst") true
+    (r.Sta.stage_worst = r'.Sta.stage_worst);
+  let endpoint_required = function
+    | Some s -> r'.Sta.worst *. Sizing.balanced_fracs s
+    | None -> r'.Sta.worst
+  in
+  same_bits (label ^ ": required")
+    (Sta.required_with resized ~delays ~endpoint_required)
+    (Sta.required_with fresh ~delays ~endpoint_required)
+
+let test_resize_matches_build () =
+  let v, nl, wire, sta = Lazy.force small_sta in
+  let capture = v.Pvtol_vex.Vex_core.capture_stage in
+  let drives = [| Cell.X0; Cell.X1; Cell.X2; Cell.X4 |] in
+  let rng = Random.State.make [| 14 |] in
+  (* Chained rounds, like a sizing run: each round re-drives a random
+     tenth of the cells of the previous round's netlist. *)
+  let resized = ref sta and current = ref nl in
+  for round = 1 to 4 do
+    current :=
+      Netlist.remap_cells !current (fun c ->
+          if Random.State.int rng 10 = 0 then
+            Cell.find lib c.Netlist.cell.Cell.kind
+              drives.(Random.State.int rng (Array.length drives))
+          else c.Netlist.cell);
+    resized := Sta.resize !resized !current;
+    check_resize_equals_build (Printf.sprintf "round %d" round) ~resized:!resized
+      ~fresh:(Sta.build !current ~wire_length:wire ~capture)
+  done;
+  (* A structurally equal copy is accepted too. *)
+  let chain = chain_netlist 3 in
+  let chain_sta = Sta.build chain ~wire_length:no_wire ~capture:capture_all in
+  let copy = chain_netlist 3 in
+  check_resize_equals_build "structural copy"
+    ~resized:(Sta.resize chain_sta copy)
+    ~fresh:(Sta.build copy ~wire_length:no_wire ~capture:capture_all)
+
+let test_resize_rejects_rewiring () =
+  let _, nl, _, sta = Lazy.force small_sta in
+  let rejects label nl' =
+    match Sta.resize sta nl' with
+    | _ -> Alcotest.failf "%s: resize accepted a different netlist" label
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "other design" (chain_netlist 3);
+  (* Same nets array, one two-input cell's (distinct) pins swapped. *)
+  let k =
+    let rec find i =
+      let fanins = nl.Netlist.cells.(i).Netlist.fanins in
+      if Array.length fanins = 2 && fanins.(0) <> fanins.(1) then i else find (i + 1)
+    in
+    find 0
+  in
+  let cells =
+    Array.map
+      (fun (c : Netlist.cell) ->
+        if c.Netlist.id = k then
+          { c with Netlist.fanins = [| c.Netlist.fanins.(1); c.Netlist.fanins.(0) |] }
+        else c)
+      nl.Netlist.cells
+  in
+  rejects "swapped pins" { nl with Netlist.cells }
+
 let test_stage_endpoint_ids () =
   let nl = chain_netlist 2 in
   let sta = Sta.build nl ~wire_length:no_wire ~capture:capture_all in
@@ -493,6 +579,8 @@ let suite =
       Alcotest.test_case "incremental matches full" `Quick
         test_analyze_incremental_matches_full;
       Alcotest.test_case "stage endpoint ids" `Quick test_stage_endpoint_ids;
+      Alcotest.test_case "resize = build" `Quick test_resize_matches_build;
+      Alcotest.test_case "resize rejects rewiring" `Quick test_resize_rejects_rewiring;
       qcheck test_delay_monotonicity;
       Alcotest.test_case "required consistency" `Quick test_required_consistency;
       Alcotest.test_case "stage worst bounds global" `Quick test_stage_worst_bounds_global;
