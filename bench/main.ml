@@ -419,6 +419,13 @@ let kernel_estimates ~quick ?(only = fun _ -> true) () =
     (Flow.netlist t).Pvtol_netlist.Netlist.lib.Pvtol_stdcell.Cell.process
       .Pvtol_stdcell.Process.vdd_low
   in
+  (* Fresh Lgates every run: every cell is rescaled at the low supply. *)
+  let all_low = Array.make n low and scaled_at = Array.make n nan in
+  let scale_all_low () =
+    Array.fill scaled_at 0 n nan;
+    Sampler.scale_delays sampler ~base ~lgates ~vdd:all_low ~scaled_at
+      ~out:delays
+  in
   let field = Field.default in
   (* Batched-kernel scratch: one block of [lanes] samples per run. *)
   let lanes = 32 in
@@ -509,8 +516,7 @@ let kernel_estimates ~quick ?(only = fun _ -> true) () =
       ( "fig3/mc-sample", 1,
         fun () ->
           Sampler.sample_lgates sampler ~systematic rng lgates;
-          Sampler.scale_delays sampler ~base ~lgates ~vdd:(fun _ -> low)
-            ~out:delays;
+          scale_all_low ();
           Sta.analyze_into sta ws ~delays );
       ( "fig3/mc-sample-batched", lanes,
         fun () ->
@@ -534,8 +540,7 @@ let kernel_estimates ~quick ?(only = fun _ -> true) () =
               is_sys
           in
           Sampler.sample_lgates sampler ~systematic:sys is_rng lgates;
-          Sampler.scale_delays sampler ~base ~lgates ~vdd:(fun _ -> low)
-            ~out:delays;
+          scale_all_low ();
           Sta.analyze_into sta ws ~delays;
           ignore w );
       ( "fig4/corner-check", 1,

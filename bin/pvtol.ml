@@ -24,9 +24,23 @@ let quick =
   let doc = "Use the scaled-down design and sample counts (fast)." in
   Arg.(value & flag & info [ "quick" ] ~doc)
 
+(* Counts, sizes and targets: a non-positive value is a usage error
+   (one line, exit 124) rather than a failed stage. *)
+let positive_conv base ~positive =
+  let parse s =
+    match Arg.conv_parser base s with
+    | Ok v when positive v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "%S is not positive" s))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer base)
+
+let pos_int = positive_conv Arg.int ~positive:(fun n -> n > 0)
+let pos_float = positive_conv Arg.float ~positive:(fun x -> x > 0.0)
+
 let samples =
   let doc = "Monte-Carlo sample count (default from the configuration)." in
-  Arg.(value & opt (some int) None & info [ "samples" ] ~doc)
+  Arg.(value & opt (some pos_int) None & info [ "samples" ] ~doc)
 
 let seed =
   let doc = "Random seed for the Monte-Carlo and stimulus streams." in
@@ -245,14 +259,14 @@ let wafer_cmd =
   in
   let dies =
     let doc = "Dies simulated per grid cell (per exposure field)." in
-    Arg.(value & opt int 12 & info [ "dies" ] ~doc ~docv:"N")
+    Arg.(value & opt pos_int 12 & info [ "dies" ] ~doc ~docv:"N")
   in
   let fields =
     let doc =
       "Exposure-field replicas of the grid (same systematic map, fresh \
        random draws)."
     in
-    Arg.(value & opt int 1 & info [ "fields" ] ~doc ~docv:"N")
+    Arg.(value & opt pos_int 1 & info [ "fields" ] ~doc ~docv:"N")
   in
   let wafer_seed =
     let doc = "Seed of the per-die random Lgate draws." in
@@ -305,7 +319,7 @@ let wafer_cmd =
       "Stop sampling when the watched metric's CI half-width reaches \
        $(docv) (absolute, e.g. 0.001 = +-0.1%)."
     in
-    Arg.(value & opt float 0.001 & info [ "ci-target" ] ~doc ~docv:"EPS")
+    Arg.(value & opt pos_float 0.001 & info [ "ci-target" ] ~doc ~docv:"EPS")
   in
   let ci_metric =
     let doc =
@@ -323,15 +337,15 @@ let wafer_cmd =
       "The rare scenario: a die with at least $(docv) islands violating \
        before compensation."
     in
-    Arg.(value & opt int 2 & info [ "rare-scenario" ] ~doc ~docv:"M")
+    Arg.(value & opt pos_int 2 & info [ "rare-scenario" ] ~doc ~docv:"M")
   in
   let strata =
     let doc = "Position strata per axis for the $(b,is)/$(b,lhs) samplers." in
-    Arg.(value & opt int 4 & info [ "strata" ] ~doc ~docv:"S")
+    Arg.(value & opt pos_int 4 & info [ "strata" ] ~doc ~docv:"S")
   in
   let rounds =
     let doc = "Maximum sampling rounds before giving up on the CI target." in
-    Arg.(value & opt int 64 & info [ "rounds" ] ~doc ~docv:"N")
+    Arg.(value & opt pos_int 64 & info [ "rounds" ] ~doc ~docv:"N")
   in
   let run quick samples seed trace trace_out metrics_out trace_chrome
       run_ledger (nx, ny) dies_per_cell fields wafer_seed direction json_file
@@ -482,14 +496,14 @@ let compare_cmd =
   in
   let dies =
     let doc = "Dies simulated per grid cell (per exposure field)." in
-    Arg.(value & opt int 12 & info [ "dies" ] ~doc ~docv:"N")
+    Arg.(value & opt pos_int 12 & info [ "dies" ] ~doc ~docv:"N")
   in
   let fields =
     let doc =
       "Exposure-field replicas of the grid (same systematic map, fresh \
        random draws)."
     in
-    Arg.(value & opt int 1 & info [ "fields" ] ~doc ~docv:"N")
+    Arg.(value & opt pos_int 1 & info [ "fields" ] ~doc ~docv:"N")
   in
   let compare_seed =
     let doc = "Seed of the per-die random Lgate draws." in

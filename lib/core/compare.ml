@@ -131,7 +131,7 @@ let run ?pool (t : Flow.t) (v : Flow.variant) cfg =
       ~scratch:(fun () ->
         ( Compensation.scratch ctx,
           Array.map (fun s -> s.Compensation.fresh_apply ()) strategies ))
-      ~systematic:(Compensation.systematic ctx)
+      ~systematic:(fun (sc, _) -> Compensation.systematic_into ctx sc)
       ~acc:(fun () -> acc_create n_strats)
       ~die:(fun (sc, applies) acc ~systematic rng ->
         let d = Compensation.detect ctx sc ~systematic rng in

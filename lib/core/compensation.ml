@@ -32,15 +32,24 @@ type ctx = {
   high : float;
   base : float array;
   n_cells : int;
+  all_low : float array;   (* per-cell supply vectors of the two corners *)
+  all_high : float array;
   power_chip_wide : float;
   power_baseline : float;
 }
 
+(* One exact delay scale per (cell, supply) per die: [delays.(i)] was
+   scaled at supply [scaled_at.(i)] from this die's [lgates], and a
+   re-timing rescales only the cells whose requested supply differs.
+   [detect] draws new Lgates and so stales every entry (NaN). *)
 type scratch = {
   ws : Sta.workspace;
   inc : Sta.inc_workspace;  (* [ws] is its inner workspace *)
+  systematic_buf : float array;  (* [systematic_into]'s map *)
   lgates : float array;
   delays : float array;
+  scaled_at : float array;
+  low_delays : float array;  (* this die at the low supply, from [detect] *)
 }
 
 type detect = {
@@ -78,6 +87,8 @@ let context (t : Flow.t) =
     high;
     base = Sta.nominal_delays sta;
     n_cells = Netlist.cell_count nl;
+    all_low = Array.make (Netlist.cell_count nl) low;
+    all_high = Array.make (Netlist.cell_count nl) high;
     power_chip_wide;
     power_baseline;
   }
@@ -87,8 +98,11 @@ let scratch c =
   {
     ws = Sta.inc_ws inc;
     inc;
+    systematic_buf = Array.make c.n_cells 0.0;
     lgates = Array.make c.n_cells 0.0;
     delays = Array.make c.n_cells 0.0;
+    scaled_at = Array.make c.n_cells nan;
+    low_delays = Array.make c.n_cells 0.0;
   }
 
 let clock c = c.clock
@@ -98,13 +112,20 @@ let power_chip_wide_mw c = c.power_chip_wide
 let systematic c position =
   Sampler.systematic_lgates c.sampler c.placement position
 
+let systematic_into c sc position =
+  Sampler.systematic_lgates_into c.sampler c.placement position
+    ~out:sc.systematic_buf;
+  sc.systematic_buf
+
 (* Re-time the shared scratch's current Lgate realisation under a
-   per-cell supply map.  The incremental pass is bit-identical to a full
-   one; the supply reconfigurations of the settle loops are where the
-   cached arrivals pay off. *)
+   per-cell supply vector.  Only the cells whose supply changed since
+   their last scale are rescaled — the same function of the same
+   (lgate, vdd), so the delay vector is bit-identical to a full rescale
+   — and the incremental pass is bit-identical to a full one; the
+   supply reconfigurations of the settle loops are where both pay. *)
 let analyze_shared c sc ~vdd =
   Sampler.scale_delays c.sampler ~base:c.base ~lgates:sc.lgates ~vdd
-    ~out:sc.delays;
+    ~scaled_at:sc.scaled_at ~out:sc.delays;
   Sta.analyze_incremental_into c.sta sc.inc ~delays:sc.delays
 
 let count_violating ws clock =
@@ -122,7 +143,9 @@ let detect c sc ~systematic rng =
      the die's only RNG consumption, so per-die streams are identical
      for every strategy subset a caller evaluates. *)
   Sampler.sample_lgates c.sampler ~systematic rng sc.lgates;
-  analyze_shared c sc ~vdd:(fun _ -> c.low);
+  Array.fill sc.scaled_at 0 c.n_cells nan;
+  analyze_shared c sc ~vdd:c.all_low;
+  Array.blit sc.delays 0 sc.low_delays 0 c.n_cells;
   let violating = count_violating sc.ws c.clock in
   let worst_low =
     List.fold_left
@@ -177,6 +200,12 @@ let voltage_islands (t : Flow.t) c (v : Flow.variant) =
             .Power.total)
   in
   let ls_area = v.Flow.shifted.Level_shifter.ls_area in
+  (* Per-cell supply vector with islands [1..raised] at the high
+     supply; immutable, shared by every caller. *)
+  let vdd_of_raised =
+    Array.init (n_islands + 1) (fun raised ->
+        Array.map (fun dom -> if dom <= raised then c.high else c.low) domains)
+  in
   {
     name = "vi";
     title = "voltage islands";
@@ -192,8 +221,7 @@ let voltage_islands (t : Flow.t) c (v : Flow.variant) =
         let meets_with raised =
           if raised = 0 then d.violating = 0
           else begin
-            analyze_shared c sc ~vdd:(fun cid ->
-                if domains.(cid) <= raised then c.high else c.low);
+            analyze_shared c sc ~vdd:vdd_of_raised.(raised);
             count_violating sc.ws c.clock = 0
           end
         in
@@ -231,7 +259,7 @@ let chip_wide c =
           { meets = true; knob = 0; power_mw = c.power_baseline;
             area_um2 = 0.0 }
         else begin
-          analyze_shared c sc ~vdd:(fun _ -> c.high);
+          analyze_shared c sc ~vdd:c.all_high;
           let meets = count_violating sc.ws c.clock = 0 in
           Metrics.incr m_chipwide_applied;
           { meets; knob = 1; power_mw = c.power_chip_wide; area_um2 = 0.0 }
@@ -276,7 +304,6 @@ let skew_tuning ?(range_frac = 0.10) ?(steps = 4) c =
            skew settle runs full passes on its own buffers, leaving the
            shared state bit-exact for whatever strategy runs next. *)
         let ws = Sta.workspace c.sta in
-        let delays = Array.make c.n_cells 0.0 in
         let tune = Array.make c.n_cells 0.0 in
         let skew cid = offs.(cid) +. tune.(cid) in
         fun sc (d : detect) ->
@@ -285,11 +312,10 @@ let skew_tuning ?(range_frac = 0.10) ?(steps = 4) c =
               area_um2 = 0.0 }
           else begin
             Array.iter (fun cid -> tune.(cid) <- 0.0) all_caps;
-            (* The die stays at the low supply; re-derive its delay
-               vector from the shared Lgate realisation (the shared
-               [sc.delays] may hold another strategy's last config). *)
-            Sampler.scale_delays c.sampler ~base:c.base ~lgates:sc.lgates
-              ~vdd:(fun _ -> c.low) ~out:delays;
+            (* The die stays at the low supply: read the delay vector
+               [detect] kept ([sc.delays] may hold another strategy's
+               last supply configuration). *)
+            let delays = sc.low_delays in
             let failing s =
               match Sta.ws_stage_delay ws s with
               | Some dd -> dd > c.clock +. 1e-12
@@ -377,7 +403,6 @@ let tunable_buffers ?(sites_per_stage = 8) ?(max_per_site = 4)
     fresh_apply =
       (fun () ->
         let ws = Sta.workspace c.sta in
-        let delays = Array.make c.n_cells 0.0 in
         let trims = Array.make c.n_cells 0 in
         fun sc (d : detect) ->
           if d.violating = 0 then
@@ -385,8 +410,7 @@ let tunable_buffers ?(sites_per_stage = 8) ?(max_per_site = 4)
               area_um2 = 0.0 }
           else begin
             List.iter (fun cid -> trims.(cid) <- 0) sites;
-            Sampler.scale_delays c.sampler ~base:c.base ~lgates:sc.lgates
-              ~vdd:(fun _ -> c.low) ~out:delays;
+            let delays = sc.low_delays in
             (* One STA pass for this die's endpoint arrivals; each trim
                stage then shaves [trim] ns off its endpoint's path, so
                the greedy loop below is pure arithmetic: enable one trim

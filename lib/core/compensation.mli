@@ -36,9 +36,13 @@ type ctx
     baseline/chip-wide power levels.  Immutable. *)
 
 type scratch
-(** Per-caller mutable state (STA workspaces, Lgate and delay buffers)
-    shared by {!detect} and the island/chip-wide strategies.  One per
-    concurrent simulator. *)
+(** Per-caller mutable state (STA workspaces, the systematic-map,
+    Lgate and delay buffers) shared by {!detect} and the strategies.
+    One per concurrent simulator.  It records the supply each delay was
+    scaled at, so every cell's exact delay scale is computed at most
+    once per (die, supply): an island raise rescales only that island,
+    chip-wide only the cells still low, and skew tuning and tunable
+    buffers read the low-supply vector {!detect} kept. *)
 
 type detect = {
   violating : int;       (** analyzed stages failing at the low supply *)
@@ -65,12 +69,19 @@ val systematic : ctx -> Pvtol_variation.Position.t -> float array
 (** Per-cell systematic Lgate at a die position; deterministic, compute
     once per position and share across that position's dies. *)
 
+val systematic_into :
+  ctx -> scratch -> Pvtol_variation.Position.t -> float array
+(** {!systematic} written into the scratch's own map buffer, which is
+    returned: no allocation, for loops that move the die every few dies.
+    The buffer is overwritten by the next call on the same scratch. *)
+
 val detect : ctx -> scratch -> systematic:float array -> Pvtol_util.Srng.t -> detect
 (** One die's sensor verdict: draw its random Lgate realisation from
     [rng] (exactly one {!Pvtol_variation.Sampler.sample_lgates} call —
     strategies consume no RNG, so the per-die stream is identical for
     every strategy subset), re-time it at the low supply and count the
-    failing analyzed stages. *)
+    failing analyzed stages.  [systematic] may be the scratch's own
+    {!systematic_into} buffer. *)
 
 (** {2 The strategy interface} *)
 

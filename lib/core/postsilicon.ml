@@ -92,6 +92,7 @@ let die_power_chip_wide_mw k d =
   else Compensation.power_chip_wide_mw k.ctx
 
 let systematic k position = Compensation.systematic k.ctx position
+let systematic_into k s position = Compensation.systematic_into k.ctx s.sc position
 
 let simulate_die k s ~systematic rng =
   (* Detect once (the die's only RNG consumption), then play both
@@ -124,7 +125,7 @@ let run ?(n_chips = 40) ?(seed = 7) (t : Flow.t) (v : Flow.variant) =
   for _ = 1 to n_chips do
     let frac = Srng.uniform rng in
     let position = Position.at_fraction frac in
-    let systematic = systematic k position in
+    let systematic = systematic_into k sc position in
     let d = simulate_die k sc ~systematic rng in
     chips :=
       {

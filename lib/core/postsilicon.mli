@@ -94,6 +94,12 @@ val systematic : kernel -> Pvtol_variation.Position.t -> float array
     just the A-D diagonal).  Deterministic; compute once per position
     and share across the dies simulated there. *)
 
+val systematic_into :
+  kernel -> scratch -> Pvtol_variation.Position.t -> float array
+(** {!systematic} written into the scratch's own map buffer and returned
+    ({!Compensation.systematic_into}); valid until the next call on the
+    same scratch. *)
+
 val simulate_die :
   kernel -> scratch -> systematic:float array -> Pvtol_util.Srng.t -> die
 (** One die: draw its random Lgate realisation from [rng] (exactly one

@@ -175,7 +175,7 @@ let drive ?pool ?on_cell ~who (v : Flow.variant) cfg ~scratch ~systematic ~acc
     ~init:(fun ~worker:_ -> scratch ())
     ~f:(fun sc c ->
       let ix = c mod cfg.nx and iy = c / cfg.nx in
-      let systematic = systematic (cell_position cfg ~ix ~iy) in
+      let systematic = systematic sc (cell_position cfg ~ix ~iy) in
       let a = acc () in
       for field = 0 to cfg.fields - 1 do
         let rng = Srng.create (cell_seed cfg ~field ~ix ~iy) in
@@ -202,7 +202,7 @@ let run ?pool ?on_cell (t : Flow.t) (v : Flow.variant) cfg =
   let accs =
     drive ?pool ?on_cell ~who:"Wafer.run" v cfg
       ~scratch:(fun () -> Postsilicon.scratch k)
-      ~systematic:(Postsilicon.systematic k)
+      ~systematic:(Postsilicon.systematic_into k)
       ~acc:(fun () -> acc_create ~n_islands)
       ~die:(fun sc acc ~systematic rng ->
         acc_add k acc (Postsilicon.simulate_die k sc ~systematic rng))
@@ -551,6 +551,13 @@ let run_sampling ?pool ?on_round (t : Flow.t) (v : Flow.variant) ~mode scfg =
       (Smart_sampling.tilts ~sampler ~sta ~base ~systematic ~vdd:low ~clock
          ~stages:Compensation.analyzed ~rare:scfg.s_rare ())
   in
+  (* A fixed site's map is one array for the whole run; a wafer-field
+     die writes its map into its worker's scratch. *)
+  let fixed_systematic =
+    match mode with
+    | Fixed_site p -> Some (Postsilicon.systematic k p)
+    | Wafer_field -> None
+  in
   let models =
     match (scfg.s_method, mode) with
     | Smart_sampling.Is, Fixed_site p ->
@@ -634,7 +641,11 @@ let run_sampling ?pool ?on_round (t : Flow.t) (v : Flow.variant) ~mode scfg =
                 in
                 Position.at_xy ~x_frac:fx ~y_frac:fy ()
             in
-            let systematic = Postsilicon.systematic k pos in
+            let systematic =
+              match fixed_systematic with
+              | Some map -> map
+              | None -> Postsilicon.systematic_into k sc pos
+            in
             let w, sys_used =
               if Smart_sampling.n_components model = 0 then (1.0, systematic)
               else begin

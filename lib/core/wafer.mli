@@ -82,13 +82,14 @@ type on_cell = completed:int -> total:int -> unit
 val drive :
   ?pool:Pvtol_util.Pool.t -> ?on_cell:on_cell -> who:string -> Flow.variant ->
   config -> scratch:(unit -> 's) ->
-  systematic:(Pvtol_variation.Position.t -> 'p) -> acc:(unit -> 'a) ->
+  systematic:('s -> Pvtol_variation.Position.t -> 'p) -> acc:(unit -> 'a) ->
   die:('s -> 'a -> systematic:'p -> Pvtol_util.Srng.t -> unit) -> 'a array
 (** The grid driver of {!run} and {!Compare.run}.  Per grid cell it
     makes [acc ()] and calls [die] once per die, field-major, each field
     on its {!cell_seed} stream, every die at the cell's
-    [systematic (cell_position ..)].  One pool chunk per cell, [scratch]
-    built once per worker; the accumulators come back row-major
+    [systematic sc (cell_position ..)], computed once per cell with the
+    worker's scratch [sc] (so it may fill a buffer [sc] owns).  One pool
+    chunk per cell, [scratch] built once per worker; the accumulators come back row-major
     ([.(iy * nx + ix)]), bit-identical for every pool size.  [on_cell]
     fires after each cell from whichever domain finished it, with a
     monotone count; exceptions it raises are swallowed.

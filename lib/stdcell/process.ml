@@ -21,14 +21,40 @@ let default =
 
 let paper_literal = { default with alpha_dibl = 0.15 }
 
-let vth_eff t ~vdd ~lgate_nm = t.vth0 -. (vdd *. exp (-.t.alpha_dibl *. lgate_nm))
+let[@inline] vth_eff t ~vdd ~lgate_nm =
+  t.vth0 -. (vdd *. exp (-.t.alpha_dibl *. lgate_nm))
 
-let raw_delay t ~vdd ~lgate_nm =
+(* [@inline] so the array kernel below evaluates the alpha-power law in
+   registers: a float returned by an out-of-line call is boxed. *)
+let[@inline] raw_delay t ~vdd ~lgate_nm =
   let vth = vth_eff t ~vdd ~lgate_nm in
   (lgate_nm ** 1.5) *. vdd /. ((vdd -. vth) ** t.alpha)
 
+(* The normalising corner is constant per process: callers evaluate it
+   once per call site, never once per cell. *)
+let nominal_raw_delay t = raw_delay t ~vdd:t.vdd_low ~lgate_nm:t.l_nominal_nm
+
 let delay_scale t ~vdd ~lgate_nm =
-  raw_delay t ~vdd ~lgate_nm /. raw_delay t ~vdd:t.vdd_low ~lgate_nm:t.l_nominal_nm
+  raw_delay t ~vdd ~lgate_nm /. nominal_raw_delay t
+
+let rescale_delays t ~base ~lgates ~vdd ~scaled_at ~out =
+  let n = Array.length base in
+  if
+    Array.length lgates <> n || Array.length vdd <> n
+    || Array.length scaled_at <> n || Array.length out <> n
+  then invalid_arg "Process.rescale_delays: array lengths differ";
+  let nominal = nominal_raw_delay t in
+  (* Unsafe accesses are sound: every array was checked to length [n].
+     [<>] on floats is IEEE: a NaN in [scaled_at] never equals a supply,
+     so it forces the rescale. *)
+  for i = 0 to n - 1 do
+    let v = Array.unsafe_get vdd i in
+    if Array.unsafe_get scaled_at i <> v then begin
+      let d = raw_delay t ~vdd:v ~lgate_nm:(Array.unsafe_get lgates i) in
+      Array.unsafe_set out i (Array.unsafe_get base i *. (d /. nominal));
+      Array.unsafe_set scaled_at i v
+    end
+  done
 
 let leakage_scale t ~vdd ~lgate_nm =
   let vth = vth_eff t ~vdd ~lgate_nm in
@@ -49,7 +75,7 @@ let raw_delay_vth t ~vdd ~lgate_nm ~dvth =
 
 let abb_delay_scale t ~vbb ~lgate_nm =
   raw_delay_vth t ~vdd:t.vdd_low ~lgate_nm ~dvth:(-.body_factor *. vbb)
-  /. raw_delay t ~vdd:t.vdd_low ~lgate_nm:t.l_nominal_nm
+  /. nominal_raw_delay t
 
 let abb_leakage_scale t ~vbb ~lgate_nm =
   let dvth = -.body_factor *. vbb in

@@ -2,7 +2,7 @@ type t = { mutable state : int64; mutable cached : float option }
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
@@ -81,18 +81,22 @@ let fill_gaussians g out ~pos ~len =
   (* Whole pairs through a local state copy: one loop, no per-call
      dispatch, no [float option] boxing.  The draw sequence — two
      [uniform]s per Box-Muller pair, [u1 = 0] rejection included — is
-     exactly the one [gaussian] produces call by call. *)
+     exactly the one [gaussian] produces call by call.  The state lives
+     in a ref no closure captures and [mix] is inlined, so the compiler
+     keeps the [int64]s unboxed: the loop allocates nothing. *)
   let s = ref g.state in
-  let next_uniform () =
-    s := Int64.add !s golden_gamma;
-    Int64.to_float (Int64.shift_right_logical (mix !s) 11) *. 0x1.0p-53
-  in
   (* Unsafe writes are sound: the range check above guarantees
      [pos + len <= length out] and [!i + 1 < stop <= pos + len]. *)
   while !i + 1 < stop do
-    let u1 = next_uniform () in
+    s := Int64.add !s golden_gamma;
+    let u1 =
+      Int64.to_float (Int64.shift_right_logical (mix !s) 11) *. 0x1.0p-53
+    in
     if u1 > 1e-300 then begin
-      let u2 = next_uniform () in
+      s := Int64.add !s golden_gamma;
+      let u2 =
+        Int64.to_float (Int64.shift_right_logical (mix !s) 11) *. 0x1.0p-53
+      in
       let r = sqrt (-2.0 *. log u1) in
       let theta = 2.0 *. Float.pi *. u2 in
       Array.unsafe_set out !i (r *. cos theta);

@@ -50,11 +50,24 @@ let create ?(field_mm = 28.0) ?(calibrate_mm = 14.0) ?(shape = default_shape)
 
 let default = create ~l_nominal_nm:65.0 ~max_dev_frac:0.055 ()
 
-let systematic_nm t ~x_mm ~y_mm =
-  let clamp v = Float.max 0.0 (Float.min t.field_mm v) in
+(* [@inline] so the map kernel below evaluates the polynomial in
+   registers: a float returned by an out-of-line call is boxed. *)
+let[@inline] systematic_nm t ~x_mm ~y_mm =
+  let[@inline] clamp v = Float.max 0.0 (Float.min t.field_mm v) in
   let x = clamp x_mm and y = clamp y_mm in
   (t.a *. x *. x) +. (t.b *. y *. y) +. (t.c *. x) +. (t.d *. y)
   +. (t.e *. x *. y) +. t.intercept
+
+let systematic_map_into t ~origin_x_mm ~origin_y_mm ~xs_um ~ys_um ~out =
+  let n = Array.length out in
+  if Array.length xs_um <> n || Array.length ys_um <> n then
+    invalid_arg "Field.systematic_map_into: array lengths differ";
+  (* Same arithmetic as [Position.to_field] followed by [systematic_nm]. *)
+  for i = 0 to n - 1 do
+    let x_mm = origin_x_mm +. (Array.unsafe_get xs_um i /. 1000.0) in
+    let y_mm = origin_y_mm +. (Array.unsafe_get ys_um i /. 1000.0) in
+    Array.unsafe_set out i (systematic_nm t ~x_mm ~y_mm)
+  done
 
 let deviation_frac t ~x_mm ~y_mm =
   (systematic_nm t ~x_mm ~y_mm -. t.l_nominal_nm) /. t.l_nominal_nm

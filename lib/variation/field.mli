@@ -39,6 +39,19 @@ val systematic_nm : t -> x_mm:float -> y_mm:float -> float
 (** Systematic Lgate at a field coordinate, in nm (clamped to the
     field). *)
 
+val systematic_map_into :
+  t ->
+  origin_x_mm:float ->
+  origin_y_mm:float ->
+  xs_um:float array ->
+  ys_um:float array ->
+  out:float array ->
+  unit
+(** [out.(i) <- systematic_nm t ~x_mm ~y_mm] at the field coordinate
+    [(origin_x_mm + xs_um.(i) / 1000, origin_y_mm + ys_um.(i) / 1000)]
+    of every cell — the whole-die systematic map, without allocating.
+    Raises [Invalid_argument] if the arrays differ in length. *)
+
 val deviation_frac : t -> x_mm:float -> y_mm:float -> float
 (** (systematic - nominal) / nominal. *)
 

@@ -23,19 +23,29 @@ let create ?field ?(process = Process.default) ?(three_sigma_rnd_frac = 0.065)
     sigma_rnd_nm = three_sigma_rnd_frac /. 3.0 *. process.Process.l_nominal_nm;
   }
 
+let systematic_lgates_into t (p : Placement.t) (pos : Position.t) ~out =
+  Field.systematic_map_into t.field ~origin_x_mm:pos.Position.origin_x_mm
+    ~origin_y_mm:pos.Position.origin_y_mm ~xs_um:p.Placement.xs
+    ~ys_um:p.Placement.ys ~out
+
 let systematic_lgates t (p : Placement.t) pos =
-  Array.mapi
-    (fun i _ ->
-      let x_mm, y_mm =
-        Position.to_field pos ~x_um:p.Placement.xs.(i) ~y_um:p.Placement.ys.(i)
-      in
-      Field.systematic_nm t.field ~x_mm ~y_mm)
-    p.Placement.xs
+  let out = Array.make (Array.length p.Placement.xs) 0.0 in
+  systematic_lgates_into t p pos ~out;
+  out
 
 let sample_lgates t ~systematic rng out =
-  assert (Array.length out = Array.length systematic);
-  for i = 0 to Array.length out - 1 do
-    out.(i) <- systematic.(i) +. (t.sigma_rnd_nm *. Srng.gaussian rng)
+  let n = Array.length systematic in
+  if Array.length out <> n || out == systematic then
+    invalid_arg "Sampler.sample_lgates: out must be a distinct array of the \
+                 systematic's length";
+  (* [fill_gaussians] is bit-identical to [n] successive [gaussian]
+     calls, so this is the per-cell [systematic + sigma * gaussian]
+     loop, and leaves [rng] in the same state. *)
+  Srng.fill_gaussians rng out ~pos:0 ~len:n;
+  let sigma = t.sigma_rnd_nm in
+  for i = 0 to n - 1 do
+    Array.unsafe_set out i
+      (Array.unsafe_get systematic i +. (sigma *. Array.unsafe_get out i))
   done
 
 let shifted_systematic t ~systematic ~cells ~dir ~theta ~out =
@@ -49,12 +59,8 @@ let shifted_systematic t ~systematic ~cells ~dir ~theta ~out =
 
 let delay_scale t ~lgate_nm ~vdd = Process.delay_scale t.process ~vdd ~lgate_nm
 
-let scale_delays t ~base ~lgates ~vdd ~out =
-  let n = Array.length base in
-  assert (Array.length lgates = n && Array.length out = n);
-  for i = 0 to n - 1 do
-    out.(i) <- base.(i) *. delay_scale t ~lgate_nm:lgates.(i) ~vdd:(vdd i)
-  done
+let scale_delays t ~base ~lgates ~vdd ~scaled_at ~out =
+  Process.rescale_delays t.process ~base ~lgates ~vdd ~scaled_at ~out
 
 (* ------------------------------------------------------------------ *)
 (* Batched structure-of-arrays scale path.

@@ -28,9 +28,18 @@ val systematic_lgates :
 (** Per-cell systematic Lgate (nm) at a die position — the
     deterministic part, computed once per position. *)
 
+val systematic_lgates_into :
+  t -> Pvtol_place.Placement.t -> Position.t -> out:float array -> unit
+(** {!systematic_lgates} written into [out] (one entry per placed cell)
+    without allocating — for per-die loops that keep one map buffer. *)
+
 val sample_lgates :
   t -> systematic:float array -> Pvtol_util.Srng.t -> float array -> unit
-(** Fill the output array with systematic + fresh random draws. *)
+(** Fill the output array with systematic + fresh random draws:
+    [out.(i) <- systematic.(i) +. sigma_rnd_nm *. gaussian rng] for
+    [i = 0 .. n-1] in order, bit for bit, drawn in bulk through
+    {!Pvtol_util.Srng.fill_gaussians} so nothing is allocated.  Raises
+    [Invalid_argument] if [out] is [systematic] or differs in length. *)
 
 val shifted_systematic :
   t ->
@@ -56,11 +65,17 @@ val scale_delays :
   t ->
   base:float array ->
   lgates:float array ->
-  vdd:(int -> float) ->
+  vdd:float array ->
+  scaled_at:float array ->
   out:float array ->
   unit
-(** [out.(i) <- base.(i) * delay_scale lgates.(i) (vdd i)] for all
-    cells — one die's delay rescale in the post-silicon kernels. *)
+(** [out.(i) <- base.(i) * delay_scale lgates.(i) vdd.(i)] for every
+    cell whose [scaled_at.(i)] is not already [vdd.(i)], recording the
+    supply in [scaled_at] — one die's delay rescale in the post-silicon
+    kernels, {!Pvtol_stdcell.Process.rescale_delays} under this
+    sampler's process.  Fill [scaled_at] with [nan] to rescale every
+    cell (after drawing new Lgates); keep it to rescale only the cells
+    whose supply changed. *)
 
 (** {2 Batched structure-of-arrays path}
 

@@ -2,12 +2,14 @@
    to it.
 
    [oracle] is the plainest possible SSTA loop: one sequential
-   [Srng.create seed] stream over all samples and, per sample,
-   [Sampler.sample_lgates] -> [Sampler.scale_delays] (the exact
+   [Srng.create seed] stream over all samples and, per sample and cell,
+   the field polynomial at the cell's position plus a
+   [Srng.gaussian] draw, scaled by [Process.delay_scale] (the exact
    transcendental delay scale) -> [Sta.analyze_into], with the same
    worst, per-stage and 2%-criticality bookkeeping as the library.  It
-   has no chunks, RNG jumps, pool, delay-scale fit or SoA kernel, so it
-   is independent of everything the library run adds for speed.
+   has no chunks, RNG jumps, pool, delay-scale fit, bulk draw or array
+   kernel, so it is independent of everything the library run adds for
+   speed.
 
    Comparison contract ([check_mc]):
    - The library replaces the per-(cell, sample) transcendental delay
@@ -23,6 +25,10 @@
 module MC = Pvtol_ssta.Monte_carlo
 module Sta = Pvtol_timing.Sta
 module Sampler = Pvtol_variation.Sampler
+module Field = Pvtol_variation.Field
+module Position = Pvtol_variation.Position
+module Placement = Pvtol_place.Placement
+module Process = Pvtol_stdcell.Process
 module Netlist = Pvtol_netlist.Netlist
 module Stage = Pvtol_netlist.Stage
 module Srng = Pvtol_util.Srng
@@ -36,10 +42,19 @@ let oracle ~(config : MC.config) ~sampler ~sta ~placement ~position =
   let n = Netlist.cell_count nl in
   let low = nl.Netlist.lib.Pvtol_stdcell.Cell.process.Pvtol_stdcell.Process.vdd_low in
   let samples = config.MC.samples in
-  let systematic = Sampler.systematic_lgates sampler placement position in
+  let systematic =
+    Array.init n (fun i ->
+        let x_mm, y_mm =
+          Position.to_field position ~x_um:placement.Placement.xs.(i)
+            ~y_um:placement.Placement.ys.(i)
+        in
+        Field.systematic_nm sampler.Sampler.field ~x_mm ~y_mm)
+  in
+  let process = sampler.Sampler.process in
+  let sigma = sampler.Sampler.sigma_rnd_nm in
   let base = Sta.nominal_delays sta in
   let ws = Sta.workspace sta in
-  let lgates = Array.make n 0.0 and delays = Array.make n 0.0 in
+  let delays = Array.make n 0.0 in
   let stages =
     List.filter_map
       (fun s ->
@@ -52,8 +67,10 @@ let oracle ~(config : MC.config) ~sampler ~sta ~placement ~position =
   let crit = Hashtbl.create 256 in
   let rng = Srng.create config.MC.seed in
   for k = 0 to samples - 1 do
-    Sampler.sample_lgates sampler ~systematic rng lgates;
-    Sampler.scale_delays sampler ~base ~lgates ~vdd:(fun _ -> low) ~out:delays;
+    for i = 0 to n - 1 do
+      let lgate_nm = systematic.(i) +. (sigma *. Srng.gaussian rng) in
+      delays.(i) <- base.(i) *. Process.delay_scale process ~vdd:low ~lgate_nm
+    done;
     Sta.analyze_into sta ws ~delays;
     worst_samples.(k) <- Sta.ws_worst ws;
     List.iter

@@ -18,6 +18,7 @@ module Sampler = Pvtol_variation.Sampler
 module Sta = Pvtol_timing.Sta
 module Pool = Pvtol_util.Pool
 module Srng = Pvtol_util.Srng
+module Metrics = Pvtol_util.Metrics
 
 let env = Test_extensions.env
 
@@ -315,8 +316,10 @@ let test_detect_matches_full_pass () =
   in
   let base = Sta.nominal_delays sta in
   let n = Array.length base in
-  let lgates = Array.make n 0.0 and delays = Array.make n 0.0 in
+  let delays = Array.make n 0.0 in
   let ws = Sta.workspace sta in
+  let process = sampler.Sampler.process in
+  let sigma = sampler.Sampler.sigma_rnd_nm in
   List.iter
     (fun pos ->
       let systematic = Compensation.systematic ctx pos in
@@ -324,9 +327,13 @@ let test_detect_matches_full_pass () =
       for die = 1 to 6 do
         let d = Compensation.detect ctx sc ~systematic rng in
         ignore (vi_apply sc d);
-        Sampler.sample_lgates sampler ~systematic replay lgates;
-        Sampler.scale_delays sampler ~base ~lgates ~vdd:(fun _ -> low)
-          ~out:delays;
+        (* The replay's own per-cell draw and scalar scale, independent
+           of the sampler's bulk draw and array kernel. *)
+        for i = 0 to n - 1 do
+          let lgate_nm = systematic.(i) +. (sigma *. Srng.gaussian replay) in
+          delays.(i) <- base.(i) *. Pvtol_stdcell.Process.delay_scale process
+                          ~vdd:low ~lgate_nm
+        done;
         Sta.analyze_into sta ws ~delays;
         let stage_delays =
           List.filter_map (Sta.ws_stage_delay ws) Compensation.analyzed
@@ -340,6 +347,121 @@ let test_detect_matches_full_pass () =
           d.Compensation.worst_low_ns
       done)
     Position.named
+
+(* The census geometry of the tracked-scratch tests: 3x3 cells x 4
+   dies on the quick design. *)
+let census_cfg =
+  { Wafer.nx = 3; ny = 3; dies_per_cell = 4; fields = 1; seed = 7;
+    direction = Island.Vertical }
+
+let test_tracked_scratch_matches_full_rescale () =
+  (* The supply-tracked scratch (one exact scale per cell and supply,
+     skew and buffers on the kept low vector) against the
+     rescale-everything oracle, die by die: same detect verdicts, same
+     outcome bits for every strategy in [all_choices] order, and the
+     same STA work — the incremental pass sees the same delay changes. *)
+  let t, v = Lazy.force env in
+  let ctx = Compensation.context t in
+  let sc = Compensation.scratch ctx in
+  let applies =
+    List.map
+      (fun ch -> (ch, (Compensation.build t ctx v ch).Compensation.fresh_apply ()))
+      Compensation.all_choices
+  in
+  let o = Compensation_oracle.create t v in
+  let analyzes = Metrics.counter "sta_analyze_total" in
+  let gates = Metrics.counter "sta_incremental_gates_total" in
+  let counts () = (Metrics.counter_value analyzes, Metrics.counter_value gates) in
+  let diff (a0, g0) (a1, g1) = (a1 - a0, g1 - g0) in
+  let lib_work = ref (0, 0) and oracle_work = ref (0, 0) in
+  let add r (a, g) = r := (fst !r + a, snd !r + g) in
+  let raised = ref 0 in
+  Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Metrics.set_enabled false) (fun () ->
+      for iy = 0 to census_cfg.Wafer.ny - 1 do
+        for ix = 0 to census_cfg.Wafer.nx - 1 do
+          let pos = Wafer.cell_position census_cfg ~ix ~iy in
+          let sys = Compensation.systematic_into ctx sc pos in
+          let sys_o = Compensation_oracle.systematic o pos in
+          Array.iteri
+            (fun i e -> check_bits (Printf.sprintf "map cell %d" i) e sys.(i))
+            sys_o;
+          let seed = Wafer.cell_seed census_cfg ~field:0 ~ix ~iy in
+          let rng = Srng.create seed and rng_o = Srng.create seed in
+          for die = 1 to census_cfg.Wafer.dies_per_cell do
+            let label = Printf.sprintf "cell %d,%d die %d" ix iy die in
+            let c0 = counts () in
+            let d = Compensation.detect ctx sc ~systematic:sys rng in
+            let outs = List.map (fun (_, apply) -> apply sc d) applies in
+            let c1 = counts () in
+            let d_o = Compensation_oracle.detect o ~systematic:sys_o rng_o in
+            let outs_o =
+              List.map (fun (ch, _) -> Compensation_oracle.apply o ch d_o) applies
+            in
+            let c2 = counts () in
+            add lib_work (diff c0 c1);
+            add oracle_work (diff c1 c2);
+            Alcotest.(check int) (label ^ ": violating") d_o.Compensation.violating
+              d.Compensation.violating;
+            check_bits (label ^ ": worst low") d_o.Compensation.worst_low_ns
+              d.Compensation.worst_low_ns;
+            List.iter2
+              (fun ((ch, _), (e : Compensation.outcome)) (g : Compensation.outcome) ->
+                let l = label ^ " " ^ Compensation.choice_name ch in
+                Alcotest.(check bool) (l ^ ": meets") e.Compensation.meets
+                  g.Compensation.meets;
+                Alcotest.(check int) (l ^ ": knob") e.Compensation.knob
+                  g.Compensation.knob;
+                check_bits (l ^ ": power") e.Compensation.power_mw
+                  g.Compensation.power_mw;
+                check_bits (l ^ ": area") e.Compensation.area_um2
+                  g.Compensation.area_um2;
+                if ch = Compensation.Vi then raised := !raised + g.Compensation.knob)
+              (List.combine applies outs_o) outs
+          done
+        done
+      done);
+  Alcotest.(check bool) "population raises islands" true (!raised > 0);
+  Alcotest.(check (pair int int)) "STA analyses and incremental gates"
+    !oracle_work !lib_work
+
+(* Minor words per die per cell of the serial detect + vi + chip-wide
+   replay below, on the quick design (7,019 cells; OCaml 5.1, dune's
+   default dev profile).  Before supply tracking, bulk draws and the
+   array kernels it was 64.6: every delay scale boxed a float per cell,
+   every gaussian boxed its Int64 state and every die allocated its
+   systematic map.  It is now 3.9.  The bound is twice that, so
+   re-boxing any per-cell float fails the suite. *)
+let max_words_per_die_cell = 7.8
+
+let test_die_allocation_bound () =
+  let t, v = Lazy.force env in
+  let k = Postsilicon.kernel t v in
+  let sc = Postsilicon.scratch k in
+  let n_cells = Pvtol_netlist.Netlist.cell_count (Flow.netlist t) in
+  let run () =
+    let dies = ref 0 in
+    for iy = 0 to census_cfg.Wafer.ny - 1 do
+      for ix = 0 to census_cfg.Wafer.nx - 1 do
+        let systematic =
+          Postsilicon.systematic_into k sc (Wafer.cell_position census_cfg ~ix ~iy)
+        in
+        let rng = Srng.create (Wafer.cell_seed census_cfg ~field:0 ~ix ~iy) in
+        for _ = 1 to census_cfg.Wafer.dies_per_cell do
+          ignore (Postsilicon.simulate_die k sc ~systematic rng);
+          incr dies
+        done
+      done
+    done;
+    !dies
+  in
+  ignore (run ());
+  let w0 = Gc.minor_words () in
+  let dies = run () in
+  let per = (Gc.minor_words () -. w0) /. float_of_int (dies * n_cells) in
+  if per > max_words_per_die_cell then
+    Alcotest.failf "%.2f minor words per die per cell (bound %.1f)" per
+      max_words_per_die_cell
 
 (* --- harness behaviour --- *)
 
@@ -436,6 +558,10 @@ let suite =
         test_vi_strategy_matches_postsilicon;
       Alcotest.test_case "detect = full-pass replay (A-D)" `Quick
         test_detect_matches_full_pass;
+      Alcotest.test_case "tracked scratch = full-rescale oracle" `Quick
+        test_tracked_scratch_matches_full_rescale;
+      Alcotest.test_case "per-die allocation bound" `Quick
+        test_die_allocation_bound;
       Alcotest.test_case "compare memoized per key" `Quick
         test_compare_memoized;
       Alcotest.test_case "compare validation" `Quick test_compare_validation;

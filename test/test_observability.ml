@@ -396,6 +396,39 @@ let test_compare_cli_exit_codes () =
   Sys.remove base;
   Sys.remove next
 
+(* Degenerate count flags are usage errors: exit 124 with cmdliner's
+   one-line message naming the option, never an uncaught exception from
+   a stage that was handed a zero budget. *)
+let test_cli_rejects_nonpositive_counts () =
+  let err = Filename.temp_file "pvtol_usage" ".txt" in
+  List.iter
+    (fun (args, option) ->
+      let rc =
+        Sys.command
+          (Printf.sprintf "%s %s > /dev/null 2> %s" (Filename.quote pvtol_exe)
+             args (Filename.quote err))
+      in
+      Alcotest.(check int) ("exit: " ^ args) 124 rc;
+      let first =
+        In_channel.with_open_text err In_channel.input_line
+        |> Option.value ~default:""
+      in
+      let prefix = Printf.sprintf "pvtol: option '%s': " option in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: message names %s (got %S)" args option first)
+        true
+        (String.starts_with ~prefix first))
+    [ ("wafer --quick --dies 0", "--dies");
+      ("wafer --quick --fields 0", "--fields");
+      ("wafer --quick --sampler is --strata 0", "--strata");
+      ("wafer --quick --sampler is --rounds 0", "--rounds");
+      ("wafer --quick --sampler is --ci-target 0", "--ci-target");
+      ("wafer --quick --sampler is --rare-scenario 0", "--rare-scenario");
+      ("compare --quick --dies 0", "--dies");
+      ("compare --quick --fields=-2", "--fields");
+      ("scenarios --quick --samples 0", "--samples") ];
+  Sys.remove err
+
 let suite =
   ( "observability",
     [
@@ -424,4 +457,6 @@ let suite =
         test_compare_schema1_fallback;
       Alcotest.test_case "compare: cli exit codes" `Slow
         test_compare_cli_exit_codes;
+      Alcotest.test_case "cli rejects non-positive counts" `Quick
+        test_cli_rejects_nonpositive_counts;
     ] )

@@ -103,17 +103,101 @@ let test_delay_scale_consistency () =
   let expected = Process.delay_scale sampler.Sampler.process ~vdd:1.1 ~lgate_nm:67.0 in
   Alcotest.(check bool) "matches process model" true (Float.abs (s -. expected) < 1e-12)
 
+let check_bits label expected got =
+  if expected <> got then Alcotest.failf "%s: expected %h, got %h" label expected got
+
 let test_scale_delays_vectorized () =
+  (* The array kernel is the scalar [Process.delay_scale] per cell, bit
+     for bit: both supplies, a mixed per-cell supply vector, and Lgates
+     far outside the Monte-Carlo window (the batched fit's range). *)
   let sampler = Sampler.create () in
-  let base = [| 1.0; 2.0; 3.0 |] in
-  let lgates = [| 65.0; 66.0; 64.0 |] in
-  let out = Array.make 3 0.0 in
-  Sampler.scale_delays sampler ~base ~lgates ~vdd:(fun _ -> 1.0) ~out;
-  Array.iteri
-    (fun i b ->
-      let expected = b *. Sampler.delay_scale sampler ~lgate_nm:lgates.(i) ~vdd:1.0 in
-      Alcotest.(check bool) "elementwise" true (Float.abs (out.(i) -. expected) < 1e-12))
-    base
+  let process = sampler.Sampler.process in
+  let low = process.Process.vdd_low and high = process.Process.vdd_high in
+  let lgates = [| 65.0; 66.0; 64.0; 58.3; 71.9; 40.0; 95.0; 65.0 +. 1e-9 |] in
+  let n = Array.length lgates in
+  let base = Array.init n (fun i -> 0.05 +. (0.01 *. float_of_int i)) in
+  let expected vdd i =
+    base.(i) *. Process.delay_scale process ~vdd:vdd.(i) ~lgate_nm:lgates.(i)
+  in
+  let out = Array.make n 0.0 and scaled_at = Array.make n nan in
+  List.iter
+    (fun (label, vdd) ->
+      Array.fill scaled_at 0 n nan;
+      Sampler.scale_delays sampler ~base ~lgates ~vdd ~scaled_at ~out;
+      Array.iteri
+        (fun i _ ->
+          check_bits (Printf.sprintf "%s cell %d" label i) (expected vdd i) out.(i);
+          check_bits (Printf.sprintf "%s cell %d supply" label i) vdd.(i)
+            scaled_at.(i))
+        out)
+    [ ("low", Array.make n low); ("high", Array.make n high);
+      ("mixed", Array.init n (fun i -> if i mod 3 = 0 then high else low)) ];
+  (* Supply tracking: only cells whose supply changed are rescaled.  A
+     sentinel in [out] survives exactly where the supply is unchanged. *)
+  let first = Array.init n (fun i -> if i mod 2 = 0 then low else high) in
+  let next = Array.init n (fun i -> if i < n / 2 then low else high) in
+  Array.fill scaled_at 0 n nan;
+  Sampler.scale_delays sampler ~base ~lgates ~vdd:first ~scaled_at ~out;
+  for i = 0 to n - 1 do
+    if first.(i) = next.(i) then out.(i) <- -1.0
+  done;
+  Sampler.scale_delays sampler ~base ~lgates ~vdd:next ~scaled_at ~out;
+  for i = 0 to n - 1 do
+    let label = Printf.sprintf "tracked cell %d" i in
+    if first.(i) = next.(i) then check_bits label (-1.0) out.(i)
+    else check_bits label (expected next i) out.(i)
+  done
+
+let test_sample_lgates_bitwise () =
+  (* [sample_lgates] draws in bulk; it must equal the per-cell
+     [systematic + sigma * gaussian] loop bit for bit and leave the
+     stream where that loop does, cached Box-Muller half included. *)
+  let sampler = Sampler.create () in
+  let sigma = sampler.Sampler.sigma_rnd_nm in
+  List.iter
+    (fun (n, pending) ->
+      let label = Printf.sprintf "n=%d pending=%b" n pending in
+      let systematic = Array.init n (fun i -> 63.0 +. (0.37 *. float_of_int i)) in
+      let a = Srng.create 77 and b = Srng.create 77 in
+      if pending then begin
+        ignore (Srng.gaussian a);
+        ignore (Srng.gaussian b)
+      end;
+      let expect =
+        Array.init n (fun i -> systematic.(i) +. (sigma *. Srng.gaussian a))
+      in
+      let got = Array.make n nan in
+      Sampler.sample_lgates sampler ~systematic b got;
+      Array.iteri
+        (fun i e -> check_bits (Printf.sprintf "%s cell %d" label i) e got.(i))
+        expect;
+      for k = 1 to 3 do
+        check_bits
+          (Printf.sprintf "%s next draw %d" label k)
+          (Srng.gaussian a) (Srng.gaussian b)
+      done)
+    [ (64, false); (63, false); (64, true); (63, true); (1, true); (0, false) ]
+
+let test_systematic_map_bitwise () =
+  (* The whole-die map kernel is [Position.to_field] + [systematic_nm]
+     per cell, bit for bit, including cells clamped at the field edge. *)
+  let p = Lazy.force placed_small in
+  let sampler = Sampler.create () in
+  List.iter
+    (fun pos ->
+      let got = Sampler.systematic_lgates sampler p pos in
+      Array.iteri
+        (fun i g ->
+          let x_mm, y_mm =
+            Position.to_field pos ~x_um:p.Pvtol_place.Placement.xs.(i)
+              ~y_um:p.Pvtol_place.Placement.ys.(i)
+          in
+          check_bits
+            (Printf.sprintf "%s cell %d" pos.Position.label i)
+            (Field.systematic_nm sampler.Sampler.field ~x_mm ~y_mm)
+            g)
+        got)
+    (Position.at_xy ~x_frac:1.95 ~y_frac:(-0.1) () :: Position.named)
 
 let test_custom_budget () =
   let f = Field.create ~l_nominal_nm:65.0 ~max_dev_frac:0.02 () in
@@ -137,5 +221,9 @@ let suite =
       Alcotest.test_case "sampling moments" `Quick test_sampling_moments;
       Alcotest.test_case "delay scale consistency" `Quick test_delay_scale_consistency;
       Alcotest.test_case "scale_delays vectorized" `Quick test_scale_delays_vectorized;
+      Alcotest.test_case "sample_lgates = per-cell gaussian loop" `Quick
+        test_sample_lgates_bitwise;
+      Alcotest.test_case "systematic map = per-cell field" `Quick
+        test_systematic_map_bitwise;
       Alcotest.test_case "custom budget" `Quick test_custom_budget;
     ] )
