@@ -429,8 +429,8 @@ let kernel_estimates ~quick ?(only = fun _ -> true) () =
   let field = Field.default in
   (* Batched-kernel scratch: one block of [lanes] samples per run. *)
   let lanes = 32 in
-  let bw = Sta.batch_workspace ~lanes sta in
-  let stride = Sta.batch_stride bw in
+  let bws = Sta.workspace ~lanes sta in
+  let bdelays = Array.make (n * lanes) 0.0 in
   let gauss = Array.make (lanes * n) 0.0 in
   let brng = Srng.create 99 in
   let batch = Sampler.batch sampler ~base ~systematic ~vdd:(fun _ -> low) in
@@ -512,7 +512,7 @@ let kernel_estimates ~quick ?(only = fun _ -> true) () =
       ( "table1/sta-pass-into", 1,
         fun () -> Sta.analyze_into sta ws ~delays:base );
       ( "table1/sta-batch-into", lanes,
-        fun () -> Sta.analyze_batch_into sta bw ~lanes );
+        fun () -> Sta.analyze_into sta bws ~delays:bdelays );
       ( "fig3/mc-sample", 1,
         fun () ->
           Sampler.sample_lgates sampler ~systematic rng lgates;
@@ -521,9 +521,9 @@ let kernel_estimates ~quick ?(only = fun _ -> true) () =
       ( "fig3/mc-sample-batched", lanes,
         fun () ->
           Srng.fill_gaussians brng gauss ~pos:0 ~len:(lanes * n);
-          Sampler.scale_delays_batch batch ~gauss ~samples:lanes ~stride
-            ~out:(Sta.batch_delays bw);
-          Sta.analyze_batch_into sta bw ~lanes );
+          Sampler.scale_delays_batch batch ~gauss ~samples:lanes ~stride:lanes
+            ~out:bdelays;
+          Sta.analyze_into sta bws ~delays:bdelays );
       ( "fig3/mc-sample-is", 1,
         fun () ->
           let comp = Smart_sampling.pick is_model is_rng in

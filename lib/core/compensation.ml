@@ -132,7 +132,7 @@ let count_violating ws clock =
   List.length
     (List.filter
        (fun s ->
-         match Sta.ws_stage_delay ws s with
+         match Sta.ws_stage_delay ws s 0 with
          | Some d -> d > clock +. 1e-12
          | None -> false)
        analyzed)
@@ -150,7 +150,7 @@ let detect c sc ~systematic rng =
   let worst_low =
     List.fold_left
       (fun acc s ->
-        match Sta.ws_stage_delay sc.ws s with
+        match Sta.ws_stage_delay sc.ws s 0 with
         | Some d -> Float.max acc d
         | None -> acc)
       0.0 analyzed
@@ -299,13 +299,13 @@ let skew_tuning ?(range_frac = 0.10) ?(steps = 4) c =
     fresh_apply =
       (fun () ->
         (* Private workspace: the shared scratch's incremental STA
-           caches arrivals under an ideal clock, and a changed skew
-           function is invisible to its delay-seeded worklist — so the
-           skew settle runs full passes on its own buffers, leaving the
+           caches arrivals under an ideal clock, and a changed skew row
+           is invisible to its delay-seeded worklist — so the skew
+           settle runs full passes on its own buffers, leaving the
            shared state bit-exact for whatever strategy runs next. *)
         let ws = Sta.workspace c.sta in
+        let skew = Sta.skew_row ws in
         let tune = Array.make c.n_cells 0.0 in
-        let skew cid = offs.(cid) +. tune.(cid) in
         fun sc (d : detect) ->
           if d.violating = 0 then
             { meets = true; knob = 0; power_mw = c.power_baseline;
@@ -317,7 +317,7 @@ let skew_tuning ?(range_frac = 0.10) ?(steps = 4) c =
                last supply configuration). *)
             let delays = sc.low_delays in
             let failing s =
-              match Sta.ws_stage_delay ws s with
+              match Sta.ws_stage_delay ws s 0 with
               | Some dd -> dd > c.clock +. 1e-12
               | None -> false
             in
@@ -328,7 +328,11 @@ let skew_tuning ?(range_frac = 0.10) ?(steps = 4) c =
                — and re-verify.  Stops on success, knob saturation, or
                the iteration cap (one downstream ripple per step). *)
             let rec settle iters =
-              Sta.analyze_into ~skew c.sta ws ~delays;
+              for slot = 0 to Array.length flops - 1 do
+                let cid = flops.(slot) in
+                skew.(slot) <- offs.(cid) +. tune.(cid)
+              done;
+              Sta.analyze_into c.sta ws ~delays;
               let bad = List.filter (fun (s, _) -> failing s) stage_caps in
               if bad = [] then true
               else if iters <= 0 then false
@@ -419,7 +423,7 @@ let tunable_buffers ?(sites_per_stage = 8) ?(max_per_site = 4)
                (configured or remaining) trims. *)
             Sta.analyze_into c.sta ws ~delays;
             let eff cid =
-              Sta.ws_endpoint_delay ws cid
+              Sta.ws_endpoint_delay ws cid 0
               -. (float_of_int trims.(cid) *. trim)
             in
             let binding caps =

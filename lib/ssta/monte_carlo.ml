@@ -58,10 +58,12 @@ let rng_at_sample ~seed ~gaussians =
   end;
   g
 
-(* Per-worker scratch: the SoA block plus one sample-major gaussian
-   buffer sized for a full chunk. *)
+(* Per-worker scratch: a chunk-wide STA workspace, the cell-major
+   delay block it reads (cells x chunk lanes) and one sample-major
+   gaussian buffer sized for a full chunk. *)
 type scratch = {
-  bw : Sta.batch_workspace;
+  ws : Sta.workspace;
+  delays : float array;
   gauss : float array;
 }
 
@@ -96,7 +98,8 @@ let run ?(config = default_config) ?vdd ?pool ~sampler ~sta ~placement
   let batch = Sampler.batch sampler ~base ~systematic ~vdd in
   let init ~worker:_ =
     {
-      bw = Sta.batch_workspace ~lanes:chunk_size sta;
+      ws = Sta.workspace ~lanes:chunk_size sta;
+      delays = Array.make (n * chunk_size) 0.0;
       gauss = Array.make (chunk_size * n) 0.0;
     }
   in
@@ -114,15 +117,15 @@ let run ?(config = default_config) ?vdd ?pool ~sampler ~sta ~placement
     let rng = rng_at_sample ~seed:config.seed ~gaussians:(s0 * n) in
     Srng.fill_gaussians rng st.gauss ~pos:0 ~len:(kb * n);
     Sampler.scale_delays_batch batch ~gauss:st.gauss ~samples:kb
-      ~stride:(Sta.batch_stride st.bw) ~out:(Sta.batch_delays st.bw);
-    Sta.analyze_batch_into sta st.bw ~lanes:kb;
+      ~stride:chunk_size ~out:st.delays;
+    Sta.analyze_into ~lanes:kb sta st.ws ~delays:st.delays;
     let crit = Array.make n 0 in
     for lane = 0 to kb - 1 do
       let k = s0 + lane in
-      worst_samples.(k) <- Sta.bw_worst st.bw lane;
+      worst_samples.(k) <- Sta.ws_worst st.ws lane;
       List.iter
         (fun (s, eps, arr) ->
-          match Sta.bw_stage_delay st.bw s lane with
+          match Sta.ws_stage_delay st.ws s lane with
           | None -> ()
           | Some stage_worst ->
             arr.(k) <- stage_worst;
@@ -130,7 +133,7 @@ let run ?(config = default_config) ?vdd ?pool ~sampler ~sta ~placement
                worst. *)
             Array.iter
               (fun cid ->
-                if Sta.bw_endpoint_delay sta st.bw cid lane >= 0.98 *. stage_worst
+                if Sta.ws_endpoint_delay st.ws cid lane >= 0.98 *. stage_worst
                 then crit.(cid) <- crit.(cid) + 1)
               eps)
         active_stages

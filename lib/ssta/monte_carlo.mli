@@ -63,8 +63,8 @@ val run :
     RNG state a single serial stream would hold at the chunk's first
     sample, draws the chunk's gaussians in sample-major order, scales
     them with the {!Pvtol_variation.Sampler.batch} delay-scale fit and
-    propagates all lanes in one structure-of-arrays STA pass
-    ({!Pvtol_timing.Sta.analyze_batch_into}).  Every chunk writes a
+    propagates all lanes in one 32-lane STA pass
+    ({!Pvtol_timing.Sta.analyze_into}).  Every chunk writes a
     disjoint slice of the sample arrays, so the output is
     {e bit-identical} for every domain count.  Against a scalar
     one-sample-at-a-time loop over the same stream, worst-delay samples

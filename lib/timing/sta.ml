@@ -249,236 +249,157 @@ type result = {
   stage_worst : (Stage.t * float * Netlist.cell_id) list;
 }
 
-type workspace = {
-  arrival_ws : float array;         (* per net *)
-  endpoint_delay_ws : float array;  (* per cell *)
-  stage_delay_ws : float array;     (* per Stage.index; meaningful iff endpoint >= 0 *)
-  stage_endpoint_ws : int array;    (* per Stage.index; -1 = no endpoint *)
-  mutable worst_ws : float;
-  mutable worst_endpoint_ws : int;
-}
-
-let workspace t =
-  Metrics.incr m_workspaces;
-  {
-    arrival_ws = Array.make (Netlist.net_count t.nl) 0.0;
-    endpoint_delay_ws = Array.make (Netlist.cell_count t.nl) 0.0;
-    stage_delay_ws = Array.make n_stages neg_infinity;
-    stage_endpoint_ws = Array.make n_stages (-1);
-    worst_ws = 0.0;
-    worst_endpoint_ws = -1;
-  }
-
-let zero_skew = fun (_ : Netlist.cell_id) -> 0.0
-
-(* Endpoint reduction over the current arrivals — shared verbatim by
-   the full and the incremental forward passes, so the two agree bit
-   for bit by construction. *)
-let endpoint_pass ~skew t ws =
-  let nl = t.nl in
-  let arrival = ws.arrival_ws in
-  let pin_wire = t.pin_wire and pin_off = t.pin_off in
-  let endpoint_delay = ws.endpoint_delay_ws in
-  Array.fill endpoint_delay 0 (Array.length endpoint_delay) 0.0;
-  Array.fill ws.stage_delay_ws 0 n_stages neg_infinity;
-  Array.fill ws.stage_endpoint_ws 0 n_stages (-1);
-  ws.worst_ws <- neg_infinity;
-  ws.worst_endpoint_ws <- -1;
-  Array.iter
-    (fun cid ->
-      let c = nl.Netlist.cells.(cid) in
-      let d_pin = c.Netlist.fanins.(0) in
-      (* A late capture edge relaxes the endpoint by its own skew. *)
-      let a = arrival.(d_pin) +. pin_wire.(pin_off.(cid)) +. t.setup -. skew cid in
-      endpoint_delay.(cid) <- a;
-      if a > ws.worst_ws then begin
-        ws.worst_ws <- a;
-        ws.worst_endpoint_ws <- cid
-      end;
-      match t.capture_of.(cid) with
-      | Some stage ->
-        let si = Stage.index stage in
-        if a > ws.stage_delay_ws.(si) then begin
-          ws.stage_delay_ws.(si) <- a;
-          ws.stage_endpoint_ws.(si) <- cid
-        end
-      | None -> ())
-    t.flops;
-  if ws.worst_endpoint_ws = -1 then ws.worst_ws <- 0.0
-
-let analyze_into ?skew t ws ~delays =
-  Metrics.incr m_analyzes;
-  let nl = t.nl in
-  let skew = match skew with Some f -> f | None -> zero_skew in
-  let arrival = ws.arrival_ws in
-  Array.fill arrival 0 (Array.length arrival) 0.0;
-  (* Launch points: flop outputs, offset by the launch edge's arrival. *)
-  Array.iter
-    (fun cid ->
-      arrival.(nl.Netlist.cells.(cid).Netlist.fanout) <- delays.(cid) +. skew cid)
-    t.flops;
-  (* Primary inputs arrive at t = 0 (already initialised). *)
-  let pin_wire = t.pin_wire and pin_off = t.pin_off in
-  Array.iter
-    (fun cid ->
-      let c = nl.Netlist.cells.(cid) in
-      let fanins = c.Netlist.fanins in
-      let off = pin_off.(cid) in
-      let acc = ref 0.0 in
-      for pin = 0 to Array.length fanins - 1 do
-        let a = arrival.(fanins.(pin)) +. pin_wire.(off + pin) in
-        if a > !acc then acc := a
-      done;
-      arrival.(c.Netlist.fanout) <- !acc +. delays.(cid))
-    t.order;
-  endpoint_pass ~skew t ws
-
-let ws_worst ws = ws.worst_ws
-let ws_worst_endpoint ws = ws.worst_endpoint_ws
-let ws_endpoint_delay ws cid = ws.endpoint_delay_ws.(cid)
-
-let ws_stage_delay ws stage =
-  let si = Stage.index stage in
-  if ws.stage_endpoint_ws.(si) >= 0 then Some ws.stage_delay_ws.(si) else None
-
 (* ------------------------------------------------------------------ *)
-(* Batched structure-of-arrays analysis.
+(* The forward-timing kernel.
 
-   One row of [stride] lanes per cell/net: lane [k] of every row is
-   sample [k], so the forward pass touches each graph edge once per
-   block instead of once per sample, and the per-cell bookkeeping
-   (fanin walk, CSR offsets, bounds checks on the topo order) is
-   amortized over the whole block.  Within a lane the arithmetic — op
-   order, accumulator init, [>] comparisons — is exactly [analyze_into]
-   on that lane's delay column, so each lane's results are bit-identical
-   to a scalar analysis of the same delays. *)
+   One row of [stride] lanes per net and per flop: lane [k] of every
+   row is one independent analysis (one Monte-Carlo sample, or the
+   single lane of a per-die or sizing pass).  The forward pass walks
+   cells in topological order and, per cell, lanes outside pins, so the
+   accumulator of the fanin max lives in a register and each lane
+   performs exactly the scalar op sequence: the same accumulator init,
+   the same [>] reductions, the same endpoint arithmetic.  Clock skew
+   is a per-flop row of the workspace, read by the launch seeding of
+   both passes and by the endpoint reduction. *)
 
-type batch_workspace = {
-  stride_b : int;
-  delays_b : float array;       (* cells x stride, cell-major; caller-filled *)
-  arrival_b : float array;      (* nets x stride *)
-  endpoint_b : float array;     (* flop slots x stride *)
-  acc_b : float array;          (* stride scratch *)
-  worst_b : float array;        (* per lane *)
-  worst_ep_b : int array;       (* per lane *)
-  stage_delay_b : float array;  (* n_stages x stride *)
-  stage_ep_b : int array;       (* n_stages x stride *)
+type workspace = {
+  stride : int;
+  slot_of : int array;            (* [t.flop_slot]: per cell, -1 if comb *)
+  arrival_ws : float array;       (* nets x stride *)
+  skew_ws : float array;          (* per flop slot: clock-arrival offset *)
+  endpoint_ws : float array;      (* flop slots x stride *)
+  worst_ws : float array;         (* per lane *)
+  worst_ep_ws : int array;        (* per lane; -1 = no endpoint *)
+  stage_delay_ws : float array;   (* n_stages x stride *)
+  stage_ep_ws : int array;        (* n_stages x stride; -1 = no endpoint *)
 }
 
-let batch_workspace ?(lanes = 32) t =
-  if lanes < 1 then invalid_arg "Sta.batch_workspace: lanes < 1";
+let workspace ?(lanes = 1) t =
+  if lanes < 1 then invalid_arg "Sta.workspace: lanes < 1";
   Metrics.incr m_workspaces;
+  let n_flops = Array.length t.flops in
   {
-    stride_b = lanes;
-    delays_b = Array.make (Netlist.cell_count t.nl * lanes) 0.0;
-    arrival_b = Array.make (Netlist.net_count t.nl * lanes) 0.0;
-    endpoint_b = Array.make (max 1 (Array.length t.flops) * lanes) 0.0;
-    acc_b = Array.make lanes 0.0;
-    worst_b = Array.make lanes 0.0;
-    worst_ep_b = Array.make lanes (-1);
-    stage_delay_b = Array.make (n_stages * lanes) neg_infinity;
-    stage_ep_b = Array.make (n_stages * lanes) (-1);
+    stride = lanes;
+    slot_of = t.flop_slot;
+    arrival_ws = Array.make (Netlist.net_count t.nl * lanes) 0.0;
+    skew_ws = Array.make n_flops 0.0;
+    endpoint_ws = Array.make (max 1 n_flops * lanes) 0.0;
+    worst_ws = Array.make lanes 0.0;
+    worst_ep_ws = Array.make lanes (-1);
+    stage_delay_ws = Array.make (n_stages * lanes) neg_infinity;
+    stage_ep_ws = Array.make (n_stages * lanes) (-1);
   }
 
-let batch_stride bw = bw.stride_b
-let batch_delays bw = bw.delays_b
+let skew_row ws = ws.skew_ws
 
-let analyze_batch_into t bw ~lanes =
-  if lanes < 1 || lanes > bw.stride_b then
-    invalid_arg "Sta.analyze_batch_into: lanes out of range";
-  (* One logical analysis per lane, so the analyze counter stays
-     comparable with the scalar passes. *)
-  Metrics.add m_analyzes lanes;
-  let nl = t.nl in
-  let cap = bw.stride_b in
-  let arrival = bw.arrival_b in
-  let delays = bw.delays_b in
-  Array.fill arrival 0 (Array.length arrival) 0.0;
-  (* Unsafe lane accesses are sound: every row index is [id * cap] for
-     an id bounded by the array's construction ([cells * cap],
-     [nets * cap], [flops * cap]) and [k < lanes <= cap]. *)
-  (* Launch points: flop outputs (ideal clock). *)
-  Array.iter
-    (fun cid ->
-      Array.blit delays (cid * cap) arrival
-        (nl.Netlist.cells.(cid).Netlist.fanout * cap)
-        lanes)
-    t.flops;
-  let pin_wire = t.pin_wire and pin_off = t.pin_off in
-  let acc = bw.acc_b in
-  Array.iter
-    (fun cid ->
-      let c = nl.Netlist.cells.(cid) in
-      let fanins = c.Netlist.fanins in
-      let off = pin_off.(cid) in
-      Array.fill acc 0 lanes 0.0;
-      for pin = 0 to Array.length fanins - 1 do
-        let frow = Array.unsafe_get fanins pin * cap in
-        let pw = Array.unsafe_get pin_wire (off + pin) in
-        for k = 0 to lanes - 1 do
-          let a = Array.unsafe_get arrival (frow + k) +. pw in
-          if a > Array.unsafe_get acc k then Array.unsafe_set acc k a
-        done
-      done;
-      let orow = c.Netlist.fanout * cap in
-      let drow = cid * cap in
-      for k = 0 to lanes - 1 do
-        Array.unsafe_set arrival (orow + k)
-          (Array.unsafe_get acc k +. Array.unsafe_get delays (drow + k))
-      done)
-    t.order;
-  Array.fill bw.endpoint_b 0 (Array.length bw.endpoint_b) 0.0;
-  Array.fill bw.stage_delay_b 0 (n_stages * cap) neg_infinity;
-  Array.fill bw.stage_ep_b 0 (n_stages * cap) (-1);
-  Array.fill bw.worst_b 0 lanes neg_infinity;
-  Array.fill bw.worst_ep_b 0 lanes (-1);
-  Array.iteri
-    (fun slot cid ->
-      let c = nl.Netlist.cells.(cid) in
-      let arow = c.Netlist.fanins.(0) * cap in
-      let pw = pin_wire.(pin_off.(cid)) in
-      let setup = t.setup in
-      let erow = slot * cap in
+(* Latest fanin arrival plus its pin wire delay, in one lane: the
+   per-cell arithmetic of the full pass and of the incremental
+   worklist.  Unsafe reads are sound: fanin net ids index rows of the
+   [nets x stride] arrival array, [k < stride], and [off + pin] stays
+   inside the cell's CSR pin range. *)
+let[@inline] fanin_max arrival pin_wire off fanins stride k =
+  let acc = ref 0.0 in
+  for pin = 0 to Array.length fanins - 1 do
+    let a =
+      Array.unsafe_get arrival ((Array.unsafe_get fanins pin * stride) + k)
+      +. Array.unsafe_get pin_wire (off + pin)
+    in
+    if a > !acc then acc := a
+  done;
+  !acc
+
+(* The endpoint reduction over the current arrivals of lanes
+   [0, lanes): shared by the full and the incremental pass, so the two
+   agree bit for bit by construction.  A late capture edge relaxes the
+   endpoint by its own skew. *)
+let endpoint_pass t ws ~lanes =
+  let cells = t.nl.Netlist.cells in
+  let stride = ws.stride in
+  let arrival = ws.arrival_ws and endpoint = ws.endpoint_ws in
+  let worst = ws.worst_ws and worst_ep = ws.worst_ep_ws in
+  let stage_delay = ws.stage_delay_ws and stage_ep = ws.stage_ep_ws in
+  let setup = t.setup in
+  Array.fill stage_delay 0 (n_stages * stride) neg_infinity;
+  Array.fill stage_ep 0 (n_stages * stride) (-1);
+  Array.fill worst 0 lanes neg_infinity;
+  Array.fill worst_ep 0 lanes (-1);
+  for slot = 0 to Array.length t.flops - 1 do
+    let cid = t.flops.(slot) in
+    let arow = cells.(cid).Netlist.fanins.(0) * stride in
+    let pw = t.pin_wire.(t.pin_off.(cid)) in
+    let sk = ws.skew_ws.(slot) in
+    let erow = slot * stride in
+    let srow =
       match t.capture_of.(cid) with
-      | Some stage ->
-        let srow = Stage.index stage * cap in
-        for k = 0 to lanes - 1 do
-          let a = arrival.(arow + k) +. pw +. setup in
-          bw.endpoint_b.(erow + k) <- a;
-          if a > bw.worst_b.(k) then begin
-            bw.worst_b.(k) <- a;
-            bw.worst_ep_b.(k) <- cid
-          end;
-          if a > bw.stage_delay_b.(srow + k) then begin
-            bw.stage_delay_b.(srow + k) <- a;
-            bw.stage_ep_b.(srow + k) <- cid
-          end
-        done
-      | None ->
-        for k = 0 to lanes - 1 do
-          let a = arrival.(arow + k) +. pw +. setup in
-          bw.endpoint_b.(erow + k) <- a;
-          if a > bw.worst_b.(k) then begin
-            bw.worst_b.(k) <- a;
-            bw.worst_ep_b.(k) <- cid
-          end
-        done)
-    t.flops;
+      | Some stage -> Stage.index stage * stride
+      | None -> -1
+    in
+    for k = 0 to lanes - 1 do
+      let a = arrival.(arow + k) +. pw +. setup -. sk in
+      endpoint.(erow + k) <- a;
+      if a > worst.(k) then begin
+        worst.(k) <- a;
+        worst_ep.(k) <- cid
+      end;
+      if srow >= 0 && a > stage_delay.(srow + k) then begin
+        stage_delay.(srow + k) <- a;
+        stage_ep.(srow + k) <- cid
+      end
+    done
+  done;
   for k = 0 to lanes - 1 do
-    if bw.worst_ep_b.(k) = -1 then bw.worst_b.(k) <- 0.0
+    if worst_ep.(k) = -1 then worst.(k) <- 0.0
   done
 
-let bw_worst bw k = bw.worst_b.(k)
-let bw_worst_endpoint bw k = bw.worst_ep_b.(k)
+let analyze_into ?lanes t ws ~delays =
+  let stride = ws.stride in
+  let lanes = match lanes with Some l -> l | None -> stride in
+  if lanes < 1 || lanes > stride then
+    invalid_arg "Sta.analyze_into: lanes out of range";
+  let nl = t.nl in
+  let cells = nl.Netlist.cells in
+  let arrival = ws.arrival_ws in
+  (* Bounds for the unsafe lane accesses below. *)
+  if Array.length arrival <> Netlist.net_count nl * stride
+     || Array.length delays < Netlist.cell_count nl * stride
+  then invalid_arg "Sta.analyze_into: workspace or delays sized for another graph";
+  (* One logical analysis per lane. *)
+  Metrics.add m_analyzes lanes;
+  Array.fill arrival 0 (Array.length arrival) 0.0;
+  (* Launch points: flop outputs, offset by the launch edge's arrival.
+     Primary inputs arrive at t = 0 (already initialised). *)
+  for slot = 0 to Array.length t.flops - 1 do
+    let cid = t.flops.(slot) in
+    let orow = cells.(cid).Netlist.fanout * stride and drow = cid * stride in
+    let sk = ws.skew_ws.(slot) in
+    for k = 0 to lanes - 1 do
+      arrival.(orow + k) <- delays.(drow + k) +. sk
+    done
+  done;
+  let pin_wire = t.pin_wire and pin_off = t.pin_off and order = t.order in
+  for j = 0 to Array.length order - 1 do
+    let cid = order.(j) in
+    let c = cells.(cid) in
+    let fanins = c.Netlist.fanins and off = pin_off.(cid) in
+    let orow = c.Netlist.fanout * stride and drow = cid * stride in
+    for k = 0 to lanes - 1 do
+      Array.unsafe_set arrival (orow + k)
+        (fanin_max arrival pin_wire off fanins stride k
+        +. Array.unsafe_get delays (drow + k))
+    done
+  done;
+  endpoint_pass t ws ~lanes
 
-let bw_endpoint_delay t bw cid k =
-  let slot = t.flop_slot.(cid) in
-  if slot < 0 then 0.0 else bw.endpoint_b.((slot * bw.stride_b) + k)
+let ws_worst ws k = ws.worst_ws.(k)
+let ws_worst_endpoint ws k = ws.worst_ep_ws.(k)
 
-let bw_stage_delay bw stage k =
-  let srow = Stage.index stage * bw.stride_b in
-  if bw.stage_ep_b.(srow + k) >= 0 then Some bw.stage_delay_b.(srow + k)
-  else None
+let ws_endpoint_delay ws cid k =
+  let slot = ws.slot_of.(cid) in
+  if slot < 0 then 0.0 else ws.endpoint_ws.((slot * ws.stride) + k)
+
+let ws_stage_delay ws stage k =
+  let i = (Stage.index stage * ws.stride) + k in
+  if ws.stage_ep_ws.(i) >= 0 then Some ws.stage_delay_ws.(i) else None
 
 (* ------------------------------------------------------------------ *)
 (* Incremental re-propagation.
@@ -486,16 +407,17 @@ let bw_stage_delay bw stage k =
    Consecutive analyses of the post-silicon settle loop differ only in
    the supply assignment of a few islands, so most cell delays are
    bitwise unchanged between calls.  The workspace keeps the previous
-   delay vector and the previous arrivals; an analysis seeds a
-   levelized worklist with the cells whose delay changed bitwise and
-   re-propagates only their fan-out cones, pruning any cell whose
-   recomputed arrival is bitwise unchanged.  The result is
-   bit-identical to [analyze_into]: every delay change is re-propagated
-   through the same per-cell arithmetic, and the endpoint reduction is
+   delay vector and the previous arrivals of a 1-lane workspace; an
+   analysis seeds a levelized worklist with the cells whose delay
+   changed bitwise and re-propagates only their fan-out cones, pruning
+   any cell whose recomputed arrival is bitwise unchanged.  The result
+   is bit-identical to [analyze_into]: every delay change is
+   re-propagated through the same per-cell arithmetic, flop launches
+   are seeded through the same skew row, and the endpoint reduction is
    shared code.  When the seed set or the touched cone exceeds
-   [max_frac] of the netlist the pass abandons incrementality and falls
-   back to one full forward pass (counted in
-   [sta_full_fallbacks_total]). *)
+   [max_frac] of the netlist the pass abandons incrementality and runs
+   one full forward pass instead; every full pass it runs, the cold one
+   included, is counted in [sta_full_fallbacks_total]. *)
 
 let max_frac = 0.25
 
@@ -524,9 +446,11 @@ let inc_invalidate iw = iw.iw_valid <- false
 
 let analyze_incremental_into t iw ~delays =
   let nl = t.nl in
+  let cells = nl.Netlist.cells and nets = nl.Netlist.nets in
   let n_cells = Netlist.cell_count nl in
   let ws = iw.iw_ws in
   let full () =
+    Metrics.incr m_fallbacks;
     analyze_into t ws ~delays;
     Array.blit delays 0 iw.prev 0 n_cells;
     iw.iw_valid <- true
@@ -541,10 +465,7 @@ let analyze_incremental_into t iw ~delays =
     for cid = 0 to n_cells - 1 do
       if changed cid then incr n_changed
     done;
-    if !n_changed > limit then begin
-      Metrics.incr m_fallbacks;
-      full ()
-    end
+    if !n_changed > limit then full ()
     else begin
       let arrival = ws.arrival_ws in
       let push cid =
@@ -556,25 +477,26 @@ let analyze_incremental_into t iw ~delays =
         end
       in
       let push_sinks nid =
-        Array.iter
-          (fun (sink, _) ->
-            if not (is_seq nl.Netlist.cells.(sink)) then push sink)
-          nl.Netlist.nets.(nid).Netlist.sinks
+        let sinks = nets.(nid).Netlist.sinks in
+        for j = 0 to Array.length sinks - 1 do
+          let sink, _ = sinks.(j) in
+          if t.flop_slot.(sink) < 0 then push sink
+        done
       in
       (* Seed: changed flops move their launch arrival, changed comb
          cells re-evaluate in place. *)
-      Array.iter
-        (fun cid ->
-          if changed cid then begin
-            iw.prev.(cid) <- delays.(cid);
-            let a = delays.(cid) in
-            let net = nl.Netlist.cells.(cid).Netlist.fanout in
-            if a <> arrival.(net) then begin
-              arrival.(net) <- a;
-              push_sinks net
-            end
-          end)
-        t.flops;
+      for slot = 0 to Array.length t.flops - 1 do
+        let cid = t.flops.(slot) in
+        if changed cid then begin
+          iw.prev.(cid) <- delays.(cid);
+          let a = delays.(cid) +. ws.skew_ws.(slot) in
+          let net = cells.(cid).Netlist.fanout in
+          if a <> arrival.(net) then begin
+            arrival.(net) <- a;
+            push_sinks net
+          end
+        end
+      done;
       Array.iter (fun cid -> if changed cid then push cid) t.order;
       let pin_wire = t.pin_wire and pin_off = t.pin_off in
       let n_levels = Array.length iw.bucket_len in
@@ -594,15 +516,11 @@ let analyze_incremental_into t iw ~delays =
           if !processed > limit then aborted := true
           else begin
             iw.prev.(cid) <- delays.(cid);
-            let c = nl.Netlist.cells.(cid) in
-            let fanins = c.Netlist.fanins in
-            let off = pin_off.(cid) in
-            let acc = ref 0.0 in
-            for pin = 0 to Array.length fanins - 1 do
-              let a = arrival.(fanins.(pin)) +. pin_wire.(off + pin) in
-              if a > !acc then acc := a
-            done;
-            let a = !acc +. delays.(cid) in
+            let c = cells.(cid) in
+            let a =
+              fanin_max arrival pin_wire pin_off.(cid) c.Netlist.fanins 1 0
+              +. delays.(cid)
+            in
             if a <> arrival.(c.Netlist.fanout) then begin
               arrival.(c.Netlist.fanout) <- a;
               push_sinks c.Netlist.fanout
@@ -616,34 +534,39 @@ let analyze_incremental_into t iw ~delays =
       if !aborted then begin
         Array.fill iw.bucket_len 0 n_levels 0;
         Array.fill iw.in_bucket 0 n_cells false;
-        Metrics.incr m_fallbacks;
         full ()
       end
       else begin
         Metrics.add m_inc_gates !processed;
         Metrics.incr m_analyzes;
-        endpoint_pass ~skew:zero_skew t ws
+        endpoint_pass t ws ~lanes:1
       end
     end
   end
 
+(* A fresh 1-lane workspace, read back into the allocating record. *)
 let analyze ?skew t ~delays =
   let ws = workspace t in
-  analyze_into ?skew t ws ~delays;
+  Option.iter
+    (fun f -> Array.iteri (fun slot cid -> ws.skew_ws.(slot) <- f cid) t.flops)
+    skew;
+  analyze_into t ws ~delays;
+  let endpoint_delay = Array.make (Netlist.cell_count t.nl) 0.0 in
+  Array.iteri (fun slot cid -> endpoint_delay.(cid) <- ws.endpoint_ws.(slot)) t.flops;
   let stage_worst =
     List.filter_map
       (fun s ->
         let si = Stage.index s in
-        if ws.stage_endpoint_ws.(si) >= 0 then
-          Some (s, ws.stage_delay_ws.(si), ws.stage_endpoint_ws.(si))
+        if ws.stage_ep_ws.(si) >= 0 then
+          Some (s, ws.stage_delay_ws.(si), ws.stage_ep_ws.(si))
         else None)
       Stage.all
   in
   {
     arrival = ws.arrival_ws;
-    endpoint_delay = ws.endpoint_delay_ws;
-    worst = ws.worst_ws;
-    worst_endpoint = ws.worst_endpoint_ws;
+    endpoint_delay;
+    worst = ws.worst_ws.(0);
+    worst_endpoint = ws.worst_ep_ws.(0);
     stage_worst;
   }
 

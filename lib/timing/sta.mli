@@ -78,8 +78,8 @@ val scaled_delays : t -> scale:(Netlist.cell_id -> float) -> float array
 type result = {
   arrival : float array;      (** per net: output arrival time *)
   endpoint_delay : float array;
-      (** per cell: for sequential cells, data arrival + setup at the D
-          pin; 0 elsewhere *)
+      (** per cell: for sequential cells, data arrival + D-pin wire
+          delay + setup - the flop's capture skew; 0 elsewhere *)
   worst : float;              (** worst endpoint path delay, ns *)
   worst_endpoint : Netlist.cell_id;  (** -1 if the design has no endpoint *)
   stage_worst : (Stage.t * float * Netlist.cell_id) list;
@@ -90,72 +90,56 @@ val analyze : ?skew:(Netlist.cell_id -> float) -> t -> delays:float array -> res
 (** [skew] gives each flop's clock-arrival offset (from clock-tree
     synthesis or useful-skew assignment): a launch edge arriving late
     delays the data launch; a capture edge arriving late relaxes the
-    endpoint by the same amount.  Default: ideal clock (zero skew). *)
+    endpoint by the same amount.  Default: ideal clock (zero skew).
+    Runs {!analyze_into} on a fresh 1-lane workspace and copies the
+    results out. *)
 
-(** {2 Allocation-free analysis}
+(** {2 The forward-timing kernel}
 
-    {!analyze} allocates a fresh arrival / endpoint-delay pair per call,
-    which dominates the cost of tight Monte-Carlo loops.  A {!workspace}
-    preallocates all scratch once (typically one per worker domain) and
-    {!analyze_into} reuses it: the inner loop performs no per-sample
-    heap allocation of the arrival/endpoint arrays and produces floats
-    bit-identical to {!analyze}. *)
+    A {!workspace} preallocates all scratch once (typically one per
+    worker domain), so {!analyze_into} performs no heap allocation.  It
+    holds [lanes] independent analyses side by side: every net and
+    every flop owns one contiguous row of [lanes] floats, lane [k] of
+    each row belonging to analysis [k].  Per-die and sizing callers use
+    one lane; Monte-Carlo propagates a 32-sample block per graph walk.
+    Each lane runs the same op sequence — same accumulator init, same
+    [>] reductions, same endpoint arithmetic — so a lane's results are
+    bit-identical to a 1-lane pass over that lane's delay column. *)
 
 type workspace
 (** Mutable scratch sized for one {!t}; do not share across domains. *)
 
-val workspace : t -> workspace
+val workspace : ?lanes:int -> t -> workspace
+(** [workspace ~lanes t] (default 1 lane) with an all-zero skew row. *)
 
-val analyze_into :
-  ?skew:(Netlist.cell_id -> float) -> t -> workspace -> delays:float array -> unit
-(** Same semantics as {!analyze}, with results left in the workspace
-    and read through the [ws_*] accessors.  Each call overwrites the
-    previous one's results. *)
+val skew_row : workspace -> float array
+(** The workspace's clock skew, one offset per flop in {!flop_ids}
+    order, shared by every lane; written in place by the caller.  Every
+    pass launches a flop's data at its delay plus its offset and
+    relaxes its endpoint by the same offset (see {!analyze}). *)
 
-val ws_worst : workspace -> float
-val ws_worst_endpoint : workspace -> Netlist.cell_id
-val ws_endpoint_delay : workspace -> Netlist.cell_id -> float
-val ws_stage_delay : workspace -> Stage.t -> float option
+val analyze_into : ?lanes:int -> t -> workspace -> delays:float array -> unit
+(** One forward pass over the first [lanes] (default: all) lanes.
+    [delays] is cell-major: cell [i]'s delay in lane [k] at index
+    [i * stride + k], where [stride] is the workspace's lane count —
+    the layout {!Pvtol_variation.Sampler.scale_delays_batch} writes;
+    a 1-lane workspace takes a plain per-cell vector.  Results are read
+    per lane through the [ws_*] accessors; each call overwrites the
+    previous one's.  Counts [lanes] in [sta_analyze_total].  Raises
+    [Invalid_argument] if [lanes] is outside [1, stride] or the
+    workspace or [delays] is sized for another graph. *)
 
-(** {2 Batched structure-of-arrays analysis}
+val ws_worst : workspace -> int -> float
+(** [ws_worst ws k] — lane [k]'s worst endpoint delay ([0.] without
+    endpoints). *)
 
-    The batched Monte-Carlo engine propagates a block of samples per
-    graph edge: every cell/net owns one contiguous row of [stride]
-    lanes, lane [k] of every row belonging to sample [k].  Within a
-    lane the arithmetic is exactly {!analyze_into} on that lane's delay
-    column — same op order, same accumulator init, same [>] reductions
-    — so each lane's results are bit-identical to a scalar analysis of
-    the same per-cell delays. *)
+val ws_worst_endpoint : workspace -> int -> Netlist.cell_id
 
-type batch_workspace
-(** Scratch for one block of lanes; do not share across domains. *)
+val ws_endpoint_delay : workspace -> Netlist.cell_id -> int -> float
+(** [ws_endpoint_delay ws cid k] — {!result.endpoint_delay} of [cid]
+    in lane [k]; [0.] for non-sequential cells. *)
 
-val batch_workspace : ?lanes:int -> t -> batch_workspace
-(** [batch_workspace ~lanes t] preallocates rows of [lanes] (default
-    32, the Monte-Carlo chunk size) samples per cell and net. *)
-
-val batch_stride : batch_workspace -> int
-(** The row stride (the [lanes] capacity it was built with). *)
-
-val batch_delays : batch_workspace -> float array
-(** The cell-major delay block the caller fills before
-    {!analyze_batch_into}: cell [i]'s delay for lane [k] at index
-    [i * stride + k] — the layout {!Pvtol_variation.Sampler.scale_delays_batch}
-    writes. *)
-
-val analyze_batch_into : t -> batch_workspace -> lanes:int -> unit
-(** Analyze the first [lanes] columns of {!batch_delays} in one forward
-    pass ([1 <= lanes <= stride]) under an ideal clock.  Results are
-    read per lane through the [bw_*] accessors. *)
-
-val bw_worst : batch_workspace -> int -> float
-val bw_worst_endpoint : batch_workspace -> int -> Netlist.cell_id
-
-val bw_endpoint_delay : t -> batch_workspace -> Netlist.cell_id -> int -> float
-(** [bw_endpoint_delay t bw cid k] — endpoint delay of flop [cid] in
-    lane [k]; [0.] for non-sequential cells, like [ws_endpoint_delay]. *)
-
-val bw_stage_delay : batch_workspace -> Stage.t -> int -> float option
+val ws_stage_delay : workspace -> Stage.t -> int -> float option
 
 (** {2 Incremental re-propagation}
 
@@ -168,26 +152,27 @@ val bw_stage_delay : batch_workspace -> Stage.t -> int -> float option
     unchanged. *)
 
 type inc_workspace
-(** A {!workspace} plus the previous delay vector and the worklist
-    buckets; do not share across domains. *)
+(** A 1-lane {!workspace} plus the previous delay vector and the
+    worklist buckets; do not share across domains. *)
 
 val inc_workspace : t -> inc_workspace
 
 val inc_ws : inc_workspace -> workspace
-(** The underlying workspace holding the latest results — read it with
-    the [ws_*] accessors. *)
+(** The underlying 1-lane workspace holding the latest results — read
+    it with the [ws_*] accessors at lane 0. *)
 
 val inc_invalidate : inc_workspace -> unit
 (** Forget the cached arrivals; the next analysis runs a full pass.
-    Call it if the arrivals were mutated externally. *)
+    Call it if the arrivals or the skew row were changed externally. *)
 
 val analyze_incremental_into : t -> inc_workspace -> delays:float array -> unit
-(** Same observable semantics as {!analyze_into} (ideal clock) into
-    [inc_ws], and bit-identical to a full pass: every bitwise delay
-    change re-propagates through the same per-cell arithmetic and the
-    endpoint reduction is shared code.  When the changed-cell set or
-    the touched cone exceeds a quarter of the netlist, the pass falls
-    back to one full forward pass — counted in
+(** Same observable semantics as {!analyze_into} into [inc_ws], and
+    bit-identical to a full pass: every bitwise delay change
+    re-propagates through the same per-cell arithmetic, flop launches
+    are seeded through the same skew row, and the endpoint reduction is
+    shared code.  The first call, or a call whose changed-cell set or
+    touched cone exceeds a quarter of the netlist, runs one full
+    forward pass instead — each such call counted in
     [sta_full_fallbacks_total]; cells actually re-evaluated are counted
     in [sta_incremental_gates_total]. *)
 

@@ -51,10 +51,13 @@ let create ?(field_mm = 28.0) ?(calibrate_mm = 14.0) ?(shape = default_shape)
 let default = create ~l_nominal_nm:65.0 ~max_dev_frac:0.055 ()
 
 (* [@inline] so the map kernel below evaluates the polynomial in
-   registers: a float returned by an out-of-line call is boxed. *)
+   registers: a float returned by an out-of-line call is boxed.  The
+   clamp is a top-level function because a function that defines a
+   closure is never inlined. *)
+let[@inline] clamp t v = Float.max 0.0 (Float.min t.field_mm v)
+
 let[@inline] systematic_nm t ~x_mm ~y_mm =
-  let[@inline] clamp v = Float.max 0.0 (Float.min t.field_mm v) in
-  let x = clamp x_mm and y = clamp y_mm in
+  let x = clamp t x_mm and y = clamp t y_mm in
   (t.a *. x *. x) +. (t.b *. y *. y) +. (t.c *. x) +. (t.d *. y)
   +. (t.e *. x *. y) +. t.intercept
 

@@ -6,9 +6,11 @@
    kernel as it was before that: every re-timing draws nothing new but
    rescales all cells with the scalar [Process.delay_scale], the Lgates
    come from a per-cell [Srng.gaussian] loop, and skew and buffers
-   rescale the die at the low supply on their own.  It re-times through
-   the same incremental STA as the library, so both runs must agree on
-   every outcome bit and on the STA work counters.
+   rescale the die at the low supply on their own.  Detection and the
+   island and chip-wide strategies re-time through the same incremental
+   STA as the library; skew and buffers run the scalar full pass of
+   [Sta_oracle], with skew as a closure.  Both runs must agree on every
+   outcome bit and on the STA work counters.
 
    The strategies' design-time state (island domains, clock tree,
    buffer sites, unit costs) is rebuilt here from public APIs with the
@@ -53,7 +55,7 @@ type t = {
   power_of_raised : float array;
   ls_area : float;
   (* skew tuning *)
-  skew_ws : Sta.workspace;
+  skew_ws : Sta_oracle.workspace;
   skew_delays : float array;
   tune : float array;
   offs : float array;
@@ -65,7 +67,7 @@ type t = {
   step : float;
   max_iters : int;
   (* tunable buffers *)
-  buf_ws : Sta.workspace;
+  buf_ws : Sta_oracle.workspace;
   buf_delays : float array;
   trims : int array;
   sites : int list;
@@ -134,7 +136,7 @@ let create (t : Flow.t) (v : Flow.variant) =
                (Flow.Islands (v.Flow.direction, raised)))
               .Power.total);
     ls_area = v.Flow.shifted.Level_shifter.ls_area;
-    skew_ws = Sta.workspace sta;
+    skew_ws = Sta_oracle.workspace sta;
     skew_delays = Array.make n 0.0;
     tune = Array.make n 0.0;
     offs =
@@ -147,7 +149,7 @@ let create (t : Flow.t) (v : Flow.variant) =
     max_tune;
     step = max_tune /. 4.0;
     max_iters = 4 * List.length Compensation.analyzed;
-    buf_ws = Sta.workspace sta;
+    buf_ws = Sta_oracle.workspace sta;
     buf_delays = Array.make n 0.0;
     trims = Array.make n 0;
     sites;
@@ -182,7 +184,7 @@ let count_violating o ws =
   List.length
     (List.filter
        (fun s ->
-         match Sta.ws_stage_delay ws s with
+         match Sta.ws_stage_delay ws s 0 with
          | Some d -> d > o.clock +. 1e-12
          | None -> false)
        Compensation.analyzed)
@@ -197,7 +199,7 @@ let detect o ~systematic rng =
   let worst_low =
     List.fold_left
       (fun acc s ->
-        match Sta.ws_stage_delay ws s with
+        match Sta.ws_stage_delay ws s 0 with
         | Some d -> Float.max acc d
         | None -> acc)
       0.0 Compensation.analyzed
@@ -241,12 +243,12 @@ let skew o (d : Compensation.detect) =
     scale_all o ~vdd:(fun _ -> o.low) o.skew_delays;
     let skew cid = o.offs.(cid) +. o.tune.(cid) in
     let failing s =
-      match Sta.ws_stage_delay o.skew_ws s with
+      match Sta_oracle.ws_stage_delay o.skew_ws s with
       | Some dd -> dd > o.clock +. 1e-12
       | None -> false
     in
     let rec settle iters =
-      Sta.analyze_into ~skew o.sta o.skew_ws ~delays:o.skew_delays;
+      Sta_oracle.analyze_into ~skew o.skew_ws ~delays:o.skew_delays;
       let bad = List.filter (fun (s, _) -> failing s) o.skew_caps in
       if bad = [] then true
       else if iters <= 0 then false
@@ -281,9 +283,9 @@ let buffers o (d : Compensation.detect) =
   else begin
     List.iter (fun cid -> o.trims.(cid) <- 0) o.sites;
     scale_all o ~vdd:(fun _ -> o.low) o.buf_delays;
-    Sta.analyze_into o.sta o.buf_ws ~delays:o.buf_delays;
+    Sta_oracle.analyze_into o.buf_ws ~delays:o.buf_delays;
     let eff cid =
-      Sta.ws_endpoint_delay o.buf_ws cid
+      Sta_oracle.ws_endpoint_delay o.buf_ws cid
       -. (float_of_int o.trims.(cid) *. o.trim)
     in
     let binding caps =

@@ -5,11 +5,11 @@
    [Srng.create seed] stream over all samples and, per sample and cell,
    the field polynomial at the cell's position plus a
    [Srng.gaussian] draw, scaled by [Process.delay_scale] (the exact
-   transcendental delay scale) -> [Sta.analyze_into], with the same
-   worst, per-stage and 2%-criticality bookkeeping as the library.  It
-   has no chunks, RNG jumps, pool, delay-scale fit, bulk draw or array
-   kernel, so it is independent of everything the library run adds for
-   speed.
+   transcendental delay scale) -> the scalar STA pass of [Sta_oracle],
+   with the same worst, per-stage and 2%-criticality bookkeeping as the
+   library.  It has no chunks, RNG jumps, pool, delay-scale fit, bulk
+   draw, array kernel or lane-strided STA, so it is independent of
+   everything the library run adds for speed.
 
    Comparison contract ([check_mc]):
    - The library replaces the per-(cell, sample) transcendental delay
@@ -53,7 +53,7 @@ let oracle ~(config : MC.config) ~sampler ~sta ~placement ~position =
   let process = sampler.Sampler.process in
   let sigma = sampler.Sampler.sigma_rnd_nm in
   let base = Sta.nominal_delays sta in
-  let ws = Sta.workspace sta in
+  let ws = Sta_oracle.workspace sta in
   let delays = Array.make n 0.0 in
   let stages =
     List.filter_map
@@ -71,17 +71,17 @@ let oracle ~(config : MC.config) ~sampler ~sta ~placement ~position =
       let lgate_nm = systematic.(i) +. (sigma *. Srng.gaussian rng) in
       delays.(i) <- base.(i) *. Process.delay_scale process ~vdd:low ~lgate_nm
     done;
-    Sta.analyze_into sta ws ~delays;
-    worst_samples.(k) <- Sta.ws_worst ws;
+    Sta_oracle.analyze_into ws ~delays;
+    worst_samples.(k) <- Sta_oracle.ws_worst ws;
     List.iter
       (fun (s, eps, arr) ->
-        match Sta.ws_stage_delay ws s with
+        match Sta_oracle.ws_stage_delay ws s with
         | None -> ()
         | Some stage_worst ->
           arr.(k) <- stage_worst;
           Array.iter
             (fun cid ->
-              if Sta.ws_endpoint_delay ws cid >= 0.98 *. stage_worst then
+              if Sta_oracle.ws_endpoint_delay ws cid >= 0.98 *. stage_worst then
                 Hashtbl.replace crit cid
                   (1 + Option.value (Hashtbl.find_opt crit cid) ~default:0))
             eps)

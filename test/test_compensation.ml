@@ -299,7 +299,7 @@ let test_vi_strategy_matches_postsilicon () =
 
 let test_detect_matches_full_pass () =
   (* [detect] re-times through the scratch's incremental STA; a plain
-     sample -> scale -> full-pass replay of the same RNG stream must
+     sample -> scale -> scalar oracle pass replay of the same RNG stream must
      give the same verdict and the same worst delay, bit for bit.  The
      island strategy runs between dies so each detect starts from a
      raised-supply state. *)
@@ -317,7 +317,7 @@ let test_detect_matches_full_pass () =
   let base = Sta.nominal_delays sta in
   let n = Array.length base in
   let delays = Array.make n 0.0 in
-  let ws = Sta.workspace sta in
+  let ws = Sta_oracle.workspace sta in
   let process = sampler.Sampler.process in
   let sigma = sampler.Sampler.sigma_rnd_nm in
   List.iter
@@ -334,9 +334,9 @@ let test_detect_matches_full_pass () =
           delays.(i) <- base.(i) *. Pvtol_stdcell.Process.delay_scale process
                           ~vdd:low ~lgate_nm
         done;
-        Sta.analyze_into sta ws ~delays;
+        Sta_oracle.analyze_into ws ~delays;
         let stage_delays =
-          List.filter_map (Sta.ws_stage_delay ws) Compensation.analyzed
+          List.filter_map (Sta_oracle.ws_stage_delay ws) Compensation.analyzed
         in
         let label = Printf.sprintf "%s die %d" pos.Position.label die in
         Alcotest.(check int) (label ^ ": violating")
@@ -425,30 +425,45 @@ let test_tracked_scratch_matches_full_rescale () =
   Alcotest.(check (pair int int)) "STA analyses and incremental gates"
     !oracle_work !lib_work
 
-(* Minor words per die per cell of the serial detect + vi + chip-wide
-   replay below, on the quick design (7,019 cells; OCaml 5.1, dune's
-   default dev profile).  Before supply tracking, bulk draws and the
-   array kernels it was 64.6: every delay scale boxed a float per cell,
-   every gaussian boxed its Int64 state and every die allocated its
-   systematic map.  It is now 3.9.  The bound is twice that, so
-   re-boxing any per-cell float fails the suite. *)
-let max_words_per_die_cell = 7.8
+(* Minor words per die per cell of the serial replay below — detect,
+   then the island, chip-wide and skew applies — on the quick design
+   (7,019 cells; OCaml 5.1, dune's default dev profile).  Before supply
+   tracking, bulk draws and the array kernels, detect + vi + chip-wide
+   alone took 64.6: every delay scale boxed a float per cell, every
+   gaussian boxed its Int64 state and every die allocated its
+   systematic map.  Before STA took clock skew as a per-flop row of its
+   workspace, this replay took 5.24: 2.50 in the systematic map (a clamp closure
+   kept the field polynomial out of line), 1.35 in the island raises
+   (a closure per incremental worklist push) and 1.35 in the skew
+   apply (a boxed float per skew-closure call).  It is now 0.05.  The
+   bound is twice that, so re-boxing any per-cell float, the skew row
+   or the worklist fails the suite.  The buffer strategy is left out:
+   its binding-endpoint fold still allocates ~2.6 words per cell. *)
+let max_words_per_die_cell = 0.1
 
 let test_die_allocation_bound () =
   let t, v = Lazy.force env in
-  let k = Postsilicon.kernel t v in
-  let sc = Postsilicon.scratch k in
+  let ctx = Compensation.context t in
+  let sc = Compensation.scratch ctx in
+  let apply ch = (Compensation.build t ctx v ch).Compensation.fresh_apply () in
+  let vi = apply Compensation.Vi and cw = apply Compensation.Chipwide in
+  let skew = apply Compensation.Skew in
   let n_cells = Pvtol_netlist.Netlist.cell_count (Flow.netlist t) in
+  let raised = ref 0 and tuned = ref 0 in
   let run () =
     let dies = ref 0 in
     for iy = 0 to census_cfg.Wafer.ny - 1 do
       for ix = 0 to census_cfg.Wafer.nx - 1 do
         let systematic =
-          Postsilicon.systematic_into k sc (Wafer.cell_position census_cfg ~ix ~iy)
+          Compensation.systematic_into ctx sc
+            (Wafer.cell_position census_cfg ~ix ~iy)
         in
         let rng = Srng.create (Wafer.cell_seed census_cfg ~field:0 ~ix ~iy) in
         for _ = 1 to census_cfg.Wafer.dies_per_cell do
-          ignore (Postsilicon.simulate_die k sc ~systematic rng);
+          let d = Compensation.detect ctx sc ~systematic rng in
+          raised := !raised + (vi sc d).Compensation.knob;
+          ignore (cw sc d);
+          tuned := !tuned + (skew sc d).Compensation.knob;
           incr dies
         done
       done
@@ -459,8 +474,11 @@ let test_die_allocation_bound () =
   let w0 = Gc.minor_words () in
   let dies = run () in
   let per = (Gc.minor_words () -. w0) /. float_of_int (dies * n_cells) in
+  (* The replay must exercise what the bound guards. *)
+  Alcotest.(check bool) "replay raises islands" true (!raised > 0);
+  Alcotest.(check bool) "replay tunes skew" true (!tuned > 0);
   if per > max_words_per_die_cell then
-    Alcotest.failf "%.2f minor words per die per cell (bound %.1f)" per
+    Alcotest.failf "%.3f minor words per die per cell (bound %.2f)" per
       max_words_per_die_cell
 
 (* --- harness behaviour --- *)

@@ -344,26 +344,26 @@ let test_analyze_into_matches_analyze () =
       let delays = Sta.scaled_delays sta ~scale:(fun _ -> scale) in
       let r = Sta.analyze sta ~delays in
       Sta.analyze_into sta ws ~delays;
-      Alcotest.(check bool) "worst equal" true (Sta.ws_worst ws = r.Sta.worst);
+      Alcotest.(check bool) "worst equal" true (Sta.ws_worst ws 0 = r.Sta.worst);
       Alcotest.(check int) "worst endpoint equal" r.Sta.worst_endpoint
-        (Sta.ws_worst_endpoint ws);
+        (Sta.ws_worst_endpoint ws 0);
       List.iter
         (fun (s, d, _) ->
           Alcotest.(check bool)
             (Stage.name s ^ " stage delay equal")
             true
-            (Sta.ws_stage_delay ws s = Some d))
+            (Sta.ws_stage_delay ws s 0 = Some d))
         r.Sta.stage_worst;
       Array.iter
         (fun cid ->
           Alcotest.(check bool) "endpoint delay equal" true
-            (Sta.ws_endpoint_delay ws cid = r.Sta.endpoint_delay.(cid)))
+            (Sta.ws_endpoint_delay ws cid 0 = r.Sta.endpoint_delay.(cid)))
         (Sta.flop_ids sta))
     [ 1.0; 1.3; 0.8 ]
 
-(* A more interesting graph than the chain for the batch/incremental
-   equivalence tests: the small VEX core, with reconvergence and
-   several capture stages. *)
+(* A more interesting graph than the chain for the lane and
+   incremental equivalence tests: the small VEX core, with
+   reconvergence and several capture stages. *)
 let vex_sta =
   lazy
     (let v = Pvtol_vex.Vex_core.build Pvtol_vex.Vex_core.small_config in
@@ -377,99 +377,133 @@ let all_stages = [ Stage.Fetch; Stage.Decode; Stage.Execute; Stage.Writeback ]
 let wiggled base i lane =
   base.(i) *. (1.0 +. (0.1 *. sin (float_of_int ((i * 7) + (lane * 131)))))
 
-let check_ws_matches_lane label sta ws bw lane =
-  Alcotest.(check bool)
-    (label ^ ": worst") true
-    (Sta.ws_worst ws = Sta.bw_worst bw lane);
+(* The clock skews of the equivalence tests: the ideal clock, and
+   per-flop offsets that move every flop's launch and capture edges by
+   different amounts. *)
+let skews =
+  [ ("zero skew", fun (_ : int) -> 0.0);
+    ("skewed", fun cid -> 0.013 *. float_of_int ((cid * 5) mod 11)) ]
+
+let set_skew_row sta ws skew =
+  let row = Sta.skew_row ws in
+  Array.iteri (fun slot cid -> row.(slot) <- skew cid) (Sta.flop_ids sta)
+
+(* Lane [lane] of a kernel workspace against a scalar oracle pass, bit
+   for bit: worst delay and endpoint, every stage, every cell's
+   endpoint delay (0 for combinational cells). *)
+let check_lane_matches_oracle label sta ws lane o =
+  let bits = Int64.bits_of_float in
+  if bits (Sta.ws_worst ws lane) <> bits (Sta_oracle.ws_worst o) then
+    Alcotest.failf "%s: worst %h vs oracle %h" label (Sta.ws_worst ws lane)
+      (Sta_oracle.ws_worst o);
   Alcotest.(check int)
     (label ^ ": worst endpoint")
-    (Sta.ws_worst_endpoint ws)
-    (Sta.bw_worst_endpoint bw lane);
+    (Sta_oracle.ws_worst_endpoint o)
+    (Sta.ws_worst_endpoint ws lane);
   List.iter
     (fun s ->
-      Alcotest.(check bool)
-        (label ^ ": " ^ Stage.name s ^ " delay")
-        true
-        (Sta.ws_stage_delay ws s = Sta.bw_stage_delay bw s lane))
+      match (Sta.ws_stage_delay ws s lane, Sta_oracle.ws_stage_delay o s) with
+      | None, None -> ()
+      | Some a, Some b when bits a = bits b -> ()
+      | _ -> Alcotest.failf "%s: %s delay differs" label (Stage.name s))
     all_stages;
-  Array.iter
-    (fun cid ->
-      if Sta.ws_endpoint_delay ws cid <> Sta.bw_endpoint_delay sta bw cid lane
-      then Alcotest.failf "%s: endpoint %d differs" label cid)
-    (Sta.flop_ids sta)
-
-let test_analyze_batch_matches_scalar () =
-  (* Every lane of a batched pass must be bit-identical to a scalar
-     [analyze_into] of that lane's delay column — including a partial
-     batch ([lanes] below the stride). *)
-  let _, sta = Lazy.force vex_sta in
-  let base = Sta.nominal_delays sta in
-  let n = Array.length base in
-  let bw = Sta.batch_workspace ~lanes:8 sta in
-  let stride = Sta.batch_stride bw in
-  let block = Sta.batch_delays bw in
-  let ws = Sta.workspace sta in
-  let scalar = Array.make n 0.0 in
-  let lanes = 5 in
-  for i = 0 to n - 1 do
-    for k = 0 to lanes - 1 do
-      block.((i * stride) + k) <- wiggled base i k
-    done
-  done;
-  Sta.analyze_batch_into sta bw ~lanes;
-  for k = 0 to lanes - 1 do
-    for i = 0 to n - 1 do
-      scalar.(i) <- wiggled base i k
-    done;
-    Sta.analyze_into sta ws ~delays:scalar;
-    check_ws_matches_lane (Printf.sprintf "lane %d" k) sta ws bw k
+  for cid = 0 to Netlist.cell_count (Sta.netlist sta) - 1 do
+    if bits (Sta.ws_endpoint_delay ws cid lane)
+       <> bits (Sta_oracle.ws_endpoint_delay o cid)
+    then Alcotest.failf "%s: endpoint %d differs" label cid
   done
 
-let test_analyze_incremental_matches_full () =
-  (* The incremental pass must stay bit-identical to a full pass across a settle-loop-like sequence of delay vectors:
-     first call (cold), a sparse island raise, a single-cell change, an
-     identical re-analysis, a whole-netlist change (fallback), and a
-     post-invalidate call. *)
+let test_analyze_batch_matches_scalar () =
+  (* Every lane of the lane-strided kernel must be bit-identical to the
+     scalar oracle pass over that lane's delay column, with the zero
+     skew row and a non-zero one: a 1-lane workspace, a partial block
+     (5 lanes of stride 8) and a full 32-lane block. *)
   let _, sta = Lazy.force vex_sta in
   let base = Sta.nominal_delays sta in
   let n = Array.length base in
-  let iw = Sta.inc_workspace sta in
-  let ws_full = Sta.workspace sta in
-  let delays = Array.make n 0.0 in
-  let apply label f =
-    f ();
-    Sta.analyze_incremental_into sta iw ~delays;
-    Sta.analyze_into sta ws_full ~delays;
-    let ws = Sta.inc_ws iw in
-    Alcotest.(check bool) (label ^ ": worst") true
-      (Sta.ws_worst ws = Sta.ws_worst ws_full);
-    Alcotest.(check int) (label ^ ": worst endpoint")
-      (Sta.ws_worst_endpoint ws_full)
-      (Sta.ws_worst_endpoint ws);
-    List.iter
-      (fun s ->
-        Alcotest.(check bool) (label ^ ": " ^ Stage.name s) true
-          (Sta.ws_stage_delay ws s = Sta.ws_stage_delay ws_full s))
-      all_stages;
-    Array.iter
-      (fun cid ->
-        if Sta.ws_endpoint_delay ws cid <> Sta.ws_endpoint_delay ws_full cid
-        then Alcotest.failf "%s: endpoint %d differs" label cid)
-      (Sta.flop_ids sta)
-  in
-  apply "cold start" (fun () -> Array.blit base 0 delays 0 n);
-  apply "island raise" (fun () ->
+  let o = Sta_oracle.workspace sta in
+  let column = Array.make n 0.0 in
+  List.iter
+    (fun (stride, lanes) ->
+      let ws = Sta.workspace ~lanes:stride sta in
+      let block = Array.make (n * stride) 0.0 in
       for i = 0 to n - 1 do
-        delays.(i) <- (if i mod 3 = 0 then 0.8 *. base.(i) else base.(i))
-      done);
-  apply "single cell" (fun () -> delays.(n / 2) <- delays.(n / 2) *. 1.5);
-  apply "identical re-analysis" (fun () -> ());
-  apply "whole netlist (fallback)" (fun () ->
-      for i = 0 to n - 1 do
-        delays.(i) <- base.(i) *. 1.07
-      done);
-  Sta.inc_invalidate iw;
-  apply "after invalidate" (fun () -> ())
+        for k = 0 to lanes - 1 do
+          block.((i * stride) + k) <- wiggled base i k
+        done
+      done;
+      List.iter
+        (fun (skew_label, skew) ->
+          set_skew_row sta ws skew;
+          if lanes = stride then Sta.analyze_into sta ws ~delays:block
+          else Sta.analyze_into ~lanes sta ws ~delays:block;
+          for k = 0 to lanes - 1 do
+            for i = 0 to n - 1 do
+              column.(i) <- wiggled base i k
+            done;
+            Sta_oracle.analyze_into ~skew o ~delays:column;
+            check_lane_matches_oracle
+              (Printf.sprintf "%d of %d lanes, lane %d, %s" lanes stride k
+                 skew_label)
+              sta ws k o
+          done)
+        skews)
+    [ (1, 1); (8, 5); (32, 32) ]
+
+let test_analyze_incremental_matches_full () =
+  (* The incremental pass must stay bit-identical to the scalar oracle's
+     full pass across a settle-loop-like sequence of delay vectors, with
+     the zero skew row and a non-zero one: first call (cold), an
+     island raise of a third of the cells (fallback), a sparse raise, a
+     single-cell change, a single-flop change, an
+     identical re-analysis, a whole-netlist change (fallback), and a
+     post-invalidate call.  Every call that runs a full pass — the cold
+     one included — counts one [sta_full_fallbacks_total]. *)
+  let _, sta = Lazy.force vex_sta in
+  let base = Sta.nominal_delays sta in
+  let n = Array.length base in
+  let flop = (Sta.flop_ids sta).(0) in
+  let o = Sta_oracle.workspace sta in
+  let fallbacks = Pvtol_util.Metrics.counter "sta_full_fallbacks_total" in
+  Pvtol_util.Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Pvtol_util.Metrics.set_enabled false)
+  @@ fun () ->
+  List.iter
+    (fun (skew_label, skew) ->
+      let iw = Sta.inc_workspace sta in
+      set_skew_row sta (Sta.inc_ws iw) skew;
+      let delays = Array.make n 0.0 in
+      let apply label ~full f =
+        f ();
+        let f0 = Pvtol_util.Metrics.counter_value fallbacks in
+        Sta.analyze_incremental_into sta iw ~delays;
+        let label = skew_label ^ ", " ^ label in
+        Alcotest.(check int) (label ^ ": full passes") (if full then 1 else 0)
+          (Pvtol_util.Metrics.counter_value fallbacks - f0);
+        Sta_oracle.analyze_into ~skew o ~delays;
+        check_lane_matches_oracle label sta (Sta.inc_ws iw) 0 o
+      in
+      apply "cold start" ~full:true (fun () -> Array.blit base 0 delays 0 n);
+      apply "island raise (fallback)" ~full:true (fun () ->
+          for i = 0 to n - 1 do
+            delays.(i) <- (if i mod 3 = 0 then 0.8 *. base.(i) else base.(i))
+          done);
+      apply "sparse raise" ~full:false (fun () ->
+          for i = 0 to n - 1 do
+            if i mod 97 = 0 then delays.(i) <- 0.9 *. delays.(i)
+          done);
+      apply "single cell" ~full:false (fun () ->
+          delays.(n / 2) <- delays.(n / 2) *. 1.5);
+      apply "single flop" ~full:false (fun () ->
+          delays.(flop) <- delays.(flop) *. 1.3);
+      apply "identical re-analysis" ~full:false (fun () -> ());
+      apply "whole netlist (fallback)" ~full:true (fun () ->
+          for i = 0 to n - 1 do
+            delays.(i) <- base.(i) *. 1.07
+          done);
+      Sta.inc_invalidate iw;
+      apply "after invalidate" ~full:true (fun () -> ()))
+    skews
 
 (* --- one timing graph per sizing run --- *)
 
