@@ -252,36 +252,39 @@ let grid_conv =
   let print fmt (nx, ny) = Format.fprintf fmt "%dx%d" nx ny in
   Arg.conv (parse, print)
 
+(* The die-grid flags shared by [wafer] and [compare]. *)
+let grid =
+  let doc = "Die-position grid over the chip, columns x rows." in
+  Arg.(value & opt grid_conv (8, 8) & info [ "grid" ] ~doc ~docv:"NxM")
+
+let dies =
+  let doc = "Dies simulated per grid cell (per exposure field)." in
+  Arg.(value & opt pos_int 12 & info [ "dies" ] ~doc ~docv:"N")
+
+let fields =
+  let doc =
+    "Exposure-field replicas of the grid (same systematic map, fresh \
+     random draws)."
+  in
+  Arg.(value & opt pos_int 1 & info [ "fields" ] ~doc ~docv:"N")
+
+let direction_arg doc =
+  Arg.(
+    value
+    & opt
+        (enum
+           [ ("vertical", Island.Vertical); ("horizontal", Island.Horizontal);
+             ("quadrant", Island.Quadrant) ])
+        Island.Vertical
+    & info [ "direction" ] ~doc ~docv:"vertical|horizontal|quadrant")
+
 let wafer_cmd =
-  let grid =
-    let doc = "Die-position grid over the chip, columns x rows." in
-    Arg.(value & opt grid_conv (8, 8) & info [ "grid" ] ~doc ~docv:"NxM")
-  in
-  let dies =
-    let doc = "Dies simulated per grid cell (per exposure field)." in
-    Arg.(value & opt pos_int 12 & info [ "dies" ] ~doc ~docv:"N")
-  in
-  let fields =
-    let doc =
-      "Exposure-field replicas of the grid (same systematic map, fresh \
-       random draws)."
-    in
-    Arg.(value & opt pos_int 1 & info [ "fields" ] ~doc ~docv:"N")
-  in
   let wafer_seed =
     let doc = "Seed of the per-die random Lgate draws." in
     Arg.(value & opt int 7 & info [ "wafer-seed" ] ~doc ~docv:"SEED")
   in
   let direction =
-    let doc = "Island slicing deployed on every die: $(docv)." in
-    Arg.(
-      value
-      & opt
-          (enum
-             [ ("vertical", Island.Vertical); ("horizontal", Island.Horizontal);
-               ("quadrant", Island.Quadrant) ])
-          Island.Vertical
-      & info [ "direction" ] ~doc ~docv:"vertical|horizontal|quadrant")
+    direction_arg "Island slicing deployed on every die: $(docv)."
   in
   let json_file =
     let doc = "Also write the whole sweep (wafer + per-cell) as JSON." in
@@ -490,35 +493,12 @@ let compare_cmd =
       & opt strategies_conv Compensation.all_choices
       & info [ "strategies" ] ~doc ~docv:"LIST")
   in
-  let grid =
-    let doc = "Die-position grid over the chip, columns x rows." in
-    Arg.(value & opt grid_conv (8, 8) & info [ "grid" ] ~doc ~docv:"NxM")
-  in
-  let dies =
-    let doc = "Dies simulated per grid cell (per exposure field)." in
-    Arg.(value & opt pos_int 12 & info [ "dies" ] ~doc ~docv:"N")
-  in
-  let fields =
-    let doc =
-      "Exposure-field replicas of the grid (same systematic map, fresh \
-       random draws)."
-    in
-    Arg.(value & opt pos_int 1 & info [ "fields" ] ~doc ~docv:"N")
-  in
   let compare_seed =
     let doc = "Seed of the per-die random Lgate draws." in
     Arg.(value & opt int 7 & info [ "compare-seed" ] ~doc ~docv:"SEED")
   in
   let direction =
-    let doc = "Island slicing the vi strategy deploys: $(docv)." in
-    Arg.(
-      value
-      & opt
-          (enum
-             [ ("vertical", Island.Vertical); ("horizontal", Island.Horizontal);
-               ("quadrant", Island.Quadrant) ])
-          Island.Vertical
-      & info [ "direction" ] ~doc ~docv:"vertical|horizontal|quadrant")
+    direction_arg "Island slicing the vi strategy deploys: $(docv)."
   in
   let json_file =
     let doc = "Also write the comparison report as JSON." in

@@ -1,10 +1,8 @@
-(* Strategy comparison harness: the shared detect pass of
-   [Compensation], fanned out over the same wafer grid as [Wafer] (same
-   positions, same per-cell RNG seeds), with every selected strategy
-   applied to every die.  Row-major ordered reduction keeps reports
-   bit-identical for any domain count. *)
-module Stream_stats = Pvtol_util.Stream_stats
-module Welford = Stream_stats.Welford
+(* Strategy comparison harness: [Wafer.tally]'s die sweep with every
+   selected strategy applied to every die, projected onto wafer totals.
+   Its row-major reduction keeps reports bit-identical for any domain
+   count. *)
+module Welford = Pvtol_util.Stream_stats.Welford
 module Table = Pvtol_util.Table
 module Metrics = Pvtol_util.Metrics
 module Json = Pvtol_util.Json
@@ -69,45 +67,6 @@ type report = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Per-cell accumulators (one sub-accumulator per strategy)             *)
-
-type sacc = {
-  mutable s_meets : int;
-  mutable s_knob : int;
-  s_power : Welford.t;
-  s_knobs : Welford.t;
-  s_area : Welford.t;
-}
-
-type acc = {
-  mutable a_dies : int;
-  mutable a_unc : int;
-  a_strats : sacc array;
-}
-
-let acc_create n =
-  {
-    a_dies = 0;
-    a_unc = 0;
-    a_strats =
-      Array.init n (fun _ ->
-          {
-            s_meets = 0;
-            s_knob = 0;
-            s_power = Welford.create ();
-            s_knobs = Welford.create ();
-            s_area = Welford.create ();
-          });
-  }
-
-let sacc_add sa (o : Compensation.outcome) =
-  if o.Compensation.meets then sa.s_meets <- sa.s_meets + 1;
-  sa.s_knob <- sa.s_knob + o.Compensation.knob;
-  Welford.add sa.s_power o.Compensation.power_mw;
-  Welford.add sa.s_knobs (float_of_int o.Compensation.knob);
-  Welford.add sa.s_area o.Compensation.area_um2
-
-(* ------------------------------------------------------------------ *)
 (* The sweep                                                            *)
 
 let rec has_dup = function
@@ -122,70 +81,34 @@ let run ?pool (t : Flow.t) (v : Flow.variant) cfg =
   let strategies =
     Array.of_list (List.map (Compensation.build t ctx v) cfg.choices)
   in
-  let n_strats = Array.length strategies in
-  (* Each worker carries the shared detect scratch plus one private
-     apply state per strategy; every die is detected once, then the
-     strategies are applied to it in request order. *)
-  let accs =
-    Wafer.drive ?pool ~who:"Compare.run" v (wafer_config cfg)
-      ~scratch:(fun () ->
-        ( Compensation.scratch ctx,
-          Array.map (fun s -> s.Compensation.fresh_apply ()) strategies ))
-      ~systematic:(fun (sc, _) -> Compensation.systematic_into ctx sc)
-      ~acc:(fun () -> acc_create n_strats)
-      ~die:(fun (sc, applies) acc ~systematic rng ->
-        let d = Compensation.detect ctx sc ~systematic rng in
-        acc.a_dies <- acc.a_dies + 1;
-        if d.Compensation.violating = 0 then acc.a_unc <- acc.a_unc + 1;
-        for i = 0 to n_strats - 1 do
-          sacc_add acc.a_strats.(i) (applies.(i) sc d)
-        done)
+  let total =
+    Wafer.tally_total strategies
+      (Wafer.tally ?pool ~who:"Compare.run" ctx strategies v (wafer_config cfg))
   in
-  (* Ordered reduction (row-major): totals are bit-identical no matter
-     how the chunks were scheduled. *)
-  let total = acc_create n_strats in
-  Array.iter
-    (fun acc ->
-      total.a_dies <- total.a_dies + acc.a_dies;
-      total.a_unc <- total.a_unc + acc.a_unc;
-      Array.iteri
-        (fun i sa ->
-          let ta = total.a_strats.(i) in
-          ta.s_meets <- ta.s_meets + sa.s_meets;
-          ta.s_knob <- ta.s_knob + sa.s_knob;
-          Welford.merge ~into:ta.s_power sa.s_power;
-          Welford.merge ~into:ta.s_knobs sa.s_knobs;
-          Welford.merge ~into:ta.s_area sa.s_area)
-        acc.a_strats)
-    accs;
-  Metrics.add m_compare_dies total.a_dies;
-  let dies = float_of_int total.a_dies in
-  let results =
-    Array.to_list
-      (Array.mapi
-         (fun i (s : Compensation.strategy) ->
-           let sa = total.a_strats.(i) in
-           {
-             name = s.Compensation.name;
-             title = s.Compensation.title;
-             knob_units = s.Compensation.knob_units;
-             yield = float_of_int sa.s_meets /. dies;
-             mean_power_mw = Welford.mean sa.s_power;
-             mean_knob = Welford.mean sa.s_knobs;
-             knob_total = sa.s_knob;
-             mean_area_um2 = Welford.mean sa.s_area;
-             static_area_um2 = s.Compensation.static_area_um2;
-             max_knob = s.Compensation.max_knob;
-           })
-         strategies)
+  Metrics.add m_compare_dies total.Wafer.n_dies;
+  let dies = float_of_int total.Wafer.n_dies in
+  let result (s : Compensation.strategy) (st : Wafer.strategy_tally) =
+    {
+      name = s.Compensation.name;
+      title = s.Compensation.title;
+      knob_units = s.Compensation.knob_units;
+      yield = float_of_int st.Wafer.meets /. dies;
+      mean_power_mw = Welford.mean st.Wafer.power;
+      mean_knob = Welford.mean st.Wafer.knob;
+      knob_total = st.Wafer.knob_sum;
+      mean_area_um2 = Welford.mean st.Wafer.area;
+      static_area_um2 = s.Compensation.static_area_um2;
+      max_knob = s.Compensation.max_knob;
+    }
   in
   {
     config = cfg;
     clock_ns = Compensation.clock ctx;
-    dies = total.a_dies;
-    yield_uncompensated = float_of_int total.a_unc /. dies;
+    dies = total.Wafer.n_dies;
+    yield_uncompensated = float_of_int total.Wafer.n_uncompensated /. dies;
     power_baseline_mw = Compensation.power_baseline_mw ctx;
-    results;
+    results =
+      Array.to_list (Array.map2 result strategies total.Wafer.strategies);
   }
 
 (* ------------------------------------------------------------------ *)

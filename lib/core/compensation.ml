@@ -17,6 +17,8 @@ let m_skew_applied = Metrics.counter "compensation_skew_applied_total"
 let m_buffers_applied = Metrics.counter "compensation_buffers_applied_total"
 let m_skew_flops = Metrics.counter "skew_tuned_flops_total"
 let m_buffers_inserted = Metrics.counter "buffers_inserted_total"
+let m_dies = Metrics.counter "postsilicon_dies_total"
+let m_raised = Metrics.counter "postsilicon_islands_raised_total"
 
 let analyzed = [ Stage.Decode; Stage.Execute; Stage.Writeback ]
 
@@ -155,6 +157,7 @@ let detect c sc ~systematic rng =
         | None -> acc)
       0.0 analyzed
   in
+  Metrics.incr m_dies;
   { violating; worst_low_ns = worst_low }
 
 (* ------------------------------------------------------------------ *)
@@ -232,6 +235,7 @@ let voltage_islands (t : Flow.t) c (v : Flow.variant) =
         in
         let raised, meets = settle (min d.violating n_islands) in
         if raised > 0 then Metrics.incr m_vi_applied;
+        Metrics.add m_raised raised;
         {
           meets;
           knob = raised;
@@ -389,9 +393,7 @@ let tunable_buffers ?(sites_per_stage = 8) ?(max_per_site = 4)
   let site_cap = Array.make c.n_cells 0 in
   List.iter (fun cid -> site_cap.(cid) <- max_per_site) sites;
   let n_sites = List.length sites in
-  let stage_caps =
-    List.map (fun s -> (s, Sta.stage_endpoint_ids c.sta s)) analyzed
-  in
+  let stage_caps = List.map (Sta.stage_endpoint_ids c.sta) analyzed in
   let buffer = Cell.find lib Kind.Buf Cell.X4 in
   (* Data-path buffers: toggle at a typical signal activity. *)
   let unit_power = element_power_mw lib buffer ~clock:c.clock ~toggle_rate:0.2 in
@@ -408,46 +410,61 @@ let tunable_buffers ?(sites_per_stage = 8) ?(max_per_site = 4)
       (fun () ->
         let ws = Sta.workspace c.sta in
         let trims = Array.make c.n_cells 0 in
+        (* This die's endpoint arrivals, by cell id. *)
+        let arrival = Array.make c.n_cells 0.0 in
         fun sc (d : detect) ->
           if d.violating = 0 then
             { meets = true; knob = 0; power_mw = c.power_baseline;
               area_um2 = 0.0 }
           else begin
             List.iter (fun cid -> trims.(cid) <- 0) sites;
-            let delays = sc.low_delays in
             (* One STA pass for this die's endpoint arrivals; each trim
                stage then shaves [trim] ns off its endpoint's path, so
                the greedy loop below is pure arithmetic: enable one trim
-               at a time on the binding endpoint of a failing stage
-               until every stage meets or the binding endpoint is out of
-               (configured or remaining) trims. *)
-            Sta.analyze_into c.sta ws ~delays;
-            let eff cid =
-              Sta.ws_endpoint_delay ws cid 0
-              -. (float_of_int trims.(cid) *. trim)
-            in
+               at a time on the binding endpoint of the first failing
+               stage until every stage meets or the binding endpoint is
+               out of (configured or remaining) trims.  The effective
+               delay [arrival - trims * trim] is written out at each use
+               so no float is boxed. *)
+            Sta.analyze_into c.sta ws ~delays:sc.low_delays;
+            List.iter
+              (Array.iter (fun cid ->
+                   arrival.(cid) <- Sta.ws_endpoint_delay ws cid 0))
+              stage_caps;
+            (* The stage's latest endpoint, -1 if it has none. *)
             let binding caps =
-              Array.fold_left
-                (fun (wc, wd) cid ->
-                  let dd = eff cid in
-                  if dd > wd then (cid, dd) else (wc, wd))
-                (-1, neg_infinity) caps
+              let wc = ref (-1) and wd = ref neg_infinity in
+              for i = 0 to Array.length caps - 1 do
+                let cid = caps.(i) in
+                let dd = arrival.(cid) -. (float_of_int trims.(cid) *. trim) in
+                if dd > !wd then begin
+                  wc := cid;
+                  wd := dd
+                end
+              done;
+              !wc
+            in
+            (* The first failing stage's binding endpoint, -1 if every
+               stage meets. *)
+            let rec failing = function
+              | [] -> -1
+              | caps :: rest ->
+                let cid = binding caps in
+                if
+                  cid >= 0
+                  && arrival.(cid) -. (float_of_int trims.(cid) *. trim)
+                     > c.clock +. 1e-12
+                then cid
+                else failing rest
             in
             let rec settle () =
-              let bad =
-                List.filter
-                  (fun (_, caps) -> snd (binding caps) > c.clock +. 1e-12)
-                  stage_caps
-              in
-              match bad with
-              | [] -> true
-              | (_, caps) :: _ ->
-                let cid, _ = binding caps in
-                if cid >= 0 && trims.(cid) < site_cap.(cid) then begin
-                  trims.(cid) <- trims.(cid) + 1;
-                  settle ()
-                end
-                else false (* binding endpoint is not a tunable site *)
+              let cid = failing stage_caps in
+              if cid < 0 then true
+              else if trims.(cid) < site_cap.(cid) then begin
+                trims.(cid) <- trims.(cid) + 1;
+                settle ()
+              end
+              else false (* binding endpoint is not a tunable site *)
             in
             let meets = settle () in
             let knob = List.fold_left (fun a cid -> a + trims.(cid)) 0 sites in

@@ -4,23 +4,23 @@
     but the post-silicon literature offers direct rivals: clock-tuning
     elements with criticality-aware SSTA (arXiv:1705.04986) and
     post-silicon tunable buffers configured via statistical prediction
-    (EffiTest, arXiv:1705.04992).  This module extracts the
-    "detect scenario -> apply knob -> re-verify -> cost" loop that used
-    to be hard-wired into [Postsilicon] as a strategy interface, so
-    every knob competes under {e identical per-die physics}: one shared
-    {!detect} pass per die (the sensors' verdict at the low supply),
-    then each strategy re-times the {e same} Lgate realisation with its
-    own knob and reports a {!outcome} (meets-timing verdict, knob
-    count, die power, exercised area).
+    (EffiTest, arXiv:1705.04992).  This module is the one
+    implementation of the "detect scenario -> apply knob -> re-verify
+    -> cost" loop, as a strategy interface, so every knob competes
+    under {e identical per-die physics}: one shared {!detect} pass per
+    die (the sensors' verdict at the low supply), then each strategy
+    re-times the {e same} Lgate realisation with its own knob and
+    reports a {!outcome} (meets-timing verdict, knob count, die power,
+    exercised area).  The diagonal {!Postsilicon.run} study, the
+    {!Wafer} census and sampling estimator and the {!Compare} shoot-out
+    all run their dies through it.
 
-    Kernel-style split, like {!Postsilicon.kernel}: a strategy's
-    precomputed state is immutable and safe to share across domains;
-    everything mutable lives in the closure returned by
+    A strategy's precomputed state is immutable and safe to share
+    across domains; everything mutable lives in the closure returned by
     [fresh_apply] (one per concurrent caller) and in the shared
     {!scratch}.  The island/chip-wide strategies re-time through the
     scratch's incremental STA, which is exact, so they stay
-    bit-identical to the golden-pinned [Postsilicon.run] study and
-    [Wafer] sweeps. *)
+    bit-identical to the golden-pinned [Postsilicon.run] study. *)
 
 open Pvtol_netlist
 
@@ -81,7 +81,8 @@ val detect : ctx -> scratch -> systematic:float array -> Pvtol_util.Srng.t -> de
     strategies consume no RNG, so the per-die stream is identical for
     every strategy subset), re-time it at the low supply and count the
     failing analyzed stages.  [systematic] may be the scratch's own
-    {!systematic_into} buffer. *)
+    {!systematic_into} buffer.  Counts the die in
+    [postsilicon_dies_total]. *)
 
 (** {2 The strategy interface} *)
 
@@ -110,7 +111,8 @@ val voltage_islands : Flow.t -> ctx -> Flow.variant -> strategy
     raise islands [1..r] starting at the detected scenario, escalating
     while violations persist.  [knob] = islands raised; power from the
     memoized per-raised-level power stages; static area = the variant's
-    level-shifter area. *)
+    level-shifter area.  Adds the islands raised to
+    [postsilicon_islands_raised_total]. *)
 
 val chip_wide : ctx -> strategy
 (** Traditional full-chip adaptation: everything to 1.2V whenever

@@ -788,10 +788,13 @@ let postsilicon_study ctx =
   Buffer.add_string buf
     (heading "Extension — post-silicon detect-and-compensate across dies");
   Format.kasprintf (Buffer.add_string buf) "%a" Postsilicon.pp s;
-  (* Scenario histogram over the population. *)
+  (* Scenario histogram over the population: the scenario the sensors
+     detected, before the controller escalates. *)
   let hist = Array.make 4 0 in
   List.iter
-    (fun (c : Postsilicon.chip) -> hist.(min 3 c.Postsilicon.raised) <- hist.(min 3 c.Postsilicon.raised) + 1)
+    (fun (c : Postsilicon.chip) ->
+      let i = min 3 c.Postsilicon.detected in
+      hist.(i) <- hist.(i) + 1)
     s.Postsilicon.chips;
   Buffer.add_string buf "  dies per detected scenario: ";
   Array.iteri (fun i n -> Buffer.add_string buf (Printf.sprintf "%d VI: %d  " i n)) hist;

@@ -120,6 +120,17 @@ let growth_targets =
 
 let m_prepares = Metrics.counter "flow_prepares_total"
 
+(* All four die positions as parallel tasks; each task's own MC fan-out
+   then runs serially inside its worker (the pool's nested-use guard),
+   so this trades chunk-level for position-level parallelism with
+   bit-identical results.  Already-memoized positions return instantly
+   inside their task. *)
+let mc_named mc_k =
+  Pool.map (Pool.shared ())
+    ~f:(fun p -> (p, Sg.get_keyed mc_k p))
+    (Array.of_list Position.named)
+  |> Array.to_list
+
 let prepare ?(config = default_config) () =
   Metrics.incr m_prepares;
   Log.debug "flow: preparing stage graph (mc_samples=%d, place_seed=%d)"
@@ -212,21 +223,10 @@ let prepare ?(config = default_config) () =
           ~sampler:(Sg.get sampler_n) ~sta:(Sg.get sta_n)
           ~placement:(Sg.get placement_n) ~position ())
   in
-  (* All four die positions as parallel tasks; each task's own MC
-     fan-out then runs serially inside its worker (the pool's nested-use
-     guard), so this trades chunk-level for position-level parallelism
-     with bit-identical results.  Already-memoized positions return
-     instantly inside their task. *)
-  let mc_all () =
-    Pool.map (Pool.shared ())
-      ~f:(fun p -> (p, Sg.get_keyed mc_k p))
-      (Array.of_list Position.named)
-    |> Array.to_list
-  in
   let scenarios_n =
     Sg.node g ~name:"scenarios" ~deps:[ "clock"; "mc" ] (fun () ->
         let clock = Sg.get clock_n in
-        List.map (fun (_, r) -> Scenario.classify ~clock r) (mc_all ()))
+        List.map (fun (_, r) -> Scenario.classify ~clock r) (mc_named mc_k))
   in
   let islands_k =
     Sg.keyed g ~name:"islands"
@@ -401,11 +401,7 @@ let fir t = Sg.get t.fir_n
 let activity t = Sg.get t.activity_n
 let mc t position = Sg.get_keyed t.mc_k position
 
-let mc_all t =
-  Pool.map (Pool.shared ())
-    ~f:(fun p -> (p, Sg.get_keyed t.mc_k p))
-    (Array.of_list Position.named)
-  |> Array.to_list
+let mc_all t = mc_named t.mc_k
 
 let scenarios t = Sg.get t.scenarios_n
 let islands t direction = Sg.get_keyed t.islands_k direction

@@ -1,5 +1,5 @@
-(* Wafer-scale yield engine: the per-die detect-and-compensate kernel of
-   [Postsilicon], swept over a 2D grid of die positions on the exposure
+(* Wafer-scale yield engine: the per-die detect-and-compensate loop of
+   [Compensation], swept over a 2D grid of die positions on the exposure
    field (optionally replicated over several exposure fields), batched
    on the shared domain pool and reduced with streaming statistics so
    the sweep's memory is O(grid), not O(dies). *)
@@ -84,81 +84,69 @@ let cell_seed cfg ~field ~ix ~iy =
   Monte_carlo.substream_seed cfg.seed [ field; iy; ix ]
 
 (* ------------------------------------------------------------------ *)
-(* Streaming per-cell accumulator                                       *)
+(* The die sweep: one streaming tally per cell                         *)
 
-type acc = {
-  mutable a_dies : int;
-  mutable a_unc : int;
-  mutable a_comp : int;
-  mutable a_chip : int;
-  a_raised : Welford.t;
-  a_pow_isl : Welford.t;
-  a_pow_chip : Welford.t;
-  a_delay : Welford.t;
-  a_p50 : P2.t;
-  a_p90 : P2.t;
-  a_scen : Counter.t;
-  a_raised_c : Counter.t;
+type strategy_tally = {
+  mutable meets : int;
+  mutable knob_sum : int;
+  power : Welford.t;
+  knob : Welford.t;
+  area : Welford.t;
+  knobs : Counter.t;
 }
 
-let acc_create ~n_islands =
+type tally = {
+  mutable n_dies : int;
+  mutable n_uncompensated : int;
+  delay_ns : Welford.t;
+  delay_p50 : P2.t;
+  delay_p90 : P2.t;
+  violating : Counter.t;
+  strategies : strategy_tally array;
+}
+
+let tally_create (strategies : Compensation.strategy array) =
   {
-    a_dies = 0;
-    a_unc = 0;
-    a_comp = 0;
-    a_chip = 0;
-    a_raised = Welford.create ();
-    a_pow_isl = Welford.create ();
-    a_pow_chip = Welford.create ();
-    a_delay = Welford.create ();
-    a_p50 = P2.create 0.5;
-    a_p90 = P2.create 0.9;
-    a_scen = Counter.create (n_islands + 1);
-    a_raised_c = Counter.create (n_islands + 1);
+    n_dies = 0;
+    n_uncompensated = 0;
+    delay_ns = Welford.create ();
+    delay_p50 = P2.create 0.5;
+    delay_p90 = P2.create 0.9;
+    violating = Counter.create (List.length Compensation.analyzed + 1);
+    strategies =
+      Array.map
+        (fun (s : Compensation.strategy) ->
+          {
+            meets = 0;
+            knob_sum = 0;
+            power = Welford.create ();
+            knob = Welford.create ();
+            area = Welford.create ();
+            knobs = Counter.create (s.Compensation.max_knob + 1);
+          })
+        strategies;
   }
 
-let acc_add k acc (d : Postsilicon.die) =
-  acc.a_dies <- acc.a_dies + 1;
-  if d.Postsilicon.die_meets_uncompensated then acc.a_unc <- acc.a_unc + 1;
-  if d.Postsilicon.die_meets_compensated then acc.a_comp <- acc.a_comp + 1;
-  if d.Postsilicon.die_meets_chip_wide then acc.a_chip <- acc.a_chip + 1;
-  Welford.add acc.a_raised (float_of_int d.Postsilicon.die_raised);
-  Welford.add acc.a_pow_isl (Postsilicon.die_power_islands_mw k d);
-  Welford.add acc.a_pow_chip (Postsilicon.die_power_chip_wide_mw k d);
-  Welford.add acc.a_delay d.Postsilicon.die_worst_low_ns;
-  P2.add acc.a_p50 d.Postsilicon.die_worst_low_ns;
-  P2.add acc.a_p90 d.Postsilicon.die_worst_low_ns;
-  Counter.add acc.a_scen d.Postsilicon.die_detected;
-  Counter.add acc.a_raised_c d.Postsilicon.die_raised
+let tally_die ta (d : Compensation.detect) =
+  ta.n_dies <- ta.n_dies + 1;
+  if d.Compensation.violating = 0 then
+    ta.n_uncompensated <- ta.n_uncompensated + 1;
+  Welford.add ta.delay_ns d.Compensation.worst_low_ns;
+  P2.add ta.delay_p50 d.Compensation.worst_low_ns;
+  P2.add ta.delay_p90 d.Compensation.worst_low_ns;
+  Counter.add ta.violating d.Compensation.violating
 
-let cell_of_acc cfg ~ix ~iy acc =
-  let dies = float_of_int acc.a_dies in
-  {
-    ix;
-    iy;
-    x_frac = grid_frac cfg.nx ix;
-    y_frac = grid_frac cfg.ny iy;
-    dies = acc.a_dies;
-    yield_uncompensated = float_of_int acc.a_unc /. dies;
-    yield_compensated = float_of_int acc.a_comp /. dies;
-    yield_chip_wide = float_of_int acc.a_chip /. dies;
-    mean_raised = Welford.mean acc.a_raised;
-    scenario_counts = Counter.to_array acc.a_scen;
-    raised_counts = Counter.to_array acc.a_raised_c;
-    mean_power_islands_mw = Welford.mean acc.a_pow_isl;
-    mean_power_chip_wide_mw = Welford.mean acc.a_pow_chip;
-    delay = Welford.summary acc.a_delay;
-    delay_p50_ns = P2.estimate acc.a_p50;
-    delay_p90_ns = P2.estimate acc.a_p90;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* The grid driver                                                      *)
+let tally_outcome st (o : Compensation.outcome) =
+  if o.Compensation.meets then st.meets <- st.meets + 1;
+  st.knob_sum <- st.knob_sum + o.Compensation.knob;
+  Welford.add st.power o.Compensation.power_mw;
+  Welford.add st.knob (float_of_int o.Compensation.knob);
+  Welford.add st.area o.Compensation.area_um2;
+  Counter.add st.knobs o.Compensation.knob
 
 type on_cell = completed:int -> total:int -> unit
 
-let drive ?pool ?on_cell ~who (v : Flow.variant) cfg ~scratch ~systematic ~acc
-    ~die =
+let tally ?pool ?on_cell ~who ctx strategies (v : Flow.variant) cfg =
   if cfg.nx <= 0 || cfg.ny <= 0 || cfg.dies_per_cell <= 0 || cfg.fields <= 0
   then invalid_arg (who ^ ": grid, dies and fields must be positive");
   if v.Flow.direction <> cfg.direction then
@@ -166,21 +154,31 @@ let drive ?pool ?on_cell ~who (v : Flow.variant) cfg ~scratch ~systematic ~acc
   let pool = match pool with Some p -> p | None -> Pool.shared () in
   let total_cells = cfg.nx * cfg.ny in
   let completed = Atomic.make 0 in
-  (* One chunk per grid cell; a worker reuses its scratch across every
-     cell it picks up.  All of a cell's dies (over every field replica)
-     run serially inside its chunk in a fixed field-major order, so the
-     per-cell accumulators — including the order-sensitive P^2 markers
-     — are independent of scheduling. *)
+  (* One chunk per grid cell; a worker reuses its detect scratch and
+     one private apply state per strategy across every cell it picks
+     up.  All of a cell's dies (over every field replica) run serially
+     inside its chunk in a fixed field-major order, each detected once
+     and then compensated by every strategy in request order, so the
+     per-cell tallies — including the order-sensitive P^2 markers —
+     are independent of scheduling. *)
   Pool.parallel_chunks pool ~chunks:total_cells
-    ~init:(fun ~worker:_ -> scratch ())
-    ~f:(fun sc c ->
+    ~init:(fun ~worker:_ ->
+      ( Compensation.scratch ctx,
+        Array.map (fun s -> s.Compensation.fresh_apply ()) strategies ))
+    ~f:(fun (sc, applies) c ->
       let ix = c mod cfg.nx and iy = c / cfg.nx in
-      let systematic = systematic sc (cell_position cfg ~ix ~iy) in
-      let a = acc () in
+      let systematic =
+        Compensation.systematic_into ctx sc (cell_position cfg ~ix ~iy)
+      in
+      let ta = tally_create strategies in
       for field = 0 to cfg.fields - 1 do
         let rng = Srng.create (cell_seed cfg ~field ~ix ~iy) in
         for _ = 1 to cfg.dies_per_cell do
-          die sc a ~systematic rng
+          let d = Compensation.detect ctx sc ~systematic rng in
+          tally_die ta d;
+          for i = 0 to Array.length applies - 1 do
+            tally_outcome ta.strategies.(i) (applies.(i) sc d)
+          done
         done
       done;
       (* Progress callbacks fire from whichever domain finished the
@@ -191,59 +189,81 @@ let drive ?pool ?on_cell ~who (v : Flow.variant) cfg ~scratch ~systematic ~acc
       | Some f -> (
         let done_ = 1 + Atomic.fetch_and_add completed 1 in
         try f ~completed:done_ ~total:total_cells with _ -> ()));
-      a)
+      ta)
+
+let tally_total strategies tallies =
+  (* Ordered reduction (row-major), so totals are bit-identical no
+     matter how the chunks were scheduled. *)
+  let total = tally_create strategies in
+  Array.iter
+    (fun ta ->
+      total.n_dies <- total.n_dies + ta.n_dies;
+      total.n_uncompensated <- total.n_uncompensated + ta.n_uncompensated;
+      Welford.merge ~into:total.delay_ns ta.delay_ns;
+      Counter.merge ~into:total.violating ta.violating;
+      Array.iteri
+        (fun i st ->
+          let tt = total.strategies.(i) in
+          tt.meets <- tt.meets + st.meets;
+          tt.knob_sum <- tt.knob_sum + st.knob_sum;
+          Welford.merge ~into:tt.power st.power;
+          Welford.merge ~into:tt.knob st.knob;
+          Welford.merge ~into:tt.area st.area;
+          Counter.merge ~into:tt.knobs st.knobs)
+        ta.strategies)
+    tallies;
+  total
 
 (* ------------------------------------------------------------------ *)
-(* The census                                                           *)
+(* The census: the sweep's projection onto the paper's two strategies  *)
 
 let run ?pool ?on_cell (t : Flow.t) (v : Flow.variant) cfg =
   let k = Postsilicon.kernel t v in
-  let n_islands = Postsilicon.n_islands k in
-  let accs =
-    drive ?pool ?on_cell ~who:"Wafer.run" v cfg
-      ~scratch:(fun () -> Postsilicon.scratch k)
-      ~systematic:(Postsilicon.systematic_into k)
-      ~acc:(fun () -> acc_create ~n_islands)
-      ~die:(fun sc acc ~systematic rng ->
-        acc_add k acc (Postsilicon.simulate_die k sc ~systematic rng))
+  let strategies = [| k.Postsilicon.vi; k.Postsilicon.cw |] in
+  let tallies =
+    tally ?pool ?on_cell ~who:"Wafer.run" k.Postsilicon.ctx strategies v cfg
   in
-  (* Ordered reduction (row-major), so wafer totals are bit-identical
-     no matter how the chunks were scheduled. *)
-  let total = acc_create ~n_islands in
-  Array.iter
-    (fun acc ->
-      total.a_dies <- total.a_dies + acc.a_dies;
-      total.a_unc <- total.a_unc + acc.a_unc;
-      total.a_comp <- total.a_comp + acc.a_comp;
-      total.a_chip <- total.a_chip + acc.a_chip;
-      Welford.merge ~into:total.a_raised acc.a_raised;
-      Welford.merge ~into:total.a_pow_isl acc.a_pow_isl;
-      Welford.merge ~into:total.a_pow_chip acc.a_pow_chip;
-      Welford.merge ~into:total.a_delay acc.a_delay;
-      Counter.merge ~into:total.a_scen acc.a_scen)
-    accs;
-  Metrics.add m_cells (Array.length accs);
-  Metrics.add m_wafer_dies total.a_dies;
-  let cells =
-    Array.mapi
-      (fun c acc -> cell_of_acc cfg ~ix:(c mod cfg.nx) ~iy:(c / cfg.nx) acc)
-      accs
+  let total = tally_total strategies tallies in
+  Metrics.add m_cells (Array.length tallies);
+  Metrics.add m_wafer_dies total.n_dies;
+  let frac ta n = float_of_int n /. float_of_int ta.n_dies in
+  let cell c ta =
+    let vi = ta.strategies.(0) and cw = ta.strategies.(1) in
+    let ix = c mod cfg.nx and iy = c / cfg.nx in
+    {
+      ix;
+      iy;
+      x_frac = grid_frac cfg.nx ix;
+      y_frac = grid_frac cfg.ny iy;
+      dies = ta.n_dies;
+      yield_uncompensated = frac ta ta.n_uncompensated;
+      yield_compensated = frac ta vi.meets;
+      yield_chip_wide = frac ta cw.meets;
+      mean_raised = Welford.mean vi.knob;
+      scenario_counts = Counter.to_array ta.violating;
+      raised_counts = Counter.to_array vi.knobs;
+      mean_power_islands_mw = Welford.mean vi.power;
+      mean_power_chip_wide_mw = Welford.mean cw.power;
+      delay = Welford.summary ta.delay_ns;
+      delay_p50_ns = P2.estimate ta.delay_p50;
+      delay_p90_ns = P2.estimate ta.delay_p90;
+    }
   in
-  let dies = float_of_int total.a_dies in
+  let vi = total.strategies.(0) and cw = total.strategies.(1) in
   {
     config = cfg;
-    n_islands;
-    clock_ns = Postsilicon.clock k;
-    cells;
-    dies = total.a_dies;
-    yield_uncompensated = float_of_int total.a_unc /. dies;
-    yield_compensated = float_of_int total.a_comp /. dies;
-    yield_chip_wide = float_of_int total.a_chip /. dies;
-    mean_raised = Welford.mean total.a_raised;
-    scenario_counts = Counter.to_array total.a_scen;
-    mean_power_islands_mw = Welford.mean total.a_pow_isl;
-    mean_power_chip_wide_mw = Welford.mean total.a_pow_chip;
-    delay = Welford.summary total.a_delay;
+    n_islands = k.Postsilicon.vi.Compensation.max_knob;
+    clock_ns = Compensation.clock k.Postsilicon.ctx;
+    cells = Array.mapi cell tallies;
+    dies = total.n_dies;
+    yield_uncompensated = frac total total.n_uncompensated;
+    yield_compensated = frac total vi.meets;
+    yield_chip_wide = frac total cw.meets;
+    mean_raised = Welford.mean vi.knob;
+    scenario_counts = Counter.to_array total.violating;
+    mean_power_islands_mw = Welford.mean vi.power;
+    mean_power_chip_wide_mw = Welford.mean cw.power;
+    delay = Welford.summary total.delay_ns;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -482,11 +502,13 @@ let n_sampling_metrics = 4
 
 let designated_metric = function Ci_yield -> 0 | Ci_rare -> 3
 
-let die_values ~rare (d : Postsilicon.die) out =
-  out.(0) <- (if d.Postsilicon.die_meets_uncompensated then 1.0 else 0.0);
-  out.(1) <- (if d.Postsilicon.die_meets_compensated then 1.0 else 0.0);
-  out.(2) <- (if d.Postsilicon.die_meets_chip_wide then 1.0 else 0.0);
-  out.(3) <- (if d.Postsilicon.die_violating >= rare then 1.0 else 0.0)
+let die_values ~rare (d : Compensation.detect) ~(vi : Compensation.outcome)
+    ~(cw : Compensation.outcome) out =
+  let ind b = if b then 1.0 else 0.0 in
+  out.(0) <- ind (d.Compensation.violating = 0);
+  out.(1) <- ind vi.Compensation.meets;
+  out.(2) <- ind cw.Compensation.meets;
+  out.(3) <- ind (d.Compensation.violating >= rare)
 
 type gacc = {
   ga_metrics : Welford.t array;
@@ -513,11 +535,12 @@ let run_sampling ?pool ?on_round (t : Flow.t) (v : Flow.variant) ~mode scfg =
   if v.Flow.direction <> scfg.s_direction then
     invalid_arg "Wafer.estimate: variant direction does not match the config";
   let k = Postsilicon.kernel t v in
+  let ctx = k.Postsilicon.ctx in
   let sampler = Flow.sampler t in
   let sta = Flow.sta t in
   let nl = Flow.netlist t in
   let n = Pvtol_netlist.Netlist.cell_count nl in
-  let clock = Postsilicon.clock k in
+  let clock = Compensation.clock ctx in
   let low =
     nl.Pvtol_netlist.Netlist.lib.Pvtol_stdcell.Cell.process
       .Pvtol_stdcell.Process.vdd_low
@@ -546,7 +569,7 @@ let run_sampling ?pool ?on_round (t : Flow.t) (v : Flow.variant) ~mode scfg =
      tilt is a z-space object, so the within-stratum position jitter
      does not disturb its exactness.  mc / lhs sample untilted. *)
   let model_at pos =
-    let systematic = Postsilicon.systematic k pos in
+    let systematic = Compensation.systematic ctx pos in
     Smart_sampling.make
       (Smart_sampling.tilts ~sampler ~sta ~base ~systematic ~vdd:low ~clock
          ~stages:Compensation.analyzed ~rare:scfg.s_rare ())
@@ -555,7 +578,7 @@ let run_sampling ?pool ?on_round (t : Flow.t) (v : Flow.variant) ~mode scfg =
      die writes its map into its worker's scratch. *)
   let fixed_systematic =
     match mode with
-    | Fixed_site p -> Some (Postsilicon.systematic k p)
+    | Fixed_site p -> Some (Compensation.systematic ctx p)
     | Wafer_field -> None
   in
   let models =
@@ -590,11 +613,12 @@ let run_sampling ?pool ?on_round (t : Flow.t) (v : Flow.variant) ~mode scfg =
     let round_accs =
       Pool.parallel_chunks pool ~chunks:groups
         ~init:(fun ~worker:_ ->
-          ( Postsilicon.scratch k,
-            Array.make n 0.0,
-            Array.make n 0.0,
-            Array.make n_sampling_metrics 0.0 ))
-        ~f:(fun (sc, zbuf, sysbuf, vbuf) g ->
+          ( Compensation.scratch ctx,
+            k.Postsilicon.vi.Compensation.fresh_apply (),
+            k.Postsilicon.cw.Compensation.fresh_apply (),
+            (Array.make n 0.0, Array.make n 0.0,
+             Array.make n_sampling_metrics 0.0) ))
+        ~f:(fun (sc, vi, cw, (zbuf, sysbuf, vbuf)) g ->
           let gx = g mod s and gy = g / s in
           let model = models.(g) in
           let rng =
@@ -644,7 +668,7 @@ let run_sampling ?pool ?on_round (t : Flow.t) (v : Flow.variant) ~mode scfg =
             let systematic =
               match fixed_systematic with
               | Some map -> map
-              | None -> Postsilicon.systematic_into k sc pos
+              | None -> Compensation.systematic_into ctx sc pos
             in
             let w, sys_used =
               if Smart_sampling.n_components model = 0 then (1.0, systematic)
@@ -667,8 +691,10 @@ let run_sampling ?pool ?on_round (t : Flow.t) (v : Flow.variant) ~mode scfg =
                   (w, sysbuf)
               end
             in
-            let d = Postsilicon.simulate_die k sc ~systematic:sys_used rng in
-            die_values ~rare:scfg.s_rare d vbuf;
+            let d = Compensation.detect ctx sc ~systematic:sys_used rng in
+            let ovi = vi sc d in
+            let ocw = cw sc d in
+            die_values ~rare:scfg.s_rare d ~vi:ovi ~cw:ocw vbuf;
             for m = 0 to n_sampling_metrics - 1 do
               Welford.add acc.ga_metrics.(m) (w *. vbuf.(m))
             done;

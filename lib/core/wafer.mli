@@ -5,9 +5,9 @@
     over the exposure field — population yield is a wafer-level
     quantity.  This module sweeps a configurable [nx x ny] grid of die
     positions over the chip (optionally replicated across several
-    exposure fields of a wafer), runs the {!Postsilicon.simulate_die}
-    detect-and-compensate kernel for a batch of dies at every grid
-    point, and reduces each cell with streaming statistics
+    exposure fields of a wafer), runs {!Compensation.detect} and a list
+    of compensation strategies on a batch of dies at every grid point,
+    and reduces each cell with streaming statistics
     ({!Pvtol_util.Stream_stats}: Welford moments, P-square quantiles,
     scenario counters) — a 10k-die sweep retains no per-die data.
 
@@ -77,32 +77,66 @@ val cell_seed : config -> field:int -> ix:int -> iy:int -> int
 (** The RNG seed of one cell's die stream.  Exposed so tests can
     recompute any cell independently of the sweep. *)
 
+(** {2 The die sweep}
+
+    One streaming tally per grid cell, over any list of
+    {!Compensation} strategies: the census {!run} projects it onto the
+    paper's two ([vi], chip-wide), {!Compare.run} onto the strategies it
+    races. *)
+
+type strategy_tally = {
+  mutable meets : int;         (** dies meeting timing under the strategy *)
+  mutable knob_sum : int;      (** knob count summed over the dies *)
+  power : Pvtol_util.Stream_stats.Welford.t;  (** die power, mW *)
+  knob : Pvtol_util.Stream_stats.Welford.t;   (** knob count *)
+  area : Pvtol_util.Stream_stats.Welford.t;   (** exercised area, um2 *)
+  knobs : Pvtol_util.Stream_stats.Counter.t;
+      (** dies per knob count, [0..max_knob] *)
+}
+
+type tally = {
+  mutable n_dies : int;
+  mutable n_uncompensated : int;  (** dies with no violating stage *)
+  delay_ns : Pvtol_util.Stream_stats.Welford.t;
+      (** worst low-supply stage delay ({!Compensation.detect}) *)
+  delay_p50 : Pvtol_util.Stream_stats.P2.t;
+  delay_p90 : Pvtol_util.Stream_stats.P2.t;
+  violating : Pvtol_util.Stream_stats.Counter.t;
+      (** dies per violating-stage count, [0..List.length
+          Compensation.analyzed] *)
+  strategies : strategy_tally array;  (** in request order *)
+}
+
 type on_cell = completed:int -> total:int -> unit
 
-val drive :
-  ?pool:Pvtol_util.Pool.t -> ?on_cell:on_cell -> who:string -> Flow.variant ->
-  config -> scratch:(unit -> 's) ->
-  systematic:('s -> Pvtol_variation.Position.t -> 'p) -> acc:(unit -> 'a) ->
-  die:('s -> 'a -> systematic:'p -> Pvtol_util.Srng.t -> unit) -> 'a array
-(** The grid driver of {!run} and {!Compare.run}.  Per grid cell it
-    makes [acc ()] and calls [die] once per die, field-major, each field
-    on its {!cell_seed} stream, every die at the cell's
-    [systematic sc (cell_position ..)], computed once per cell with the
-    worker's scratch [sc] (so it may fill a buffer [sc] owns).  One pool
-    chunk per cell, [scratch] built once per worker; the accumulators come back row-major
+val tally :
+  ?pool:Pvtol_util.Pool.t -> ?on_cell:on_cell -> who:string ->
+  Compensation.ctx -> Compensation.strategy array -> Flow.variant ->
+  config -> tally array
+(** The library's one grid-cell x field x die loop.  Per grid cell it
+    runs every die field-major, each field on its {!cell_seed} stream,
+    every die at the cell's {!cell_position} map: one
+    {!Compensation.detect}, then each strategy's apply in array order.
+    One pool chunk per cell, one detect scratch and one apply state per
+    strategy per worker; the tallies come back row-major
     ([.(iy * nx + ix)]), bit-identical for every pool size.  [on_cell]
     fires after each cell from whichever domain finished it, with a
     monotone count; exceptions it raises are swallowed.
     [Invalid_argument] (prefixed by [who]) if the grid is empty or the
     variant's direction does not match the config. *)
 
+val tally_total : Compensation.strategy array -> tally array -> tally
+(** The row-major reduction of {!tally}'s cells: counts added, Welford
+    moments and counters merged in cell order, so totals are
+    bit-identical for every schedule.  P-square markers do not merge;
+    the total's [delay_p50] and [delay_p90] are empty. *)
+
 val run :
   ?pool:Pvtol_util.Pool.t -> ?on_cell:on_cell -> Flow.t -> Flow.variant ->
   config -> sweep
-(** The census: {!drive} with the {!Postsilicon.simulate_die} kernel
-    (detect, then voltage islands and chip-wide adaptation) on [pool]
-    (default: the shared pool), reduced row-major into per-cell and
-    wafer statistics.  Raises like {!drive}. *)
+(** The census: {!tally} with {!Postsilicon.kernel}'s [[| vi; cw |]] on
+    [pool] (default: the shared pool), projected into per-cell and wafer
+    statistics.  Raises like {!tally}. *)
 
 val config_label : config -> string
 (** The stage key, e.g. [8x8-d12-f1-s7-vertical]. *)
