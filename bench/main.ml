@@ -805,28 +805,7 @@ let kernels_mc ~quick () =
 (* ------------------------------------------------------------------ *)
 
 let exhibits =
-  [
-    ("fig2", fun _c -> Experiments.fig2_lgate_map ());
-    ("table1", Experiments.table1_breakdown);
-    ("fig3", Experiments.fig3_distributions);
-    ("scenarios", Experiments.scenarios_summary);
-    ("razor", Experiments.razor_sites);
-    ("fig4", Experiments.fig4_islands);
-    ("table2", Experiments.table2_level_shifters);
-    ("fig5", Experiments.fig5_total_power);
-    ("fig6", Experiments.fig6_leakage);
-    ("energy", Experiments.energy_note);
-    ("validate", Experiments.compensation_check);
-    ("ablation", Experiments.grouping_ablation);
-    ("alternatives", Experiments.alternatives_comparison);
-    ("crosscheck", Experiments.ssta_crosscheck);
-    ("clocktree", Experiments.clock_tree_note);
-    ("routing", Experiments.routing_note);
-    ("powergrid", Experiments.power_integrity);
-    ("workloads", Experiments.workload_sensitivity);
-    ("postsilicon", Experiments.postsilicon_study);
-    ("wafer", Experiments.wafer_study);
-  ]
+  List.map (fun (name, _, render) -> (name, render)) Experiments.exhibits
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in

@@ -174,65 +174,15 @@ let exhibit_cmd name doc render =
       const run $ quick $ samples $ seed $ trace_flag $ trace_out
       $ metrics_out $ trace_chrome $ run_ledger)
 
-let fig2_cmd =
-  let run () = print_string (Experiments.fig2_lgate_map ()) in
-  Cmd.v
-    (Cmd.info "fig2" ~doc:"Systematic Lgate map over the chip (Fig. 2).")
-    Term.(const run $ const ())
-
+(* Every registered exhibit but [wafer], whose name belongs to the sweep
+   command below, then [all]. *)
 let cmds_exhibits =
-  [
-    fig2_cmd;
-    exhibit_cmd "table1" "Area/power breakdown of the VEX design (Table 1)."
-      Experiments.table1_breakdown;
-    exhibit_cmd "fig3"
-      "Per-stage critical-path slack distributions at point A (Fig. 3)."
-      Experiments.fig3_distributions;
-    exhibit_cmd "scenarios"
-      "Timing-violation scenarios along the chip diagonal (section 4.4)."
-      Experiments.scenarios_summary;
-    exhibit_cmd "razor" "Razor sensing-site selection (section 4.4)."
-      Experiments.razor_sites;
-    exhibit_cmd "fig4" "Voltage-island generation, both slicings (Fig. 4)."
-      Experiments.fig4_islands;
-    exhibit_cmd "table2" "Level-shifter overhead (Table 2)."
-      Experiments.table2_level_shifters;
-    exhibit_cmd "fig5" "Total power per violation scenario (Fig. 5)."
-      Experiments.fig5_total_power;
-    exhibit_cmd "fig6" "Leakage power per violation scenario (Fig. 6)."
-      Experiments.fig6_leakage;
-    exhibit_cmd "energy" "Energy ratios including the VI slowdown (section 5)."
-      Experiments.energy_note;
-    exhibit_cmd "validate"
-      "Monte-Carlo check that every scenario is compensated."
-      Experiments.compensation_check;
-    exhibit_cmd "ablation"
-      "Cell-grouping strategy ablation (placement-aware vs logic-based)."
-      Experiments.grouping_ablation;
-    exhibit_cmd "clocktree"
-      "Clock-tree synthesis and the ideal-clock assumption check."
-      Experiments.clock_tree_note;
-    exhibit_cmd "crosscheck"
-      "Analytic (Clark) SSTA vs Monte-Carlo cross-validation."
-      Experiments.ssta_crosscheck;
-    exhibit_cmd "alternatives"
-      "Compensation alternatives of section 1 (guard-band, retiming, AVS, ABB, islands)."
-      Experiments.alternatives_comparison;
-    exhibit_cmd "routing"
-      "Global routing: estimate vs routed wirelength and congestion."
-      Experiments.routing_note;
-    exhibit_cmd "powergrid"
-      "IR-drop feasibility of each grouping strategy's supply network."
-      Experiments.power_integrity;
-    exhibit_cmd "workloads"
-      "Workload sensitivity of the power comparison (5 verified benchmarks)."
-      Experiments.workload_sensitivity;
-    exhibit_cmd "postsilicon"
-      "Detect-and-compensate study over a sampled chip population."
-      Experiments.postsilicon_study;
-    exhibit_cmd "all" "Every table and figure, in paper order."
-      Experiments.all;
-  ]
+  List.filter_map
+    (fun (name, doc, render) ->
+      if name = "wafer" then None else Some (exhibit_cmd name doc render))
+    Experiments.exhibits
+  @ [ exhibit_cmd "all" "Every table and figure, in paper order."
+        Experiments.all ]
 
 (* ------------------------------------------------------------------ *)
 (* Wafer sweep                                                          *)

@@ -83,7 +83,8 @@ let run ?pool (t : Flow.t) (v : Flow.variant) cfg =
   in
   let total =
     Wafer.tally_total strategies
-      (Wafer.tally ?pool ~who:"Compare.run" ctx strategies v (wafer_config cfg))
+      (Wafer.tally ?pool ctx strategies
+         (Wafer.grid_sites ~who:"Compare.run" v (wafer_config cfg)))
   in
   Metrics.add m_compare_dies total.Wafer.n_dies;
   let dies = float_of_int total.Wafer.n_dies in

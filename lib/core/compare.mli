@@ -11,7 +11,8 @@
     differential tests — while the skew-tuning and tunable-buffer
     rivals answer the question no single source paper does: how do the
     competing knobs trade yield against power and area.  The sweep is
-    {!Wafer.tally}, projected onto its {!Wafer.tally_total}, so reports
+    {!Wafer.tally} over {!Wafer.grid_sites}, projected onto its
+    {!Wafer.tally_total}, so reports
     are bit-identical for every [PVTOL_DOMAINS]. *)
 
 type config = {

@@ -20,7 +20,7 @@ let m_buffers_inserted = Metrics.counter "buffers_inserted_total"
 let m_dies = Metrics.counter "postsilicon_dies_total"
 let m_raised = Metrics.counter "postsilicon_islands_raised_total"
 
-let analyzed = [ Stage.Decode; Stage.Execute; Stage.Writeback ]
+let analyzed = Pvtol_ssta.Scenario.analyzed_stages
 
 (* ------------------------------------------------------------------ *)
 (* Shared per-die physics                                               *)
@@ -269,6 +269,13 @@ let chip_wide c =
           { meets; knob = 1; power_mw = c.power_chip_wide; area_um2 = 0.0 }
         end);
   }
+
+(* The paper's two reference strategies on one detect context. *)
+type kernel = { ctx : ctx; vi : strategy; cw : strategy }
+
+let kernel (t : Flow.t) (v : Flow.variant) =
+  let ctx = context t in
+  { ctx; vi = voltage_islands t ctx v; cw = chip_wide ctx }
 
 (* ------------------------------------------------------------------ *)
 (* Strategy 3: post-silicon clock-skew tuning                           *)

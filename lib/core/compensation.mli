@@ -25,8 +25,8 @@
 open Pvtol_netlist
 
 val analyzed : Stage.t list
-(** The capture stages whose violation defines a scenario (Decode,
-    Execute, Writeback — the ladder of paper section 4.4). *)
+(** {!Pvtol_ssta.Scenario.analyzed_stages}, the capture stages whose
+    violation defines a scenario. *)
 
 (** {2 Shared per-die physics} *)
 
@@ -117,6 +117,21 @@ val voltage_islands : Flow.t -> ctx -> Flow.variant -> strategy
 val chip_wide : ctx -> strategy
 (** Traditional full-chip adaptation: everything to 1.2V whenever
     anything fails.  [knob] = 1 iff the die needed the raise. *)
+
+type kernel = {
+  ctx : ctx;
+  vi : strategy;  (** the paper's voltage islands *)
+  cw : strategy;  (** chip-wide 1.2V adaptation *)
+}
+(** The paper's two reference strategies on one detect context.
+    Immutable; safe to share across domains.  A die is {!detect} on
+    [ctx], then each strategy's apply. *)
+
+val kernel : Flow.t -> Flow.variant -> kernel
+(** Forces the flow stages the die loop reads (netlist, placement, STA,
+    sampler, clock, the variant's power configurations at position B);
+    afterwards a die touches no stage graph and no shared mutable
+    state. *)
 
 val skew_tuning :
   ?range_frac:float -> ?steps:int -> ctx -> strategy

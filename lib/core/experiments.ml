@@ -45,6 +45,8 @@ let fig2_lgate_map () =
 
 (* ------------------------------------------------------------------ *)
 
+(* Table 1, plus the headline implementation results of §4.2: fmax,
+   area, total power, leakage share, critical-path composition. *)
 let table1_breakdown (t : Flow.t) =
   let nl = Flow.netlist t in
   let clock = Flow.clock t in
@@ -351,6 +353,9 @@ let energy_note ctx =
 
 (* ------------------------------------------------------------------ *)
 
+(* Methodology validation (not a paper exhibit): Monte Carlo re-run with
+   the islands raised, each scenario back within 3-sigma nominal
+   performance. *)
 let compensation_check ctx =
   let t = ctx in
   let clock = Flow.clock t in
@@ -393,6 +398,9 @@ let compensation_check ctx =
 
 (* ------------------------------------------------------------------ *)
 
+(* §3's argument and its "further cell grouping strategies" future work:
+   placement-aware slices vs logic-based (functional-unit) selection, on
+   high-Vdd cell count, level-shifter demand and domain fragmentation. *)
 let grouping_ablation ctx =
   let t = ctx in
   let tbl =
@@ -465,6 +473,7 @@ let grouping_ablation ctx =
      geometric slices do not have, is exactly the predictability argument\n\
      of §3.)\n"
 
+(* The check that the flow's ideal-clock assumption is harmless. *)
 let clock_tree_note ctx =
   let t = ctx in
   let module CT = Pvtol_timing.Clock_tree in
@@ -521,7 +530,7 @@ let ssta_crosscheck ctx =
                 Table.fcell (An.three_sigma g);
               ]
           | _ -> ())
-        [ Stage.Decode; Stage.Execute; Stage.Writeback ])
+        Scenario.analyzed_stages)
     [ Position.point_a; Position.point_c ];
   heading "Validation — analytic (Clark) SSTA vs Monte Carlo"
   ^ Table.render tbl
@@ -530,6 +539,8 @@ let ssta_crosscheck ctx =
      both engines and lets island-growth checks run hundreds of times\n\
      faster than a full Monte Carlo would)\n"
 
+(* §1's motivating comparison at the worst-case die position: the
+   achieved frequency and power cost of each alternative. *)
 let alternatives_comparison ctx =
   let t = ctx in
   let clock = Flow.clock t in
@@ -541,7 +552,7 @@ let alternatives_comparison ctx =
   let worst =
     List.fold_left
       (fun acc s -> match three_sigma s with Some d -> Float.max acc d | None -> acc)
-      0.0 [ Stage.Decode; Stage.Execute; Stage.Writeback ]
+      0.0 Scenario.analyzed_stages
   in
   let p_low =
     Power.total_mw (Flow.power_at t Flow.Baseline_low).Power.total
@@ -598,6 +609,7 @@ let alternatives_comparison ctx =
      this library is low-power); the islands trade a small shifter\n\
      overhead for not raising the whole chip.\n"
 
+(* The check that the level-shifter ECO leaves the design routable. *)
 let routing_note ctx =
   let t = ctx in
   let module Router = Pvtol_place.Router in
@@ -640,6 +652,8 @@ let routing_note ctx =
       r.Sta.worst (Flow.clock t)
       (100.0 *. (r.Sta.worst -. Flow.clock t) /. Flow.clock t)
 
+(* §4.5's "facilitate the synthesis of power supply networks" argument,
+   measured at each grouping strategy's 3-islands-raised domain. *)
 let power_integrity ctx =
   let t = ctx in
   let high =
@@ -706,6 +720,9 @@ let power_integrity ctx =
      of the cells, while slab islands cover exactly their own extent and\n\
      touch the boundary everywhere — §4.5's reason for slice shapes)\n"
 
+(* The paper measures power under one FIR benchmark; this re-derives the
+   headline comparison (1 island at C vs chip-wide) under four more
+   unit mixes. *)
 let workload_sensitivity ctx =
   let t = ctx in
   let v = vertical ctx in
@@ -793,7 +810,7 @@ let postsilicon_study ctx =
   let hist = Array.make 4 0 in
   List.iter
     (fun (c : Postsilicon.chip) ->
-      let i = min 3 c.Postsilicon.detected in
+      let i = min 3 c.Postsilicon.violating in
       hist.(i) <- hist.(i) + 1)
     s.Postsilicon.chips;
   Buffer.add_string buf "  dies per detected scenario: ";
@@ -821,30 +838,52 @@ let wafer_study ctx =
      O(1)-space Welford / P-square estimators, never per-die arrays)\n";
   Buffer.contents buf
 
+let exhibits =
+  [
+    ("fig2", "Systematic Lgate map over the chip (Fig. 2).",
+     fun _ -> fig2_lgate_map ());
+    ("table1", "Area/power breakdown of the VEX design (Table 1).",
+     table1_breakdown);
+    ("fig3", "Per-stage critical-path slack distributions at point A (Fig. 3).",
+     fig3_distributions);
+    ("scenarios",
+     "Timing-violation scenarios along the chip diagonal (section 4.4).",
+     scenarios_summary);
+    ("razor", "Razor sensing-site selection (section 4.4).", razor_sites);
+    ("fig4", "Voltage-island generation, both slicings (Fig. 4).", fig4_islands);
+    ("table2", "Level-shifter overhead (Table 2).", table2_level_shifters);
+    ("fig5", "Total power per violation scenario (Fig. 5).", fig5_total_power);
+    ("fig6", "Leakage power per violation scenario (Fig. 6).", fig6_leakage);
+    ("energy", "Energy ratios including the VI slowdown (section 5).",
+     energy_note);
+    ("validate", "Monte-Carlo check that every scenario is compensated.",
+     compensation_check);
+    ("ablation",
+     "Cell-grouping strategy ablation (placement-aware vs logic-based).",
+     grouping_ablation);
+    ("routing", "Global routing: estimate vs routed wirelength and congestion.",
+     routing_note);
+    ("clocktree", "Clock-tree synthesis and the ideal-clock assumption check.",
+     clock_tree_note);
+    ("crosscheck", "Analytic (Clark) SSTA vs Monte-Carlo cross-validation.",
+     ssta_crosscheck);
+    ("alternatives",
+     "Compensation alternatives of section 1 (guard-band, retiming, AVS, ABB, \
+      islands).",
+     alternatives_comparison);
+    ("powergrid",
+     "IR-drop feasibility of each grouping strategy's supply network.",
+     power_integrity);
+    ("workloads",
+     "Workload sensitivity of the power comparison (5 verified benchmarks).",
+     workload_sensitivity);
+    ("postsilicon", "Detect-and-compensate study over a sampled chip population.",
+     postsilicon_study);
+    ("wafer", "Wafer-scale 2D yield sweep over a coarse die grid.", wafer_study);
+  ]
+
 let all ctx =
   (* Warm the Monte-Carlo stage for all four die positions as parallel
      tasks before the exhibits (fig3, scenarios, razor, ...) read it. *)
   ignore (Flow.mc_all ctx);
-  String.concat "\n"
-    [
-      fig2_lgate_map ();
-      table1_breakdown ctx;
-      fig3_distributions ctx;
-      scenarios_summary ctx;
-      razor_sites ctx;
-      fig4_islands ctx;
-      table2_level_shifters ctx;
-      fig5_total_power ctx;
-      fig6_leakage ctx;
-      energy_note ctx;
-      compensation_check ctx;
-      grouping_ablation ctx;
-      routing_note ctx;
-      clock_tree_note ctx;
-      ssta_crosscheck ctx;
-      alternatives_comparison ctx;
-      power_integrity ctx;
-      workload_sensitivity ctx;
-      postsilicon_study ctx;
-      wafer_study ctx;
-    ]
+  String.concat "\n" (List.map (fun (_, _, render) -> render ctx) exhibits)

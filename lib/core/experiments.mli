@@ -1,6 +1,7 @@
 (** Reproduction harness: one entry per table and figure of the paper's
-    evaluation.  Every function renders the same rows/series the paper
-    reports (see EXPERIMENTS.md for the side-by-side comparison).
+    evaluation, plus the extensions.  Every exhibit renders the same
+    rows/series the paper reports (see EXPERIMENTS.md for the
+    side-by-side comparison).
 
     A [context] is simply a {!Flow.t} handle: the stage graph memoizes
     every intermediate (placement, STA, Monte Carlo per position, both
@@ -13,107 +14,13 @@ type context = Flow.t
 val make_context : ?config:Flow.config -> unit -> context
 (** [Flow.prepare]: cheap, declares the stage graph only. *)
 
-(** {2 Individual experiments} *)
-
-val fig2_lgate_map : unit -> string
-(** Fig. 2: systematic Lgate map over the 14x14 mm chip. *)
-
-val table1_breakdown : Flow.t -> string
-(** Table 1: area and power breakdown of the VEX design, plus the
-    headline implementation results of §4.2 (fmax, area, total power,
-    leakage share, critical-path composition). *)
-
-val fig3_distributions : Flow.t -> string
-(** Fig. 3: per-stage critical-path slack distributions at point A,
-    with normal fits and the chi-square acceptance of §4.3. *)
-
-val scenarios_summary : Flow.t -> string
-(** §4.4: violation scenarios at points A-D and the 10% worst-case
-    frequency-degradation figure. *)
-
-val razor_sites : Flow.t -> string
-(** §4.4: Razor sensing sites per stage at point A ("we had 12 signal
-    paths becoming critical" for execute). *)
-
-val fig4_islands : context -> string
-(** Fig. 4: island geometry for both slicing directions. *)
-
-val table2_level_shifters : context -> string
-(** Table 2: level-shifter count, area share and power share at points
-    A/B/C for both slicings, plus post-insertion degradation. *)
-
-val fig5_total_power : context -> string
-(** Fig. 5: normalized total power of chip-wide high Vdd vs the six
-    island configurations, per violation scenario. *)
-
-val fig6_leakage : context -> string
-(** Fig. 6: normalized leakage power of the same configurations. *)
-
-val energy_note : context -> string
-(** §5 closing note: energy ratios once the VI designs' slowdown is
-    accounted for. *)
-
-val compensation_check : context -> string
-(** Methodology validation (not a paper exhibit): Monte-Carlo re-run
-    with islands raised, confirming each scenario is brought back
-    within (3-sigma) nominal performance. *)
-
-val grouping_ablation : context -> string
-(** Ablation of the cell-grouping strategy (§3's argument + the
-    "further cell grouping strategies" future work): placement-aware
-    vertical/horizontal/quadrant slicing vs logic-based (functional
-    unit) selection, compared on high-Vdd cell count, level-shifter
-    demand and spatial fragmentation of the resulting power domains. *)
-
-val clock_tree_note : context -> string
-(** Clock-tree synthesis over the placed flops: buffer count, levels,
-    wirelength, and the skew's impact on the nominal clock — the check
-    that the flow's ideal-clock assumption is harmless. *)
-
-val ssta_crosscheck : context -> string
-(** Validation: the single-traversal analytic SSTA (Clark max, §2's
-    PERT-like approach) against the Monte-Carlo engine, per stage and
-    die position. *)
-
-val alternatives_comparison : context -> string
-(** §1's motivating comparison, quantified on the reproduced design:
-    guard-banding, clock-skew retiming (ReCycle-style), chip-wide
-    supply adaptation, adaptive body bias, and the paper's voltage
-    islands — achieved frequency and power cost of each at the
-    worst-case die position. *)
-
-val routing_note : context -> string
-(** Global routing over the placed design, before and after
-    level-shifter insertion: routed wirelength vs the HPWL/Steiner
-    estimate, congestion, and the timing impact of routed lengths —
-    the check that the ECO insertion leaves the design routable. *)
-
-val power_integrity : context -> string
-(** IR-drop feasibility of the high-Vdd supply network for each
-    grouping strategy's worst-case (3-islands-raised) domain — the
-    measurable form of §4.5's "facilitate the synthesis of power supply
-    networks" argument. *)
-
-val workload_sensitivity : context -> string
-(** The paper measures power under a single FIR benchmark; this exhibit
-    re-derives the headline normalized comparison (1 island at point C
-    vs chip-wide adaptation) under four more workloads with different
-    unit mixes, showing how much the normalized savings depend on the
-    benchmark choice. *)
-
-val postsilicon_study : context -> string
-(** Post-silicon compensation across a sampled chip population:
-    per-die Razor detection of the violation scenario, island raising,
-    and the resulting timing yield and power vs chip-wide adaptation
-    (the deployment story of §1, evaluated end to end). *)
-
-val wafer_study : context -> string
-(** Wafer-scale extension of {!postsilicon_study}: the same
-    detect-and-compensate loop swept over a 2D grid of die positions
-    ({!Wafer}), rendered as wafer aggregates plus ASCII yield /
-    compensation heat maps.  The diagonal study is the x=y line of
-    these maps. *)
+val exhibits : (string * string * (context -> string)) list
+(** Every exhibit as [(name, one-line doc, render)], in paper order:
+    the paper's figures and tables ([fig2] .. [energy]), then the
+    extensions.  The one registry {!all}, the CLI's exhibit subcommands
+    and the bench dispatcher read. *)
 
 val all : context -> string
-(** Every exhibit in paper order (warms the Monte-Carlo stage for all
-    die positions on the domain pool first). *)
+(** Every exhibit of {!exhibits}, in order, joined by blank lines
+    (warms the Monte-Carlo stage for all die positions on the domain
+    pool first). *)

@@ -11,8 +11,6 @@ type t = {
 
 exception Infeasible of string
 
-let checked_stages = [ Stage.Decode; Stage.Execute; Stage.Writeback ]
-
 let generate ?(corner_kappa = 0.35) ~sta ~placement ~sampler ~clock ~targets () =
   ignore placement;
   let nl = Sta.netlist sta in
@@ -63,7 +61,7 @@ let generate ?(corner_kappa = 0.35) ~sta ~placement ~sampler ~clock ~targets () 
         match Sta.stage_delay r s with
         | Some d -> d <= clock +. 1e-9
         | None -> true)
-      checked_stages
+      Pvtol_ssta.Scenario.analyzed_stages
   in
   let units_per_scenario = Array.make (List.length targets) [] in
   List.iteri

@@ -1,10 +1,11 @@
 module Position = Pvtol_variation.Position
 module Srng = Pvtol_util.Srng
+module Welford = Pvtol_util.Stream_stats.Welford
+module Counter = Pvtol_util.Stream_stats.Counter
 
 type chip = {
   diagonal_frac : float;
   violating : int;
-  detected : int;
   raised : int;
   meets_uncompensated : bool;
   meets_compensated : bool;
@@ -21,62 +22,56 @@ type study = {
   mean_power_chip_wide_mw : float;
 }
 
-(* ------------------------------------------------------------------ *)
-(* The paper's two reference strategies on one detect context          *)
-
-type kernel = {
-  ctx : Compensation.ctx;
-  vi : Compensation.strategy;
-  cw : Compensation.strategy;
-}
-
-let kernel (t : Flow.t) (v : Flow.variant) =
-  let ctx = Compensation.context t in
-  {
-    ctx;
-    vi = Compensation.voltage_islands t ctx v;
-    cw = Compensation.chip_wide ctx;
-  }
+let kernel = Compensation.kernel
 
 (* ------------------------------------------------------------------ *)
-(* Population study along the chip diagonal (the original exhibit)      *)
+(* Population study along the chip diagonal                             *)
 
-let run ?(n_chips = 40) ?(seed = 7) (t : Flow.t) (v : Flow.variant) =
+let run ?(n_chips = 40) ?(seed = 7) ?pool (t : Flow.t) (v : Flow.variant) =
   let k = kernel t v in
-  let sc = Compensation.scratch k.ctx in
-  let vi = k.vi.Compensation.fresh_apply () in
-  let cw = k.cw.Compensation.fresh_apply () in
-  let rng = Srng.create seed in
-  let chips = ref [] in
-  (* Population power, summed in chip order: the islands scheme at each
-     chip's raised level, chip-wide adaptation raising everything on
-     any failing die. *)
-  let power_islands = ref 0.0 and power_chip_wide = ref 0.0 in
-  for _ = 1 to n_chips do
-    let frac = Srng.uniform rng in
-    let systematic =
-      Compensation.systematic_into k.ctx sc (Position.at_fraction frac)
-    in
-    let d = Compensation.detect k.ctx sc ~systematic rng in
-    let ovi = vi sc d in
-    let ocw = cw sc d in
-    power_islands := !power_islands +. ovi.Compensation.power_mw;
-    power_chip_wide := !power_chip_wide +. ocw.Compensation.power_mw;
-    chips :=
-      {
-        diagonal_frac = frac;
-        violating = d.Compensation.violating;
-        detected = d.Compensation.violating;
-        raised = ovi.Compensation.knob;
-        meets_uncompensated = d.Compensation.violating = 0;
-        meets_compensated = ovi.Compensation.meets;
-        meets_chip_wide = ocw.Compensation.meets;
-      }
-      :: !chips
-  done;
-  let chips = List.rev !chips in
+  let n = Pvtol_netlist.Netlist.cell_count (Flow.netlist t) in
+  (* The study is one serial stream: per chip, one uniform for the die
+     position, then the die's [n] Lgate gaussians.  Chip [i] resumes it
+     at its start, so every chip is a one-die site of its own. *)
+  let starts =
+    Array.init n_chips (fun i ->
+        let rng = Srng.create_after ~uniforms:i ~gaussians:(i * n) seed in
+        (Srng.uniform rng, rng))
+  in
+  let site (frac, rng) =
+    { Wafer.position = Position.at_fraction frac; streams = [| rng |];
+      dies_per_stream = 1 }
+  in
+  let tallies =
+    Wafer.tally ?pool k.Compensation.ctx
+      [| k.Compensation.vi; k.Compensation.cw |]
+      (Array.map site starts)
+  in
+  let chip (frac, _) (ta : Wafer.tally) =
+    let vi = ta.Wafer.strategies.(0) and cw = ta.Wafer.strategies.(1) in
+    let scenarios = Counter.to_array ta.Wafer.violating in
+    let rec violating s = if scenarios.(s) > 0 then s else violating (s + 1) in
+    {
+      diagonal_frac = frac;
+      violating = violating 0;
+      raised = vi.Wafer.knob_sum;
+      meets_uncompensated = ta.Wafer.n_uncompensated = 1;
+      meets_compensated = vi.Wafer.meets = 1;
+      meets_chip_wide = cw.Wafer.meets = 1;
+    }
+  in
+  let chips = Array.to_list (Array.map2 chip starts tallies) in
   let per_chip x = x /. float_of_int n_chips in
   let frac_of f = per_chip (float_of_int (List.length (List.filter f chips))) in
+  (* Population power, summed in chip order: each one-die tally's mean
+     is that die's power exactly. *)
+  let power s =
+    per_chip
+      (Array.fold_left
+         (fun acc (ta : Wafer.tally) ->
+           acc +. Welford.mean ta.Wafer.strategies.(s).Wafer.power)
+         0.0 tallies)
+  in
   {
     chips;
     yield_uncompensated = frac_of (fun c -> c.meets_uncompensated);
@@ -85,8 +80,8 @@ let run ?(n_chips = 40) ?(seed = 7) (t : Flow.t) (v : Flow.variant) =
     mean_raised =
       per_chip
         (float_of_int (List.fold_left (fun acc c -> acc + c.raised) 0 chips));
-    mean_power_islands_mw = per_chip !power_islands;
-    mean_power_chip_wide_mw = per_chip !power_chip_wide;
+    mean_power_islands_mw = power 0;
+    mean_power_chip_wide_mw = power 1;
   }
 
 let pp fmt s =

@@ -12,19 +12,19 @@
     - the paper's island scheme (raise exactly the detected scenario's
       islands).
 
-    The per-die loop is {!Compensation}'s: one shared detect pass, then
-    the [Vi] and [Chipwide] strategies, which {!kernel} bundles on one
-    detect context.  The same loop drives the wafer census
-    ({!Wafer.run}) and the strategy comparison ({!Compare.run}), so the
-    three studies share the exact same per-die physics.
+    Each chip is a one-die site of {!Wafer.tally}, the loop the wafer
+    census ({!Wafer.run}) and the strategy comparison ({!Compare.run})
+    share, so the three studies run the exact same per-die physics and
+    the study runs on the domain pool.  It detects once, then applies
+    {!Compensation.kernel}'s [vi] and [cw] strategies.
 
     This is an extension beyond the paper's exhibits: it validates the
     closed detect-and-compensate loop the methodology is designed for. *)
 
 type chip = {
   diagonal_frac : float;    (** die position on the chip diagonal *)
-  violating : int;          (** stages actually failing at 1.0V *)
-  detected : int;           (** scenario the sensors report *)
+  violating : int;          (** stages failing at 1.0V, the scenario the
+                                ideal sensors report *)
   raised : int;             (** islands the controller raises *)
   meets_uncompensated : bool;
   meets_compensated : bool;
@@ -43,37 +43,28 @@ type study = {
   mean_power_chip_wide_mw : float;
 }
 
-(** {2 The reference strategies} *)
-
-type kernel = {
-  ctx : Compensation.ctx;
-  vi : Compensation.strategy;  (** the paper's voltage islands *)
-  cw : Compensation.strategy;  (** chip-wide 1.2V adaptation *)
-}
-(** The paper's two reference strategies on one detect context.
-    Immutable; safe to share across domains.  A die is
-    {!Compensation.detect} on [ctx], then each strategy's apply. *)
-
-val kernel : Flow.t -> Flow.variant -> kernel
-(** Forces the flow stages the die loop reads (netlist, placement, STA,
-    sampler, clock, the variant's power configurations at position B);
-    afterwards a die touches no stage graph and no shared mutable
-    state. *)
+val kernel : Flow.t -> Flow.variant -> Compensation.kernel
+(** {!Compensation.kernel}: the study's two strategies on one detect
+    context. *)
 
 (** {2 Population study along the chip diagonal} *)
 
 val run :
   ?n_chips:int ->
   ?seed:int ->
+  ?pool:Pvtol_util.Pool.t ->
   Flow.t ->
   Flow.variant ->
   study
-(** Default: 40 chips, seed 7.  Each chip's die position is uniform on
-    the chip diagonal; detection uses the per-die STA (ideal sensors on
-    every flop — the paper's Razor subset detects the same scenario by
-    construction since it monitors every path that can become
-    critical).  Per chip: one uniform for the die position, then
-    {!Compensation.detect} and the [vi] and [cw] applies of {!kernel};
-    bit-identical to the original dedicated loop. *)
+(** Default: 40 chips, seed 7, the shared pool.  Each chip's die
+    position is uniform on the chip diagonal; detection uses the
+    per-die STA (ideal sensors on every flop — the paper's Razor subset
+    detects the same scenario by construction since it monitors every
+    path that can become critical).  The study is one serial stream
+    from [seed]: per chip, one uniform for the die position, then
+    {!Compensation.detect}'s gaussians.  Chip [i] resumes it at its
+    start ({!Pvtol_util.Srng.create_after}) as a one-die {!Wafer.tally}
+    site, and the study is a parallel projection of the chips' tallies,
+    bit-identical for every pool size and to the serial replay. *)
 
 val pp : Format.formatter -> study -> unit

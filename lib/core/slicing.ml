@@ -25,10 +25,6 @@ let corner_scale ~sampler ~systematic ~corner_kappa ~vdd cid =
   in
   Sampler.delay_scale sampler ~lgate_nm ~vdd:(vdd cid)
 
-(* Stages whose violations the methodology compensates (fetch excluded,
-   as in the paper). *)
-let checked_stages = [ Stage.Decode; Stage.Execute; Stage.Writeback ]
-
 let pick_side direction density =
   (* Restrict the density choice to the sides compatible with the
      slicing orientation. *)
@@ -116,7 +112,7 @@ let generate ?(corner_kappa = 0.35) ?(tolerance_um = 2.0) ~direction ?side ~sta
         match Sta.stage_delay r s with
         | Some d -> d <= clock +. 1e-9
         | None -> true)
-      checked_stages
+      Pvtol_ssta.Scenario.analyzed_stages
   in
   let extent = match direction with
     | Island.Vertical | Island.Quadrant -> Geom.width core

@@ -13,8 +13,8 @@ module Counter = Stream_stats.Counter
 module Position = Pvtol_variation.Position
 module Sampler = Pvtol_variation.Sampler
 module Metrics = Pvtol_util.Metrics
-module Monte_carlo = Pvtol_ssta.Monte_carlo
 module Smart_sampling = Pvtol_ssta.Smart_sampling
+module Scenario = Pvtol_ssta.Scenario
 module Json = Pvtol_util.Json
 
 let m_cells = Metrics.counter "wafer_cells_total"
@@ -80,11 +80,31 @@ let cell_position cfg ~ix ~iy =
 
 (* Every cell's RNG stream depends only on (seed, field, ix, iy), never
    on traversal order or domain count. *)
-let cell_seed cfg ~field ~ix ~iy =
-  Monte_carlo.substream_seed cfg.seed [ field; iy; ix ]
+let cell_seed cfg ~field ~ix ~iy = Srng.substream_seed cfg.seed [ field; iy; ix ]
+
+type site = {
+  position : Position.t;
+  streams : Srng.t array;
+  dies_per_stream : int;
+}
+
+let grid_sites ~who (v : Flow.variant) cfg =
+  if cfg.nx <= 0 || cfg.ny <= 0 || cfg.dies_per_cell <= 0 || cfg.fields <= 0
+  then invalid_arg (who ^ ": grid, dies and fields must be positive");
+  if v.Flow.direction <> cfg.direction then
+    invalid_arg (who ^ ": variant direction does not match the config");
+  Array.init (cfg.nx * cfg.ny) (fun c ->
+      let ix = c mod cfg.nx and iy = c / cfg.nx in
+      {
+        position = cell_position cfg ~ix ~iy;
+        streams =
+          Array.init cfg.fields (fun field ->
+              Srng.create (cell_seed cfg ~field ~ix ~iy));
+        dies_per_stream = cfg.dies_per_cell;
+      })
 
 (* ------------------------------------------------------------------ *)
-(* The die sweep: one streaming tally per cell                         *)
+(* The die sweep: one streaming tally per site                         *)
 
 type strategy_tally = {
   mutable meets : int;
@@ -112,7 +132,7 @@ let tally_create (strategies : Compensation.strategy array) =
     delay_ns = Welford.create ();
     delay_p50 = P2.create 0.5;
     delay_p90 = P2.create 0.9;
-    violating = Counter.create (List.length Compensation.analyzed + 1);
+    violating = Counter.create (List.length Scenario.analyzed_stages + 1);
     strategies =
       Array.map
         (fun (s : Compensation.strategy) ->
@@ -146,53 +166,46 @@ let tally_outcome st (o : Compensation.outcome) =
 
 type on_cell = completed:int -> total:int -> unit
 
-let tally ?pool ?on_cell ~who ctx strategies (v : Flow.variant) cfg =
-  if cfg.nx <= 0 || cfg.ny <= 0 || cfg.dies_per_cell <= 0 || cfg.fields <= 0
-  then invalid_arg (who ^ ": grid, dies and fields must be positive");
-  if v.Flow.direction <> cfg.direction then
-    invalid_arg (who ^ ": variant direction does not match the config");
+let tally ?pool ?on_cell ctx strategies sites =
   let pool = match pool with Some p -> p | None -> Pool.shared () in
-  let total_cells = cfg.nx * cfg.ny in
+  let total_sites = Array.length sites in
   let completed = Atomic.make 0 in
-  (* One chunk per grid cell; a worker reuses its detect scratch and
-     one private apply state per strategy across every cell it picks
-     up.  All of a cell's dies (over every field replica) run serially
-     inside its chunk in a fixed field-major order, each detected once
-     and then compensated by every strategy in request order, so the
-     per-cell tallies — including the order-sensitive P^2 markers —
-     are independent of scheduling. *)
-  Pool.parallel_chunks pool ~chunks:total_cells
+  (* One chunk per site; a worker reuses its detect scratch and one
+     private apply state per strategy across every site it picks up.
+     All of a site's dies run serially inside its chunk, stream by
+     stream, each detected once and then compensated by every strategy
+     in request order, so the per-site tallies — including the
+     order-sensitive P^2 markers — are independent of scheduling. *)
+  Pool.parallel_chunks pool ~chunks:total_sites
     ~init:(fun ~worker:_ ->
       ( Compensation.scratch ctx,
         Array.map (fun s -> s.Compensation.fresh_apply ()) strategies ))
     ~f:(fun (sc, applies) c ->
-      let ix = c mod cfg.nx and iy = c / cfg.nx in
-      let systematic =
-        Compensation.systematic_into ctx sc (cell_position cfg ~ix ~iy)
-      in
+      let site = sites.(c) in
+      let systematic = Compensation.systematic_into ctx sc site.position in
       let ta = tally_create strategies in
-      for field = 0 to cfg.fields - 1 do
-        let rng = Srng.create (cell_seed cfg ~field ~ix ~iy) in
-        for _ = 1 to cfg.dies_per_cell do
-          let d = Compensation.detect ctx sc ~systematic rng in
-          tally_die ta d;
-          for i = 0 to Array.length applies - 1 do
-            tally_outcome ta.strategies.(i) (applies.(i) sc d)
-          done
-        done
-      done;
+      Array.iter
+        (fun rng ->
+          for _ = 1 to site.dies_per_stream do
+            let d = Compensation.detect ctx sc ~systematic rng in
+            tally_die ta d;
+            for i = 0 to Array.length applies - 1 do
+              tally_outcome ta.strategies.(i) (applies.(i) sc d)
+            done
+          done)
+        site.streams;
       (* Progress callbacks fire from whichever domain finished the
-         cell; the count is an Atomic so it is monotone across them.
+         site; the count is an Atomic so it is monotone across them.
          A raising callback would poison the sweep — swallow. *)
       (match on_cell with
       | None -> ()
       | Some f -> (
         let done_ = 1 + Atomic.fetch_and_add completed 1 in
-        try f ~completed:done_ ~total:total_cells with _ -> ()));
+        try f ~completed:done_ ~total:total_sites with _ -> ()));
       ta)
 
 let tally_total strategies tallies =
-  (* Ordered reduction (row-major), so totals are bit-identical no
+  (* Ordered reduction (site order), so totals are bit-identical no
      matter how the chunks were scheduled. *)
   let total = tally_create strategies in
   Array.iter
@@ -218,10 +231,11 @@ let tally_total strategies tallies =
 (* The census: the sweep's projection onto the paper's two strategies  *)
 
 let run ?pool ?on_cell (t : Flow.t) (v : Flow.variant) cfg =
-  let k = Postsilicon.kernel t v in
-  let strategies = [| k.Postsilicon.vi; k.Postsilicon.cw |] in
+  let k = Compensation.kernel t v in
+  let strategies = [| k.Compensation.vi; k.Compensation.cw |] in
   let tallies =
-    tally ?pool ?on_cell ~who:"Wafer.run" k.Postsilicon.ctx strategies v cfg
+    tally ?pool ?on_cell k.Compensation.ctx strategies
+      (grid_sites ~who:"Wafer.run" v cfg)
   in
   let total = tally_total strategies tallies in
   Metrics.add m_cells (Array.length tallies);
@@ -252,8 +266,8 @@ let run ?pool ?on_cell (t : Flow.t) (v : Flow.variant) cfg =
   let vi = total.strategies.(0) and cw = total.strategies.(1) in
   {
     config = cfg;
-    n_islands = k.Postsilicon.vi.Compensation.max_knob;
-    clock_ns = Compensation.clock k.Postsilicon.ctx;
+    n_islands = k.Compensation.vi.Compensation.max_knob;
+    clock_ns = Compensation.clock k.Compensation.ctx;
     cells = Array.mapi cell tallies;
     dies = total.n_dies;
     yield_uncompensated = frac total total.n_uncompensated;
@@ -534,8 +548,8 @@ let run_sampling ?pool ?on_round (t : Flow.t) (v : Flow.variant) ~mode scfg =
   if scfg.s_rare <= 0 then invalid_arg "Wafer.estimate: rare must be positive";
   if v.Flow.direction <> scfg.s_direction then
     invalid_arg "Wafer.estimate: variant direction does not match the config";
-  let k = Postsilicon.kernel t v in
-  let ctx = k.Postsilicon.ctx in
+  let k = Compensation.kernel t v in
+  let ctx = k.Compensation.ctx in
   let sampler = Flow.sampler t in
   let sta = Flow.sta t in
   let nl = Flow.netlist t in
@@ -572,7 +586,7 @@ let run_sampling ?pool ?on_round (t : Flow.t) (v : Flow.variant) ~mode scfg =
     let systematic = Compensation.systematic ctx pos in
     Smart_sampling.make
       (Smart_sampling.tilts ~sampler ~sta ~base ~systematic ~vdd:low ~clock
-         ~stages:Compensation.analyzed ~rare:scfg.s_rare ())
+         ~stages:Scenario.analyzed_stages ~rare:scfg.s_rare ())
   in
   (* A fixed site's map is one array for the whole run; a wafer-field
      die writes its map into its worker's scratch. *)
@@ -614,17 +628,14 @@ let run_sampling ?pool ?on_round (t : Flow.t) (v : Flow.variant) ~mode scfg =
       Pool.parallel_chunks pool ~chunks:groups
         ~init:(fun ~worker:_ ->
           ( Compensation.scratch ctx,
-            k.Postsilicon.vi.Compensation.fresh_apply (),
-            k.Postsilicon.cw.Compensation.fresh_apply (),
+            k.Compensation.vi.Compensation.fresh_apply (),
+            k.Compensation.cw.Compensation.fresh_apply (),
             (Array.make n 0.0, Array.make n 0.0,
              Array.make n_sampling_metrics 0.0) ))
         ~f:(fun (sc, vi, cw, (zbuf, sysbuf, vbuf)) g ->
           let gx = g mod s and gy = g / s in
           let model = models.(g) in
-          let rng =
-            Srng.create
-              (Monte_carlo.substream_seed scfg.s_seed [ round; gy; gx ])
-          in
+          let rng = Srng.create (Srng.substream_seed scfg.s_seed [ round; gy; gx ]) in
           let acc = gacc_create () in
           (* Per-die stream layout is fixed per method: lhs prefixes
              the round with its two axis permutations, is prefixes each
@@ -794,10 +805,12 @@ let estimate_at ?pool ?on_round t ~position cfg =
 (* ------------------------------------------------------------------ *)
 (* Sampling report rendering                                            *)
 
+(* An infinite half-width has no variance estimate behind it: stdout
+   says "undefined" where the JSON writes null. *)
 let pp_interval fmt { mid; hw } =
   if Float.is_finite hw then
     Format.fprintf fmt "%.4f%% +- %.4f%%" (100.0 *. mid) (100.0 *. hw)
-  else Format.fprintf fmt "%.4f%% +- inf" (100.0 *. mid)
+  else Format.fprintf fmt "%.4f%% +- undefined" (100.0 *. mid)
 
 let pp_sampling fmt r =
   let c = r.sr_config in

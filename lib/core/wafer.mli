@@ -15,7 +15,8 @@
     [(seed, field, ix, iy)] only, cells are reduced in row-major order,
     and the pool stores chunk results by index — so a sweep is
     bit-identical for every domain count and traversal schedule.  The
-    per-die physics is the exact code path of {!Postsilicon.run}. *)
+    census, {!Compare.run} and {!Postsilicon.run} all run their dies
+    through the one {!tally} loop. *)
 
 type config = {
   nx : int;               (** grid columns over the chip's x extent *)
@@ -79,10 +80,22 @@ val cell_seed : config -> field:int -> ix:int -> iy:int -> int
 
 (** {2 The die sweep}
 
-    One streaming tally per grid cell, over any list of
-    {!Compensation} strategies: the census {!run} projects it onto the
-    paper's two ([vi], chip-wide), {!Compare.run} onto the strategies it
-    races. *)
+    One streaming tally per die site (a position, its RNG streams and
+    the dies per stream), over any list of {!Compensation} strategies.
+    The census {!run} and {!Compare.run} sweep the grid's sites;
+    {!Postsilicon.run} sweeps one site per diagonal chip. *)
+
+type site = {
+  position : Pvtol_variation.Position.t;
+  streams : Pvtol_util.Srng.t array;  (** consumed: sweep a site once *)
+  dies_per_stream : int;
+}
+
+val grid_sites : who:string -> Flow.variant -> config -> site array
+(** The grid's sites, row-major: each at its {!cell_position}, one
+    {!cell_seed} stream per field, [dies_per_cell] dies per stream.
+    [Invalid_argument] (prefixed by [who]) if the grid is empty or the
+    variant's direction does not match the config. *)
 
 type strategy_tally = {
   mutable meets : int;         (** dies meeting timing under the strategy *)
@@ -103,40 +116,37 @@ type tally = {
   delay_p90 : Pvtol_util.Stream_stats.P2.t;
   violating : Pvtol_util.Stream_stats.Counter.t;
       (** dies per violating-stage count, [0..List.length
-          Compensation.analyzed] *)
+          Pvtol_ssta.Scenario.analyzed_stages] *)
   strategies : strategy_tally array;  (** in request order *)
 }
 
 type on_cell = completed:int -> total:int -> unit
 
 val tally :
-  ?pool:Pvtol_util.Pool.t -> ?on_cell:on_cell -> who:string ->
-  Compensation.ctx -> Compensation.strategy array -> Flow.variant ->
-  config -> tally array
-(** The library's one grid-cell x field x die loop.  Per grid cell it
-    runs every die field-major, each field on its {!cell_seed} stream,
-    every die at the cell's {!cell_position} map: one
-    {!Compensation.detect}, then each strategy's apply in array order.
-    One pool chunk per cell, one detect scratch and one apply state per
-    strategy per worker; the tallies come back row-major
-    ([.(iy * nx + ix)]), bit-identical for every pool size.  [on_cell]
-    fires after each cell from whichever domain finished it, with a
-    monotone count; exceptions it raises are swallowed.
-    [Invalid_argument] (prefixed by [who]) if the grid is empty or the
-    variant's direction does not match the config. *)
+  ?pool:Pvtol_util.Pool.t -> ?on_cell:on_cell ->
+  Compensation.ctx -> Compensation.strategy array -> site array ->
+  tally array
+(** The library's one site x stream x die loop.  Per site it runs
+    [dies_per_stream] dies from each stream in order at the site's
+    position: one {!Compensation.detect}, then each strategy's apply in
+    array order.  One pool chunk per site, one detect scratch and one
+    apply state per strategy per worker; the tallies come back in site
+    order, bit-identical for every pool size.  [on_cell] fires after
+    each site from whichever domain finished it, with a monotone count;
+    exceptions it raises are swallowed. *)
 
 val tally_total : Compensation.strategy array -> tally array -> tally
-(** The row-major reduction of {!tally}'s cells: counts added, Welford
-    moments and counters merged in cell order, so totals are
+(** The in-order reduction of {!tally}'s sites: counts added, Welford
+    moments and counters merged in site order, so totals are
     bit-identical for every schedule.  P-square markers do not merge;
     the total's [delay_p50] and [delay_p90] are empty. *)
 
 val run :
   ?pool:Pvtol_util.Pool.t -> ?on_cell:on_cell -> Flow.t -> Flow.variant ->
   config -> sweep
-(** The census: {!tally} with {!Postsilicon.kernel}'s [[| vi; cw |]] on
-    [pool] (default: the shared pool), projected into per-cell and wafer
-    statistics.  Raises like {!tally}. *)
+(** The census: {!tally} over {!grid_sites} with {!Compensation.kernel}'s
+    [[| vi; cw |]] on [pool] (default: the shared pool), projected into
+    per-cell and wafer statistics.  Raises like {!grid_sites}. *)
 
 val config_label : config -> string
 (** The stage key, e.g. [8x8-d12-f1-s7-vertical]. *)
@@ -266,6 +276,8 @@ val estimate_at :
     point, which wants explicit pools and fresh runs. *)
 
 val pp_sampling : Format.formatter -> sampling_report -> unit
+(** The report for stdout.  An infinite half-width prints as
+    [undefined], where {!sampling_to_json} writes [null]. *)
 
 val sampling_to_json : sampling_report -> string
 (** The report as a JSON document; the top level carries

@@ -35,29 +35,6 @@ type result = {
    matter how many domains execute the fan-out. *)
 let chunk_size = 32
 
-(* Boost-style hash combine, clamped non-negative for Srng.create. *)
-let mix h k = (h lxor (k + 0x9e3779b9 + (h lsl 6) + (h lsr 2))) land max_int
-let substream_seed seed keys = List.fold_left mix seed keys
-
-(* The RNG state a serial run would hold when it reaches sample [s0].
-   One SplitMix64 draw per Box-Muller uniform lets us jump there in
-   O(1): [gaussians] normal deviates consume [2 * ceil (gaussians / 2)]
-   raw draws, and an odd count leaves the pair's second half cached.
-   (Box-Muller's u1 = 0 rejection re-draw has probability 2^-53 per
-   pair; we ignore it, as does every practical SplitMix64 jump.)  This
-   makes every chunk draw exactly the gaussians a single serial stream
-   would, independent of both chunk size and domain count. *)
-let rng_at_sample ~seed ~gaussians =
-  let g = Srng.create seed in
-  if gaussians land 1 = 0 then Srng.jump g gaussians
-  else begin
-    Srng.jump g (gaussians - 1);
-    (* Draw the pair straddling the chunk boundary; its first half was
-       consumed by the previous chunk, its second is left cached. *)
-    ignore (Srng.gaussian g)
-  end;
-  g
-
 (* Per-worker scratch: a chunk-wide STA workspace, the cell-major
    delay block it reads (cells x chunk lanes) and one sample-major
    gaussian buffer sized for a full chunk. *)
@@ -112,9 +89,10 @@ let run ?(config = default_config) ?vdd ?pool ~sampler ~sta ~placement
     let kb = s1 - s0 in
     Metrics.incr m_mc_chunks;
     Metrics.add m_samples kb;
-    (* Sample-major, cells in id order: the chunk consumes the same
-       [kb * n] draws from the same serial stream position. *)
-    let rng = rng_at_sample ~seed:config.seed ~gaussians:(s0 * n) in
+    (* Sample-major, cells in id order: the chunk resumes the serial
+       stream at its first sample and consumes the same [kb * n]
+       draws. *)
+    let rng = Srng.create_after ~gaussians:(s0 * n) config.seed in
     Srng.fill_gaussians rng st.gauss ~pos:0 ~len:(kb * n);
     Sampler.scale_delays_batch batch ~gauss:st.gauss ~samples:kb
       ~stride:chunk_size ~out:st.delays;

@@ -18,15 +18,6 @@ type config = {
 val default_config : config
 (** 400 samples, seed 2024. *)
 
-val substream_seed : int -> int list -> int
-(** [substream_seed seed keys] folds the boost-style hash combine over
-    [keys] to derive a deterministic, non-negative RNG seed for one
-    substream of a larger experiment (one wafer grid cell, one sampling
-    round at one stratum, ...).  The same root seed and key path always
-    yield the same substream regardless of domain count or visit order
-    — the seeding discipline behind every bit-identical parallel sweep
-    in the library. *)
-
 type stage_stats = {
   stage : Stage.t;
   samples : float array;        (** per-sample worst path delay, ns *)
@@ -59,9 +50,9 @@ val run :
     The sample range is cut into fixed 32-sample chunks executed on
     [pool] (default {!Pvtol_util.Pool.shared}, sized by the
     [PVTOL_DOMAINS] environment variable).  Each chunk reconstructs —
-    via an O(1) SplitMix64 jump ({!Pvtol_util.Srng.jump}) — the exact
-    RNG state a single serial stream would hold at the chunk's first
-    sample, draws the chunk's gaussians in sample-major order, scales
+    in O(1), with {!Pvtol_util.Srng.create_after} — the exact RNG state
+    a single serial stream would hold at the chunk's first sample,
+    draws the chunk's gaussians in sample-major order, scales
     them with the {!Pvtol_variation.Sampler.batch} delay-scale fit and
     propagates all lanes in one 32-lane STA pass
     ({!Pvtol_timing.Sta.analyze_into}).  Every chunk writes a

@@ -25,6 +25,12 @@ type t = {
   index : int;                        (** number of violating stages *)
 }
 
+val analyzed_stages : Stage.t list
+(** The capture stages whose violation defines a scenario: Decode,
+    Execute and Writeback, the ladder of §4.4.  Fetch is excluded, as
+    in the paper (no memory model behind it).  Every layer that counts
+    or compensates violating stages reads this list. *)
+
 val classify : clock:float -> Monte_carlo.result -> t
 (** Classify one position's Monte-Carlo result.  Fetch is excluded, as
     in the paper (no memory model behind it). *)

@@ -23,6 +23,10 @@ let jump g n =
   g.state <- Int64.add g.state (Int64.mul (Int64.of_int n) golden_gamma);
   g.cached <- None
 
+(* Boost-style hash combine, clamped non-negative for [create]. *)
+let combine h k = (h lxor (k + 0x9e3779b9 + (h lsl 6) + (h lsr 2))) land max_int
+let substream_seed seed keys = List.fold_left combine seed keys
+
 let split g =
   let s = bits64 g in
   { state = mix s; cached = None }
@@ -62,6 +66,22 @@ let gaussian g =
     let z0, z1 = pair () in
     g.cached <- Some z1;
     z0
+
+let create_after ?(uniforms = 0) ~gaussians seed =
+  if uniforms < 0 || gaussians < 0 then
+    invalid_arg "Srng.create_after: negative count";
+  (* One raw draw per uniform and two per Box-Muller pair, so the
+     prefix is one O(1) jump.  An odd gaussian count ends inside a pair
+     whose draws are the prefix's last two: jump to just before them
+     and draw the pair again, leaving its second half cached.  The
+     [u1 <= 1e-300] re-draw is ignored (probability 2^-53 per pair). *)
+  let g = create seed in
+  if gaussians land 1 = 0 then jump g (uniforms + gaussians)
+  else begin
+    jump g (uniforms + gaussians - 1);
+    ignore (gaussian g)
+  end;
+  g
 
 let gaussian_mu_sigma g ~mu ~sigma = mu +. (sigma *. gaussian g)
 

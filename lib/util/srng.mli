@@ -3,7 +3,11 @@
     Implementation of SplitMix64 (Steele, Lea, Flood 2014).  Every
     stochastic component of the library draws from an explicit [t] so
     that experiments are reproducible from a single seed and independent
-    subsystems can be given independent streams via {!split}. *)
+    subsystems can be given independent streams via {!split}.  A
+    parallel unit of work either seeds its own substream
+    ({!substream_seed}) or resumes a serial stream at its start
+    ({!create_after}); both depend only on the unit's keys or index, so
+    results are bit-identical for every domain count and schedule. *)
 
 type t
 
@@ -23,9 +27,13 @@ val jump : t -> int -> unit
 (** [jump g n] advances [g] past the next [n] raw draws in O(1) —
     SplitMix64's state moves by a fixed increment per draw — and clears
     any cached Box-Muller half.  After [jump g n], [g] produces exactly
-    the stream a fresh copy would after [n] calls to {!bits64}.  Used
-    by the parallel Monte-Carlo engine to hand each sample chunk the
-    exact continuation of the serial stream. *)
+    the stream a fresh copy would after [n] calls to {!bits64}.
+    {!create_after} builds stream addressing on it. *)
+
+val substream_seed : int -> int list -> int
+(** [substream_seed seed keys] folds a boost-style hash combine over
+    [keys] into a non-negative seed for one substream of a larger
+    experiment (a wafer cell's field, a sampling round's stratum). *)
 
 val split : t -> t
 (** [split g] advances [g] and returns a new generator whose stream is
@@ -45,6 +53,15 @@ val uniform : t -> float
 
 val gaussian : t -> float
 (** Standard normal draw (Box-Muller, cached pair). *)
+
+val create_after : ?uniforms:int -> gaussians:int -> int -> t
+(** [create_after ~uniforms ~gaussians seed] is, in O(1), the state of
+    [create seed] after [uniforms] {!uniform} draws (default 0) and
+    [gaussians] {!gaussian} or {!fill_gaussians} draws in any order
+    whose last draw is a gaussian when [gaussians] is odd, cached
+    Box-Muller half included.  Only this module knows that pair
+    layout.  The [u1 <= 1e-300] re-draw is ignored (probability
+    2{^-53} per pair).  [Invalid_argument] on a negative count. *)
 
 val gaussian_mu_sigma : t -> mu:float -> sigma:float -> float
 (** Normal draw with the given mean and standard deviation. *)

@@ -256,14 +256,20 @@ let test_degradation_bounded () =
 
 (* --- stage graph: every stage at most once per handle --- *)
 
+(* An exhibit's renderer, looked up in the registry by name. *)
+let exhibit name =
+  match List.find_opt (fun (n, _, _) -> n = name) Experiments.exhibits with
+  | Some (_, _, render) -> render
+  | None -> Alcotest.failf "no exhibit %S" name
+
 let test_stage_fires_once () =
   let t, _ = Lazy.force env in
   (* The shared env has already rendered nothing; force a spread of
      exhibits that used to recompute work, then check the trace. *)
-  ignore (Experiments.table1_breakdown t);
-  ignore (Experiments.scenarios_summary t);
-  ignore (Experiments.fig5_total_power t);
-  ignore (Experiments.fig6_leakage t);
+  ignore (exhibit "table1" t);
+  ignore (exhibit "scenarios" t);
+  ignore (exhibit "fig5" t);
+  ignore (exhibit "fig6" t);
   let dups = Trace.duplicates (Flow.trace t) in
   Alcotest.(check (list string)) "no stage computed twice" [] dups;
   (* Core stages are all present (they were needed by the exhibits). *)
@@ -279,11 +285,11 @@ let test_no_recompute_downstream () =
   let t, _ = Lazy.force env in
   (* After a full pass over the usual exhibits, requesting a downstream
      artifact again must recompute zero stages. *)
-  ignore (Experiments.fig5_total_power t);
+  ignore (exhibit "fig5" t);
   ignore (Flow.scenarios t);
   let before = List.length (Trace.spans (Flow.trace t)) in
-  ignore (Experiments.fig6_leakage t);
-  ignore (Experiments.energy_note t);
+  ignore (exhibit "fig6" t);
+  ignore (exhibit "energy" t);
   ignore (Flow.mc t Position.point_a);
   ignore (Flow.nominal t);
   let after = List.length (Trace.spans (Flow.trace t)) in
@@ -292,24 +298,14 @@ let test_no_recompute_downstream () =
 (* --- experiments rendering --- *)
 
 let test_experiments_render () =
+  (* Every registered exhibit renders on one flow handle (the context
+     IS the flow handle: everything memoized inside it). *)
   let t, _ = Lazy.force env in
-  (* The context IS the flow handle: everything memoized inside it. *)
-  let ctx = t in
   List.iter
-    (fun (name, text) ->
-      Alcotest.(check bool) (name ^ " non-empty") true (String.length text > 80))
-    [
-      ("fig2", Experiments.fig2_lgate_map ());
-      ("table1", Experiments.table1_breakdown t);
-      ("fig3", Experiments.fig3_distributions t);
-      ("scenarios", Experiments.scenarios_summary t);
-      ("razor", Experiments.razor_sites t);
-      ("fig4", Experiments.fig4_islands ctx);
-      ("table2", Experiments.table2_level_shifters ctx);
-      ("fig5", Experiments.fig5_total_power ctx);
-      ("fig6", Experiments.fig6_leakage ctx);
-      ("energy", Experiments.energy_note ctx);
-    ]
+    (fun (name, _, render) ->
+      Alcotest.(check bool) (name ^ " non-empty") true
+        (String.length (render t) > 80))
+    Experiments.exhibits
 
 let suite =
   ( "core",

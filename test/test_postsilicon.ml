@@ -9,7 +9,6 @@ module Flow = Pvtol_core.Flow
 module Island = Pvtol_core.Island
 module Postsilicon = Pvtol_core.Postsilicon
 module Compensation = Pvtol_core.Compensation
-module Experiments = Pvtol_core.Experiments
 module Slicing = Pvtol_core.Slicing
 module Wafer = Pvtol_core.Wafer
 module Power = Pvtol_power.Power
@@ -36,9 +35,9 @@ let same_bits a b =
 (* Captured from the pre-kernel-refactor implementation; [run] must
    reproduce it bit-for-bit. *)
 let golden_chips =
-  (* (violating, detected, raised) per chip, in sample order *)
-  [ (0, 0, 0); (1, 1, 2); (0, 0, 0); (0, 0, 0); (1, 1, 2); (0, 0, 0);
-    (2, 2, 3); (1, 1, 2); (0, 0, 0); (0, 0, 0); (1, 1, 1); (1, 1, 2) ]
+  (* (violating, raised) per chip, in sample order *)
+  [ (0, 0); (1, 2); (0, 0); (0, 0); (1, 2); (0, 0);
+    (2, 3); (1, 2); (0, 0); (0, 0); (1, 1); (1, 2) ]
 
 let test_run_golden () =
   let t, v = Lazy.force env in
@@ -51,11 +50,10 @@ let test_run_golden () =
     s.Postsilicon.mean_power_islands_mw;
   check_bits "mean chip-wide power" 0x1.1de9363ad5505p+2
     s.Postsilicon.mean_power_chip_wide_mw;
-  Alcotest.(check (list (triple int int int)))
-    "per-chip (violating, detected, raised)" golden_chips
+  Alcotest.(check (list (pair int int)))
+    "per-chip (violating, raised)" golden_chips
     (List.map
-       (fun (c : Postsilicon.chip) ->
-         (c.Postsilicon.violating, c.Postsilicon.detected, c.Postsilicon.raised))
+       (fun (c : Postsilicon.chip) -> (c.Postsilicon.violating, c.Postsilicon.raised))
        s.Postsilicon.chips);
   (* The die positions come from the same RNG stream as the Lgate
      draws: pin two of them so the draw protocol can never drift. *)
@@ -74,10 +72,10 @@ let test_run_golden () =
 let simulate_population () =
   let t, v = Lazy.force env in
   let k = Postsilicon.kernel t v in
-  let ctx = k.Postsilicon.ctx in
+  let ctx = k.Compensation.ctx in
   let sc = Compensation.scratch ctx in
-  let vi = k.Postsilicon.vi.Compensation.fresh_apply () in
-  let cw = k.Postsilicon.cw.Compensation.fresh_apply () in
+  let vi = k.Compensation.vi.Compensation.fresh_apply () in
+  let cw = k.Compensation.cw.Compensation.fresh_apply () in
   let positions =
     [ Position.point_a; Position.point_b; Position.point_d;
       Position.at_xy ~x_frac:0.1 ~y_frac:0.9 ();
@@ -99,11 +97,9 @@ let test_detection_equals_violation () =
      stages failing at the low supply (the paper's Razor subset
      monitors every path that can become critical, so it detects the
      same scenario) — zero exactly when the worst low-supply stage
-     delay meets the clock.  The study reports that count as both the
-     detected and the violating scenario. *)
-  let t, v = Lazy.force env in
+     delay meets the clock. *)
   let k, dies = simulate_population () in
-  let clock = Compensation.clock k.Postsilicon.ctx in
+  let clock = Compensation.clock k.Compensation.ctx in
   List.iter
     (fun ((d : Compensation.detect), _, _) ->
       Alcotest.(check bool) "no violation iff worst low delay meets clock"
@@ -111,17 +107,12 @@ let test_detection_equals_violation () =
         (d.Compensation.violating = 0);
       Alcotest.(check bool) "violating <= analyzed stages" true
         (d.Compensation.violating <= List.length Compensation.analyzed))
-    dies;
-  List.iter
-    (fun (c : Postsilicon.chip) ->
-      Alcotest.(check int) "detected = violating" c.Postsilicon.violating
-        c.Postsilicon.detected)
-    (Postsilicon.run ~n_chips:12 ~seed:3 t v).Postsilicon.chips
+    dies
 
 let test_raised_monotonicity () =
   let t, v = Lazy.force env in
   let k, dies = simulate_population () in
-  let n = k.Postsilicon.vi.Compensation.max_knob in
+  let n = k.Compensation.vi.Compensation.max_knob in
   List.iter
     (fun ((d : Compensation.detect), (vi : Compensation.outcome), _) ->
       (* The closed loop starts at the detected scenario and only ever
@@ -147,7 +138,7 @@ let test_raised_monotonicity () =
   let rec mono r = r >= n || (power r <= power (r + 1) && mono (r + 1)) in
   Alcotest.(check bool) "power monotone in raised islands" true (mono 0);
   Alcotest.(check bool) "baseline is the 0-raised power" true
-    (Compensation.power_baseline_mw k.Postsilicon.ctx <= power 0 +. 1e-9)
+    (Compensation.power_baseline_mw k.Compensation.ctx <= power 0 +. 1e-9)
 
 let test_chip_wide_subsumes_islands () =
   (* Chip-wide adaptation raises every cell the islands scheme raises
@@ -167,10 +158,10 @@ let test_kernel_protocol_matches_run () =
   let t, v = Lazy.force env in
   let s = Postsilicon.run ~n_chips:8 ~seed:5 t v in
   let k = Postsilicon.kernel t v in
-  let ctx = k.Postsilicon.ctx in
+  let ctx = k.Compensation.ctx in
   let sc = Compensation.scratch ctx in
-  let vi = k.Postsilicon.vi.Compensation.fresh_apply () in
-  let cw = k.Postsilicon.cw.Compensation.fresh_apply () in
+  let vi = k.Compensation.vi.Compensation.fresh_apply () in
+  let cw = k.Compensation.cw.Compensation.fresh_apply () in
   let rng = Srng.create 5 in
   List.iter
     (fun (c : Postsilicon.chip) ->
@@ -182,11 +173,10 @@ let test_kernel_protocol_matches_run () =
       let ovi = vi sc d in
       let ocw = cw sc d in
       check_bits "die position" c.Postsilicon.diagonal_frac frac;
-      Alcotest.(check (triple int int int))
+      Alcotest.(check (pair int int))
         "die record matches study chip"
-        (c.Postsilicon.violating, c.Postsilicon.detected, c.Postsilicon.raised)
-        (d.Compensation.violating, d.Compensation.violating,
-         ovi.Compensation.knob);
+        (c.Postsilicon.violating, c.Postsilicon.raised)
+        (d.Compensation.violating, ovi.Compensation.knob);
       Alcotest.(check (triple bool bool bool))
         "die verdicts match study chip"
         (c.Postsilicon.meets_uncompensated, c.Postsilicon.meets_compensated,
@@ -195,15 +185,28 @@ let test_kernel_protocol_matches_run () =
          ocw.Compensation.meets))
     s.Postsilicon.chips
 
+let test_run_domain_invariance () =
+  (* Each chip is a one-die site resumed at its own stream start, so
+     the study is the same value, bit for bit, on any pool. *)
+  let t, v = Lazy.force env in
+  let run_with domains =
+    let p = Pool.create ~domains () in
+    let s = Postsilicon.run ~pool:p ~n_chips:9 ~seed:4 t v in
+    Pool.shutdown p;
+    s
+  in
+  if not (same_bits (run_with 1) (run_with 2)) then
+    Alcotest.fail "study differs between 1 and 2 domains"
+
 let test_diagonal_position_equivalence () =
   (* [at_xy f f] is the same physical die position as [at_fraction f]:
      identical RNG stream => bit-identical die. *)
   let t, v = Lazy.force env in
   let k = Postsilicon.kernel t v in
-  let ctx = k.Postsilicon.ctx in
+  let ctx = k.Compensation.ctx in
   let sc = Compensation.scratch ctx in
-  let vi = k.Postsilicon.vi.Compensation.fresh_apply () in
-  let cw = k.Postsilicon.cw.Compensation.fresh_apply () in
+  let vi = k.Compensation.vi.Compensation.fresh_apply () in
+  let cw = k.Compensation.cw.Compensation.fresh_apply () in
   let die systematic =
     let d = Compensation.detect ctx sc ~systematic (Srng.create 21) in
     let ovi = vi sc d in
@@ -228,7 +231,7 @@ let test_exhibit_histogram () =
   let expected = Array.make 4 0 in
   List.iter
     (fun (c : Postsilicon.chip) ->
-      let i = min 3 c.Postsilicon.detected in
+      let i = min 3 c.Postsilicon.violating in
       expected.(i) <- expected.(i) + 1)
     s.Postsilicon.chips;
   let prefix = "dies per detected scenario:" in
@@ -236,7 +239,7 @@ let test_exhibit_histogram () =
     match
       List.find_opt
         (fun l -> String.starts_with ~prefix (String.trim l))
-        (String.split_on_char '\n' (Experiments.postsilicon_study t))
+        (String.split_on_char '\n' (Test_core.exhibit "postsilicon" t))
     with
     | Some l -> String.trim l
     | None -> Alcotest.fail "exhibit prints no scenario histogram"
@@ -272,10 +275,10 @@ let test_wafer_cell_independence () =
   let cfg = { wafer_cfg with Wafer.dies_per_cell = 3; fields = 2 } in
   let s = Wafer.run t v cfg in
   let k = Postsilicon.kernel t v in
-  let ctx = k.Postsilicon.ctx in
+  let ctx = k.Compensation.ctx in
   let sc = Compensation.scratch ctx in
-  let vi = k.Postsilicon.vi.Compensation.fresh_apply () in
-  let cw = k.Postsilicon.cw.Compensation.fresh_apply () in
+  let vi = k.Compensation.vi.Compensation.fresh_apply () in
+  let cw = k.Compensation.cw.Compensation.fresh_apply () in
   let n =
     Array.length
       (Flow.islands t v.Flow.direction).Slicing.partition.Island.islands
@@ -513,6 +516,8 @@ let suite =
         test_chip_wide_subsumes_islands;
       Alcotest.test_case "kernel protocol = run" `Quick
         test_kernel_protocol_matches_run;
+      Alcotest.test_case "study domain invariance" `Quick
+        test_run_domain_invariance;
       Alcotest.test_case "diagonal position equivalence" `Quick
         test_diagonal_position_equivalence;
       Alcotest.test_case "exhibit histogram = detected scenarios" `Quick

@@ -232,6 +232,33 @@ let test_stopping_rule () =
       Alcotest.(check bool) "n<2 half-width is infinite" true
         (r.Wafer.sr_ci_halfwidth = infinity))
 
+let test_undefined_interval_printed () =
+  (* One die per stratum leaves every half-width undefined: the printed
+     report says so in words, as the JSON writes null, and never
+     prints an infinity. *)
+  let t = Lazy.force flow in
+  let r =
+    Wafer.estimate_run t
+      {
+        Wafer.default_sampling_config with
+        Wafer.s_method = Smart_sampling.Is;
+        s_strata = 5;
+        s_dies_per_round = 1;
+        s_max_rounds = 1;
+      }
+  in
+  let text = Format.asprintf "%a" Wafer.pp_sampling r in
+  let contains sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length text && (String.sub text i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  Alcotest.(check bool) "no inf printed" false (contains "inf");
+  Alcotest.(check bool) "half-width printed as undefined" true
+    (contains "+- undefined")
+
 (* ------------------------------------------------------------------ *)
 (* Bit-identity across domains                                          *)
 
@@ -429,6 +456,8 @@ let suite =
       Alcotest.test_case "lhs permutations" `Quick test_lhs_permutations;
       Alcotest.test_case "lhs strata quota" `Quick test_lhs_strata_quota;
       Alcotest.test_case "stopping rule" `Quick test_stopping_rule;
+      Alcotest.test_case "undefined interval printed" `Quick
+        test_undefined_interval_printed;
       Alcotest.test_case "domain invariance" `Quick test_domain_invariance;
       Alcotest.test_case "keyed stage memoized" `Quick
         test_keyed_stage_memoized;

@@ -329,6 +329,49 @@ let test_table_render () =
 
 let qcheck = QCheck_alcotest.to_alcotest
 
+let test_srng_create_after_property =
+  (* [create_after] equals a serial replay bit for bit: [chips] blocks
+     of one uniform and [n] gaussians each, the uniform drawn before or
+     after the block's gaussians (always before in the last block, so
+     an odd total ends on a gaussian), the gaussians split at random
+     between [gaussian] calls and [fill_gaussians] runs.  Odd [n] puts
+     the cached Box-Muller half across block boundaries. *)
+  QCheck.Test.make ~name:"srng create_after = serial replay" ~count:300
+    QCheck.(quad (int_bound 1_000_000) (int_range 0 9) (int_range 0 12)
+              (int_bound 1_000_000))
+    (fun (seed, n, chips, layout) ->
+      let pick = Srng.create layout in
+      let g = Srng.create seed in
+      let buf = Array.make (max n 1) 0.0 in
+      let gaussians () =
+        let left = ref n in
+        while !left > 0 do
+          if Srng.int pick 2 = 0 then begin
+            ignore (Srng.gaussian g);
+            decr left
+          end
+          else begin
+            let len = 1 + Srng.int pick !left in
+            Srng.fill_gaussians g buf ~pos:0 ~len;
+            left := !left - len
+          end
+        done
+      in
+      for chip = 0 to chips - 1 do
+        if chip < chips - 1 && Srng.int pick 2 = 0 then begin
+          gaussians ();
+          ignore (Srng.uniform g)
+        end
+        else begin
+          ignore (Srng.uniform g);
+          gaussians ()
+        end
+      done;
+      let h = Srng.create_after ~uniforms:chips ~gaussians:(chips * n) seed in
+      Marshal.(to_string g [ No_sharing ] = to_string h [ No_sharing ])
+      && Srng.gaussian g = Srng.gaussian h
+      && Srng.bits64 g = Srng.bits64 h)
+
 (* --- Pool --- *)
 
 let with_pool ~domains f =
@@ -445,6 +488,7 @@ let suite =
       Alcotest.test_case "srng split diverges" `Quick test_srng_split_diverges;
       Alcotest.test_case "srng jump" `Quick test_srng_jump;
       Alcotest.test_case "srng fill_gaussians" `Quick test_srng_fill_gaussians;
+      qcheck test_srng_create_after_property;
       Alcotest.test_case "pool ordering" `Quick test_pool_ordering;
       Alcotest.test_case "pool map" `Quick test_pool_map;
       Alcotest.test_case "pool exception propagation" `Quick test_pool_exception;
