@@ -43,13 +43,13 @@ let () =
   let nl = design.Pvtol_vex.Vex_core.netlist in
   let fp = Pvtol_place.Floorplan.create ~cell_area:(Netlist.area nl) () in
   let placement = Pvtol_place.Placer.place nl fp in
-  let stim, trace_cycles =
-    Gatesim.trace_stimulus nl ~instr_prefix:"instr" ~words:fir.Fir.trace
+  let stim =
+    Gatesim.trace_stimulus nl ~words:fir.Fir.trace
       ~fallback:(Gatesim.random_stimulus ~seed:11)
   in
   let activity = Gatesim.run ~cycles:256 nl stim in
   Format.printf "Gate-level simulation: 256 of %d trace cycles, mean toggle rate %.3f@."
-    trace_cycles (Gatesim.mean_rate activity);
+    (List.length fir.Fir.trace) (Gatesim.mean_rate activity);
 
   (* 3. Power report at the nominal corner. *)
   let sta =

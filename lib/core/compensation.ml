@@ -72,14 +72,8 @@ let context (t : Flow.t) =
   let low = lib.Cell.process.Process.vdd_low in
   let high = lib.Cell.process.Process.vdd_high in
   let sta = Flow.sta t in
-  let power_chip_wide =
-    Power.total_mw
-      (Flow.power_at t ~position:Position.point_b Flow.Chip_wide_high).Power.total
-  in
-  let power_baseline =
-    Power.total_mw
-      (Flow.power_at t ~position:Position.point_b Flow.Baseline_low).Power.total
-  in
+  let power_chip_wide = Flow.power_mw t ~position:Position.point_b Flow.Chip_wide_high in
+  let power_baseline = Flow.power_mw t ~position:Position.point_b Flow.Baseline_low in
   {
     sampler = Flow.sampler t;
     placement = Flow.placement t;
@@ -197,10 +191,8 @@ let voltage_islands (t : Flow.t) c (v : Flow.variant) =
      with position but the dominant switching term does not). *)
   let power_of_raised =
     Array.init (n_islands + 1) (fun raised ->
-        Power.total_mw
-          (Flow.power_at t ~position:Position.point_b
-             (Flow.Islands (v.Flow.direction, raised)))
-            .Power.total)
+        Flow.power_mw t ~position:Position.point_b
+          (Flow.Islands (v.Flow.direction, raised)))
   in
   let ls_area = v.Flow.shifted.Level_shifter.ls_area in
   (* Per-cell supply vector with islands [1..raised] at the high

@@ -24,6 +24,12 @@ let make_context ?config () = Flow.prepare ?config ()
 let vertical t = Flow.variant t Island.Vertical
 let horizontal t = Flow.variant t Island.Horizontal
 
+(* The sized netlist under the FIR activity at nominal Lgate. *)
+let nominal_power t ~vdd =
+  Power.analyze ~vdd ~activity:(Flow.activity t)
+    ~wire_length:(Array.get (Placement.wire_lengths (Flow.placement t)))
+    ~clock_ns:(Flow.clock t) (Flow.netlist t)
+
 let heading title =
   let bar = String.make (String.length title) '=' in
   Printf.sprintf "%s\n%s\n" title bar
@@ -269,15 +275,13 @@ let power_configs _ctx =
 
 let fig5_total_power ctx =
   let t = ctx in
-  let reference =
-    Power.total_mw (Flow.power_at t ~position:Position.point_a Flow.Chip_wide_high).Power.total
-  in
+  let reference = Flow.power_mw t ~position:Position.point_a Flow.Chip_wide_high in
   let tbl =
     Table.create ~header:[ "Configuration"; "Total power (mW)"; "Normalized"; "Saving" ]
   in
   List.iter
     (fun (label, pos, cfg) ->
-      let p = Power.total_mw (Flow.power_at t ~position:pos cfg).Power.total in
+      let p = Flow.power_mw t ~position:pos cfg in
       Table.add_row tbl
         [
           label;
@@ -289,7 +293,7 @@ let fig5_total_power ctx =
   let bars =
     List.map
       (fun (label, pos, cfg) ->
-        (label, Power.total_mw (Flow.power_at t ~position:pos cfg).Power.total /. reference))
+        (label, Flow.power_mw t ~position:pos cfg /. reference))
       (power_configs ctx)
   in
   heading "Fig. 5 — Total power per timing-violation scenario"
@@ -326,18 +330,13 @@ let fig6_leakage ctx =
 
 let energy_note ctx =
   let t = ctx in
-  let chip =
-    Power.total_mw (Flow.power_at t ~position:Position.point_a Flow.Chip_wide_high).Power.total
-  in
+  let chip = Flow.power_mw t ~position:Position.point_a Flow.Chip_wide_high in
   let buf = Buffer.create 512 in
   Buffer.add_string buf (heading "§5 — Energy once the VI slowdown is accounted for");
   List.iter
     (fun (v : Flow.variant) ->
       let p =
-        Power.total_mw
-          (Flow.power_at t ~position:Position.point_a
-             (Flow.Islands (v.Flow.direction, 3)))
-            .Power.total
+        Flow.power_mw t ~position:Position.point_a (Flow.Islands (v.Flow.direction, 3))
       in
       let slow = 1.0 +. Float.max 0.0 v.Flow.degradation in
       Buffer.add_string buf
@@ -369,8 +368,7 @@ let compensation_check ctx =
       List.iter
         (fun (raised, pos) ->
           let vdd =
-            Island.vdd_assignment part ~domains ~raised
-              ~lib:(Flow.netlist t).Netlist.lib
+            Island.vdd_assignment ~domains ~raised ~lib:(Flow.netlist t).Netlist.lib
           in
           let mc =
             MC.run
@@ -412,20 +410,14 @@ let grouping_ablation ctx =
   let process = (Flow.netlist t).Netlist.lib.Pvtol_stdcell.Cell.process in
   let low = process.Pvtol_stdcell.Process.vdd_low in
   let high = process.Pvtol_stdcell.Process.vdd_high in
-  ignore low;
   (* Strategy power comparison on the unmodified netlist (no shifters),
      so only the raised-capacitance difference shows. *)
-  let wire = Array.get (Placement.wire_lengths (Flow.placement t)) in
   let power_of domains =
     Power.total_mw
-      (Power.analyze
-         ~vdd:(fun cid -> if domains.(cid) <= 3 then high else low)
-         ~activity:(Flow.activity t)
-         ~wire_length:wire
-         ~clock_ns:(Flow.clock t) (Flow.netlist t))
+      (nominal_power t ~vdd:(fun cid -> if domains.(cid) <= 3 then high else low))
         .Power.total
   in
-  let row_of_domains name domains checks =
+  let row_of_domains name domains =
     let n = Array.length domains in
     let raised3 = Array.fold_left (fun acc d -> if d <= 3 then acc + 1 else acc) 0 domains in
     let ls = Logic_grouping.count_crossings (Flow.netlist t) ~domains in
@@ -437,28 +429,26 @@ let grouping_ablation ctx =
         string_of_int ls;
         string_of_int frag;
         Printf.sprintf "%.2f mW" (power_of domains);
-      ];
-    ignore checks
+      ]
   in
   List.iter
     (fun (name, v) ->
       let part = v.Flow.slicing.Slicing.partition in
       let domains = Island.domains part (Flow.placement t) in
-      row_of_domains name domains v.Flow.slicing.Slicing.checks)
+      row_of_domains name domains)
     [ ("vertical slicing", vertical ctx); ("horizontal slicing", horizontal ctx) ];
   (* Quadrant growth: the "further cell grouping strategies" future
      work. *)
   (try
      let q = Flow.islands t Island.Quadrant in
      let domains = Island.domains q.Slicing.partition (Flow.placement t) in
-     row_of_domains "quadrant growth" domains q.Slicing.checks
+     row_of_domains "quadrant growth" domains
    with Sg.Stage_error e ->
      Table.add_row tbl [ "quadrant growth"; "-"; "-"; e.Sg.message ]);
   (* Logic-based selection: the baseline of the paper's reference [12]. *)
   (match Flow.logic_grouping t with
   | Ok lg ->
     row_of_domains "logic-based (units)" lg.Logic_grouping.domains
-      lg.Logic_grouping.checks
   | Error m -> Table.add_row tbl [ "logic-based (units)"; "-"; "-"; m ]);
   heading "Ablation — cell-grouping strategy (section 3's argument)"
   ^ Table.render tbl
@@ -554,16 +544,9 @@ let alternatives_comparison ctx =
       (fun acc s -> match three_sigma s with Some d -> Float.max acc d | None -> acc)
       0.0 Scenario.analyzed_stages
   in
-  let p_low =
-    Power.total_mw (Flow.power_at t Flow.Baseline_low).Power.total
-  in
-  let p_chip =
-    Power.total_mw (Flow.power_at t Flow.Chip_wide_high).Power.total
-  in
-  let p_vi =
-    Power.total_mw
-      (Flow.power_at t (Flow.Islands (Island.Vertical, 3))).Power.total
-  in
+  let p_low = Flow.power_mw t Flow.Baseline_low in
+  let p_chip = Flow.power_mw t Flow.Chip_wide_high in
+  let p_vi = Flow.power_mw t (Flow.Islands (Island.Vertical, 3)) in
   (* Clock-skew retiming: optimal skews against each die's 3-sigma
      stage delays. *)
   let retime = Retiming.bound ~delay_of:three_sigma in
@@ -662,13 +645,7 @@ let power_integrity ctx =
   in
   (* Per-cell current draw at the worst-case (all-raised) configuration,
      on the unmodified netlist so every strategy sees the same load. *)
-  let report =
-    Power.analyze
-      ~vdd:(fun _ -> high)
-      ~activity:(Flow.activity t)
-      ~wire_length:(Array.get (Placement.wire_lengths (Flow.placement t)))
-      ~clock_ns:(Flow.clock t) (Flow.netlist t)
-  in
+  let report = nominal_power t ~vdd:(fun _ -> high) in
   let current_ma cid =
     Power.total_mw report.Power.per_cell.(cid) /. high
   in
@@ -725,8 +702,6 @@ let power_integrity ctx =
    unit mixes. *)
 let workload_sensitivity ctx =
   let t = ctx in
-  let v = vertical ctx in
-  let shifted = v.Flow.shifted in
   let module Workloads = Pvtol_vexsim.Workloads in
   let module Gatesim = Pvtol_power.Gatesim in
   let cycles = max 64 ((Flow.config t).Flow.gatesim_cycles / 2) in
@@ -739,48 +714,15 @@ let workload_sensitivity ctx =
   List.iter
     (fun (w : Workloads.t) ->
       assert w.Workloads.correct;
-      let activity_of nl =
-        let stim, _ =
-          Gatesim.trace_stimulus nl ~instr_prefix:"instr" ~words:w.Workloads.trace
-            ~fallback:(Gatesim.random_stimulus ~seed:((Flow.config t).Flow.mc_seed + 1))
-        in
-        Gatesim.run ~cycles nl stim
+      let act_base =
+        Gatesim.run ~cycles (Flow.netlist t) (Flow.stimulus t w.Workloads.trace)
       in
-      let act_base = activity_of (Flow.netlist t) in
-      let act_shifted = activity_of shifted.Level_shifter.netlist in
-      let systematic =
-        Pvtol_variation.Sampler.systematic_lgates (Flow.sampler t)
-          (Flow.placement t) Position.point_c
-      in
-      let high =
-        (Flow.netlist t).Netlist.lib.Pvtol_stdcell.Cell.process
-          .Pvtol_stdcell.Process.vdd_high
-      in
-      let chip =
+      let power cfg =
         Power.total_mw
-          (Power.analyze
-             ~lgate_nm:(fun i -> systematic.(i))
-             ~vdd:(fun _ -> high)
-             ~activity:act_base
-             ~wire_length:(Array.get (Placement.wire_lengths (Flow.placement t)))
-             ~clock_ns:(Flow.clock t) (Flow.netlist t))
-            .Power.total
+          (Flow.power t ~position:Position.point_c ~activity:act_base cfg).Power.total
       in
-      let systematic_sh =
-        Pvtol_variation.Sampler.systematic_lgates (Flow.sampler t)
-          shifted.Level_shifter.placement Position.point_c
-      in
-      let vi =
-        Power.total_mw
-          (Power.analyze
-             ~lgate_nm:(fun i -> systematic_sh.(i))
-             ~vdd:(fun cid -> Level_shifter.vdd_assignment shifted ~raised:1 cid)
-             ~activity:act_shifted
-             ~wire_length:
-               (Array.get (Placement.wire_lengths shifted.Level_shifter.placement))
-             ~clock_ns:(Flow.clock t) shifted.Level_shifter.netlist)
-            .Power.total
-      in
+      let chip = power Flow.Chip_wide_high in
+      let vi = power (Flow.Islands (Island.Vertical, 1)) in
       Table.add_row tbl
         [
           w.Workloads.name;

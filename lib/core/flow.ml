@@ -69,10 +69,8 @@ type variant = {
   direction : Island.direction;
   slicing : Slicing.outcome;
   shifted : Level_shifter.t;
-  sta_shifted : Sta.t;
   post_ls_worst : float;
   degradation : float;
-  activity_shifted : Gatesim.activity;
 }
 
 type supply_config =
@@ -105,6 +103,7 @@ type t = {
   islands_k : (Island.direction, Slicing.outcome) Sg.keyed;
   variant_k : (Island.direction, variant) Sg.keyed;
   logic_grouping_n : (Logic_grouping.t, string) result Sg.node;
+  power : activity:Gatesim.activity -> Position.t -> supply_config -> Power.report;
   power_k : (supply_config * Position.t, Power.report) Sg.keyed;
 }
 
@@ -130,6 +129,12 @@ let mc_named mc_k =
     ~f:(fun p -> (p, Sg.get_keyed mc_k p))
     (Array.of_list Position.named)
   |> Array.to_list
+
+(* The sized netlist's stimulus for an ISS trace: the trace drives the
+   instruction inputs and seeded random bits every other input. *)
+let trace_stimulus config netlist words =
+  Gatesim.trace_stimulus netlist ~words
+    ~fallback:(Gatesim.random_stimulus ~seed:(config.mc_seed + 1))
 
 let prepare ?(config = default_config) () =
   Metrics.incr m_prepares;
@@ -206,12 +211,8 @@ let prepare ?(config = default_config) () =
   let activity_n =
     Sg.node g ~name:"activity" ~deps:[ "netlist"; "fir" ] (fun () ->
         let netlist = Sg.get netlist_n in
-        let stim, _ =
-          Gatesim.trace_stimulus netlist ~instr_prefix:"instr"
-            ~words:(Sg.get fir_n).Fir.trace
-            ~fallback:(Gatesim.random_stimulus ~seed:(config.mc_seed + 1))
-        in
-        Gatesim.run ~cycles:config.gatesim_cycles netlist stim)
+        Gatesim.run ~cycles:config.gatesim_cycles netlist
+          (trace_stimulus config netlist (Sg.get fir_n).Fir.trace))
   in
   let mc_k =
     Sg.keyed g ~name:"mc"
@@ -242,7 +243,7 @@ let prepare ?(config = default_config) () =
     Sg.keyed g ~name:"shifters"
       ~deps:(fun d ->
         [ "islands[" ^ Island.direction_name d ^ "]"; "netlist"; "placed";
-          "clock"; "fir" ])
+          "clock" ])
       ~key_label:Island.direction_name
       (fun direction ->
         let slicing = Sg.get_keyed islands_k direction in
@@ -267,42 +268,22 @@ let prepare ?(config = default_config) () =
             ~clock:(clock *. 1.08) ~wire_length:wire ~capture
             shifted.Level_shifter.netlist
         in
-        let shifted =
-          { shifted with Level_shifter.netlist = closure.Sizing.netlist }
-        in
+        let netlist = closure.Sizing.netlist in
         let shifted =
           {
             shifted with
-            Level_shifter.placement =
-              {
-                shifted.Level_shifter.placement with
-                Placement.netlist = shifted.Level_shifter.netlist;
-              };
+            Level_shifter.netlist;
+            placement = { shifted.Level_shifter.placement with Placement.netlist };
           }
         in
-        let sta_shifted =
-          Sta.build shifted.Level_shifter.netlist ~wire_length:wire ~capture
-        in
-        let r =
-          Sta.analyze sta_shifted ~delays:(Sta.nominal_delays sta_shifted)
-        in
-        let stim, _ =
-          Gatesim.trace_stimulus shifted.Level_shifter.netlist
-            ~instr_prefix:"instr" ~words:(Sg.get fir_n).Fir.trace
-            ~fallback:(Gatesim.random_stimulus ~seed:(config.mc_seed + 1))
-        in
-        let activity_shifted =
-          Gatesim.run ~cycles:config.gatesim_cycles
-            shifted.Level_shifter.netlist stim
-        in
+        let sta = Sta.build netlist ~wire_length:wire ~capture in
+        let worst = (Sta.analyze sta ~delays:(Sta.nominal_delays sta)).Sta.worst in
         {
           direction;
           slicing;
           shifted;
-          sta_shifted;
-          post_ls_worst = r.Sta.worst;
-          degradation = (r.Sta.worst -. clock) /. clock;
-          activity_shifted;
+          post_ls_worst = worst;
+          degradation = (worst -. clock) /. clock;
         })
   in
   let logic_grouping_n =
@@ -316,6 +297,37 @@ let prepare ?(config = default_config) () =
                ~targets:growth_targets ())
         with Logic_grouping.Infeasible m -> Error m)
   in
+  (* The level-shifted design only adds buffers to the sized netlist, so
+     an island configuration prices it with the activity derived from
+     the sized netlist's run. *)
+  let power ~activity position cfg =
+    let netlist = Sg.get netlist_n in
+    let clock = Sg.get clock_n in
+    let sampler = Sg.get sampler_n in
+    let analyze ~placement ~vdd ~activity nl =
+      let systematic = Sampler.systematic_lgates sampler placement position in
+      Power.analyze
+        ~lgate_nm:(fun i -> systematic.(i))
+        ~vdd ~activity
+        ~wire_length:(Array.get (Placement.wire_lengths placement))
+        ~clock_ns:clock nl
+    in
+    match cfg with
+    | Baseline_low | Chip_wide_high ->
+      let process = netlist.Netlist.lib.Pvtol_stdcell.Cell.process in
+      let v =
+        if cfg = Baseline_low then process.Pvtol_stdcell.Process.vdd_low
+        else process.Pvtol_stdcell.Process.vdd_high
+      in
+      analyze ~placement:(Sg.get placement_n) ~vdd:(fun _ -> v) ~activity netlist
+    | Islands (dir, raised) ->
+      let shifted = (Sg.get_keyed variant_k dir).shifted in
+      let nl = shifted.Level_shifter.netlist in
+      analyze ~placement:shifted.Level_shifter.placement
+        ~vdd:(Level_shifter.vdd_assignment shifted ~raised)
+        ~activity:(Gatesim.extend activity ~base:netlist nl)
+        nl
+  in
   let power_k =
     Sg.keyed g ~name:"power"
       ~deps:(fun (cfg, _) ->
@@ -323,43 +335,12 @@ let prepare ?(config = default_config) () =
         | Baseline_low | Chip_wide_high ->
           [ "netlist"; "placed"; "sampler"; "activity"; "clock" ]
         | Islands (dir, _) ->
-          [ "shifters[" ^ Island.direction_name dir ^ "]"; "sampler"; "clock" ])
+          [ "shifters[" ^ Island.direction_name dir ^ "]"; "netlist"; "sampler";
+            "activity"; "clock" ])
       ~key_label:(fun (cfg, (pos : Position.t)) ->
         supply_label cfg ^ "@" ^ pos.Position.label)
       (fun (cfg, position) ->
-        let netlist = Sg.get netlist_n in
-        let clock = Sg.get clock_n in
-        let sampler = Sg.get sampler_n in
-        let process = netlist.Netlist.lib.Pvtol_stdcell.Cell.process in
-        let low = process.Pvtol_stdcell.Process.vdd_low in
-        let high = process.Pvtol_stdcell.Process.vdd_high in
-        match cfg with
-        | Baseline_low | Chip_wide_high ->
-          let v = match cfg with Baseline_low -> low | _ -> high in
-          let placement = Sg.get placement_n in
-          let systematic =
-            Sampler.systematic_lgates sampler placement position
-          in
-          Power.analyze
-            ~lgate_nm:(fun i -> systematic.(i))
-            ~vdd:(fun _ -> v)
-            ~activity:(Sg.get activity_n)
-            ~wire_length:(Array.get (Placement.wire_lengths placement))
-            ~clock_ns:clock netlist
-        | Islands (dir, raised) ->
-          let v = Sg.get_keyed variant_k dir in
-          let shifted = v.shifted in
-          let systematic =
-            Sampler.systematic_lgates sampler
-              shifted.Level_shifter.placement position
-          in
-          Power.analyze
-            ~lgate_nm:(fun i -> systematic.(i))
-            ~vdd:(fun cid -> Level_shifter.vdd_assignment shifted ~raised cid)
-            ~activity:v.activity_shifted
-            ~wire_length:
-              (Array.get (Placement.wire_lengths shifted.Level_shifter.placement))
-            ~clock_ns:clock shifted.Level_shifter.netlist)
+        power ~activity:(Sg.get activity_n) position cfg)
   in
   {
     config;
@@ -380,6 +361,7 @@ let prepare ?(config = default_config) () =
     islands_k;
     variant_k;
     logic_grouping_n;
+    power;
     power_k;
   }
 
@@ -410,6 +392,13 @@ let logic_grouping t = Sg.get t.logic_grouping_n
 
 let power_at t ?(position = Position.point_a) cfg =
   Sg.get_keyed t.power_k (cfg, position)
+
+let power_mw t ?position cfg = Power.total_mw (power_at t ?position cfg).Power.total
+
+let power t ?(position = Position.point_a) ~activity cfg =
+  t.power ~activity position cfg
+
+let stimulus t words = trace_stimulus t.config (netlist t) words
 
 (* ------------------------------------------------------------------ *)
 (* Keyed families declared by the modules above Flow                    *)

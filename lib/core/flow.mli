@@ -69,7 +69,14 @@ val clock : t -> float
 val sizing : t -> Pvtol_timing.Sizing.report
 val sampler : t -> Pvtol_variation.Sampler.t
 val fir : t -> Pvtol_vexsim.Fir.result
+
 val activity : t -> Pvtol_power.Gatesim.activity
+(** The sized netlist's FIR-trace activity over [gatesim_cycles]: the
+    flow's one gate-level simulation. *)
+
+val stimulus : t -> Int32.t array list -> Pvtol_power.Gatesim.stimulus
+(** An ISS word trace on the [instr[k]] inputs, seeded random bits
+    ([mc_seed + 1]) on every other input. *)
 
 val mc : t -> Position.t -> Pvtol_ssta.Monte_carlo.result
 (** Monte-Carlo SSTA at a die position; memoized per position label. *)
@@ -87,10 +94,8 @@ type variant = {
   direction : Island.direction;
   slicing : Slicing.outcome;
   shifted : Level_shifter.t;
-  sta_shifted : Pvtol_timing.Sta.t;
   post_ls_worst : float;        (** nominal worst delay after insertion *)
   degradation : float;          (** (post_ls_worst - clock) / clock *)
-  activity_shifted : Pvtol_power.Gatesim.activity;
 }
 
 val islands : t -> Island.direction -> Slicing.outcome
@@ -113,16 +118,22 @@ type supply_config =
   | Islands of Island.direction * int
       (** level-shifted design of that slicing with islands [1..k] raised *)
 
+val power :
+  t -> ?position:Position.t -> activity:Pvtol_power.Gatesim.activity ->
+  supply_config -> Pvtol_power.Power.report
+(** Power at a die position (leakage sees the systematic Lgate map
+    there; default position A) under [activity], a run on the sized
+    netlist, which [Islands] extends to the level-shifted design
+    ({!Pvtol_power.Gatesim.extend}).  All configurations run at the
+    nominal fmax, as in §5.  Not memoized. *)
+
 val power_at :
   t -> ?position:Position.t -> supply_config -> Pvtol_power.Power.report
-(** Power at a die position (leakage sees the systematic Lgate map
-    there; default position A).  All configurations are evaluated at
-    the same frequency (the nominal fmax), as in §5.  Memoized per
-    (configuration, position). *)
+(** [power] under the FIR {!activity}, memoized per (configuration,
+    position). *)
 
-val supply_label : supply_config -> string
-(** Stable short label ("low", "high", "islands-vertical-3"), used as
-    the power stage's trace key. *)
+val power_mw : t -> ?position:Position.t -> supply_config -> float
+(** Total mW of [power_at]. *)
 
 (** {2 Introspection} *)
 

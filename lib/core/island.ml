@@ -101,9 +101,8 @@ let domains partition (p : Placement.t) =
       domain_of_point partition
         (Geom.point p.Placement.xs.(i) p.Placement.ys.(i)))
 
-let vdd_assignment partition ~domains ~raised ~lib cid =
+let vdd_assignment ~domains ~raised ~lib cid =
   let process = lib.Pvtol_stdcell.Cell.process in
-  ignore partition;
   if domains.(cid) <= raised then process.Pvtol_stdcell.Process.vdd_high
   else process.Pvtol_stdcell.Process.vdd_low
 

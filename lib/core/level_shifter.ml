@@ -23,22 +23,18 @@ type t = {
 
 (* Crossing analysis: for each net, group sinks by domain and keep the
    groups whose domain is raised strictly earlier than the driver's.
-   Primary-input nets come from off-core pads that are never raised, so
-   their driver domain is "outside". *)
+   Primary-input nets come from full-swing off-core pads, so they never
+   need a shifter. *)
 let crossings partition placement (nl : Netlist.t) =
   let cell_domains = Island.domains partition placement in
-  let outside = Array.length partition.Island.islands + 1 in
   let result = ref [] in
   Array.iter
     (fun (net : Netlist.net) ->
       let driver_domain =
         match net.Netlist.driver with
         | Some d -> cell_domains.(d)
-        | None ->
-          (* Primary inputs come from full-swing pads; no shifting. *)
-          0
+        | None -> 0
       in
-      ignore outside;
       if driver_domain > 1 then begin
         (* All sinks in strictly earlier domains share one shifter: the
            islands are nested and raised in index order, so a shifter
@@ -205,6 +201,4 @@ let insert partition placement (nl : Netlist.t) =
   }
 
 let vdd_assignment t ~raised cid =
-  let lib = t.netlist.Netlist.lib in
-  Island.vdd_assignment t.partition ~domains:t.domains ~raised
-    ~lib cid
+  Island.vdd_assignment ~domains:t.domains ~raised ~lib:t.netlist.Netlist.lib cid

@@ -6,13 +6,11 @@ module Placement = Pvtol_place.Placement
 type t = {
   domains : int array;
   units_per_scenario : string list array;
-  checks : int;
 }
 
 exception Infeasible of string
 
 let generate ?(corner_kappa = 0.35) ~sta ~placement ~sampler ~clock ~targets () =
-  ignore placement;
   let nl = Sta.netlist sta in
   let lib = nl.Netlist.lib in
   let vdd_low = lib.Pvtol_stdcell.Cell.process.Pvtol_stdcell.Process.vdd_low in
@@ -20,7 +18,6 @@ let generate ?(corner_kappa = 0.35) ~sta ~placement ~sampler ~clock ~targets () 
   let n = Netlist.cell_count nl in
   let base = Sta.nominal_delays sta in
   let delays = Array.make n 0.0 in
-  let checks = ref 0 in
   (* Unit ranking: worst nominal arrival over the unit's output nets —
      units holding late-path logic first. *)
   let nominal = Sta.analyze sta ~delays:base in
@@ -48,7 +45,6 @@ let generate ?(corner_kappa = 0.35) ~sta ~placement ~sampler ~clock ~targets () 
   let domains = Array.make n (List.length targets + 1) in
   let raised_units = Hashtbl.create 16 in
   let meets ~systematic scenario_index =
-    incr checks;
     let vdd cid = if domains.(cid) <= scenario_index then vdd_high else vdd_low in
     for i = 0 to n - 1 do
       delays.(i) <-
@@ -96,7 +92,7 @@ let generate ?(corner_kappa = 0.35) ~sta ~placement ~sampler ~clock ~targets () 
           (Infeasible
              (Printf.sprintf "scenario %d not compensable by unit selection" k)))
     targets;
-  { domains; units_per_scenario; checks = !checks }
+  { domains; units_per_scenario }
 
 let count_crossings (nl : Netlist.t) ~domains =
   let count = ref 0 in

@@ -23,7 +23,6 @@ type t = {
           Same semantics as placement-derived island domains. *)
   units_per_scenario : string list array;
       (** functional units newly raised at each scenario index *)
-  checks : int;
 }
 
 exception Infeasible of string

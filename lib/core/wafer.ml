@@ -805,12 +805,20 @@ let estimate_at ?pool ?on_round t ~position cfg =
 (* ------------------------------------------------------------------ *)
 (* Sampling report rendering                                            *)
 
+(* An importance-weighted mean of few dies can leave [0, 1]: reports
+   clip probability estimates (the raw [interval]s stay as computed). *)
+let clip_prob x = if x < 0.0 then 0.0 else if x > 1.0 then 1.0 else x
+
 (* An infinite half-width has no variance estimate behind it: stdout
    says "undefined" where the JSON writes null. *)
 let pp_interval fmt { mid; hw } =
-  if Float.is_finite hw then
-    Format.fprintf fmt "%.4f%% +- %.4f%%" (100.0 *. mid) (100.0 *. hw)
-  else Format.fprintf fmt "%.4f%% +- undefined" (100.0 *. mid)
+  let pct x = 100.0 *. clip_prob x in
+  if not (Float.is_finite hw) then
+    Format.fprintf fmt "%.4f%% +- undefined" (pct mid)
+  else if mid -. hw < 0.0 || mid +. hw > 1.0 then
+    Format.fprintf fmt "%.4f%% in [%.4f%%, %.4f%%]" (pct mid) (pct (mid -. hw))
+      (pct (mid +. hw))
+  else Format.fprintf fmt "%.4f%% +- %.4f%%" (100.0 *. mid) (100.0 *. hw)
 
 let pp_sampling fmt r =
   let c = r.sr_config in
@@ -839,14 +847,15 @@ let sampling_to_json r =
   (* A stratum with fewer than two dies has no variance estimate: its
      half-width is infinite, written as null. *)
   let interval { mid; hw } =
-    Json.Obj [ ("mean", f mid); ("ci_halfwidth", Json.float_or_null hw) ]
+    Json.Obj
+      [ ("mean", f (clip_prob mid)); ("ci_halfwidth", Json.float_or_null hw) ]
   in
   let group g =
     Json.Obj
       [ ("ix", Json.Int g.sg_ix); ("iy", Json.Int g.sg_iy);
         ("dies", Json.Int g.sg_dies); ("components", Json.Int g.sg_components);
-        ("yield_uncompensated", f g.sg_yield_uncompensated);
-        ("rare", f g.sg_rare); ("mean_weight", f g.sg_mean_weight);
+        ("yield_uncompensated", f (clip_prob g.sg_yield_uncompensated));
+        ("rare", f (clip_prob g.sg_rare)); ("mean_weight", f g.sg_mean_weight);
         ("effective_samples", f g.sg_effective_samples) ]
   in
   let position =
@@ -873,7 +882,7 @@ let sampling_to_json r =
        @ position
        @ [ ("clock_ns", f r.sr_clock_ns); ("rounds", Json.Int r.sr_rounds);
            ("converged", Json.Bool r.sr_converged); ("dies", Json.Int r.sr_dies);
-           ("estimate", f r.sr_estimate);
+           ("estimate", f (clip_prob r.sr_estimate));
            ("ci_halfwidth", Json.float_or_null r.sr_ci_halfwidth);
            ("effective_samples", f r.sr_effective_samples);
            ("yield_uncompensated", interval r.sr_yield_uncompensated);

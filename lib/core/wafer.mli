@@ -277,12 +277,15 @@ val estimate_at :
 
 val pp_sampling : Format.formatter -> sampling_report -> unit
 (** The report for stdout.  An infinite half-width prints as
-    [undefined], where {!sampling_to_json} writes [null]. *)
+    [undefined], where {!sampling_to_json} writes [null].  Point
+    estimates are clipped to [0, 1], and an interval that reaches past
+    0 or 1 prints as its clipped bounds ([m% in [lo%, hi%]]). *)
 
 val sampling_to_json : sampling_report -> string
 (** The report as a JSON document; the top level carries
     [effective_samples] and [ci_halfwidth] alongside the per-metric
-    intervals and per-stratum groups. *)
+    intervals and per-stratum groups.  Probability estimates are
+    clipped to [0, 1]; half-widths are written as computed. *)
 
 (** {2 Rendering} *)
 

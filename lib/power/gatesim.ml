@@ -2,6 +2,9 @@ open Pvtol_netlist
 module Kind = Pvtol_stdcell.Kind
 module Cell_lib = Pvtol_stdcell.Cell
 module Srng = Pvtol_util.Srng
+module Metrics = Pvtol_util.Metrics
+
+let m_runs = Metrics.counter "gatesim_runs_total"
 
 type stimulus = cycle:int -> input_index:int -> bool
 
@@ -9,22 +12,23 @@ type activity = {
   cycles : int;
   toggles : int array;
   rates : float array;
+  final_edge : bool array;
 }
+
+let rates ~cycles toggles =
+  Array.map (fun t -> float_of_int t /. float_of_int cycles) toggles
 
 (* Levelized combinational order (flip-flops excluded). *)
 let topo_order (nl : Netlist.t) =
   let n = Netlist.cell_count nl in
-  let is_seq (c : Netlist.cell) =
-    Kind.is_sequential c.Netlist.cell.Cell_lib.kind
-  in
   let indeg = Array.make n 0 in
   Array.iter
     (fun (c : Netlist.cell) ->
-      if not (is_seq c) then
+      if Netlist.is_comb c then
         Array.iter
           (fun nid ->
             match nl.Netlist.nets.(nid).Netlist.driver with
-            | Some d when not (is_seq nl.Netlist.cells.(d)) ->
+            | Some d when Netlist.is_comb nl.Netlist.cells.(d) ->
               indeg.(c.Netlist.id) <- indeg.(c.Netlist.id) + 1
             | Some _ | None -> ())
           c.Netlist.fanins)
@@ -32,7 +36,7 @@ let topo_order (nl : Netlist.t) =
   let queue = Queue.create () in
   Array.iter
     (fun (c : Netlist.cell) ->
-      if (not (is_seq c)) && indeg.(c.Netlist.id) = 0 then
+      if Netlist.is_comb c && indeg.(c.Netlist.id) = 0 then
         Queue.add c.Netlist.id queue)
     nl.Netlist.cells;
   let order = Array.make n (-1) in
@@ -43,7 +47,7 @@ let topo_order (nl : Netlist.t) =
     incr k;
     Array.iter
       (fun (sink, _) ->
-        if not (is_seq nl.Netlist.cells.(sink)) then begin
+        if Netlist.is_comb nl.Netlist.cells.(sink) then begin
           indeg.(sink) <- indeg.(sink) - 1;
           if indeg.(sink) = 0 then Queue.add sink queue
         end)
@@ -90,15 +94,12 @@ let eval_comb p (value : bool array) i =
   Kind.eval3 p.kind.(i) value.(p.pin0.(i)) value.(p.pin1.(i)) value.(p.pin2.(i))
 
 let run ?(cycles = 512) (nl : Netlist.t) stimulus =
+  Metrics.incr m_runs;
   let p = compile nl in
   let value = Array.make (Netlist.net_count nl) false in
   let toggles = Array.make (Netlist.cell_count nl) 0 in
-  let flops =
-    Array.to_list nl.Netlist.cells
-    |> List.filter (fun (c : Netlist.cell) ->
-           Kind.is_sequential c.Netlist.cell.Cell_lib.kind)
-    |> Array.of_list
-  in
+  let final_edge = Array.make (Netlist.cell_count nl) false in
+  let flops = Netlist.flops nl in
   let flop_d = Array.map (fun (c : Netlist.cell) -> c.Netlist.fanins.(0)) flops in
   let flop_q = Array.map (fun (c : Netlist.cell) -> c.Netlist.fanout) flops in
   let captured = Array.make (Array.length flops) false in
@@ -125,16 +126,66 @@ let run ?(cycles = 512) (nl : Netlist.t) stimulus =
       let q = flop_q.(i) in
       if captured.(i) <> value.(q) then begin
         let cid = flops.(i).Netlist.id in
-        toggles.(cid) <- toggles.(cid) + 1
+        toggles.(cid) <- toggles.(cid) + 1;
+        final_edge.(cid) <- cycle = cycles - 1
       end;
       value.(q) <- captured.(i)
     done
   done;
+  { cycles; toggles; rates = rates ~cycles toggles; final_edge }
+
+(* A buffer appended on a net repeats the net's settled value each
+   cycle.  Behind a combinational driver it toggles with it; behind a
+   flop it sees Q one cycle late, so it misses the change of the final
+   edge (no evaluation follows that edge).  Base cells see the same
+   values through their buffers and keep their counts. *)
+let extend a ~(base : Netlist.t) (nl : Netlist.t) =
+  let n = Netlist.cell_count base and m = Netlist.net_count base in
+  if
+    Array.length a.toggles <> n || Netlist.cell_count nl < n
+    || Netlist.net_count nl < m || nl.Netlist.inputs <> base.Netlist.inputs
+  then invalid_arg "Gatesim.extend: the netlist does not extend the base netlist";
+  let kind (c : Netlist.cell) = c.Netlist.cell.Cell_lib.kind in
+  (* The base net an appended buffer repeats; -1 for any other cell. *)
+  let buffered cid =
+    let c = nl.Netlist.cells.(cid) in
+    match (kind c, c.Netlist.fanins) with
+    | (Kind.Buf | Kind.Ls), [| src |] when src < m && c.Netlist.fanout >= m -> src
+    | _ -> -1
+  in
+  let source nid =
+    match nl.Netlist.nets.(nid).Netlist.driver with
+    | Some b when b >= n -> buffered b
+    | Some _ | None -> nid
+  in
+  let fail (c : Netlist.cell) =
+    Printf.ksprintf invalid_arg
+      "Gatesim.extend: %s is neither a base cell nor a buffer on a base net" c.Netlist.name
+  in
+  let toggles =
+    Array.mapi
+      (fun cid (c : Netlist.cell) ->
+        if cid < n then begin
+          let b = base.Netlist.cells.(cid) in
+          if
+            kind c <> kind b || c.Netlist.fanout <> b.Netlist.fanout
+            || Array.map source c.Netlist.fanins <> b.Netlist.fanins
+          then fail c;
+          a.toggles.(cid)
+        end
+        else
+          let src = buffered cid in
+          match if src < 0 then None else nl.Netlist.nets.(src).Netlist.driver with
+          | Some d -> a.toggles.(d) - Bool.to_int a.final_edge.(d)
+          | None -> fail c)
+      nl.Netlist.cells
+  in
   {
-    cycles;
+    cycles = a.cycles;
     toggles;
-    rates =
-      Array.map (fun t -> float_of_int t /. float_of_int cycles) toggles;
+    rates = rates ~cycles:a.cycles toggles;
+    final_edge =
+      Array.append a.final_edge (Array.make (Array.length toggles - n) false);
   }
 
 let random_stimulus ~seed =
@@ -144,7 +195,9 @@ let random_stimulus ~seed =
     let g = Srng.create ((seed * 0x9E3779B1) lxor (cycle * 2654435761) lxor input_index) in
     Srng.uniform g < 0.5
 
-let trace_stimulus (nl : Netlist.t) ~instr_prefix ~words ~fallback =
+let instr_prefix = "instr"
+
+let trace_stimulus (nl : Netlist.t) ~words ~fallback =
   let words = Array.of_list words in
   let n_cycles = Array.length words in
   assert (n_cycles > 0);
@@ -180,7 +233,7 @@ let trace_stimulus (nl : Netlist.t) ~instr_prefix ~words ~fallback =
       Int32.logand (Int32.shift_right_logical word (bit_idx mod 32)) 1l = 1l
     | None -> fallback ~cycle ~input_index
   in
-  (stim, n_cycles)
+  stim
 
 let mean_rate a =
   if Array.length a.rates = 0 then 0.0

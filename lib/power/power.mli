@@ -31,8 +31,6 @@ type report = {
 }
 
 val total_mw : breakdown -> float
-val zero : breakdown
-val add : breakdown -> breakdown -> breakdown
 
 val analyze :
   ?lgate_nm:(Netlist.cell_id -> float) ->

@@ -87,14 +87,14 @@ let test_vdd_assignment_monotone () =
       done;
       !c
     in
-    let now = count (Island.vdd_assignment part ~domains ~raised ~lib) in
-    let next = count (Island.vdd_assignment part ~domains ~raised:(raised + 1) ~lib) in
+    let now = count (Island.vdd_assignment ~domains ~raised ~lib) in
+    let next = count (Island.vdd_assignment ~domains ~raised:(raised + 1) ~lib) in
     Alcotest.(check bool) "raising more islands raises more cells" true (next >= now)
   done;
   (* raised = 0 means everything low. *)
   let all_low =
     Array.for_all
-      (fun cid -> Island.vdd_assignment part ~domains ~raised:0 ~lib cid < 1.1)
+      (fun cid -> Island.vdd_assignment ~domains ~raised:0 ~lib cid < 1.1)
       (Array.init n (fun i -> i))
   in
   Alcotest.(check bool) "raised 0 all low" true all_low
@@ -112,7 +112,7 @@ let test_slicing_compensates_at_corner () =
     Sampler.systematic_lgates (Flow.sampler t) (Flow.placement t)
       Position.point_a
   in
-  let vdd = Island.vdd_assignment part ~domains ~raised:3 ~lib in
+  let vdd = Island.vdd_assignment ~domains ~raised:3 ~lib in
   let base = Sta.nominal_delays (Flow.sta t) in
   let delays =
     Array.mapi

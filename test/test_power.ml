@@ -73,12 +73,12 @@ let small =
 let test_trace_stimulus_mapping () =
   let nl, _, _ = Lazy.force small in
   let fir = Pvtol_vexsim.Fir.run ~taps:4 ~samples:8 () in
-  let stim, n =
-    Gatesim.trace_stimulus nl ~instr_prefix:"instr"
-      ~words:fir.Pvtol_vexsim.Fir.trace
+  let stim =
+    Gatesim.trace_stimulus nl ~words:fir.Pvtol_vexsim.Fir.trace
       ~fallback:(Gatesim.random_stimulus ~seed:1)
   in
-  Alcotest.(check int) "trace length" fir.Pvtol_vexsim.Fir.stats.Pvtol_vexsim.Sim.cycles n;
+  Alcotest.(check int) "trace length" fir.Pvtol_vexsim.Fir.stats.Pvtol_vexsim.Sim.cycles
+    (List.length fir.Pvtol_vexsim.Fir.trace);
   (* Find the instr[0] input and check it reflects the first word's LSB. *)
   let idx = ref (-1) in
   Array.iteri
@@ -104,10 +104,7 @@ let test_trace_stimulus_bad_names () =
   let nl = Builder.freeze b in
   let fallback ~cycle:_ ~input_index:_ = true in
   (* One 2-word bundle: bits 0..63 exist, bit 1 is clear. *)
-  let stim, _ =
-    Gatesim.trace_stimulus nl ~instr_prefix:"instr" ~words:[ [| 0l; 0l |] ]
-      ~fallback
-  in
+  let stim = Gatesim.trace_stimulus nl ~words:[ [| 0l; 0l |] ] ~fallback in
   List.iteri
     (fun i name ->
       Alcotest.(check bool) name (name <> "instr[1]") (stim ~cycle:0 ~input_index:i))
@@ -131,9 +128,8 @@ let test_gatesim_matches_reference_random () =
 let test_gatesim_matches_reference_fir () =
   let nl, _, _ = Lazy.force small in
   let fir = Pvtol_vexsim.Fir.run ~taps:8 ~samples:16 () in
-  let stim, _ =
-    Gatesim.trace_stimulus nl ~instr_prefix:"instr"
-      ~words:fir.Pvtol_vexsim.Fir.trace
+  let stim =
+    Gatesim.trace_stimulus nl ~words:fir.Pvtol_vexsim.Fir.trace
       ~fallback:(Gatesim.random_stimulus ~seed:5)
   in
   check_against_reference "fir trace" nl stim
@@ -146,6 +142,103 @@ let test_gatesim_matches_reference_shifted () =
        (fun (c : Netlist.cell) -> Kind.is_level_shifter c.Netlist.cell.Cell.kind)
        nl.Netlist.cells);
   check_against_reference "level-shifted" nl (Gatesim.random_stimulus ~seed:13)
+
+(* --- derived activity of a level-shifted design --- *)
+
+module Flow = Pvtol_core.Flow
+module Island = Pvtol_core.Island
+module Level_shifter = Pvtol_core.Level_shifter
+module Workloads = Pvtol_vexsim.Workloads
+
+(* Oracle: simulate the level-shifted netlist a second time under the
+   same stimulus, as the flow did before it derived the activity. *)
+let resimulated t ~cycles ~words nl =
+  Gatesim.run ~cycles nl
+    (Gatesim.trace_stimulus nl ~words
+       ~fallback:(Gatesim.random_stimulus ~seed:((Flow.config t).Flow.mc_seed + 1)))
+
+let check_same_activity label (expected : Gatesim.activity)
+    (got : Gatesim.activity) =
+  Alcotest.(check (array int)) (label ^ ": toggles") expected.Gatesim.toggles
+    got.Gatesim.toggles;
+  Alcotest.(check bool) (label ^ ": Marshal-equal") true
+    (Marshal.to_string expected [] = Marshal.to_string got [])
+
+(* On every slicing, the FIR activity and each workload's, extended to
+   the level-shifted netlist, equal its re-simulation.  Some flop-driven
+   shifter must sit one below its driver, or the final-edge rule went
+   untested. *)
+let check_derived_activity t =
+  let base = Flow.netlist t in
+  let config = Flow.config t in
+  let workload_cycles = max 64 (config.Flow.gatesim_cycles / 2) in
+  let stimuli =
+    ("fir", config.Flow.gatesim_cycles, (Flow.fir t).Pvtol_vexsim.Fir.trace,
+     Flow.activity t)
+    :: List.map
+         (fun (w : Workloads.t) ->
+           ( w.Workloads.name, workload_cycles, w.Workloads.trace,
+             Gatesim.run ~cycles:workload_cycles base
+               (Flow.stimulus t w.Workloads.trace) ))
+         (Workloads.all ())
+  in
+  let late = ref 0 in
+  List.iter
+    (fun dir ->
+      let nl = (Flow.variant t dir).Flow.shifted.Level_shifter.netlist in
+      List.iter
+        (fun (name, cycles, words, act) ->
+          let label = Island.direction_name dir ^ "/" ^ name in
+          let derived = Gatesim.extend act ~base nl in
+          check_same_activity label (resimulated t ~cycles ~words nl) derived;
+          for cid = Netlist.cell_count base to Netlist.cell_count nl - 1 do
+            let input = nl.Netlist.cells.(cid).Netlist.fanins.(0) in
+            match nl.Netlist.nets.(input).Netlist.driver with
+            | Some d when derived.Gatesim.toggles.(cid) < act.Gatesim.toggles.(d) ->
+              incr late
+            | Some _ | None -> ()
+          done)
+        stimuli)
+    [ Island.Vertical; Island.Horizontal; Island.Quadrant ];
+  Alcotest.(check bool) "a shifter misses its flop's final edge" true (!late > 0)
+
+let test_derived_activity_quick () =
+  let t, _ = Lazy.force Test_core.env in
+  check_derived_activity t
+
+let test_derived_activity_full () =
+  check_derived_activity (Flow.prepare ~config:Flow.default_config ())
+
+(* [inv_chain] plus one cell of [kind] appended on nets [pins]. *)
+let inv_chain_plus kind pins =
+  let b = Builder.create lib in
+  let a = Builder.input b "a" in
+  let n1 = Builder.add b ~stage ~unit_name:"u" Kind.Inv [| a |] in
+  let n2 = Builder.add b ~stage ~unit_name:"u" Kind.Inv [| n1 |] in
+  Builder.output b n2 "out";
+  let nets = [| a; n1; n2 |] in
+  ignore (Builder.add b ~stage ~unit_name:"u" kind (Array.map (Array.get nets) pins));
+  Builder.freeze b
+
+let test_extend_rejects () =
+  let base = inv_chain () in
+  let act = Gatesim.run ~cycles:8 base (Gatesim.random_stimulus ~seed:2) in
+  let extend nl = Gatesim.extend act ~base nl in
+  let buffered = extend (inv_chain_plus Kind.Buf [| 1 |]) in
+  Alcotest.(check (array int)) "buffer repeats its driver"
+    (Array.append act.Gatesim.toggles [| act.Gatesim.toggles.(0) |])
+    buffered.Gatesim.toggles;
+  List.iter
+    (fun (label, nl) ->
+      match extend nl with
+      | _ -> Alcotest.failf "%s: accepted" label
+      | exception Invalid_argument _ -> ())
+    [
+      ("inverter", inv_chain_plus Kind.Inv [| 1 |]);
+      ("two-input gate", inv_chain_plus Kind.Nand2 [| 1; 2 |]);
+      ("buffer on a primary input", inv_chain_plus Kind.Buf [| 0 |]);
+      ("another netlist", Lazy.force small |> fun (nl, _, _) -> nl);
+    ]
 
 let analyze ?(vdd = fun _ -> 1.0) () =
   let nl, p, act = Lazy.force small in
@@ -231,9 +324,19 @@ let suite =
         test_gatesim_matches_reference_fir;
       Alcotest.test_case "gatesim = reference (level shifters)" `Quick
         test_gatesim_matches_reference_shifted;
+      Alcotest.test_case "derived activity = re-simulation (quick)" `Quick
+        test_derived_activity_quick;
+      Alcotest.test_case "extend rejects non-buffers" `Quick test_extend_rejects;
       Alcotest.test_case "power consistency" `Quick test_power_positive_and_consistent;
       Alcotest.test_case "power vdd monotone" `Quick test_power_vdd_monotone;
       Alcotest.test_case "power partial vdd" `Quick test_power_partial_vdd_between;
       Alcotest.test_case "power frequency scaling" `Quick test_power_frequency_scaling;
       Alcotest.test_case "power lgate leakage" `Quick test_power_lgate_leakage;
-    ] )
+    ]
+    @
+    if Sys.getenv_opt "PVTOL_SLOW_TESTS" <> Some "1" then []
+    else
+      [
+        Alcotest.test_case "derived activity = re-simulation (full)" `Slow
+          test_derived_activity_full;
+      ] )

@@ -148,6 +148,76 @@ let prop_gatesim_matches_simtool =
       done;
       act.Pvtol_power.Gatesim.toggles = toggles)
 
+(* [nl] plus a buffer (BUF or LS) on every flop-driven net and on a
+   random third of the other cell-driven nets; each buffer takes over a
+   random subset of its net's sinks, possibly none or all. *)
+let append_buffers seed (nl : Netlist.t) =
+  let rng = Srng.create seed in
+  let n = Netlist.cell_count nl and m = Netlist.net_count nl in
+  let cells =
+    Array.map
+      (fun (c : Netlist.cell) -> { c with Netlist.fanins = Array.copy c.Netlist.fanins })
+      nl.Netlist.cells
+  in
+  let nets = Array.copy nl.Netlist.nets in
+  let chosen =
+    Array.to_list nl.Netlist.nets
+    |> List.filter (fun (net : Netlist.net) ->
+           match net.Netlist.driver with
+           | Some d -> (not (Netlist.is_comb cells.(d))) || Srng.int rng 3 = 0
+           | None -> false)
+  in
+  let buffers =
+    List.mapi
+      (fun k (net : Netlist.net) ->
+        let id = n + k and out = m + k in
+        let moved, kept =
+          List.partition
+            (fun _ -> Srng.int rng 2 = 0)
+            (Array.to_list net.Netlist.sinks)
+        in
+        List.iter (fun (cid, pin) -> cells.(cid).Netlist.fanins.(pin) <- out) moved;
+        nets.(net.Netlist.net_id) <-
+          { net with Netlist.sinks = Array.of_list ((id, 0) :: kept) };
+        let kind = if Srng.int rng 2 = 0 then Kind.Buf else Kind.Ls in
+        ( {
+            (cells.(0)) with
+            Netlist.id;
+            name = Printf.sprintf "b%d" k;
+            cell = Cell.find lib kind Cell.X1;
+            fanins = [| net.Netlist.net_id |];
+            fanout = out;
+          },
+          {
+            Netlist.net_id = out;
+            net_name = Printf.sprintf "b%d_o" k;
+            driver = Some id;
+            sinks = Array.of_list moved;
+            is_output = false;
+          } ))
+      chosen
+  in
+  { nl with
+    Netlist.cells = Array.append cells (Array.of_list (List.map fst buffers));
+    nets = Array.append nets (Array.of_list (List.map snd buffers)) }
+
+let prop_extend_matches_resimulation =
+  (* The activity derived for appended buffers equals a second
+     simulation, on odd and even cycle counts alike. *)
+  QCheck.Test.make ~name:"extended activity equals re-simulation" ~count:40
+    QCheck.(pair (int_bound 100_000) (int_range 1 40))
+    (fun (seed, cycles) ->
+      let nl = random_netlist seed in
+      let ext = append_buffers (seed + 7) nl in
+      let stim = Pvtol_power.Gatesim.random_stimulus ~seed:(seed + 1) in
+      Netlist.check ext = Ok ()
+      && List.for_all
+           (fun cycles ->
+             let a = Pvtol_power.Gatesim.run ~cycles nl stim in
+             Marshal.to_string (Pvtol_power.Gatesim.extend a ~base:nl ext) []
+             = Marshal.to_string (Pvtol_power.Gatesim.run ~cycles ext stim) [])
+           [ cycles; cycles + 1 ])
+
 let prop_spef_roundtrip =
   QCheck.Test.make ~name:"spef extract/annotate reproduces the placed STA"
     ~count:10 (QCheck.int_bound 100_000)
@@ -400,6 +470,7 @@ let suite =
       qcheck prop_sta_scaling_linear;
       qcheck prop_sdf_roundtrip_random;
       qcheck prop_gatesim_matches_simtool;
+      qcheck prop_extend_matches_resimulation;
       qcheck prop_spef_roundtrip;
       qcheck prop_liberty_roundtrip_fuzzed;
       qcheck prop_island_domains_partition;

@@ -14,6 +14,7 @@ module Specfun = Pvtol_util.Specfun
 module Pool = Pvtol_util.Pool
 module Srng = Pvtol_util.Srng
 module Stage = Pvtol_netlist.Stage
+module Json = Pvtol_util.Json
 
 let flow = lazy (Flow.prepare ~config:Flow.quick_config ())
 
@@ -259,6 +260,61 @@ let test_undefined_interval_printed () =
   Alcotest.(check bool) "half-width printed as undefined" true
     (contains "+- undefined")
 
+(* Every number printed before a '%' in [text]. *)
+let printed_percents text =
+  let is_num c = (c >= '0' && c <= '9') || c = '.' || c = '-' in
+  List.filter_map
+    (fun i ->
+      if text.[i] <> '%' then None
+      else begin
+        let j = ref i in
+        while !j > 0 && is_num text.[!j - 1] do decr j done;
+        float_of_string_opt (String.sub text !j (i - !j))
+      end)
+    (List.init (String.length text) Fun.id)
+
+let test_estimates_clipped () =
+  (* Importance-weighted means of few dies leave [0, 1]: one die per
+     stratum gives an island yield above 1, and the CI smoke config an
+     interval past both bounds.  Reports clip them; the raw intervals
+     stay as computed. *)
+  let t = Lazy.force flow in
+  List.iter
+    (fun (strata, dies, rounds, ci_target) ->
+      let r =
+        Wafer.estimate_run t
+          {
+            Wafer.default_sampling_config with
+            Wafer.s_method = Smart_sampling.Is;
+            s_strata = strata;
+            s_dies_per_round = dies;
+            s_max_rounds = rounds;
+            s_ci_target = ci_target;
+          }
+      in
+      let label = Printf.sprintf "%d strata x %d dies x %d rounds" strata dies rounds in
+      let y = r.Wafer.sr_yield_compensated in
+      Alcotest.(check bool) (label ^ ": raw interval leaves [0, 1]") true
+        (y.Wafer.mid +. y.Wafer.hw > 1.0);
+      List.iter
+        (fun p ->
+          if p < 0.0 || p > 100.0 then Alcotest.failf "%s: printed %g%%" label p)
+        (printed_percents (Format.asprintf "%a" Wafer.pp_sampling r));
+      let json =
+        match Json.of_string (Wafer.sampling_to_json r) with
+        | Ok j -> j
+        | Error e -> Alcotest.fail e
+      in
+      List.iter
+        (fun metric ->
+          match Option.bind (Json.member metric json) (Json.member "mean") with
+          | Some m ->
+            let m = Option.get (Json.to_float m) in
+            if m < 0.0 || m > 1.0 then Alcotest.failf "%s: %s mean %g" label metric m
+          | None -> Alcotest.failf "%s: no %s mean" label metric)
+        [ "yield_uncompensated"; "yield_compensated"; "yield_chip_wide"; "rare" ])
+    [ (5, 1, 1, 0.001); (2, 4, 3, 0.0005) ]
+
 (* ------------------------------------------------------------------ *)
 (* Bit-identity across domains                                          *)
 
@@ -458,6 +514,7 @@ let suite =
       Alcotest.test_case "stopping rule" `Quick test_stopping_rule;
       Alcotest.test_case "undefined interval printed" `Quick
         test_undefined_interval_printed;
+      Alcotest.test_case "estimates clipped to [0, 1]" `Quick test_estimates_clipped;
       Alcotest.test_case "domain invariance" `Quick test_domain_invariance;
       Alcotest.test_case "keyed stage memoized" `Quick
         test_keyed_stage_memoized;
