@@ -8,6 +8,7 @@ module Island = Pvtol_core.Island
 module Wafer = Pvtol_core.Wafer
 module Compare = Pvtol_core.Compare
 module Compensation = Pvtol_core.Compensation
+module Smart_sampling = Pvtol_ssta.Smart_sampling
 module Trace = Pvtol_util.Trace
 module Metrics = Pvtol_util.Metrics
 module Json = Pvtol_util.Json
@@ -20,93 +21,113 @@ open Cmdliner
 (* ------------------------------------------------------------------ *)
 (* Common options                                                       *)
 
-let quick =
-  let doc = "Use the scaled-down design and sample counts (fast)." in
-  Arg.(value & flag & info [ "quick" ] ~doc)
-
-(* Counts, sizes and targets: a non-positive value is a usage error
+(* Counts, sizes and targets: a value [ok] rejects is a usage error
    (one line, exit 124) rather than a failed stage. *)
-let positive_conv base ~positive =
+let checked_conv base ~ok ~what =
   let parse s =
     match Arg.conv_parser base s with
-    | Ok v when positive v -> Ok v
-    | Ok _ -> Error (`Msg (Printf.sprintf "%S is not positive" s))
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "%S is %s" s what))
     | Error _ as e -> e
   in
   Arg.conv (parse, Arg.conv_printer base)
 
-let pos_int = positive_conv Arg.int ~positive:(fun n -> n > 0)
-let pos_float = positive_conv Arg.float ~positive:(fun x -> x > 0.0)
+let pos_int = checked_conv Arg.int ~ok:(fun n -> n > 0) ~what:"not positive"
+
+let pos_float =
+  checked_conv Arg.float ~ok:(fun x -> x > 0.0) ~what:"not positive"
 
 let samples =
   let doc = "Monte-Carlo sample count (default from the configuration)." in
-  Arg.(value & opt (some pos_int) None & info [ "samples" ] ~doc)
+  let min = Pvtol_util.Fit.min_samples in
+  let count =
+    checked_conv Arg.int
+      ~ok:(fun n -> n >= min)
+      ~what:(Printf.sprintf "below the minimum of %d samples" min)
+  in
+  Arg.(value & opt (some count) None & info [ "samples" ] ~doc)
 
 let seed =
   let doc = "Random seed for the Monte-Carlo and stimulus streams." in
   Arg.(value & opt (some int) None & info [ "seed" ] ~doc)
 
-let trace_flag =
-  let doc =
-    "Report the stage graph after the run: every pipeline stage that \
-     was computed, its wall-clock time, heap allocation and \
-     dependencies (to stderr), and write the same spans as \
-     $(b,trace.json)."
+(* The six flags every command takes: the design size and the run
+   artifacts. *)
+type common = {
+  quick : bool;
+  trace : bool;
+  trace_out : string;
+  metrics_out : string option;
+  trace_chrome : string option;
+  run_ledger : string option;
+}
+
+let common =
+  let quick =
+    let doc = "Use the scaled-down design and sample counts (fast)." in
+    Arg.(value & flag & info [ "quick" ] ~doc)
   in
-  Arg.(value & flag & info [ "trace" ] ~doc)
-
-let trace_out =
-  let doc = "File the JSON trace is written to when $(b,--trace) is set." in
-  Arg.(value & opt string "trace.json" & info [ "trace-out" ] ~doc ~docv:"FILE")
-
-let metrics_out =
-  let doc =
-    "Enable the metrics registry and write a snapshot to $(docv) after \
-     the run (Prometheus text if the name ends in .prom or .txt, JSON \
-     otherwise).  Also prints a one-line summary of the non-zero \
-     counters to stderr."
+  let trace =
+    let doc =
+      "Report the stage graph after the run: every pipeline stage that \
+       was computed, its wall-clock time, heap allocation and \
+       dependencies (to stderr), and write the same spans as \
+       $(b,trace.json)."
+    in
+    Arg.(value & flag & info [ "trace" ] ~doc)
   in
-  Arg.(
-    value & opt (some string) None & info [ "metrics-out" ] ~doc ~docv:"FILE")
-
-let trace_chrome =
-  let doc =
-    "Write the stage trace as Chrome trace-event JSON to $(docv) (load \
-     in chrome://tracing or Perfetto; one track per domain)."
+  let trace_out =
+    let doc = "File the JSON trace is written to when $(b,--trace) is set." in
+    Arg.(
+      value & opt string "trace.json" & info [ "trace-out" ] ~doc ~docv:"FILE")
   in
-  Arg.(
-    value & opt (some string) None & info [ "trace-chrome" ] ~doc ~docv:"FILE")
-
-let run_ledger =
-  let doc =
-    "Write a run ledger to $(docv) after the run: version and git \
-     revision, argv and configuration, wall/CPU time, GC totals, \
-     per-stage time/allocation attribution, pool queue-wait totals and \
-     an MD5 digest of every emitted report.  Render it with \
-     $(b,pvtol report FILE).  Implies metrics collection."
+  let file_opt name doc =
+    Arg.(value & opt (some string) None & info [ name ] ~doc ~docv:"FILE")
   in
-  Arg.(
-    value & opt (some string) None & info [ "run-ledger" ] ~doc ~docv:"FILE")
-
-let config_of ~quick ~samples ~seed =
-  let base = if quick then Flow.quick_config else Flow.default_config in
-  let base =
-    match samples with Some s -> { base with Flow.mc_samples = s } | None -> base
+  let metrics_out =
+    file_opt "metrics-out"
+      "Enable the metrics registry and write a snapshot to $(docv) after \
+       the run (Prometheus text if the name ends in .prom or .txt, JSON \
+       otherwise).  Also prints a one-line summary of the non-zero \
+       counters to stderr."
   in
-  match seed with Some s -> { base with Flow.mc_seed = s } | None -> base
+  let trace_chrome =
+    file_opt "trace-chrome"
+      "Write the stage trace as Chrome trace-event JSON to $(docv) (load \
+       in chrome://tracing or Perfetto; one track per domain)."
+  in
+  let run_ledger =
+    file_opt "run-ledger"
+      "Write a run ledger to $(docv) after the run: version and git \
+       revision, argv and configuration, wall/CPU time, GC totals, \
+       per-stage time/allocation attribution, pool queue-wait totals and \
+       an MD5 digest of every emitted report.  Render it with \
+       $(b,pvtol report FILE).  Implies metrics collection."
+  in
+  let make quick trace trace_out metrics_out trace_chrome run_ledger =
+    { quick; trace; trace_out; metrics_out; trace_chrome; run_ledger }
+  in
+  Term.(
+    const make $ quick $ trace $ trace_out $ metrics_out $ trace_chrome
+    $ run_ledger)
 
-(* Run [f] on a fresh flow handle; with [--trace], print the span
-   report and write the JSON artifact afterwards (also when a stage
-   fails, so the trace shows how far the run got).  [--metrics-out],
-   [--trace-chrome] and [--run-ledger] write their artifacts on the
-   same always-also-on-failure basis.  [f] receives the run-ledger
-   collector so subcommands can digest the reports they emit. *)
-let with_flow ~quick ~samples ~seed ~trace ~trace_out ~metrics_out
-    ~trace_chrome ~run_ledger f =
-  if metrics_out <> None || run_ledger <> None then Metrics.set_enabled true;
+(* Run command [name]'s body [f] on a fresh flow handle, under one
+   trace span named [name].  Then write every requested artifact, also
+   when [f] failed (the trace shows how far the run got).  The first
+   failure, of the run or else of an artifact, ends the process.  A
+   failed stage or an unwritable file prints one [pvtol: <message>]
+   line and exits 2; any other exception escapes.  [f] receives the
+   run-ledger collector so commands can digest the reports they emit. *)
+let with_flow ~name ?samples ?seed c f =
+  if c.metrics_out <> None || c.run_ledger <> None then Metrics.set_enabled true;
+  let config = if c.quick then Flow.quick_config else Flow.default_config in
+  let config =
+    { config with
+      Flow.mc_samples = Option.value samples ~default:config.Flow.mc_samples;
+      mc_seed = Option.value seed ~default:config.Flow.mc_seed }
+  in
   let ledger = Runinfo.create () in
-  let config = config_of ~quick ~samples ~seed in
-  Runinfo.add_config ledger "quick" (Json.Bool quick);
+  Runinfo.add_config ledger "quick" (Json.Bool c.quick);
   Runinfo.add_config ledger "mc_samples" (Json.Int config.Flow.mc_samples);
   Runinfo.add_config ledger "mc_seed" (Json.Int config.Flow.mc_seed);
   Runinfo.add_config ledger "PVTOL_DOMAINS"
@@ -114,36 +135,42 @@ let with_flow ~quick ~samples ~seed ~trace ~trace_out ~metrics_out
     | Some v -> Json.Str v
     | None -> Json.Null);
   let t = Flow.prepare ~config () in
-  let emit () =
-    if trace then begin
-      Format.eprintf "%a@?" Trace.pp (Flow.trace t);
-      Trace.write_json (Flow.trace t) trace_out;
-      Format.eprintf "trace written to %s@." trace_out
-    end;
-    (match trace_chrome with
-    | None -> ()
-    | Some file ->
-      Trace.write_chrome_json (Flow.trace t) file;
-      Format.eprintf "chrome trace written to %s@." file);
-    (match metrics_out with
-    | None -> ()
-    | Some file ->
-      Metrics.write ~file;
-      Format.eprintf "%s@.metrics written to %s@."
-        (Metrics.summary_line (Metrics.snapshot ()))
-        file);
-    match run_ledger with
-    | None -> ()
-    | Some file ->
-      Runinfo.write ~trace:(Flow.trace t) ~metrics:(Metrics.snapshot ()) ledger
-        ~file;
-      Format.eprintf "run ledger written to %s@." file
+  let trace = Flow.trace t in
+  let failure = ref None in
+  let attempt g =
+    try g () with e -> if Option.is_none !failure then failure := Some e
   in
-  match f ~ledger t with
-  | () -> emit ()
-  | exception exn ->
-    emit ();
-    raise exn
+  let write what save file =
+    attempt (fun () ->
+        save file;
+        Format.eprintf "%s written to %s@." what file)
+  in
+  attempt (fun () -> Trace.span trace ~name (fun () -> f ~ledger t));
+  if c.trace then
+    write "trace"
+      (fun file ->
+        Trace.write_json trace file;
+        Format.eprintf "%a@?" Trace.pp trace)
+      c.trace_out;
+  Option.iter (write "chrome trace" (Trace.write_chrome_json trace)) c.trace_chrome;
+  Option.iter
+    (write "metrics" (fun file ->
+         Metrics.write ~file;
+         Format.eprintf "%s@." (Metrics.summary_line (Metrics.snapshot ()))))
+    c.metrics_out;
+  Option.iter
+    (write "run ledger" (fun file ->
+         Runinfo.write ~trace ~metrics:(Metrics.snapshot ()) ledger ~file))
+    c.run_ledger;
+  let fail m =
+    Format.eprintf "pvtol: %s@." m;
+    exit 2
+  in
+  match !failure with
+  | None -> ()
+  | Some (Sys_error m) -> fail m
+  | Some (Pvtol_core.Stage.Stage_error e) -> fail (Pvtol_core.Stage.error_message e)
+  | Some e -> raise e
 
 (* Print a rendered report and record its digest in the run ledger, so
    two runs can be compared result-first. *)
@@ -151,28 +178,21 @@ let emit_report ledger ~name content =
   Runinfo.add_artifact ledger ~name:("stdout:" ^ name) content;
   print_string content
 
-(* Write a JSON report string to [file] and digest it. *)
-let write_report ledger ~file content =
-  let oc = open_out file in
-  output_string oc content;
-  close_out oc;
-  Runinfo.add_artifact ledger ~name:file content
+(* Write a JSON report string to [file], digest it and say so. *)
+let write_report ledger ~what ~file content =
+  Out_channel.with_open_text file (fun oc -> output_string oc content);
+  Runinfo.add_artifact ledger ~name:file content;
+  Printf.printf "\n%s written to %s\n" what file
 
 (* ------------------------------------------------------------------ *)
 (* Exhibit subcommands                                                  *)
 
 let exhibit_cmd name doc render =
-  let run quick samples seed trace trace_out metrics_out trace_chrome
-      run_ledger =
-    with_flow ~quick ~samples ~seed ~trace ~trace_out ~metrics_out
-      ~trace_chrome ~run_ledger (fun ~ledger t ->
+  let run c samples seed =
+    with_flow ~name ?samples ?seed c (fun ~ledger t ->
         emit_report ledger ~name (render t))
   in
-  Cmd.v
-    (Cmd.info name ~doc)
-    Term.(
-      const run $ quick $ samples $ seed $ trace_flag $ trace_out
-      $ metrics_out $ trace_chrome $ run_ledger)
+  Cmd.v (Cmd.info name ~doc) Term.(const run $ common $ samples $ seed)
 
 (* Every registered exhibit but [wafer], whose name belongs to the sweep
    command below, then [all]. *)
@@ -218,14 +238,14 @@ let fields =
   in
   Arg.(value & opt pos_int 1 & info [ "fields" ] ~doc ~docv:"N")
 
+(* An enum flag's values under their report names. *)
+let named name xs = Arg.enum (List.map (fun x -> (name x, x)) xs)
+
 let direction_arg doc =
+  let directions = Island.[ Vertical; Horizontal; Quadrant ] in
   Arg.(
     value
-    & opt
-        (enum
-           [ ("vertical", Island.Vertical); ("horizontal", Island.Horizontal);
-             ("quadrant", Island.Quadrant) ])
-        Island.Vertical
+    & opt (named Island.direction_name directions) Island.Vertical
     & info [ "direction" ] ~doc ~docv:"vertical|horizontal|quadrant")
 
 let wafer_cmd =
@@ -243,7 +263,7 @@ let wafer_cmd =
   let progress =
     let doc =
       "Stream per-cell progress and an ETA to stderr while the sweep \
-       runs (no effect when the sweep is already memoized)."
+       runs."
     in
     Arg.(value & flag & info [ "progress" ] ~doc)
   in
@@ -256,15 +276,10 @@ let wafer_cmd =
        sets the dies per stratum per round and $(b,--grid)/$(b,--fields) \
        are ignored."
     in
+    let methods = Smart_sampling.[ Mc; Is; Lhs ] in
     Arg.(
       value
-      & opt
-          (some
-             (enum
-                [ ("mc", Pvtol_ssta.Smart_sampling.Mc);
-                  ("is", Pvtol_ssta.Smart_sampling.Is);
-                  ("lhs", Pvtol_ssta.Smart_sampling.Lhs) ]))
-          None
+      & opt (some (named Smart_sampling.method_name methods)) None
       & info [ "sampler" ] ~doc ~docv:"mc|is|lhs")
   in
   let ci_target =
@@ -281,8 +296,7 @@ let wafer_cmd =
     in
     Arg.(
       value
-      & opt (enum [ ("yield", Wafer.Ci_yield); ("rare", Wafer.Ci_rare) ])
-          Wafer.Ci_yield
+      & opt (named Wafer.ci_metric_name Wafer.[ Ci_yield; Ci_rare ]) Wafer.Ci_yield
       & info [ "ci-metric" ] ~doc ~docv:"yield|rare")
   in
   let rare_scenario =
@@ -300,16 +314,13 @@ let wafer_cmd =
     let doc = "Maximum sampling rounds before giving up on the CI target." in
     Arg.(value & opt pos_int 64 & info [ "rounds" ] ~doc ~docv:"N")
   in
-  let run quick samples seed trace trace_out metrics_out trace_chrome
-      run_ledger (nx, ny) dies_per_cell fields wafer_seed direction json_file
-      progress sampler ci_target ci_metric rare_scenario strata rounds =
-    with_flow ~quick ~samples ~seed ~trace ~trace_out ~metrics_out
-      ~trace_chrome ~run_ledger (fun ~ledger t ->
+  let run c samples seed (nx, ny) dies_per_cell fields wafer_seed direction
+      json_file progress sampler ci_target ci_metric rare_scenario strata
+      rounds =
+    with_flow ~name:"wafer" ?samples ?seed c (fun ~ledger t ->
         Runinfo.add_config ledger "sampler"
           (match sampler with
-          | Some Pvtol_ssta.Smart_sampling.Mc -> Json.Str "mc"
-          | Some Pvtol_ssta.Smart_sampling.Is -> Json.Str "is"
-          | Some Pvtol_ssta.Smart_sampling.Lhs -> Json.Str "lhs"
+          | Some m -> Json.Str (Smart_sampling.method_name m)
           | None -> Json.Null);
         match sampler with
         | Some s_method ->
@@ -344,11 +355,11 @@ let wafer_cmd =
           let r = Wafer.estimate ?on_round t scfg in
           emit_report ledger ~name:"sampling"
             (Format.asprintf "%a@." Wafer.pp_sampling r);
-          (match json_file with
-          | None -> ()
-          | Some file ->
-            write_report ledger ~file (Wafer.sampling_to_json r);
-            Printf.printf "\nsampling report written to %s\n" file)
+          Option.iter
+            (fun file ->
+              write_report ledger ~what:"sampling report" ~file
+                (Wafer.sampling_to_json r))
+            json_file
         | None ->
         let cfg =
           { Wafer.nx; ny; dies_per_cell; fields; seed = wafer_seed; direction }
@@ -377,17 +388,16 @@ let wafer_cmd =
                 Mutex.unlock mu)
           end
         in
-        let s = Wafer.sweep ?on_cell t cfg in
+        let s = Wafer.run ?on_cell t (Flow.variant t direction) cfg in
         emit_report ledger ~name:"wafer"
           (Format.asprintf "%a@.%s\n%s\n%s" Wafer.pp s
              (Wafer.render_map s Wafer.Yield_uncompensated)
              (Wafer.render_map s Wafer.Yield_compensated)
              (Wafer.render_map s Wafer.Mean_raised));
-        match json_file with
-        | None -> ()
-        | Some file ->
-          write_report ledger ~file (Wafer.to_json s);
-          Printf.printf "\nwafer sweep written to %s\n" file)
+        Option.iter
+          (fun file ->
+            write_report ledger ~what:"wafer sweep" ~file (Wafer.to_json s))
+          json_file)
   in
   Cmd.v
     (Cmd.info "wafer"
@@ -398,10 +408,9 @@ let wafer_cmd =
           per-cell and wafer-level yield, compensation and power with \
           streaming statistics.")
     Term.(
-      const run $ quick $ samples $ seed $ trace_flag $ trace_out
-      $ metrics_out $ trace_chrome $ run_ledger $ grid $ dies $ fields
-      $ wafer_seed $ direction $ json_file $ progress $ sampler $ ci_target
-      $ ci_metric $ rare_scenario $ strata $ rounds)
+      const run $ common $ samples $ seed $ grid $ dies $ fields $ wafer_seed
+      $ direction $ json_file $ progress $ sampler $ ci_target $ ci_metric
+      $ rare_scenario $ strata $ rounds)
 
 (* ------------------------------------------------------------------ *)
 (* Strategy comparison                                                  *)
@@ -454,11 +463,9 @@ let compare_cmd =
     let doc = "Also write the comparison report as JSON." in
     Arg.(value & opt (some string) None & info [ "json" ] ~doc ~docv:"FILE")
   in
-  let run quick samples seed trace trace_out metrics_out trace_chrome
-      run_ledger strategies (nx, ny) dies_per_cell fields compare_seed
+  let run c samples seed strategies (nx, ny) dies_per_cell fields compare_seed
       direction json_file =
-    with_flow ~quick ~samples ~seed ~trace ~trace_out ~metrics_out
-      ~trace_chrome ~run_ledger (fun ~ledger t ->
+    with_flow ~name:"compare" ?samples ?seed c (fun ~ledger t ->
         let cfg =
           {
             Compare.nx;
@@ -470,13 +477,12 @@ let compare_cmd =
             choices = strategies;
           }
         in
-        let r = Compare.compare t cfg in
+        let r = Compare.run t (Flow.variant t direction) cfg in
         emit_report ledger ~name:"compare" (Compare.render r);
-        match json_file with
-        | None -> ()
-        | Some file ->
-          write_report ledger ~file (Compare.to_json r);
-          Printf.printf "\ncomparison written to %s\n" file)
+        Option.iter
+          (fun file ->
+            write_report ledger ~what:"comparison" ~file (Compare.to_json r))
+          json_file)
   in
   Cmd.v
     (Cmd.info "compare"
@@ -487,9 +493,8 @@ let compare_cmd =
           and Lgate realisations) and report yield, mean power and area \
           overhead per strategy.")
     Term.(
-      const run $ quick $ samples $ seed $ trace_flag $ trace_out
-      $ metrics_out $ trace_chrome $ run_ledger $ strategies $ grid $ dies
-      $ fields $ compare_seed $ direction $ json_file)
+      const run $ common $ samples $ seed $ strategies $ grid $ dies $ fields
+      $ compare_seed $ direction $ json_file)
 
 (* ------------------------------------------------------------------ *)
 (* Design-file dumps                                                    *)
@@ -499,9 +504,8 @@ let outdir =
   Arg.(value & opt string "." & info [ "o"; "outdir" ] ~doc)
 
 let dump_cmd =
-  let run quick outdir trace trace_out metrics_out trace_chrome run_ledger =
-    with_flow ~quick ~samples:None ~seed:None ~trace ~trace_out ~metrics_out
-      ~trace_chrome ~run_ledger (fun ~ledger:_ t ->
+  let run c outdir =
+    with_flow ~name:"dump" c (fun ~ledger:_ t ->
         let nl = Flow.netlist t in
         let path name = Filename.concat outdir name in
         Pvtol_stdcell.Liberty.write_file (path "pvtol65lp.lib") nl.Netlist.lib;
@@ -523,13 +527,10 @@ let dump_cmd =
          "Run the front-end flow and write the Liberty library, DEF \
           placement, SDF delays, structural Verilog and SPEF parasitics \
           of the prepared design.")
-    Term.(
-      const run $ quick $ outdir $ trace_flag $ trace_out $ metrics_out
-      $ trace_chrome $ run_ledger)
+    Term.(const run $ common $ outdir)
 
-let summary_run quick trace trace_out metrics_out trace_chrome run_ledger =
-  with_flow ~quick ~samples:None ~seed:None ~trace ~trace_out ~metrics_out
-    ~trace_chrome ~run_ledger (fun ~ledger t ->
+let summary_run c =
+  with_flow ~name:"summary" c (fun ~ledger t ->
       emit_report ledger ~name:"summary"
         (Format.asprintf "%a%s%a"
            Netlist.pp_summary (Flow.netlist t)
@@ -542,9 +543,7 @@ let summary_run quick trace trace_out metrics_out trace_chrome run_ledger =
 let summary_cmd =
   Cmd.v
     (Cmd.info "summary" ~doc:"Prepared-design summary and scenario ladder.")
-    Term.(
-      const summary_run $ quick $ trace_flag $ trace_out $ metrics_out
-      $ trace_chrome $ run_ledger)
+    Term.(const summary_run $ common)
 
 (* ------------------------------------------------------------------ *)
 (* Run-ledger report and the perf-regression observatory               *)
@@ -618,12 +617,10 @@ let bench_compare_cmd =
     | Ok report ->
       let md = Bench_compare.render report in
       print_string md;
-      (match out with
-      | None -> ()
-      | Some file ->
-        let oc = open_out file in
-        output_string oc md;
-        close_out oc);
+      Option.iter
+        (fun file ->
+          Out_channel.with_open_text file (fun oc -> output_string oc md))
+        out;
       if Bench_compare.regressions report <> [] then exit 1
   in
   Cmd.v
@@ -652,10 +649,7 @@ let main =
      [pvtol --quick --trace] reports the prepared design plus its stage
      trace. *)
   Cmd.group
-    ~default:
-      Term.(
-        const summary_run $ quick $ trace_flag $ trace_out $ metrics_out
-        $ trace_chrome $ run_ledger)
+    ~default:Term.(const summary_run $ common)
     (Cmd.info "pvtol" ~version:(Runinfo.version_string ()) ~doc)
     (cmds_exhibits
     @ [ wafer_cmd; compare_cmd; dump_cmd; summary_cmd; report_cmd; bench_cmd ])

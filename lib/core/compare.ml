@@ -113,21 +113,6 @@ let run ?pool (t : Flow.t) (v : Flow.variant) cfg =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Stage-graph exposure                                                 *)
-
-let config_label cfg =
-  Wafer.config_label (wafer_config cfg)
-  ^ "-" ^ Compensation.choices_label cfg.choices
-
-let compare_family =
-  Flow.keyed_family ~name:"compare"
-    ~direction:(fun cfg -> cfg.direction)
-    ~key_label:config_label
-    (fun (_ : unit option) t v cfg -> run t v cfg)
-
-let compare t cfg = compare_family t None cfg
-
-(* ------------------------------------------------------------------ *)
 (* Rendering                                                            *)
 
 let render r =
@@ -164,8 +149,6 @@ let render r =
     (Island.direction_name cfg.direction)
     r.clock_ns
     (Table.render tbl)
-
-let pp fmt r = Format.pp_print_string fmt (render r)
 
 (* ------------------------------------------------------------------ *)
 (* JSON export                                                          *)

@@ -57,17 +57,10 @@ val run :
     if the grid is empty, the choice list is empty or contains
     duplicates, or the variant's direction does not match the config. *)
 
-val compare : Flow.t -> config -> report
-(** Like {!run}, but memoized on the flow's stage graph as the keyed
-    stage [compare[<nx>x<ny>-d<dies>-f<fields>-s<seed>-<dir>-<choices>]]
-    — traced and computed at most once per (flow, config). *)
-
 val render : report -> string
 (** ASCII yield-vs-power table, one row per strategy (plus the
     uncompensated baseline row), with power/area overheads relative to
     the 1.0V baseline. *)
-
-val pp : Format.formatter -> report -> unit
 
 val to_json : report -> string
 (** The report as a JSON document: wafer-level aggregates plus one

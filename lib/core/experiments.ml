@@ -420,7 +420,7 @@ let grouping_ablation ctx =
   let row_of_domains name domains =
     let n = Array.length domains in
     let raised3 = Array.fold_left (fun acc d -> if d <= 3 then acc + 1 else acc) 0 domains in
-    let ls = Logic_grouping.count_crossings (Flow.netlist t) ~domains in
+    let ls = Level_shifter.count_domain_crossings (Flow.netlist t) ~domains in
     let frag = Logic_grouping.fragmentation (Flow.placement t) ~domains ~raised:3 in
     Table.add_row tbl
       [
@@ -764,7 +764,7 @@ let wafer_study ctx =
   (* A coarse grid keeps the exhibit quick; the CLI's [pvtol wafer]
      scales it up.  Same streaming engine either way. *)
   let cfg = { Wafer.default_config with Wafer.nx = 6; ny = 6; dies_per_cell = 6 } in
-  let s = Wafer.sweep ctx cfg in
+  let s = Wafer.run ctx (vertical ctx) cfg in
   let buf = Buffer.create 2048 in
   Buffer.add_string buf
     (heading "Extension — wafer-scale 2D yield sweep (streaming statistics)");
@@ -826,6 +826,12 @@ let exhibits =
 
 let all ctx =
   (* Warm the Monte-Carlo stage for all four die positions as parallel
-     tasks before the exhibits (fig3, scenarios, razor, ...) read it. *)
+     tasks before the exhibits (fig3, scenarios, razor, ...) read it.
+     Each exhibit then runs under a span named by its key, so the trace
+     attributes the work no stage covers. *)
   ignore (Flow.mc_all ctx);
-  String.concat "\n" (List.map (fun (_, _, render) -> render ctx) exhibits)
+  String.concat "\n"
+    (List.map
+       (fun (name, _, render) ->
+         Pvtol_util.Trace.span (Flow.trace ctx) ~name (fun () -> render ctx))
+       exhibits)

@@ -23,4 +23,6 @@ val exhibits : (string * string * (context -> string)) list
 val all : context -> string
 (** Every exhibit of {!exhibits}, in order, joined by blank lines
     (warms the Monte-Carlo stage for all die positions on the domain
-    pool first). *)
+    pool first).  Each exhibit runs under a {!Pvtol_util.Trace} span
+    named by its registry key: a span, not a stage, so it memoizes
+    nothing and counts no stage compute. *)

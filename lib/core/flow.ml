@@ -369,7 +369,6 @@ let prepare ?(config = default_config) () =
 (* Accessors: force the stage (memoized) and return its value.         *)
 
 let config t = t.config
-let graph t = t.graph
 let trace t = Sg.trace t.graph
 let design t = Sg.get t.design_n
 let netlist t = Sg.get t.netlist_n
@@ -399,39 +398,3 @@ let power t ?(position = Position.point_a) ~activity cfg =
   t.power ~activity position cfg
 
 let stimulus t words = trace_stimulus t.config (netlist t) words
-
-(* ------------------------------------------------------------------ *)
-(* Keyed families declared by the modules above Flow                    *)
-
-(* One family per graph, registered on first use.  The progress slot is
-   read by the compute closure at compute time, so a callback passed to
-   a force that hits the memo never fires. *)
-let keyed_family ~name ~direction ~key_label compute =
-  let mu = Mutex.create () in
-  let per_graph = ref [] in
-  fun t progress key ->
-    Mutex.lock mu;
-    let family, slot =
-      match List.assq_opt t.graph !per_graph with
-      | Some f -> f
-      | None ->
-        let slot = ref None in
-        let family =
-          Sg.keyed t.graph ~name
-            ~deps:(fun k ->
-              [ "sta"; "placed"; "sampler"; "clock";
-                "shifters[" ^ Island.direction_name (direction k) ^ "]" ])
-            ~key_label
-            (fun k -> compute !slot t (variant t (direction k)) k)
-        in
-        per_graph := (t.graph, (family, slot)) :: !per_graph;
-        (family, slot)
-    in
-    Mutex.unlock mu;
-    match progress with
-    | None -> Sg.get_keyed family key
-    | Some _ ->
-      slot := progress;
-      Fun.protect
-        ~finally:(fun () -> slot := None)
-        (fun () -> Sg.get_keyed family key)

@@ -15,8 +15,6 @@
     surface as {!Stage.Stage_error} naming the failing stage and its
     forcing chain. *)
 
-module Sg := Stage
-
 open Pvtol_netlist
 module Position := Pvtol_variation.Position
 
@@ -137,22 +135,11 @@ val power_mw : t -> ?position:Position.t -> supply_config -> float
 
 (** {2 Introspection} *)
 
-val graph : t -> Sg.graph
 val trace : t -> Pvtol_util.Trace.t
-(** The span trace of every stage computed so far on this handle. *)
-
-(** {2 Downstream stage families} *)
-
-val keyed_family :
-  name:string -> direction:('k -> Island.direction) -> key_label:('k -> string) ->
-  ('p option -> t -> variant -> 'k -> 'a) -> t -> 'p option -> 'k -> 'a
-(** The force function of a keyed stage family for the modules above
-    Flow (wafer sweeps, comparisons, sampling estimates), registered on
-    each handle's graph on first use with deps [sta], [placed],
-    [sampler], [clock], [shifters[<dir>]].  Key [k] computes
-    [compute progress t (variant t (direction k)) k] under the span
-    [name[key_label k]]; [progress] reaches only the force that
-    actually computes. *)
+(** The span trace of every stage computed so far on this handle.
+    Callers add their own spans to it with {!Pvtol_util.Trace.span}
+    (the CLI one per command, {!Experiments.all} one per exhibit); such
+    a span memoizes nothing, and the stages it forces nest inside it. *)
 
 val growth_targets : Slicing.target list
 (** The scenario ladder the islands compensate: island 1 for the

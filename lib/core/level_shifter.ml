@@ -21,18 +21,17 @@ type t = {
   displacement : Incremental.stats;
 }
 
-(* Crossing analysis: for each net, group sinks by domain and keep the
-   groups whose domain is raised strictly earlier than the driver's.
-   Primary-input nets come from full-swing off-core pads, so they never
-   need a shifter. *)
-let crossings partition placement (nl : Netlist.t) =
-  let cell_domains = Island.domains partition placement in
+(* Crossing analysis: a net needs a shifter when its driver sits in a
+   raised island (domain > 1) and some sink is in a domain raised
+   strictly earlier.  Primary-input nets come from full-swing off-core
+   pads, so they never need one. *)
+let domain_crossings (nl : Netlist.t) domains =
   let result = ref [] in
   Array.iter
     (fun (net : Netlist.net) ->
       let driver_domain =
         match net.Netlist.driver with
-        | Some d -> cell_domains.(d)
+        | Some d -> domains.(d)
         | None -> 0
       in
       if driver_domain > 1 then begin
@@ -44,7 +43,7 @@ let crossings partition placement (nl : Netlist.t) =
         let min_domain = ref max_int in
         Array.iter
           (fun (cid, pin) ->
-            let dd = cell_domains.(cid) in
+            let dd = domains.(cid) in
             if dd < driver_domain then begin
               sinks := (cid, pin) :: !sinks;
               if dd < !min_domain then min_domain := dd
@@ -54,14 +53,17 @@ let crossings partition placement (nl : Netlist.t) =
           result := (net.Netlist.net_id, !min_domain, !sinks) :: !result
       end)
     nl.Netlist.nets;
-  (cell_domains, List.rev !result)
+  List.rev !result
+
+let count_domain_crossings nl ~domains =
+  List.length (domain_crossings nl domains)
 
 let count_crossings partition placement nl =
-  let _, cs = crossings partition placement nl in
-  List.length cs
+  count_domain_crossings nl ~domains:(Island.domains partition placement)
 
 let insert partition placement (nl : Netlist.t) =
-  let pre_domains, cs = crossings partition placement nl in
+  let pre_domains = Island.domains partition placement in
+  let cs = domain_crossings nl pre_domains in
   let n_old_cells = Netlist.cell_count nl in
   let n_old_nets = Netlist.net_count nl in
   (* Shifter drive strength follows the fanout it re-drives, as a

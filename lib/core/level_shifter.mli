@@ -40,6 +40,13 @@ val vdd_assignment :
 (** Supply of any cell (original or shifter) of the shifted design when
     islands [1..raised] are high. *)
 
+val count_domain_crossings : Netlist.t -> domains:int array -> int
+(** Shifters a per-cell domain assignment (1-based, nested, raised in
+    index order) requires: one per net whose driver is in a domain
+    above 1 and has sinks in strictly earlier domains.  Pad-driven nets
+    never need one.  {!insert} places exactly these shifters. *)
+
 val count_crossings : Island.partition -> Pvtol_place.Placement.t -> Netlist.t -> int
-(** Number of shifters a partition would require, without building the
-    modified design (used for quick design-space exploration). *)
+(** {!count_domain_crossings} of a partition's island domains, without
+    building the modified design (used for quick design-space
+    exploration). *)

@@ -12,15 +12,10 @@ exception Infeasible of string
 
 let generate ?(corner_kappa = 0.35) ~sta ~placement ~sampler ~clock ~targets () =
   let nl = Sta.netlist sta in
-  let lib = nl.Netlist.lib in
-  let vdd_low = lib.Pvtol_stdcell.Cell.process.Pvtol_stdcell.Process.vdd_low in
-  let vdd_high = lib.Pvtol_stdcell.Cell.process.Pvtol_stdcell.Process.vdd_high in
   let n = Netlist.cell_count nl in
-  let base = Sta.nominal_delays sta in
-  let delays = Array.make n 0.0 in
   (* Unit ranking: worst nominal arrival over the unit's output nets —
      units holding late-path logic first. *)
-  let nominal = Sta.analyze sta ~delays:base in
+  let nominal = Sta.analyze sta ~delays:(Sta.nominal_delays sta) in
   let unit_score = Hashtbl.create 64 in
   Array.iter
     (fun (c : Netlist.cell) ->
@@ -44,21 +39,8 @@ let generate ?(corner_kappa = 0.35) ~sta ~placement ~sampler ~clock ~targets () 
     nl.Netlist.cells;
   let domains = Array.make n (List.length targets + 1) in
   let raised_units = Hashtbl.create 16 in
-  let meets ~systematic scenario_index =
-    let vdd cid = if domains.(cid) <= scenario_index then vdd_high else vdd_low in
-    for i = 0 to n - 1 do
-      delays.(i) <-
-        base.(i)
-        *. Slicing.corner_scale ~sampler ~systematic ~corner_kappa ~vdd i
-    done;
-    let r = Sta.analyze sta ~delays in
-    List.for_all
-      (fun s ->
-        match Sta.stage_delay r s with
-        | Some d -> d <= clock +. 1e-9
-        | None -> true)
-      Pvtol_ssta.Scenario.analyzed_stages
-  in
+  let check = Slicing.corner_check ~corner_kappa ~sta ~sampler ~clock in
+  let meets ~systematic k = check ~systematic ~raised:(fun cid -> domains.(cid) <= k) in
   let units_per_scenario = Array.make (List.length targets) [] in
   List.iteri
     (fun i (target : Slicing.target) ->
@@ -93,24 +75,6 @@ let generate ?(corner_kappa = 0.35) ~sta ~placement ~sampler ~clock ~targets () 
              (Printf.sprintf "scenario %d not compensable by unit selection" k)))
     targets;
   { domains; units_per_scenario }
-
-let count_crossings (nl : Netlist.t) ~domains =
-  let count = ref 0 in
-  Array.iter
-    (fun (net : Netlist.net) ->
-      match net.Netlist.driver with
-      | None -> ()
-      | Some d ->
-        let dd = domains.(d) in
-        if dd > 1 then begin
-          let crossing = ref false in
-          Array.iter
-            (fun (cid, _) -> if domains.(cid) < dd then crossing := true)
-            net.Netlist.sinks;
-          if !crossing then incr count
-        end)
-    nl.Netlist.nets;
-  !count
 
 let fragmentation (p : Placement.t) ~domains ~raised =
   let grid = 24 in

@@ -15,8 +15,6 @@
     design: level-shifter demand and the spatial fragmentation that
     would have to be paid for in power-grid routing. *)
 
-open Pvtol_netlist
-
 type t = {
   domains : int array;
       (** per-cell domain, 1-based; [n_scenarios + 1] = never raised.
@@ -40,11 +38,6 @@ val generate :
     time of their cells' output nets, and added to the raised set until
     each scenario's corner STA meets the clock (same acceptance
     criterion as the placement-aware generator). *)
-
-val count_crossings : Netlist.t -> domains:int array -> int
-(** Level shifters the assignment would require: one per (net, group of
-    sinks raised strictly earlier than the driver), counting
-    pad-driven nets as never-raised, as in {!Level_shifter}. *)
 
 val fragmentation :
   Pvtol_place.Placement.t -> domains:int array -> raised:int -> int

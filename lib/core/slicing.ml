@@ -25,6 +25,26 @@ let corner_scale ~sampler ~systematic ~corner_kappa ~vdd cid =
   in
   Sampler.delay_scale sampler ~lgate_nm ~vdd:(vdd cid)
 
+let corner_check ~corner_kappa ~sta ~sampler ~clock =
+  let process = (Sta.netlist sta).Netlist.lib.Pvtol_stdcell.Cell.process in
+  let vdd_low = process.Pvtol_stdcell.Process.vdd_low in
+  let vdd_high = process.Pvtol_stdcell.Process.vdd_high in
+  let base = Sta.nominal_delays sta in
+  let delays = Array.make (Array.length base) 0.0 in
+  fun ~systematic ~raised ->
+    let vdd cid = if raised cid then vdd_high else vdd_low in
+    for i = 0 to Array.length base - 1 do
+      delays.(i) <-
+        base.(i) *. corner_scale ~sampler ~systematic ~corner_kappa ~vdd i
+    done;
+    let r = Sta.analyze sta ~delays in
+    List.for_all
+      (fun s ->
+        match Sta.stage_delay r s with
+        | Some d -> d <= clock +. 1e-9
+        | None -> true)
+      Pvtol_ssta.Scenario.analyzed_stages
+
 let pick_side direction density =
   (* Restrict the density choice to the sides compatible with the
      slicing orientation. *)
@@ -67,10 +87,6 @@ let pick_side direction density =
 
 let generate ?(corner_kappa = 0.35) ?(tolerance_um = 2.0) ~direction ?side ~sta
     ~placement ~sampler ~clock ~targets () =
-  let nl = Sta.netlist sta in
-  let lib = nl.Netlist.lib in
-  let vdd_low = lib.Pvtol_stdcell.Cell.process.Pvtol_stdcell.Process.vdd_low in
-  let vdd_high = lib.Pvtol_stdcell.Cell.process.Pvtol_stdcell.Process.vdd_high in
   let core = placement.Placement.floorplan.Pvtol_place.Floorplan.core in
   let side =
     match side with
@@ -91,28 +107,14 @@ let generate ?(corner_kappa = 0.35) ?(tolerance_um = 2.0) ~direction ?side ~sta
     | Island.Quadrant, _ -> Geom.width r
     | _ -> assert false
   in
-  let base = Sta.nominal_delays sta in
-  let delays = Array.make (Array.length base) 0.0 in
+  let check = corner_check ~corner_kappa ~sta ~sampler ~clock in
   let checks = ref 0 in
   let meets ~systematic t =
     incr checks;
     let region = region_of_t t in
-    let inside cid =
-      Geom.contains region
-        (Geom.point placement.Placement.xs.(cid) placement.Placement.ys.(cid))
-    in
-    let vdd cid = if inside cid then vdd_high else vdd_low in
-    for i = 0 to Array.length base - 1 do
-      delays.(i) <-
-        base.(i) *. corner_scale ~sampler ~systematic ~corner_kappa ~vdd i
-    done;
-    let r = Sta.analyze sta ~delays in
-    List.for_all
-      (fun s ->
-        match Sta.stage_delay r s with
-        | Some d -> d <= clock +. 1e-9
-        | None -> true)
-      Pvtol_ssta.Scenario.analyzed_stages
+    check ~systematic ~raised:(fun cid ->
+        Geom.contains region
+          (Geom.point placement.Placement.xs.(cid) placement.Placement.ys.(cid)))
   in
   let extent = match direction with
     | Island.Vertical | Island.Quadrant -> Geom.width core

@@ -40,6 +40,20 @@ val corner_scale :
   float
 (** Per-cell delay scale at the deterministic compensation corner. *)
 
+val corner_check :
+  corner_kappa:float ->
+  sta:Pvtol_timing.Sta.t ->
+  sampler:Pvtol_variation.Sampler.t ->
+  clock:float ->
+  systematic:float array ->
+  raised:(Netlist.cell_id -> bool) ->
+  bool
+(** The compensation check both island generators accept a candidate
+    with: scale every cell by {!corner_scale} under [systematic], at
+    high Vdd where [raised] holds, run a full STA and require every
+    analyzed stage within [clock] (+1e-9 ns).  Apply the first four
+    arguments once: the result reuses one delay buffer per check. *)
+
 val generate :
   ?corner_kappa:float ->
   ?tolerance_um:float ->

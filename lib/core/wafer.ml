@@ -281,22 +281,6 @@ let run ?pool ?on_cell (t : Flow.t) (v : Flow.variant) cfg =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Stage-graph exposure                                                 *)
-
-let config_label cfg =
-  Printf.sprintf "%dx%d-d%d-f%d-s%d-%s" cfg.nx cfg.ny cfg.dies_per_cell
-    cfg.fields cfg.seed
-    (Island.direction_name cfg.direction)
-
-let sweep_family =
-  Flow.keyed_family ~name:"wafer"
-    ~direction:(fun cfg -> cfg.direction)
-    ~key_label:config_label
-    (fun on_cell t v cfg -> run ?on_cell t v cfg)
-
-let sweep ?on_cell t cfg = sweep_family t on_cell cfg
-
-(* ------------------------------------------------------------------ *)
 (* Rendering                                                            *)
 
 type metric =
@@ -444,11 +428,6 @@ let to_json s =
 type ci_metric = Ci_yield | Ci_rare
 
 let ci_metric_name = function Ci_yield -> "yield" | Ci_rare -> "rare"
-
-let ci_metric_of_string = function
-  | "yield" -> Some Ci_yield
-  | "rare" -> Some Ci_rare
-  | _ -> None
 
 type sampling_config = {
   s_method : Smart_sampling.method_;
@@ -773,27 +752,11 @@ let run_sampling ?pool ?on_round (t : Flow.t) (v : Flow.variant) ~mode scfg =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Sampling stage-graph exposure                                        *)
-
-let sampling_config_label c =
-  Printf.sprintf "%s-%dx%d-d%d-r%d-ci%g-%s-m%d-c%g-s%d-%s"
-    (Smart_sampling.method_name c.s_method)
-    c.s_strata c.s_strata c.s_dies_per_round c.s_max_rounds c.s_ci_target
-    (ci_metric_name c.s_ci_metric)
-    c.s_rare c.s_confidence c.s_seed
-    (Island.direction_name c.s_direction)
+(* Sampling entry points                                                *)
 
 type on_round = round:int -> max_rounds:int -> ci_halfwidth:float -> unit
 
-let estimate_family =
-  Flow.keyed_family ~name:"sampling"
-    ~direction:(fun cfg -> cfg.s_direction)
-    ~key_label:sampling_config_label
-    (fun on_round t v cfg -> run_sampling ?on_round t v ~mode:Wafer_field cfg)
-
-let estimate ?on_round t cfg = estimate_family t on_round cfg
-
-let estimate_run ?pool ?on_round t cfg =
+let estimate ?pool ?on_round t cfg =
   run_sampling ?pool ?on_round t (Flow.variant t cfg.s_direction)
     ~mode:Wafer_field cfg
 

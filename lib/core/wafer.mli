@@ -148,16 +148,6 @@ val run :
     [[| vi; cw |]] on [pool] (default: the shared pool), projected into
     per-cell and wafer statistics.  Raises like {!grid_sites}. *)
 
-val config_label : config -> string
-(** The stage key, e.g. [8x8-d12-f1-s7-vertical]. *)
-
-val sweep : ?on_cell:on_cell -> Flow.t -> config -> sweep
-(** Like {!run}, but memoized on the flow's stage graph as the keyed
-    stage [wafer[<nx>x<ny>-d<dies>-f<fields>-s<seed>-<dir>]] — traced
-    and computed at most once per (flow, config), like every other
-    stage.  [on_cell] only streams on the force that actually computes;
-    a memoized hit returns at once with no progress to report. *)
-
 (** {2 Variance-reduced sampling estimator}
 
     {!run} is a census: a fixed die budget at fixed grid positions.
@@ -185,7 +175,6 @@ type ci_metric =
   | Ci_rare   (** P(>= [s_rare] islands violating before compensation) *)
 
 val ci_metric_name : ci_metric -> string
-val ci_metric_of_string : string -> ci_metric option
 
 type sampling_config = {
   s_method : Pvtol_ssta.Smart_sampling.method_;
@@ -239,27 +228,17 @@ type sampling_report = {
   sr_groups : sampling_group array;
 }
 
-val sampling_config_label : sampling_config -> string
-(** The stage key, e.g. [is-4x4-d16-r64-ci0.001-yield-m2-c0.95-s7-vertical]. *)
-
 type on_round = round:int -> max_rounds:int -> ci_halfwidth:float -> unit
 
-val estimate : ?on_round:on_round -> Flow.t -> sampling_config -> sampling_report
-(** Wafer-mean estimate, memoized on the flow's stage graph as the
-    keyed stage [sampling[<label>]] — {!Compare} and {!Experiments}
-    pick it up like any other stage.  [on_round] fires after every
-    round with the current half-width (only on the force that actually
-    computes). *)
-
-val estimate_run :
+val estimate :
   ?pool:Pvtol_util.Pool.t ->
   ?on_round:on_round ->
   Flow.t ->
   sampling_config ->
   sampling_report
-(** {!estimate} without the stage-graph memoization, on an explicit
-    pool — the determinism tests re-run the same config on pools of
-    different sizes and compare reports bit for bit. *)
+(** Wafer-mean estimate on [pool] (default: the shared pool).
+    [on_round] fires after every round with the current half-width.
+    The report is bit-identical for every pool size. *)
 
 val estimate_at :
   ?pool:Pvtol_util.Pool.t ->
@@ -272,8 +251,7 @@ val estimate_at :
     jitter — only the Lgate randomness varies).  The stratum grid
     degenerates into independent parallel substreams of the same
     position, so long brute-force runs still use the pool's full
-    width.  Not memoized; this is the differential oracle's entry
-    point, which wants explicit pools and fresh runs. *)
+    width.  This is the differential oracle's entry point. *)
 
 val pp_sampling : Format.formatter -> sampling_report -> unit
 (** The report for stdout.  An infinite half-width prints as

@@ -246,12 +246,6 @@ let area_of_stage t stage =
     (fun acc c -> if Stage.equal c.stage stage then acc +. c.cell.Cell_lib.area else acc)
     0.0 t.cells
 
-let cells_of_stage t stage =
-  Array.fold_left
-    (fun acc c -> if Stage.equal c.stage stage then c :: acc else acc)
-    [] t.cells
-  |> List.rev
-
 let is_comb c = not (Kind.is_sequential c.cell.Cell_lib.kind)
 
 let flops t = Array.of_list (List.filter (fun c -> not (is_comb c)) (Array.to_list t.cells))

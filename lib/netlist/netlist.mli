@@ -105,8 +105,6 @@ val area : t -> float
 
 val area_of_stage : t -> Stage.t -> float
 
-val cells_of_stage : t -> Stage.t -> cell list
-
 val flops : t -> cell array
 (** All sequential cells, in id order. *)
 

@@ -1,7 +1,6 @@
 type t = Fetch | Decode | Execute | Writeback | Pipe_regs | Reg_file
 
 let all = [ Fetch; Decode; Execute; Writeback; Pipe_regs; Reg_file ]
-let timing_stages = [ Fetch; Decode; Execute; Writeback ]
 
 let name = function
   | Fetch -> "Fetch"

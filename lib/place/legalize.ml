@@ -96,8 +96,6 @@ let pack_row ?(padding = 0.0) ?(quantum = 6.0) (p : Placement.t) w row cells =
     done
   end
 
-let pack_one_row p widths row cells = pack_row p widths row cells
-
 let run ?(padding = 0.0) p =
   let w = widths p in
   (* Capacity accounting sees the inflated footprints so rows keep room

@@ -13,9 +13,3 @@ val run : ?padding:float -> Placement.t -> unit
 
 val check : Placement.t -> (unit, string list) result
 (** Verify the legality postconditions. *)
-
-val pack_one_row : Placement.t -> float array -> int -> int list -> unit
-(** [pack_one_row p widths row cells] re-packs one row's cells (given
-    per-cell footprint widths) with the minimal-displacement abacus
-    pass, using their current x as the desired position.  Exposed for
-    the incremental (ECO) inserter. *)

@@ -46,6 +46,11 @@ type scratch = {
 
 let run ?(config = default_config) ?vdd ?pool ~sampler ~sta ~placement
     ~position () =
+  (* Every stage's sample is fitted and tested ([Fit.fit_and_test]). *)
+  if config.samples < Fit.min_samples then
+    invalid_arg
+      (Printf.sprintf "Monte_carlo.run: %d samples, at least %d needed"
+         config.samples Fit.min_samples);
   let nl = Sta.netlist sta in
   let vdd =
     match vdd with

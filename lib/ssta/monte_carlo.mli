@@ -46,6 +46,8 @@ val run :
   unit ->
   result
 (** [vdd] defaults to the library's low supply for every cell.
+    [Invalid_argument] below {!Pvtol_util.Fit.min_samples} samples,
+    before any work: every stage's sample is fitted and tested.
 
     The sample range is cut into fixed 32-sample chunks executed on
     [pool] (default {!Pvtol_util.Pool.shared}, sized by the

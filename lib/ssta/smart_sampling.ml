@@ -15,12 +15,6 @@ type method_ = Mc | Is | Lhs
 
 let method_name = function Mc -> "mc" | Is -> "is" | Lhs -> "lhs"
 
-let method_of_string = function
-  | "mc" -> Some Mc
-  | "is" -> Some Is
-  | "lhs" -> Some Lhs
-  | _ -> None
-
 (* ------------------------------------------------------------------ *)
 (* Tilt components                                                      *)
 

@@ -40,7 +40,6 @@ open Pvtol_netlist
 type method_ = Mc | Is | Lhs
 
 val method_name : method_ -> string
-val method_of_string : string -> method_ option
 
 (** {2 Tilt components} *)
 

@@ -12,11 +12,16 @@ let fit_normal xs =
   let s = Stats.summarize xs in
   { mu = s.Stats.mean; sigma = s.Stats.stddev }
 
+let min_samples = 8
+
 (* Build equiprobable-ish bins from the sample range, then merge bins whose
    expected count under the fitted normal is below 5. *)
 let chi2_gof ?(confidence = 0.95) ?bins:nbins xs normal =
   let n = Array.length xs in
-  assert (n >= 8);
+  if n < min_samples then
+    invalid_arg
+      (Printf.sprintf "Fit.chi2_gof: %d samples, at least %d needed" n
+         min_samples);
   let h = Histo.of_samples ?bins:nbins xs in
   let nb = Histo.bins h in
   let expected_of_bin i =

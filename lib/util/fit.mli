@@ -17,9 +17,13 @@ type gof = {
 val fit_normal : float array -> normal
 (** Maximum-likelihood normal fit (sample mean / unbiased stddev). *)
 
+val min_samples : int
+(** The smallest sample {!chi2_gof} tests: 8. *)
+
 val chi2_gof : ?confidence:float -> ?bins:int -> float array -> normal -> gof
 (** Pearson test of the sample against the fitted normal.  Bins with
     expected count below 5 are merged into their neighbours, as is
-    standard practice.  Default confidence 0.95. *)
+    standard practice.  Default confidence 0.95.  [Invalid_argument]
+    below {!min_samples} samples. *)
 
 val fit_and_test : ?confidence:float -> float array -> normal * gof

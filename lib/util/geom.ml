@@ -40,4 +40,3 @@ let subsumes outer inner =
   && inner.ury <= outer.ury
 
 let dist a b = Float.hypot (a.x -. b.x) (a.y -. b.y)
-let manhattan a b = Float.abs (a.x -. b.x) +. Float.abs (a.y -. b.y)

@@ -29,4 +29,3 @@ val subsumes : rect -> rect -> bool
 (** [subsumes outer inner] is true when [inner] lies within [outer]. *)
 
 val dist : point -> point -> float
-val manhattan : point -> point -> float

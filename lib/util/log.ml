@@ -29,7 +29,6 @@ let threshold =
   Atomic.make init
 
 let set_level l = Atomic.set threshold (severity l)
-let set_quiet () = Atomic.set threshold (-1)
 let level_enabled l = severity l <= Atomic.get threshold
 
 let sink_mu = Mutex.create ()

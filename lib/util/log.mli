@@ -17,9 +17,6 @@ val level_of_string : string -> level option
 val set_level : level -> unit
 (** Messages above this level are dropped. *)
 
-val set_quiet : unit -> unit
-(** Drop everything, including errors. *)
-
 val level_enabled : level -> bool
 
 val err : ('a, unit, string, unit) format4 -> 'a

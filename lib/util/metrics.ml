@@ -188,24 +188,6 @@ let histogram ?buckets name =
   register name (function H h -> Some h | _ -> None)
     (fun () -> H (make_histogram ?buckets name))
 
-let reset () =
-  Mutex.lock registry_mu;
-  Hashtbl.iter
-    (fun _ m ->
-      match m with
-      | C c ->
-        List.iter (fun s -> s.c_count <- 0) (Atomic.get c.c_shards)
-      | G g -> Atomic.set g.g_value 0.0
-      | H h ->
-        List.iter
-          (fun s ->
-            Array.fill s.h_counts 0 (Array.length s.h_counts) 0;
-            s.h_sum <- 0.0;
-            s.h_n <- 0)
-          (Atomic.get h.h_shards))
-    registry;
-  Mutex.unlock registry_mu
-
 (* --- snapshot and export --- *)
 
 type histo_value = {

@@ -101,7 +101,3 @@ val summary_line : snapshot -> string
 val write : file:string -> unit
 (** Snapshot the registry and write it to [file]: Prometheus text if
     the name ends in [.prom] or [.txt], JSON otherwise. *)
-
-val reset : unit -> unit
-(** Zero every shard of every registered metric (tests and benchmark
-    reruns; concurrent updates during a reset may survive it). *)

@@ -76,7 +76,6 @@ let encode_bundle b =
   assert (Array.length b = slots);
   Array.map encode_op b
 
-let uses_mem = function Ld | St -> true | _ -> false
 let is_branch = function Brz | Brnz -> true | _ -> false
 
 let writes_reg = function

@@ -54,6 +54,5 @@ val decode_op : int32 -> op
 
 val encode_bundle : bundle -> int32 array
 
-val uses_mem : opcode -> bool
 val is_branch : opcode -> bool
 val writes_reg : opcode -> bool

@@ -26,8 +26,8 @@ let check_bits what expected got =
   if expected <> got then
     Alcotest.failf "%s: expected %h, got %h" what expected got
 
-(* Same grid geometry as the wafer tests, so the memoized sweep is
-   shared and the comparison is apples-to-apples. *)
+(* Same grid geometry as the wafer tests, so the comparison is
+   apples-to-apples. *)
 let geometry = (3, 2, 5, 1, 7)
 
 let compare_cfg choices =
@@ -50,9 +50,9 @@ let result_of r name =
 (* --- differential: Compare reproduces the Wafer sweep bit-for-bit --- *)
 
 let test_compare_matches_wafer () =
-  let t, _ = Lazy.force env in
-  let r = Compare.compare t (compare_cfg [ Compensation.Vi; Compensation.Chipwide ]) in
-  let w = Wafer.sweep t wafer_cfg in
+  let t, v = Lazy.force env in
+  let r = Compare.run t v (compare_cfg [ Compensation.Vi; Compensation.Chipwide ]) in
+  let w = Wafer.run t v wafer_cfg in
   Alcotest.(check int) "same die population" w.Wafer.dies r.Compare.dies;
   check_bits "uncompensated yield" w.Wafer.yield_uncompensated
     r.Compare.yield_uncompensated;
@@ -83,7 +83,7 @@ let test_compare_matches_wafer_domains () =
         Compare.run ~pool:p t v
           (compare_cfg [ Compensation.Vi; Compensation.Chipwide ]))
   in
-  let w = Wafer.sweep t wafer_cfg in
+  let w = Wafer.run t v wafer_cfg in
   check_bits "1-domain vi yield" w.Wafer.yield_compensated
     (result_of r1 "vi").Compare.yield;
   List.iter
@@ -463,16 +463,6 @@ let test_die_allocation_bound () =
 
 (* --- harness behaviour --- *)
 
-let test_compare_memoized () =
-  let t, _ = Lazy.force env in
-  let cfg = compare_cfg Compensation.all_choices in
-  let r1 = Compare.compare t cfg in
-  let r2 = Compare.compare t cfg in
-  Alcotest.(check bool) "same report value (memoized stage)" true (r1 == r2);
-  (* A different strategy list is a different stage key. *)
-  let r3 = Compare.compare t (compare_cfg [ Compensation.Vi ]) in
-  Alcotest.(check bool) "different key, different report" true (r3 != r1)
-
 let test_compare_validation () =
   let t, v = Lazy.force env in
   let expect_invalid what cfg =
@@ -503,8 +493,8 @@ let test_choice_names_roundtrip () =
     (Compensation.choices_label Compensation.all_choices)
 
 let test_report_shapes () =
-  let t, _ = Lazy.force env in
-  let r = Compare.compare t (compare_cfg Compensation.all_choices) in
+  let t, v = Lazy.force env in
+  let r = Compare.run t v (compare_cfg Compensation.all_choices) in
   Alcotest.(check int) "one result per strategy" 4 (List.length r.Compare.results);
   let vi = result_of r "vi" in
   Alcotest.(check bool) "vi never hurts yield" true
@@ -558,8 +548,6 @@ let suite =
         test_tracked_scratch_matches_full_rescale;
       Alcotest.test_case "per-die allocation bound" `Quick
         test_die_allocation_bound;
-      Alcotest.test_case "compare memoized per key" `Quick
-        test_compare_memoized;
       Alcotest.test_case "compare validation" `Quick test_compare_validation;
       Alcotest.test_case "choice names roundtrip" `Quick
         test_choice_names_roundtrip;

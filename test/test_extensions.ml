@@ -7,6 +7,7 @@ module Flow = Pvtol_core.Flow
 module Island = Pvtol_core.Island
 module Slicing = Pvtol_core.Slicing
 module Logic_grouping = Pvtol_core.Logic_grouping
+module Level_shifter = Pvtol_core.Level_shifter
 module Postsilicon = Pvtol_core.Postsilicon
 module Geom = Pvtol_util.Geom
 module Density = Pvtol_place.Density
@@ -150,7 +151,7 @@ let test_logic_grouping () =
     (Flow.netlist t).Netlist.cells;
   (* Crossing count is non-negative and bounded by net count. *)
   let ls =
-    Logic_grouping.count_crossings (Flow.netlist t)
+    Level_shifter.count_domain_crossings (Flow.netlist t)
       ~domains:lg.Logic_grouping.domains
   in
   Alcotest.(check bool) "ls bounded" true

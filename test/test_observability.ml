@@ -243,8 +243,8 @@ let test_cli_artifacts_parse () =
       outputs
   in
   let q = Filename.quote in
-  ignore
-    (run
+  (match
+     run
        (Printf.sprintf
           "wafer --quick --grid 2x2 --dies 2 --json %s --metrics-out %s \
            --trace --trace-out %s --trace-chrome %s --run-ledger %s"
@@ -252,7 +252,19 @@ let test_cli_artifacts_parse () =
           (q (file "trace.json")) (q (file "chrome.json"))
           (q (file "ledger.json")))
        [ "wafer.json"; "metrics.json"; "trace.json"; "chrome.json";
-         "ledger.json" ]);
+         "ledger.json" ]
+   with
+  | [ _; _; _; _; ledger ] ->
+    (* The command's own span attributes the sweep's time. *)
+    let names =
+      Option.value ~default:[]
+        (Option.bind (Json.member "stages" ledger) Json.to_list)
+      |> List.filter_map (fun st ->
+             Option.bind (Json.member "name" st) Json.to_str)
+    in
+    Alcotest.(check bool) "ledger has a wafer stage" true
+      (List.mem "wafer" names)
+  | _ -> assert false);
   List.iter
     (fun sampler ->
       ignore
@@ -426,7 +438,42 @@ let test_cli_rejects_nonpositive_counts () =
       ("wafer --quick --sampler is --rare-scenario 0", "--rare-scenario");
       ("compare --quick --dies 0", "--dies");
       ("compare --quick --fields=-2", "--fields");
-      ("scenarios --quick --samples 0", "--samples") ];
+      ("scenarios --quick --samples 0", "--samples");
+      ("scenarios --quick --samples 7", "--samples") ];
+  Sys.remove err
+
+(* A run that fails (an unwritable report or artifact, a failed stage)
+   prints one [pvtol: ] line and exits 2, not an uncaught exception.
+   The domain count is pinned: other tests leave [PVTOL_DOMAINS] set to
+   values the pool warns about. *)
+let test_cli_run_failures_exit_2 () =
+  let err = Filename.temp_file "pvtol_failure" ".txt" in
+  let missing = Filename.temp_file "pvtol_missing" "" in
+  Sys.remove missing;
+  let bad = Filename.quote (Filename.concat missing "x.json") in
+  List.iter
+    (fun args ->
+      let rc =
+        Sys.command
+          (Printf.sprintf "PVTOL_DOMAINS=1 %s %s > /dev/null 2> %s"
+             (Filename.quote pvtol_exe) args (Filename.quote err))
+      in
+      Alcotest.(check int) ("exit: " ^ args) 2 rc;
+      let lines =
+        In_channel.with_open_text err In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (( <> ) "")
+      in
+      match lines with
+      | [ line ] when String.starts_with ~prefix:"pvtol: " line -> ()
+      | _ ->
+        Alcotest.failf "%s: expected one pvtol: line on stderr, got %S" args
+          (String.concat "\n" lines))
+    [ "wafer --quick --grid 2x2 --dies 1 --json " ^ bad;
+      "fig2 --run-ledger " ^ bad;
+      "fig2 --metrics-out " ^ bad;
+      "fig2 --trace --trace-out " ^ bad;
+      "dump --quick -o " ^ Filename.quote missing ];
   Sys.remove err
 
 let suite =
@@ -459,4 +506,6 @@ let suite =
         test_compare_cli_exit_codes;
       Alcotest.test_case "cli rejects non-positive counts" `Quick
         test_cli_rejects_nonpositive_counts;
+      Alcotest.test_case "cli run failures exit 2" `Quick
+        test_cli_run_failures_exit_2;
     ] )

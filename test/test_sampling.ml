@@ -178,7 +178,7 @@ let test_lhs_strata_quota () =
           s_ci_target = 1e-12;
         }
       in
-      let r = Wafer.estimate_run ~pool t cfg in
+      let r = Wafer.estimate ~pool t cfg in
       Alcotest.(check int) "strata" 4 (Array.length r.Wafer.sr_groups);
       Array.iter
         (fun g ->
@@ -203,7 +203,7 @@ let test_stopping_rule () =
       (* Unreachable target: the rule must not fire early, and the CI
          must still be above the target when the budget runs out. *)
       let r =
-        Wafer.estimate_run ~pool t { base with Wafer.s_ci_target = 1e-12 }
+        Wafer.estimate ~pool t { base with Wafer.s_ci_target = 1e-12 }
       in
       Alcotest.(check bool) "impossible target does not converge" false
         r.Wafer.sr_converged;
@@ -212,7 +212,7 @@ let test_stopping_rule () =
         (r.Wafer.sr_ci_halfwidth > 1e-12);
       (* Trivial target: one round suffices, and convergence implies
          the half-width really is at or below the target. *)
-      let r = Wafer.estimate_run ~pool t { base with Wafer.s_ci_target = 1.0 } in
+      let r = Wafer.estimate ~pool t { base with Wafer.s_ci_target = 1.0 } in
       Alcotest.(check bool) "trivial target converges" true
         r.Wafer.sr_converged;
       Alcotest.(check int) "after one round" 1 r.Wafer.sr_rounds;
@@ -221,7 +221,7 @@ let test_stopping_rule () =
       (* One die per stratum: no variance estimate exists, the CI is
          infinite, and the rule cannot fire no matter the target. *)
       let r =
-        Wafer.estimate_run ~pool t
+        Wafer.estimate ~pool t
           {
             base with
             Wafer.s_dies_per_round = 1;
@@ -239,7 +239,7 @@ let test_undefined_interval_printed () =
      prints an infinity. *)
   let t = Lazy.force flow in
   let r =
-    Wafer.estimate_run t
+    Wafer.estimate t
       {
         Wafer.default_sampling_config with
         Wafer.s_method = Smart_sampling.Is;
@@ -282,7 +282,7 @@ let test_estimates_clipped () =
   List.iter
     (fun (strata, dies, rounds, ci_target) ->
       let r =
-        Wafer.estimate_run t
+        Wafer.estimate t
           {
             Wafer.default_sampling_config with
             Wafer.s_method = Smart_sampling.Is;
@@ -338,7 +338,7 @@ let test_domain_invariance () =
         List.map
           (fun domains ->
             with_pool ~domains (fun pool ->
-                Wafer.sampling_to_json (Wafer.estimate_run ~pool t cfg)))
+                Wafer.sampling_to_json (Wafer.estimate ~pool t cfg)))
           [ 1; 2; 4 ]
       in
       match reports with
@@ -348,19 +348,6 @@ let test_domain_invariance () =
         Alcotest.(check string) (name ^ ": 1 vs 4 domains") r1 r4
       | _ -> assert false)
     [ Smart_sampling.Mc; Smart_sampling.Is; Smart_sampling.Lhs ]
-
-(* ------------------------------------------------------------------ *)
-(* Stage-graph exposure                                                 *)
-
-let test_keyed_stage_memoized () =
-  let t = Lazy.force flow in
-  let cfg = sampling_cfg Smart_sampling.Mc in
-  let r1 = Wafer.estimate t cfg in
-  let r2 = Wafer.estimate t cfg in
-  Alcotest.(check bool) "same config memoized" true (r1 == r2);
-  Alcotest.(check string) "stage key label"
-    "mc-2x2-d4-r2-ci1e-12-rare-m2-c0.95-s7-vertical"
-    (Wafer.sampling_config_label cfg)
 
 (* ------------------------------------------------------------------ *)
 (* Slow differential oracle (PVTOL_SLOW_TESTS=1)                        *)
@@ -516,8 +503,6 @@ let suite =
         test_undefined_interval_printed;
       Alcotest.test_case "estimates clipped to [0, 1]" `Quick test_estimates_clipped;
       Alcotest.test_case "domain invariance" `Quick test_domain_invariance;
-      Alcotest.test_case "keyed stage memoized" `Quick
-        test_keyed_stage_memoized;
     ]
     @
     if not slow_enabled then []

@@ -392,10 +392,26 @@ let test_sensors () =
   Alcotest.(check bool) "stricter threshold fewer sites" true
     (List.length strict.Sensors.sites <= List.length plan.Sensors.sites)
 
+
+(* Every stage's sample goes through the chi-square test, so a run
+   below [Fit]'s minimum is refused up front, naming the minimum. *)
+let test_mc_min_samples () =
+  let _, _, p, sta, sampler = Lazy.force env in
+  let min = Pvtol_util.Fit.min_samples in
+  Alcotest.check_raises "below the minimum"
+    (Invalid_argument
+       (Printf.sprintf "Monte_carlo.run: %d samples, at least %d needed"
+          (min - 1) min))
+    (fun () ->
+      ignore
+        (MC.run ~config:{ MC.samples = min - 1; seed = 5 } ~sampler ~sta
+           ~placement:p ~position:Position.point_a ()))
+
 let suite =
   ( "ssta",
     [
       Alcotest.test_case "mc deterministic" `Quick test_mc_deterministic;
+      Alcotest.test_case "mc rejects too few samples" `Quick test_mc_min_samples;
       Alcotest.test_case "mc domain-count invariance + serial golden" `Quick
         test_mc_domain_invariance;
       Alcotest.test_case "mc batched domain-count invariance" `Quick
