@@ -138,10 +138,11 @@ let mc_throughput ~quick () =
   let time_run ~pool () =
     let t0 = Unix.gettimeofday () in
     let r =
-      MC.run
-        ~config:{ MC.samples; seed }
-        ~pool ~sampler:(Flow.sampler t) ~sta:(Flow.sta t)
-        ~placement:(Flow.placement t) ~position:Position.point_b ()
+      List.hd
+        (MC.run
+           ~config:{ MC.samples; seed }
+           ~pool ~sampler:(Flow.sampler t) ~sta:(Flow.sta t)
+           ~placement:(Flow.placement t) [ MC.job Position.point_b ])
     in
     let dt = Unix.gettimeofday () -. t0 in
     (float_of_int samples /. dt, r)
@@ -252,10 +253,11 @@ let telemetry_throughput ~quick () =
   let time_run () =
     let t0 = Unix.gettimeofday () in
     let r =
-      MC.run
-        ~config:{ MC.samples; seed }
-        ~pool ~sampler:(Flow.sampler t) ~sta:(Flow.sta t)
-        ~placement:(Flow.placement t) ~position:Position.point_b ()
+      List.hd
+        (MC.run
+           ~config:{ MC.samples; seed }
+           ~pool ~sampler:(Flow.sampler t) ~sta:(Flow.sta t)
+           ~placement:(Flow.placement t) [ MC.job Position.point_b ])
     in
     let dt = Unix.gettimeofday () -. t0 in
     (* Both modes must do the same amount of work for the comparison to
@@ -394,10 +396,13 @@ let print_sampling_calibration s =
 (* MC-related kernels carry [per_run > 1]: one staged run covers a full
    lane block, and the reported estimate is divided by [per_run] so
    every fig3/table1 line stays ns per SAMPLE and the scalar reference
-   loop ([fig3/mc-sample]) compares directly with the batched kernel. *)
+   loop ([fig3/mc-sample]) compares directly with the batched kernel.
+   [fig3/mc-chunk-a-d] is ns per sample for all four positions of the
+   fused run: set it against four times [fig3/mc-sample-batched]. *)
 let mc_kernel_names =
   [
-    "fig3/mc-sample"; "fig3/mc-sample-batched"; "fig3/mc-sample-is";
+    "fig3/mc-sample"; "fig3/mc-sample-batched"; "fig3/mc-chunk-a-d";
+    "fig3/mc-sample-is";
     "table1/sta-pass-into"; "table1/sta-batch-into";
   ]
 
@@ -434,6 +439,16 @@ let kernel_estimates ~quick ?(only = fun _ -> true) () =
   let gauss = Array.make (lanes * n) 0.0 in
   let brng = Srng.create 99 in
   let batch = Sampler.batch sampler ~base ~systematic ~vdd:(fun _ -> low) in
+  (* One chunk of the fused run at A-D: one draw, then each position's
+     scale and STA pass. *)
+  let batches_a_d =
+    List.map
+      (fun pos ->
+        Sampler.batch sampler ~base
+          ~systematic:(Sampler.systematic_lgates sampler placement pos)
+          ~vdd:(fun _ -> low))
+      Position.named
+  in
   (* Importance-sampled die at position B: the full per-die overhead of
      the smart-sampling layer — component pick, RNG replay for the
      likelihood ratio, tilted systematic field — on top of the plain
@@ -524,6 +539,15 @@ let kernel_estimates ~quick ?(only = fun _ -> true) () =
           Sampler.scale_delays_batch batch ~gauss ~samples:lanes ~stride:lanes
             ~out:bdelays;
           Sta.analyze_into sta bws ~delays:bdelays );
+      ( "fig3/mc-chunk-a-d", lanes,
+        fun () ->
+          Srng.fill_gaussians brng gauss ~pos:0 ~len:(lanes * n);
+          List.iter
+            (fun b ->
+              Sampler.scale_delays_batch b ~gauss ~samples:lanes ~stride:lanes
+                ~out:bdelays;
+              Sta.analyze_into sta bws ~delays:bdelays)
+            batches_a_d );
       ( "fig3/mc-sample-is", 1,
         fun () ->
           let comp = Smart_sampling.pick is_model is_rng in

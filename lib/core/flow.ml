@@ -4,7 +4,6 @@
    stage enum. *)
 module Sg = Stage
 module Trace = Pvtol_util.Trace
-module Pool = Pvtol_util.Pool
 module Metrics = Pvtol_util.Metrics
 module Log = Pvtol_util.Log
 open Pvtol_netlist
@@ -119,17 +118,6 @@ let growth_targets =
 
 let m_prepares = Metrics.counter "flow_prepares_total"
 
-(* All four die positions as parallel tasks; each task's own MC fan-out
-   then runs serially inside its worker (the pool's nested-use guard),
-   so this trades chunk-level for position-level parallelism with
-   bit-identical results.  Already-memoized positions return instantly
-   inside their task. *)
-let mc_named mc_k =
-  Pool.map (Pool.shared ())
-    ~f:(fun p -> (p, Sg.get_keyed mc_k p))
-    (Array.of_list Position.named)
-  |> Array.to_list
-
 (* The sized netlist's stimulus for an ISS trace: the trace drives the
    instruction inputs and seeded random bits every other input. *)
 let trace_stimulus config netlist words =
@@ -214,20 +202,23 @@ let prepare ?(config = default_config) () =
         Gatesim.run ~cycles:config.gatesim_cycles netlist
           (trace_stimulus config netlist (Sg.get fir_n).Fir.trace))
   in
+  (* Every position draws from the one [mc_seed] stream, so positions
+     forced together share each chunk's gaussians. *)
   let mc_k =
-    Sg.keyed g ~name:"mc"
+    Sg.keyed_batch g ~name:"mc"
       ~deps:(fun _ -> [ "sta"; "placed"; "sampler" ])
       ~key_label:(fun (p : Position.t) -> p.Position.label)
-      (fun position ->
+      (fun positions ->
         MC.run
           ~config:{ MC.samples = config.mc_samples; seed = config.mc_seed }
           ~sampler:(Sg.get sampler_n) ~sta:(Sg.get sta_n)
-          ~placement:(Sg.get placement_n) ~position ())
+          ~placement:(Sg.get placement_n)
+          (List.map (fun p -> MC.job p) positions))
   in
   let scenarios_n =
     Sg.node g ~name:"scenarios" ~deps:[ "clock"; "mc" ] (fun () ->
         let clock = Sg.get clock_n in
-        List.map (fun (_, r) -> Scenario.classify ~clock r) (mc_named mc_k))
+        List.map (Scenario.classify ~clock) (Sg.get_keyed_many mc_k Position.named))
   in
   let islands_k =
     Sg.keyed g ~name:"islands"
@@ -382,7 +373,8 @@ let fir t = Sg.get t.fir_n
 let activity t = Sg.get t.activity_n
 let mc t position = Sg.get_keyed t.mc_k position
 
-let mc_all t = mc_named t.mc_k
+let mc_all t =
+  List.combine Position.named (Sg.get_keyed_many t.mc_k Position.named)
 
 let scenarios t = Sg.get t.scenarios_n
 let islands t direction = Sg.get_keyed t.islands_k direction

@@ -80,8 +80,11 @@ val mc : t -> Position.t -> Pvtol_ssta.Monte_carlo.result
 (** Monte-Carlo SSTA at a die position; memoized per position label. *)
 
 val mc_all : t -> (Position.t * Pvtol_ssta.Monte_carlo.result) list
-(** All named positions; uncached ones are evaluated as parallel tasks
-    on the shared domain pool (bit-identical to serial evaluation). *)
+(** All named positions.  The ones not yet memoized run as one fused
+    Monte-Carlo run (one stage compute, span ["mc[l1,l2,...]"]) that
+    draws each chunk's gaussians once for all of them; each result is
+    memoized under its own position and is bit-identical to a lone
+    {!mc}. *)
 
 val scenarios : t -> Pvtol_ssta.Scenario.t list
 (** Violation scenarios at A, B, C, D. *)

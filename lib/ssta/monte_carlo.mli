@@ -6,7 +6,9 @@
     are then fitted to normals with a chi-square acceptance test, as
     the paper does.  A per-cell supply assignment makes the same engine
     serve both the plain SSTA of Fig. 3 and the voltage-island
-    compensation checks of §4.5. *)
+    compensation checks of §4.5.  One run evaluates a list of
+    (position, supply map) jobs against one shared stream of draws, so
+    the positions A-D, or a set of island checks, cost one draw. *)
 
 open Pvtol_netlist
 
@@ -35,35 +37,47 @@ type result = {
           stage delay — the raw data for Razor site selection *)
 }
 
+type job
+(** One die position under one supply map: a Monte-Carlo run computes
+    one {!result} per job. *)
+
+val job : ?vdd:(Netlist.cell_id -> float) -> Pvtol_variation.Position.t -> job
+(** [vdd] defaults to the library's low supply for every cell. *)
+
 val run :
   ?config:config ->
-  ?vdd:(Netlist.cell_id -> float) ->
   ?pool:Pvtol_util.Pool.t ->
   sampler:Pvtol_variation.Sampler.t ->
   sta:Pvtol_timing.Sta.t ->
   placement:Pvtol_place.Placement.t ->
-  position:Pvtol_variation.Position.t ->
-  unit ->
-  result
-(** [vdd] defaults to the library's low supply for every cell.
-    [Invalid_argument] below {!Pvtol_util.Fit.min_samples} samples,
-    before any work: every stage's sample is fitted and tested.
+  job list ->
+  result list
+(** One result per job, in job order.  [Invalid_argument] below
+    {!Pvtol_util.Fit.min_samples} samples, before any work: every
+    stage's sample is fitted and tested.
 
     The sample range is cut into fixed 32-sample chunks executed on
     [pool] (default {!Pvtol_util.Pool.shared}, sized by the
     [PVTOL_DOMAINS] environment variable).  Each chunk reconstructs —
     in O(1), with {!Pvtol_util.Srng.create_after} — the exact RNG state
-    a single serial stream would hold at the chunk's first sample,
-    draws the chunk's gaussians in sample-major order, scales
-    them with the {!Pvtol_variation.Sampler.batch} delay-scale fit and
-    propagates all lanes in one 32-lane STA pass
-    ({!Pvtol_timing.Sta.analyze_into}).  Every chunk writes a
-    disjoint slice of the sample arrays, so the output is
-    {e bit-identical} for every domain count.  Against a scalar
-    one-sample-at-a-time loop over the same stream, worst-delay samples
-    differ only within the documented delay-scale fit bound.
-    Per-worker workspaces keep the inner loop free of per-sample heap
-    allocation. *)
+    a single serial stream would hold at the chunk's first sample and
+    draws the chunk's gaussians in sample-major order, {e once for all
+    jobs} (common random numbers: every job reads the same stream).
+    Then, job by job, it scales them with that job's
+    {!Pvtol_variation.Sampler.batch} delay-scale fit, propagates all
+    lanes in one 32-lane STA pass ({!Pvtol_timing.Sta.analyze_into})
+    and counts endpoint criticality.  A job's arithmetic never reads
+    another job's, so each result is {e bit-identical} to a run of the
+    one-element list [[job]]; and every chunk writes a disjoint slice
+    of the sample arrays, so the output is bit-identical for every
+    domain count.  Against a scalar one-sample-at-a-time loop over the
+    same stream, worst-delay samples differ only within the documented
+    delay-scale fit bound.  Per-worker workspaces keep the inner loop
+    free of per-sample heap allocation.
+
+    Counts [mc_chunks_total] once per chunk, [mc_gaussians_total] by
+    the chunk's draws (once, whatever the number of jobs) and
+    [mc_samples_total] by the chunk's lanes once per job. *)
 
 val stage_stats : result -> Stage.t -> stage_stats option
 

@@ -104,7 +104,10 @@ val analyze : ?skew:(Netlist.cell_id -> float) -> t -> delays:float array -> res
     one lane; Monte-Carlo propagates a 32-sample block per graph walk.
     Each lane runs the same op sequence — same accumulator init, same
     [>] reductions, same endpoint arithmetic — so a lane's results are
-    bit-identical to a 1-lane pass over that lane's delay column. *)
+    bit-identical to a 1-lane pass over that lane's delay column.  A
+    pass of at least 4 lanes walks each cell's fanins once per block
+    of four lanes with four independent accumulators (the remainder
+    lanes one by one); a pass of fewer lanes runs lane by lane. *)
 
 type workspace
 (** Mutable scratch sized for one {!t}; do not share across domains. *)

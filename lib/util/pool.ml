@@ -202,8 +202,3 @@ let parallel_chunks (type s a) t ~chunks ~(init : worker:int -> s)
           | None -> failwith "Pool.parallel_chunks: chunk not executed"))
       results
   end
-
-let map t ~f arr =
-  parallel_chunks t ~chunks:(Array.length arr)
-    ~init:(fun ~worker:_ -> ())
-    ~f:(fun () i -> f arr.(i))

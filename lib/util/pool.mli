@@ -57,7 +57,3 @@ val parallel_chunks :
     If one or more chunks raise, the remaining chunks still run and
     the exception of the lowest-numbered failing chunk is re-raised in
     the caller; the pool stays usable. *)
-
-val map : t -> f:('a -> 'b) -> 'a array -> 'b array
-(** [map pool ~f arr] applies [f] to every element in parallel (one
-    chunk per element), preserving order. *)

@@ -200,6 +200,22 @@ let batch t ~base ~systematic ~vdd =
   in
   { bt = t; b_base = base; b_systematic = systematic; b_vdd; b_poly; polys }
 
+(* Lane [k]'s scaled delay of cell [i]: the exact model outside the
+   fitted window, else Horner's rule on the interpolant. *)
+let[@inline] scale_lane b p ~mid ~inv_half ~sys ~base ~gauss ~n ~i ~out ~row k =
+  let lg = sys +. (b.bt.sigma_rnd_nm *. Array.unsafe_get gauss ((k * n) + i)) in
+  if lg < p.p_lo || lg > p.p_hi then
+    out.(row + k) <- base *. delay_scale b.bt ~lgate_nm:lg ~vdd:p.p_vdd
+  else begin
+    let mono = p.mono in
+    let u = (lg -. mid) *. inv_half in
+    let acc = ref (Array.unsafe_get mono poly_degree) in
+    for j = poly_degree - 1 downto 0 do
+      acc := (!acc *. u) +. Array.unsafe_get mono j
+    done;
+    Array.unsafe_set out (row + k) (base *. !acc)
+  end
+
 let scale_delays_batch b ~gauss ~samples ~stride ~out =
   let n = Array.length b.b_base in
   assert (samples >= 1 && samples <= stride);
@@ -213,6 +229,7 @@ let scale_delays_batch b ~gauss ~samples ~stride ~out =
      cells.  Unsafe accesses are sound: the asserts above bound every
      index ([k * n + i < samples * n <= length gauss],
      [row + k < n * stride <= length out]). *)
+  let blocked = samples land lnot 3 in
   for i = 0 to n - 1 do
     let sys = Array.unsafe_get b.b_systematic i in
     let base = Array.unsafe_get b.b_base i in
@@ -229,18 +246,47 @@ let scale_delays_batch b ~gauss ~samples ~stride ~out =
       let lo = p.p_lo and hi = p.p_hi in
       let mid = (lo +. hi) /. 2.0 in
       let inv_half = 2.0 /. (hi -. lo) in
-      for k = 0 to samples - 1 do
-        let lg = sys +. (sigma *. Array.unsafe_get gauss ((k * n) + i)) in
-        if lg < lo || lg > hi then
-          out.(row + k) <- base *. delay_scale b.bt ~lgate_nm:lg ~vdd:p.p_vdd
+      (* Blocks of four lanes run four independent Horner chains, each
+         with [scale_lane]'s op sequence, so every coefficient is
+         loaded once per block.  A block with any lane outside the
+         window, and the last [samples mod 4] lanes, go lane by lane. *)
+      let k = ref 0 in
+      while !k < blocked do
+        let k0 = !k in
+        let g = (k0 * n) + i in
+        let lg0 = sys +. (sigma *. Array.unsafe_get gauss g) in
+        let lg1 = sys +. (sigma *. Array.unsafe_get gauss (g + n)) in
+        let lg2 = sys +. (sigma *. Array.unsafe_get gauss (g + (2 * n))) in
+        let lg3 = sys +. (sigma *. Array.unsafe_get gauss (g + (3 * n))) in
+        if
+          lg0 < lo || lg0 > hi || lg1 < lo || lg1 > hi || lg2 < lo || lg2 > hi
+          || lg3 < lo || lg3 > hi
+        then
+          for k = k0 to k0 + 3 do
+            scale_lane b p ~mid ~inv_half ~sys ~base ~gauss ~n ~i ~out ~row k
+          done
         else begin
-          let u = (lg -. mid) *. inv_half in
-          let acc = ref (Array.unsafe_get mono poly_degree) in
+          let u0 = (lg0 -. mid) *. inv_half and u1 = (lg1 -. mid) *. inv_half in
+          let u2 = (lg2 -. mid) *. inv_half and u3 = (lg3 -. mid) *. inv_half in
+          let top = Array.unsafe_get mono poly_degree in
+          let a0 = ref top and a1 = ref top and a2 = ref top and a3 = ref top in
           for j = poly_degree - 1 downto 0 do
-            acc := (!acc *. u) +. Array.unsafe_get mono j
+            let c = Array.unsafe_get mono j in
+            a0 := (!a0 *. u0) +. c;
+            a1 := (!a1 *. u1) +. c;
+            a2 := (!a2 *. u2) +. c;
+            a3 := (!a3 *. u3) +. c
           done;
-          Array.unsafe_set out (row + k) (base *. !acc)
-        end
+          let o = row + k0 in
+          Array.unsafe_set out o (base *. !a0);
+          Array.unsafe_set out (o + 1) (base *. !a1);
+          Array.unsafe_set out (o + 2) (base *. !a2);
+          Array.unsafe_set out (o + 3) (base *. !a3)
+        end;
+        k := k0 + 4
+      done;
+      for k = blocked to samples - 1 do
+        scale_lane b p ~mid ~inv_half ~sys ~base ~gauss ~n ~i ~out ~row k
       done
     end
   done

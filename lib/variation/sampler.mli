@@ -115,4 +115,11 @@ val scale_delays_batch :
     {!Pvtol_util.Srng.fill_gaussians} writes — and [out] is cell-major:
     lane [k]'s scaled delay for cell [i] lands at
     [out.(i * stride + k)], one contiguous row of [stride] floats per
-    cell, ready for the SoA STA kernel. *)
+    cell, ready for the SoA STA kernel.  Lanes [samples .. stride-1]
+    are left untouched.
+
+    Lanes run in blocks of four independent Horner chains, each with
+    the 1-lane op sequence, so every lane is bit-identical to a
+    [~samples:1 ~stride:1] call on its own gaussian column.  A block
+    with any lane outside the fit window, and the last
+    [samples mod 4] lanes, are evaluated lane by lane. *)

@@ -295,6 +295,37 @@ let test_no_recompute_downstream () =
   let after = List.length (Trace.spans (Flow.trace t)) in
   Alcotest.(check int) "zero stages recomputed" before after
 
+let test_mc_positions_computed_once () =
+  (* fig3 reads position A alone, so it pays for one position; the
+     scenarios that follow fuse B-D into one run and reuse A's memo:
+     4 x mc_samples samples over both, in two draws, each position
+     under its own key. *)
+  let module Metrics = Pvtol_util.Metrics in
+  let t = Flow.prepare ~config:Flow.quick_config () in
+  let samples = Metrics.counter "mc_samples_total"
+  and gaussians = Metrics.counter "mc_gaussians_total" in
+  ignore (Flow.sta t);
+  let per_draw =
+    (Flow.config t).Flow.mc_samples * Netlist.cell_count (Flow.netlist t)
+  in
+  Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Metrics.set_enabled false) @@ fun () ->
+  let s0 = Metrics.counter_value samples and g0 = Metrics.counter_value gaussians in
+  ignore (exhibit "fig3" t);
+  Alcotest.(check int) "fig3: one position's samples"
+    (Flow.config t).Flow.mc_samples
+    (Metrics.counter_value samples - s0);
+  Alcotest.(check int) "fig3: one draw" per_draw (Metrics.counter_value gaussians - g0);
+  ignore (Flow.scenarios t);
+  ignore (Flow.mc_all t);
+  Alcotest.(check int) "fig3 then scenarios: 4 x mc_samples"
+    (4 * (Flow.config t).Flow.mc_samples)
+    (Metrics.counter_value samples - s0);
+  Alcotest.(check int) "two draws" (2 * per_draw) (Metrics.counter_value gaussians - g0);
+  let trace = Flow.trace t in
+  Alcotest.(check (list int)) "mc spans" [ 1; 1 ]
+    [ Trace.count trace "mc[A]"; Trace.count trace "mc[B,C,D]" ]
+
 (* --- experiments rendering --- *)
 
 let test_experiments_render () =
@@ -327,5 +358,7 @@ let suite =
       Alcotest.test_case "degradation bounded" `Quick test_degradation_bounded;
       Alcotest.test_case "stage fires at most once" `Quick test_stage_fires_once;
       Alcotest.test_case "no downstream recompute" `Quick test_no_recompute_downstream;
+      Alcotest.test_case "mc positions computed once (fig3, scenarios)" `Quick
+        test_mc_positions_computed_once;
       Alcotest.test_case "experiments render" `Quick test_experiments_render;
     ] )

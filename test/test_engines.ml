@@ -38,7 +38,9 @@ let test_mc_golden_vs_batched () =
                 ~label:
                   (Printf.sprintf "%s/%d domains" position.Position.label domains)
                 golden
-                (MC.run ~config ~pool ~sampler ~sta ~placement:p ~position ())))
+                (List.hd
+                   (MC.run ~config ~pool ~sampler ~sta ~placement:p
+                      [ MC.job position ]))))
         [ 1; 2; 4 ])
     positions
 

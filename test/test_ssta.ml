@@ -23,7 +23,9 @@ let env =
 
 let run ?(samples = 60) ?(seed = 5) ?vdd position =
   let _, _, p, sta, sampler = Lazy.force env in
-  MC.run ~config:{ MC.samples; seed } ?vdd ~sampler ~sta ~placement:p ~position ()
+  List.hd
+    (MC.run ~config:{ MC.samples; seed } ~sampler ~sta ~placement:p
+       [ MC.job ?vdd position ])
 
 (* Golden values captured from the serial Monte-Carlo loop (one
    sequential SplitMix64 stream over all samples, exact delay scale,
@@ -85,8 +87,9 @@ let test_mc_domain_invariance () =
           Engine_diff.check_mc
             ~label:(Printf.sprintf "%d domains" domains)
             r
-            (MC.run ~config ~pool ~sampler ~sta ~placement:p
-               ~position:Position.point_a ())))
+            (List.hd
+               (MC.run ~config ~pool ~sampler ~sta ~placement:p
+                  [ MC.job Position.point_a ]))))
     [ 1; 2; 4 ]
 
 let test_mc_batched_domain_invariance () =
@@ -96,8 +99,9 @@ let test_mc_batched_domain_invariance () =
   let module Pool = Pvtol_util.Pool in
   let _, _, p, sta, sampler = Lazy.force env in
   let run_with pool =
-    MC.run ~config:{ MC.samples = 60; seed = 5 } ~pool ~sampler ~sta
-      ~placement:p ~position:Position.point_a ()
+    List.hd
+      (MC.run ~config:{ MC.samples = 60; seed = 5 } ~pool ~sampler ~sta
+         ~placement:p [ MC.job Position.point_a ])
   in
   let reference = ref None in
   List.iter
@@ -133,6 +137,61 @@ let test_mc_batched_domain_invariance () =
               true
               (crit r = crit r0)))
     [ 1; 2; 4 ]
+
+let test_mc_fused_matches_lone () =
+  (* Fused-vs-lone oracle: every job of one run is Marshal-equal to the
+     run of its one-element list — 150 samples (a 22-lane last chunk),
+     distinct supply maps, a duplicated position, on 1 and 2 domains.
+     The fused run draws each chunk's gaussians once, not once per
+     job. *)
+  let module Pool = Pvtol_util.Pool in
+  let module Metrics = Pvtol_util.Metrics in
+  let _, nl, p, sta, sampler = Lazy.force env in
+  let proc = nl.Netlist.lib.Pvtol_stdcell.Cell.process in
+  let high = proc.Pvtol_stdcell.Process.vdd_high
+  and low = proc.Pvtol_stdcell.Process.vdd_low in
+  let config = { MC.samples = 150; seed = 11 } in
+  let jobs =
+    [
+      ("A", MC.job Position.point_a);
+      ("B", MC.job Position.point_b);
+      ("A, odd cells high", MC.job ~vdd:(fun cid -> if cid mod 2 = 1 then high else low)
+                              Position.point_a);
+      ("C, all high", MC.job ~vdd:(fun _ -> high) Position.point_c);
+      ("A again", MC.job Position.point_a);
+      ("off-diagonal", MC.job (Position.at_xy ~x_frac:0.2 ~y_frac:0.6 ()));
+    ]
+  in
+  let gaussians = Metrics.counter "mc_gaussians_total" in
+  let marshal (r : MC.result) = Marshal.to_string r [] in
+  Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Metrics.set_enabled false) @@ fun () ->
+  List.iter
+    (fun domains ->
+      let pool = Pool.create ~domains () in
+      Fun.protect
+        ~finally:(fun () -> Pool.shutdown pool)
+        (fun () ->
+          let run jobs = MC.run ~config ~pool ~sampler ~sta ~placement:p jobs in
+          let g0 = Metrics.counter_value gaussians in
+          let fused = run (List.map snd jobs) in
+          Alcotest.(check int)
+            (Printf.sprintf "%d domains: one draw for %d jobs" domains
+               (List.length jobs))
+            (config.MC.samples * Netlist.cell_count nl)
+            (Metrics.counter_value gaussians - g0);
+          List.iter2
+            (fun (label, job) r ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%d domains: %s fused = lone" domains label)
+                true
+                (marshal r = marshal (List.hd (run [ job ]))))
+            jobs fused;
+          Alcotest.(check bool) "duplicated position, same result" true
+            (marshal (List.nth fused 0) = marshal (List.nth fused 4));
+          Alcotest.(check bool) "supply map changes the result" false
+            (marshal (List.nth fused 0) = marshal (List.nth fused 2))))
+    [ 1; 2 ]
 
 let test_mc_deterministic () =
   let a = run Position.point_a and b = run Position.point_a in
@@ -405,7 +464,7 @@ let test_mc_min_samples () =
     (fun () ->
       ignore
         (MC.run ~config:{ MC.samples = min - 1; seed = 5 } ~sampler ~sta
-           ~placement:p ~position:Position.point_a ()))
+           ~placement:p [ MC.job Position.point_a ]))
 
 let suite =
   ( "ssta",
@@ -416,6 +475,8 @@ let suite =
         test_mc_domain_invariance;
       Alcotest.test_case "mc batched domain-count invariance" `Quick
         test_mc_batched_domain_invariance;
+      Alcotest.test_case "mc fused jobs = lone runs (1/2 domains)" `Quick
+        test_mc_fused_matches_lone;
       Alcotest.test_case "mc seed sensitivity" `Quick test_mc_seed_changes_samples;
       Alcotest.test_case "mc stage coverage" `Quick test_mc_stage_coverage;
       Alcotest.test_case "mc position ordering" `Quick test_mc_position_ordering;

@@ -417,7 +417,9 @@ let test_analyze_batch_matches_scalar () =
   (* Every lane of the lane-strided kernel must be bit-identical to the
      scalar oracle pass over that lane's delay column, with the zero
      skew row and a non-zero one: a 1-lane workspace, a partial block
-     (5 lanes of stride 8) and a full 32-lane block. *)
+     (5 lanes of stride 8), and 1-9, 31 and 32 lanes of a 32-lane
+     workspace — below, at and past the 4-lane blocks, with every
+     remainder. *)
   let _, sta = Lazy.force vex_sta in
   let base = Sta.nominal_delays sta in
   let n = Array.length base in
@@ -448,7 +450,8 @@ let test_analyze_batch_matches_scalar () =
               sta ws k o
           done)
         skews)
-    [ (1, 1); (8, 5); (32, 32) ]
+    ([ (1, 1); (8, 5) ]
+    @ List.map (fun lanes -> (32, lanes)) [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 31; 32 ])
 
 let test_analyze_incremental_matches_full () =
   (* The incremental pass must stay bit-identical to the scalar oracle's

@@ -394,11 +394,6 @@ let test_pool_ordering () =
             expected got))
     [ 1; 2; 4 ]
 
-let test_pool_map () =
-  with_pool ~domains:3 (fun p ->
-      let got = Pool.map p ~f:(fun x -> x + 1) (Array.init 10 Fun.id) in
-      Alcotest.(check (array int)) "map order" (Array.init 10 (fun i -> i + 1)) got)
-
 let test_pool_exception () =
   with_pool ~domains:4 (fun p ->
       (try
@@ -490,7 +485,6 @@ let suite =
       Alcotest.test_case "srng fill_gaussians" `Quick test_srng_fill_gaussians;
       qcheck test_srng_create_after_property;
       Alcotest.test_case "pool ordering" `Quick test_pool_ordering;
-      Alcotest.test_case "pool map" `Quick test_pool_map;
       Alcotest.test_case "pool exception propagation" `Quick test_pool_exception;
       Alcotest.test_case "pool nested-use guard" `Quick test_pool_nested;
       Alcotest.test_case "pool worker-local state" `Quick test_pool_worker_state;

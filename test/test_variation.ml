@@ -199,6 +199,57 @@ let test_systematic_map_bitwise () =
         got)
     (Position.at_xy ~x_frac:1.95 ~y_frac:(-0.1) () :: Position.named)
 
+let test_scale_batch_lanes () =
+  (* The batched scale kernel runs blocks of four Horner chains; every
+     lane count 1-32 must equal a 1-lane call on that lane's gaussian
+     column bit for bit, leave the lanes past the count untouched, and
+     a lane forced outside the fitted window inside a 4-lane block must
+     take the exact model. *)
+  let sampler = Sampler.create () in
+  let process = sampler.Sampler.process in
+  let low = process.Process.vdd_low and high = process.Process.vdd_high in
+  let n = 37 and stride = 32 in
+  let base = Array.init n (fun i -> 0.03 +. (0.002 *. float_of_int i)) in
+  let systematic = Array.init n (fun i -> 63.5 +. (0.11 *. float_of_int i)) in
+  let vdd i = if i mod 3 = 0 then high else low in
+  let batch = Sampler.batch sampler ~base ~systematic ~vdd in
+  let gauss = Array.make (stride * n) 0.0 in
+  Srng.fill_gaussians (Srng.create 31) gauss ~pos:0 ~len:(stride * n);
+  (* Lane 5 of cell 3: fifty random sigmas, far past the window. *)
+  let far_lane = 5 and far_cell = 3 in
+  gauss.((far_lane * n) + far_cell) <- 50.0;
+  let column = Array.make n 0.0 and one = Array.make n 0.0 in
+  let out = Array.make (n * stride) nan in
+  for lanes = 1 to stride do
+    Array.fill out 0 (n * stride) nan;
+    Sampler.scale_delays_batch batch ~gauss ~samples:lanes ~stride ~out;
+    for k = 0 to stride - 1 do
+      if k < lanes then begin
+        Array.blit gauss (k * n) column 0 n;
+        Sampler.scale_delays_batch batch ~gauss:column ~samples:1 ~stride:1 ~out:one;
+        for i = 0 to n - 1 do
+          check_bits
+            (Printf.sprintf "%d lanes, lane %d, cell %d" lanes k i)
+            one.(i)
+            out.((i * stride) + k)
+        done
+      end
+      else
+        for i = 0 to n - 1 do
+          if not (Float.is_nan out.((i * stride) + k)) then
+            Alcotest.failf "%d lanes: lane %d of cell %d written" lanes k i
+        done
+    done;
+    if lanes > far_lane then
+      check_bits
+        (Printf.sprintf "%d lanes, out-of-window lane" lanes)
+        (base.(far_cell)
+        *. Sampler.delay_scale sampler
+             ~lgate_nm:(systematic.(far_cell) +. (sampler.Sampler.sigma_rnd_nm *. 50.0))
+             ~vdd:(vdd far_cell))
+        out.((far_cell * stride) + far_lane)
+  done
+
 let test_custom_budget () =
   let f = Field.create ~l_nominal_nm:65.0 ~max_dev_frac:0.02 () in
   let lo, hi = Field.extremes f in
@@ -225,5 +276,7 @@ let suite =
         test_sample_lgates_bitwise;
       Alcotest.test_case "systematic map = per-cell field" `Quick
         test_systematic_map_bitwise;
+      Alcotest.test_case "scale batch = 1-lane calls (1-32 lanes)" `Quick
+        test_scale_batch_lanes;
       Alcotest.test_case "custom budget" `Quick test_custom_budget;
     ] )
