@@ -495,10 +495,11 @@ let kernel_estimates ~quick ?(only = fun _ -> true) () =
   (* Enough cycles per run that the simulation, not its one-off
      flattening of the netlist, dominates; reported per cycle. *)
   let gatesim_cycles = 16 in
-  (* Timing closure as the sizing stage first runs it: the unsized
-     design netlist, its placement's wire lengths, the stage budgets and
-     the initial clock.  Always on the quick design, since a full-size
-     run takes seconds. *)
+  (* Timing closure as the sizing stage first runs it: the timing graph
+     of the unsized design netlist on its placement's wire lengths
+     (built inside the timed run), the stage budgets and the initial
+     clock.  Always on the quick design, since a full-size run takes
+     seconds. *)
   let sizing_flow =
     if quick then t else Flow.prepare ~config:Flow.quick_config ()
   in
@@ -610,10 +611,10 @@ let kernel_estimates ~quick ?(only = fun _ -> true) () =
       ( "table1/sizing", 1,
         fun () ->
           ignore
-            (Sizing.close_timing ~frac:Sizing.balanced_fracs ~clock:sizing_clock
-               ~wire_length:sizing_wire
-               ~capture:sizing_design.Pvtol_vex.Vex_core.capture_stage
-               sizing_design.Pvtol_vex.Vex_core.netlist) );
+            (Sizing.close_timing ~clock:sizing_clock
+               (Sta.build sizing_design.Pvtol_vex.Vex_core.netlist
+                  ~wire_length:sizing_wire
+                  ~capture:sizing_design.Pvtol_vex.Vex_core.capture_stage)) );
     ]
   in
   let tests = List.filter (fun (name, _, _) -> only name) tests in

@@ -190,7 +190,7 @@ let scenarios_summary (t : Flow.t) =
 
 let razor_sites (t : Flow.t) =
   let mc = Flow.mc t Position.point_a in
-  let plan = Sensors.select mc (Flow.netlist t) in
+  let plan = Sensors.select mc (Flow.sta t) in
   let tbl = Table.create ~header:[ "Stage"; "Monitored flops" ] in
   List.iter
     (fun (s, n) -> Table.add_row tbl [ Stage.name s; string_of_int n ])

@@ -143,39 +143,37 @@ let prepare ?(config = default_config) () =
         Placer.place ~iterations:config.place_iterations
           ~seed:config.place_seed nl0 fp)
   in
-  (* Each timing stage forces its inputs once in its own compute and
-     looks wire lengths up in a per-net table: sizing leaves the
-     connectivity unchanged, so the initial placement's table serves
-     every netlist up to level-shifter insertion. *)
+  (* The flow's one timing graph up to level-shifter insertion: sizing
+     builds it from the unsized netlist and the initial placement's
+     per-net wire table (sizing leaves the connectivity unchanged) and
+     re-times it round by round; the sta stage is its last round's
+     graph, that of the sized netlist. *)
   let sizing_n =
     Sg.node g ~name:"sizing" ~deps:[ "design"; "placement" ] (fun () ->
         let design = Sg.get design_n in
-        let nl0 = design.Vex_core.netlist in
-        let capture = design.Vex_core.capture_stage in
         let wire = Array.get (Placement.wire_lengths (Sg.get placement0_n)) in
-        let sta0 = Sta.build nl0 ~wire_length:wire ~capture in
+        let sta0 =
+          Sta.build design.Vex_core.netlist ~wire_length:wire
+            ~capture:design.Vex_core.capture_stage
+        in
         let r0 = Sta.analyze sta0 ~delays:(Sta.nominal_delays sta0) in
         let initial_clock =
           match Sta.stage_delay r0 Stage.Execute with
           | Some d -> d
           | None -> r0.Sta.worst
         in
-        Sizing.fit ~clock:initial_clock ~frac:Sizing.balanced_fracs
-          ~wire_length:wire ~capture nl0)
+        Sizing.fit ~clock:initial_clock sta0)
   in
   let netlist_n =
     Sg.node g ~name:"netlist" ~deps:[ "sizing" ] (fun () ->
-        (Sg.get sizing_n).Sizing.netlist)
+        Sta.netlist (Sg.get sizing_n).Sizing.sta)
   in
   let placement_n =
     Sg.node g ~name:"placed" ~deps:[ "placement"; "netlist" ] (fun () ->
         { (Sg.get placement0_n) with Placement.netlist = Sg.get netlist_n })
   in
   let sta_n =
-    Sg.node g ~name:"sta" ~deps:[ "netlist"; "placement"; "design" ] (fun () ->
-        let wire = Array.get (Placement.wire_lengths (Sg.get placement0_n)) in
-        Sta.build (Sg.get netlist_n) ~wire_length:wire
-          ~capture:(Sg.get design_n).Vex_core.capture_stage)
+    Sg.node g ~name:"sta" ~deps:[ "sizing" ] (fun () -> (Sg.get sizing_n).Sizing.sta)
   in
   let nominal_n =
     Sg.node g ~name:"timing" ~deps:[ "sta" ] (fun () ->
@@ -255,11 +253,11 @@ let prepare ?(config = default_config) () =
            performance degradation (8% vertical / 15% horizontal in
            their testbed). *)
         let closure =
-          Sizing.close_timing ~frac:Sizing.balanced_fracs
-            ~clock:(clock *. 1.08) ~wire_length:wire ~capture
-            shifted.Level_shifter.netlist
+          Sizing.close_timing ~clock:(clock *. 1.08)
+            (Sta.build shifted.Level_shifter.netlist ~wire_length:wire ~capture)
         in
-        let netlist = closure.Sizing.netlist in
+        let sta = closure.Sizing.sta in
+        let netlist = Sta.netlist sta in
         let shifted =
           {
             shifted with
@@ -267,7 +265,6 @@ let prepare ?(config = default_config) () =
             placement = { shifted.Level_shifter.placement with Placement.netlist };
           }
         in
-        let sta = Sta.build netlist ~wire_length:wire ~capture in
         let worst = (Sta.analyze sta ~delays:(Sta.nominal_delays sta)).Sta.worst in
         {
           direction;

@@ -57,6 +57,8 @@ val netlist : t -> Netlist.t
 
 val placement : t -> Pvtol_place.Placement.t
 val sta : t -> Pvtol_timing.Sta.t
+(** Timing graph of the sized netlist: the graph {!sizing} returns. *)
+
 val nominal : t -> Pvtol_timing.Sta.result
 (** Nominal-corner STA result of the sized design (the report behind
     [clock]). *)

@@ -1,4 +1,5 @@
 open Pvtol_netlist
+module Sta = Pvtol_timing.Sta
 
 type site = {
   endpoint : Netlist.cell_id;
@@ -17,32 +18,20 @@ type plan = {
    metastability detector and restore mux. *)
 let razor_area_factor = 0.7
 
-let select ?(min_criticality = 0.01) (mc : Monte_carlo.result) nl =
+let select ?(min_criticality = 0.01) (mc : Monte_carlo.result) sta =
+  let nl = Sta.netlist sta in
   let total_samples =
     match mc.Monte_carlo.stages with
     | s :: _ -> Array.length s.Monte_carlo.samples
     | [] -> 1
   in
-  let stage_of = Hashtbl.create 16 in
-  List.iter
-    (fun (ss : Monte_carlo.stage_stats) ->
-      Hashtbl.replace stage_of ss.Monte_carlo.stage ())
-    mc.Monte_carlo.stages;
   let sites =
     Hashtbl.fold
       (fun cid count acc ->
         let crit = float_of_int count /. float_of_int total_samples in
         if crit >= min_criticality then
-          let cell = nl.Netlist.cells.(cid) in
-          (* capture stage is recorded via the MC run's stage set; find
-             it from the unit tag used by the design's classifier. *)
-          let stage =
-            match cell.Netlist.unit_name with
-            | "pipe_fe_dc" | "fetch" -> Stage.Fetch
-            | "pipe_dc_ex" -> Stage.Decode
-            | "pipe_ex_wb" -> Stage.Execute
-            | _ -> Stage.Writeback
-          in
+          (* Every counted endpoint is some stage's endpoint. *)
+          let stage = Option.get (Sta.capture_stage_of sta cid) in
           { endpoint = cid; stage; criticality = crit } :: acc
         else acc)
       mc.Monte_carlo.endpoint_critical_count []

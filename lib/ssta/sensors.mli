@@ -27,8 +27,9 @@ type plan = {
 }
 
 val select :
-  ?min_criticality:float -> Monte_carlo.result -> Pvtol_netlist.Netlist.t -> plan
+  ?min_criticality:float -> Monte_carlo.result -> Pvtol_timing.Sta.t -> plan
 (** Flops whose criticality exceeds [min_criticality] (default 0.01 =
-    critical in at least 1% of samples). *)
+    critical in at least 1% of samples), each under its capture stage in
+    the timing graph the Monte-Carlo run used. *)
 
 val pp : Format.formatter -> plan -> unit

@@ -9,68 +9,49 @@
 
     Constraints are expressed per capture stage, mirroring synthesis
     path groups: endpoints captured by stage [s] must arrive by
-    [clock *. frac s].  [recover] performs iterative greedy downsizing
-    with a shared-slack guard and full STA verification between rounds;
-    a round that breaks any stage constraint is rolled back and retried
-    more conservatively.
+    [clock *. balanced_fracs s] at the nominal corner.
 
-    Rounds change only drive strengths, so each [recover] or
-    [close_timing] call builds one timing graph ({!Sta.build}, one
-    [wire_length] lookup per net) and re-times every later round's
-    netlist with {!Sta.resize}. *)
+    A sizing pass times one netlist graph whose cell masters change
+    from round to round.  It takes the graph of its input netlist
+    ({!Sta.build} of it, or the graph an earlier pass returned); each
+    round analyzes the current graph and re-drives some cells, and the
+    next round times the new netlist through {!Sta.resize}.  No pass
+    builds a graph, and the report carries the graph of the sized
+    netlist for the next pass or for later analyses. *)
 
 open Pvtol_netlist
 
 type report = {
-  netlist : Netlist.t;        (** resized netlist (same topology/ids) *)
+  sta : Sta.t;
+      (** timing graph of the resized netlist ([Sta.netlist sta]: same
+          topology and ids as the input, only drive strengths differ) *)
   clock : float;
   rounds : int;
-  downsized : int;            (** number of drive-notch reductions *)
+  downsized : int;
+      (** number of drive-notch changes (upsizes for {!close_timing},
+          both directions for {!fit}) *)
   area_before : float;
   area_after : float;
 }
 
-val recover :
-  ?max_rounds:int ->
-  ?guard:float ->
-  ?rollback:bool ->
-  ?frac:(Stage.t -> float) ->
-  clock:float ->
-  wire_length:(Netlist.net_id -> float) ->
-  capture:(Netlist.cell -> Stage.t option) ->
-  Netlist.t ->
-  report
-(** [frac] gives each stage's timing budget as a fraction of [clock]
-    (default: 1.0 for every stage).  [guard] is the slack multiple a
-    cell must keep over its estimated delay increase before it is
-    downsized (default 10.0).  The returned netlist meets every stage
-    constraint at the nominal corner, provided the input netlist did. *)
-
 val balanced_fracs : Stage.t -> float
-(** The stage budgets used for the paper's design point: execute at
-    100% of the clock (the critical stage), decode 97%, write-back
-    94%, fetch 90% — the near-critical profile Fig. 3 exhibits. *)
+(** The stage budgets, as fractions of the clock: execute at 100% of
+    the clock (the critical stage), decode 96.5%, write-back 93%, fetch
+    88% — the near-critical profile Fig. 3 exhibits. *)
 
-val close_timing :
-  ?max_rounds:int ->
-  ?frac:(Stage.t -> float) ->
-  clock:float ->
-  wire_length:(Netlist.net_id -> float) ->
-  capture:(Netlist.cell -> Stage.t option) ->
-  Netlist.t ->
-  report
-(** Timing closure: upsize every cell with negative slack against its
-    stage budget, one drive notch per round, until all constraints are
-    met (or drives saturate at X4).  Run before {!recover}; the
-    combination reproduces the synthesis sequence "meet timing, then
-    recover area". *)
+val close_timing : clock:float -> Sta.t -> report
+(** Timing closure: upsize the worst-slack eighth (at least 50) of the
+    cells with negative slack against their stage budget, one drive
+    notch per round, until every budget is met, no violating cell can
+    grow (drives saturate at X4), or 60 rounds have run. *)
 
-val fit :
-  ?frac:(Stage.t -> float) ->
-  clock:float ->
-  wire_length:(Netlist.net_id -> float) ->
-  capture:(Netlist.cell -> Stage.t option) ->
-  Netlist.t ->
-  report
-(** [close_timing] followed by [recover]; the final netlist sits just
-    below each stage budget at the nominal corner. *)
+val fit : clock:float -> Sta.t -> report
+(** The synthesis sequence "meet timing, then recover area": three
+    times {!close_timing} followed by a greedy downsizing pass, then a
+    final {!close_timing}.  A downsizing pass drops a cell one notch
+    when its slack exceeds a guard multiple (6, then 3, then 2) of its
+    estimated delay increase, for at most 16 rounds, without verifying
+    a round against the budgets: it may overshoot them, and the
+    closure pass that follows repairs that.  The final netlist sits
+    just below each stage budget, and meets them all unless that last
+    closure saturates. *)

@@ -8,6 +8,7 @@ let n_stages = List.length Stage.all
    reuse factor the allocation-free inner loop exists for. *)
 module Metrics = Pvtol_util.Metrics
 
+let m_builds = Metrics.counter "sta_builds_total"
 let m_workspaces = Metrics.counter "sta_workspace_total"
 let m_analyzes = Metrics.counter "sta_analyze_total"
 let m_inc_gates = Metrics.counter "sta_incremental_gates_total"
@@ -112,6 +113,7 @@ let loads_and_delays nl wire_um =
   (net_load, base_delay)
 
 let build nl ~wire_length ~capture =
+  Metrics.incr m_builds;
   let lib = nl.Netlist.lib in
   (* One lookup per net: the per-pin wire delays below index this table
      rather than re-estimating a net once per sink. *)

@@ -23,7 +23,7 @@ val build :
   t
 (** [wire_length] estimates each net's routed length in um (HPWL after
     placement, a fanout-based wireload model before).  It is called
-    once per net and tabulated. *)
+    once per net and tabulated.  Counts one in [sta_builds_total]. *)
 
 val resize : t -> Netlist.t -> t
 (** [resize t nl'] is [build nl'] for a netlist that differs from

@@ -10,6 +10,7 @@ module Sg = Pvtol_core.Stage
 module Trace = Pvtol_util.Trace
 module Power = Pvtol_power.Power
 module Sta = Pvtol_timing.Sta
+module Sizing = Pvtol_timing.Sizing
 module Position = Pvtol_variation.Position
 module Sampler = Pvtol_variation.Sampler
 module Geom = Pvtol_util.Geom
@@ -326,6 +327,34 @@ let test_mc_positions_computed_once () =
   Alcotest.(check (list int)) "mc spans" [ 1; 1 ]
     [ Trace.count trace "mc[A]"; Trace.count trace "mc[B,C,D]" ]
 
+(* --- sizing on one timing graph --- *)
+
+let test_sizing_builds_one_graph () =
+  let module Metrics = Pvtol_util.Metrics in
+  let builds = Metrics.counter "sta_builds_total" in
+  let t = Flow.prepare ~config:Flow.quick_config () in
+  Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Metrics.set_enabled false) @@ fun () ->
+  let b0 = Metrics.counter_value builds in
+  let sized = Flow.sizing t in
+  let sta = Flow.sta t in
+  Alcotest.(check int) "one Sta.build for sizing and sta" 1
+    (Metrics.counter_value builds - b0);
+  Alcotest.(check bool) "sta is the sizing graph" true (sta == sized.Sizing.sta)
+
+(* The sized quick design, pinned: re-timing one graph across the
+   sizing passes must produce the netlist a fresh graph per pass did. *)
+let test_sizing_pinned () =
+  let t, _ = Lazy.force env in
+  let r = Flow.sizing t in
+  let digest =
+    Digest.to_hex (Digest.string (Marshal.to_string (Sta.netlist r.Sizing.sta) []))
+  in
+  Alcotest.(check string) "sized netlist digest" "2016f9aa5249c2530b60bcff91d0c7e6"
+    digest;
+  Alcotest.(check int) "rounds" 23 r.Sizing.rounds;
+  Alcotest.(check int) "drive changes" 7271 r.Sizing.downsized
+
 (* --- experiments rendering --- *)
 
 let test_experiments_render () =
@@ -360,5 +389,7 @@ let suite =
       Alcotest.test_case "no downstream recompute" `Quick test_no_recompute_downstream;
       Alcotest.test_case "mc positions computed once (fig3, scenarios)" `Quick
         test_mc_positions_computed_once;
+      Alcotest.test_case "sizing builds one graph" `Quick test_sizing_builds_one_graph;
+      Alcotest.test_case "sizing pinned (quick)" `Quick test_sizing_pinned;
       Alcotest.test_case "experiments render" `Quick test_experiments_render;
     ] )

@@ -433,9 +433,9 @@ let test_analytic_mc_differential () =
     Position.named
 
 let test_sensors () =
-  let _, nl, _, _, _ = Lazy.force env in
+  let _, nl, _, sta, _ = Lazy.force env in
   let r = run ~samples:80 Position.point_a in
-  let plan = Sensors.select r nl in
+  let plan = Sensors.select r sta in
   Alcotest.(check bool) "some sites selected" true (List.length plan.Sensors.sites > 0);
   List.iter
     (fun (site : Sensors.site) ->
@@ -447,7 +447,7 @@ let test_sensors () =
   Alcotest.(check bool) "overhead fraction sane" true
     (plan.Sensors.area_overhead_frac > 0.0 && plan.Sensors.area_overhead_frac < 0.2);
   (* A stricter threshold never selects more sites. *)
-  let strict = Sensors.select ~min_criticality:0.5 r nl in
+  let strict = Sensors.select ~min_criticality:0.5 r sta in
   Alcotest.(check bool) "stricter threshold fewer sites" true
     (List.length strict.Sensors.sites <= List.length plan.Sensors.sites)
 

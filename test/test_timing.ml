@@ -186,70 +186,6 @@ let test_sdf_errors () =
     Alcotest.fail "unknown instance should fail"
   with Sdf.Parse_error _ -> ()
 
-(* --- sizing --- *)
-
-let test_recover_reduces_area_meets_clock () =
-  let v, nl, wire, sta = Lazy.force small_sta in
-  let delays = Sta.nominal_delays sta in
-  let r = Sta.analyze sta ~delays in
-  let clock = r.Sta.worst *. 1.02 in
-  let rep =
-    Sizing.recover ~clock ~wire_length:wire
-      ~capture:v.Pvtol_vex.Vex_core.capture_stage nl
-  in
-  Alcotest.(check bool) "area reduced" true
-    (rep.Sizing.area_after < rep.Sizing.area_before);
-  let sta2 =
-    Sta.build rep.Sizing.netlist ~wire_length:wire
-      ~capture:v.Pvtol_vex.Vex_core.capture_stage
-  in
-  let r2 = Sta.analyze sta2 ~delays:(Sta.nominal_delays sta2) in
-  Alcotest.(check bool) "clock still met" true (r2.Sta.worst <= clock +. 1e-9)
-
-let test_fit_meets_stage_budgets () =
-  let v, nl, wire, sta = Lazy.force small_sta in
-  let r = Sta.analyze sta ~delays:(Sta.nominal_delays sta) in
-  let clock =
-    match Sta.stage_delay r Stage.Execute with Some d -> d | None -> r.Sta.worst
-  in
-  let rep =
-    Sizing.fit ~clock ~frac:Sizing.balanced_fracs ~wire_length:wire
-      ~capture:v.Pvtol_vex.Vex_core.capture_stage nl
-  in
-  let sta2 =
-    Sta.build rep.Sizing.netlist ~wire_length:wire
-      ~capture:v.Pvtol_vex.Vex_core.capture_stage
-  in
-  let r2 = Sta.analyze sta2 ~delays:(Sta.nominal_delays sta2) in
-  List.iter
-    (fun (s, d, _) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%s within budget" (Stage.name s))
-        true
-        (d <= (clock *. Sizing.balanced_fracs s) +. 1e-9))
-    r2.Sta.stage_worst
-
-let test_close_timing_fixes_violation () =
-  let v, nl, wire, sta = Lazy.force small_sta in
-  let r = Sta.analyze sta ~delays:(Sta.nominal_delays sta) in
-  (* Downsize everything to X0, then ask closure to recover a clock the
-     original netlist met. *)
-  let slow =
-    Netlist.remap_cells nl (fun c ->
-        Cell.find lib c.Netlist.cell.Cell.kind Cell.X0)
-  in
-  let clock = r.Sta.worst *. 1.05 in
-  let rep =
-    Sizing.close_timing ~clock ~wire_length:wire
-      ~capture:v.Pvtol_vex.Vex_core.capture_stage slow
-  in
-  let sta2 =
-    Sta.build rep.Sizing.netlist ~wire_length:wire
-      ~capture:v.Pvtol_vex.Vex_core.capture_stage
-  in
-  let r2 = Sta.analyze sta2 ~delays:(Sta.nominal_delays sta2) in
-  Alcotest.(check bool) "violation repaired" true (r2.Sta.worst <= clock +. 1e-9)
-
 let test_worst_endpoints_sorted () =
   let _, _, _, sta = Lazy.force small_sta in
   let delays = Sta.nominal_delays sta in
@@ -594,6 +530,68 @@ let test_resize_rejects_rewiring () =
   in
   rejects "swapped pins" { nl with Netlist.cells }
 
+(* --- sizing --- *)
+
+(* The sizing stage's initial clock: the execute stage's nominal delay. *)
+let execute_clock sta =
+  let r = Sta.analyze sta ~delays:(Sta.nominal_delays sta) in
+  match Sta.stage_delay r Stage.Execute with Some d -> d | None -> r.Sta.worst
+
+(* A sizing report's graph is its sized netlist's graph: bit-identical
+   to a fresh build of that netlist, which is returned. *)
+let check_report_graph label (rep : Sizing.report) =
+  let v, _, wire, _ = Lazy.force small_sta in
+  let fresh =
+    Sta.build (Sta.netlist rep.Sizing.sta) ~wire_length:wire
+      ~capture:v.Pvtol_vex.Vex_core.capture_stage
+  in
+  check_resize_equals_build label ~resized:rep.Sizing.sta ~fresh;
+  fresh
+
+let check_budgets ~clock sta =
+  let r = Sta.analyze sta ~delays:(Sta.nominal_delays sta) in
+  List.iter
+    (fun (s, d, _) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s within budget" (Stage.name s))
+        true
+        (d <= (clock *. Sizing.balanced_fracs s) +. 1e-9))
+    r.Sta.stage_worst
+
+let test_fit_meets_stage_budgets () =
+  let _, _, _, sta = Lazy.force small_sta in
+  let clock = execute_clock sta in
+  let rep = Sizing.fit ~clock sta in
+  check_budgets ~clock (check_report_graph "fit graph" rep)
+
+let test_fit_recovers_area () =
+  let _, _, _, sta = Lazy.force small_sta in
+  let clock = execute_clock sta in
+  let closed = Sizing.close_timing ~clock sta in
+  let fitted = Sizing.fit ~clock sta in
+  Alcotest.(check bool) "fit ends below closure alone" true
+    (fitted.Sizing.area_after < closed.Sizing.area_after)
+
+let test_close_timing_fixes_violation () =
+  let v, nl, wire, sta = Lazy.force small_sta in
+  let r = Sta.analyze sta ~delays:(Sta.nominal_delays sta) in
+  (* Downsize everything to X0, then ask closure to recover a clock the
+     original netlist met. *)
+  let slow =
+    Netlist.remap_cells nl (fun c ->
+        Cell.find lib c.Netlist.cell.Cell.kind Cell.X0)
+  in
+  let clock = r.Sta.worst *. 1.05 in
+  let rep =
+    Sizing.close_timing ~clock
+      (Sta.build slow ~wire_length:wire ~capture:v.Pvtol_vex.Vex_core.capture_stage)
+  in
+  Alcotest.(check bool) "closure upsized" true (rep.Sizing.downsized > 0);
+  let fresh = check_report_graph "close_timing graph" rep in
+  check_budgets ~clock fresh;
+  let r2 = Sta.analyze fresh ~delays:(Sta.nominal_delays fresh) in
+  Alcotest.(check bool) "violation repaired" true (r2.Sta.worst <= clock +. 1e-9)
+
 let test_stage_endpoint_ids () =
   let nl = chain_netlist 2 in
   let sta = Sta.build nl ~wire_length:no_wire ~capture:capture_all in
@@ -625,7 +623,7 @@ let suite =
       Alcotest.test_case "sdf roundtrip" `Quick test_sdf_roundtrip;
       Alcotest.test_case "sdf rewrite" `Quick test_sdf_rewrite;
       Alcotest.test_case "sdf errors" `Quick test_sdf_errors;
-      Alcotest.test_case "recover reduces area" `Quick test_recover_reduces_area_meets_clock;
+      Alcotest.test_case "fit recovers area" `Quick test_fit_recovers_area;
       Alcotest.test_case "fit meets stage budgets" `Quick test_fit_meets_stage_budgets;
       Alcotest.test_case "close_timing repairs" `Quick test_close_timing_fixes_violation;
       Alcotest.test_case "worst endpoints sorted" `Quick test_worst_endpoints_sorted;
