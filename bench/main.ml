@@ -21,8 +21,9 @@
    One Bechamel Test.make per table/figure kernel: the measured loop is
    the computational core that regenerates that exhibit (field eval for
    Fig. 2, an STA pass for Table 1's timing, a Monte-Carlo sample for
-   Fig. 3 / §4.4, a corner compensation check for Fig. 4, crossing
-   analysis for Table 2, and a power pass for Figs. 5-6).  Kernel lines
+   Fig. 3 / §4.4, a corner compensation check and the level-shifter
+   insertion with its ECO placement for Fig. 4, crossing analysis for
+   Table 2, and a power pass for Figs. 5-6).  Kernel lines
    are printed sorted by name so runs diff cleanly.  [Monte_carlo.run]
    is additionally timed end-to-end with a 1-domain pool and with
    the shared pool (PVTOL_DOMAINS / Domain.recommended_domain_count) to
@@ -432,6 +433,14 @@ let kernel_estimates ~quick ?(only = fun _ -> true) () =
       ~out:delays
   in
   let field = Field.default in
+  (* One island corner check at A on the scale tables of its target. *)
+  let corner_check =
+    Slicing.corner_check ~corner_kappa:0.35 ~sta ~sampler ~clock:(Flow.clock t)
+      ~systematic
+  in
+  (* The vertical islands, forced before any timing starts. *)
+  let vertical = lazy (Flow.islands t Island.Vertical).Slicing.partition in
+  if only "fig4/eco-insert" then ignore (Lazy.force vertical);
   (* Batched-kernel scratch: one block of [lanes] samples per run. *)
   let lanes = 32 in
   let bws = Sta.workspace ~lanes sta in
@@ -568,16 +577,12 @@ let kernel_estimates ~quick ?(only = fun _ -> true) () =
           scale_all_low ();
           Sta.analyze_into sta ws ~delays;
           ignore w );
-      ( "fig4/corner-check", 1,
+      ( "fig4/corner-check", 1, fun () -> ignore (corner_check ~raised:(fun _ -> false)) );
+      ( "fig4/eco-insert", 1,
         fun () ->
-          for i = 0 to n - 1 do
-            delays.(i) <-
-              base.(i)
-              *. Slicing.corner_scale ~sampler ~systematic ~corner_kappa:0.35
-                   ~vdd:(fun _ -> low)
-                   i
-          done;
-          ignore (Sta.analyze sta ~delays) );
+          ignore
+            (Level_shifter.insert (Lazy.force vertical) placement
+               (Flow.netlist t)) );
       ( "table2/crossing-analysis", 1,
         fun () ->
           ignore

@@ -97,14 +97,17 @@ let insert partition placement (nl : Netlist.t) =
     (fun k (net_id, _domain, sinks) ->
       let ls_id = n_old_cells + k in
       let ls_net = n_old_nets + k in
-      (* The shifter takes over the listed sinks. *)
-      let in_group (cid, pin) = List.mem (cid, pin) sinks in
-      net_sinks.(net_id) :=
-        (ls_id, 0) :: List.filter (fun s -> not (in_group s)) !(net_sinks.(net_id));
-      net_sinks.(ls_net) := sinks;
+      (* The shifter takes over the listed sinks: rewire them, then keep
+         on the net the sinks still reading it. *)
       List.iter
         (fun (cid, pin) -> cells.(cid).Netlist.fanins.(pin) <- ls_net)
         sinks;
+      net_sinks.(net_id) :=
+        (ls_id, 0)
+        :: List.filter
+             (fun (cid, pin) -> cells.(cid).Netlist.fanins.(pin) = net_id)
+             !(net_sinks.(net_id));
+      net_sinks.(ls_net) := sinks;
       (* Tag the shifter with the stage of the logic it feeds. *)
       let rep = fst (List.hd sinks) in
       cells.(ls_id) <-

@@ -10,9 +10,11 @@
     transistors in the high-Vdd domain".
 
     One shifter is shared by all sinks of a net that fall in the same
-    domain; the shifter itself is placed (incrementally) at the
-    centroid of the sinks it serves and belongs to their domain, where
-    its high-side supply rail is available. *)
+    domain; the shifter itself is placed (incrementally, see
+    {!Pvtol_place.Incremental.insert}) as near as the free space allows
+    to the served sink nearest the driver among those in the sinks'
+    earliest domain, and belongs to that domain, where its high-side
+    supply rail is available. *)
 
 open Pvtol_netlist
 

@@ -40,23 +40,25 @@ let generate ?(corner_kappa = 0.35) ~sta ~placement ~sampler ~clock ~targets () 
   let domains = Array.make n (List.length targets + 1) in
   let raised_units = Hashtbl.create 16 in
   let check = Slicing.corner_check ~corner_kappa ~sta ~sampler ~clock in
-  let meets ~systematic k = check ~systematic ~raised:(fun cid -> domains.(cid) <= k) in
+  let meets at_target k = at_target ~raised:(fun cid -> domains.(cid) <= k) in
   let units_per_scenario = Array.make (List.length targets) [] in
   List.iteri
     (fun i (target : Slicing.target) ->
       let k = target.Slicing.scenario_index in
       assert (k = i + 1);
-      let systematic =
-        Sampler.systematic_lgates sampler placement target.Slicing.position
+      let at_target =
+        check
+          ~systematic:
+            (Sampler.systematic_lgates sampler placement target.Slicing.position)
       in
       let rec add_units = function
         | [] ->
-          if not (meets ~systematic k) then
+          if not (meets at_target k) then
             raise
               (Infeasible
                  (Printf.sprintf "scenario %d not compensable by unit selection" k))
         | u :: rest ->
-          if meets ~systematic k then ()
+          if meets at_target k then ()
           else begin
             if not (Hashtbl.mem raised_units u) then begin
               Hashtbl.replace raised_units u ();
@@ -69,7 +71,7 @@ let generate ?(corner_kappa = 0.35) ~sta ~placement ~sampler ~clock ~targets () 
           end
       in
       add_units ranked_units;
-      if not (meets ~systematic k) then
+      if not (meets at_target k) then
         raise
           (Infeasible
              (Printf.sprintf "scenario %d not compensable by unit selection" k)))

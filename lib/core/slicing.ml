@@ -30,20 +30,26 @@ let corner_check ~corner_kappa ~sta ~sampler ~clock =
   let vdd_low = process.Pvtol_stdcell.Process.vdd_low in
   let vdd_high = process.Pvtol_stdcell.Process.vdd_high in
   let base = Sta.nominal_delays sta in
-  let delays = Array.make (Array.length base) 0.0 in
-  fun ~systematic ~raised ->
-    let vdd cid = if raised cid then vdd_high else vdd_low in
-    for i = 0 to Array.length base - 1 do
-      delays.(i) <-
-        base.(i) *. corner_scale ~sampler ~systematic ~corner_kappa ~vdd i
-    done;
-    let r = Sta.analyze sta ~delays in
-    List.for_all
-      (fun s ->
-        match Sta.stage_delay r s with
-        | Some d -> d <= clock +. 1e-9
-        | None -> true)
-      Pvtol_ssta.Scenario.analyzed_stages
+  let n = Array.length base in
+  let delays = Array.make n 0.0 in
+  let ws = Sta.workspace sta in
+  fun ~systematic ->
+    let table vdd =
+      Array.init n (fun i ->
+          corner_scale ~sampler ~systematic ~corner_kappa ~vdd:(fun _ -> vdd) i)
+    in
+    let low = table vdd_low and high = table vdd_high in
+    fun ~raised ->
+      for i = 0 to n - 1 do
+        delays.(i) <- base.(i) *. if raised i then high.(i) else low.(i)
+      done;
+      Sta.analyze_into sta ws ~delays;
+      List.for_all
+        (fun s ->
+          match Sta.ws_stage_delay ws s 0 with
+          | Some d -> d <= clock +. 1e-9
+          | None -> true)
+        Pvtol_ssta.Scenario.analyzed_stages
 
 let pick_side direction density =
   (* Restrict the density choice to the sides compatible with the
@@ -109,10 +115,10 @@ let generate ?(corner_kappa = 0.35) ?(tolerance_um = 2.0) ~direction ?side ~sta
   in
   let check = corner_check ~corner_kappa ~sta ~sampler ~clock in
   let checks = ref 0 in
-  let meets ~systematic t =
+  let meets at_target t =
     incr checks;
     let region = region_of_t t in
-    check ~systematic ~raised:(fun cid ->
+    at_target ~raised:(fun cid ->
         Geom.contains region
           (Geom.point placement.Placement.xs.(cid) placement.Placement.ys.(cid)))
   in
@@ -121,15 +127,15 @@ let generate ?(corner_kappa = 0.35) ?(tolerance_um = 2.0) ~direction ?side ~sta
     | Island.Horizontal -> Geom.height core
   in
   let tol_t = tolerance_um /. extent in
-  let grow ~systematic t_prev =
-    if meets ~systematic t_prev then t_prev
-    else if not (meets ~systematic 1.0) then raise Exit
+  let grow at_target t_prev =
+    if meets at_target t_prev then t_prev
+    else if not (meets at_target 1.0) then raise Exit
     else begin
       (* Binary search for the minimal compensating fraction. *)
       let lo = ref t_prev and hi = ref 1.0 in
       while !hi -. !lo > tol_t do
         let mid = (!lo +. !hi) /. 2.0 in
-        if meets ~systematic mid then hi := mid else lo := mid
+        if meets at_target mid then hi := mid else lo := mid
       done;
       !hi
     end
@@ -142,7 +148,7 @@ let generate ?(corner_kappa = 0.35) ?(tolerance_um = 2.0) ~direction ?side ~sta
       assert (target.scenario_index = i + 1);
       let systematic = Sampler.systematic_lgates sampler placement target.position in
       let t =
-        try grow ~systematic !t_prev
+        try grow (check ~systematic) !t_prev
         with Exit ->
           raise
             (Infeasible

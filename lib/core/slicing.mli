@@ -51,8 +51,16 @@ val corner_check :
 (** The compensation check both island generators accept a candidate
     with: scale every cell by {!corner_scale} under [systematic], at
     high Vdd where [raised] holds, run a full STA and require every
-    analyzed stage within [clock] (+1e-9 ns).  Apply the first four
-    arguments once: the result reuses one delay buffer per check. *)
+    analyzed stage within [clock] (+1e-9 ns).
+
+    Staged in three applications.  The first four arguments set up one
+    delay buffer and one 1-lane STA workspace.  Applying [~systematic]
+    (once per target) tabulates the corner scale of every cell at low
+    and at high Vdd.  Each [~raised] check then sets delay [i] to
+    [base.(i) *. table.(i)] from the table of its supply, the same
+    float as [base.(i) *. corner_scale ... i], and runs one
+    {!Pvtol_timing.Sta.analyze_into} on the reused workspace.  Checks
+    share the buffer and the workspace, so run them one at a time. *)
 
 val generate :
   ?corner_kappa:float ->

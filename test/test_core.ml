@@ -148,6 +148,140 @@ let test_slicing_infeasible () =
     Alcotest.fail "expected Infeasible"
   with Slicing.Infeasible _ -> ()
 
+(* The corner check's per-target scale tables and reused workspace
+   against the per-check path they replaced: [corner_scale] under a
+   per-cell supply closure, then a fresh [Sta.analyze].  The check only
+   returns a verdict, so it is asked at the two clocks that straddle
+   the oracle's worst stage delay: it must pass at the smallest clock
+   whose +1e-9 slack covers that delay and fail one float below. *)
+let test_corner_check_oracle () =
+  let t, _ = Lazy.force env in
+  let sta = Flow.sta t and sampler = Flow.sampler t in
+  let corner_kappa = (Flow.config t).Flow.corner_kappa in
+  let process = (Flow.netlist t).Netlist.lib.Pvtol_stdcell.Cell.process in
+  let base = Sta.nominal_delays sta in
+  let n = Array.length base in
+  let st = Random.State.make [| 28 |] in
+  let ws = Sta.workspace sta in
+  List.iter
+    (fun position ->
+      let systematic =
+        Sampler.systematic_lgates sampler (Flow.placement t) position
+      in
+      let at_clock clock =
+        Slicing.corner_check ~corner_kappa ~sta ~sampler ~clock ~systematic
+      in
+      let at_flow_clock = at_clock (Flow.clock t) in
+      for _ = 1 to 4 do
+        let p = Random.State.float st 1.0 in
+        let set = Array.init n (fun _ -> Random.State.float st 1.0 < p) in
+        let raised cid = set.(cid) in
+        let vdd cid =
+          if raised cid then process.Pvtol_stdcell.Process.vdd_high
+          else process.Pvtol_stdcell.Process.vdd_low
+        in
+        let delays =
+          Array.init n (fun i ->
+              base.(i)
+              *. Slicing.corner_scale ~sampler ~systematic ~corner_kappa ~vdd i)
+        in
+        let r = Sta.analyze sta ~delays in
+        let table v =
+          Array.init n (fun i ->
+              Slicing.corner_scale ~sampler ~systematic ~corner_kappa
+                ~vdd:(fun _ -> v) i)
+        in
+        let low = table process.Pvtol_stdcell.Process.vdd_low in
+        let high = table process.Pvtol_stdcell.Process.vdd_high in
+        let tabled =
+          Array.init n (fun i -> base.(i) *. if raised i then high.(i) else low.(i))
+        in
+        Alcotest.(check string) "table delays bitwise" (Marshal.to_string delays [])
+          (Marshal.to_string tabled []);
+        Sta.analyze_into sta ws ~delays:tabled;
+        List.iter
+          (fun s ->
+            Alcotest.(check string)
+              (Stage.name s ^ " delay bitwise")
+              (Marshal.to_string (Sta.stage_delay r s) [])
+              (Marshal.to_string (Sta.ws_stage_delay ws s 0) []))
+          Stage.all;
+        let delays_of =
+          List.filter_map (Sta.stage_delay r) Pvtol_ssta.Scenario.analyzed_stages
+        in
+        let worst = List.fold_left Float.max neg_infinity delays_of in
+        Alcotest.(check bool) "verdict at the flow clock"
+          (worst <= Flow.clock t +. 1e-9)
+          (at_flow_clock ~raised);
+        let c = ref (worst -. 1e-9) in
+        while !c +. 1e-9 < worst do
+          c := Float.succ !c
+        done;
+        while Float.pred !c +. 1e-9 >= worst do
+          c := Float.pred !c
+        done;
+        Alcotest.(check bool) "passes at the worst stage delay" true
+          (at_clock !c ~raised);
+        Alcotest.(check bool) "fails one float below" false
+          (at_clock (Float.pred !c) ~raised)
+      done)
+    [ Position.point_a; Position.point_d ]
+
+(* ECO placement of each slicing's shifters against the list oracle:
+   the same old placement, shifted netlist and targets — each shifter's
+   served sink nearest its driver among those in the sinks' earliest
+   domain, as [Level_shifter.insert] picks it. *)
+let check_eco_oracle t direction =
+  let slicing = Flow.islands t direction in
+  let placement = Flow.placement t in
+  let partition = slicing.Slicing.partition in
+  let shifted = Level_shifter.insert partition placement (Flow.netlist t) in
+  let nl = shifted.Level_shifter.netlist in
+  let domains = Island.domains partition placement in
+  let at cid = Geom.point placement.Pvtol_place.Placement.xs.(cid)
+      placement.Pvtol_place.Placement.ys.(cid) in
+  let desired cid =
+    let c = nl.Netlist.cells.(cid) in
+    let driver =
+      match nl.Netlist.nets.(c.Netlist.fanins.(0)).Netlist.driver with
+      | Some d -> at d
+      | None -> Geom.point 0.0 0.0
+    in
+    let sinks = Array.to_list nl.Netlist.nets.(c.Netlist.fanout).Netlist.sinks in
+    let home =
+      List.fold_left (fun m (s, _) -> min m domains.(s)) max_int sinks
+    in
+    let pick, _ =
+      List.fold_left
+        (fun ((_, best) as acc) (s, _) ->
+          let d = Geom.dist driver (at s) in
+          if domains.(s) = home && d < best then (s, d) else acc)
+        (-1, infinity) sinks
+    in
+    at pick
+  in
+  let q, stats = Eco_oracle.insert placement nl ~desired in
+  let name = Island.direction_name direction in
+  Alcotest.(check bool) (name ^ ": shifters inserted") true
+    (shifted.Level_shifter.count > 0);
+  Alcotest.(check string)
+    (name ^ ": placement and stats Marshal-equal")
+    (Marshal.to_string (q.Pvtol_place.Placement.xs, q.Pvtol_place.Placement.ys, stats) [])
+    (Marshal.to_string
+       ( shifted.Level_shifter.placement.Pvtol_place.Placement.xs,
+         shifted.Level_shifter.placement.Pvtol_place.Placement.ys,
+         shifted.Level_shifter.displacement )
+       [])
+
+let test_eco_oracle_quick () =
+  let t, _ = Lazy.force env in
+  List.iter (check_eco_oracle t)
+    [ Island.Vertical; Island.Horizontal; Island.Quadrant ]
+
+let test_eco_oracle_full () =
+  let t = Flow.prepare () in
+  List.iter (check_eco_oracle t) [ Island.Vertical; Island.Horizontal ]
+
 (* --- level shifters --- *)
 
 let test_ls_netlist_valid () =
@@ -392,4 +526,15 @@ let suite =
       Alcotest.test_case "sizing builds one graph" `Quick test_sizing_builds_one_graph;
       Alcotest.test_case "sizing pinned (quick)" `Quick test_sizing_pinned;
       Alcotest.test_case "experiments render" `Quick test_experiments_render;
-    ] )
+      Alcotest.test_case "corner check = per-check oracle" `Quick
+        test_corner_check_oracle;
+      Alcotest.test_case "eco placement = list oracle (quick)" `Quick
+        test_eco_oracle_quick;
+    ]
+    @
+    if Sys.getenv_opt "PVTOL_SLOW_TESTS" <> Some "1" then []
+    else
+      [
+        Alcotest.test_case "eco placement = list oracle (full)" `Slow
+          test_eco_oracle_full;
+      ] )

@@ -196,6 +196,95 @@ let test_incremental_insert () =
   Alcotest.(check bool) "some shifters inserted" true
     (shifted.Pvtol_core.Level_shifter.count > 0)
 
+(* The library's gap map against the list version it replaced
+   ([Eco_oracle]) on random rows.  Every coordinate is dyadic — 2 um
+   rows, cells on a 0.25 um grid, targets on a 0.125 um grid — so all
+   costs are exact and gaps left and right of a target, or in rows
+   above and below it, often tie.  One new cell in 25 is 4 um wide: it
+   fits only where a row ends in a long free tail, so some rows have no
+   gap that fits, and some cases run out of space. *)
+let eco_base = lazy (small_design ())
+
+let eco_case seed =
+  let st = Random.State.make [| seed |] in
+  let base = Lazy.force eco_base in
+  let template = base.Netlist.cells.(0) in
+  let rh = 2.0 in
+  let n_rows = 1 + Random.State.int st 5 in
+  let width = 0.25 *. float_of_int (40 + Random.State.int st 160) in
+  let fp =
+    {
+      Floorplan.core =
+        Geom.rect ~llx:0.0 ~lly:0.0 ~urx:width ~ury:(rh *. float_of_int n_rows);
+      row_height = rh;
+      site_width = 0.25;
+      n_rows;
+      utilization = 0.7;
+    }
+  in
+  let cell id w =
+    {
+      template with
+      Netlist.id;
+      cell = { template.Netlist.cell with Cell.area = w *. rh };
+    }
+  in
+  let old_cells = ref [] and spots = ref [] and n_old = ref 0 in
+  for r = 0 to n_rows - 1 do
+    let cursor = ref (0.25 *. float_of_int (Random.State.int st 4)) in
+    let tail = 0.25 *. float_of_int (Random.State.int st 2 * Random.State.int st 48) in
+    while !cursor < width -. tail do
+      let w = 0.25 *. float_of_int (1 + Random.State.int st 6) in
+      if !cursor +. w <= width -. tail then begin
+        old_cells := cell !n_old w :: !old_cells;
+        incr n_old;
+        spots := (!cursor +. (w /. 2.0), (rh *. float_of_int r) +. (rh /. 2.0)) :: !spots
+      end;
+      cursor := !cursor +. w +. (0.25 *. float_of_int (Random.State.int st 9))
+    done
+  done;
+  let old_cells = Array.of_list (List.rev !old_cells) in
+  let spots = Array.of_list (List.rev !spots) in
+  let n_old = !n_old in
+  let n_new = Random.State.int st 30 in
+  let new_cells =
+    Array.init n_new (fun k ->
+        let quanta =
+          if Random.State.int st 25 = 0 then 16 else 1 + Random.State.int st 8
+        in
+        cell (n_old + k) (0.25 *. float_of_int quanta))
+  in
+  let targets =
+    Array.init n_new (fun _ ->
+        Geom.point
+          ((0.125 *. float_of_int (Random.State.int st (int_of_float (width *. 8.0) + 48)))
+          -. 3.0)
+          (0.125 *. float_of_int (Random.State.int st (16 * n_rows))))
+  in
+  let nl_old = { base with Netlist.cells = old_cells; nets = [||]; inputs = [||]; outputs = [||] } in
+  let nl = { nl_old with Netlist.cells = Array.append old_cells new_cells } in
+  let p =
+    {
+      Placement.netlist = nl_old;
+      floorplan = fp;
+      xs = Array.map fst spots;
+      ys = Array.map snd spots;
+    }
+  in
+  (p, nl, fun cid -> targets.(cid - n_old))
+
+let eco_outcome insert (p, nl, desired) =
+  match insert p nl ~desired with
+  | (q : Placement.t), (stats : Incremental.stats) ->
+    Marshal.to_string (Ok (q.Placement.xs, q.Placement.ys, stats)) []
+  | exception Failure m -> Marshal.to_string (Error m) []
+
+let prop_eco_matches_oracle =
+  QCheck.Test.make ~name:"eco insert = list oracle on random rows" ~count:400
+    (QCheck.int_bound 1_000_000) (fun seed ->
+      let case = eco_case seed in
+      eco_outcome Incremental.insert case = eco_outcome Eco_oracle.insert case)
+
 (* --- global router --- *)
 
 let test_router_basics () =
@@ -262,6 +351,7 @@ let suite =
       Alcotest.test_case "def roundtrip" `Quick test_def_roundtrip;
       Alcotest.test_case "def errors" `Quick test_def_errors;
       Alcotest.test_case "incremental insert" `Quick test_incremental_insert;
+      QCheck_alcotest.to_alcotest prop_eco_matches_oracle;
       Alcotest.test_case "router basics" `Quick test_router_basics;
       Alcotest.test_case "router deterministic" `Quick test_router_deterministic;
       Alcotest.test_case "router reroute" `Quick test_router_reroute_reduces_overflow;
