@@ -23,7 +23,9 @@
    Fig. 2, an STA pass for Table 1's timing, a Monte-Carlo sample for
    Fig. 3 / §4.4, a corner compensation check and the level-shifter
    insertion with its ECO placement for Fig. 4, crossing analysis for
-   Table 2, and a power pass for Figs. 5-6).  Kernel lines
+   Table 2, and a power pass for Figs. 5-6), plus the set-up layers:
+   timing closure on the unsized design and the placer's
+   force-directed phase, both on the quick design.  Kernel lines
    are printed sorted by name so runs diff cleanly.  [Monte_carlo.run]
    is additionally timed end-to-end with a 1-domain pool and with
    the shared pool (PVTOL_DOMAINS / Domain.recommended_domain_count) to
@@ -517,6 +519,14 @@ let kernel_estimates ~quick ?(only = fun _ -> true) () =
     Array.get (Pvtol_place.Placement.wire_lengths (Flow.placement sizing_flow))
   in
   let sizing_clock = (Flow.sizing sizing_flow).Sizing.clock in
+  (* The placement stage's force-directed phase with the flow's
+     parameters, on the same quick design. *)
+  let place_config = Flow.config sizing_flow in
+  let place_netlist = sizing_design.Pvtol_vex.Vex_core.netlist in
+  let place_floorplan =
+    Pvtol_place.Floorplan.create ~utilization:place_config.Flow.utilization
+      ~cell_area:(Pvtol_netlist.Netlist.area place_netlist) ()
+  in
   let tests =
     [
       ( "fig2/field-eval-4096", 1,
@@ -620,6 +630,12 @@ let kernel_estimates ~quick ?(only = fun _ -> true) () =
                (Sta.build sizing_design.Pvtol_vex.Vex_core.netlist
                   ~wire_length:sizing_wire
                   ~capture:sizing_design.Pvtol_vex.Vex_core.capture_stage)) );
+      ( "place/global", 1,
+        fun () ->
+          ignore
+            (Pvtol_place.Placer.global_only
+               ~iterations:place_config.Flow.place_iterations
+               ~seed:place_config.Flow.place_seed place_netlist place_floorplan) );
     ]
   in
   let tests = List.filter (fun (name, _, _) -> only name) tests in

@@ -17,6 +17,10 @@ type t = {
 val compute : ?nx:int -> ?ny:int -> Placement.t -> t
 (** Default grid 32 x 32. *)
 
+val clamp_bin : int -> int -> int
+(** [clamp_bin n b] is bin index [b] clamped into [[0, n-1]]: a position
+    outside the grid counts in its edge bin. *)
+
 val bin_area : t -> float
 val density : t -> int -> int -> float
 (** Occupied fraction of bin (ix, iy). *)

@@ -2,80 +2,92 @@ open Pvtol_netlist
 module Geom = Pvtol_util.Geom
 module Srng = Pvtol_util.Srng
 
+(* A bin's occupied area, infinite outside the grid (a wall). *)
+let[@inline] occ (occupied : float array) nx ny ix iy =
+  if ix < 0 || iy < 0 || ix >= nx || iy >= ny then infinity
+  else occupied.((iy * nx) + ix)
+
 let spread_step (p : Placement.t) =
   let fp = p.Placement.floorplan in
   let core = fp.Floorplan.core in
   let d = Density.compute ~nx:32 ~ny:32 p in
   let target = fp.Floorplan.utilization *. Density.bin_area d in
   let nx = d.Density.nx and ny = d.Density.ny in
-  let occ ix iy =
-    if ix < 0 || iy < 0 || ix >= nx || iy >= ny then infinity
-    else d.Density.occupied.((iy * nx) + ix)
-  in
-  let n = Array.length p.Placement.xs in
-  for i = 0 to n - 1 do
-    let ix =
-      max 0 (min (nx - 1) (int_of_float ((p.Placement.xs.(i) -. core.Geom.llx) /. d.Density.bin_w)))
-    and iy =
-      max 0 (min (ny - 1) (int_of_float ((p.Placement.ys.(i) -. core.Geom.lly) /. d.Density.bin_h)))
-    in
-    let here = occ ix iy in
+  let occupied = d.Density.occupied in
+  let bin_w = d.Density.bin_w and bin_h = d.Density.bin_h in
+  let xs = p.Placement.xs and ys = p.Placement.ys in
+  (* Clamp into the core with a small margin. *)
+  let m = 0.1 in
+  for i = 0 to Array.length xs - 1 do
+    let ix = Density.clamp_bin nx (int_of_float ((xs.(i) -. core.Geom.llx) /. bin_w))
+    and iy = Density.clamp_bin ny (int_of_float ((ys.(i) -. core.Geom.lly) /. bin_h)) in
+    let here = occ occupied nx ny ix iy in
     if here > target then begin
       (* Push along the discrete density gradient, proportional to
          overflow, capped at one bin pitch. *)
-      let gx = occ (ix - 1) iy -. occ (ix + 1) iy in
-      let gy = occ ix (iy - 1) -. occ ix (iy + 1) in
+      let gx = occ occupied nx ny (ix - 1) iy -. occ occupied nx ny (ix + 1) iy in
+      let gy = occ occupied nx ny ix (iy - 1) -. occ occupied nx ny ix (iy + 1) in
       let norm = Float.hypot gx gy in
       if norm > 0.0 && Float.is_finite norm then begin
         let strength = Float.min 1.0 ((here -. target) /. target) in
-        p.Placement.xs.(i) <-
-          p.Placement.xs.(i) +. (gx /. norm *. strength *. d.Density.bin_w);
-        p.Placement.ys.(i) <-
-          p.Placement.ys.(i) +. (gy /. norm *. strength *. d.Density.bin_h)
+        xs.(i) <- xs.(i) +. (gx /. norm *. strength *. bin_w);
+        ys.(i) <- ys.(i) +. (gy /. norm *. strength *. bin_h)
       end
     end;
-    (* Clamp into the core with a small margin. *)
-    let m = 0.1 in
-    p.Placement.xs.(i) <-
-      Float.max (core.Geom.llx +. m) (Float.min (core.Geom.urx -. m) p.Placement.xs.(i));
-    p.Placement.ys.(i) <-
-      Float.max (core.Geom.lly +. m) (Float.min (core.Geom.ury -. m) p.Placement.ys.(i))
+    xs.(i) <- Float.max (core.Geom.llx +. m) (Float.min (core.Geom.urx -. m) xs.(i));
+    ys.(i) <- Float.max (core.Geom.lly +. m) (Float.min (core.Geom.ury -. m) ys.(i))
   done
 
-let attraction_step (p : Placement.t) ~damping =
+(* [sum_x], [sum_y] and [cnt] are per-cell scratch, zeroed here, so
+   the iterations share one set. *)
+let attraction_step (p : Placement.t) ~damping ~sum_x ~sum_y ~cnt =
   let nl = p.Placement.netlist in
   let ncells = Netlist.cell_count nl in
-  let sum_x = Array.make ncells 0.0 in
-  let sum_y = Array.make ncells 0.0 in
-  let cnt = Array.make ncells 0 in
-  (* Star model: every pin of a net is attracted to the net's centroid. *)
-  Array.iter
-    (fun (net : Netlist.net) ->
-      let cx = ref 0.0 and cy = ref 0.0 and k = ref 0 in
-      let visit cid =
-        cx := !cx +. p.Placement.xs.(cid);
-        cy := !cy +. p.Placement.ys.(cid);
-        incr k
-      in
-      (match net.Netlist.driver with Some d -> visit d | None -> ());
-      Array.iter (fun (cid, _) -> visit cid) net.Netlist.sinks;
-      if !k >= 2 then begin
-        let cx = !cx /. float_of_int !k and cy = !cy /. float_of_int !k in
-        let record cid =
-          sum_x.(cid) <- sum_x.(cid) +. cx;
-          sum_y.(cid) <- sum_y.(cid) +. cy;
-          cnt.(cid) <- cnt.(cid) + 1
-        in
-        (match net.Netlist.driver with Some d -> record d | None -> ());
-        Array.iter (fun (cid, _) -> record cid) net.Netlist.sinks
-      end)
-    nl.Netlist.nets;
+  let xs = p.Placement.xs and ys = p.Placement.ys in
+  Array.fill sum_x 0 ncells 0.0;
+  Array.fill sum_y 0 ncells 0.0;
+  Array.fill cnt 0 ncells 0;
+  let nets = nl.Netlist.nets in
+  (* Star model: every pin of a net is attracted to the net's centroid,
+     summed driver first, then the sinks in pin order. *)
+  for j = 0 to Array.length nets - 1 do
+    let net = nets.(j) in
+    let sinks = net.Netlist.sinks in
+    let cx = ref 0.0 and cy = ref 0.0 and k = ref 0 in
+    (match net.Netlist.driver with
+    | Some d ->
+      cx := !cx +. xs.(d);
+      cy := !cy +. ys.(d);
+      incr k
+    | None -> ());
+    for s = 0 to Array.length sinks - 1 do
+      let cid, _ = sinks.(s) in
+      cx := !cx +. xs.(cid);
+      cy := !cy +. ys.(cid);
+      incr k
+    done;
+    if !k >= 2 then begin
+      let cx = !cx /. float_of_int !k and cy = !cy /. float_of_int !k in
+      (match net.Netlist.driver with
+      | Some d ->
+        sum_x.(d) <- sum_x.(d) +. cx;
+        sum_y.(d) <- sum_y.(d) +. cy;
+        cnt.(d) <- cnt.(d) + 1
+      | None -> ());
+      for s = 0 to Array.length sinks - 1 do
+        let cid, _ = sinks.(s) in
+        sum_x.(cid) <- sum_x.(cid) +. cx;
+        sum_y.(cid) <- sum_y.(cid) +. cy;
+        cnt.(cid) <- cnt.(cid) + 1
+      done
+    end
+  done;
   for i = 0 to ncells - 1 do
     if cnt.(i) > 0 then begin
       let tx = sum_x.(i) /. float_of_int cnt.(i) in
       let ty = sum_y.(i) /. float_of_int cnt.(i) in
-      p.Placement.xs.(i) <- (damping *. tx) +. ((1.0 -. damping) *. p.Placement.xs.(i));
-      p.Placement.ys.(i) <- (damping *. ty) +. ((1.0 -. damping) *. p.Placement.ys.(i))
+      xs.(i) <- (damping *. tx) +. ((1.0 -. damping) *. xs.(i));
+      ys.(i) <- (damping *. ty) +. ((1.0 -. damping) *. ys.(i))
     end
   done
 
@@ -145,8 +157,12 @@ let global_only ?(iterations = 48) ?(seed = 1) ?(damping = 0.6) nl fp =
   let p = Placement.create nl fp in
   let rng = Srng.create seed in
   init_by_unit p rng;
+  let ncells = Netlist.cell_count nl in
+  let sum_x = Array.make ncells 0.0
+  and sum_y = Array.make ncells 0.0
+  and cnt = Array.make ncells 0 in
   for _ = 1 to iterations do
-    attraction_step p ~damping;
+    attraction_step p ~damping ~sum_x ~sum_y ~cnt;
     spread_step p
   done;
   p

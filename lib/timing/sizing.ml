@@ -29,34 +29,123 @@ let bigger_drive = function
   | Cell_lib.X2 -> Some Cell_lib.X4
   | Cell_lib.X4 -> None
 
-(* Per-net required times seeded with each endpoint's stage budget. *)
-let stage_required sta ~delays ~clock =
-  Sta.required_with sta ~delays ~endpoint_required:(fun c ->
+(* Per-net required times seeded with each endpoint's stage budget,
+   into the view's kept buffer. *)
+let stage_required v ~clock =
+  Sta.required_view v ~endpoint_required:(fun c ->
       match c with
       | Some s -> clock *. balanced_fracs s
       | None -> clock)
 
-let meets_constraints (result : Sta.result) ~clock =
+(* Over the stages that have endpoints. *)
+let meets_constraints ws ~clock =
   List.for_all
-    (fun (s, d, _) -> d <= clock *. balanced_fracs s +. 1e-9)
-    result.Sta.stage_worst
+    (fun s ->
+      match Sta.ws_stage_delay ws s 0 with
+      | Some d -> d <= clock *. balanced_fracs s +. 1e-9
+      | None -> true)
+    Stage.all
 
-(* The one round driver.  A sizing pass times one netlist graph whose
-   cell masters change from round to round: each round analyzes the
-   current graph at the nominal corner and [step] picks the re-driven
-   netlist and its number of drive changes, or [None] to stop; the next
-   round times [Sta.resize] of that netlist. *)
-let run_rounds ~max_rounds ~clock sta step =
-  let rec go sta rounds changes =
-    if rounds = max_rounds then (sta, rounds, changes)
+(* The one round driver.  A sizing pass re-drives one view of a timing
+   graph: each round analyzes the committed masters at the nominal
+   corner, and [step] stages the round's re-drives from that state and
+   returns their number, or [None] to stop; the staged re-drives are
+   committed before the next round. *)
+let run_rounds ~max_rounds v step =
+  let rec go rounds changes =
+    if rounds = max_rounds then (rounds, changes)
     else
-      let delays = Sta.nominal_delays sta in
-      match step sta ~delays (Sta.analyze sta ~delays) with
-      | None -> (sta, rounds + 1, changes)
-      | Some (nl, changed) ->
-        go (Sta.resize sta nl) (rounds + 1) (changes + changed)
+      match step (Sta.analyze_view v) with
+      | None -> (rounds + 1, changes)
+      | Some changed ->
+        Sta.commit v;
+        go (rounds + 1) (changes + changed)
   in
-  let final, rounds, downsized = go sta 0 0 in
+  go 0 0
+
+(* Greedy downsizing: a cell drops one drive notch when its slack
+   exceeds [guard] times its estimated delay increase on its committed
+   load.  Cells with no timing endpoint downstream are free to
+   downsize but not counted, and go only with a round that has a
+   counted change.  Rounds are not verified, so a round may overshoot
+   a stage budget; [fit] closes timing again after every recovery
+   pass. *)
+let recover ~guard ~clock nl v =
+  let lib = nl.Netlist.lib in
+  run_rounds ~max_rounds:16 v (fun ws ->
+      let req = stage_required v ~clock in
+      let changed = ref 0 and free = ref [] in
+      Array.iter
+        (fun (c : Netlist.cell) ->
+          let cid = c.Netlist.id in
+          let cell = Sta.master v cid in
+          match smaller_drive cell.Cell_lib.drive with
+          | None -> ()
+          | Some d ->
+            let candidate = Cell_lib.find lib cell.Cell_lib.kind d in
+            let out = c.Netlist.fanout in
+            let slack = req.(out) -. Sta.ws_arrival ws out 0 in
+            if not (Float.is_finite slack) then free := (cid, candidate) :: !free
+            else begin
+              let delta =
+                (candidate.Cell_lib.drive_res -. cell.Cell_lib.drive_res)
+                *. Sta.view_load v out
+              in
+              if slack > guard *. delta && delta >= 0.0 then begin
+                incr changed;
+                Sta.set_master v cid candidate
+              end
+            end)
+        nl.Netlist.cells;
+      if !changed = 0 then None
+      else begin
+        List.iter (fun (cid, m) -> Sta.set_master v cid m) !free;
+        Some !changed
+      end)
+
+(* Timing closure: upsize the worst-slack offenders one notch. *)
+let close ~clock nl v =
+  let lib = nl.Netlist.lib in
+  run_rounds ~max_rounds:60 v (fun ws ->
+      if meets_constraints ws ~clock then None
+      else begin
+        let req = stage_required v ~clock in
+        (* Upsizing a whole violating cone at once overshoots badly; fix
+           only the worst-slack fraction of offenders per round. *)
+        let offenders = ref [] in
+        Array.iter
+          (fun (c : Netlist.cell) ->
+            let out = c.Netlist.fanout in
+            let slack = req.(out) -. Sta.ws_arrival ws out 0 in
+            if
+              Float.is_finite slack && slack < 0.0
+              && bigger_drive (Sta.master v c.Netlist.id).Cell_lib.drive <> None
+            then offenders := (slack, c.Netlist.id) :: !offenders)
+          nl.Netlist.cells;
+        let offenders = Array.of_list !offenders in
+        if Array.length offenders = 0 then None
+        else begin
+          Array.sort compare offenders;
+          let budget_count = max 50 (Array.length offenders / 8) in
+          let changed = ref 0 in
+          Array.iteri
+            (fun i (_, cid) ->
+              if i < budget_count then begin
+                let cell = Sta.master v cid in
+                match bigger_drive cell.Cell_lib.drive with
+                | Some d ->
+                  incr changed;
+                  Sta.set_master v cid (Cell_lib.find lib cell.Cell_lib.kind d)
+                | None -> ()
+              end)
+            offenders;
+          Some !changed
+        end
+      end)
+
+(* The report of the passes run on [v], a view of [sta]. *)
+let report ~clock sta v (rounds, downsized) =
+  let final = Sta.freeze v in
   {
     sta = final;
     clock;
@@ -66,102 +155,21 @@ let run_rounds ~max_rounds ~clock sta step =
     area_after = Netlist.area (Sta.netlist final);
   }
 
-(* Greedy downsizing: a cell drops one drive notch when its slack
-   exceeds [guard] times its estimated delay increase.  Rounds are not
-   verified, so a round may overshoot a stage budget; [fit] closes
-   timing again after every recovery pass. *)
-let recover ~guard ~clock sta =
-  run_rounds ~max_rounds:16 ~clock sta (fun sta ~delays result ->
-      let nl = Sta.netlist sta in
-      let lib = nl.Netlist.lib in
-      let req = stage_required sta ~delays ~clock in
-      let changed = ref 0 in
-      let next =
-        Netlist.remap_cells nl (fun c ->
-            let cell = c.Netlist.cell in
-            match smaller_drive cell.Cell_lib.drive with
-            | None -> cell
-            | Some d ->
-              let out = c.Netlist.fanout in
-              let slack = req.(out) -. result.Sta.arrival.(out) in
-              if not (Float.is_finite slack) then
-                (* No timing endpoint downstream: free to downsize. *)
-                Cell_lib.find lib cell.Cell_lib.kind d
-              else begin
-                let candidate = Cell_lib.find lib cell.Cell_lib.kind d in
-                let delta =
-                  (candidate.Cell_lib.drive_res -. cell.Cell_lib.drive_res)
-                  *. Sta.net_load sta out
-                in
-                if slack > guard *. delta && delta >= 0.0 then begin
-                  incr changed;
-                  candidate
-                end
-                else cell
-              end)
-      in
-      if !changed = 0 then None else Some (next, !changed))
-
 let close_timing ~clock sta =
-  run_rounds ~max_rounds:60 ~clock sta (fun sta ~delays result ->
-      if meets_constraints result ~clock then None
-      else begin
-        let nl = Sta.netlist sta in
-        let lib = nl.Netlist.lib in
-        let req = stage_required sta ~delays ~clock in
-        (* Upsizing a whole violating cone at once overshoots badly; fix
-           only the worst-slack fraction of offenders per round. *)
-        let offenders = ref [] in
-        Array.iter
-          (fun (c : Netlist.cell) ->
-            let out = c.Netlist.fanout in
-            let slack = req.(out) -. result.Sta.arrival.(out) in
-            if
-              Float.is_finite slack && slack < 0.0
-              && bigger_drive c.Netlist.cell.Cell_lib.drive <> None
-            then offenders := (slack, c.Netlist.id) :: !offenders)
-          nl.Netlist.cells;
-        let offenders = Array.of_list !offenders in
-        if Array.length offenders = 0 then None
-        else begin
-          Array.sort compare offenders;
-          let budget_count = max 50 (Array.length offenders / 8) in
-          let picked = Hashtbl.create 64 in
-          Array.iteri
-            (fun i (_, cid) -> if i < budget_count then Hashtbl.replace picked cid ())
-            offenders;
-          let changed = ref 0 in
-          let next =
-            Netlist.remap_cells nl (fun c ->
-                let cell = c.Netlist.cell in
-                if Hashtbl.mem picked c.Netlist.id then
-                  match bigger_drive cell.Cell_lib.drive with
-                  | Some d ->
-                    incr changed;
-                    Cell_lib.find lib cell.Cell_lib.kind d
-                  | None -> cell
-                else cell)
-          in
-          Some (next, !changed)
-        end
-      end)
+  let v = Sta.view sta in
+  report ~clock sta v (close ~clock (Sta.netlist sta) v)
 
-(* Alternating closure/recovery: the unverified recovery pushes every
-   stage up against its budget; the closure pass that follows repairs
-   any overshoot, and a final closure pass ends the run. *)
+(* Alternating closure/recovery on one view: the unverified recovery
+   pushes every stage up against its budget; the closure pass that
+   follows repairs any overshoot, and a final closure pass ends the
+   run. *)
 let fit ~clock sta =
-  let pass (sta, rounds, sized) guard =
-    let closed = close_timing ~clock sta in
-    let recovered = recover ~guard ~clock closed.sta in
-    ( recovered.sta,
-      rounds + closed.rounds + recovered.rounds,
-      sized + closed.downsized + recovered.downsized )
+  let nl = Sta.netlist sta in
+  let v = Sta.view sta in
+  let add (r, c) (r', c') = (r + r', c + c') in
+  let pass acc guard =
+    let acc = add acc (close ~clock nl v) in
+    add acc (recover ~guard ~clock nl v)
   in
-  let recovered, rounds, sized = List.fold_left pass (sta, 0, 0) [ 6.0; 3.0; 2.0 ] in
-  let final = close_timing ~clock recovered in
-  {
-    final with
-    rounds = rounds + final.rounds;
-    downsized = sized + final.downsized;
-    area_before = Netlist.area (Sta.netlist sta);
-  }
+  let passes = List.fold_left pass (0, 0) [ 6.0; 3.0; 2.0 ] in
+  report ~clock sta v (add passes (close ~clock nl v))

@@ -13,11 +13,14 @@
 
     A sizing pass times one netlist graph whose cell masters change
     from round to round.  It takes the graph of its input netlist
-    ({!Sta.build} of it, or the graph an earlier pass returned); each
-    round analyzes the current graph and re-drives some cells, and the
-    next round times the new netlist through {!Sta.resize}.  No pass
-    builds a graph, and the report carries the graph of the sized
-    netlist for the next pass or for later analyses. *)
+    ({!Sta.build} of it, or the graph an earlier pass returned) and
+    re-drives one {!Sta.view} of it in place: each round runs a forward
+    and a backward pass on the committed masters, stages the round's
+    re-drives from that state, and commits them, which re-evaluates
+    only the loads and delays they touch.  {!fit}'s passes share one
+    view.  No pass builds a graph or a netlist per round; the sized
+    netlist is materialised once, and the report carries its graph
+    ({!Sta.freeze}) for the next pass or for later analyses. *)
 
 open Pvtol_netlist
 

@@ -78,39 +78,29 @@ let topo_order (nl : Netlist.t) =
   done;
   Array.sub order 0 !k
 
-(* The drive-dependent part of a timing graph: per-net loads from the
-   sink pin caps plus the tabulated wire cap, then per-cell delays.
-   Shared by [build] and [resize], so both do the same float ops. *)
-let loads_and_delays nl wire_um =
-  let lib = nl.Netlist.lib in
-  let net_load =
-    Array.map
-      (fun (net : Netlist.net) ->
-        let pins =
-          Array.fold_left
-            (fun acc (cid, _) ->
-              acc +. nl.Netlist.cells.(cid).Netlist.cell.Cell_lib.input_cap)
-            0.0 net.Netlist.sinks
-        in
-        let wire =
-          if net.Netlist.driver = None && Array.length net.Netlist.sinks = 0 then 0.0
-          else lib.Cell_lib.wire_cap_per_um *. wire_um.(net.Netlist.net_id)
-        in
-        pins +. wire)
-      nl.Netlist.nets
+(* The drive-dependent part of a timing graph: a net's load is its
+   sinks' input caps folded left to right from 0, plus the tabulated
+   wire cap of a connected net; a cell's delay is its intrinsic delay
+   (clk-to-q for a flop) plus its drive resistance times its output
+   load.  [build] and [commit] both evaluate these two expressions, so
+   a re-driven view and a fresh build agree bit for bit. *)
+let net_load_of (lib : Cell_lib.library) wire_um (masters : Cell_lib.t array)
+    (net : Netlist.net) =
+  let sinks = net.Netlist.sinks in
+  let pins = ref 0.0 in
+  for j = 0 to Array.length sinks - 1 do
+    let cid, _ = sinks.(j) in
+    pins := !pins +. masters.(cid).Cell_lib.input_cap
+  done;
+  let wire =
+    if net.Netlist.driver = None && Array.length sinks = 0 then 0.0
+    else lib.Cell_lib.wire_cap_per_um *. wire_um.(net.Netlist.net_id)
   in
-  let base_delay =
-    Array.map
-      (fun (c : Netlist.cell) ->
-        let cell = c.Netlist.cell in
-        let load = net_load.(c.Netlist.fanout) in
-        if is_seq c then
-          (* clk-to-q, with the same load dependence as a gate. *)
-          lib.Cell_lib.clk_to_q +. (cell.Cell_lib.drive_res *. load)
-        else cell.Cell_lib.d0 +. (cell.Cell_lib.drive_res *. load))
-      nl.Netlist.cells
-  in
-  (net_load, base_delay)
+  !pins +. wire
+
+let cell_delay (lib : Cell_lib.library) (cell : Cell_lib.t) ~seq load =
+  if seq then lib.Cell_lib.clk_to_q +. (cell.Cell_lib.drive_res *. load)
+  else cell.Cell_lib.d0 +. (cell.Cell_lib.drive_res *. load)
 
 let build nl ~wire_length ~capture =
   Metrics.incr m_builds;
@@ -118,7 +108,14 @@ let build nl ~wire_length ~capture =
   (* One lookup per net: the per-pin wire delays below index this table
      rather than re-estimating a net once per sink. *)
   let wire_um = Array.init (Netlist.net_count nl) wire_length in
-  let net_load, base_delay = loads_and_delays nl wire_um in
+  let masters = Array.map (fun (c : Netlist.cell) -> c.Netlist.cell) nl.Netlist.cells in
+  let net_load = Array.map (net_load_of lib wire_um masters) nl.Netlist.nets in
+  let base_delay =
+    Array.map
+      (fun (c : Netlist.cell) ->
+        cell_delay lib c.Netlist.cell ~seq:(is_seq c) net_load.(c.Netlist.fanout))
+      nl.Netlist.cells
+  in
   (* Flattened CSR layout for the per-pin wire delays: one contiguous
      float array walked linearly by the forward pass, instead of a
      pointer chase through an array of per-cell arrays. *)
@@ -204,28 +201,6 @@ let build nl ~wire_length ~capture =
     level;
     level_off;
   }
-
-(* Same library, nets, per-cell pins and sequential/combinational
-   split: everything [build] derives its structure from, so only the
-   drive strengths may differ.  [Netlist.remap_cells] shares the nets
-   array and every fanin array, so the physical equalities make the
-   check cheap on the path sizing takes. *)
-let same_connectivity (a : Netlist.t) (b : Netlist.t) =
-  a.Netlist.lib == b.Netlist.lib
-  && (a.Netlist.nets == b.Netlist.nets || a.Netlist.nets = b.Netlist.nets)
-  && Array.length a.Netlist.cells = Array.length b.Netlist.cells
-  && Array.for_all2
-       (fun (x : Netlist.cell) (y : Netlist.cell) ->
-         (x.Netlist.fanins == y.Netlist.fanins || x.Netlist.fanins = y.Netlist.fanins)
-         && x.Netlist.fanout = y.Netlist.fanout
-         && is_seq x = is_seq y)
-       a.Netlist.cells b.Netlist.cells
-
-let resize t nl =
-  if not (same_connectivity t.nl nl) then
-    invalid_arg "Sta.resize: netlist connectivity differs";
-  let net_load, base_delay = loads_and_delays nl t.wire_um in
-  { t with nl; net_load; base_delay }
 
 let of_placement p ~capture =
   let wire_um = Pvtol_place.Placement.wire_lengths p in
@@ -423,6 +398,7 @@ let analyze_into ?lanes t ws ~delays =
   endpoint_pass t ws ~lanes
 
 let ws_worst ws k = ws.worst_ws.(k)
+let ws_arrival ws nid k = ws.arrival_ws.((nid * ws.stride) + k)
 let ws_worst_endpoint ws k = ws.worst_ep_ws.(k)
 
 let ws_endpoint_delay ws cid k =
@@ -602,38 +578,154 @@ let analyze ?skew t ~delays =
     stage_worst;
   }
 
-let required_with t ~delays ~endpoint_required =
+(* The backward pass into [req] (one slot per net), overwritten. *)
+let required_into t ~delays ~endpoint_required req =
   let nl = t.nl in
-  let req = Array.make (Netlist.net_count nl) infinity in
+  let cells = nl.Netlist.cells in
+  Array.fill req 0 (Array.length req) infinity;
   (* Endpoints: data must arrive by the endpoint's budget - setup (minus
      the D-pin wire delay, charged on the net). *)
-  Array.iter
-    (fun cid ->
-      let c = nl.Netlist.cells.(cid) in
-      let d_pin = c.Netlist.fanins.(0) in
-      let budget = endpoint_required t.capture_of.(cid) in
-      let r = budget -. t.setup -. t.pin_wire.(t.pin_off.(cid)) in
-      if r < req.(d_pin) then req.(d_pin) <- r)
-    t.flops;
+  for slot = 0 to Array.length t.flops - 1 do
+    let cid = t.flops.(slot) in
+    let d_pin = cells.(cid).Netlist.fanins.(0) in
+    let budget = endpoint_required t.capture_of.(cid) in
+    let r = budget -. t.setup -. t.pin_wire.(t.pin_off.(cid)) in
+    if r < req.(d_pin) then req.(d_pin) <- r
+  done;
   (* Reverse topological order. *)
   for k = Array.length t.order - 1 downto 0 do
     let cid = t.order.(k) in
-    let c = nl.Netlist.cells.(cid) in
+    let c = cells.(cid) in
     let r_out = req.(c.Netlist.fanout) in
     if Float.is_finite r_out then begin
       let r_in = r_out -. delays.(cid) in
       let off = t.pin_off.(cid) in
-      Array.iteri
-        (fun pin nid ->
-          let r = r_in -. t.pin_wire.(off + pin) in
-          if r < req.(nid) then req.(nid) <- r)
-        c.Netlist.fanins
+      let fanins = c.Netlist.fanins in
+      for pin = 0 to Array.length fanins - 1 do
+        let nid = fanins.(pin) in
+        let r = r_in -. t.pin_wire.(off + pin) in
+        if r < req.(nid) then req.(nid) <- r
+      done
     end
-  done;
+  done
+
+let required_with t ~delays ~endpoint_required =
+  let req = Array.make (Netlist.net_count t.nl) infinity in
+  required_into t ~delays ~endpoint_required req;
   req
 
 let required t ~delays ~clock =
   required_with t ~delays ~endpoint_required:(fun _ -> clock)
+
+(* ------------------------------------------------------------------ *)
+(* A re-drivable view: the graph's topology with mutable masters.
+
+   Changing a cell's master changes its own delay (drive resistance,
+   intrinsic delay) and the load of every net it sinks (input cap), and
+   through those loads the delays of their drivers.  [set_master]
+   stages a change and marks the cell and its fanin nets dirty;
+   [commit] re-evaluates the dirty nets' loads and then the delays of
+   the dirty cells and of those nets' drivers, through the expressions
+   [build] uses, so the committed arrays are always those of a fresh
+   build of the re-driven netlist. *)
+
+type view = {
+  graph : t;
+  masters : Cell_lib.t array;  (* per cell; staged changes included *)
+  loads : float array;         (* per net, committed *)
+  delays : float array;        (* per cell, committed *)
+  v_ws : workspace;
+  v_req : float array;         (* per net: latest backward pass *)
+  net_dirty : bool array;
+  dirty_nets : int array;
+  mutable n_dirty_nets : int;
+  cell_dirty : bool array;
+  dirty_cells : int array;
+  mutable n_dirty_cells : int;
+  mutable redriven : bool;     (* some master differs from [graph]'s *)
+}
+
+let view t =
+  let n_cells = Netlist.cell_count t.nl and n_nets = Netlist.net_count t.nl in
+  {
+    graph = t;
+    masters = Array.map (fun (c : Netlist.cell) -> c.Netlist.cell) t.nl.Netlist.cells;
+    loads = Array.copy t.net_load;
+    delays = Array.copy t.base_delay;
+    v_ws = workspace t;
+    v_req = Array.make n_nets infinity;
+    net_dirty = Array.make n_nets false;
+    dirty_nets = Array.make n_nets 0;
+    n_dirty_nets = 0;
+    cell_dirty = Array.make n_cells false;
+    dirty_cells = Array.make n_cells 0;
+    n_dirty_cells = 0;
+    redriven = false;
+  }
+
+let master v cid = v.masters.(cid)
+let view_load v nid = v.loads.(nid)
+
+let mark_cell v cid =
+  if not v.cell_dirty.(cid) then begin
+    v.cell_dirty.(cid) <- true;
+    v.dirty_cells.(v.n_dirty_cells) <- cid;
+    v.n_dirty_cells <- v.n_dirty_cells + 1
+  end
+
+let mark_net v nid =
+  if not v.net_dirty.(nid) then begin
+    v.net_dirty.(nid) <- true;
+    v.dirty_nets.(v.n_dirty_nets) <- nid;
+    v.n_dirty_nets <- v.n_dirty_nets + 1
+  end
+
+let set_master v cid (m : Cell_lib.t) =
+  let old = v.masters.(cid) in
+  if m.Cell_lib.kind <> old.Cell_lib.kind then
+    invalid_arg "Sta.set_master: kind change not allowed";
+  if m != old then begin
+    v.masters.(cid) <- m;
+    v.redriven <- true;
+    mark_cell v cid;
+    Array.iter (mark_net v) v.graph.nl.Netlist.cells.(cid).Netlist.fanins
+  end
+
+let commit v =
+  let t = v.graph in
+  let nl = t.nl in
+  let lib = nl.Netlist.lib in
+  for j = 0 to v.n_dirty_nets - 1 do
+    let nid = v.dirty_nets.(j) in
+    v.net_dirty.(nid) <- false;
+    let net = nl.Netlist.nets.(nid) in
+    v.loads.(nid) <- net_load_of lib t.wire_um v.masters net;
+    match net.Netlist.driver with Some d -> mark_cell v d | None -> ()
+  done;
+  v.n_dirty_nets <- 0;
+  for j = 0 to v.n_dirty_cells - 1 do
+    let cid = v.dirty_cells.(j) in
+    v.cell_dirty.(cid) <- false;
+    v.delays.(cid) <-
+      cell_delay lib v.masters.(cid) ~seq:(t.flop_slot.(cid) >= 0)
+        v.loads.(nl.Netlist.cells.(cid).Netlist.fanout)
+  done;
+  v.n_dirty_cells <- 0
+
+let analyze_view v =
+  analyze_into v.graph v.v_ws ~delays:v.delays;
+  v.v_ws
+
+let required_view v ~endpoint_required =
+  required_into v.graph ~delays:v.delays ~endpoint_required v.v_req;
+  v.v_req
+
+let freeze v =
+  commit v;
+  if not v.redriven then v.graph
+  else
+    let nl = Netlist.remap_cells v.graph.nl (fun c -> v.masters.(c.Netlist.id)) in
+    { v.graph with nl; net_load = Array.copy v.loads; base_delay = Array.copy v.delays }
 
 let stage_delay result stage =
   List.find_map

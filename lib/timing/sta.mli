@@ -25,18 +25,6 @@ val build :
     placement, a fanout-based wireload model before).  It is called
     once per net and tabulated.  Counts one in [sta_builds_total]. *)
 
-val resize : t -> Netlist.t -> t
-(** [resize t nl'] is [build nl'] for a netlist that differs from
-    [netlist t] only in its cell masters (drive strengths), e.g. the
-    result of {!Netlist.remap_cells}.  It reuses the topological order,
-    levels, per-pin wire delays, capture map and endpoint sets, and
-    recomputes only the net loads and nominal delays, with the same
-    float operations as {!build}: every result is bit-identical to a
-    fresh [build] with the same [wire_length] and [capture] (the
-    capture map is kept, so [capture] must not depend on drive
-    strength).  Raises [Invalid_argument] unless [nl'] has the same
-    library, nets, cell pins and sequential cells as [netlist t]. *)
-
 val of_placement :
   Pvtol_place.Placement.t -> capture:(Netlist.cell -> Stage.t option) -> t
 (** Wire lengths from placed HPWL. *)
@@ -138,6 +126,9 @@ val ws_worst : workspace -> int -> float
 
 val ws_worst_endpoint : workspace -> int -> Netlist.cell_id
 
+val ws_arrival : workspace -> Netlist.net_id -> int -> float
+(** [ws_arrival ws nid k] — net [nid]'s arrival time in lane [k]. *)
+
 val ws_endpoint_delay : workspace -> Netlist.cell_id -> int -> float
 (** [ws_endpoint_delay ws cid k] — {!result.endpoint_delay} of [cid]
     in lane [k]; [0.] for non-sequential cells. *)
@@ -191,6 +182,58 @@ val required_with :
 (** Generalised backward pass: each flop's data-arrival constraint is
     given by its capture stage (synthesis path groups — used by the
     per-stage sizing budgets). *)
+
+(** {2 Re-drivable view}
+
+    A sizing pass re-times one graph whose cell masters (drive
+    strengths) change from round to round.  A {!view} holds a mutable
+    master per cell, the committed per-net loads and per-cell nominal
+    delays, one kept 1-lane workspace and one kept required-time
+    buffer; a round re-drives cells in place instead of building a new
+    netlist and graph.  The topology, wire table and capture map are
+    those of the graph the view was made from.  Do not share a view
+    across domains. *)
+
+type view
+
+val view : t -> view
+(** A view of [t] at [t]'s masters, loads and delays.  Allocates its
+    workspace once (counted in [sta_workspace_total]). *)
+
+val master : view -> Netlist.cell_id -> Pvtol_stdcell.Cell.t
+(** The cell's current master, staged changes included. *)
+
+val set_master : view -> Netlist.cell_id -> Pvtol_stdcell.Cell.t -> unit
+(** Stage a re-drive of one cell: loads and delays stay as committed
+    until {!commit}.  Raises [Invalid_argument] if the new master is of
+    another kind. *)
+
+val commit : view -> unit
+(** Re-evaluate the loads of the nets whose sinks were re-driven and
+    the delays of the re-driven cells and of those nets' drivers, with
+    the same float operations as {!build}: after a commit, the view's
+    loads and delays are bit-identical to those of a fresh {!build} of
+    the re-driven netlist with the same wire lengths and capture map. *)
+
+val view_load : view -> Netlist.net_id -> float
+(** Committed load of a net, fF (see {!net_load}). *)
+
+val analyze_view : view -> workspace
+(** {!analyze_into} of the committed delays into the view's kept
+    workspace, returned for reading at lane 0 (overwritten by the next
+    call). *)
+
+val required_view :
+  view -> endpoint_required:(Stage.t option -> float) -> float array
+(** {!required_with} of the committed delays into the view's kept
+    per-net buffer, returned (overwritten by the next call). *)
+
+val freeze : view -> t
+(** Commit, then the graph of the re-driven netlist: the input graph
+    itself if no master changed, otherwise one {!Netlist.remap_cells}
+    of its netlist with copies of the committed loads and delays.  Not
+    a build (not counted in [sta_builds_total]); the view stays
+    usable. *)
 
 val stage_delay : result -> Stage.t -> float option
 (** Worst path delay captured by a stage, if it has endpoints. *)

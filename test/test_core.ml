@@ -489,6 +489,62 @@ let test_sizing_pinned () =
   Alcotest.(check int) "rounds" 23 r.Sizing.rounds;
   Alcotest.(check int) "drive changes" 7271 r.Sizing.downsized
 
+(* Sizing against the oracle round driver (a fresh netlist and graph
+   per round): the sized netlist Marshal-equal, same rounds and drive
+   changes. *)
+let check_sizing_oracle label (r : Sizing.report) (o : Sizing_oracle.report) =
+  Alcotest.(check bool) (label ^ ": sized netlist Marshal-equal") true
+    (Marshal.to_string (Sta.netlist r.Sizing.sta) []
+    = Marshal.to_string o.Sizing_oracle.netlist []);
+  Alcotest.(check int) (label ^ ": rounds") o.Sizing_oracle.rounds r.Sizing.rounds;
+  Alcotest.(check int) (label ^ ": drive changes") o.Sizing_oracle.downsized
+    r.Sizing.downsized
+
+let check_fit_oracle t =
+  let design = Flow.design t in
+  let r = Flow.sizing t in
+  let wire_length = Array.get (Pvtol_place.Placement.wire_lengths (Flow.placement t)) in
+  check_sizing_oracle "fit" r
+    (Sizing_oracle.fit ~wire_length ~capture:design.Pvtol_vex.Vex_core.capture_stage
+       ~clock:r.Sizing.clock design.Pvtol_vex.Vex_core.netlist);
+  r
+
+let test_sizing_oracle_quick () =
+  let t, _ = Lazy.force env in
+  let r = check_fit_oracle t in
+  Alcotest.(check (pair int int)) "quick: rounds, drive changes" (23, 7271)
+    (r.Sizing.rounds, r.Sizing.downsized)
+
+let test_sizing_oracle_full () =
+  let r = check_fit_oracle (Flow.prepare ()) in
+  Alcotest.(check (pair int int)) "full: rounds, drive changes" (35, 80661)
+    (r.Sizing.rounds, r.Sizing.downsized)
+
+(* The shifters stage's closure (fig4) on each slicing's shifted
+   netlist, as [Flow.variant] runs it. *)
+let test_closure_oracle_quick () =
+  let t, _ = Lazy.force env in
+  let capture = (Flow.design t).Pvtol_vex.Vex_core.capture_stage in
+  let clock = Flow.clock t *. 1.08 in
+  List.iter
+    (fun direction ->
+      let slicing = Flow.islands t direction in
+      let shifted =
+        Level_shifter.insert slicing.Slicing.partition (Flow.placement t) (Flow.netlist t)
+      in
+      let nl = shifted.Level_shifter.netlist in
+      let wire_length =
+        Array.get (Pvtol_place.Placement.wire_lengths shifted.Level_shifter.placement)
+      in
+      let r = Sizing.close_timing ~clock (Sta.build nl ~wire_length ~capture) in
+      let label = Island.direction_name direction in
+      check_sizing_oracle label r
+        (Sizing_oracle.close_timing ~wire_length ~capture ~clock nl);
+      Alcotest.(check bool) (label ^ ": flow's closure") true
+        (Marshal.to_string (Sta.netlist r.Sizing.sta) []
+        = Marshal.to_string (Flow.variant t direction).Flow.shifted.Level_shifter.netlist []))
+    [ Island.Vertical; Island.Horizontal ]
+
 (* --- experiments rendering --- *)
 
 let test_experiments_render () =
@@ -525,6 +581,9 @@ let suite =
         test_mc_positions_computed_once;
       Alcotest.test_case "sizing builds one graph" `Quick test_sizing_builds_one_graph;
       Alcotest.test_case "sizing pinned (quick)" `Quick test_sizing_pinned;
+      Alcotest.test_case "sizing = oracle rounds (quick)" `Quick test_sizing_oracle_quick;
+      Alcotest.test_case "closure = oracle rounds (quick fig4)" `Quick
+        test_closure_oracle_quick;
       Alcotest.test_case "experiments render" `Quick test_experiments_render;
       Alcotest.test_case "corner check = per-check oracle" `Quick
         test_corner_check_oracle;
@@ -537,4 +596,5 @@ let suite =
       [
         Alcotest.test_case "eco placement = list oracle (full)" `Slow
           test_eco_oracle_full;
+        Alcotest.test_case "sizing = oracle rounds (full)" `Slow test_sizing_oracle_full;
       ] )

@@ -335,6 +335,30 @@ let test_cell_width () =
   Alcotest.(check bool) "width x height = area" true
     (Float.abs ((w *. fp.Floorplan.row_height) -. c.Netlist.cell.Cell.area) < 1e-9)
 
+(* --- placement pins --- *)
+
+let positions_digest (p : Placement.t) =
+  Digest.to_hex (Digest.string (Marshal.to_string (p.Placement.xs, p.Placement.ys) []))
+
+(* The force-directed phase with the flow's parameters (utilization
+   0.48, seed 1), pinned bit for bit: a kernel rewrite must keep every
+   float operation in order. *)
+let global_digest vex ~iterations =
+  let nl = (Pvtol_vex.Vex_core.build vex).Pvtol_vex.Vex_core.netlist in
+  let fp = Floorplan.create ~utilization:0.48 ~cell_area:(Netlist.area nl) () in
+  positions_digest (Placer.global_only ~iterations ~seed:1 nl fp)
+
+let test_placement_pinned_quick () =
+  Alcotest.(check string) "global placement (quick design)" "2cd97aa457231189e7905ce219ed2f9b"
+    (global_digest Pvtol_vex.Vex_core.small_config ~iterations:24);
+  let _, _, p = Lazy.force placed in
+  Alcotest.(check string) "legalized placement (small design, defaults)" "0f4339fc99038abb3011ac8a82bf577e"
+    (positions_digest p)
+
+let test_placement_pinned_full () =
+  Alcotest.(check string) "global placement (full design)" "241a8fe586af8d6eb50faaf10e376232"
+    (global_digest Pvtol_vex.Vex_core.default_config ~iterations:48)
+
 let suite =
   ( "place",
     [
@@ -357,4 +381,9 @@ let suite =
       Alcotest.test_case "router reroute" `Quick test_router_reroute_reduces_overflow;
       Alcotest.test_case "router capacity" `Quick test_router_capacity_override;
       Alcotest.test_case "cell width" `Quick test_cell_width;
-    ] )
+      Alcotest.test_case "placement pinned (quick)" `Quick test_placement_pinned_quick;
+    ]
+    @
+    if Sys.getenv_opt "PVTOL_SLOW_TESTS" <> Some "1" then []
+    else
+      [ Alcotest.test_case "placement pinned (full)" `Slow test_placement_pinned_full ] )

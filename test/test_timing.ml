@@ -454,81 +454,111 @@ let same_bits label a b =
         Alcotest.failf "%s: index %d differs (%h vs %h)" label i x b.(i))
     a
 
-let check_resize_equals_build label ~resized ~fresh =
+(* The view's committed state against a fresh build of the re-driven
+   netlist: loads, delays, arrivals, endpoint results and required
+   times, bit for bit. *)
+let check_view_equals_build label view ~fresh =
   let nl = Sta.netlist fresh in
   let delays = Sta.nominal_delays fresh in
-  same_bits (label ^ ": nominal delays") (Sta.nominal_delays resized) delays;
+  same_bits (label ^ ": nominal delays") (Sta.nominal_delays (Sta.freeze view)) delays;
   same_bits (label ^ ": net loads")
-    (Array.init (Netlist.net_count nl) (Sta.net_load resized))
+    (Array.init (Netlist.net_count nl) (Sta.view_load view))
     (Array.init (Netlist.net_count nl) (Sta.net_load fresh));
-  let r = Sta.analyze resized ~delays and r' = Sta.analyze fresh ~delays in
-  same_bits (label ^ ": arrivals") r.Sta.arrival r'.Sta.arrival;
-  same_bits (label ^ ": endpoint delays") r.Sta.endpoint_delay r'.Sta.endpoint_delay;
-  same_bits (label ^ ": worst") [| r.Sta.worst |] [| r'.Sta.worst |];
-  Alcotest.(check int) (label ^ ": worst endpoint") r'.Sta.worst_endpoint
-    r.Sta.worst_endpoint;
-  Alcotest.(check bool) (label ^ ": stage worst") true
-    (r.Sta.stage_worst = r'.Sta.stage_worst);
+  let r = Sta.analyze fresh ~delays in
+  let ws = Sta.analyze_view view in
+  same_bits (label ^ ": arrivals")
+    (Array.init (Netlist.net_count nl) (fun nid -> Sta.ws_arrival ws nid 0))
+    r.Sta.arrival;
+  same_bits (label ^ ": endpoint delays")
+    (Array.init (Netlist.cell_count nl) (fun cid -> Sta.ws_endpoint_delay ws cid 0))
+    r.Sta.endpoint_delay;
+  same_bits (label ^ ": worst") [| Sta.ws_worst ws 0 |] [| r.Sta.worst |];
+  Alcotest.(check int) (label ^ ": worst endpoint") r.Sta.worst_endpoint
+    (Sta.ws_worst_endpoint ws 0);
+  List.iter
+    (fun (s, d, _) ->
+      match Sta.ws_stage_delay ws s 0 with
+      | Some d' -> same_bits (label ^ ": stage worst") [| d' |] [| d |]
+      | None -> Alcotest.failf "%s: stage without endpoints" label)
+    r.Sta.stage_worst;
   let endpoint_required = function
-    | Some s -> r'.Sta.worst *. Sizing.balanced_fracs s
-    | None -> r'.Sta.worst
+    | Some s -> r.Sta.worst *. Sizing.balanced_fracs s
+    | None -> r.Sta.worst
   in
   same_bits (label ^ ": required")
-    (Sta.required_with resized ~delays ~endpoint_required)
+    (Array.copy (Sta.required_view view ~endpoint_required))
     (Sta.required_with fresh ~delays ~endpoint_required)
 
-let test_resize_matches_build () =
+let drives = [| Cell.X0; Cell.X1; Cell.X2; Cell.X4 |]
+
+(* The re-driven netlist a view stands for. *)
+let view_netlist nl view =
+  Netlist.remap_cells nl (fun c -> Sta.master view c.Netlist.id)
+
+let test_view_matches_build () =
   let v, nl, wire, sta = Lazy.force small_sta in
   let capture = v.Pvtol_vex.Vex_core.capture_stage in
-  let drives = [| Cell.X0; Cell.X1; Cell.X2; Cell.X4 |] in
+  let view = Sta.view sta in
+  Alcotest.(check bool) "unchanged view freezes to its graph" true
+    (Sta.freeze view == sta);
   let rng = Random.State.make [| 14 |] in
   (* Chained rounds, like a sizing run: each round re-drives a random
-     tenth of the cells of the previous round's netlist. *)
-  let resized = ref sta and current = ref nl in
+     tenth of the cells and commits. *)
   for round = 1 to 4 do
-    current :=
-      Netlist.remap_cells !current (fun c ->
-          if Random.State.int rng 10 = 0 then
-            Cell.find lib c.Netlist.cell.Cell.kind
-              drives.(Random.State.int rng (Array.length drives))
-          else c.Netlist.cell);
-    resized := Sta.resize !resized !current;
-    check_resize_equals_build (Printf.sprintf "round %d" round) ~resized:!resized
-      ~fresh:(Sta.build !current ~wire_length:wire ~capture)
-  done;
-  (* A structurally equal copy is accepted too. *)
-  let chain = chain_netlist 3 in
-  let chain_sta = Sta.build chain ~wire_length:no_wire ~capture:capture_all in
-  let copy = chain_netlist 3 in
-  check_resize_equals_build "structural copy"
-    ~resized:(Sta.resize chain_sta copy)
-    ~fresh:(Sta.build copy ~wire_length:no_wire ~capture:capture_all)
-
-let test_resize_rejects_rewiring () =
-  let _, nl, _, sta = Lazy.force small_sta in
-  let rejects label nl' =
-    match Sta.resize sta nl' with
-    | _ -> Alcotest.failf "%s: resize accepted a different netlist" label
-    | exception Invalid_argument _ -> ()
-  in
-  rejects "other design" (chain_netlist 3);
-  (* Same nets array, one two-input cell's (distinct) pins swapped. *)
-  let k =
-    let rec find i =
-      let fanins = nl.Netlist.cells.(i).Netlist.fanins in
-      if Array.length fanins = 2 && fanins.(0) <> fanins.(1) then i else find (i + 1)
-    in
-    find 0
-  in
-  let cells =
-    Array.map
+    Array.iter
       (fun (c : Netlist.cell) ->
-        if c.Netlist.id = k then
-          { c with Netlist.fanins = [| c.Netlist.fanins.(1); c.Netlist.fanins.(0) |] }
-        else c)
-      nl.Netlist.cells
-  in
-  rejects "swapped pins" { nl with Netlist.cells }
+        if Random.State.int rng 10 = 0 then
+          Sta.set_master view c.Netlist.id
+            (Cell.find lib (Sta.master view c.Netlist.id).Cell.kind
+               drives.(Random.State.int rng (Array.length drives))))
+      nl.Netlist.cells;
+    Sta.commit view;
+    let fresh = Sta.build (view_netlist nl view) ~wire_length:wire ~capture in
+    check_view_equals_build (Printf.sprintf "round %d" round) view ~fresh;
+    Alcotest.(check bool) (Printf.sprintf "round %d: frozen netlist" round) true
+      (Marshal.to_string (Sta.netlist (Sta.freeze view)) []
+      = Marshal.to_string (Sta.netlist fresh) [])
+  done
+
+(* Random re-drive sequences: a few rounds of random re-drives of a few
+   cells each (a cell may be re-driven twice in a round, or back to its
+   master), committed round by round. *)
+let test_view_redrive_sequences =
+  QCheck.Test.make ~name:"view commits = fresh build (random re-drives)" ~count:12
+    QCheck.(list_of_size Gen.(int_range 1 4)
+              (list_of_size Gen.(int_range 0 40) (pair small_nat (int_bound 3))))
+    (fun rounds ->
+      let v, nl, wire, sta = Lazy.force small_sta in
+      let capture = v.Pvtol_vex.Vex_core.capture_stage in
+      let n = Netlist.cell_count nl in
+      let view = Sta.view sta in
+      List.iteri
+        (fun round redrives ->
+          List.iter
+            (fun (k, d) ->
+              (* Spread small ints over the whole netlist. *)
+              let cid = k * 7919 mod n in
+              Sta.set_master view cid
+                (Cell.find lib (Sta.master view cid).Cell.kind drives.(d)))
+            redrives;
+          Sta.commit view;
+          check_view_equals_build (Printf.sprintf "round %d" round) view
+            ~fresh:(Sta.build (view_netlist nl view) ~wire_length:wire ~capture))
+        rounds;
+      true)
+
+let test_set_master_rejects_kind_change () =
+  let _, nl, _, sta = Lazy.force small_sta in
+  let view = Sta.view sta in
+  let cid = 0 in
+  let kind = nl.Netlist.cells.(cid).Netlist.cell.Cell.kind in
+  let other = if kind = Kind.Inv then Kind.Buf else Kind.Inv in
+  (match Sta.set_master view cid (Cell.find lib other Cell.X1) with
+  | () -> Alcotest.fail "set_master accepted a kind change"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check bool) "master unchanged" true
+    (Sta.master view cid == nl.Netlist.cells.(cid).Netlist.cell);
+  Alcotest.(check bool) "nothing staged" true (Sta.freeze view == sta)
 
 (* --- sizing --- *)
 
@@ -545,7 +575,7 @@ let check_report_graph label (rep : Sizing.report) =
     Sta.build (Sta.netlist rep.Sizing.sta) ~wire_length:wire
       ~capture:v.Pvtol_vex.Vex_core.capture_stage
   in
-  check_resize_equals_build label ~resized:rep.Sizing.sta ~fresh;
+  check_view_equals_build label (Sta.view rep.Sizing.sta) ~fresh;
   fresh
 
 let check_budgets ~clock sta =
@@ -557,6 +587,55 @@ let check_budgets ~clock sta =
         true
         (d <= (clock *. Sizing.balanced_fracs s) +. 1e-9))
     r.Sta.stage_worst
+
+(* A chain plus an inverter whose output reaches no endpoint (infinite
+   slack): [fit]'s recovery downsizes it only in a round that has a
+   counted downsize.  With every timed cell at X0 no round has one, so
+   the dangling X4 survives; with the chain at X2 and a loose clock it
+   drops along with the chain. *)
+let dangling_netlist chain_drive =
+  let b = Builder.create ~design_name:"dangling" lib in
+  let stub = Builder.placeholder b "d0" in
+  let q = Builder.add b ~drive:chain_drive ~stage ~unit_name:"launch" Kind.Dff [| stub |] in
+  let rec invs net k =
+    if k = 0 then net
+    else
+      invs (Builder.add b ~drive:chain_drive ~stage ~unit_name:"chain" Kind.Inv [| net |])
+        (k - 1)
+  in
+  let last = invs q 4 in
+  let q2 = Builder.add b ~drive:chain_drive ~stage ~unit_name:"capture" Kind.Dff [| last |] in
+  (match Builder.driver_of b q with
+  | Some cell -> Builder.rewire b ~cell ~pin:0 q2
+  | None -> assert false);
+  let dangling = Builder.cell_count b in
+  ignore (Builder.add b ~drive:Cell.X4 ~stage ~unit_name:"spare" Kind.Inv [| q |]);
+  (Builder.freeze b, dangling)
+
+let test_uncounted_downsizes () =
+  let run chain_drive ~loosen =
+    let nl, dangling = dangling_netlist chain_drive in
+    let sta = Sta.build nl ~wire_length:no_wire ~capture:capture_all in
+    let clock = loosen *. execute_clock sta in
+    let r = Sizing.fit ~clock sta in
+    let o = Sizing_oracle.fit ~wire_length:no_wire ~capture:capture_all ~clock nl in
+    Alcotest.(check bool) "Marshal-equal to the oracle" true
+      (Marshal.to_string (Sta.netlist r.Sizing.sta) []
+      = Marshal.to_string o.Sizing_oracle.netlist []);
+    Alcotest.(check (pair int int)) "rounds, drive changes"
+      (o.Sizing_oracle.rounds, o.Sizing_oracle.downsized)
+      (r.Sizing.rounds, r.Sizing.downsized);
+    let drive = (Sta.netlist r.Sizing.sta).Netlist.cells.(dangling).Netlist.cell.Cell.drive in
+    (sta, r, drive)
+  in
+  let sta, r, drive = run Cell.X0 ~loosen:1.0 in
+  Alcotest.(check (pair int int)) "X0 chain: one round per pass, no change" (7, 0)
+    (r.Sizing.rounds, r.Sizing.downsized);
+  Alcotest.(check bool) "X0 chain: dangling keeps X4" true (drive = Cell.X4);
+  Alcotest.(check bool) "X0 chain: unchanged graph" true (r.Sizing.sta == sta);
+  let _, r, drive = run Cell.X2 ~loosen:4.0 in
+  Alcotest.(check bool) "X2 chain: chain downsized" true (r.Sizing.downsized > 0);
+  Alcotest.(check bool) "X2 chain: dangling downsized" true (drive <> Cell.X4)
 
 let test_fit_meets_stage_budgets () =
   let _, _, _, sta = Lazy.force small_sta in
@@ -614,8 +693,10 @@ let suite =
       Alcotest.test_case "incremental matches full" `Quick
         test_analyze_incremental_matches_full;
       Alcotest.test_case "stage endpoint ids" `Quick test_stage_endpoint_ids;
-      Alcotest.test_case "resize = build" `Quick test_resize_matches_build;
-      Alcotest.test_case "resize rejects rewiring" `Quick test_resize_rejects_rewiring;
+      Alcotest.test_case "view = build (chained rounds)" `Quick test_view_matches_build;
+      qcheck test_view_redrive_sequences;
+      Alcotest.test_case "set_master rejects kind change" `Quick
+        test_set_master_rejects_kind_change;
       qcheck test_delay_monotonicity;
       Alcotest.test_case "required consistency" `Quick test_required_consistency;
       Alcotest.test_case "stage worst bounds global" `Quick test_stage_worst_bounds_global;
@@ -624,6 +705,8 @@ let suite =
       Alcotest.test_case "sdf rewrite" `Quick test_sdf_rewrite;
       Alcotest.test_case "sdf errors" `Quick test_sdf_errors;
       Alcotest.test_case "fit recovers area" `Quick test_fit_recovers_area;
+      Alcotest.test_case "uncounted downsizes ride counted rounds" `Quick
+        test_uncounted_downsizes;
       Alcotest.test_case "fit meets stage budgets" `Quick test_fit_meets_stage_budgets;
       Alcotest.test_case "close_timing repairs" `Quick test_close_timing_fixes_violation;
       Alcotest.test_case "worst endpoints sorted" `Quick test_worst_endpoints_sorted;
