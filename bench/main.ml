@@ -427,12 +427,12 @@ let kernel_estimates ~quick ?(only = fun _ -> true) () =
     (Flow.netlist t).Pvtol_netlist.Netlist.lib.Pvtol_stdcell.Cell.process
       .Pvtol_stdcell.Process.vdd_low
   in
-  (* Fresh Lgates every run: every cell is rescaled at the low supply. *)
-  let all_low = Array.make n low and scaled_at = Array.make n nan in
-  let scale_all_low () =
-    Array.fill scaled_at 0 n nan;
-    Sampler.scale_delays sampler ~base ~lgates ~vdd:all_low ~scaled_at
-      ~out:delays
+  (* Fresh Lgates every run: every cell is scaled at both supplies, as
+     the per-die detection does, and the low vector is timed. *)
+  let high_delays = Array.make n 0.0 in
+  let scale_supplies () =
+    Pvtol_stdcell.Process.supply_delays sampler.Sampler.process ~base ~lgates
+      ~low:delays ~high:high_delays
   in
   let field = Field.default in
   (* One island corner check at A on the scale tables of its target. *)
@@ -477,23 +477,29 @@ let kernel_estimates ~quick ?(only = fun _ -> true) () =
      at the worst corner (retrying a few draws so the knobs have
      violations to chase), then each kernel re-applies its strategy to
      that same die.  The applies re-derive everything from the scratch's
-     gate lengths, so repeated runs are deterministic; the detect kernel
-     gets its own scratch and RNG so its iterations cannot disturb the
-     pinned die. *)
+     delay vectors, so repeated runs are deterministic; the detect
+     kernel gets its own scratch and RNG so its iterations cannot
+     disturb the pinned die.  Chip-wide gets a scratch of its own with
+     the same die, which the island settle never touches, so it times
+     the stand-alone pass rather than reading the settle's all-high
+     lane. *)
   let comp_ctx = Compensation.context t in
   let comp_v = Flow.variant t Island.Vertical in
-  let comp_sc = Compensation.scratch comp_ctx in
   let comp_sys = Compensation.systematic comp_ctx Position.point_a in
-  let comp_d =
+  let pinned_die sc =
     let comp_rng = Srng.create 7 in
     let rec draw n d =
       if d.Compensation.violating > 0 || n >= 50 then d
       else
         draw (n + 1)
-          (Compensation.detect comp_ctx comp_sc ~systematic:comp_sys comp_rng)
+          (Compensation.detect comp_ctx sc ~systematic:comp_sys comp_rng)
     in
-    draw 0 (Compensation.detect comp_ctx comp_sc ~systematic:comp_sys comp_rng)
+    draw 0 (Compensation.detect comp_ctx sc ~systematic:comp_sys comp_rng)
   in
+  let comp_sc = Compensation.scratch comp_ctx in
+  let comp_d = pinned_die comp_sc in
+  let cw_sc = Compensation.scratch comp_ctx in
+  let cw_d = pinned_die cw_sc in
   let comp_apply choice =
     (Compensation.build t comp_ctx comp_v choice).Compensation.fresh_apply ()
   in
@@ -551,7 +557,7 @@ let kernel_estimates ~quick ?(only = fun _ -> true) () =
       ( "fig3/mc-sample", 1,
         fun () ->
           Sampler.sample_lgates sampler ~systematic rng lgates;
-          scale_all_low ();
+          scale_supplies ();
           Sta.analyze_into sta ws ~delays );
       ( "fig3/mc-sample-batched", lanes,
         fun () ->
@@ -584,7 +590,7 @@ let kernel_estimates ~quick ?(only = fun _ -> true) () =
               is_sys
           in
           Sampler.sample_lgates sampler ~systematic:sys is_rng lgates;
-          scale_all_low ();
+          scale_supplies ();
           Sta.analyze_into sta ws ~delays;
           ignore w );
       ( "fig4/corner-check", 1, fun () -> ignore (corner_check ~raised:(fun _ -> false)) );
@@ -613,8 +619,7 @@ let kernel_estimates ~quick ?(only = fun _ -> true) () =
           ignore
             (Compensation.detect comp_ctx det_sc ~systematic:comp_sys det_rng) );
       ( "compare/apply-vi", 1, fun () -> ignore (apply_vi comp_sc comp_d) );
-      ( "compare/apply-chipwide", 1,
-        fun () -> ignore (apply_cw comp_sc comp_d) );
+      ( "compare/apply-chipwide", 1, fun () -> ignore (apply_cw cw_sc cw_d) );
       ( "compare/apply-skew", 1, fun () -> ignore (apply_skew comp_sc comp_d) );
       ( "compare/apply-buffers", 1,
         fun () -> ignore (apply_buf comp_sc comp_d) );

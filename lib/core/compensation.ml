@@ -19,6 +19,7 @@ let m_skew_flops = Metrics.counter "skew_tuned_flops_total"
 let m_buffers_inserted = Metrics.counter "buffers_inserted_total"
 let m_dies = Metrics.counter "postsilicon_dies_total"
 let m_raised = Metrics.counter "postsilicon_islands_raised_total"
+let m_settle_lanes = Metrics.counter "compensation_settle_lanes_total"
 
 let analyzed = Pvtol_ssta.Scenario.analyzed_stages
 
@@ -30,28 +31,29 @@ type ctx = {
   placement : Placement.t;
   sta : Sta.t;
   clock : float;
-  low : float;
-  high : float;
   base : float array;
   n_cells : int;
-  all_low : float array;   (* per-cell supply vectors of the two corners *)
-  all_high : float array;
   power_chip_wide : float;
   power_baseline : float;
 }
 
-(* One exact delay scale per (cell, supply) per die: [delays.(i)] was
-   scaled at supply [scaled_at.(i)] from this die's [lgates], and a
-   re-timing rescales only the cells whose requested supply differs.
-   [detect] draws new Lgates and so stales every entry (NaN). *)
+(* [detect] scales the die at both supplies at once; the island settle
+   prices its supply configurations as the lanes of one STA pass over
+   [block], each entry a select between the two vectors.  [die] counts
+   the dies detected on this scratch, and [high_die] names the one
+   whose all-high verdict [high_meets] holds (-1: none), so chip-wide
+   reads the verdict the settle already priced. *)
 type scratch = {
-  ws : Sta.workspace;
-  inc : Sta.inc_workspace;  (* [ws] is its inner workspace *)
+  ws : Sta.workspace;  (* 1 lane: detect's low pass, chip-wide's own *)
+  lanes_ws : Sta.workspace;  (* [settle_lanes] lanes *)
+  block : float array;  (* cells x [settle_lanes], cell-major *)
   systematic_buf : float array;  (* [systematic_into]'s map *)
   lgates : float array;
-  delays : float array;
-  scaled_at : float array;
-  low_delays : float array;  (* this die at the low supply, from [detect] *)
+  low_delays : float array;
+  high_delays : float array;
+  mutable die : int;
+  mutable high_die : int;
+  mutable high_meets : bool;
 }
 
 type detect = {
@@ -67,10 +69,6 @@ type outcome = {
 }
 
 let context (t : Flow.t) =
-  let nl = Flow.netlist t in
-  let lib = nl.Netlist.lib in
-  let low = lib.Cell.process.Process.vdd_low in
-  let high = lib.Cell.process.Process.vdd_high in
   let sta = Flow.sta t in
   let power_chip_wide = Flow.power_mw t ~position:Position.point_b Flow.Chip_wide_high in
   let power_baseline = Flow.power_mw t ~position:Position.point_b Flow.Baseline_low in
@@ -79,27 +77,67 @@ let context (t : Flow.t) =
     placement = Flow.placement t;
     sta;
     clock = Flow.clock t;
-    low;
-    high;
     base = Sta.nominal_delays sta;
-    n_cells = Netlist.cell_count nl;
-    all_low = Array.make (Netlist.cell_count nl) low;
-    all_high = Array.make (Netlist.cell_count nl) high;
+    n_cells = Netlist.cell_count (Flow.netlist t);
     power_chip_wide;
     power_baseline;
   }
 
+(* Lanes of a settle block: every flow slicing has three islands (the
+   growth targets), so a settle prices at most three raises plus the
+   all-high configuration. *)
+let settle_lanes = 4
+
 let scratch c =
-  let inc = Sta.inc_workspace c.sta in
   {
-    ws = Sta.inc_ws inc;
-    inc;
+    ws = Sta.workspace c.sta;
+    lanes_ws = Sta.workspace ~lanes:settle_lanes c.sta;
+    block = Array.make (c.n_cells * settle_lanes) 0.0;
     systematic_buf = Array.make c.n_cells 0.0;
     lgates = Array.make c.n_cells 0.0;
-    delays = Array.make c.n_cells 0.0;
-    scaled_at = Array.make c.n_cells nan;
     low_delays = Array.make c.n_cells 0.0;
+    high_delays = Array.make c.n_cells 0.0;
+    die = 0;
+    high_die = -1;
+    high_meets = false;
   }
+
+(* Scratches returned by finished fan-outs, one free list per timing
+   graph.  The graph is an ephemeron key, so a flow's scratches go with
+   it. *)
+let free_lists : (Sta.t, scratch list ref) Ephemeron.K1.Bucket.t =
+  Ephemeron.K1.Bucket.make ()
+
+let free_lock = Mutex.create ()
+
+let with_scratches c f =
+  let free =
+    Mutex.protect free_lock (fun () ->
+        match Ephemeron.K1.Bucket.find free_lists c.sta with
+        | Some l -> l
+        | None ->
+          let l = ref [] in
+          Ephemeron.K1.Bucket.add free_lists c.sta l;
+          l)
+  in
+  let leased = ref [] in
+  let lease () =
+    let reused =
+      Mutex.protect free_lock (fun () ->
+          match !free with
+          | sc :: rest ->
+            free := rest;
+            Some sc
+          | [] -> None)
+    in
+    let sc = match reused with Some sc -> sc | None -> scratch c in
+    Mutex.protect free_lock (fun () -> leased := sc :: !leased);
+    sc
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Mutex.protect free_lock (fun () -> free := List.rev_append !leased !free))
+    (fun () -> f lease)
 
 let clock c = c.clock
 let power_baseline_mw c = c.power_baseline
@@ -113,25 +151,14 @@ let systematic_into c sc position =
     ~out:sc.systematic_buf;
   sc.systematic_buf
 
-(* Re-time the shared scratch's current Lgate realisation under a
-   per-cell supply vector.  Only the cells whose supply changed since
-   their last scale are rescaled — the same function of the same
-   (lgate, vdd), so the delay vector is bit-identical to a full rescale
-   — and the incremental pass is bit-identical to a full one; the
-   supply reconfigurations of the settle loops are where both pay. *)
-let analyze_shared c sc ~vdd =
-  Sampler.scale_delays c.sampler ~base:c.base ~lgates:sc.lgates ~vdd
-    ~scaled_at:sc.scaled_at ~out:sc.delays;
-  Sta.analyze_incremental_into c.sta sc.inc ~delays:sc.delays
-
-let count_violating ws clock =
-  List.length
-    (List.filter
-       (fun s ->
-         match Sta.ws_stage_delay ws s 0 with
-         | Some d -> d > clock +. 1e-12
-         | None -> false)
-       analyzed)
+(* Analyzed stages failing in lane [k] of a finished pass. *)
+let violating_in ws k clock =
+  List.fold_left
+    (fun acc s ->
+      match Sta.ws_stage_delay ws s k with
+      | Some d when d > clock +. 1e-12 -> acc + 1
+      | Some _ | None -> acc)
+    0 analyzed
 
 let detect c sc ~systematic rng =
   (* One random Lgate realisation for this die; every strategy below
@@ -139,10 +166,10 @@ let detect c sc ~systematic rng =
      the die's only RNG consumption, so per-die streams are identical
      for every strategy subset a caller evaluates. *)
   Sampler.sample_lgates c.sampler ~systematic rng sc.lgates;
-  Array.fill sc.scaled_at 0 c.n_cells nan;
-  analyze_shared c sc ~vdd:c.all_low;
-  Array.blit sc.delays 0 sc.low_delays 0 c.n_cells;
-  let violating = count_violating sc.ws c.clock in
+  Process.supply_delays c.sampler.Sampler.process ~base:c.base
+    ~lgates:sc.lgates ~low:sc.low_delays ~high:sc.high_delays;
+  Sta.analyze_into c.sta sc.ws ~delays:sc.low_delays;
+  sc.die <- sc.die + 1;
   let worst_low =
     List.fold_left
       (fun acc s ->
@@ -152,7 +179,7 @@ let detect c sc ~systematic rng =
       0.0 analyzed
   in
   Metrics.incr m_dies;
-  { violating; worst_low_ns = worst_low }
+  { violating = violating_in sc.ws 0 c.clock; worst_low_ns = worst_low }
 
 (* ------------------------------------------------------------------ *)
 (* The strategy interface                                               *)
@@ -183,10 +210,42 @@ let element_power_mw lib (cell : Cell.t) ~clock ~toggle_rate =
 (* ------------------------------------------------------------------ *)
 (* Strategy 1: the paper's voltage islands                              *)
 
+(* One failing die's island settle, from [r0 >= 1] raised islands: lane
+   [r - r0] of one pass holds islands [1..r] at the high supply, for
+   [r = r0 .. n_islands], and the last lane the all-high configuration,
+   whose verdict is stamped for chip-wide.  The first raise whose lane
+   meets wins, else every island with its verdict.  Each lane is
+   bit-identical to a 1-lane pass over its own supply configuration. *)
+let settle c sc ~domains ~n_islands r0 =
+  let lanes = n_islands - r0 + 2 in
+  let block = sc.block in
+  let low = sc.low_delays and high = sc.high_delays in
+  for i = 0 to c.n_cells - 1 do
+    let row = i * settle_lanes and dom = domains.(i) in
+    for k = 0 to lanes - 2 do
+      if dom <= r0 + k then block.(row + k) <- high.(i)
+      else block.(row + k) <- low.(i)
+    done;
+    block.(row + lanes - 1) <- high.(i)
+  done;
+  let ws = sc.lanes_ws in
+  Sta.analyze_into ~lanes c.sta ws ~delays:block;
+  Metrics.add m_settle_lanes lanes;
+  sc.high_die <- sc.die;
+  sc.high_meets <- violating_in ws (lanes - 1) c.clock = 0;
+  let rec first r =
+    if r >= n_islands then (n_islands, violating_in ws (r - r0) c.clock = 0)
+    else if violating_in ws (r - r0) c.clock = 0 then (r, true)
+    else first (r + 1)
+  in
+  first r0
+
 let voltage_islands (t : Flow.t) c (v : Flow.variant) =
   let part = v.Flow.slicing.Slicing.partition in
   let domains = Island.domains part c.placement in
   let n_islands = Array.length part.Island.islands in
+  if n_islands + 1 > settle_lanes then
+    invalid_arg "Compensation.voltage_islands: more islands than settle lanes";
   (* Power per compensation level, computed once (chip leakage varies
      with position but the dominant switching term does not). *)
   let power_of_raised =
@@ -195,12 +254,6 @@ let voltage_islands (t : Flow.t) c (v : Flow.variant) =
           (Flow.Islands (v.Flow.direction, raised)))
   in
   let ls_area = v.Flow.shifted.Level_shifter.ls_area in
-  (* Per-cell supply vector with islands [1..raised] at the high
-     supply; immutable, shared by every caller. *)
-  let vdd_of_raised =
-    Array.init (n_islands + 1) (fun raised ->
-        Array.map (fun dom -> if dom <= raised then c.high else c.low) domains)
-  in
   {
     name = "vi";
     title = "voltage islands";
@@ -212,20 +265,13 @@ let voltage_islands (t : Flow.t) c (v : Flow.variant) =
         (* The sensors report the scenario; the controller raises that
            many islands, then — because Razor keeps monitoring in situ —
            keeps raising one more while violations persist (closed-loop
-           post-silicon testing).  Verbatim the pre-refactor loop. *)
-        let meets_with raised =
-          if raised = 0 then d.violating = 0
-          else begin
-            analyze_shared c sc ~vdd:vdd_of_raised.(raised);
-            count_violating sc.ws c.clock = 0
-          end
+           post-silicon testing).  [settle] reads that sequential rule
+           off the lanes of one pass. *)
+        let raised, meets =
+          if d.violating = 0 then (0, true)
+          else if n_islands = 0 then (0, false)
+          else settle c sc ~domains ~n_islands (min d.violating n_islands)
         in
-        let rec settle r =
-          if r >= n_islands then (n_islands, meets_with n_islands)
-          else if meets_with r then (r, true)
-          else settle (r + 1)
-        in
-        let raised, meets = settle (min d.violating n_islands) in
         if raised > 0 then Metrics.incr m_vi_applied;
         Metrics.add m_raised raised;
         {
@@ -255,8 +301,13 @@ let chip_wide c =
           { meets = true; knob = 0; power_mw = c.power_baseline;
             area_um2 = 0.0 }
         else begin
-          analyze_shared c sc ~vdd:c.all_high;
-          let meets = count_violating sc.ws c.clock = 0 in
+          let meets =
+            if sc.high_die = sc.die then sc.high_meets
+            else begin
+              Sta.analyze_into c.sta sc.ws ~delays:sc.high_delays;
+              violating_in sc.ws 0 c.clock = 0
+            end
+          in
           Metrics.incr m_chipwide_applied;
           { meets; knob = 1; power_mw = c.power_chip_wide; area_um2 = 0.0 }
         end);
@@ -301,11 +352,9 @@ let skew_tuning ?(range_frac = 0.10) ?(steps = 4) c =
     max_knob = n_elements;
     fresh_apply =
       (fun () ->
-        (* Private workspace: the shared scratch's incremental STA
-           caches arrivals under an ideal clock, and a changed skew row
-           is invisible to its delay-seeded worklist — so the skew
-           settle runs full passes on its own buffers, leaving the
-           shared state bit-exact for whatever strategy runs next. *)
+        (* Private workspace: the skew settle rewrites its skew row,
+           and the scratch's workspaces time every other strategy under
+           an ideal clock. *)
         let ws = Sta.workspace c.sta in
         let skew = Sta.skew_row ws in
         let tune = Array.make c.n_cells 0.0 in
@@ -316,8 +365,7 @@ let skew_tuning ?(range_frac = 0.10) ?(steps = 4) c =
           else begin
             Array.iter (fun cid -> tune.(cid) <- 0.0) all_caps;
             (* The die stays at the low supply: read the delay vector
-               [detect] kept ([sc.delays] may hold another strategy's
-               last supply configuration). *)
+               [detect] kept. *)
             let delays = sc.low_delays in
             let failing s =
               match Sta.ws_stage_delay ws s 0 with

@@ -18,9 +18,12 @@
     A strategy's precomputed state is immutable and safe to share
     across domains; everything mutable lives in the closure returned by
     [fresh_apply] (one per concurrent caller) and in the shared
-    {!scratch}.  The island/chip-wide strategies re-time through the
-    scratch's incremental STA, which is exact, so they stay
-    bit-identical to the golden-pinned [Postsilicon.run] study. *)
+    {!scratch}.  {!detect} scales the die at both supplies at once; the
+    island strategy prices every raise it may need, and the all-high
+    configuration, as the lanes of one STA pass, and chip-wide reads
+    that all-high verdict.  Every lane is bit-identical to a 1-lane pass
+    over its configuration, so both stay bit-identical to the
+    golden-pinned [Postsilicon.run] study. *)
 
 open Pvtol_netlist
 
@@ -32,17 +35,18 @@ val analyzed : Stage.t list
 
 type ctx
 (** Everything die-independent that every strategy shares: the STA, the
-    sampler, nominal delays, clock, the two supplies and the
-    baseline/chip-wide power levels.  Immutable. *)
+    sampler, nominal delays, clock and the baseline/chip-wide power
+    levels.  Immutable. *)
 
 type scratch
-(** Per-caller mutable state (STA workspaces, the systematic-map,
-    Lgate and delay buffers) shared by {!detect} and the strategies.
-    One per concurrent simulator.  It records the supply each delay was
-    scaled at, so every cell's exact delay scale is computed at most
-    once per (die, supply): an island raise rescales only that island,
-    chip-wide only the cells still low, and skew tuning and tunable
-    buffers read the low-supply vector {!detect} kept. *)
+(** Per-caller mutable state shared by {!detect} and the strategies:
+    a 1-lane and a 4-lane STA workspace, the systematic-map and Lgate
+    buffers, the die's delay vectors at the low and the high supply,
+    and the island settle's lane block.  One per concurrent simulator.
+    {!detect} fills both delay vectors; the island strategy selects
+    between them per cell and lane, chip-wide reads the high one (or
+    the all-high verdict the island settle stamped on this die), and
+    skew tuning and tunable buffers read the low one. *)
 
 type detect = {
   violating : int;       (** analyzed stages failing at the low supply *)
@@ -61,6 +65,17 @@ val context : Flow.t -> ctx
     STA, sampler, clock, baseline and chip-wide power at position B). *)
 
 val scratch : ctx -> scratch
+(** A fresh scratch. *)
+
+val with_scratches : ctx -> ((unit -> scratch) -> 'a) -> 'a
+(** [with_scratches ctx f] runs [f lease], where [lease ()] hands out
+    a scratch no other lease holds: one returned by an earlier
+    [with_scratches] on the same timing graph if any is free, else a
+    fresh one.  When [f] returns or raises, every scratch it leased
+    goes back to the graph's free list, so repeated fan-outs over one
+    flow allocate no per-cell buffer.  [lease] may be called from any
+    domain. *)
+
 val clock : ctx -> float
 val power_baseline_mw : ctx -> float
 val power_chip_wide_mw : ctx -> float
@@ -79,8 +94,10 @@ val detect : ctx -> scratch -> systematic:float array -> Pvtol_util.Srng.t -> de
 (** One die's sensor verdict: draw its random Lgate realisation from
     [rng] (exactly one {!Pvtol_variation.Sampler.sample_lgates} call —
     strategies consume no RNG, so the per-die stream is identical for
-    every strategy subset), re-time it at the low supply and count the
-    failing analyzed stages.  [systematic] may be the scratch's own
+    every strategy subset), scale it at both supplies
+    ({!Pvtol_stdcell.Process.supply_delays}), re-time it at the low
+    supply with one 1-lane pass and count the failing analyzed
+    stages.  [systematic] may be the scratch's own
     {!systematic_into} buffer.  Counts the die in
     [postsilicon_dies_total]. *)
 
@@ -107,16 +124,25 @@ type strategy = {
 (** {2 Strategy constructors} *)
 
 val voltage_islands : Flow.t -> ctx -> Flow.variant -> strategy
-(** The paper's scheme, verbatim from the pre-refactor settle loop:
-    raise islands [1..r] starting at the detected scenario, escalating
-    while violations persist.  [knob] = islands raised; power from the
+(** The paper's scheme, the pre-refactor settle rule: raise islands
+    [1..r] starting at the detected scenario [r0], escalating while
+    violations persist.  A failing die is priced by one STA pass of
+    [n_islands - r0 + 2] lanes (raises [r0..n_islands] and the all-high
+    configuration, counted per lane in [sta_analyze_total] and in
+    [compensation_settle_lanes_total]); the first
+    raise that meets wins.  [knob] = islands raised; power from the
     memoized per-raised-level power stages; static area = the variant's
     level-shifter area.  Adds the islands raised to
-    [postsilicon_islands_raised_total]. *)
+    [postsilicon_islands_raised_total].  Raises [Invalid_argument] for
+    a partition of more than three islands (every flow slicing has
+    three). *)
 
 val chip_wide : ctx -> strategy
 (** Traditional full-chip adaptation: everything to 1.2V whenever
-    anything fails.  [knob] = 1 iff the die needed the raise. *)
+    anything fails.  [knob] = 1 iff the die needed the raise.  On a die
+    the island strategy already settled on this scratch it reads the
+    settle's all-high lane; otherwise it runs one 1-lane pass over the
+    high-supply vector. *)
 
 type kernel = {
   ctx : ctx;

@@ -170,16 +170,17 @@ let tally ?pool ?on_cell ctx strategies sites =
   let pool = match pool with Some p -> p | None -> Pool.shared () in
   let total_sites = Array.length sites in
   let completed = Atomic.make 0 in
-  (* One chunk per site; a worker reuses its detect scratch and one
-     private apply state per strategy across every site it picks up.
-     All of a site's dies run serially inside its chunk, stream by
-     stream, each detected once and then compensated by every strategy
-     in request order, so the per-site tallies — including the
-     order-sensitive P^2 markers — are independent of scheduling. *)
+  (* One chunk per site; a worker reuses its detect scratch, leased
+     from the timing graph's free list, and one private apply state per
+     strategy across every site it picks up.  All of a site's dies run
+     serially inside its chunk, stream by stream, each detected once
+     and then compensated by every strategy in request order, so the
+     per-site tallies — including the order-sensitive P^2 markers — are
+     independent of scheduling. *)
+  Compensation.with_scratches ctx @@ fun lease ->
   Pool.parallel_chunks pool ~chunks:total_sites
     ~init:(fun ~worker:_ ->
-      ( Compensation.scratch ctx,
-        Array.map (fun s -> s.Compensation.fresh_apply ()) strategies ))
+      (lease (), Array.map (fun s -> s.Compensation.fresh_apply ()) strategies))
     ~f:(fun (sc, applies) c ->
       let site = sites.(c) in
       let systematic = Compensation.systematic_into ctx sc site.position in
@@ -604,9 +605,10 @@ let run_sampling ?pool ?on_round (t : Flow.t) (v : Flow.variant) ~mode scfg =
        the persistent ones in stratum order — bit-identical for every
        domain count and schedule, like the census sweep above. *)
     let round_accs =
+      Compensation.with_scratches ctx @@ fun lease ->
       Pool.parallel_chunks pool ~chunks:groups
         ~init:(fun ~worker:_ ->
-          ( Compensation.scratch ctx,
+          ( lease (),
             k.Compensation.vi.Compensation.fresh_apply (),
             k.Compensation.cw.Compensation.fresh_apply (),
             (Array.make n 0.0, Array.make n 0.0,

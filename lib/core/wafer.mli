@@ -129,8 +129,10 @@ val tally :
 (** The library's one site x stream x die loop.  Per site it runs
     [dies_per_stream] dies from each stream in order at the site's
     position: one {!Compensation.detect}, then each strategy's apply in
-    array order.  One pool chunk per site, one detect scratch and one
-    apply state per strategy per worker; the tallies come back in site
+    array order.  One pool chunk per site, one detect scratch (leased
+    through {!Compensation.with_scratches}, so a later sweep on the
+    same flow reuses it) and one apply state per strategy per worker;
+    the tallies come back in site
     order, bit-identical for every pool size.  [on_cell] fires after
     each site from whichever domain finished it, with a monotone count;
     exceptions it raises are swallowed. *)

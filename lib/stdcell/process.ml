@@ -24,11 +24,19 @@ let paper_literal = { default with alpha_dibl = 0.15 }
 let[@inline] vth_eff t ~vdd ~lgate_nm =
   t.vth0 -. (vdd *. exp (-.t.alpha_dibl *. lgate_nm))
 
-(* [@inline] so the array kernel below evaluates the alpha-power law in
-   registers: a float returned by an out-of-line call is boxed. *)
+(* Eq. 3 given the two supply-independent factors of a gate length,
+   [len = lgate ** 1.5] and [dibl = exp (-alpha_dibl * lgate)]: the one
+   copy of the expression, so the two-supply kernel below and the
+   scalar path agree bit for bit.  [@inline] so the array kernel
+   evaluates the alpha-power law in registers: a float returned by an
+   out-of-line call is boxed. *)
+let[@inline] raw_delay_of t ~vdd ~len ~dibl =
+  let vth = t.vth0 -. (vdd *. dibl) in
+  len *. vdd /. ((vdd -. vth) ** t.alpha)
+
 let[@inline] raw_delay t ~vdd ~lgate_nm =
-  let vth = vth_eff t ~vdd ~lgate_nm in
-  (lgate_nm ** 1.5) *. vdd /. ((vdd -. vth) ** t.alpha)
+  raw_delay_of t ~vdd ~len:(lgate_nm ** 1.5)
+    ~dibl:(exp (-.t.alpha_dibl *. lgate_nm))
 
 (* The normalising corner is constant per process: callers evaluate it
    once per call site, never once per cell. *)
@@ -37,23 +45,19 @@ let nominal_raw_delay t = raw_delay t ~vdd:t.vdd_low ~lgate_nm:t.l_nominal_nm
 let delay_scale t ~vdd ~lgate_nm =
   raw_delay t ~vdd ~lgate_nm /. nominal_raw_delay t
 
-let rescale_delays t ~base ~lgates ~vdd ~scaled_at ~out =
+let supply_delays t ~base ~lgates ~low ~high =
   let n = Array.length base in
-  if
-    Array.length lgates <> n || Array.length vdd <> n
-    || Array.length scaled_at <> n || Array.length out <> n
-  then invalid_arg "Process.rescale_delays: array lengths differ";
+  if Array.length lgates <> n || Array.length low <> n || Array.length high <> n
+  then invalid_arg "Process.supply_delays: array lengths differ";
   let nominal = nominal_raw_delay t in
-  (* Unsafe accesses are sound: every array was checked to length [n].
-     [<>] on floats is IEEE: a NaN in [scaled_at] never equals a supply,
-     so it forces the rescale. *)
+  let vl = t.vdd_low and vh = t.vdd_high in
+  (* Unsafe accesses are sound: every array was checked to length [n]. *)
   for i = 0 to n - 1 do
-    let v = Array.unsafe_get vdd i in
-    if Array.unsafe_get scaled_at i <> v then begin
-      let d = raw_delay t ~vdd:v ~lgate_nm:(Array.unsafe_get lgates i) in
-      Array.unsafe_set out i (Array.unsafe_get base i *. (d /. nominal));
-      Array.unsafe_set scaled_at i v
-    end
+    let lgate_nm = Array.unsafe_get lgates i in
+    let len = lgate_nm ** 1.5 and dibl = exp (-.t.alpha_dibl *. lgate_nm) in
+    let b = Array.unsafe_get base i in
+    Array.unsafe_set low i (b *. (raw_delay_of t ~vdd:vl ~len ~dibl /. nominal));
+    Array.unsafe_set high i (b *. (raw_delay_of t ~vdd:vh ~len ~dibl /. nominal))
   done
 
 let leakage_scale t ~vdd ~lgate_nm =

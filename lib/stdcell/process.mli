@@ -46,23 +46,22 @@ val delay_scale : t -> vdd:float -> lgate_nm:float -> float
 (** Eq. 3, normalized to 1.0 at (vdd_low, l_nominal_nm).  Values < 1
     mean the cell got faster (e.g. under vdd_high). *)
 
-val rescale_delays :
+val supply_delays :
   t ->
   base:float array ->
   lgates:float array ->
-  vdd:float array ->
-  scaled_at:float array ->
-  out:float array ->
+  low:float array ->
+  high:float array ->
   unit
-(** The per-die array kernel of Eq. 3: for every cell [i] whose
-    [scaled_at.(i)] differs from [vdd.(i)], set
-    [out.(i) <- base.(i) *. delay_scale t ~vdd:vdd.(i) ~lgate_nm:lgates.(i)]
-    (the same float, bit for bit) and record [scaled_at.(i) <- vdd.(i)].
-    Cells already scaled at their supply are left alone, so a caller
-    that keeps [scaled_at] alongside [out] pays one exact scale per
-    (cell, supply); a NaN entry forces the rescale, so filling
-    [scaled_at] with [nan] rescales every cell.  Allocates nothing.
-    Raises [Invalid_argument] if the arrays differ in length. *)
+(** One die's delays at both supplies, the per-die array kernel of
+    Eq. 3: for every cell [i],
+    [low.(i) <- base.(i) *. delay_scale t ~vdd:t.vdd_low ~lgate_nm:lgates.(i)]
+    and the same at [t.vdd_high] into [high], bit for bit.  The
+    supply-independent factors [lgate ** 1.5] and
+    [exp (-. alpha_dibl *. lgate)] are computed once per cell and
+    shared by the two supplies, so the second supply costs one [**]
+    per cell.  Allocates nothing.  Raises [Invalid_argument] if the
+    arrays differ in length. *)
 
 val leakage_scale : t -> vdd:float -> lgate_nm:float -> float
 (** Subthreshold-leakage *power* scale relative to the nominal corner:

@@ -11,8 +11,6 @@ module Metrics = Pvtol_util.Metrics
 let m_builds = Metrics.counter "sta_builds_total"
 let m_workspaces = Metrics.counter "sta_workspace_total"
 let m_analyzes = Metrics.counter "sta_analyze_total"
-let m_inc_gates = Metrics.counter "sta_incremental_gates_total"
-let m_fallbacks = Metrics.counter "sta_full_fallbacks_total"
 
 type t = {
   nl : Netlist.t;
@@ -28,8 +26,6 @@ type t = {
   flops : int array;
   stage_endpoints : int array array;  (* per Stage.index: capturing flops, id order *)
   flop_slot : int array;         (* per cell: index into [flops], -1 if comb *)
-  level : int array;             (* per cell: comb logic depth, -1 if sequential *)
-  level_off : int array;         (* CSR offsets of comb cells per level, n_levels+1 *)
 }
 
 let netlist t = t.nl
@@ -158,32 +154,6 @@ let build nl ~wire_length ~capture =
   let flop_slot = Array.make n_cells (-1) in
   Array.iteri (fun slot cid -> flop_slot.(cid) <- slot) flops;
   let order = topo_order nl in
-  (* Levelization for the incremental worklist: a comb cell's level is
-     one past its deepest combinational fanin (flop and primary-input
-     fanins sit at depth 0), so an arrival change at level L can only
-     disturb cells at levels > L and each level's bucket is drained at
-     most once per incremental pass. *)
-  let level = Array.make n_cells (-1) in
-  Array.iter
-    (fun cid ->
-      let lv = ref 0 in
-      Array.iter
-        (fun nid ->
-          match nl.Netlist.nets.(nid).Netlist.driver with
-          | Some d when not (is_seq nl.Netlist.cells.(d)) ->
-            if level.(d) + 1 > !lv then lv := level.(d) + 1
-          | Some _ | None -> ())
-        nl.Netlist.cells.(cid).Netlist.fanins;
-      level.(cid) <- !lv)
-    order;
-  let n_levels =
-    Array.fold_left (fun acc cid -> max acc (level.(cid) + 1)) 0 order
-  in
-  let level_off = Array.make (n_levels + 1) 0 in
-  Array.iter (fun cid -> level_off.(level.(cid) + 1) <- level_off.(level.(cid) + 1) + 1) order;
-  for i = 1 to n_levels do
-    level_off.(i) <- level_off.(i) + level_off.(i - 1)
-  done;
   {
     nl;
     order;
@@ -198,8 +168,6 @@ let build nl ~wire_length ~capture =
     flops;
     stage_endpoints;
     flop_slot;
-    level;
-    level_off;
   }
 
 let of_placement p ~capture =
@@ -270,8 +238,8 @@ let workspace ?(lanes = 1) t =
 let skew_row ws = ws.skew_ws
 
 (* Latest fanin arrival plus its pin wire delay, in one lane: the
-   per-cell arithmetic of the full pass and of the incremental
-   worklist.  Unsafe reads are sound: fanin net ids index rows of the
+   per-cell arithmetic of every lane the forward pass does not run in
+   a block of four.  Unsafe reads are sound: fanin net ids index rows of the
    [nets x stride] arrival array, [k < stride], and [off + pin] stays
    inside the cell's CSR pin range. *)
 let[@inline] fanin_max arrival pin_wire off fanins stride k =
@@ -286,9 +254,8 @@ let[@inline] fanin_max arrival pin_wire off fanins stride k =
   !acc
 
 (* The endpoint reduction over the current arrivals of lanes
-   [0, lanes): shared by the full and the incremental pass, so the two
-   agree bit for bit by construction.  A late capture edge relaxes the
-   endpoint by its own skew. *)
+   [0, lanes).  A late capture edge relaxes the endpoint by its own
+   skew. *)
 let endpoint_pass t ws ~lanes =
   let cells = t.nl.Netlist.cells in
   let stride = ws.stride in
@@ -408,149 +375,6 @@ let ws_endpoint_delay ws cid k =
 let ws_stage_delay ws stage k =
   let i = (Stage.index stage * ws.stride) + k in
   if ws.stage_ep_ws.(i) >= 0 then Some ws.stage_delay_ws.(i) else None
-
-(* ------------------------------------------------------------------ *)
-(* Incremental re-propagation.
-
-   Consecutive analyses of the post-silicon settle loop differ only in
-   the supply assignment of a few islands, so most cell delays are
-   bitwise unchanged between calls.  The workspace keeps the previous
-   delay vector and the previous arrivals of a 1-lane workspace; an
-   analysis seeds a levelized worklist with the cells whose delay
-   changed bitwise and re-propagates only their fan-out cones, pruning
-   any cell whose recomputed arrival is bitwise unchanged.  The result
-   is bit-identical to [analyze_into]: every delay change is
-   re-propagated through the same per-cell arithmetic, flop launches
-   are seeded through the same skew row, and the endpoint reduction is
-   shared code.  When the seed set or the touched cone exceeds
-   [max_frac] of the netlist the pass abandons incrementality and runs
-   one full forward pass instead; every full pass it runs, the cold one
-   included, is counted in [sta_full_fallbacks_total]. *)
-
-let max_frac = 0.25
-
-type inc_workspace = {
-  iw_ws : workspace;
-  prev : float array;      (* per cell: delays incorporated in arrivals *)
-  mutable iw_valid : bool;
-  bucket : int array;      (* comb worklist, bucketed by level (level_off) *)
-  bucket_len : int array;  (* per level *)
-  in_bucket : bool array;  (* per cell *)
-}
-
-let inc_workspace t =
-  let n_cells = Netlist.cell_count t.nl in
-  {
-    iw_ws = workspace t;
-    prev = Array.make (max 1 n_cells) 0.0;
-    iw_valid = false;
-    bucket = Array.make (max 1 (Array.length t.order)) 0;
-    bucket_len = Array.make (max 1 (Array.length t.level_off - 1)) 0;
-    in_bucket = Array.make (max 1 n_cells) false;
-  }
-
-let inc_ws iw = iw.iw_ws
-let inc_invalidate iw = iw.iw_valid <- false
-
-let analyze_incremental_into t iw ~delays =
-  let nl = t.nl in
-  let cells = nl.Netlist.cells and nets = nl.Netlist.nets in
-  let n_cells = Netlist.cell_count nl in
-  let ws = iw.iw_ws in
-  let full () =
-    Metrics.incr m_fallbacks;
-    analyze_into t ws ~delays;
-    Array.blit delays 0 iw.prev 0 n_cells;
-    iw.iw_valid <- true
-  in
-  if not iw.iw_valid then full ()
-  else begin
-    let changed cid = delays.(cid) <> iw.prev.(cid) in
-    let limit =
-      max 1 (int_of_float (max_frac *. float_of_int (max 1 n_cells)))
-    in
-    let n_changed = ref 0 in
-    for cid = 0 to n_cells - 1 do
-      if changed cid then incr n_changed
-    done;
-    if !n_changed > limit then full ()
-    else begin
-      let arrival = ws.arrival_ws in
-      let push cid =
-        if not iw.in_bucket.(cid) then begin
-          iw.in_bucket.(cid) <- true;
-          let lv = t.level.(cid) in
-          iw.bucket.(t.level_off.(lv) + iw.bucket_len.(lv)) <- cid;
-          iw.bucket_len.(lv) <- iw.bucket_len.(lv) + 1
-        end
-      in
-      let push_sinks nid =
-        let sinks = nets.(nid).Netlist.sinks in
-        for j = 0 to Array.length sinks - 1 do
-          let sink, _ = sinks.(j) in
-          if t.flop_slot.(sink) < 0 then push sink
-        done
-      in
-      (* Seed: changed flops move their launch arrival, changed comb
-         cells re-evaluate in place. *)
-      for slot = 0 to Array.length t.flops - 1 do
-        let cid = t.flops.(slot) in
-        if changed cid then begin
-          iw.prev.(cid) <- delays.(cid);
-          let a = delays.(cid) +. ws.skew_ws.(slot) in
-          let net = cells.(cid).Netlist.fanout in
-          if a <> arrival.(net) then begin
-            arrival.(net) <- a;
-            push_sinks net
-          end
-        end
-      done;
-      Array.iter (fun cid -> if changed cid then push cid) t.order;
-      let pin_wire = t.pin_wire and pin_off = t.pin_off in
-      let n_levels = Array.length iw.bucket_len in
-      let processed = ref 0 in
-      let aborted = ref false in
-      let lv = ref 0 in
-      while (not !aborted) && !lv < n_levels do
-        let base = t.level_off.(!lv) in
-        (* Pushes triggered at this level land strictly deeper, so the
-           bucket length is fixed while it drains. *)
-        let len = iw.bucket_len.(!lv) in
-        let j = ref 0 in
-        while (not !aborted) && !j < len do
-          let cid = iw.bucket.(base + !j) in
-          iw.in_bucket.(cid) <- false;
-          incr processed;
-          if !processed > limit then aborted := true
-          else begin
-            iw.prev.(cid) <- delays.(cid);
-            let c = cells.(cid) in
-            let a =
-              fanin_max arrival pin_wire pin_off.(cid) c.Netlist.fanins 1 0
-              +. delays.(cid)
-            in
-            if a <> arrival.(c.Netlist.fanout) then begin
-              arrival.(c.Netlist.fanout) <- a;
-              push_sinks c.Netlist.fanout
-            end
-          end;
-          incr j
-        done;
-        iw.bucket_len.(!lv) <- 0;
-        incr lv
-      done;
-      if !aborted then begin
-        Array.fill iw.bucket_len 0 n_levels 0;
-        Array.fill iw.in_bucket 0 n_cells false;
-        full ()
-      end
-      else begin
-        Metrics.add m_inc_gates !processed;
-        Metrics.incr m_analyzes;
-        endpoint_pass t ws ~lanes:1
-      end
-    end
-  end
 
 (* A fresh 1-lane workspace, read back into the allocating record. *)
 let analyze ?skew t ~delays =

@@ -88,9 +88,10 @@ val analyze : ?skew:(Netlist.cell_id -> float) -> t -> delays:float array -> res
     worker domain), so {!analyze_into} performs no heap allocation.  It
     holds [lanes] independent analyses side by side: every net and
     every flop owns one contiguous row of [lanes] floats, lane [k] of
-    each row belonging to analysis [k].  Per-die and sizing callers use
-    one lane; Monte-Carlo propagates a 32-sample block per graph walk.
-    Each lane runs the same op sequence — same accumulator init, same
+    each row belonging to analysis [k].  Sizing and the per-die
+    detection use one lane, the post-silicon settle one lane per supply
+    configuration it prices, and Monte-Carlo a 32-sample block per graph
+    walk.  Each lane runs the same op sequence — same accumulator init, same
     [>] reductions, same endpoint arithmetic — so a lane's results are
     bit-identical to a 1-lane pass over that lane's delay column.  A
     pass of at least 4 lanes walks each cell's fanins once per block
@@ -134,41 +135,6 @@ val ws_endpoint_delay : workspace -> Netlist.cell_id -> int -> float
     in lane [k]; [0.] for non-sequential cells. *)
 
 val ws_stage_delay : workspace -> Stage.t -> int -> float option
-
-(** {2 Incremental re-propagation}
-
-    For call sequences whose delay vectors differ in few cells — the
-    post-silicon settle loop re-times one Lgate realisation under a
-    handful of island supply assignments — the workspace keeps the
-    previous delays and arrivals, seeds a levelized worklist with the
-    cells whose delay changed, and re-propagates only their fan-out
-    cones, pruning wherever a recomputed arrival is bitwise
-    unchanged. *)
-
-type inc_workspace
-(** A 1-lane {!workspace} plus the previous delay vector and the
-    worklist buckets; do not share across domains. *)
-
-val inc_workspace : t -> inc_workspace
-
-val inc_ws : inc_workspace -> workspace
-(** The underlying 1-lane workspace holding the latest results — read
-    it with the [ws_*] accessors at lane 0. *)
-
-val inc_invalidate : inc_workspace -> unit
-(** Forget the cached arrivals; the next analysis runs a full pass.
-    Call it if the arrivals or the skew row were changed externally. *)
-
-val analyze_incremental_into : t -> inc_workspace -> delays:float array -> unit
-(** Same observable semantics as {!analyze_into} into [inc_ws], and
-    bit-identical to a full pass: every bitwise delay change
-    re-propagates through the same per-cell arithmetic, flop launches
-    are seeded through the same skew row, and the endpoint reduction is
-    shared code.  The first call, or a call whose changed-cell set or
-    touched cone exceeds a quarter of the netlist, runs one full
-    forward pass instead — each such call counted in
-    [sta_full_fallbacks_total]; cells actually re-evaluated are counted
-    in [sta_incremental_gates_total]. *)
 
 val required : t -> delays:float array -> clock:float -> float array
 (** Backward pass: per-net required time under the clock constraint.

@@ -235,8 +235,8 @@ let render j =
     | Some [] | None -> add "\n(no stages recorded)\n"
     | Some stages ->
       add
-        "\n## Stages\n\n| stage | dur (s) | self (s) | minor (MW) | major \
-         (MW) | gcs | domain |\n|---|---:|---:|---:|---:|---:|---:|\n";
+        "\n## Stages\n\n| stage | dur (s) | self (s) | self minor (MW) | \
+         self major (MW) | gcs | domain |\n|---|---:|---:|---:|---:|---:|---:|\n";
       List.iter
         (fun s ->
           add "| %s%s | %.3f | %.3f | %.2f | %.2f | %.0f/%.0f | %.0f |\n"
@@ -245,8 +245,8 @@ let render j =
             | Some (Json.Bool false) -> " **[FAILED]**"
             | _ -> "")
             (getf s "dur_s" 0.0) (getf s "self_s" 0.0)
-            (mwords (getf s "minor_words" 0.0))
-            (mwords (getf s "major_words" 0.0))
+            (mwords (getf s "self_minor_words" 0.0))
+            (mwords (getf s "self_major_words" 0.0))
             (getf s "minor_collections" 0.0)
             (getf s "major_collections" 0.0)
             (getf s "domain" 0.0))

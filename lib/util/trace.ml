@@ -6,6 +6,8 @@ type span = {
   self_s : float;
   minor_words : float;
   major_words : float;
+  self_minor_words : float;
+  self_major_words : float;
   promoted_words : float;
   minor_collections : int;
   major_collections : int;
@@ -29,10 +31,17 @@ let record t span =
   Mutex.unlock t.lock
 
 (* Spans nest when a stage lazily forces its inputs inside its own
-   compute function.  Each domain keeps a stack of accumulators for
-   time spent in child spans, so a span can report its self time
-   (duration minus the nested spans it forced). *)
-let child_time : float ref list ref Domain.DLS.key =
+   compute function.  Each domain keeps a stack of accumulators for the
+   time and allocation of child spans, so a span can report its self
+   time and self allocation (its totals minus the nested spans it
+   forced). *)
+type children = {
+  mutable c_s : float;
+  mutable c_minor : float;
+  mutable c_major : float;
+}
+
+let child_stack : children list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
 
 let span t ~name ?(deps = []) f =
@@ -42,24 +51,33 @@ let span t ~name ?(deps = []) f =
      dedicated counter is precise, so short spans still attribute their
      allocation. *)
   let mw0 = Gc.minor_words () in
-  let nested = Domain.DLS.get child_time in
-  let children = ref 0.0 in
+  let nested = Domain.DLS.get child_stack in
+  let children = { c_s = 0.0; c_minor = 0.0; c_major = 0.0 } in
   nested := children :: !nested;
   let finish ok =
     let t1 = now () in
     let g1 = Gc.quick_stat () in
     let dur = t1 -. t0 in
+    let minor = Gc.minor_words () -. mw0 in
+    let major = g1.Gc.major_words -. g0.Gc.major_words in
     nested := List.tl !nested;
-    (match !nested with parent :: _ -> parent := !parent +. dur | [] -> ());
+    (match !nested with
+    | parent :: _ ->
+      parent.c_s <- parent.c_s +. dur;
+      parent.c_minor <- parent.c_minor +. minor;
+      parent.c_major <- parent.c_major +. major
+    | [] -> ());
     record t
       {
         name;
         deps;
         start_s = t0 -. t.created;
         dur_s = dur;
-        self_s = Float.max 0.0 (dur -. !children);
-        minor_words = Gc.minor_words () -. mw0;
-        major_words = g1.Gc.major_words -. g0.Gc.major_words;
+        self_s = Float.max 0.0 (dur -. children.c_s);
+        minor_words = minor;
+        major_words = major;
+        self_minor_words = Float.max 0.0 (minor -. children.c_minor);
+        self_major_words = Float.max 0.0 (major -. children.c_major);
         promoted_words = g1.Gc.promoted_words -. g0.Gc.promoted_words;
         minor_collections = g1.Gc.minor_collections - g0.Gc.minor_collections;
         major_collections = g1.Gc.major_collections - g0.Gc.major_collections;
@@ -117,7 +135,7 @@ let pp fmt t =
     (fun s ->
       Format.fprintf fmt
         "  %-22s %8.3f s %10.3f s %10.3f s %9.2f MW %4d/%-3d  %s%s@." s.name
-        s.start_s s.dur_s s.self_s (mwords s.major_words) s.minor_collections
+        s.start_s s.dur_s s.self_s (mwords s.self_major_words) s.minor_collections
         s.major_collections
         (match s.deps with [] -> "-" | ds -> String.concat ", " ds)
         (if s.ok then "" else "  [FAILED]"))
@@ -132,6 +150,8 @@ let span_json s =
       ("self_s", Json.Float s.self_s);
       ("minor_words", Json.Float s.minor_words);
       ("major_words", Json.Float s.major_words);
+      ("self_minor_words", Json.Float s.self_minor_words);
+      ("self_major_words", Json.Float s.self_major_words);
       ("promoted_words", Json.Float s.promoted_words);
       ("minor_collections", Json.Int s.minor_collections);
       ("major_collections", Json.Int s.major_collections);

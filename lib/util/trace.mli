@@ -18,6 +18,11 @@ type span = {
           the stage's own work *)
   minor_words : float;
   major_words : float;
+  self_minor_words : float;
+  self_major_words : float;
+      (** the word counts minus those of the spans this one forced on
+          the same domain, floored at 0 like [self_s] — the stage's own
+          allocation *)
   promoted_words : float;
       (** words promoted minor→major while the span ran *)
   minor_collections : int;
@@ -52,7 +57,8 @@ val duplicates : t -> string list
     most once. *)
 
 val pp : Format.formatter -> t -> unit
-(** Pretty span report (one line per span, completion order). *)
+(** Pretty span report (one line per span, completion order); its
+    [major-alloc] column is the span's self major allocation. *)
 
 val span_json : span -> Json.t
 (** One span as a JSON object with every field of {!span} — the

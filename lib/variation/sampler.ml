@@ -59,9 +59,6 @@ let shifted_systematic t ~systematic ~cells ~dir ~theta ~out =
 
 let delay_scale t ~lgate_nm ~vdd = Process.delay_scale t.process ~vdd ~lgate_nm
 
-let scale_delays t ~base ~lgates ~vdd ~scaled_at ~out =
-  Process.rescale_delays t.process ~base ~lgates ~vdd ~scaled_at ~out
-
 (* ------------------------------------------------------------------ *)
 (* Batched structure-of-arrays scale path.
 

@@ -61,22 +61,6 @@ val delay_scale :
   t -> lgate_nm:float -> vdd:float -> float
 (** Delay multiplier relative to the nominal corner. *)
 
-val scale_delays :
-  t ->
-  base:float array ->
-  lgates:float array ->
-  vdd:float array ->
-  scaled_at:float array ->
-  out:float array ->
-  unit
-(** [out.(i) <- base.(i) * delay_scale lgates.(i) vdd.(i)] for every
-    cell whose [scaled_at.(i)] is not already [vdd.(i)], recording the
-    supply in [scaled_at] — one die's delay rescale in the post-silicon
-    kernels, {!Pvtol_stdcell.Process.rescale_delays} under this
-    sampler's process.  Fill [scaled_at] with [nan] to rescale every
-    cell (after drawing new Lgates); keep it to rescale only the cells
-    whose supply changed. *)
-
 (** {2 Batched structure-of-arrays path}
 
     The Monte-Carlo run replaces the per-(cell, sample)

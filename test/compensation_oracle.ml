@@ -1,16 +1,17 @@
-(* Rescale-everything oracle of [Compensation]'s per-die kernel.
+(* Sequential-settle oracle of [Compensation]'s per-die kernel.
 
-   The library scratch records the supply each delay was scaled at and
-   rescales only the cells whose supply changed; skew tuning and tunable
-   buffers read the low-supply vector [detect] kept.  This oracle is the
-   kernel as it was before that: every re-timing draws nothing new but
-   rescales all cells with the scalar [Process.delay_scale], the Lgates
-   come from a per-cell [Srng.gaussian] loop, and skew and buffers
-   rescale the die at the low supply on their own.  Detection and the
-   island and chip-wide strategies re-time through the same incremental
-   STA as the library; skew and buffers run the scalar full pass of
-   [Sta_oracle], with skew as a closure.  Both runs must agree on every
-   outcome bit and on the STA work counters.
+   The library scales each die at both supplies once, prices the
+   island raises and the all-high configuration as the lanes of one STA
+   pass, and lets chip-wide read the all-high lane; skew tuning and
+   tunable buffers read the low-supply vector [detect] kept.  This
+   oracle is the kernel as it was before all that: every re-timing
+   rescales all cells with the scalar [Process.delay_scale] and runs a
+   full 1-lane pass, one supply configuration at a time (the island
+   settle one raise per pass, chip-wide its own pass), the Lgates come
+   from a per-cell [Srng.gaussian] loop, and skew and buffers rescale
+   the die at the low supply on their own and run the scalar full pass
+   of [Sta_oracle], with skew as a closure.  Both runs must agree on
+   every outcome bit.
 
    The strategies' design-time state (island domains, clock tree,
    buffer sites, unit costs) is rebuilt here from public APIs with the
@@ -44,7 +45,7 @@ type t = {
   high : float;
   base : float array;
   n : int;
-  inc : Sta.inc_workspace;
+  ws : Sta.workspace;
   lgates : float array;
   delays : float array;
   power_baseline : float;
@@ -122,7 +123,7 @@ let create (t : Flow.t) (v : Flow.variant) =
     high = process.Process.vdd_high;
     base;
     n;
-    inc = Sta.inc_workspace sta;
+    ws = Sta.workspace sta;
     lgates = Array.make n 0.0;
     delays = Array.make n 0.0;
     power_baseline = Compensation.power_baseline_mw ctx;
@@ -178,7 +179,7 @@ let scale_all o ~vdd out =
 
 let analyze_full o ~vdd =
   scale_all o ~vdd o.delays;
-  Sta.analyze_incremental_into o.sta o.inc ~delays:o.delays
+  Sta.analyze_into o.sta o.ws ~delays:o.delays
 
 let count_violating o ws =
   List.length
@@ -195,7 +196,7 @@ let detect o ~systematic rng =
     o.lgates.(i) <- systematic.(i) +. (sigma *. Srng.gaussian rng)
   done;
   analyze_full o ~vdd:(fun _ -> o.low);
-  let ws = Sta.inc_ws o.inc in
+  let ws = o.ws in
   let worst_low =
     List.fold_left
       (fun acc s ->
@@ -216,7 +217,7 @@ let vi o (d : Compensation.detect) =
     else begin
       analyze_full o ~vdd:(fun cid ->
           if o.domains.(cid) <= raised then o.high else o.low);
-      count_violating o (Sta.inc_ws o.inc) = 0
+      count_violating o (o.ws) = 0
     end
   in
   let rec settle r =
@@ -232,7 +233,7 @@ let chipwide o (d : Compensation.detect) =
   if d.Compensation.violating = 0 then passing o
   else begin
     analyze_full o ~vdd:(fun _ -> o.high);
-    { Compensation.meets = count_violating o (Sta.inc_ws o.inc) = 0; knob = 1;
+    { Compensation.meets = count_violating o (o.ws) = 0; knob = 1;
       power_mw = o.power_chip_wide; area_um2 = 0.0 }
   end
 

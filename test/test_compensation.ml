@@ -258,11 +258,12 @@ let test_cost_monotone_in_knob () =
     [ "skew"; "buffers" ]
 
 let test_detect_matches_full_pass () =
-  (* [detect] re-times through the scratch's incremental STA; a plain
-     sample -> scale -> scalar oracle pass replay of the same RNG stream must
-     give the same verdict and the same worst delay, bit for bit.  The
-     island strategy runs between dies so each detect starts from a
-     raised-supply state. *)
+  (* [detect] scales both supplies with the array kernel and times the
+     low one on the library pass; a plain sample -> scale -> scalar
+     oracle pass replay of the same RNG stream must give the same
+     verdict and the same worst delay, bit for bit.  The island strategy
+     runs between dies so each detect follows a lane settle on the same
+     scratch. *)
   let t, v = Lazy.force env in
   let ctx = Compensation.context t in
   let sc = Compensation.scratch ctx in
@@ -315,11 +316,15 @@ let census_cfg =
     direction = Island.Vertical }
 
 let test_tracked_scratch_matches_full_rescale () =
-  (* The supply-tracked scratch (one exact scale per cell and supply,
-     skew and buffers on the kept low vector) against the
-     rescale-everything oracle, die by die: same detect verdicts, same
-     outcome bits for every strategy in [all_choices] order, and the
-     same STA work — the incremental pass sees the same delay changes. *)
+  (* The lane settle (both supplies scaled once per die, the island
+     raises and the all-high configuration priced as lanes of one pass,
+     chip-wide reading the all-high lane, skew and buffers on the kept
+     low vector) against the sequential rescale-everything oracle, die
+     by die: same detect verdicts, same outcome bits for every strategy
+     in [all_choices] order, and exactly the STA work the lane settle
+     implies — one pass for detect, [n_islands - r0 + 2] lanes for a
+     failing die's island settle, none for chip-wide after it, and the
+     oracle's own passes for skew and buffers. *)
   let t, v = Lazy.force env in
   let ctx = Compensation.context t in
   let sc = Compensation.scratch ctx in
@@ -328,13 +333,17 @@ let test_tracked_scratch_matches_full_rescale () =
       (fun ch -> (ch, (Compensation.build t ctx v ch).Compensation.fresh_apply ()))
       Compensation.all_choices
   in
+  let n_islands =
+    Array.length v.Flow.slicing.Pvtol_core.Slicing.partition.Island.islands
+  in
   let o = Compensation_oracle.create t v in
   let analyzes = Metrics.counter "sta_analyze_total" in
-  let gates = Metrics.counter "sta_incremental_gates_total" in
-  let counts () = (Metrics.counter_value analyzes, Metrics.counter_value gates) in
-  let diff (a0, g0) (a1, g1) = (a1 - a0, g1 - g0) in
-  let lib_work = ref (0, 0) and oracle_work = ref (0, 0) in
-  let add r (a, g) = r := (fst !r + a, snd !r + g) in
+  let counted f =
+    let a0 = Metrics.counter_value analyzes in
+    let r = f () in
+    (r, Metrics.counter_value analyzes - a0)
+  in
+  let lib_work = ref 0 and expected_work = ref 0 in
   let raised = ref 0 in
   Metrics.set_enabled true;
   Fun.protect ~finally:(fun () -> Metrics.set_enabled false) (fun () ->
@@ -350,23 +359,37 @@ let test_tracked_scratch_matches_full_rescale () =
           let rng = Srng.create seed and rng_o = Srng.create seed in
           for die = 1 to census_cfg.Wafer.dies_per_cell do
             let label = Printf.sprintf "cell %d,%d die %d" ix iy die in
-            let c0 = counts () in
-            let d = Compensation.detect ctx sc ~systematic:sys rng in
-            let outs = List.map (fun (_, apply) -> apply sc d) applies in
-            let c1 = counts () in
+            let d, w = counted (fun () -> Compensation.detect ctx sc ~systematic:sys rng) in
+            let outs = List.map (fun (_, apply) -> counted (fun () -> apply sc d)) applies in
             let d_o = Compensation_oracle.detect o ~systematic:sys_o rng_o in
             let outs_o =
-              List.map (fun (ch, _) -> Compensation_oracle.apply o ch d_o) applies
+              List.map
+                (fun (ch, _) -> counted (fun () -> Compensation_oracle.apply o ch d_o))
+                applies
             in
-            let c2 = counts () in
-            add lib_work (diff c0 c1);
-            add oracle_work (diff c1 c2);
+            let failing = d.Compensation.violating in
+            lib_work := !lib_work + w + List.fold_left (fun a (_, w) -> a + w) 0 outs;
+            expected_work :=
+              !expected_work + 1
+              + List.fold_left2
+                  (fun a (ch, _) (_, w_o) ->
+                    a
+                    +
+                    match ch with
+                    | Compensation.Vi ->
+                      if failing > 0 && n_islands > 0 then
+                        n_islands - min failing n_islands + 2
+                      else 0
+                    | Compensation.Chipwide -> 0
+                    | Compensation.Skew | Compensation.Buffers -> w_o)
+                  0 applies outs_o;
             Alcotest.(check int) (label ^ ": violating") d_o.Compensation.violating
               d.Compensation.violating;
             check_bits (label ^ ": worst low") d_o.Compensation.worst_low_ns
               d.Compensation.worst_low_ns;
             List.iter2
-              (fun ((ch, _), (e : Compensation.outcome)) (g : Compensation.outcome) ->
+              (fun ((ch, _), ((e : Compensation.outcome), _))
+                   ((g : Compensation.outcome), _) ->
                 let l = label ^ " " ^ Compensation.choice_name ch in
                 Alcotest.(check bool) (l ^ ": meets") e.Compensation.meets
                   g.Compensation.meets;
@@ -382,8 +405,94 @@ let test_tracked_scratch_matches_full_rescale () =
         done
       done);
   Alcotest.(check bool) "population raises islands" true (!raised > 0);
-  Alcotest.(check (pair int int)) "STA analyses and incremental gates"
-    !oracle_work !lib_work
+  Alcotest.(check int) "STA analyses of the lane settle" !expected_work !lib_work
+
+let test_chipwide_stamp_per_die () =
+  (* Chip-wide reads the all-high verdict the island settle stamped only
+     on the die that settle priced.  Die A has so long a gate length
+     everywhere that even the all-high configuration fails; die B, next
+     on the same scratch, is a failing die that all-high fixes, and runs
+     chip-wide before (and without) the island strategy.  Both verdicts
+     must match the sequential oracle's. *)
+  let t, v = Lazy.force env in
+  let ctx = Compensation.context t in
+  let sc = Compensation.scratch ctx in
+  let apply ch = (Compensation.build t ctx v ch).Compensation.fresh_apply () in
+  let vi = apply Compensation.Vi and cw = apply Compensation.Chipwide in
+  let o = Compensation_oracle.create t v in
+  let chipwide_pair ~systematic seed ~with_vi =
+    let d = Compensation.detect ctx sc ~systematic (Srng.create seed) in
+    if with_vi then ignore (vi sc d);
+    let got = cw sc d in
+    let d_o = Compensation_oracle.detect o ~systematic (Srng.create seed) in
+    (d, got, Compensation_oracle.apply o Compensation.Chipwide d_o)
+  in
+  let slow =
+    Array.make (Pvtol_netlist.Netlist.cell_count (Flow.netlist t)) 85.0
+  in
+  let d, got, expected = chipwide_pair ~systematic:slow 1 ~with_vi:true in
+  Alcotest.(check bool) "die A fails" true (d.Compensation.violating > 0);
+  Alcotest.(check bool) "die A: all-high fails too" false
+    expected.Compensation.meets;
+  Alcotest.(check bool) "die A: chip-wide verdict" expected.Compensation.meets
+    got.Compensation.meets;
+  let systematic = Compensation.systematic ctx Position.point_a in
+  let rec failing_die seed =
+    if seed > 64 then Alcotest.fail "no failing die at A that all-high fixes"
+    else
+      let d, got, expected = chipwide_pair ~systematic seed ~with_vi:false in
+      if d.Compensation.violating > 0 && expected.Compensation.meets then
+        (got, expected)
+      else failing_die (seed + 1)
+  in
+  let got, expected = failing_die 1 in
+  Alcotest.(check bool) "die B: chip-wide verdict" expected.Compensation.meets
+    got.Compensation.meets
+
+let test_scratch_reuse () =
+  (* The census, the comparison sweep and the sampling estimator lease
+     their per-worker scratches from the timing graph's free list: once
+     an op has run, the same op again builds no STA workspace.  A plain
+     [scratch] is still a fresh one. *)
+  let t, v = Lazy.force env in
+  let workspaces = Metrics.counter "sta_workspace_total" in
+  let sampling =
+    { Wafer.default_sampling_config with
+      Wafer.s_strata = 2; s_dies_per_round = 2; s_max_rounds = 2 }
+  in
+  let ops =
+    [ ("Wafer.run", fun () -> ignore (Wafer.run t v wafer_cfg));
+      ( "Compare.run",
+        fun () ->
+          ignore
+            (Compare.run t v (compare_cfg [ Compensation.Vi; Compensation.Chipwide ]))
+      );
+      ( "Wafer.estimate_at",
+        fun () ->
+          ignore (Wafer.estimate_at t ~position:Position.point_b sampling) ) ]
+  in
+  Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Metrics.set_enabled false) (fun () ->
+      List.iter
+        (fun (name, op) ->
+          op ();
+          let w0 = Metrics.counter_value workspaces in
+          op ();
+          Alcotest.(check int) (name ^ ": workspaces built by a second op") 0
+            (Metrics.counter_value workspaces - w0))
+        ops);
+  let ctx = Compensation.context t in
+  Alcotest.(check bool) "scratch is fresh" true
+    (Compensation.scratch ctx != Compensation.scratch ctx);
+  let first, second =
+    Compensation.with_scratches ctx (fun lease ->
+        let a = lease () in
+        (a, lease ()))
+  in
+  Alcotest.(check bool) "leases are distinct" true (first != second);
+  let again = Compensation.with_scratches ctx (fun lease -> lease ()) in
+  Alcotest.(check bool) "a returned scratch is leased again" true
+    (again == first || again == second)
 
 (* Minor words per die per cell of the serial replay below — detect,
    then the island, chip-wide and skew applies — on the quick design
@@ -546,6 +655,9 @@ let suite =
         test_detect_matches_full_pass;
       Alcotest.test_case "tracked scratch = full-rescale oracle" `Quick
         test_tracked_scratch_matches_full_rescale;
+      Alcotest.test_case "chip-wide stamp is per die" `Quick
+        test_chipwide_stamp_per_die;
+      Alcotest.test_case "scratch reuse across ops" `Quick test_scratch_reuse;
       Alcotest.test_case "per-die allocation bound" `Quick
         test_die_allocation_bound;
       Alcotest.test_case "compare validation" `Quick test_compare_validation;

@@ -107,6 +107,32 @@ let test_trace_empty () =
   | Ok _ -> Alcotest.fail "chrome JSON is not an array"
   | Error e -> Alcotest.failf "empty chrome JSON invalid: %s" e
 
+let test_trace_self_alloc () =
+  (* A span whose body only forces a child that allocates on the major
+     heap reports that allocation in its totals, not in its self words;
+     the child's self words are its totals. *)
+  let t = Trace.create () in
+  let words = 1_000_000 in
+  let kept = ref [||] in
+  Trace.span t ~name:"parent" (fun () ->
+      Trace.span t ~name:"child" (fun () -> kept := Array.make words 0.0));
+  Alcotest.(check int) "child kept its array" words (Array.length !kept);
+  let parent = Option.get (Trace.find t "parent") in
+  let child = Option.get (Trace.find t "child") in
+  Alcotest.(check bool) "child allocated on the major heap" true
+    (child.Trace.major_words >= float_of_int words);
+  Alcotest.(check bool) "child self = child total" true
+    (child.Trace.self_major_words = child.Trace.major_words
+    && child.Trace.self_minor_words = child.Trace.minor_words);
+  Alcotest.(check bool) "parent total includes the child" true
+    (parent.Trace.major_words >= child.Trace.major_words);
+  if parent.Trace.self_major_words > 1000.0 then
+    Alcotest.failf "parent self major words %.0f, expected ~0"
+      parent.Trace.self_major_words;
+  if parent.Trace.self_minor_words > 1000.0 then
+    Alcotest.failf "parent self minor words %.0f, expected ~0"
+      parent.Trace.self_minor_words
+
 let test_trace_gc_fields () =
   let t = Trace.create () in
   let r =
@@ -137,7 +163,7 @@ let test_trace_gc_fields () =
       Alcotest.(check bool) (field ^ " exported") true
         (Json.member field span_j <> None))
     [ "promoted_words"; "minor_collections"; "major_collections";
-      "compactions" ]
+      "compactions"; "self_minor_words"; "self_major_words" ]
 
 (* --- Run ledger ---------------------------------------------------- *)
 
@@ -487,6 +513,7 @@ let suite =
       QCheck_alcotest.to_alcotest prop_json_float_exact;
       Alcotest.test_case "empty trace exports" `Quick test_trace_empty;
       Alcotest.test_case "span gc deltas" `Quick test_trace_gc_fields;
+      Alcotest.test_case "span self allocation" `Quick test_trace_self_alloc;
       Alcotest.test_case "ledger round-trip" `Quick test_ledger_roundtrip;
       Alcotest.test_case "ledger digests vs PVTOL_DOMAINS" `Slow
         test_ledger_domain_stability;

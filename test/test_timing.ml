@@ -389,61 +389,6 @@ let test_analyze_batch_matches_scalar () =
     ([ (1, 1); (8, 5) ]
     @ List.map (fun lanes -> (32, lanes)) [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 31; 32 ])
 
-let test_analyze_incremental_matches_full () =
-  (* The incremental pass must stay bit-identical to the scalar oracle's
-     full pass across a settle-loop-like sequence of delay vectors, with
-     the zero skew row and a non-zero one: first call (cold), an
-     island raise of a third of the cells (fallback), a sparse raise, a
-     single-cell change, a single-flop change, an
-     identical re-analysis, a whole-netlist change (fallback), and a
-     post-invalidate call.  Every call that runs a full pass — the cold
-     one included — counts one [sta_full_fallbacks_total]. *)
-  let _, sta = Lazy.force vex_sta in
-  let base = Sta.nominal_delays sta in
-  let n = Array.length base in
-  let flop = (Sta.flop_ids sta).(0) in
-  let o = Sta_oracle.workspace sta in
-  let fallbacks = Pvtol_util.Metrics.counter "sta_full_fallbacks_total" in
-  Pvtol_util.Metrics.set_enabled true;
-  Fun.protect ~finally:(fun () -> Pvtol_util.Metrics.set_enabled false)
-  @@ fun () ->
-  List.iter
-    (fun (skew_label, skew) ->
-      let iw = Sta.inc_workspace sta in
-      set_skew_row sta (Sta.inc_ws iw) skew;
-      let delays = Array.make n 0.0 in
-      let apply label ~full f =
-        f ();
-        let f0 = Pvtol_util.Metrics.counter_value fallbacks in
-        Sta.analyze_incremental_into sta iw ~delays;
-        let label = skew_label ^ ", " ^ label in
-        Alcotest.(check int) (label ^ ": full passes") (if full then 1 else 0)
-          (Pvtol_util.Metrics.counter_value fallbacks - f0);
-        Sta_oracle.analyze_into ~skew o ~delays;
-        check_lane_matches_oracle label sta (Sta.inc_ws iw) 0 o
-      in
-      apply "cold start" ~full:true (fun () -> Array.blit base 0 delays 0 n);
-      apply "island raise (fallback)" ~full:true (fun () ->
-          for i = 0 to n - 1 do
-            delays.(i) <- (if i mod 3 = 0 then 0.8 *. base.(i) else base.(i))
-          done);
-      apply "sparse raise" ~full:false (fun () ->
-          for i = 0 to n - 1 do
-            if i mod 97 = 0 then delays.(i) <- 0.9 *. delays.(i)
-          done);
-      apply "single cell" ~full:false (fun () ->
-          delays.(n / 2) <- delays.(n / 2) *. 1.5);
-      apply "single flop" ~full:false (fun () ->
-          delays.(flop) <- delays.(flop) *. 1.3);
-      apply "identical re-analysis" ~full:false (fun () -> ());
-      apply "whole netlist (fallback)" ~full:true (fun () ->
-          for i = 0 to n - 1 do
-            delays.(i) <- base.(i) *. 1.07
-          done);
-      Sta.inc_invalidate iw;
-      apply "after invalidate" ~full:true (fun () -> ()))
-    skews
-
 (* --- one timing graph per sizing run --- *)
 
 let same_bits label a b =
@@ -690,8 +635,6 @@ let suite =
         test_analyze_into_matches_analyze;
       Alcotest.test_case "batch lanes match scalar" `Quick
         test_analyze_batch_matches_scalar;
-      Alcotest.test_case "incremental matches full" `Quick
-        test_analyze_incremental_matches_full;
       Alcotest.test_case "stage endpoint ids" `Quick test_stage_endpoint_ids;
       Alcotest.test_case "view = build (chained rounds)" `Quick test_view_matches_build;
       qcheck test_view_redrive_sequences;

@@ -106,47 +106,47 @@ let test_delay_scale_consistency () =
 let check_bits label expected got =
   if expected <> got then Alcotest.failf "%s: expected %h, got %h" label expected got
 
-let test_scale_delays_vectorized () =
-  (* The array kernel is the scalar [Process.delay_scale] per cell, bit
-     for bit: both supplies, a mixed per-cell supply vector, and Lgates
-     far outside the Monte-Carlo window (the batched fit's range). *)
-  let sampler = Sampler.create () in
-  let process = sampler.Sampler.process in
-  let low = process.Process.vdd_low and high = process.Process.vdd_high in
-  let lgates = [| 65.0; 66.0; 64.0; 58.3; 71.9; 40.0; 95.0; 65.0 +. 1e-9 |] in
+(* [Process.supply_delays] against the scalar [Process.delay_scale] at
+   both supplies, bit for bit. *)
+let check_supply_delays process ~base ~lgates =
   let n = Array.length lgates in
-  let base = Array.init n (fun i -> 0.05 +. (0.01 *. float_of_int i)) in
-  let expected vdd i =
-    base.(i) *. Process.delay_scale process ~vdd:vdd.(i) ~lgate_nm:lgates.(i)
-  in
-  let out = Array.make n 0.0 and scaled_at = Array.make n nan in
-  List.iter
-    (fun (label, vdd) ->
-      Array.fill scaled_at 0 n nan;
-      Sampler.scale_delays sampler ~base ~lgates ~vdd ~scaled_at ~out;
-      Array.iteri
-        (fun i _ ->
-          check_bits (Printf.sprintf "%s cell %d" label i) (expected vdd i) out.(i);
-          check_bits (Printf.sprintf "%s cell %d supply" label i) vdd.(i)
-            scaled_at.(i))
-        out)
-    [ ("low", Array.make n low); ("high", Array.make n high);
-      ("mixed", Array.init n (fun i -> if i mod 3 = 0 then high else low)) ];
-  (* Supply tracking: only cells whose supply changed are rescaled.  A
-     sentinel in [out] survives exactly where the supply is unchanged. *)
-  let first = Array.init n (fun i -> if i mod 2 = 0 then low else high) in
-  let next = Array.init n (fun i -> if i < n / 2 then low else high) in
-  Array.fill scaled_at 0 n nan;
-  Sampler.scale_delays sampler ~base ~lgates ~vdd:first ~scaled_at ~out;
-  for i = 0 to n - 1 do
-    if first.(i) = next.(i) then out.(i) <- -1.0
-  done;
-  Sampler.scale_delays sampler ~base ~lgates ~vdd:next ~scaled_at ~out;
-  for i = 0 to n - 1 do
-    let label = Printf.sprintf "tracked cell %d" i in
-    if first.(i) = next.(i) then check_bits label (-1.0) out.(i)
-    else check_bits label (expected next i) out.(i)
-  done
+  let low = Array.make n nan and high = Array.make n nan in
+  Process.supply_delays process ~base ~lgates ~low ~high;
+  List.for_all
+    (fun (vdd, out) ->
+      List.for_all
+        (fun i ->
+          Int64.equal
+            (Int64.bits_of_float out.(i))
+            (Int64.bits_of_float
+               (base.(i) *. Process.delay_scale process ~vdd ~lgate_nm:lgates.(i))))
+        (List.init n Fun.id))
+    [ (process.Process.vdd_low, low); (process.Process.vdd_high, high) ]
+
+let test_supply_delays_bitwise () =
+  (* The two-supply kernel shares [lgate ** 1.5] and the DIBL
+     exponential between the supplies; each vector must still be the
+     scalar model per cell, for Lgates far outside the Monte-Carlo
+     window (the batched fit's range) too. *)
+  let process = (Sampler.create ()).Sampler.process in
+  let lgates = [| 65.0; 66.0; 64.0; 58.3; 71.9; 40.0; 95.0; 65.0 +. 1e-9 |] in
+  let base = Array.init (Array.length lgates) (fun i -> 0.05 +. (0.01 *. float_of_int i)) in
+  Alcotest.(check bool) "both supplies bitwise" true
+    (check_supply_delays process ~base ~lgates);
+  Alcotest.check_raises "length mismatch"
+    (Invalid_argument "Process.supply_delays: array lengths differ") (fun () ->
+      Process.supply_delays process ~base ~lgates:[| 65.0 |] ~low:base ~high:base)
+
+let prop_supply_delays_bitwise =
+  QCheck.Test.make ~name:"supply_delays = delay_scale, random" ~count:500
+    QCheck.(
+      pair (float_range 0.001 1.0)
+        (array_of_size Gen.(int_range 1 16) (float_range 20.0 130.0)))
+    (fun (b, lgates) ->
+      let process = Process.default in
+      let base = Array.mapi (fun i _ -> b *. float_of_int (i + 1)) lgates in
+      check_supply_delays process ~base ~lgates
+      && check_supply_delays Process.paper_literal ~base ~lgates)
 
 let test_sample_lgates_bitwise () =
   (* [sample_lgates] draws in bulk; it must equal the per-cell
@@ -271,7 +271,9 @@ let suite =
       Alcotest.test_case "systematic per position" `Quick test_systematic_per_position;
       Alcotest.test_case "sampling moments" `Quick test_sampling_moments;
       Alcotest.test_case "delay scale consistency" `Quick test_delay_scale_consistency;
-      Alcotest.test_case "scale_delays vectorized" `Quick test_scale_delays_vectorized;
+      Alcotest.test_case "supply_delays = delay_scale" `Quick
+        test_supply_delays_bitwise;
+      QCheck_alcotest.to_alcotest prop_supply_delays_bitwise;
       Alcotest.test_case "sample_lgates = per-cell gaussian loop" `Quick
         test_sample_lgates_bitwise;
       Alcotest.test_case "systematic map = per-cell field" `Quick
