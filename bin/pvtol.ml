@@ -300,14 +300,28 @@ let wafer_cmd =
       & info [ "ci-metric" ] ~doc ~docv:"yield|rare")
   in
   let rare_scenario =
+    let stages = List.length Pvtol_ssta.Scenario.analyzed_stages in
     let doc =
-      "The rare scenario: a die with at least $(docv) islands violating \
-       before compensation."
+      Printf.sprintf
+        "The rare scenario: a die with at least $(docv) islands violating \
+         before compensation, 1 to %d (the analyzed stages)."
+        stages
     in
-    Arg.(value & opt pos_int 2 & info [ "rare-scenario" ] ~doc ~docv:"M")
+    let count =
+      checked_conv Arg.int
+        ~ok:(fun m -> m > 0 && m <= stages)
+        ~what:(Printf.sprintf "not in 1..%d" stages)
+    in
+    Arg.(value & opt count 2 & info [ "rare-scenario" ] ~doc ~docv:"M")
   in
   let strata =
-    let doc = "Position strata per axis for the $(b,is)/$(b,lhs) samplers." in
+    let doc =
+      "Position strata per axis: $(docv)x$(docv) groups, each running \
+       $(b,--dies) dies per round, so every sampler draws $(docv)^2 x \
+       $(b,--dies) dies per round.  $(b,is) and $(b,lhs) place each \
+       group's dies inside its stratum; under $(b,mc) the groups are \
+       independent substreams of one uniform sample over the field."
+    in
     Arg.(value & opt pos_int 4 & info [ "strata" ] ~doc ~docv:"S")
   in
   let rounds =

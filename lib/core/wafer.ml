@@ -147,15 +147,6 @@ let tally_create (strategies : Compensation.strategy array) =
         strategies;
   }
 
-let tally_die ta (d : Compensation.detect) =
-  ta.n_dies <- ta.n_dies + 1;
-  if d.Compensation.violating = 0 then
-    ta.n_uncompensated <- ta.n_uncompensated + 1;
-  Welford.add ta.delay_ns d.Compensation.worst_low_ns;
-  P2.add ta.delay_p50 d.Compensation.worst_low_ns;
-  P2.add ta.delay_p90 d.Compensation.worst_low_ns;
-  Counter.add ta.violating d.Compensation.violating
-
 let tally_outcome st (o : Compensation.outcome) =
   if o.Compensation.meets then st.meets <- st.meets + 1;
   st.knob_sum <- st.knob_sum + o.Compensation.knob;
@@ -164,35 +155,70 @@ let tally_outcome st (o : Compensation.outcome) =
   Welford.add st.area o.Compensation.area_um2;
   Counter.add st.knobs o.Compensation.knob
 
+let tally_die ta (d : Compensation.detect) outcomes =
+  ta.n_dies <- ta.n_dies + 1;
+  if d.Compensation.violating = 0 then
+    ta.n_uncompensated <- ta.n_uncompensated + 1;
+  Welford.add ta.delay_ns d.Compensation.worst_low_ns;
+  P2.add ta.delay_p50 d.Compensation.worst_low_ns;
+  P2.add ta.delay_p90 d.Compensation.worst_low_ns;
+  Counter.add ta.violating d.Compensation.violating;
+  for i = 0 to Array.length outcomes - 1 do
+    tally_outcome ta.strategies.(i) outcomes.(i)
+  done
+
 type on_cell = completed:int -> total:int -> unit
 
-let tally ?pool ?on_cell ctx strategies sites =
+(* [site sc c s]: site [c]'s accumulator, before its first die (may draw
+   from [s]'s streams).  [die acc sc i rng]: the map die [i] of [rng] is
+   detected at.  [record]: its detect and outcomes, in strategy order. *)
+type 'acc source = {
+  site : Compensation.scratch -> int -> site -> 'acc;
+  die : 'acc -> Compensation.scratch -> int -> Srng.t -> float array;
+  record : 'acc -> Compensation.detect -> Compensation.outcome array -> unit;
+}
+
+let site_tally ctx strategies =
+  let map = ref [||] in
+  {
+    site =
+      (fun sc _ site ->
+        map := Compensation.systematic_into ctx sc site.position;
+        tally_create strategies);
+    die = (fun _ _ _ _ -> !map);
+    record = tally_die;
+  }
+
+let no_outcome =
+  { Compensation.meets = false; knob = 0; power_mw = 0.0; area_um2 = 0.0 }
+
+let tally ?pool ?on_cell ctx strategies source sites =
   let pool = match pool with Some p -> p | None -> Pool.shared () in
   let total_sites = Array.length sites in
   let completed = Atomic.make 0 in
-  (* One chunk per site; a worker reuses its detect scratch, leased
-     from the timing graph's free list, and one private apply state per
-     strategy across every site it picks up.  All of a site's dies run
-     serially inside its chunk, stream by stream, each detected once
-     and then compensated by every strategy in request order, so the
-     per-site tallies — including the order-sensitive P^2 markers — are
-     independent of scheduling. *)
+  (* One chunk per site; a worker reuses its scratch, apply states and
+     source across every site it picks up.  A site's dies run serially
+     inside its chunk, so its accumulator — including the
+     order-sensitive P^2 markers — is independent of scheduling. *)
   Compensation.with_scratches ctx @@ fun lease ->
   Pool.parallel_chunks pool ~chunks:total_sites
     ~init:(fun ~worker:_ ->
-      (lease (), Array.map (fun s -> s.Compensation.fresh_apply ()) strategies))
-    ~f:(fun (sc, applies) c ->
+      ( lease (),
+        Array.map (fun s -> s.Compensation.fresh_apply ()) strategies,
+        Array.make (Array.length strategies) no_outcome,
+        source ctx strategies ))
+    ~f:(fun (sc, applies, outcomes, src) c ->
       let site = sites.(c) in
-      let systematic = Compensation.systematic_into ctx sc site.position in
-      let ta = tally_create strategies in
+      let acc = src.site sc c site in
       Array.iter
         (fun rng ->
-          for _ = 1 to site.dies_per_stream do
+          for i = 0 to site.dies_per_stream - 1 do
+            let systematic = src.die acc sc i rng in
             let d = Compensation.detect ctx sc ~systematic rng in
-            tally_die ta d;
-            for i = 0 to Array.length applies - 1 do
-              tally_outcome ta.strategies.(i) (applies.(i) sc d)
-            done
+            for j = 0 to Array.length applies - 1 do
+              outcomes.(j) <- applies.(j) sc d
+            done;
+            src.record acc d outcomes
           done)
         site.streams;
       (* Progress callbacks fire from whichever domain finished the
@@ -203,7 +229,7 @@ let tally ?pool ?on_cell ctx strategies sites =
       | Some f -> (
         let done_ = 1 + Atomic.fetch_and_add completed 1 in
         try f ~completed:done_ ~total:total_sites with _ -> ()));
-      ta)
+      acc)
 
 let tally_total strategies tallies =
   (* Ordered reduction (site order), so totals are bit-identical no
@@ -235,7 +261,7 @@ let run ?pool ?on_cell (t : Flow.t) (v : Flow.variant) cfg =
   let k = Compensation.kernel t v in
   let strategies = [| k.Compensation.vi; k.Compensation.cw |] in
   let tallies =
-    tally ?pool ?on_cell k.Compensation.ctx strategies
+    tally ?pool ?on_cell k.Compensation.ctx strategies site_tally
       (grid_sites ~who:"Wafer.run" v cfg)
   in
   let total = tally_total strategies tallies in
@@ -487,48 +513,37 @@ type sampling_report = {
   sr_groups : sampling_group array;
 }
 
-(* Per-die metric vector: [0] uncompensated yield, [1] compensated
-   yield, [2] chip-wide yield, [3] the rare scenario (>= s_rare islands
-   violating before compensation).  Each is accumulated as the plain
-   Welford stream of w * y — an importance-sampling estimate and its
-   variance need nothing beyond the transformed values. *)
-let n_sampling_metrics = 4
+(* A stratum's accumulator: one Welford stream per metric — [0]
+   uncompensated yield, [1] compensated yield, [2] chip-wide yield, [3]
+   the rare scenario (>= s_rare islands violating before compensation),
+   each of w * y for the die's 0/1 indicator y — and [4] of the weight
+   w.  An importance-sampling estimate and its variance need nothing
+   beyond the transformed values, and the weight stream counts the
+   dies. *)
+let weight_stream = 4
 
 let designated_metric = function Ci_yield -> 0 | Ci_rare -> 3
 
-let die_values ~rare (d : Compensation.detect) ~(vi : Compensation.outcome)
-    ~(cw : Compensation.outcome) out =
-  let ind b = if b then 1.0 else 0.0 in
-  out.(0) <- ind (d.Compensation.violating = 0);
-  out.(1) <- ind vi.Compensation.meets;
-  out.(2) <- ind cw.Compensation.meets;
-  out.(3) <- ind (d.Compensation.violating >= rare)
+let gacc_create () = Array.init (weight_stream + 1) (fun _ -> Welford.create ())
 
-type gacc = {
-  ga_metrics : Welford.t array;
-  ga_weight : Welford.t;
-  mutable ga_dies : int;
+let gacc_dies ga = Welford.count ga.(weight_stream)
+
+(* A stratum's round: its index, lhs plan (else empty) and accumulator. *)
+type stratum_round = {
+  st_g : int;
+  st_px : int array;
+  st_py : int array;
+  st_acc : Welford.t array;
 }
 
-let gacc_create () =
-  {
-    ga_metrics = Array.init n_sampling_metrics (fun _ -> Welford.create ());
-    ga_weight = Welford.create ();
-    ga_dies = 0;
-  }
-
-type site_mode = Wafer_field | Fixed_site of Position.t
-
-let run_sampling ?pool ?on_round (t : Flow.t) (v : Flow.variant) ~mode scfg =
+let run_sampling ?pool ?on_round (t : Flow.t) ~position scfg =
   if scfg.s_strata <= 0 || scfg.s_dies_per_round <= 0 || scfg.s_max_rounds <= 0
-  then
-    invalid_arg "Wafer.estimate: strata, dies and rounds must be positive";
+  then invalid_arg "Wafer.estimate: strata, dies and rounds must be positive";
   if not (scfg.s_ci_target > 0.0) then
     invalid_arg "Wafer.estimate: ci target must be positive";
-  if scfg.s_rare <= 0 then invalid_arg "Wafer.estimate: rare must be positive";
-  if v.Flow.direction <> scfg.s_direction then
-    invalid_arg "Wafer.estimate: variant direction does not match the config";
-  let k = Compensation.kernel t v in
+  if scfg.s_rare <= 0 || scfg.s_rare > List.length Scenario.analyzed_stages
+  then invalid_arg "Wafer.estimate: rare must be in 1..analyzed stages";
+  let k = Compensation.kernel t (Flow.variant t scfg.s_direction) in
   let ctx = k.Compensation.ctx in
   let sampler = Flow.sampler t in
   let sta = Flow.sta t in
@@ -541,23 +556,15 @@ let run_sampling ?pool ?on_round (t : Flow.t) (v : Flow.variant) ~mode scfg =
   in
   let base = Pvtol_timing.Sta.nominal_delays sta in
   let pool = match pool with Some p -> p | None -> Pool.shared () in
-  (* Fixed-site runs keep the stratum grid as independent parallel
-     substreams of the same position — the stratified estimate over
-     identically-distributed groups is the plain pooled estimate, and
-     the oracle's long brute-force runs get the pool's full width. *)
+  (* A fixed site keeps the stratum grid as parallel substreams of one
+     position (the pooled estimate), so long runs use the whole pool. *)
   let s = scfg.s_strata in
   let groups = s * s in
   let q = scfg.s_dies_per_round in
   let sf = float_of_int s and qf = float_of_int q in
-  let group_pos g =
-    match mode with
-    | Fixed_site p -> p
-    | Wafer_field ->
-      let gx = g mod s and gy = g / s in
-      Position.at_xy
-        ~x_frac:((float_of_int gx +. 0.5) /. sf)
-        ~y_frac:((float_of_int gy +. 0.5) /. sf)
-        ()
+  let centre g =
+    let mid i = (float_of_int i +. 0.5) /. sf in
+    Position.at_xy ~x_frac:(mid (g mod s)) ~y_frac:(mid (g / s)) ()
   in
   (* IS builds one mixture per stratum at its center position; the
      tilt is a z-space object, so the within-stratum position jitter
@@ -568,143 +575,124 @@ let run_sampling ?pool ?on_round (t : Flow.t) (v : Flow.variant) ~mode scfg =
       (Smart_sampling.tilts ~sampler ~sta ~base ~systematic ~vdd:low ~clock
          ~stages:Scenario.analyzed_stages ~rare:scfg.s_rare ())
   in
-  (* A fixed site's map is one array for the whole run; a wafer-field
-     die writes its map into its worker's scratch. *)
-  let fixed_systematic =
-    match mode with
-    | Fixed_site p -> Some (Compensation.systematic ctx p)
-    | Wafer_field -> None
-  in
   let models =
-    match (scfg.s_method, mode) with
-    | Smart_sampling.Is, Fixed_site p ->
+    match (scfg.s_method, position) with
+    | Smart_sampling.Is, Some p ->
       (* One position, one mixture — shared by every substream. *)
       Array.make groups (model_at p)
-    | Smart_sampling.Is, Wafer_field ->
+    | Smart_sampling.Is, None ->
       Pool.parallel_chunks pool ~chunks:groups
         ~init:(fun ~worker:_ -> ())
-        ~f:(fun () g -> model_at (group_pos g))
+        ~f:(fun () g -> model_at (centre g))
     | (Smart_sampling.Mc | Smart_sampling.Lhs), _ ->
       Array.make groups Smart_sampling.plain
   in
+  (* The map of die [r] of a stratum, placed on the field by its two
+     jitter uniforms.  mc: i.i.d. uniform over the field — the strata are
+     only independent substreams of one plain sample; is: uniform inside
+     the stratum; lhs: inside the stratum's sub-cell of the round's plan.
+     A fixed site's map is one array for the whole run. *)
+  let field_map sc st r ux uy =
+    let gx = float_of_int (st.st_g mod s) and gy = float_of_int (st.st_g / s) in
+    let fx, fy =
+      match scfg.s_method with
+      | Smart_sampling.Mc -> (ux, uy)
+      | Smart_sampling.Is -> ((gx +. ux) /. sf, (gy +. uy) /. sf)
+      | Smart_sampling.Lhs ->
+        ( (gx +. ((float_of_int st.st_px.(r) +. ux) /. qf)) /. sf,
+          (gy +. ((float_of_int st.st_py.(r) +. uy) /. qf)) /. sf )
+    in
+    Compensation.systematic_into ctx sc (Position.at_xy ~x_frac:fx ~y_frac:fy ())
+  in
+  let fixed = Option.map (Compensation.systematic ctx) position in
+  (* The die source of a round's [tally].  Per-die stream layout is
+     fixed per method: lhs prefixes the stratum's round with its two
+     axis permutations, is prefixes each die with its component pick,
+     and every die consumes two jitter uniforms (also at a fixed site)
+     and exactly [n] gaussians.  [record] reads the die's weight. *)
+  let source _ _ =
+    let zbuf = Array.make n 0.0 and sysbuf = Array.make n 0.0 in
+    let weight = Array.make 1 1.0 in
+    {
+      site =
+        (fun _ g site ->
+          let st_px, st_py =
+            match scfg.s_method with
+            | Smart_sampling.Lhs ->
+              Smart_sampling.lhs_permutations site.streams.(0) q
+            | Smart_sampling.Mc | Smart_sampling.Is -> ([||], [||])
+          in
+          { st_g = g; st_px; st_py; st_acc = gacc_create () });
+      die =
+        (fun st sc r rng ->
+          let model = models.(st.st_g) in
+          let comp =
+            match scfg.s_method with
+            | Smart_sampling.Is -> Smart_sampling.pick model rng
+            | Smart_sampling.Mc | Smart_sampling.Lhs -> -1
+          in
+          let ux = Srng.uniform rng in
+          let uy = Srng.uniform rng in
+          let systematic =
+            match fixed with Some map -> map | None -> field_map sc st r ux uy
+          in
+          weight.(0) <- 1.0;
+          if Smart_sampling.n_components model = 0 then systematic
+          else begin
+            (* Draw-ahead replay: price the balance-heuristic weight on
+               the raw gaussians detect is about to consume, then
+               realise the tilt as a shifted systematic field. *)
+            let pre = Srng.copy rng in
+            Srng.fill_gaussians pre zbuf ~pos:0 ~len:n;
+            weight.(0) <- Smart_sampling.weight model ~comp ~z:zbuf;
+            match Smart_sampling.shift model ~comp with
+            | Either.Right () -> systematic
+            | Either.Left tilt ->
+              Sampler.shifted_systematic sampler ~systematic
+                ~cells:tilt.Smart_sampling.cells ~dir:tilt.Smart_sampling.dir
+                ~theta:tilt.Smart_sampling.theta ~out:sysbuf;
+              sysbuf
+          end);
+      record =
+        (fun st d outcomes ->
+          (* w * y is exactly w or 0: weights are finite and positive. *)
+          let w = weight.(0) and acc = st.st_acc in
+          let vi = outcomes.(0) and cw = outcomes.(1) in
+          Welford.add acc.(0) (if d.Compensation.violating = 0 then w else 0.0);
+          Welford.add acc.(1) (if vi.Compensation.meets then w else 0.0);
+          Welford.add acc.(2) (if cw.Compensation.meets then w else 0.0);
+          Welford.add acc.(3) (if d.violating >= scfg.s_rare then w else 0.0);
+          Welford.add acc.(weight_stream) w);
+    }
+  in
+  let strategies = [| k.Compensation.vi; k.Compensation.cw |] in
+  let site_at = match position with Some p -> Fun.const p | None -> centre in
   let gaccs = Array.init groups (fun _ -> gacc_create ()) in
   let pi_g = 1.0 /. float_of_int groups in
   let combine m =
     let mid, hw =
       Smart_sampling.combine ~confidence:scfg.s_confidence
-        (Array.map (fun ga -> (pi_g, ga.ga_metrics.(m))) gaccs)
+        (Array.map (fun ga -> (pi_g, ga.(m))) gaccs)
     in
     { mid; hw }
   in
   let rounds = ref 0 and converged = ref false in
   while (not !converged) && !rounds < scfg.s_max_rounds do
     let round = !rounds in
-    (* One pool chunk per stratum; each stratum's round is a fresh RNG
-       substream keyed by (seed, round, gy, gx), its dies run serially
-       inside the chunk, and the per-round accumulators are merged into
-       the persistent ones in stratum order — bit-identical for every
-       domain count and schedule, like the census sweep above. *)
-    let round_accs =
-      Compensation.with_scratches ctx @@ fun lease ->
-      Pool.parallel_chunks pool ~chunks:groups
-        ~init:(fun ~worker:_ ->
-          ( lease (),
-            k.Compensation.vi.Compensation.fresh_apply (),
-            k.Compensation.cw.Compensation.fresh_apply (),
-            (Array.make n 0.0, Array.make n 0.0,
-             Array.make n_sampling_metrics 0.0) ))
-        ~f:(fun (sc, vi, cw, (zbuf, sysbuf, vbuf)) g ->
-          let gx = g mod s and gy = g / s in
-          let model = models.(g) in
-          let rng = Srng.create (Srng.substream_seed scfg.s_seed [ round; gy; gx ]) in
-          let acc = gacc_create () in
-          (* Per-die stream layout is fixed per method: lhs prefixes
-             the round with its two axis permutations, is prefixes each
-             die with its component pick, and every die consumes two
-             jitter uniforms and exactly [n] gaussians. *)
-          let px, py =
-            match scfg.s_method with
-            | Smart_sampling.Lhs -> Smart_sampling.lhs_permutations rng q
-            | Smart_sampling.Mc | Smart_sampling.Is -> ([||], [||])
-          in
-          for r = 0 to q - 1 do
-            let comp =
-              match scfg.s_method with
-              | Smart_sampling.Is -> Smart_sampling.pick model rng
-              | Smart_sampling.Mc | Smart_sampling.Lhs -> -1
-            in
-            let ux = Srng.uniform rng in
-            let uy = Srng.uniform rng in
-            let pos =
-              match mode with
-              | Fixed_site p -> p
-              | Wafer_field ->
-                let fx, fy =
-                  match scfg.s_method with
-                  (* mc: i.i.d. uniform over the field — the strata are
-                     only independent substreams of one plain sample *)
-                  | Smart_sampling.Mc -> (ux, uy)
-                  | Smart_sampling.Is ->
-                    ( (float_of_int gx +. ux) /. sf,
-                      (float_of_int gy +. uy) /. sf )
-                  | Smart_sampling.Lhs ->
-                    ( (float_of_int gx
-                      +. ((float_of_int px.(r) +. ux) /. qf))
-                      /. sf,
-                      (float_of_int gy
-                      +. ((float_of_int py.(r) +. uy) /. qf))
-                      /. sf )
-                in
-                Position.at_xy ~x_frac:fx ~y_frac:fy ()
-            in
-            let systematic =
-              match fixed_systematic with
-              | Some map -> map
-              | None -> Compensation.systematic_into ctx sc pos
-            in
-            let w, sys_used =
-              if Smart_sampling.n_components model = 0 then (1.0, systematic)
-              else begin
-                (* Draw-ahead replay: observe the raw gaussians the die
-                   kernel is about to consume, price the balance-
-                   heuristic weight on them, then realise the tilt as a
-                   shifted systematic field through the unchanged
-                   kernel. *)
-                let pre = Srng.copy rng in
-                Srng.fill_gaussians pre zbuf ~pos:0 ~len:n;
-                let w = Smart_sampling.weight model ~comp ~z:zbuf in
-                match Smart_sampling.shift model ~comp with
-                | Either.Right () -> (w, systematic)
-                | Either.Left tilt ->
-                  Sampler.shifted_systematic sampler ~systematic
-                    ~cells:tilt.Smart_sampling.cells
-                    ~dir:tilt.Smart_sampling.dir
-                    ~theta:tilt.Smart_sampling.theta ~out:sysbuf;
-                  (w, sysbuf)
-              end
-            in
-            let d = Compensation.detect ctx sc ~systematic:sys_used rng in
-            let ovi = vi sc d in
-            let ocw = cw sc d in
-            die_values ~rare:scfg.s_rare d ~vi:ovi ~cw:ocw vbuf;
-            for m = 0 to n_sampling_metrics - 1 do
-              Welford.add acc.ga_metrics.(m) (w *. vbuf.(m))
-            done;
-            Welford.add acc.ga_weight w;
-            acc.ga_dies <- acc.ga_dies + 1
-          done;
-          Metrics.add m_sampling_dies acc.ga_dies;
-          acc)
+    (* A round is one site per stratum, at its centre (or the fixed
+       position), with one stream keyed by (seed, round, gy, gx).  The
+       round's accumulators merge in stratum order, so reports are
+       bit-identical for every domain count and schedule. *)
+    let site g =
+      let seed = Srng.substream_seed scfg.s_seed [ round; g / s; g mod s ] in
+      { position = site_at g; streams = [| Srng.create seed |]; dies_per_stream = q }
     in
-    Array.iteri
-      (fun g racc ->
-        let ga = gaccs.(g) in
-        for m = 0 to n_sampling_metrics - 1 do
-          Welford.merge ~into:ga.ga_metrics.(m) racc.ga_metrics.(m)
-        done;
-        Welford.merge ~into:ga.ga_weight racc.ga_weight;
-        ga.ga_dies <- ga.ga_dies + racc.ga_dies)
-      round_accs;
+    Array.iter
+      (fun st ->
+        let ga = gaccs.(st.st_g) in
+        Array.iteri (fun m racc -> Welford.merge ~into:ga.(m) racc) st.st_acc;
+        Metrics.add m_sampling_dies (gacc_dies st.st_acc))
+      (tally ~pool ctx strategies source (Array.init groups site));
     incr rounds;
     let hw = (combine (designated_metric scfg.s_ci_metric)).hw in
     (* A zero half-width means every die agreed — for indicator metrics
@@ -721,16 +709,16 @@ let run_sampling ?pool ?on_round (t : Flow.t) (v : Flow.variant) ~mode scfg =
   let designated = combine (designated_metric scfg.s_ci_metric) in
   {
     sr_config = scfg;
-    sr_position = (match mode with Fixed_site p -> Some p | Wafer_field -> None);
+    sr_position = position;
     sr_clock_ns = clock;
     sr_rounds = !rounds;
     sr_converged = !converged;
-    sr_dies = Array.fold_left (fun a ga -> a + ga.ga_dies) 0 gaccs;
+    sr_dies = Array.fold_left (fun a ga -> a + gacc_dies ga) 0 gaccs;
     sr_estimate = designated.mid;
     sr_ci_halfwidth = designated.hw;
     sr_effective_samples =
       Array.fold_left
-        (fun a ga -> a +. Smart_sampling.effective_samples ga.ga_weight)
+        (fun a ga -> a +. Smart_sampling.effective_samples ga.(weight_stream))
         0.0 gaccs;
     sr_yield_uncompensated = combine 0;
     sr_yield_compensated = combine 1;
@@ -742,13 +730,13 @@ let run_sampling ?pool ?on_round (t : Flow.t) (v : Flow.variant) ~mode scfg =
           {
             sg_ix = g mod s;
             sg_iy = g / s;
-            sg_dies = ga.ga_dies;
+            sg_dies = gacc_dies ga;
             sg_components = Smart_sampling.n_components models.(g);
-            sg_yield_uncompensated = Welford.mean ga.ga_metrics.(0);
-            sg_rare = Welford.mean ga.ga_metrics.(3);
-            sg_mean_weight = Welford.mean ga.ga_weight;
+            sg_yield_uncompensated = Welford.mean ga.(0);
+            sg_rare = Welford.mean ga.(3);
+            sg_mean_weight = Welford.mean ga.(weight_stream);
             sg_effective_samples =
-              Smart_sampling.effective_samples ga.ga_weight;
+              Smart_sampling.effective_samples ga.(weight_stream);
           })
         gaccs;
   }
@@ -759,13 +747,10 @@ let run_sampling ?pool ?on_round (t : Flow.t) (v : Flow.variant) ~mode scfg =
 type on_round = round:int -> max_rounds:int -> ci_halfwidth:float -> unit
 
 let estimate ?pool ?on_round t cfg =
-  run_sampling ?pool ?on_round t (Flow.variant t cfg.s_direction)
-    ~mode:Wafer_field cfg
+  run_sampling ?pool ?on_round t ~position:None cfg
 
 let estimate_at ?pool ?on_round t ~position cfg =
-  run_sampling ?pool ?on_round t
-    (Flow.variant t cfg.s_direction)
-    ~mode:(Fixed_site position) cfg
+  run_sampling ?pool ?on_round t ~position:(Some position) cfg
 
 (* ------------------------------------------------------------------ *)
 (* Sampling report rendering                                            *)

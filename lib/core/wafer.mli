@@ -15,8 +15,8 @@
     [(seed, field, ix, iy)] only, cells are reduced in row-major order,
     and the pool stores chunk results by index — so a sweep is
     bit-identical for every domain count and traversal schedule.  The
-    census, {!Compare.run} and {!Postsilicon.run} all run their dies
-    through the one {!tally} loop. *)
+    census, {!Compare.run}, {!Postsilicon.run} and the sampling estimator
+    all run their dies through the one {!tally} loop. *)
 
 type config = {
   nx : int;               (** grid columns over the chip's x extent *)
@@ -78,12 +78,7 @@ val cell_seed : config -> field:int -> ix:int -> iy:int -> int
 (** The RNG seed of one cell's die stream.  Exposed so tests can
     recompute any cell independently of the sweep. *)
 
-(** {2 The die sweep}
-
-    One streaming tally per die site (a position, its RNG streams and
-    the dies per stream), over any list of {!Compensation} strategies.
-    The census {!run} and {!Compare.run} sweep the grid's sites;
-    {!Postsilicon.run} sweeps one site per diagonal chip. *)
+(** {2 The die sweep} *)
 
 type site = {
   position : Pvtol_variation.Position.t;
@@ -122,20 +117,39 @@ type tally = {
 
 type on_cell = completed:int -> total:int -> unit
 
+type 'acc source
+(** A die source: where a site's dies sit, what each weighs and how the
+    site accumulates them into an ['acc].  {!tally} makes one per
+    worker, like a strategy's [fresh_apply].  The sampling estimator's
+    draws each die's position jitter, IS component and weight;
+    {!site_tally} is the trivial one. *)
+
+val site_tally : Compensation.ctx -> Compensation.strategy array -> tally source
+(** The trivial source: every die at its site's map, counted in a
+    {!tally}. *)
+
 val tally :
   ?pool:Pvtol_util.Pool.t -> ?on_cell:on_cell ->
-  Compensation.ctx -> Compensation.strategy array -> site array ->
-  tally array
-(** The library's one site x stream x die loop.  Per site it runs
-    [dies_per_stream] dies from each stream in order at the site's
-    position: one {!Compensation.detect}, then each strategy's apply in
-    array order.  One pool chunk per site, one detect scratch (leased
-    through {!Compensation.with_scratches}, so a later sweep on the
-    same flow reuses it) and one apply state per strategy per worker;
-    the tallies come back in site
-    order, bit-identical for every pool size.  [on_cell] fires after
-    each site from whichever domain finished it, with a monotone count;
-    exceptions it raises are swallowed. *)
+  Compensation.ctx -> Compensation.strategy array ->
+  (Compensation.ctx -> Compensation.strategy array -> 'acc source) ->
+  site array ->
+  'acc array
+(** [tally ctx strategies source sites]: the library's one site x
+    stream x die loop.  The census {!run} and {!Compare.run} sweep the
+    grid's sites with {!site_tally}, {!Postsilicon.run} one site per
+    diagonal chip, and each round of the sampling estimator one site per
+    stratum with its own source.  Per site: the source's fresh
+    accumulator, then [dies_per_stream] dies from each stream in order
+    — the source's map for the die (it may draw from the stream first),
+    one {!Compensation.detect}, each strategy's apply in array order,
+    the source recording the outcomes.  One pool
+    chunk per site; per worker one detect scratch (leased through
+    {!Compensation.with_scratches}, so a later sweep on the same flow
+    reuses it), one apply state per strategy and one source.  The
+    accumulators come back in site order, bit-identical for every pool
+    size.  [on_cell] fires after each site from whichever domain
+    finished it, with a monotone count; exceptions it raises are
+    swallowed. *)
 
 val tally_total : Compensation.strategy array -> tally array -> tally
 (** The in-order reduction of {!tally}'s sites: counts added, Welford

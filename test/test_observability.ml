@@ -462,6 +462,7 @@ let test_cli_rejects_nonpositive_counts () =
       ("wafer --quick --sampler is --rounds 0", "--rounds");
       ("wafer --quick --sampler is --ci-target 0", "--ci-target");
       ("wafer --quick --sampler is --rare-scenario 0", "--rare-scenario");
+      ("wafer --quick --sampler is --rare-scenario 9", "--rare-scenario");
       ("compare --quick --dies 0", "--dies");
       ("compare --quick --fields=-2", "--fields");
       ("scenarios --quick --samples 0", "--samples");

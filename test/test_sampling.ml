@@ -15,6 +15,7 @@ module Pool = Pvtol_util.Pool
 module Srng = Pvtol_util.Srng
 module Stage = Pvtol_netlist.Stage
 module Json = Pvtol_util.Json
+module Metrics = Pvtol_util.Metrics
 
 let flow = lazy (Flow.prepare ~config:Flow.quick_config ())
 
@@ -350,6 +351,128 @@ let test_domain_invariance () =
     [ Smart_sampling.Mc; Smart_sampling.Is; Smart_sampling.Lhs ]
 
 (* ------------------------------------------------------------------ *)
+(* The estimator on [Wafer.tally] vs its round-loop oracle              *)
+
+(* Every round of [Wafer.estimate*] is one [Wafer.tally] with the
+   estimator's die source; [Sampling_oracle] is the round loop it
+   replaced.  Whole reports must be byte-equal for every method, both
+   entry points and both pool sizes — once at the full budget on the
+   rare metric, once stopping early on yield — and the folded run must
+   count every die it ran in [wafer_sampling_dies_total] and detect as
+   many dies as the oracle. *)
+let test_oracle_equivalence () =
+  let t = Lazy.force flow in
+  let sampling_dies = Metrics.counter "wafer_sampling_dies_total" in
+  let detected = Metrics.counter "postsilicon_dies_total" in
+  let counting f =
+    let s0 = Metrics.counter_value sampling_dies
+    and d0 = Metrics.counter_value detected in
+    let r = f () in
+    (r, Metrics.counter_value sampling_dies - s0, Metrics.counter_value detected - d0)
+  in
+  let entries =
+    [ ( "estimate",
+        (fun pool cfg -> Wafer.estimate ~pool t cfg),
+        fun pool cfg -> Sampling_oracle.estimate ~pool t cfg );
+      ( "estimate_at B",
+        (fun pool cfg -> Wafer.estimate_at ~pool t ~position:Position.point_b cfg),
+        fun pool cfg ->
+          Sampling_oracle.estimate_at ~pool t ~position:Position.point_b cfg ) ]
+  in
+  Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Metrics.set_enabled false) @@ fun () ->
+  List.iter
+    (fun domains ->
+      with_pool ~domains (fun pool ->
+          List.iter
+            (fun method_ ->
+              let full = sampling_cfg method_ in
+              let early =
+                { full with
+                  Wafer.s_ci_metric = Wafer.Ci_yield;
+                  s_ci_target = 0.3;
+                  s_max_rounds = 4 }
+              in
+              List.iter
+                (fun (entry, folded, oracle) ->
+                  List.iter
+                    (fun (budget, cfg) ->
+                      let label =
+                        Printf.sprintf "%s %s, %s, %d domain(s)"
+                          (Smart_sampling.method_name method_) entry budget
+                          domains
+                      in
+                      let r, counted, r_detected = counting (fun () -> folded pool cfg) in
+                      let o, _, o_detected = counting (fun () -> oracle pool cfg) in
+                      Alcotest.(check string) (label ^ ": report")
+                        (Wafer.sampling_to_json o) (Wafer.sampling_to_json r);
+                      Alcotest.(check int) (label ^ ": wafer_sampling_dies_total")
+                        o.Wafer.sr_dies counted;
+                      Alcotest.(check int) (label ^ ": dies detected") o_detected
+                        r_detected)
+                    [ ("full budget", full); ("early stop", early) ])
+                entries)
+            [ Smart_sampling.Mc; Smart_sampling.Is; Smart_sampling.Lhs ]))
+    [ 1; 2 ]
+
+(* ------------------------------------------------------------------ *)
+(* lhs on the whole-wafer yield                                         *)
+
+(* At a fixed site lhs is mc plus two permutation draws; its reason to
+   exist is position-driven variance on whole-wafer means.  At one seed
+   and one budget (4x4 strata x 4 dies x 2 rounds = 128 dies) it must
+   give the uncompensated-yield CI a clearly smaller half-width than
+   mc.  Measured on this flow at seed 7: lhs +-4.63%, mc +-7.89%, a
+   ratio of 0.59; the bound leaves room for a reseeded stream, not for
+   lhs falling back to mc. *)
+let lhs_over_mc_bound = 0.75
+
+let test_lhs_whole_wafer_gain () =
+  let t = Lazy.force flow in
+  let halfwidth method_ =
+    let r =
+      Wafer.estimate t
+        {
+          Wafer.default_sampling_config with
+          Wafer.s_method = method_;
+          s_strata = 4;
+          s_dies_per_round = 4;
+          s_max_rounds = 2;
+          s_ci_metric = Wafer.Ci_yield;
+          s_seed = 7;
+        }
+    in
+    Alcotest.(check int) "dies" 128 r.Wafer.sr_dies;
+    r.Wafer.sr_ci_halfwidth
+  in
+  let mc = halfwidth Smart_sampling.Mc and lhs = halfwidth Smart_sampling.Lhs in
+  Alcotest.(check bool)
+    (Printf.sprintf "lhs +-%.2f%% <= %.2f x mc +-%.2f%%" (100.0 *. lhs)
+       lhs_over_mc_bound (100.0 *. mc))
+    true
+    (lhs <= lhs_over_mc_bound *. mc)
+
+(* ------------------------------------------------------------------ *)
+(* Validation                                                           *)
+
+let test_rare_scenario_range () =
+  (* Only the analyzed stages can violate: a rare scenario above their
+     count is an event that cannot occur, and a run watching it could
+     never converge. *)
+  let t = Lazy.force flow in
+  let stages = List.length Pvtol_ssta.Scenario.analyzed_stages in
+  let cfg = { (sampling_cfg Smart_sampling.Mc) with Wafer.s_rare = stages + 1 } in
+  let expected = Invalid_argument "Wafer.estimate: rare must be in 1..analyzed stages" in
+  Alcotest.check_raises "estimate" expected (fun () -> ignore (Wafer.estimate t cfg));
+  Alcotest.check_raises "estimate_at" expected (fun () ->
+      ignore (Wafer.estimate_at t ~position:Position.point_b cfg));
+  let r =
+    Wafer.estimate t
+      { cfg with Wafer.s_rare = stages; s_strata = 1; s_dies_per_round = 2; s_max_rounds = 1 }
+  in
+  Alcotest.(check int) "the analyzed-stage count itself is accepted" 2 r.Wafer.sr_dies
+
+(* ------------------------------------------------------------------ *)
 (* Slow differential oracle (PVTOL_SLOW_TESTS=1)                        *)
 
 let slow_enabled = Sys.getenv_opt "PVTOL_SLOW_TESTS" = Some "1"
@@ -503,6 +626,10 @@ let suite =
         test_undefined_interval_printed;
       Alcotest.test_case "estimates clipped to [0, 1]" `Quick test_estimates_clipped;
       Alcotest.test_case "domain invariance" `Quick test_domain_invariance;
+      Alcotest.test_case "estimator = round-loop oracle" `Quick
+        test_oracle_equivalence;
+      Alcotest.test_case "lhs whole-wafer gain" `Quick test_lhs_whole_wafer_gain;
+      Alcotest.test_case "rare scenario range" `Quick test_rare_scenario_range;
     ]
     @
     if not slow_enabled then []
