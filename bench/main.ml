@@ -480,10 +480,11 @@ let kernel_estimates ~quick ?(only = fun _ -> true) () =
      that same die.  The applies re-derive everything from the scratch's
      delay vectors, so repeated runs are deterministic; the detect
      kernel gets its own scratch and RNG so its iterations cannot
-     disturb the pinned die.  Chip-wide gets a scratch of its own with
-     the same die, which the island settle never touches, so it times
-     the stand-alone pass rather than reading the settle's all-high
-     lane. *)
+     disturb the pinned die; the batch kernel draws four dies into its
+     lanes and detects them in one pass, reported per die.  Chip-wide
+     gets a scratch of its own with the same die, which the island
+     settle never touches, so it times the stand-alone pass rather than
+     reading the settle's all-high lane. *)
   let comp_ctx = Compensation.context t in
   let comp_v = Flow.variant t Island.Vertical in
   let comp_sys = Compensation.systematic comp_ctx Position.point_a in
@@ -619,6 +620,12 @@ let kernel_estimates ~quick ?(only = fun _ -> true) () =
         fun () ->
           ignore
             (Compensation.detect comp_ctx det_sc ~systematic:comp_sys det_rng) );
+      ( "compare/detect-batch", Compensation.batch_lanes,
+        fun () ->
+          for k = 0 to Compensation.batch_lanes - 1 do
+            Compensation.draw comp_ctx det_sc k ~systematic:comp_sys det_rng
+          done;
+          Compensation.detect_lanes comp_ctx det_sc Compensation.batch_lanes );
       ( "compare/apply-vi", 1, fun () -> ignore (apply_vi comp_sc comp_d) );
       ( "compare/apply-chipwide", 1, fun () -> ignore (apply_cw cw_sc cw_d) );
       ( "compare/apply-skew", 1, fun () -> ignore (apply_skew comp_sc comp_d) );

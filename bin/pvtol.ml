@@ -361,7 +361,8 @@ let wafer_cmd =
                     round max_rounds ci_halfwidth
                     (if
                        round = max_rounds
-                       || ci_halfwidth <= scfg.Wafer.s_ci_target
+                       || Wafer.ci_reached ~target:scfg.Wafer.s_ci_target
+                            ci_halfwidth
                      then "\n"
                      else "");
                   flush stderr)

@@ -37,28 +37,36 @@ type ctx = {
   power_baseline : float;
 }
 
-(* [detect] scales the die at both supplies at once; the island settle
-   prices its supply configurations as the lanes of one STA pass over
-   [block], each entry a select between the two vectors.  [die] counts
-   the dies detected on this scratch, and [high_die] names the one
-   whose all-high verdict [high_meets] holds (-1: none), so chip-wide
-   reads the verdict the settle already priced. *)
-type scratch = {
-  ws : Sta.workspace;  (* 1 lane: detect's low pass, chip-wide's own *)
-  lanes_ws : Sta.workspace;  (* [settle_lanes] lanes *)
-  block : float array;  (* cells x [settle_lanes], cell-major *)
-  systematic_buf : float array;  (* [systematic_into]'s map *)
-  lgates : float array;
-  low_delays : float array;
-  high_delays : float array;
-  mutable die : int;
-  mutable high_die : int;
-  mutable high_meets : bool;
-}
-
 type detect = {
   violating : int;
   worst_low_ns : float;
+}
+
+(* [draw] scales a die at both supplies into its lane's own vectors;
+   [detect_lanes] times up to [batch_lanes] drawn dies as the lanes of
+   one STA pass and keeps their verdicts; [select] makes one of them the
+   die the strategies re-time, by pointing [low_delays]/[high_delays] at
+   its vectors.  The island settle prices its supply configurations as
+   the lanes of one pass over [block], each entry a select between the
+   two vectors.  Each batch numbers its lanes' dies from [batch] on,
+   [batch_lanes] numbers per batch; [die] names the selected one, and
+   [high_die] the one whose all-high verdict [high_meets] holds (-1:
+   none), so chip-wide reads the verdict the settle already priced. *)
+type scratch = {
+  ws : Sta.workspace;  (* 1 lane: a lone die's detect, chip-wide's own *)
+  lanes_ws : Sta.workspace;  (* [batch_lanes] lanes: a batch's detect, the settle *)
+  block : float array;  (* cells x [batch_lanes], cell-major *)
+  systematic_buf : float array;  (* [systematic_into]'s map *)
+  lgates : float array;
+  lows : float array array;  (* per lane: the die's delays at vdd_low *)
+  highs : float array array;  (* per lane: at vdd_high *)
+  detects : detect array;  (* per lane: the latest batch's verdicts *)
+  mutable low_delays : float array;  (* the selected die's [lows] entry *)
+  mutable high_delays : float array;
+  mutable batch : int;
+  mutable die : int;
+  mutable high_die : int;
+  mutable high_meets : bool;
 }
 
 type outcome = {
@@ -83,20 +91,26 @@ let context (t : Flow.t) =
     power_baseline;
   }
 
-(* Lanes of a settle block: every flow slicing has three islands (the
-   growth targets), so a settle prices at most three raises plus the
-   all-high configuration. *)
-let settle_lanes = 4
+(* Lanes of a detect batch and of a settle block: every flow slicing
+   has three islands (the growth targets), so a settle prices at most
+   three raises plus the all-high configuration. *)
+let batch_lanes = 4
 
 let scratch c =
+  let lows = Array.init batch_lanes (fun _ -> Array.make c.n_cells 0.0) in
+  let highs = Array.init batch_lanes (fun _ -> Array.make c.n_cells 0.0) in
   {
     ws = Sta.workspace c.sta;
-    lanes_ws = Sta.workspace ~lanes:settle_lanes c.sta;
-    block = Array.make (c.n_cells * settle_lanes) 0.0;
+    lanes_ws = Sta.workspace ~lanes:batch_lanes c.sta;
+    block = Array.make (c.n_cells * batch_lanes) 0.0;
     systematic_buf = Array.make c.n_cells 0.0;
     lgates = Array.make c.n_cells 0.0;
-    low_delays = Array.make c.n_cells 0.0;
-    high_delays = Array.make c.n_cells 0.0;
+    lows;
+    highs;
+    detects = Array.make batch_lanes { violating = 0; worst_low_ns = 0.0 };
+    low_delays = lows.(0);
+    high_delays = highs.(0);
+    batch = 0;
     die = 0;
     high_die = -1;
     high_meets = false;
@@ -160,26 +174,70 @@ let violating_in ws k clock =
       | Some _ | None -> acc)
     0 analyzed
 
-let detect c sc ~systematic rng =
+let draw c sc k ~systematic rng =
+  if k < 0 || k >= batch_lanes then
+    invalid_arg "Compensation.draw: lane out of range";
   (* One random Lgate realisation for this die; every strategy below
      re-times the same realisation.  The single [sample_lgates] call is
      the die's only RNG consumption, so per-die streams are identical
      for every strategy subset a caller evaluates. *)
   Sampler.sample_lgates c.sampler ~systematic rng sc.lgates;
   Process.supply_delays c.sampler.Sampler.process ~base:c.base
-    ~lgates:sc.lgates ~low:sc.low_delays ~high:sc.high_delays;
-  Sta.analyze_into c.sta sc.ws ~delays:sc.low_delays;
-  sc.die <- sc.die + 1;
+    ~lgates:sc.lgates ~low:sc.lows.(k) ~high:sc.highs.(k)
+
+(* Lane [k]'s verdict, read off a finished pass. *)
+let verdict c ws k =
   let worst_low =
     List.fold_left
       (fun acc s ->
-        match Sta.ws_stage_delay sc.ws s 0 with
+        match Sta.ws_stage_delay ws s k with
         | Some d -> Float.max acc d
         | None -> acc)
       0.0 analyzed
   in
-  Metrics.incr m_dies;
-  { violating = violating_in sc.ws 0 c.clock; worst_low_ns = worst_low }
+  { violating = violating_in ws k c.clock; worst_low_ns = worst_low }
+
+let detect_lanes c sc m =
+  if m < 1 || m > batch_lanes then
+    invalid_arg "Compensation.detect_lanes: lanes out of range";
+  (* A lone die takes the 1-lane workspace over its own vector: one lane
+     of the 4-lane workspace would still walk a block of four (full
+     design: ~1.7 ms against 1.1-1.5 ms).  A batch interleaves its low
+     vectors into [block]'s columns.  Each lane is bit-identical to a
+     1-lane pass. *)
+  let ws =
+    if m = 1 then begin
+      Sta.analyze_into c.sta sc.ws ~delays:sc.lows.(0);
+      sc.ws
+    end
+    else begin
+      let block = sc.block in
+      for k = 0 to m - 1 do
+        let low = sc.lows.(k) in
+        for i = 0 to c.n_cells - 1 do
+          block.((i * batch_lanes) + k) <- low.(i)
+        done
+      done;
+      Sta.analyze_into ~lanes:m c.sta sc.lanes_ws ~delays:block;
+      sc.lanes_ws
+    end
+  in
+  for k = 0 to m - 1 do
+    sc.detects.(k) <- verdict c ws k
+  done;
+  sc.batch <- sc.batch + batch_lanes;
+  Metrics.add m_dies m
+
+let select sc k =
+  sc.low_delays <- sc.lows.(k);
+  sc.high_delays <- sc.highs.(k);
+  sc.die <- sc.batch + k;
+  sc.detects.(k)
+
+let detect c sc ~systematic rng =
+  draw c sc 0 ~systematic rng;
+  detect_lanes c sc 1;
+  select sc 0
 
 (* ------------------------------------------------------------------ *)
 (* The strategy interface                                               *)
@@ -221,7 +279,7 @@ let settle c sc ~domains ~n_islands r0 =
   let block = sc.block in
   let low = sc.low_delays and high = sc.high_delays in
   for i = 0 to c.n_cells - 1 do
-    let row = i * settle_lanes and dom = domains.(i) in
+    let row = i * batch_lanes and dom = domains.(i) in
     for k = 0 to lanes - 2 do
       if dom <= r0 + k then block.(row + k) <- high.(i)
       else block.(row + k) <- low.(i)
@@ -244,7 +302,7 @@ let voltage_islands (t : Flow.t) c (v : Flow.variant) =
   let part = v.Flow.slicing.Slicing.partition in
   let domains = Island.domains part c.placement in
   let n_islands = Array.length part.Island.islands in
-  if n_islands + 1 > settle_lanes then
+  if n_islands + 1 > batch_lanes then
     invalid_arg "Compensation.voltage_islands: more islands than settle lanes";
   (* Power per compensation level, computed once (chip leakage varies
      with position but the dominant switching term does not). *)

@@ -40,13 +40,15 @@ type ctx
 
 type scratch
 (** Per-caller mutable state shared by {!detect} and the strategies:
-    a 1-lane and a 4-lane STA workspace, the systematic-map and Lgate
-    buffers, the die's delay vectors at the low and the high supply,
-    and the island settle's lane block.  One per concurrent simulator.
-    {!detect} fills both delay vectors; the island strategy selects
-    between them per cell and lane, chip-wide reads the high one (or
-    the all-high verdict the island settle stamped on this die), and
-    skew tuning and tunable buffers read the low one. *)
+    a 1-lane and a {!batch_lanes}-lane STA workspace, the
+    systematic-map and Lgate buffers, per lane a die's delay vectors at
+    the low and the high supply, and the lane block of a batched detect
+    and of the island settle.  One per concurrent simulator.  {!draw}
+    fills a lane's two delay vectors and {!select} makes a lane the
+    current die; the island strategy selects between its vectors per
+    cell and lane, chip-wide reads the high one (or the all-high
+    verdict the island settle stamped on this die), and skew tuning
+    and tunable buffers read the low one. *)
 
 type detect = {
   violating : int;       (** analyzed stages failing at the low supply *)
@@ -90,16 +92,38 @@ val systematic_into :
     returned: no allocation, for loops that move the die every few dies.
     The buffer is overwritten by the next call on the same scratch. *)
 
+val batch_lanes : int
+(** The widest detect batch, and the lanes of an island settle: 4. *)
+
+val draw :
+  ctx -> scratch -> int -> systematic:float array -> Pvtol_util.Srng.t -> unit
+(** [draw ctx sc k ~systematic rng]: one die's random Lgate realisation
+    from [rng] (exactly one {!Pvtol_variation.Sampler.sample_lgates}
+    call — strategies consume no RNG, so the per-die stream is
+    identical for every strategy subset), scaled at both supplies
+    ({!Pvtol_stdcell.Process.supply_delays}) into lane [k]'s vectors.
+    [systematic] is read before [draw] returns; it may be the scratch's
+    own {!systematic_into} buffer.  [Invalid_argument] unless
+    [0 <= k < batch_lanes]. *)
+
+val detect_lanes : ctx -> scratch -> int -> unit
+(** [detect_lanes ctx sc m]: the sensor verdicts of the dies drawn into
+    lanes [0, m), re-timed at the low supply as the lanes of one STA
+    pass (a lone die as one 1-lane pass), each lane bit-identical to a
+    1-lane pass over its die.  Every verdict is read off the pass
+    before this returns, so the strategies may reuse the workspaces.
+    Counts the [m] dies in [postsilicon_dies_total].
+    [Invalid_argument] unless [1 <= m <= batch_lanes]. *)
+
+val select : scratch -> int -> detect
+(** [select sc k]: lane [k]'s verdict from the latest {!detect_lanes},
+    making its die the one the strategies re-time: their applies read
+    lane [k]'s delay vectors, and the island settle's all-high stamp
+    names this die.  Select each lane before applying strategies to it. *)
+
 val detect : ctx -> scratch -> systematic:float array -> Pvtol_util.Srng.t -> detect
-(** One die's sensor verdict: draw its random Lgate realisation from
-    [rng] (exactly one {!Pvtol_variation.Sampler.sample_lgates} call —
-    strategies consume no RNG, so the per-die stream is identical for
-    every strategy subset), scale it at both supplies
-    ({!Pvtol_stdcell.Process.supply_delays}), re-time it at the low
-    supply with one 1-lane pass and count the failing analyzed
-    stages.  [systematic] may be the scratch's own
-    {!systematic_into} buffer.  Counts the die in
-    [postsilicon_dies_total]. *)
+(** One die as a batch of one: {!draw} into lane 0, {!detect_lanes}
+    [1], {!select} [0]. *)
 
 (** {2 The strategy interface} *)
 

@@ -170,12 +170,14 @@ let tally_die ta (d : Compensation.detect) outcomes =
 type on_cell = completed:int -> total:int -> unit
 
 (* [site sc c s]: site [c]'s accumulator, before its first die (may draw
-   from [s]'s streams).  [die acc sc i rng]: the map die [i] of [rng] is
-   detected at.  [record]: its detect and outcomes, in strategy order. *)
+   from [s]'s streams).  [die acc sc k i rng]: the map die [i] of [rng]
+   is detected at, as lane [k] of its batch; the map is consumed before
+   the next hook runs.  [record acc k d outcomes]: lane [k]'s detect and
+   outcomes, in strategy order. *)
 type 'acc source = {
   site : Compensation.scratch -> int -> site -> 'acc;
-  die : 'acc -> Compensation.scratch -> int -> Srng.t -> float array;
-  record : 'acc -> Compensation.detect -> Compensation.outcome array -> unit;
+  die : 'acc -> Compensation.scratch -> int -> int -> Srng.t -> float array;
+  record : 'acc -> int -> Compensation.detect -> Compensation.outcome array -> unit;
 }
 
 let site_tally ctx strategies =
@@ -185,51 +187,94 @@ let site_tally ctx strategies =
       (fun sc _ site ->
         map := Compensation.systematic_into ctx sc site.position;
         tally_create strategies);
-    die = (fun _ _ _ _ -> !map);
-    record = tally_die;
+    die = (fun _ _ _ _ _ -> !map);
+    record = (fun ta _ d outcomes -> tally_die ta d outcomes);
   }
 
 let no_outcome =
   { Compensation.meets = false; knob = 0; power_mw = 0.0; area_um2 = 0.0 }
 
+(* Chunk bounds over [sites]: each chunk is a run of consecutive sites
+   holding at least a batch of dies (the last may hold fewer), so a
+   default census chunk is one site and a 2-die-per-cell one two. *)
+let chunk_bounds sites =
+  let n = Array.length sites in
+  let bounds = ref [ 0 ] and c = ref 0 in
+  while !c < n do
+    let dies = ref 0 in
+    while !c < n && !dies < Compensation.batch_lanes do
+      let s = sites.(!c) in
+      dies := !dies + (Array.length s.streams * s.dies_per_stream);
+      incr c
+    done;
+    bounds := !c :: !bounds
+  done;
+  Array.of_list (List.rev !bounds)
+
 let tally ?pool ?on_cell ctx strategies source sites =
   let pool = match pool with Some p -> p | None -> Pool.shared () in
   let total_sites = Array.length sites in
   let completed = Atomic.make 0 in
-  (* One chunk per site; a worker reuses its scratch, apply states and
-     source across every site it picks up.  A site's dies run serially
-     inside its chunk, so its accumulator — including the
-     order-sensitive P^2 markers — is independent of scheduling. *)
+  let bounds = chunk_bounds sites in
+  (* A worker reuses its scratch, apply states and source across every
+     chunk it picks up.  A chunk's dies run serially in (site, stream,
+     die) order, batch by batch: each die's source map and draw, one
+     pass for the batch's verdicts, then each die's applies and record.
+     A site's accumulator — including the order-sensitive P^2 markers —
+     is therefore independent of scheduling. *)
   Compensation.with_scratches ctx @@ fun lease ->
-  Pool.parallel_chunks pool ~chunks:total_sites
+  Pool.parallel_chunks pool ~chunks:(Array.length bounds - 1)
     ~init:(fun ~worker:_ ->
       ( lease (),
         Array.map (fun s -> s.Compensation.fresh_apply ()) strategies,
         Array.make (Array.length strategies) no_outcome,
         source ctx strategies ))
-    ~f:(fun (sc, applies, outcomes, src) c ->
-      let site = sites.(c) in
-      let acc = src.site sc c site in
-      Array.iter
-        (fun rng ->
-          for i = 0 to site.dies_per_stream - 1 do
-            let systematic = src.die acc sc i rng in
-            let d = Compensation.detect ctx sc ~systematic rng in
-            for j = 0 to Array.length applies - 1 do
-              outcomes.(j) <- applies.(j) sc d
-            done;
-            src.record acc d outcomes
-          done)
-        site.streams;
+    ~f:(fun (sc, applies, outcomes, src) chunk ->
+      let first = bounds.(chunk) and last = bounds.(chunk + 1) in
+      let accs = Array.make (last - first) None in
+      let lane_site = Array.make Compensation.batch_lanes 0 in
+      let m = ref 0 in
+      let flush () =
+        Compensation.detect_lanes ctx sc !m;
+        for k = 0 to !m - 1 do
+          let d = Compensation.select sc k in
+          for j = 0 to Array.length applies - 1 do
+            outcomes.(j) <- applies.(j) sc d
+          done;
+          src.record (Option.get accs.(lane_site.(k))) k d outcomes
+        done;
+        m := 0
+      in
+      for j = 0 to last - first - 1 do
+        let site = sites.(first + j) in
+        let acc = src.site sc (first + j) site in
+        accs.(j) <- Some acc;
+        Array.iter
+          (fun rng ->
+            for i = 0 to site.dies_per_stream - 1 do
+              let k = !m in
+              let systematic = src.die acc sc k i rng in
+              Compensation.draw ctx sc k ~systematic rng;
+              lane_site.(k) <- j;
+              m := k + 1;
+              if !m = Compensation.batch_lanes then flush ()
+            done)
+          site.streams
+      done;
+      if !m > 0 then flush ();
       (* Progress callbacks fire from whichever domain finished the
-         site; the count is an Atomic so it is monotone across them.
-         A raising callback would poison the sweep — swallow. *)
+         chunk, once per site; the count is an Atomic so it is monotone
+         across them.  A raising callback would poison the sweep —
+         swallow. *)
       (match on_cell with
       | None -> ()
-      | Some f -> (
-        let done_ = 1 + Atomic.fetch_and_add completed 1 in
-        try f ~completed:done_ ~total:total_sites with _ -> ()));
-      acc)
+      | Some f ->
+        for _ = first to last - 1 do
+          let done_ = 1 + Atomic.fetch_and_add completed 1 in
+          try f ~completed:done_ ~total:total_sites with _ -> ()
+        done);
+      Array.map Option.get accs)
+  |> Array.to_list |> Array.concat
 
 let tally_total strategies tallies =
   (* Ordered reduction (site order), so totals are bit-identical no
@@ -528,6 +573,12 @@ let gacc_create () = Array.init (weight_stream + 1) (fun _ -> Welford.create ())
 
 let gacc_dies ga = Welford.count ga.(weight_stream)
 
+(* A zero half-width means every die agreed — for indicator metrics
+   that is evidence of sample starvation (a binomial with zero observed
+   successes is not certain), not of convergence, so the rule demands a
+   strictly positive variance estimate. *)
+let ci_reached ~target hw = hw > 0.0 && hw <= target
+
 (* A stratum's round: its index, lhs plan (else empty) and accumulator. *)
 type stratum_round = {
   st_g : int;
@@ -612,7 +663,9 @@ let run_sampling ?pool ?on_round (t : Flow.t) ~position scfg =
      and exactly [n] gaussians.  [record] reads the die's weight. *)
   let source _ _ =
     let zbuf = Array.make n 0.0 and sysbuf = Array.make n 0.0 in
-    let weight = Array.make 1 1.0 in
+    (* Per lane: the weight [die] prices and [record] reads, a batch
+       later. *)
+    let weight = Array.make Compensation.batch_lanes 1.0 in
     {
       site =
         (fun _ g site ->
@@ -624,7 +677,7 @@ let run_sampling ?pool ?on_round (t : Flow.t) ~position scfg =
           in
           { st_g = g; st_px; st_py; st_acc = gacc_create () });
       die =
-        (fun st sc r rng ->
+        (fun st sc k r rng ->
           let model = models.(st.st_g) in
           let comp =
             match scfg.s_method with
@@ -636,7 +689,7 @@ let run_sampling ?pool ?on_round (t : Flow.t) ~position scfg =
           let systematic =
             match fixed with Some map -> map | None -> field_map sc st r ux uy
           in
-          weight.(0) <- 1.0;
+          weight.(k) <- 1.0;
           if Smart_sampling.n_components model = 0 then systematic
           else begin
             (* Draw-ahead replay: price the balance-heuristic weight on
@@ -644,7 +697,7 @@ let run_sampling ?pool ?on_round (t : Flow.t) ~position scfg =
                realise the tilt as a shifted systematic field. *)
             let pre = Srng.copy rng in
             Srng.fill_gaussians pre zbuf ~pos:0 ~len:n;
-            weight.(0) <- Smart_sampling.weight model ~comp ~z:zbuf;
+            weight.(k) <- Smart_sampling.weight model ~comp ~z:zbuf;
             match Smart_sampling.shift model ~comp with
             | Either.Right () -> systematic
             | Either.Left tilt ->
@@ -654,9 +707,9 @@ let run_sampling ?pool ?on_round (t : Flow.t) ~position scfg =
               sysbuf
           end);
       record =
-        (fun st d outcomes ->
+        (fun st k d outcomes ->
           (* w * y is exactly w or 0: weights are finite and positive. *)
-          let w = weight.(0) and acc = st.st_acc in
+          let w = weight.(k) and acc = st.st_acc in
           let vi = outcomes.(0) and cw = outcomes.(1) in
           Welford.add acc.(0) (if d.Compensation.violating = 0 then w else 0.0);
           Welford.add acc.(1) (if vi.Compensation.meets then w else 0.0);
@@ -695,11 +748,7 @@ let run_sampling ?pool ?on_round (t : Flow.t) ~position scfg =
       (tally ~pool ctx strategies source (Array.init groups site));
     incr rounds;
     let hw = (combine (designated_metric scfg.s_ci_metric)).hw in
-    (* A zero half-width means every die agreed — for indicator metrics
-       that is evidence of sample starvation (a binomial with zero
-       observed successes is not certain), not of convergence, so the
-       rule demands a strictly positive variance estimate. *)
-    if hw > 0.0 && hw <= scfg.s_ci_target then converged := true;
+    if ci_reached ~target:scfg.s_ci_target hw then converged := true;
     match on_round with
     | None -> ()
     | Some f -> (

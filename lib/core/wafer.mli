@@ -122,7 +122,9 @@ type 'acc source
     site accumulates them into an ['acc].  {!tally} makes one per
     worker, like a strategy's [fresh_apply].  The sampling estimator's
     draws each die's position jitter, IS component and weight;
-    {!site_tally} is the trivial one. *)
+    {!site_tally} is the trivial one.  A batch asks a source for every
+    die's map before it records the first, so a source keeps per-die
+    state per lane (the estimator's weight). *)
 
 val site_tally : Compensation.ctx -> Compensation.strategy array -> tally source
 (** The trivial source: every die at its site's map, counted in a
@@ -139,17 +141,23 @@ val tally :
     grid's sites with {!site_tally}, {!Postsilicon.run} one site per
     diagonal chip, and each round of the sampling estimator one site per
     stratum with its own source.  Per site: the source's fresh
-    accumulator, then [dies_per_stream] dies from each stream in order
-    — the source's map for the die (it may draw from the stream first),
-    one {!Compensation.detect}, each strategy's apply in array order,
-    the source recording the outcomes.  One pool
-    chunk per site; per worker one detect scratch (leased through
-    {!Compensation.with_scratches}, so a later sweep on the same flow
-    reuses it), one apply state per strategy and one source.  The
-    accumulators come back in site order, bit-identical for every pool
-    size.  [on_cell] fires after each site from whichever domain
-    finished it, with a monotone count; exceptions it raises are
-    swallowed. *)
+    accumulator, then [dies_per_stream] dies from each stream in order.
+    Dies run in batches of up to {!Compensation.batch_lanes}, in
+    (site, stream, die) order: per die the source's map (it may draw
+    from the stream first) and {!Compensation.draw} into the die's
+    lane, then one {!Compensation.detect_lanes} for the batch, then per
+    die {!Compensation.select}, each strategy's apply in array order
+    and the source recording the outcomes.  Every die, draw and
+    accumulator sees exactly what a per-die loop of
+    {!Compensation.detect} would show it.  One pool chunk per run of
+    consecutive sites holding at least a batch of dies, so a batch may
+    straddle sites and streams; per worker one detect scratch (leased
+    through {!Compensation.with_scratches}, so a later sweep on the
+    same flow reuses it), one apply state per strategy and one source.
+    The accumulators come back in site order, bit-identical for every
+    pool size.  [on_cell] fires once per site when its chunk finishes,
+    from whichever domain ran it, with a monotone count; exceptions it
+    raises are swallowed. *)
 
 val tally_total : Compensation.strategy array -> tally array -> tally
 (** The in-order reduction of {!tally}'s sites: counts added, Welford
@@ -245,6 +253,10 @@ type sampling_report = {
 }
 
 type on_round = round:int -> max_rounds:int -> ci_halfwidth:float -> unit
+
+val ci_reached : target:float -> float -> bool
+(** The stopping rule: [ci_reached ~target hw] iff [0 < hw <= target].
+    A zero half-width is starvation, not convergence. *)
 
 val estimate :
   ?pool:Pvtol_util.Pool.t ->

@@ -18,8 +18,10 @@ type t = {
   wire_um : float array;         (* per net: tabulated wire length *)
   net_load : float array;        (* per net: sink pin caps + wire cap *)
   base_delay : float array;      (* per cell *)
-  pin_off : int array;           (* CSR row offsets into pin_wire, length cells+1 *)
+  pin_off : int array;           (* CSR row offsets into the pin arrays, length cells+1 *)
+  pin_net : int array;           (* flattened per-pin fanin net ids, pin order *)
   pin_wire : float array;        (* flattened per-pin wire delays, pin order *)
+  out_net : int array;           (* per cell: its fanout net *)
   clk_to_q : float;
   setup : float;
   capture_of : Stage.t option array;  (* per cell *)
@@ -112,9 +114,10 @@ let build nl ~wire_length ~capture =
         cell_delay lib c.Netlist.cell ~seq:(is_seq c) net_load.(c.Netlist.fanout))
       nl.Netlist.cells
   in
-  (* Flattened CSR layout for the per-pin wire delays: one contiguous
-     float array walked linearly by the forward pass, instead of a
-     pointer chase through an array of per-cell arrays. *)
+  (* Flattened CSR layout for the pins: each pin's fanin net and wire
+     delay in two contiguous arrays walked linearly by the forward pass,
+     and each cell's fanout net in a third, so the pass never follows a
+     cell record or its fanin array. *)
   let n_cells = Netlist.cell_count nl in
   let pin_off = Array.make (n_cells + 1) 0 in
   Array.iter
@@ -124,17 +127,22 @@ let build nl ~wire_length ~capture =
   for i = 1 to n_cells do
     pin_off.(i) <- pin_off.(i) + pin_off.(i - 1)
   done;
+  let pin_net = Array.make pin_off.(n_cells) 0 in
   let pin_wire = Array.make pin_off.(n_cells) 0.0 in
   Array.iter
     (fun (c : Netlist.cell) ->
       let off = pin_off.(c.Netlist.id) in
       Array.iteri
         (fun pin nid ->
+          pin_net.(off + pin) <- nid;
           (* Lumped per-sink wire delay: half the net length. *)
           pin_wire.(off + pin) <-
             lib.Cell_lib.wire_delay_per_um *. (wire_um.(nid) /. 2.0))
         c.Netlist.fanins)
     nl.Netlist.cells;
+  let out_net =
+    Array.map (fun (c : Netlist.cell) -> c.Netlist.fanout) nl.Netlist.cells
+  in
   let capture_of = Array.map (fun c -> capture c) nl.Netlist.cells in
   let flops =
     Array.to_list nl.Netlist.cells
@@ -161,7 +169,9 @@ let build nl ~wire_length ~capture =
     net_load;
     base_delay;
     pin_off;
+    pin_net;
     pin_wire;
+    out_net;
     clk_to_q = lib.Cell_lib.clk_to_q;
     setup = lib.Cell_lib.setup;
     capture_of;
@@ -238,16 +248,16 @@ let workspace ?(lanes = 1) t =
 let skew_row ws = ws.skew_ws
 
 (* Latest fanin arrival plus its pin wire delay, in one lane: the
-   per-cell arithmetic of every lane the forward pass does not run in
-   a block of four.  Unsafe reads are sound: fanin net ids index rows of the
-   [nets x stride] arrival array, [k < stride], and [off + pin] stays
-   inside the cell's CSR pin range. *)
-let[@inline] fanin_max arrival pin_wire off fanins stride k =
+   per-cell arithmetic of a workspace narrower than four lanes.  Unsafe
+   reads are sound: pins [off, stop) lie in the CSR arrays, their net
+   ids index rows of the [nets x stride] arrival array, and
+   [k < stride]. *)
+let[@inline] fanin_max arrival pin_net pin_wire off stop stride k =
   let acc = ref 0.0 in
-  for pin = 0 to Array.length fanins - 1 do
+  for p = off to stop - 1 do
     let a =
-      Array.unsafe_get arrival ((Array.unsafe_get fanins pin * stride) + k)
-      +. Array.unsafe_get pin_wire (off + pin)
+      Array.unsafe_get arrival ((Array.unsafe_get pin_net p * stride) + k)
+      +. Array.unsafe_get pin_wire p
     in
     if a > !acc then acc := a
   done;
@@ -257,7 +267,6 @@ let[@inline] fanin_max arrival pin_wire off fanins stride k =
    [0, lanes).  A late capture edge relaxes the endpoint by its own
    skew. *)
 let endpoint_pass t ws ~lanes =
-  let cells = t.nl.Netlist.cells in
   let stride = ws.stride in
   let arrival = ws.arrival_ws and endpoint = ws.endpoint_ws in
   let worst = ws.worst_ws and worst_ep = ws.worst_ep_ws in
@@ -269,8 +278,9 @@ let endpoint_pass t ws ~lanes =
   Array.fill worst_ep 0 lanes (-1);
   for slot = 0 to Array.length t.flops - 1 do
     let cid = t.flops.(slot) in
-    let arow = cells.(cid).Netlist.fanins.(0) * stride in
-    let pw = t.pin_wire.(t.pin_off.(cid)) in
+    let pin = t.pin_off.(cid) in
+    let arow = t.pin_net.(pin) * stride in
+    let pw = t.pin_wire.(pin) in
     let sk = ws.skew_ws.(slot) in
     let erow = slot * stride in
     let srow =
@@ -301,7 +311,6 @@ let analyze_into ?lanes t ws ~delays =
   if lanes < 1 || lanes > stride then
     invalid_arg "Sta.analyze_into: lanes out of range";
   let nl = t.nl in
-  let cells = nl.Netlist.cells in
   let arrival = ws.arrival_ws in
   (* Bounds for the unsafe lane accesses below. *)
   if Array.length arrival <> Netlist.net_count nl * stride
@@ -310,36 +319,40 @@ let analyze_into ?lanes t ws ~delays =
   (* One logical analysis per lane. *)
   Metrics.add m_analyzes lanes;
   Array.fill arrival 0 (Array.length arrival) 0.0;
+  let pin_off = t.pin_off and pin_net = t.pin_net and pin_wire = t.pin_wire in
+  let out_net = t.out_net and order = t.order in
   (* Launch points: flop outputs, offset by the launch edge's arrival.
      Primary inputs arrive at t = 0 (already initialised). *)
   for slot = 0 to Array.length t.flops - 1 do
     let cid = t.flops.(slot) in
-    let orow = cells.(cid).Netlist.fanout * stride and drow = cid * stride in
+    let orow = out_net.(cid) * stride and drow = cid * stride in
     let sk = ws.skew_ws.(slot) in
     for k = 0 to lanes - 1 do
       arrival.(orow + k) <- delays.(drow + k) +. sk
     done
   done;
-  let pin_wire = t.pin_wire and pin_off = t.pin_off and order = t.order in
-  (* Blocks of four lanes: each fanin's row offset and pin wire delay
-     is loaded once for four independent accumulators, and each lane
-     still runs [fanin_max]'s op sequence (same init, same [>] in pin
-     order, then the delay add).  The last [lanes mod 4] lanes, and
-     every lane of a pass narrower than four, take the per-lane loop. *)
-  let blocked = lanes land lnot 3 in
+  (* Blocks of four lanes: each pin's row offset and wire delay is
+     loaded once for four independent accumulators, and each lane still
+     runs [fanin_max]'s op sequence (same init, same [>] in pin order,
+     then the delay add).  The lanes are rounded up to whole blocks
+     while they fit the stride: the extra lanes of the last block are
+     computed from whatever the workspace and [delays] hold there and
+     never read, so a 2- or 3-lane pass costs one walk of the pins, not
+     one per lane.  Only a workspace narrower than four lanes takes the
+     per-lane loop. *)
+  let blocked = min (stride land lnot 3) ((lanes + 3) land lnot 3) in
   for j = 0 to Array.length order - 1 do
-    let cid = order.(j) in
-    let c = cells.(cid) in
-    let fanins = c.Netlist.fanins and off = pin_off.(cid) in
-    let orow = c.Netlist.fanout * stride and drow = cid * stride in
-    let nf = Array.length fanins in
+    let cid = Array.unsafe_get order j in
+    let off = Array.unsafe_get pin_off cid
+    and stop = Array.unsafe_get pin_off (cid + 1) in
+    let orow = Array.unsafe_get out_net cid * stride and drow = cid * stride in
     let k = ref 0 in
     while !k < blocked do
       let k0 = !k in
       let a0 = ref 0.0 and a1 = ref 0.0 and a2 = ref 0.0 and a3 = ref 0.0 in
-      for pin = 0 to nf - 1 do
-        let r = (Array.unsafe_get fanins pin * stride) + k0 in
-        let w = Array.unsafe_get pin_wire (off + pin) in
+      for p = off to stop - 1 do
+        let r = (Array.unsafe_get pin_net p * stride) + k0 in
+        let w = Array.unsafe_get pin_wire p in
         let x0 = Array.unsafe_get arrival r +. w in
         if x0 > !a0 then a0 := x0;
         let x1 = Array.unsafe_get arrival (r + 1) +. w in
@@ -358,7 +371,7 @@ let analyze_into ?lanes t ws ~delays =
     done;
     for k = blocked to lanes - 1 do
       Array.unsafe_set arrival (orow + k)
-        (fanin_max arrival pin_wire off fanins stride k
+        (fanin_max arrival pin_net pin_wire off stop stride k
         +. Array.unsafe_get delays (drow + k))
     done
   done;
@@ -549,6 +562,9 @@ let freeze v =
   if not v.redriven then v.graph
   else
     let nl = Netlist.remap_cells v.graph.nl (fun c -> v.masters.(c.Netlist.id)) in
+    (* [remap_cells] changes masters only: cells, nets and pins keep
+       their ids, so the shared topology arrays ([order], [pin_off],
+       [pin_net], [pin_wire], [out_net], the flop tables) stay valid. *)
     { v.graph with nl; net_load = Array.copy v.loads; base_delay = Array.copy v.delays }
 
 let stage_delay result stage =

@@ -88,15 +88,20 @@ val analyze : ?skew:(Netlist.cell_id -> float) -> t -> delays:float array -> res
     worker domain), so {!analyze_into} performs no heap allocation.  It
     holds [lanes] independent analyses side by side: every net and
     every flop owns one contiguous row of [lanes] floats, lane [k] of
-    each row belonging to analysis [k].  Sizing and the per-die
-    detection use one lane, the post-silicon settle one lane per supply
-    configuration it prices, and Monte-Carlo a 32-sample block per graph
-    walk.  Each lane runs the same op sequence — same accumulator init, same
-    [>] reductions, same endpoint arithmetic — so a lane's results are
-    bit-identical to a 1-lane pass over that lane's delay column.  A
-    pass of at least 4 lanes walks each cell's fanins once per block
-    of four lanes with four independent accumulators (the remainder
-    lanes one by one); a pass of fewer lanes runs lane by lane. *)
+    each row belonging to analysis [k].  Sizing and a lone die's
+    detection use one lane, a census batch one lane per die, the
+    post-silicon settle one lane per supply configuration it prices, and
+    Monte-Carlo a 32-sample block per graph walk.  Each lane runs the
+    same op sequence — same accumulator init, same [>] reductions, same
+    endpoint arithmetic — so a lane's results are bit-identical to a
+    1-lane pass over that lane's delay column.  The pass reads flat
+    arrays only: per cell its pin range, per pin its fanin net and wire
+    delay, per cell its fanout net.  It walks each cell's pins once per
+    block of four lanes with four independent accumulators, rounding
+    [lanes] up to whole blocks while they fit the workspace: the extra
+    lanes of the last block are computed and never read, so a 2- or
+    3-lane pass costs one walk, like a 4-lane one.  Only a workspace of
+    fewer than four lanes runs lane by lane. *)
 
 type workspace
 (** Mutable scratch sized for one {!t}; do not share across domains. *)
@@ -115,9 +120,11 @@ val analyze_into : ?lanes:int -> t -> workspace -> delays:float array -> unit
     [delays] is cell-major: cell [i]'s delay in lane [k] at index
     [i * stride + k], where [stride] is the workspace's lane count —
     the layout {!Pvtol_variation.Sampler.scale_delays_batch} writes;
-    a 1-lane workspace takes a plain per-cell vector.  Results are read
-    per lane through the [ws_*] accessors; each call overwrites the
-    previous one's.  Counts [lanes] in [sta_analyze_total].  Raises
+    a 1-lane workspace takes a plain per-cell vector.  The columns of
+    the lanes a rounded-up block computes beyond [lanes] may hold
+    anything, [nan] included; no lane in use reads them.  Results are
+    read per lane through the [ws_*] accessors; each call overwrites
+    the previous one's.  Counts [lanes] in [sta_analyze_total].  Raises
     [Invalid_argument] if [lanes] is outside [1, stride] or the
     workspace or [delays] is sized for another graph. *)
 

@@ -413,7 +413,8 @@ let test_chipwide_stamp_per_die () =
      everywhere that even the all-high configuration fails; die B, next
      on the same scratch, is a failing die that all-high fixes, and runs
      chip-wide before (and without) the island strategy.  Both verdicts
-     must match the sequential oracle's. *)
+     must match the sequential oracle's, one die per detect and as two
+     lanes of one batch. *)
   let t, v = Lazy.force env in
   let ctx = Compensation.context t in
   let sc = Compensation.scratch ctx in
@@ -442,12 +443,24 @@ let test_chipwide_stamp_per_die () =
     else
       let d, got, expected = chipwide_pair ~systematic seed ~with_vi:false in
       if d.Compensation.violating > 0 && expected.Compensation.meets then
-        (got, expected)
+        (seed, got, expected)
       else failing_die (seed + 1)
   in
-  let got, expected = failing_die 1 in
+  let seed_b, got, expected = failing_die 1 in
   Alcotest.(check bool) "die B: chip-wide verdict" expected.Compensation.meets
-    got.Compensation.meets
+    got.Compensation.meets;
+  (* The same two dies as lanes 0 and 1 of one batch: chip-wide on B
+     must not read the stamp the settle left on A. *)
+  Compensation.draw ctx sc 0 ~systematic:slow (Srng.create 1);
+  Compensation.draw ctx sc 1 ~systematic (Srng.create seed_b);
+  Compensation.detect_lanes ctx sc 2;
+  let d_a = Compensation.select sc 0 in
+  ignore (vi sc d_a);
+  Alcotest.(check bool) "batched die A: chip-wide verdict" false
+    (cw sc d_a).Compensation.meets;
+  let d_b = Compensation.select sc 1 in
+  Alcotest.(check bool) "batched die B: chip-wide verdict"
+    expected.Compensation.meets (cw sc d_b).Compensation.meets
 
 let test_scratch_reuse () =
   (* The census, the comparison sweep and the sampling estimator lease
@@ -570,6 +583,250 @@ let test_die_allocation_bound () =
       "buffers apply: %.3f minor words per die per cell (bound %.2f)"
       per_buffers max_buffer_words_per_die_cell
 
+(* --- batched detect: [Wafer.tally] vs a per-die loop --- *)
+
+module Welford = Pvtol_util.Stream_stats.Welford
+module P2 = Pvtol_util.Stream_stats.P2
+module Counter = Pvtol_util.Stream_stats.Counter
+module Postsilicon = Pvtol_core.Postsilicon
+
+(* A site's accumulator, counted die by die as [Wafer.site_tally]
+   counts: the oracle side of the batch tests below. *)
+let fresh_tally (strategies : Compensation.strategy array) =
+  {
+    Wafer.n_dies = 0;
+    n_uncompensated = 0;
+    delay_ns = Welford.create ();
+    delay_p50 = P2.create 0.5;
+    delay_p90 = P2.create 0.9;
+    violating = Counter.create (List.length Compensation.analyzed + 1);
+    strategies =
+      Array.map
+        (fun (s : Compensation.strategy) ->
+          {
+            Wafer.meets = 0;
+            knob_sum = 0;
+            power = Welford.create ();
+            knob = Welford.create ();
+            area = Welford.create ();
+            knobs = Counter.create (s.Compensation.max_knob + 1);
+          })
+        strategies;
+  }
+
+let count_die (ta : Wafer.tally) (d : Compensation.detect) outcomes =
+  ta.Wafer.n_dies <- ta.Wafer.n_dies + 1;
+  if d.Compensation.violating = 0 then
+    ta.Wafer.n_uncompensated <- ta.Wafer.n_uncompensated + 1;
+  let delay = d.Compensation.worst_low_ns in
+  Welford.add ta.Wafer.delay_ns delay;
+  P2.add ta.Wafer.delay_p50 delay;
+  P2.add ta.Wafer.delay_p90 delay;
+  Counter.add ta.Wafer.violating d.Compensation.violating;
+  Array.iteri
+    (fun i (o : Compensation.outcome) ->
+      let st = ta.Wafer.strategies.(i) in
+      if o.Compensation.meets then st.Wafer.meets <- st.Wafer.meets + 1;
+      st.Wafer.knob_sum <- st.Wafer.knob_sum + o.Compensation.knob;
+      Welford.add st.Wafer.power o.Compensation.power_mw;
+      Welford.add st.Wafer.knob (float_of_int o.Compensation.knob);
+      Welford.add st.Wafer.area o.Compensation.area_um2;
+      Counter.add st.Wafer.knobs o.Compensation.knob)
+    outcomes
+
+(* Per site its map, then per stream and die one [Compensation.detect]
+   and each strategy's apply, on one scratch: the loop [Wafer.tally]
+   runs four dies at a time. *)
+let per_die_tallies ctx strategies sites =
+  let sc = Compensation.scratch ctx in
+  let applies =
+    Array.map (fun s -> s.Compensation.fresh_apply ()) strategies
+  in
+  Array.map
+    (fun (site : Wafer.site) ->
+      let ta = fresh_tally strategies in
+      let systematic = Compensation.systematic ctx site.Wafer.position in
+      Array.iter
+        (fun rng ->
+          for _ = 1 to site.Wafer.dies_per_stream do
+            let d = Compensation.detect ctx sc ~systematic rng in
+            count_die ta d (Array.map (fun apply -> apply sc d) applies)
+          done)
+        site.Wafer.streams;
+      ta)
+    sites
+
+(* Sites of 1, 2, 3 and 5 dies per stream on one or two streams, so
+   that batches straddle sites and streams and chunks end in tails of
+   one, two and three lanes. *)
+let mixed_sites () =
+  List.mapi
+    (fun i (streams, dies) ->
+      {
+        Wafer.position =
+          Position.at_xy ~x_frac:(float_of_int i /. 7.0)
+            ~y_frac:(float_of_int (7 - i) /. 7.0) ();
+        streams = Array.init streams (fun f -> Srng.create ((100 * i) + f));
+        dies_per_stream = dies;
+      })
+    [ (1, 1); (2, 1); (1, 2); (2, 3); (1, 3); (2, 2); (2, 5); (1, 5) ]
+  |> Array.of_list
+
+let with_pool domains f =
+  let p = Pool.create ~domains () in
+  Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () -> f p)
+
+let same_tallies label expected got =
+  Alcotest.(check int) (label ^ ": sites") (Array.length expected)
+    (Array.length got);
+  Array.iteri
+    (fun i e ->
+      if Marshal.to_string e [] <> Marshal.to_string got.(i) [] then
+        Alcotest.failf "%s: site %d accumulator differs" label i)
+    expected
+
+let test_batched_tally_matches_per_die () =
+  (* The census's [tally] (four dies per detect pass) against the
+     per-die loop, accumulator for accumulator: on mixed sites and on
+     2-field grids of 1, 2, 3 and 5 dies per cell, with the paper's two
+     strategies and with all four, on 1 and 2 domains.  Chip-wide ahead
+     of the islands reads the settle's all-high stamp only if it names
+     its own die, not another lane of the batch. *)
+  let t, v = Lazy.force env in
+  let ctx = Compensation.context t in
+  let pair = [| Compensation.Vi; Compensation.Chipwide |] in
+  let all = Array.of_list Compensation.all_choices in
+  let grid dies () =
+    Wafer.grid_sites ~who:"test" v
+      { Wafer.nx = 2; ny = 2; dies_per_cell = dies; fields = 2; seed = 7;
+        direction = Island.Vertical }
+  in
+  let cases =
+    [ ("mixed sites", mixed_sites, pair);
+      ("mixed sites, chip-wide first", mixed_sites,
+       [| Compensation.Chipwide; Compensation.Vi |]);
+      ("mixed sites, all", mixed_sites, all) ]
+    @ List.map
+        (fun dies -> (Printf.sprintf "2x2x%dx2 grid" dies, grid dies, pair))
+        [ 1; 2; 3; 5 ]
+    @ [ ("2x2x3x2 grid, all", grid 3, all) ]
+  in
+  List.iter
+    (fun (label, sites, choices) ->
+      let strategies = Array.map (Compensation.build t ctx v) choices in
+      let expected = per_die_tallies ctx strategies (sites ()) in
+      List.iter
+        (fun domains ->
+          let got =
+            with_pool domains (fun pool ->
+                Wafer.tally ~pool ctx strategies Wafer.site_tally (sites ()))
+          in
+          same_tallies (Printf.sprintf "%s, %d domains" label domains)
+            expected got)
+        [ 1; 2 ])
+    cases
+
+let test_batched_compare_matches_per_die () =
+  (* [Compare.run] with every strategy on a 2-field grid whose sites
+     hold 6 dies (a batch of four and a tail of two each), against the
+     same projection of the per-die loop's tallies. *)
+  let t, v = Lazy.force env in
+  let cfg =
+    { Compare.nx = 3; ny = 1; dies_per_cell = 3; fields = 2; seed = 7;
+      direction = Island.Vertical; choices = Compensation.all_choices }
+  in
+  let ctx = Compensation.context t in
+  let strategies =
+    Array.of_list (List.map (Compensation.build t ctx v) cfg.Compare.choices)
+  in
+  let sites =
+    Wafer.grid_sites ~who:"test" v
+      { Wafer.nx = 3; ny = 1; dies_per_cell = 3; fields = 2; seed = 7;
+        direction = Island.Vertical }
+  in
+  let total =
+    Wafer.tally_total strategies (per_die_tallies ctx strategies sites)
+  in
+  let dies = float_of_int total.Wafer.n_dies in
+  List.iter
+    (fun domains ->
+      let r = with_pool domains (fun pool -> Compare.run ~pool t v cfg) in
+      let l = Printf.sprintf "%d domains" domains in
+      Alcotest.(check int) (l ^ ": dies") total.Wafer.n_dies r.Compare.dies;
+      check_bits (l ^ ": uncompensated yield")
+        (float_of_int total.Wafer.n_uncompensated /. dies)
+        r.Compare.yield_uncompensated;
+      List.iteri
+        (fun i (res : Compare.strategy_result) ->
+          let st = total.Wafer.strategies.(i) in
+          let l = l ^ ": " ^ res.Compare.name in
+          check_bits (l ^ " yield")
+            (float_of_int st.Wafer.meets /. dies) res.Compare.yield;
+          check_bits (l ^ " power") (Welford.mean st.Wafer.power)
+            res.Compare.mean_power_mw;
+          check_bits (l ^ " knob") (Welford.mean st.Wafer.knob)
+            res.Compare.mean_knob;
+          Alcotest.(check int) (l ^ " knob total") st.Wafer.knob_sum
+            res.Compare.knob_total;
+          check_bits (l ^ " area") (Welford.mean st.Wafer.area)
+            res.Compare.mean_area_um2)
+        r.Compare.results)
+    [ 1; 2 ]
+
+let test_batched_postsilicon_matches_per_die () =
+  (* [Postsilicon.run]'s one-die sites batch four chips per pass; 9 and
+     11 chips end in tails of one and three.  Each chip against its own
+     [detect] plus the island and chip-wide applies. *)
+  let t, v = Lazy.force env in
+  let k = Postsilicon.kernel t v in
+  let ctx = k.Compensation.ctx in
+  let sc = Compensation.scratch ctx in
+  let vi = k.Compensation.vi.Compensation.fresh_apply () in
+  let cw = k.Compensation.cw.Compensation.fresh_apply () in
+  let n = Pvtol_netlist.Netlist.cell_count (Flow.netlist t) in
+  let seed = 7 in
+  List.iter
+    (fun n_chips ->
+      let expected =
+        List.init n_chips (fun i ->
+            let rng = Srng.create_after ~uniforms:i ~gaussians:(i * n) seed in
+            let frac = Srng.uniform rng in
+            let systematic =
+              Compensation.systematic ctx (Position.at_fraction frac)
+            in
+            let d = Compensation.detect ctx sc ~systematic rng in
+            let ovi = vi sc d in
+            let ocw = cw sc d in
+            ( {
+                Postsilicon.diagonal_frac = frac;
+                violating = d.Compensation.violating;
+                raised = ovi.Compensation.knob;
+                meets_uncompensated = d.Compensation.violating = 0;
+                meets_compensated = ovi.Compensation.meets;
+                meets_chip_wide = ocw.Compensation.meets;
+              },
+              (ovi.Compensation.power_mw, ocw.Compensation.power_mw) ))
+      in
+      let per_chip x = x /. float_of_int n_chips in
+      let power f =
+        per_chip (List.fold_left (fun a (_, p) -> a +. f p) 0.0 expected)
+      in
+      List.iter
+        (fun domains ->
+          let s =
+            with_pool domains (fun pool ->
+                Postsilicon.run ~n_chips ~seed ~pool t v)
+          in
+          let l = Printf.sprintf "%d chips, %d domains" n_chips domains in
+          Alcotest.(check bool) (l ^ ": chips") true
+            (s.Postsilicon.chips = List.map fst expected);
+          check_bits (l ^ ": island power") (power fst)
+            s.Postsilicon.mean_power_islands_mw;
+          check_bits (l ^ ": chip-wide power") (power snd)
+            s.Postsilicon.mean_power_chip_wide_mw)
+        [ 1; 2 ])
+    [ 9; 11 ]
+
 (* --- harness behaviour --- *)
 
 let test_compare_validation () =
@@ -660,6 +917,12 @@ let suite =
       Alcotest.test_case "scratch reuse across ops" `Quick test_scratch_reuse;
       Alcotest.test_case "per-die allocation bound" `Quick
         test_die_allocation_bound;
+      Alcotest.test_case "batched tally = per-die loop (census)" `Quick
+        test_batched_tally_matches_per_die;
+      Alcotest.test_case "batched tally = per-die loop (compare)" `Quick
+        test_batched_compare_matches_per_die;
+      Alcotest.test_case "batched tally = per-die loop (postsilicon)" `Quick
+        test_batched_postsilicon_matches_per_die;
       Alcotest.test_case "compare validation" `Quick test_compare_validation;
       Alcotest.test_case "choice names roundtrip" `Quick
         test_choice_names_roundtrip;

@@ -469,6 +469,35 @@ let test_cli_rejects_nonpositive_counts () =
       ("scenarios --quick --samples 7", "--samples") ];
   Sys.remove err
 
+(* The sampler's --progress status line ends once: at the stopping rule
+   or the last round.  A starved run (every die agrees, so the
+   half-width is zero and the rule rejects it) rewrites the line each
+   round and ends it after the last. *)
+let test_cli_progress_line_ends_once () =
+  let err = Filename.temp_file "pvtol_progress" ".txt" in
+  let rc =
+    Sys.command
+      (Printf.sprintf
+         "PVTOL_DOMAINS=1 %s wafer --quick --sampler mc --strata 1 --dies 2 \
+          --rounds 3 --progress --ci-metric rare --rare-scenario 3 > /dev/null 2> %s"
+         (Filename.quote pvtol_exe) (Filename.quote err))
+  in
+  Alcotest.(check int) "exit" 0 rc;
+  let text = In_channel.with_open_text err In_channel.input_all in
+  Sys.remove err;
+  let status =
+    String.split_on_char '\r' text
+    |> List.filter (String.starts_with ~prefix:"sampling: ")
+  in
+  Alcotest.(check int) "status updates" 3 (List.length status);
+  let newlines =
+    List.fold_left
+      (fun n seg ->
+        n + List.length (String.split_on_char '\n' seg) - 1)
+      0 status
+  in
+  Alcotest.(check int) "newlines on the status line" 1 newlines
+
 (* A run that fails (an unwritable report or artifact, a failed stage)
    prints one [pvtol: ] line and exits 2, not an uncaught exception.
    The domain count is pinned: other tests leave [PVTOL_DOMAINS] set to
@@ -536,4 +565,6 @@ let suite =
         test_cli_rejects_nonpositive_counts;
       Alcotest.test_case "cli run failures exit 2" `Quick
         test_cli_run_failures_exit_2;
+      Alcotest.test_case "cli progress line ends once" `Quick
+        test_cli_progress_line_ends_once;
     ] )

@@ -352,10 +352,13 @@ let check_lane_matches_oracle label sta ws lane o =
 let test_analyze_batch_matches_scalar () =
   (* Every lane of the lane-strided kernel must be bit-identical to the
      scalar oracle pass over that lane's delay column, with the zero
-     skew row and a non-zero one: a 1-lane workspace, a partial block
+     skew row and a non-zero one: a 1-lane workspace, 1-3 lanes of a
+     4-lane one (a partial block in the 4-wide body), a partial block
      (5 lanes of stride 8), and 1-9, 31 and 32 lanes of a 32-lane
      workspace — below, at and past the 4-lane blocks, with every
-     remainder. *)
+     remainder.  The unused lane columns of the delays hold nan, which
+     the extra lanes of a rounded-up block compute on and no lane in
+     use may see. *)
   let _, sta = Lazy.force vex_sta in
   let base = Sta.nominal_delays sta in
   let n = Array.length base in
@@ -364,7 +367,7 @@ let test_analyze_batch_matches_scalar () =
   List.iter
     (fun (stride, lanes) ->
       let ws = Sta.workspace ~lanes:stride sta in
-      let block = Array.make (n * stride) 0.0 in
+      let block = Array.make (n * stride) nan in
       for i = 0 to n - 1 do
         for k = 0 to lanes - 1 do
           block.((i * stride) + k) <- wiggled base i k
@@ -386,7 +389,7 @@ let test_analyze_batch_matches_scalar () =
               sta ws k o
           done)
         skews)
-    ([ (1, 1); (8, 5) ]
+    ([ (1, 1); (4, 1); (4, 2); (4, 3); (8, 5) ]
     @ List.map (fun lanes -> (32, lanes)) [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 31; 32 ])
 
 (* --- one timing graph per sizing run --- *)
