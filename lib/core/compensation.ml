@@ -20,6 +20,7 @@ let m_buffers_inserted = Metrics.counter "buffers_inserted_total"
 let m_dies = Metrics.counter "postsilicon_dies_total"
 let m_raised = Metrics.counter "postsilicon_islands_raised_total"
 let m_settle_lanes = Metrics.counter "compensation_settle_lanes_total"
+let m_skew_passes = Metrics.counter "skew_settle_passes_total"
 
 let analyzed = Pvtol_ssta.Scenario.analyzed_stages
 
@@ -35,6 +36,8 @@ type ctx = {
   n_cells : int;
   power_chip_wide : float;
   power_baseline : float;
+  caps : int array;  (* the analyzed stages' capture flops, stage by stage *)
+  cap_bounds : int array;  (* stage [i] of [analyzed] owns caps [b.(i), b.(i+1)) *)
 }
 
 type detect = {
@@ -51,18 +54,28 @@ type detect = {
    two vectors.  Each batch numbers its lanes' dies from [batch] on,
    [batch_lanes] numbers per batch; [die] names the selected one, and
    [high_die] the one whose all-high verdict [high_meets] holds (-1:
-   none), so chip-wide reads the verdict the settle already priced. *)
+   none), so chip-wide reads the verdict the settle already priced.
+   [detect_lanes] also keeps each lane's capture flops' endpoint
+   delays, which the skew settle's first guess and the buffer settle
+   read for the selected [lane]; the skew settle keeps
+   its tune states in [tunes] and prices them on [lanes_ws], whose skew
+   rows it sets back to zero, and the buffer settle its trims in
+   [trims]. *)
 type scratch = {
   ws : Sta.workspace;  (* 1 lane: a lone die's detect, chip-wide's own *)
-  lanes_ws : Sta.workspace;  (* [batch_lanes] lanes: a batch's detect, the settle *)
+  lanes_ws : Sta.workspace;  (* [batch_lanes] lanes: a batch's detect, the settles *)
   block : float array;  (* cells x [batch_lanes], cell-major *)
   systematic_buf : float array;  (* [systematic_into]'s map *)
   lgates : float array;
   lows : float array array;  (* per lane: the die's delays at vdd_low *)
   highs : float array array;  (* per lane: at vdd_high *)
   detects : detect array;  (* per lane: the latest batch's verdicts *)
+  arrivals : float array;  (* [batch_lanes] x caps, lane-major: endpoint delays at vdd_low *)
+  tunes : float array;  (* [batch_lanes] x caps, lane-major: skew tune states *)
+  trims : int array;  (* per cap: buffer trims *)
   mutable low_delays : float array;  (* the selected die's [lows] entry *)
   mutable high_delays : float array;
+  mutable lane : int;
   mutable batch : int;
   mutable die : int;
   mutable high_die : int;
@@ -80,6 +93,11 @@ let context (t : Flow.t) =
   let sta = Flow.sta t in
   let power_chip_wide = Flow.power_mw t ~position:Position.point_b Flow.Chip_wide_high in
   let power_baseline = Flow.power_mw t ~position:Position.point_b Flow.Baseline_low in
+  let stage_caps = List.map (Sta.stage_endpoint_ids sta) analyzed in
+  let cap_bounds = Array.make (List.length analyzed + 1) 0 in
+  List.iteri
+    (fun i caps -> cap_bounds.(i + 1) <- cap_bounds.(i) + Array.length caps)
+    stage_caps;
   {
     sampler = Flow.sampler t;
     placement = Flow.placement t;
@@ -89,6 +107,8 @@ let context (t : Flow.t) =
     n_cells = Netlist.cell_count (Flow.netlist t);
     power_chip_wide;
     power_baseline;
+    caps = Array.concat stage_caps;
+    cap_bounds;
   }
 
 (* Lanes of a detect batch and of a settle block: every flow slicing
@@ -99,6 +119,7 @@ let batch_lanes = 4
 let scratch c =
   let lows = Array.init batch_lanes (fun _ -> Array.make c.n_cells 0.0) in
   let highs = Array.init batch_lanes (fun _ -> Array.make c.n_cells 0.0) in
+  let n_caps = Array.length c.caps in
   {
     ws = Sta.workspace c.sta;
     lanes_ws = Sta.workspace ~lanes:batch_lanes c.sta;
@@ -108,49 +129,84 @@ let scratch c =
     lows;
     highs;
     detects = Array.make batch_lanes { violating = 0; worst_low_ns = 0.0 };
+    arrivals = Array.make (batch_lanes * n_caps) 0.0;
+    tunes = Array.make (batch_lanes * n_caps) 0.0;
+    trims = Array.make n_caps 0;
     low_delays = lows.(0);
     high_delays = highs.(0);
+    lane = 0;
     batch = 0;
     die = 0;
     high_die = -1;
     high_meets = false;
   }
 
-(* Scratches returned by finished fan-outs, one free list per timing
-   graph.  The graph is an ephemeron key, so a flow's scratches go with
-   it. *)
-let free_lists : (Sta.t, scratch list ref) Ephemeron.K1.Bucket.t =
+(* What a timing graph keeps across ops: the scratches returned by
+   finished fan-outs, and the design-time state of the skew and buffer
+   strategies (the clock tree's untuned skew, the nominal buffer sites
+   per [sites_per_stage]), computed by the first build on the graph.
+   The graph is an ephemeron key, so all of it goes with its flow. *)
+type skew_base = {
+  row0 : float array;  (* per flop slot: the untuned skew, offset + 0.0 *)
+  cap_slot : int array;  (* per cap: its flop slot *)
+  cap_off : float array;  (* per cap: its clock-tree offset *)
+  cap_reach : float array;  (* per cap: the latest offset launching into its D pin *)
+}
+
+type graph_state = {
+  mutable free : scratch list;
+  mutable skew_base : skew_base option;
+  mutable sites : (int * int list) list;
+}
+
+let graphs : (Sta.t, graph_state) Ephemeron.K1.Bucket.t =
   Ephemeron.K1.Bucket.make ()
 
-let free_lock = Mutex.create ()
+let graph_lock = Mutex.create ()
+
+let graph_state c =
+  Mutex.protect graph_lock (fun () ->
+      match Ephemeron.K1.Bucket.find graphs c.sta with
+      | Some g -> g
+      | None ->
+        let g = { free = []; skew_base = None; sites = [] } in
+        Ephemeron.K1.Bucket.add graphs c.sta g;
+        g)
+
+(* [find g], else [make ()] kept by [keep g]; [make] runs outside the
+   lock, and a racing build's value (the same one) is dropped. *)
+let once_per_graph c find make keep =
+  let g = graph_state c in
+  match Mutex.protect graph_lock (fun () -> find g) with
+  | Some x -> x
+  | None ->
+    let x = make () in
+    Mutex.protect graph_lock (fun () ->
+        match find g with
+        | Some x -> x
+        | None ->
+          keep g x;
+          x)
 
 let with_scratches c f =
-  let free =
-    Mutex.protect free_lock (fun () ->
-        match Ephemeron.K1.Bucket.find free_lists c.sta with
-        | Some l -> l
-        | None ->
-          let l = ref [] in
-          Ephemeron.K1.Bucket.add free_lists c.sta l;
-          l)
-  in
+  let g = graph_state c in
   let leased = ref [] in
   let lease () =
     let reused =
-      Mutex.protect free_lock (fun () ->
-          match !free with
+      Mutex.protect graph_lock (fun () ->
+          match g.free with
           | sc :: rest ->
-            free := rest;
+            g.free <- rest;
             Some sc
           | [] -> None)
     in
     let sc = match reused with Some sc -> sc | None -> scratch c in
-    Mutex.protect free_lock (fun () -> leased := sc :: !leased);
+    Mutex.protect graph_lock (fun () -> leased := sc :: !leased);
     sc
   in
   Fun.protect
     ~finally:(fun () ->
-      Mutex.protect free_lock (fun () -> free := List.rev_append !leased !free))
+      Mutex.protect graph_lock (fun () -> g.free <- List.rev_append !leased g.free))
     (fun () -> f lease)
 
 let clock c = c.clock
@@ -165,14 +221,24 @@ let systematic_into c sc position =
     ~out:sc.systematic_buf;
   sc.systematic_buf
 
-(* Analyzed stages failing in lane [k] of a finished pass. *)
-let violating_in ws k clock =
-  List.fold_left
-    (fun acc s ->
-      match Sta.ws_stage_delay ws s k with
-      | Some d when d > clock +. 1e-12 -> acc + 1
-      | Some _ | None -> acc)
-    0 analyzed
+(* Analyzed stages failing in lane [k] of a finished pass: bit [i] of
+   the mask is stage [i] of [analyzed]. *)
+let failing_mask ws k clock =
+  let rec go i mask = function
+    | [] -> mask
+    | s :: rest ->
+      let mask =
+        match Sta.ws_stage_delay ws s k with
+        | Some d when d > clock +. 1e-12 -> mask lor (1 lsl i)
+        | Some _ | None -> mask
+      in
+      go (i + 1) mask rest
+  in
+  go 0 0 analyzed
+
+let rec popcount m = if m = 0 then 0 else (m land 1) + popcount (m lsr 1)
+
+let violating_in ws k clock = popcount (failing_mask ws k clock)
 
 let draw c sc k ~systematic rng =
   if k < 0 || k >= batch_lanes then
@@ -185,8 +251,9 @@ let draw c sc k ~systematic rng =
   Process.supply_delays c.sampler.Sampler.process ~base:c.base
     ~lgates:sc.lgates ~low:sc.lows.(k) ~high:sc.highs.(k)
 
-(* Lane [k]'s verdict, read off a finished pass. *)
-let verdict c ws k =
+(* Lane [k]'s verdict, read off a finished pass, and what the skew and
+   buffer settles keep of it: its capture flops' endpoint delays. *)
+let verdict c sc ws k =
   let worst_low =
     List.fold_left
       (fun acc s ->
@@ -195,6 +262,8 @@ let verdict c ws k =
         | None -> acc)
       0.0 analyzed
   in
+  Sta.ws_endpoints_into ws k c.caps ~dst:sc.arrivals
+    ~off:(k * Array.length c.caps);
   { violating = violating_in ws k c.clock; worst_low_ns = worst_low }
 
 let detect_lanes c sc m =
@@ -223,7 +292,7 @@ let detect_lanes c sc m =
     end
   in
   for k = 0 to m - 1 do
-    sc.detects.(k) <- verdict c ws k
+    sc.detects.(k) <- verdict c sc ws k
   done;
   sc.batch <- sc.batch + batch_lanes;
   Metrics.add m_dies m
@@ -231,6 +300,7 @@ let detect_lanes c sc m =
 let select sc k =
   sc.low_delays <- sc.lows.(k);
   sc.high_delays <- sc.highs.(k);
+  sc.lane <- k;
   sc.die <- sc.batch + k;
   sc.detects.(k)
 
@@ -381,20 +451,154 @@ let kernel (t : Flow.t) (v : Flow.variant) =
 (* ------------------------------------------------------------------ *)
 (* Strategy 3: post-silicon clock-skew tuning                           *)
 
-let skew_tuning ?(range_frac = 0.10) ?(steps = 4) c =
-  let nl = Sta.netlist c.sta in
-  let lib = nl.Netlist.lib in
-  let flops = Sta.flop_ids c.sta in
-  (* The tuning elements live in a real clock tree: synthesize it over
-     the placed flops and use its insertion-delay offsets as the
-     baseline skew every die starts from. *)
-  let tree = Clock_tree.synthesize c.placement ~flops in
-  let offs = tree.Clock_tree.offsets in
-  let stage_caps =
-    List.map (fun s -> (s, Sta.stage_endpoint_ids c.sta s)) analyzed
+(* The tuning elements live in a real clock tree: synthesize it over
+   the placed flops once per timing graph, and keep its insertion-delay
+   offsets as the untuned skew row every die starts from.  Also kept:
+   per capture flop, the latest offset among the flops in its D pin's
+   fan-in cone (0 for a cone of primary inputs only), which bounds how
+   late the untuned clock can launch its data. *)
+let skew_base c =
+  once_per_graph c
+    (fun g -> g.skew_base)
+    (fun () ->
+      let nl = Sta.netlist c.sta in
+      let flops = Sta.flop_ids c.sta in
+      let offs = (Clock_tree.synthesize c.placement ~flops).Clock_tree.offsets in
+      let slot = Hashtbl.create (Array.length flops) in
+      Array.iteri (fun k cid -> Hashtbl.replace slot cid k) flops;
+      let reach = Array.make (Netlist.net_count nl) 0.0 in
+      Array.iter
+        (fun cid -> reach.(nl.Netlist.cells.(cid).Netlist.fanout) <- offs.(cid))
+        flops;
+      Array.iter
+        (fun cid ->
+          let cell = nl.Netlist.cells.(cid) in
+          reach.(cell.Netlist.fanout) <-
+            Array.fold_left
+              (fun acc nid -> Float.max acc reach.(nid))
+              0.0 cell.Netlist.fanins)
+        (Sta.comb_order c.sta);
+      {
+        row0 = Array.map (fun cid -> offs.(cid) +. 0.0) flops;
+        cap_slot = Array.map (Hashtbl.find slot) c.caps;
+        cap_off = Array.map (fun cid -> offs.(cid)) c.caps;
+        cap_reach =
+          Array.map (fun cid -> reach.(nl.Netlist.cells.(cid).Netlist.fanins.(0))) c.caps;
+      })
+    (fun g b -> g.skew_base <- Some b)
+
+(* The first pass's guess at the failing stages of the untuned die: a
+   stage fails if one of its capture flops would, with every launch at
+   the latest offset of its cone and the capture at its own offset,
+   read off the zero-skew endpoint delays [detect] kept.  A superset,
+   up to rounding, of the stages that fail (skew shifts a path by its
+   own launch offset, 0 from a primary input).  On the full design's
+   seed-7 compare grid it is the exact set for 40 of 44 failing dies,
+   [detect]'s own failing set for 24: the clock tree often breaks
+   another stage. *)
+let first_guess c sc b =
+  let n_caps = Array.length c.caps in
+  let arrival = sc.arrivals and off = sc.lane * n_caps in
+  let mask = ref 0 in
+  for i = 0 to Array.length c.cap_bounds - 2 do
+    let worst = ref neg_infinity in
+    for j = c.cap_bounds.(i) to c.cap_bounds.(i + 1) - 1 do
+      let e = arrival.(off + j) -. b.cap_off.(j) +. b.cap_reach.(j) in
+      if e > !worst then worst := e
+    done;
+    if !worst > c.clock +. 1e-12 then mask := !mask lor (1 lsl i)
+  done;
+  !mask
+
+(* Tune lane [dst] := lane [src] one step on: the capture flops of every
+   stage in [mask] delayed by [step], each unless that passes
+   [max_tune].  Whether any moved. *)
+let advance c tunes ~step ~max_tune ~src ~dst mask =
+  let n_caps = Array.length c.caps in
+  let so = src * n_caps and d = dst * n_caps in
+  if src <> dst then Array.blit tunes so tunes d n_caps;
+  let moved = ref false in
+  for i = 0 to Array.length c.cap_bounds - 2 do
+    if mask land (1 lsl i) <> 0 then
+      for j = d + c.cap_bounds.(i) to d + c.cap_bounds.(i + 1) - 1 do
+        let t = tunes.(j) in
+        if t +. step <= max_tune +. 1e-12 then begin
+          tunes.(j) <- t +. step;
+          moved := true
+        end
+      done
+  done;
+  !moved
+
+(* One failing die's skew settle, the sequential rule of the
+   compensation oracle read off speculative lanes.  Like the island
+   controller's settle: while an analyzed stage fails, delay its capture
+   flops one step — relaxing that stage's endpoints while loading the
+   next stage's launches (the borrowing physics of Sta's skew handling)
+   — and re-verify, stopping on success, knob saturation or the
+   iteration cap.  A pass prices four tune states of the die at the low
+   supply, each lane with its own skew row over a block holding the
+   low-supply vector in every lane (filled once per die): lane 0 the
+   current state, lanes 1-3 the states reached if the failing set stays
+   [guess], the set of the latest step, for 1-3 more steps.  The walk
+   reads lane after lane while the failing set is [guess] and the step
+   moved; the first lane whose set differs
+   (bit-identical to the sequential state, since every lane before it
+   stepped by its own failing set) seeds the next pass, one step on.
+   Returns the verdict and the lane holding the final tune. *)
+let skew_settle c sc b ~step ~max_tune ~max_iters =
+  let n_caps = Array.length c.caps in
+  let ws = sc.lanes_ws and tunes = sc.tunes and block = sc.block in
+  let low = sc.low_delays in
+  (* Unsafe accesses are sound: [low] has a delay per cell and [block]
+     [batch_lanes] per cell, both made by [scratch]. *)
+  for i = 0 to c.n_cells - 1 do
+    let v = Array.unsafe_get low i and row = i * batch_lanes in
+    for k = 0 to batch_lanes - 1 do
+      Array.unsafe_set block (row + k) v
+    done
+  done;
+  Array.fill tunes 0 n_caps 0.0;
+  let rec pass iters guess =
+    let moved = ref 0 in
+    for k = 1 to batch_lanes - 1 do
+      if advance c tunes ~step ~max_tune ~src:(k - 1) ~dst:k guess then
+        moved := !moved lor (1 lsl k)
+    done;
+    for k = 0 to batch_lanes - 1 do
+      let row = Sta.skew_row ws k and o = k * n_caps in
+      Array.blit b.row0 0 row 0 (Array.length row);
+      for j = 0 to n_caps - 1 do
+        row.(b.cap_slot.(j)) <- b.cap_off.(j) +. tunes.(o + j)
+      done
+    done;
+    Sta.analyze_into c.sta ws ~delays:block;
+    Metrics.incr m_skew_passes;
+    walk iters guess !moved 0
+  and walk iters guess moved k =
+    let mask = failing_mask ws k c.clock in
+    if mask = 0 then (true, k)
+    else if iters <= 0 then (false, k)
+    else if mask = guess && k + 1 < batch_lanes then
+      if moved land (1 lsl (k + 1)) <> 0 then walk (iters - 1) guess moved (k + 1)
+      else (false, k)
+    else if advance c tunes ~step ~max_tune ~src:k ~dst:0 mask then
+      pass (iters - 1) mask
+    else (false, k)
   in
-  let all_caps = Array.concat (List.map snd stage_caps) in
-  let n_elements = Array.length all_caps in
+  let result = pass max_iters (first_guess c sc b) in
+  (* [detect] and the island settle time this workspace under an ideal
+     clock. *)
+  for k = 0 to batch_lanes - 1 do
+    let row = Sta.skew_row ws k in
+    Array.fill row 0 (Array.length row) 0.0
+  done;
+  result
+
+let skew_tuning ?(range_frac = 0.10) ?(steps = 4) c =
+  let lib = (Sta.netlist c.sta).Netlist.lib in
+  let b = skew_base c in
+  let n_caps = Array.length c.caps in
   let element = Cell.find lib Kind.Buf Cell.X1 in
   (* Tuning elements sit on the clock: one output toggle per cycle. *)
   let unit_power = element_power_mw lib element ~clock:c.clock ~toggle_rate:1.0 in
@@ -402,186 +606,149 @@ let skew_tuning ?(range_frac = 0.10) ?(steps = 4) c =
   let max_tune = range_frac *. c.clock in
   let step = max_tune /. float_of_int steps in
   let max_iters = steps * List.length analyzed in
+  let apply sc (d : detect) =
+    if d.violating = 0 then
+      { meets = true; knob = 0; power_mw = c.power_baseline; area_um2 = 0.0 }
+    else begin
+      let meets, lane = skew_settle c sc b ~step ~max_tune ~max_iters in
+      let knob = ref 0 in
+      for j = lane * n_caps to ((lane + 1) * n_caps) - 1 do
+        if sc.tunes.(j) > 0.0 then incr knob
+      done;
+      let knob = !knob in
+      if knob > 0 then Metrics.incr m_skew_applied;
+      Metrics.add m_skew_flops knob;
+      {
+        meets;
+        knob;
+        power_mw = c.power_baseline +. (float_of_int knob *. unit_power);
+        area_um2 = float_of_int knob *. unit_area;
+      }
+    end
+  in
   {
     name = "skew";
     title = "clock-skew tuning";
     knob_units = "flops";
-    static_area_um2 = float_of_int n_elements *. unit_area;
-    max_knob = n_elements;
-    fresh_apply =
-      (fun () ->
-        (* Private workspace: the skew settle rewrites its skew row,
-           and the scratch's workspaces time every other strategy under
-           an ideal clock. *)
-        let ws = Sta.workspace c.sta in
-        let skew = Sta.skew_row ws in
-        let tune = Array.make c.n_cells 0.0 in
-        fun sc (d : detect) ->
-          if d.violating = 0 then
-            { meets = true; knob = 0; power_mw = c.power_baseline;
-              area_um2 = 0.0 }
-          else begin
-            Array.iter (fun cid -> tune.(cid) <- 0.0) all_caps;
-            (* The die stays at the low supply: read the delay vector
-               [detect] kept. *)
-            let delays = sc.low_delays in
-            let failing s =
-              match Sta.ws_stage_delay ws s 0 with
-              | Some dd -> dd > c.clock +. 1e-12
-              | None -> false
-            in
-            (* Like the island controller's settle: while an analyzed
-               stage fails, delay its capture flops one step — relaxing
-               that stage's endpoints while loading the next stage's
-               launches (the borrowing physics of Sta's skew handling)
-               — and re-verify.  Stops on success, knob saturation, or
-               the iteration cap (one downstream ripple per step). *)
-            let rec settle iters =
-              for slot = 0 to Array.length flops - 1 do
-                let cid = flops.(slot) in
-                skew.(slot) <- offs.(cid) +. tune.(cid)
-              done;
-              Sta.analyze_into c.sta ws ~delays;
-              let bad = List.filter (fun (s, _) -> failing s) stage_caps in
-              if bad = [] then true
-              else if iters <= 0 then false
-              else begin
-                let moved = ref false in
-                List.iter
-                  (fun (_, caps) ->
-                    Array.iter
-                      (fun cid ->
-                        if tune.(cid) +. step <= max_tune +. 1e-12 then begin
-                          tune.(cid) <- tune.(cid) +. step;
-                          moved := true
-                        end)
-                      caps)
-                  bad;
-                if !moved then settle (iters - 1) else false
-              end
-            in
-            let meets = settle max_iters in
-            let knob =
-              Array.fold_left
-                (fun acc cid -> if tune.(cid) > 0.0 then acc + 1 else acc)
-                0 all_caps
-            in
-            if knob > 0 then Metrics.incr m_skew_applied;
-            Metrics.add m_skew_flops knob;
-            {
-              meets;
-              knob;
-              power_mw = c.power_baseline +. (float_of_int knob *. unit_power);
-              area_um2 = float_of_int knob *. unit_area;
-            }
-          end);
+    static_area_um2 = float_of_int n_caps *. unit_area;
+    max_knob = n_caps;
+    fresh_apply = (fun () -> apply);
   }
 
 (* ------------------------------------------------------------------ *)
 (* Strategy 4: post-silicon tunable buffers                             *)
 
+(* Design-time site selection on the worst NOMINAL low-supply paths,
+   once per timing graph and site count: the library is characterised
+   at (vdd_low, nominal Lgate), so the STA's base delay vector IS the
+   nominal low-supply corner. *)
+let nominal_sites c sites_per_stage =
+  once_per_graph c
+    (fun g -> List.assoc_opt sites_per_stage g.sites)
+    (fun () ->
+      let nominal = Sta.analyze c.sta ~delays:c.base in
+      List.concat_map
+        (fun s ->
+          List.map fst
+            (Paths.worst_endpoints ~stage:s c.sta nominal ~k:sites_per_stage))
+        analyzed)
+    (fun g sites -> g.sites <- (sites_per_stage, sites) :: g.sites)
+
 let tunable_buffers ?(sites_per_stage = 8) ?(max_per_site = 4)
     ?(trim_frac = 0.02) c =
-  let nl = Sta.netlist c.sta in
-  let lib = nl.Netlist.lib in
-  (* Design-time site selection on the worst NOMINAL low-supply paths:
-     the library is characterised at (vdd_low, nominal Lgate), so the
-     STA's base delay vector IS the nominal low-supply corner. *)
-  let nominal = Sta.analyze c.sta ~delays:c.base in
+  let lib = (Sta.netlist c.sta).Netlist.lib in
+  let n_caps = Array.length c.caps in
+  let cap_of = Hashtbl.create n_caps in
+  Array.iteri (fun j cid -> Hashtbl.replace cap_of cid j) c.caps;
+  (* Each site as its cap index: a site is a worst endpoint of an
+     analyzed stage, so it is one of that stage's caps. *)
   let sites =
-    List.concat_map
-      (fun s ->
-        List.map fst
-          (Paths.worst_endpoints ~stage:s c.sta nominal ~k:sites_per_stage))
-      analyzed
+    Array.of_list (List.map (Hashtbl.find cap_of) (nominal_sites c sites_per_stage))
   in
-  let site_cap = Array.make c.n_cells 0 in
-  List.iter (fun cid -> site_cap.(cid) <- max_per_site) sites;
-  let n_sites = List.length sites in
-  let stage_caps = List.map (Sta.stage_endpoint_ids c.sta) analyzed in
+  let site_cap = Array.make n_caps 0 in
+  Array.iter (fun j -> site_cap.(j) <- max_per_site) sites;
+  let n_sites = Array.length sites in
+  let n_stages = Array.length c.cap_bounds - 1 in
   let buffer = Cell.find lib Kind.Buf Cell.X4 in
   (* Data-path buffers: toggle at a typical signal activity. *)
   let unit_power = element_power_mw lib buffer ~clock:c.clock ~toggle_rate:0.2 in
   let unit_area = buffer.Cell.area in
   let trim = trim_frac *. c.clock in
   let max_knob = n_sites * max_per_site in
+  let apply sc (d : detect) =
+    if d.violating = 0 then
+      { meets = true; knob = 0; power_mw = c.power_baseline; area_um2 = 0.0 }
+    else begin
+      let trims = sc.trims in
+      for i = 0 to n_sites - 1 do
+        trims.(sites.(i)) <- 0
+      done;
+      (* The die's endpoint delays at the low supply, kept by [detect]
+         from its own pass; each trim stage then shaves [trim] ns off its
+         endpoint's path, so the greedy loop below is pure arithmetic:
+         enable one trim at a time on the binding endpoint of the first
+         failing stage until every stage meets or the binding endpoint
+         is out of (configured or remaining) trims.  The effective
+         delay [arrival - trims * trim] is written out at each use so no
+         float is boxed. *)
+      let arrival = sc.arrivals and off = sc.lane * n_caps in
+      (* Stage [i]'s latest endpoint as a cap index, -1 if it has none. *)
+      let binding i =
+        let wc = ref (-1) and wd = ref neg_infinity in
+        for j = c.cap_bounds.(i) to c.cap_bounds.(i + 1) - 1 do
+          let dd = arrival.(off + j) -. (float_of_int trims.(j) *. trim) in
+          if dd > !wd then begin
+            wc := j;
+            wd := dd
+          end
+        done;
+        !wc
+      in
+      (* The first failing stage's binding endpoint, -1 if every stage
+         meets. *)
+      let rec failing i =
+        if i >= n_stages then -1
+        else
+          let j = binding i in
+          if
+            j >= 0
+            && arrival.(off + j) -. (float_of_int trims.(j) *. trim)
+               > c.clock +. 1e-12
+          then j
+          else failing (i + 1)
+      in
+      let rec settle () =
+        let j = failing 0 in
+        if j < 0 then true
+        else if trims.(j) < site_cap.(j) then begin
+          trims.(j) <- trims.(j) + 1;
+          settle ()
+        end
+        else false (* binding endpoint is not a tunable site *)
+      in
+      let meets = settle () in
+      let knob = ref 0 in
+      for i = 0 to n_sites - 1 do
+        knob := !knob + trims.(sites.(i))
+      done;
+      let knob = !knob in
+      if knob > 0 then Metrics.incr m_buffers_applied;
+      Metrics.add m_buffers_inserted knob;
+      {
+        meets;
+        knob;
+        power_mw = c.power_baseline +. (float_of_int knob *. unit_power);
+        area_um2 = float_of_int knob *. unit_area;
+      }
+    end
+  in
   {
     name = "buffers";
     title = "tunable buffers";
     knob_units = "buffers";
     static_area_um2 = float_of_int max_knob *. unit_area;
     max_knob;
-    fresh_apply =
-      (fun () ->
-        let ws = Sta.workspace c.sta in
-        let trims = Array.make c.n_cells 0 in
-        (* This die's endpoint arrivals, by cell id. *)
-        let arrival = Array.make c.n_cells 0.0 in
-        fun sc (d : detect) ->
-          if d.violating = 0 then
-            { meets = true; knob = 0; power_mw = c.power_baseline;
-              area_um2 = 0.0 }
-          else begin
-            List.iter (fun cid -> trims.(cid) <- 0) sites;
-            (* One STA pass for this die's endpoint arrivals; each trim
-               stage then shaves [trim] ns off its endpoint's path, so
-               the greedy loop below is pure arithmetic: enable one trim
-               at a time on the binding endpoint of the first failing
-               stage until every stage meets or the binding endpoint is
-               out of (configured or remaining) trims.  The effective
-               delay [arrival - trims * trim] is written out at each use
-               so no float is boxed. *)
-            Sta.analyze_into c.sta ws ~delays:sc.low_delays;
-            List.iter
-              (Array.iter (fun cid ->
-                   arrival.(cid) <- Sta.ws_endpoint_delay ws cid 0))
-              stage_caps;
-            (* The stage's latest endpoint, -1 if it has none. *)
-            let binding caps =
-              let wc = ref (-1) and wd = ref neg_infinity in
-              for i = 0 to Array.length caps - 1 do
-                let cid = caps.(i) in
-                let dd = arrival.(cid) -. (float_of_int trims.(cid) *. trim) in
-                if dd > !wd then begin
-                  wc := cid;
-                  wd := dd
-                end
-              done;
-              !wc
-            in
-            (* The first failing stage's binding endpoint, -1 if every
-               stage meets. *)
-            let rec failing = function
-              | [] -> -1
-              | caps :: rest ->
-                let cid = binding caps in
-                if
-                  cid >= 0
-                  && arrival.(cid) -. (float_of_int trims.(cid) *. trim)
-                     > c.clock +. 1e-12
-                then cid
-                else failing rest
-            in
-            let rec settle () =
-              let cid = failing stage_caps in
-              if cid < 0 then true
-              else if trims.(cid) < site_cap.(cid) then begin
-                trims.(cid) <- trims.(cid) + 1;
-                settle ()
-              end
-              else false (* binding endpoint is not a tunable site *)
-            in
-            let meets = settle () in
-            let knob = List.fold_left (fun a cid -> a + trims.(cid)) 0 sites in
-            if knob > 0 then Metrics.incr m_buffers_applied;
-            Metrics.add m_buffers_inserted knob;
-            {
-              meets;
-              knob;
-              power_mw = c.power_baseline +. (float_of_int knob *. unit_power);
-              area_um2 = float_of_int knob *. unit_area;
-            }
-          end);
+    fresh_apply = (fun () -> apply);
   }
 
 (* ------------------------------------------------------------------ *)

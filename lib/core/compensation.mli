@@ -16,14 +16,18 @@
     all run their dies through it.
 
     A strategy's precomputed state is immutable and safe to share
-    across domains; everything mutable lives in the closure returned by
-    [fresh_apply] (one per concurrent caller) and in the shared
-    {!scratch}.  {!detect} scales the die at both supplies at once; the
-    island strategy prices every raise it may need, and the all-high
+    across domains; everything mutable lives in the {!scratch} each
+    concurrent caller leases, so [fresh_apply] allocates nothing.
+    {!detect} scales the die at both supplies at once; the island
+    strategy prices every raise it may need, and the all-high
     configuration, as the lanes of one STA pass, and chip-wide reads
-    that all-high verdict.  Every lane is bit-identical to a 1-lane pass
-    over its configuration, so both stay bit-identical to the
-    golden-pinned [Postsilicon.run] study. *)
+    that all-high verdict.  Skew tuning prices four speculative tune
+    states per pass, and tunable buffers re-time nothing: they read the
+    endpoint delays of {!detect}'s own pass.  Every lane is
+    bit-identical to a 1-lane pass over its configuration, so every
+    outcome is bit-identical to the sequential, one-pass-per-state
+    settle (the test oracle) and to the golden-pinned [Postsilicon.run]
+    study. *)
 
 open Pvtol_netlist
 
@@ -35,20 +39,26 @@ val analyzed : Stage.t list
 
 type ctx
 (** Everything die-independent that every strategy shares: the STA, the
-    sampler, nominal delays, clock and the baseline/chip-wide power
-    levels.  Immutable. *)
+    sampler, nominal delays, clock, the baseline/chip-wide power levels
+    and the analyzed stages' capture flops.  Immutable. *)
 
 type scratch
 (** Per-caller mutable state shared by {!detect} and the strategies:
     a 1-lane and a {!batch_lanes}-lane STA workspace, the
     systematic-map and Lgate buffers, per lane a die's delay vectors at
     the low and the high supply, and the lane block of a batched detect
-    and of the island settle.  One per concurrent simulator.  {!draw}
-    fills a lane's two delay vectors and {!select} makes a lane the
-    current die; the island strategy selects between its vectors per
-    cell and lane, chip-wide reads the high one (or the all-high
-    verdict the island settle stamped on this die), and skew tuning
-    and tunable buffers read the low one. *)
+    and of the island settle; per lane the endpoint delays of the
+    analyzed stages' capture flops that {!detect_lanes} keeps of its
+    pass; and the skew settle's {!batch_lanes} tune
+    states and the buffer settle's trims, both per capture flop.  One
+    per concurrent simulator.  {!draw} fills a lane's two delay vectors
+    and {!select} makes a lane the current die; the island strategy
+    selects between its vectors per cell and lane, chip-wide reads the
+    high one (or the all-high verdict the island settle stamped on this
+    die), skew tuning reads the low one and tunable buffers the kept
+    endpoint delays.  The skew settle times its lanes on the
+    {!batch_lanes}-lane workspace and sets its skew rows back to zero,
+    so every other pass on the scratch runs under an ideal clock. *)
 
 type detect = {
   violating : int;       (** analyzed stages failing at the low supply *)
@@ -110,16 +120,20 @@ val detect_lanes : ctx -> scratch -> int -> unit
 (** [detect_lanes ctx sc m]: the sensor verdicts of the dies drawn into
     lanes [0, m), re-timed at the low supply as the lanes of one STA
     pass (a lone die as one 1-lane pass), each lane bit-identical to a
-    1-lane pass over its die.  Every verdict is read off the pass
-    before this returns, so the strategies may reuse the workspaces.
+    1-lane pass over its die.  Every verdict, and per lane the
+    endpoint delays of the analyzed stages' capture flops
+    (O(endpoints), for the skew and buffer settles), is read off the
+    pass before this returns, so the strategies may reuse the
+    workspaces.
     Counts the [m] dies in [postsilicon_dies_total].
     [Invalid_argument] unless [1 <= m <= batch_lanes]. *)
 
 val select : scratch -> int -> detect
 (** [select sc k]: lane [k]'s verdict from the latest {!detect_lanes},
     making its die the one the strategies re-time: their applies read
-    lane [k]'s delay vectors, and the island settle's all-high stamp
-    names this die.  Select each lane before applying strategies to it. *)
+    lane [k]'s delay vectors and kept endpoint delays, and the island
+    settle's all-high stamp names this die.  Select each lane before
+    applying strategies to it. *)
 
 val detect : ctx -> scratch -> systematic:float array -> Pvtol_util.Srng.t -> detect
 (** One die as a batch of one: {!draw} into lane 0, {!detect_lanes}
@@ -136,13 +150,14 @@ type strategy = {
           (level shifters, tuning elements, buffer chains) *)
   max_knob : int;         (** upper bound of [outcome.knob] *)
   fresh_apply : unit -> scratch -> detect -> outcome;
-      (** [fresh_apply ()] allocates this caller's private mutable
-          state and returns the apply function: given the shared
-          scratch right after (or any time after) {!detect} on the same
-          die, re-verify under this strategy's knob and cost it.  On a
-          die with [violating = 0] every strategy returns
-          [{meets = true; knob = 0; ...}] without touching the STA
-          (no knob is configured on passing silicon). *)
+      (** [fresh_apply ()] returns the apply function (it allocates
+          nothing: a strategy's per-die state lives in the scratch):
+          given the scratch right after (or any time after) {!detect}
+          or {!select} of the same die, re-verify under this strategy's
+          knob and cost it.  On a die with [violating = 0] every
+          strategy returns [{meets = true; knob = 0; ...}] without
+          touching the STA (no knob is configured on passing
+          silicon). *)
 }
 
 (** {2 Strategy constructors} *)
@@ -195,10 +210,20 @@ val skew_tuning :
     (default 4).  The settle loop mirrors the island controller's:
     while an analyzed stage fails, delay its capture flops one step
     (helping that stage, loading the next — the borrowing physics of
-    {!Pvtol_timing.Sta.analyze}'s skew handling) and re-verify.
-    [knob] = flops with a nonzero setting.  The die stays at the low
-    supply; cost is the tuning elements' clock-rate switching and
-    leakage. *)
+    {!Pvtol_timing.Sta.analyze}'s skew handling) and re-verify, at most
+    [steps] times the number of analyzed stages.  A pass prices four
+    tune states as the lanes of the scratch's
+    {!batch_lanes}-lane workspace, each with its own skew row: the
+    current state and the three reached if the failing stages stay
+    those of the latest step (the first pass guesses them from the
+    endpoint delays {!detect} kept); the walk reads lanes until the
+    failing set changes, so every state it reads is the sequential
+    rule's, bit for bit.  Counts its passes in
+    [skew_settle_passes_total] and four lanes per pass in
+    [sta_analyze_total].  [knob] = flops with a nonzero setting.  The
+    die stays at the low supply; cost is the tuning elements'
+    clock-rate switching and leakage.  The clock tree is synthesized
+    once per timing graph. *)
 
 val tunable_buffers :
   ?sites_per_stage:int ->
@@ -215,8 +240,11 @@ val tunable_buffers :
     each (default 0.02).  Per die, a greedy loop enables one trim at a
     time on the binding endpoint of a failing stage until every stage
     meets or the binding endpoint has no (more) trims — the die's
-    reported power/area cost is monotone in the buffers enabled.
-    [knob] = trim stages enabled. *)
+    reported power/area cost is monotone in the buffers enabled.  It
+    runs no STA pass: it reads the endpoint delays {!detect} kept for
+    the selected lane.  [knob] = trim stages enabled.  The sites (one
+    nominal pass) are chosen once per timing graph and
+    [sites_per_stage]. *)
 
 (** {2 Strategy selection} *)
 

@@ -214,14 +214,15 @@ type result = {
    accumulator of the fanin max lives in a register and each lane
    performs exactly the scalar op sequence: the same accumulator init,
    the same [>] reductions, the same endpoint arithmetic.  Clock skew
-   is a per-flop row of the workspace, read by the launch seeding of
-   both passes and by the endpoint reduction. *)
+   is one per-flop row per lane of the workspace, read by the launch
+   seeding and by the endpoint reduction of that lane. *)
 
 type workspace = {
   stride : int;
   slot_of : int array;            (* [t.flop_slot]: per cell, -1 if comb *)
   arrival_ws : float array;       (* nets x stride *)
-  skew_ws : float array;          (* per flop slot: clock-arrival offset *)
+  skew_ws : float array array;    (* per lane, per flop slot: clock-arrival offset *)
+  zero_skew : float array;        (* the row of every lane [skew_row] never handed out *)
   endpoint_ws : float array;      (* flop slots x stride *)
   worst_ws : float array;         (* per lane *)
   worst_ep_ws : int array;        (* per lane; -1 = no endpoint *)
@@ -233,11 +234,13 @@ let workspace ?(lanes = 1) t =
   if lanes < 1 then invalid_arg "Sta.workspace: lanes < 1";
   Metrics.incr m_workspaces;
   let n_flops = Array.length t.flops in
+  let zero_skew = Array.make n_flops 0.0 in
   {
     stride = lanes;
     slot_of = t.flop_slot;
     arrival_ws = Array.make (Netlist.net_count t.nl * lanes) 0.0;
-    skew_ws = Array.make n_flops 0.0;
+    skew_ws = Array.make lanes zero_skew;
+    zero_skew;
     endpoint_ws = Array.make (max 1 n_flops * lanes) 0.0;
     worst_ws = Array.make lanes 0.0;
     worst_ep_ws = Array.make lanes (-1);
@@ -245,7 +248,18 @@ let workspace ?(lanes = 1) t =
     stage_ep_ws = Array.make (n_stages * lanes) (-1);
   }
 
-let skew_row ws = ws.skew_ws
+(* A lane gets a row of its own the first time it is asked for one, so
+   a workspace that never runs under skew (Monte-Carlo, sizing) keeps
+   one zero row for all its lanes. *)
+let skew_row ws k =
+  if k < 0 || k >= ws.stride then invalid_arg "Sta.skew_row: lane out of range";
+  let row = ws.skew_ws.(k) in
+  if row != ws.zero_skew then row
+  else begin
+    let own = Array.make (Array.length row) 0.0 in
+    ws.skew_ws.(k) <- own;
+    own
+  end
 
 (* Latest fanin arrival plus its pin wire delay, in one lane: the
    per-cell arithmetic of a workspace narrower than four lanes.  Unsafe
@@ -265,13 +279,13 @@ let[@inline] fanin_max arrival pin_net pin_wire off stop stride k =
 
 (* The endpoint reduction over the current arrivals of lanes
    [0, lanes).  A late capture edge relaxes the endpoint by its own
-   skew. *)
+   skew in that lane. *)
 let endpoint_pass t ws ~lanes =
   let stride = ws.stride in
   let arrival = ws.arrival_ws and endpoint = ws.endpoint_ws in
   let worst = ws.worst_ws and worst_ep = ws.worst_ep_ws in
   let stage_delay = ws.stage_delay_ws and stage_ep = ws.stage_ep_ws in
-  let setup = t.setup in
+  let skew = ws.skew_ws and setup = t.setup in
   Array.fill stage_delay 0 (n_stages * stride) neg_infinity;
   Array.fill stage_ep 0 (n_stages * stride) (-1);
   Array.fill worst 0 lanes neg_infinity;
@@ -281,7 +295,6 @@ let endpoint_pass t ws ~lanes =
     let pin = t.pin_off.(cid) in
     let arow = t.pin_net.(pin) * stride in
     let pw = t.pin_wire.(pin) in
-    let sk = ws.skew_ws.(slot) in
     let erow = slot * stride in
     let srow =
       match t.capture_of.(cid) with
@@ -289,7 +302,7 @@ let endpoint_pass t ws ~lanes =
       | None -> -1
     in
     for k = 0 to lanes - 1 do
-      let a = arrival.(arow + k) +. pw +. setup -. sk in
+      let a = arrival.(arow + k) +. pw +. setup -. skew.(k).(slot) in
       endpoint.(erow + k) <- a;
       if a > worst.(k) then begin
         worst.(k) <- a;
@@ -321,14 +334,15 @@ let analyze_into ?lanes t ws ~delays =
   Array.fill arrival 0 (Array.length arrival) 0.0;
   let pin_off = t.pin_off and pin_net = t.pin_net and pin_wire = t.pin_wire in
   let out_net = t.out_net and order = t.order in
-  (* Launch points: flop outputs, offset by the launch edge's arrival.
-     Primary inputs arrive at t = 0 (already initialised). *)
+  (* Launch points: flop outputs, offset by the launch edge's arrival
+     in each lane.  Primary inputs arrive at t = 0 (already
+     initialised). *)
+  let skew = ws.skew_ws in
   for slot = 0 to Array.length t.flops - 1 do
     let cid = t.flops.(slot) in
     let orow = out_net.(cid) * stride and drow = cid * stride in
-    let sk = ws.skew_ws.(slot) in
     for k = 0 to lanes - 1 do
-      arrival.(orow + k) <- delays.(drow + k) +. sk
+      arrival.(orow + k) <- delays.(drow + k) +. skew.(k).(slot)
     done
   done;
   (* Blocks of four lanes: each pin's row offset and wire delay is
@@ -385,6 +399,17 @@ let ws_endpoint_delay ws cid k =
   let slot = ws.slot_of.(cid) in
   if slot < 0 then 0.0 else ws.endpoint_ws.((slot * ws.stride) + k)
 
+let ws_endpoints_into ws k cids ~dst ~off =
+  if k < 0 || k >= ws.stride then
+    invalid_arg "Sta.ws_endpoints_into: lane out of range";
+  if off < 0 || off + Array.length cids > Array.length dst then
+    invalid_arg "Sta.ws_endpoints_into: destination too short";
+  let stride = ws.stride in
+  for j = 0 to Array.length cids - 1 do
+    let slot = ws.slot_of.(cids.(j)) in
+    dst.(off + j) <- (if slot < 0 then 0.0 else ws.endpoint_ws.((slot * stride) + k))
+  done
+
 let ws_stage_delay ws stage k =
   let i = (Stage.index stage * ws.stride) + k in
   if ws.stage_ep_ws.(i) >= 0 then Some ws.stage_delay_ws.(i) else None
@@ -393,7 +418,9 @@ let ws_stage_delay ws stage k =
 let analyze ?skew t ~delays =
   let ws = workspace t in
   Option.iter
-    (fun f -> Array.iteri (fun slot cid -> ws.skew_ws.(slot) <- f cid) t.flops)
+    (fun f ->
+      let row = skew_row ws 0 in
+      Array.iteri (fun slot cid -> row.(slot) <- f cid) t.flops)
     skew;
   analyze_into t ws ~delays;
   let endpoint_delay = Array.make (Netlist.cell_count t.nl) 0.0 in

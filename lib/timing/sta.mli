@@ -90,11 +90,13 @@ val analyze : ?skew:(Netlist.cell_id -> float) -> t -> delays:float array -> res
     every flop owns one contiguous row of [lanes] floats, lane [k] of
     each row belonging to analysis [k].  Sizing and a lone die's
     detection use one lane, a census batch one lane per die, the
-    post-silicon settle one lane per supply configuration it prices, and
-    Monte-Carlo a 32-sample block per graph walk.  Each lane runs the
-    same op sequence — same accumulator init, same [>] reductions, same
-    endpoint arithmetic — so a lane's results are bit-identical to a
-    1-lane pass over that lane's delay column.  The pass reads flat
+    post-silicon island settle one lane per supply configuration it
+    prices, the skew settle one lane per clock-tuning state (each lane
+    with its own skew row), and Monte-Carlo a 32-sample block per graph
+    walk.  Each lane runs the same op sequence — same accumulator init,
+    same [>] reductions, same endpoint arithmetic — so a lane's results
+    are bit-identical to a 1-lane pass over that lane's delay column
+    and skew row.  The pass reads flat
     arrays only: per cell its pin range, per pin its fanin net and wire
     delay, per cell its fanout net.  It walks each cell's pins once per
     block of four lanes with four independent accumulators, rounding
@@ -107,13 +109,18 @@ type workspace
 (** Mutable scratch sized for one {!t}; do not share across domains. *)
 
 val workspace : ?lanes:int -> t -> workspace
-(** [workspace ~lanes t] (default 1 lane) with an all-zero skew row. *)
+(** [workspace ~lanes t] (default 1 lane) with all-zero skew rows. *)
 
-val skew_row : workspace -> float array
-(** The workspace's clock skew, one offset per flop in {!flop_ids}
-    order, shared by every lane; written in place by the caller.  Every
-    pass launches a flop's data at its delay plus its offset and
-    relaxes its endpoint by the same offset (see {!analyze}). *)
+val skew_row : workspace -> int -> float array
+(** [skew_row ws k]: lane [k]'s clock skew, one offset per flop in
+    {!flop_ids} order; written in place by the caller.  Every pass
+    launches a flop's data in lane [k] at its delay plus the offset of
+    row [k] and relaxes its endpoint in lane [k] by the same offset
+    (see {!analyze}), so each lane is bit-identical to a 1-lane pass
+    with its own row.  Until a lane's first [skew_row] every lane
+    reads one shared zero row, so a workspace never run under skew
+    holds one row, not one per lane.  Raises [Invalid_argument] unless
+    [0 <= k < lanes]. *)
 
 val analyze_into : ?lanes:int -> t -> workspace -> delays:float array -> unit
 (** One forward pass over the first [lanes] (default: all) lanes.
@@ -140,6 +147,13 @@ val ws_arrival : workspace -> Netlist.net_id -> int -> float
 val ws_endpoint_delay : workspace -> Netlist.cell_id -> int -> float
 (** [ws_endpoint_delay ws cid k] — {!result.endpoint_delay} of [cid]
     in lane [k]; [0.] for non-sequential cells. *)
+
+val ws_endpoints_into :
+  workspace -> int -> Netlist.cell_id array -> dst:float array -> off:int -> unit
+(** [ws_endpoints_into ws k cids ~dst ~off] writes
+    [ws_endpoint_delay ws cids.(j) k] into [dst.(off + j)] for every
+    [j], without allocating.  Raises [Invalid_argument] if [k] is not a
+    lane or [dst] is too short. *)
 
 val ws_stage_delay : workspace -> Stage.t -> int -> float option
 

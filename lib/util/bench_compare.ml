@@ -105,6 +105,12 @@ let pp_est = function
     if e.ci > 0.0 then Printf.sprintf "%.0f ± %.0f (n=%d)" e.ns e.ci e.n
     else Printf.sprintf "%.0f" e.ns
 
+let single_pair_caveat =
+  "Each noise bound is the spread within one process, far below the \
+   spread between processes: one base/new pair cannot tell a change from \
+   noise; read a verdict as a change only if it holds over alternating \
+   base and new runs."
+
 let render r =
   let buf = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -132,4 +138,5 @@ let render r =
     (if one_sided > 0 then
        Printf.sprintf ", %d present on one side only" one_sided
      else "");
+  add "%s\n" single_pair_caveat;
   Buffer.contents buf

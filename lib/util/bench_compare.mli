@@ -47,4 +47,10 @@ val regressions : report -> string list
 
 val render : report -> string
 (** Markdown: a verdict table (base, new, delta, noise bound per
-    kernel) and a one-line summary. *)
+    kernel), a one-line summary and {!single_pair_caveat}. *)
+
+val single_pair_caveat : string
+(** The last line of {!render}: a kernel's CI half-width is the spread
+    within one bench process, so a single base/new pair flags kernels
+    that run unchanged code as regressed or improved; only a verdict
+    that holds over alternating base and new runs reads as a change. *)

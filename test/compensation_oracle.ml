@@ -2,16 +2,21 @@
 
    The library scales each die at both supplies once, prices the
    island raises and the all-high configuration as the lanes of one STA
-   pass, and lets chip-wide read the all-high lane; skew tuning and
-   tunable buffers read the low-supply vector [detect] kept.  This
+   pass, and lets chip-wide read the all-high lane; skew tuning prices
+   four speculative tune states per pass of the kept low-supply vector,
+   and tunable buffers read the endpoint delays [detect] kept.  This
    oracle is the kernel as it was before all that: every re-timing
    rescales all cells with the scalar [Process.delay_scale] and runs a
    full 1-lane pass, one supply configuration at a time (the island
    settle one raise per pass, chip-wide its own pass), the Lgates come
    from a per-cell [Srng.gaussian] loop, and skew and buffers rescale
    the die at the low supply on their own and run the scalar full pass
-   of [Sta_oracle], with skew as a closure.  Both runs must agree on
-   every outcome bit.
+   of [Sta_oracle], with skew as a closure, the skew settle one tune
+   state per pass.  Both runs must agree on every outcome bit.  The
+   oracle also records what the speculation is tested against: the
+   first pass's guess at the failing stages, which [detect] derives
+   from its endpoint delays, and per skew settle the failing stages of
+   each pass and why the settle stopped.
 
    The strategies' design-time state (island domains, clock tree,
    buffer sites, unit costs) is rebuilt here from public APIs with the
@@ -64,9 +69,10 @@ type t = {
   all_caps : int array;
   skew_unit_power : float;
   skew_unit_area : float;
-  max_tune : float;
-  step : float;
-  max_iters : int;
+  reach : float array;  (* per cell: the latest offset launching into its D pin *)
+  mutable first_guess : int;  (* the latest detect's guess at the untuned failing stages *)
+  mutable skew_trace : int list;  (* the latest skew settle's failing stages per pass *)
+  mutable skew_end : [ `Meets | `Cap | `Saturated ];
   (* tunable buffers *)
   buf_ws : Sta_oracle.workspace;
   buf_delays : float array;
@@ -111,9 +117,40 @@ let create (t : Flow.t) (v : Flow.variant) =
       (fun s -> List.map fst (Paths.worst_endpoints ~stage:s sta nominal ~k:8))
       Compensation.analyzed
   in
+  let offs =
+    (Clock_tree.synthesize placement ~flops:(Sta.flop_ids sta)).Clock_tree.offsets
+  in
+  (* The latest clock-tree offset launching into each net, by recursion
+     over drivers: a flop launches at its offset, a primary input at 0,
+     a gate at the latest of its inputs (0 with none). *)
+  let net_reach = Hashtbl.create 1024 in
+  let rec reach_of nid =
+    match Hashtbl.find_opt net_reach nid with
+    | Some r -> r
+    | None ->
+      let r =
+        match nl.Netlist.nets.(nid).Netlist.driver with
+        | None -> 0.0
+        | Some d ->
+          let cell = nl.Netlist.cells.(d) in
+          if Kind.is_sequential cell.Netlist.cell.Cell.kind then offs.(d)
+          else
+            Array.fold_left
+              (fun acc nid -> Float.max acc (reach_of nid))
+              0.0 cell.Netlist.fanins
+      in
+      Hashtbl.add net_reach nid r;
+      r
+  in
+  let reach = Array.make n 0.0 in
+  List.iter
+    (fun (_, caps) ->
+      Array.iter
+        (fun cid -> reach.(cid) <- reach_of nl.Netlist.cells.(cid).Netlist.fanins.(0))
+        caps)
+    stage_caps;
   let site_cap = Array.make n 0 in
   List.iter (fun cid -> site_cap.(cid) <- 4) sites;
-  let max_tune = 0.10 *. clock in
   {
     sampler = Flow.sampler t;
     placement;
@@ -140,16 +177,15 @@ let create (t : Flow.t) (v : Flow.variant) =
     skew_ws = Sta_oracle.workspace sta;
     skew_delays = Array.make n 0.0;
     tune = Array.make n 0.0;
-    offs =
-      (Clock_tree.synthesize placement ~flops:(Sta.flop_ids sta))
-        .Clock_tree.offsets;
+    offs;
     skew_caps = stage_caps;
     all_caps = Array.concat (List.map snd stage_caps);
     skew_unit_power = element_power_mw lib skew_el ~clock ~toggle_rate:1.0;
     skew_unit_area = skew_el.Cell.area;
-    max_tune;
-    step = max_tune /. 4.0;
-    max_iters = 4 * List.length Compensation.analyzed;
+    reach;
+    first_guess = 0;
+    skew_trace = [];
+    skew_end = `Meets;
     buf_ws = Sta_oracle.workspace sta;
     buf_delays = Array.make n 0.0;
     trims = Array.make n 0;
@@ -181,6 +217,16 @@ let analyze_full o ~vdd =
   scale_all o ~vdd o.delays;
   Sta.analyze_into o.sta o.ws ~delays:o.delays
 
+(* The analyzed stages failing: bit [i] is stage [i]. *)
+let failing_mask o stage_delay =
+  List.fold_left
+    (fun (i, m) s ->
+      match stage_delay s with
+      | Some d when d > o.clock +. 1e-12 -> (i + 1, m lor (1 lsl i))
+      | Some _ | None -> (i + 1, m))
+    (0, 0) Compensation.analyzed
+  |> snd
+
 let count_violating o ws =
   List.length
     (List.filter
@@ -205,6 +251,22 @@ let detect o ~systematic rng =
         | None -> acc)
       0.0 Compensation.analyzed
   in
+  (* The skew settle's first guess: per analyzed stage, the worst of
+     its capture flops' zero-skew endpoint delays with the capture at
+     its offset and every launch at the latest offset of its cone. *)
+  o.first_guess <-
+    List.fold_left
+      (fun (i, m) (_, caps) ->
+        let worst =
+          Array.fold_left
+            (fun w cid ->
+              Float.max w
+                (Sta.ws_endpoint_delay ws cid 0 -. o.offs.(cid) +. o.reach.(cid)))
+            neg_infinity caps
+        in
+        (i + 1, if worst > o.clock +. 1e-12 then m lor (1 lsl i) else m))
+      (0, 0) o.skew_caps
+    |> snd;
   { Compensation.violating = count_violating o ws; worst_low_ns = worst_low }
 
 let passing o =
@@ -237,9 +299,14 @@ let chipwide o (d : Compensation.detect) =
       power_mw = o.power_chip_wide; area_um2 = 0.0 }
   end
 
-let skew o (d : Compensation.detect) =
+(* [Compensation.skew_tuning ~range_frac ~steps]'s settle, one tune
+   state per pass. *)
+let skew_with ?(range_frac = 0.10) ?(steps = 4) o (d : Compensation.detect) =
   if d.Compensation.violating = 0 then passing o
   else begin
+    let max_tune = range_frac *. o.clock in
+    let step = max_tune /. float_of_int steps in
+    let max_iters = steps * List.length Compensation.analyzed in
     Array.iter (fun cid -> o.tune.(cid) <- 0.0) o.all_caps;
     scale_all o ~vdd:(fun _ -> o.low) o.skew_delays;
     let skew cid = o.offs.(cid) +. o.tune.(cid) in
@@ -248,27 +315,30 @@ let skew o (d : Compensation.detect) =
       | Some dd -> dd > o.clock +. 1e-12
       | None -> false
     in
+    let trace = ref [] in
+    let stop e = o.skew_end <- e; o.skew_trace <- List.rev !trace in
     let rec settle iters =
       Sta_oracle.analyze_into ~skew o.skew_ws ~delays:o.skew_delays;
+      trace := failing_mask o (Sta_oracle.ws_stage_delay o.skew_ws) :: !trace;
       let bad = List.filter (fun (s, _) -> failing s) o.skew_caps in
-      if bad = [] then true
-      else if iters <= 0 then false
+      if bad = [] then (stop `Meets; true)
+      else if iters <= 0 then (stop `Cap; false)
       else begin
         let moved = ref false in
         List.iter
           (fun (_, caps) ->
             Array.iter
               (fun cid ->
-                if o.tune.(cid) +. o.step <= o.max_tune +. 1e-12 then begin
-                  o.tune.(cid) <- o.tune.(cid) +. o.step;
+                if o.tune.(cid) +. step <= max_tune +. 1e-12 then begin
+                  o.tune.(cid) <- o.tune.(cid) +. step;
                   moved := true
                 end)
               caps)
           bad;
-        if !moved then settle (iters - 1) else false
+        if !moved then settle (iters - 1) else (stop `Saturated; false)
       end
     in
-    let meets = settle o.max_iters in
+    let meets = settle max_iters in
     let knob =
       Array.fold_left
         (fun acc cid -> if o.tune.(cid) > 0.0 then acc + 1 else acc)
@@ -278,6 +348,8 @@ let skew o (d : Compensation.detect) =
       power_mw = o.power_baseline +. (float_of_int knob *. o.skew_unit_power);
       area_um2 = float_of_int knob *. o.skew_unit_area }
   end
+
+let skew o d = skew_with o d
 
 let buffers o (d : Compensation.detect) =
   if d.Compensation.violating = 0 then passing o

@@ -309,6 +309,44 @@ let test_detect_matches_full_pass () =
       done)
     Position.named
 
+(* How the speculative skew settle must read one sequential settle of
+   the oracle: the failing stages of each sequential pass ([trace]), why
+   it stopped ([stop]) and the first speculation's [guess] at them.  A
+   pass prices four consecutive sequential states from its first; the
+   walk reads them while each failing set is the guess and stops at the
+   first that differs (the next pass starts one step after it, guessing
+   its set), after the fourth (same guess), or at the sequential
+   settle's last state.  One entry per pass: how it ended, and on which
+   lane. *)
+type spec_end =
+  | Changed of int  (* the failing set differs from the guess *)
+  | Ran_out  (* four lanes read, the set never changed *)
+  | Met of int
+  | Capped of int  (* the iteration cap *)
+  | Saturated of int  (* the step moved no flop *)
+
+let speculation ~guess trace stop =
+  let masks = Array.of_list trace in
+  let n = Array.length masks in
+  let rec pass i guess acc =
+    let rec walk k =
+      if i + k = n - 1 then
+        (match stop with
+         | `Meets -> Met k
+         | `Cap -> Capped k
+         | `Saturated -> Saturated k)
+      else if masks.(i + k) = guess && k < Compensation.batch_lanes - 1 then
+        walk (k + 1)
+      else if masks.(i + k) = guess then Ran_out
+      else Changed k
+    in
+    match walk 0 with
+    | (Met _ | Capped _ | Saturated _) as e -> List.rev (e :: acc)
+    | Changed k -> pass (i + k + 1) masks.(i + k) (Changed k :: acc)
+    | Ran_out -> pass (i + Compensation.batch_lanes) guess (Ran_out :: acc)
+  in
+  if n = 0 then [] else pass 0 guess []
+
 (* The census geometry of the tracked-scratch tests: 3x3 cells x 4
    dies on the quick design. *)
 let census_cfg =
@@ -318,13 +356,15 @@ let census_cfg =
 let test_tracked_scratch_matches_full_rescale () =
   (* The lane settle (both supplies scaled once per die, the island
      raises and the all-high configuration priced as lanes of one pass,
-     chip-wide reading the all-high lane, skew and buffers on the kept
-     low vector) against the sequential rescale-everything oracle, die
-     by die: same detect verdicts, same outcome bits for every strategy
-     in [all_choices] order, and exactly the STA work the lane settle
-     implies — one pass for detect, [n_islands - r0 + 2] lanes for a
-     failing die's island settle, none for chip-wide after it, and the
-     oracle's own passes for skew and buffers. *)
+     chip-wide reading the all-high lane, skew on speculative lanes of
+     the kept low vector, buffers on the kept endpoint delays) against
+     the sequential rescale-everything oracle, die by die: same detect
+     verdicts, same outcome bits for every strategy in [all_choices]
+     order, and exactly the STA work the lane settle implies — one pass
+     for detect, [n_islands - r0 + 2] lanes for a failing die's island
+     settle, none for chip-wide after it, four lanes per speculative
+     pass of the skew settle ({!speculation} of the oracle's sequential
+     one) and none for buffers. *)
   let t, v = Lazy.force env in
   let ctx = Compensation.context t in
   let sc = Compensation.scratch ctx in
@@ -371,8 +411,8 @@ let test_tracked_scratch_matches_full_rescale () =
             lib_work := !lib_work + w + List.fold_left (fun a (_, w) -> a + w) 0 outs;
             expected_work :=
               !expected_work + 1
-              + List.fold_left2
-                  (fun a (ch, _) (_, w_o) ->
+              + List.fold_left
+                  (fun a (ch, _) ->
                     a
                     +
                     match ch with
@@ -380,9 +420,16 @@ let test_tracked_scratch_matches_full_rescale () =
                       if failing > 0 && n_islands > 0 then
                         n_islands - min failing n_islands + 2
                       else 0
-                    | Compensation.Chipwide -> 0
-                    | Compensation.Skew | Compensation.Buffers -> w_o)
-                  0 applies outs_o;
+                    | Compensation.Chipwide | Compensation.Buffers -> 0
+                    | Compensation.Skew ->
+                      if failing = 0 then 0
+                      else
+                        Compensation.batch_lanes
+                        * List.length
+                            (speculation ~guess:o.Compensation_oracle.first_guess
+                               o.Compensation_oracle.skew_trace
+                               o.Compensation_oracle.skew_end))
+                  0 applies;
             Alcotest.(check int) (label ^ ": violating") d_o.Compensation.violating
               d.Compensation.violating;
             check_bits (label ^ ": worst low") d_o.Compensation.worst_low_ns
@@ -462,11 +509,97 @@ let test_chipwide_stamp_per_die () =
   Alcotest.(check bool) "batched die B: chip-wide verdict"
     expected.Compensation.meets (cw sc d_b).Compensation.meets
 
+let test_lane_state_across_strategies () =
+  (* Four failing dies as the lanes of one batch, each selected in turn
+     and run through the island settle, the skew settle and the buffer
+     settle, which all share the scratch: the skew settle must time the
+     selected lane's die and the buffers read the endpoint delays
+     [detect_lanes] kept for it, not whatever the settles before them
+     left.  Lanes 1-3 hold dies whose skew and buffer outcomes both
+     differ from lane 0's, so reading lane 0 shows.  Then the same four
+     dies again through [detect_lanes], right after a skew apply: the
+     verdicts of an ideal clock, so the skew settle's rows went back to
+     zero. *)
+  let t, v = Lazy.force env in
+  let ctx = Compensation.context t in
+  let sc = Compensation.scratch ctx in
+  let apply ch = (Compensation.build t ctx v ch).Compensation.fresh_apply () in
+  let vi = apply Compensation.Vi and skew = apply Compensation.Skew in
+  let buffers = apply Compensation.Buffers in
+  let o = Compensation_oracle.create t v in
+  let candidates =
+    List.concat_map
+      (fun pos ->
+        let systematic = Compensation.systematic ctx pos in
+        List.init 12 (fun i -> (pos.Position.label, systematic, i + 1)))
+      Position.named
+  in
+  let oracle_die (label, systematic, seed) =
+    let d = Compensation_oracle.detect o ~systematic (Srng.create seed) in
+    ( (label, systematic, seed),
+      d,
+      Compensation_oracle.apply o Compensation.Skew d,
+      Compensation_oracle.apply o Compensation.Buffers d )
+  in
+  let knobs (_, _, (s : Compensation.outcome), (b : Compensation.outcome)) =
+    ((s.Compensation.meets, s.Compensation.knob), (b.Compensation.meets, b.Compensation.knob))
+  in
+  let rec pick acc = function
+    | _ when List.length acc = Compensation.batch_lanes -> List.rev acc
+    | [] -> Alcotest.fail "too few failing dies with distinct outcomes"
+    | c :: rest ->
+      let ((_, d, _, _) as die) = oracle_die c in
+      let distinct =
+        match List.rev acc with
+        | [] -> true
+        | first :: _ ->
+          let s0, b0 = knobs first and s, b = knobs die in
+          s <> s0 && b <> b0
+      in
+      pick (if d.Compensation.violating > 0 && distinct then die :: acc else acc) rest
+  in
+  let dies = pick [] candidates in
+  let detect_batch () =
+    List.iteri
+      (fun k ((_, systematic, seed), _, _, _) ->
+        Compensation.draw ctx sc k ~systematic (Srng.create seed))
+      dies;
+    Compensation.detect_lanes ctx sc Compensation.batch_lanes
+  in
+  let check_outcome label (e : Compensation.outcome) (g : Compensation.outcome) =
+    Alcotest.(check bool) (label ^ " meets") e.Compensation.meets g.Compensation.meets;
+    Alcotest.(check int) (label ^ " knob") e.Compensation.knob g.Compensation.knob;
+    check_bits (label ^ " power") e.Compensation.power_mw g.Compensation.power_mw
+  in
+  detect_batch ();
+  List.iteri
+    (fun k ((pos, _, seed), _, skew_o, buffers_o) ->
+      let label = Printf.sprintf "lane %d (%s die %d)" k pos seed in
+      let d = Compensation.select sc k in
+      ignore (vi sc d);
+      check_outcome (label ^ ": skew") skew_o (skew sc d);
+      check_outcome (label ^ ": buffers") buffers_o (buffers sc d))
+    dies;
+  Alcotest.(check bool) "skew tunes the last die" true
+    ((skew sc (Compensation.select sc 0)).Compensation.knob > 0);
+  detect_batch ();
+  List.iteri
+    (fun k ((pos, _, seed), (d_o : Compensation.detect), _, _) ->
+      let label = Printf.sprintf "redetect lane %d (%s die %d)" k pos seed in
+      let d = Compensation.select sc k in
+      Alcotest.(check int) (label ^ ": violating") d_o.Compensation.violating
+        d.Compensation.violating;
+      check_bits (label ^ ": worst low") d_o.Compensation.worst_low_ns
+        d.Compensation.worst_low_ns)
+    dies
+
 let test_scratch_reuse () =
-  (* The census, the comparison sweep and the sampling estimator lease
-     their per-worker scratches from the timing graph's free list: once
-     an op has run, the same op again builds no STA workspace.  A plain
-     [scratch] is still a fresh one. *)
+  (* The census, the comparison sweep over all four strategies and the
+     sampling estimator lease their per-worker scratches from the
+     timing graph's free list, and the skew and buffer strategies their
+     clock tree and buffer sites from the graph: once an op has run,
+     the same op again builds no STA workspace.  A plain [scratch] is
+     still a fresh one. *)
   let t, v = Lazy.force env in
   let workspaces = Metrics.counter "sta_workspace_total" in
   let sampling =
@@ -476,10 +609,7 @@ let test_scratch_reuse () =
   let ops =
     [ ("Wafer.run", fun () -> ignore (Wafer.run t v wafer_cfg));
       ( "Compare.run",
-        fun () ->
-          ignore
-            (Compare.run t v (compare_cfg [ Compensation.Vi; Compensation.Chipwide ]))
-      );
+        fun () -> ignore (Compare.run t v (compare_cfg Compensation.all_choices)) );
       ( "Wafer.estimate_at",
         fun () ->
           ignore (Wafer.estimate_at t ~position:Position.point_b sampling) ) ]
@@ -507,6 +637,86 @@ let test_scratch_reuse () =
   Alcotest.(check bool) "a returned scratch is leased again" true
     (again == first || again == second)
 
+let spec_end_label = function
+  | Changed k -> Printf.sprintf "set changes at lane %d" k
+  | Ran_out -> "four lanes, same set"
+  | Met k -> Printf.sprintf "meets at lane %d" k
+  | Capped _ -> "iteration cap"
+  | Saturated _ -> "saturation"
+
+let test_speculative_skew_settle () =
+  (* The speculative skew settle against the oracle's sequential one,
+     die by die over tuning ranges and step counts that end a
+     speculation every way it can end: the failing set changes at lanes
+     1, 2 and 3, a die meets on the lane a pass starts from, the step
+     moves no flop (saturation), and the iteration cap.  A zero range
+     (every step "moves" by 0) and a range below the 1e-12 ns
+     saturation slack reach the cap, which a real range saturates
+     first on this design.  Same outcome bits, and exactly the passes
+     [speculation] reads off the sequential trace — so a settle that
+     reads lanes past a changed failing set, or re-prices states it
+     already has, fails here even where its outcome happens to agree. *)
+  let t, v = Lazy.force env in
+  let ctx = Compensation.context t in
+  let sc = Compensation.scratch ctx in
+  let o = Compensation_oracle.create t v in
+  let passes = Metrics.counter "skew_settle_passes_total" in
+  let seen = Hashtbl.create 16 in
+  let n_cells = Pvtol_netlist.Netlist.cell_count (Flow.netlist t) in
+  let maps =
+    List.map (fun pos -> (pos.Position.label, Compensation.systematic ctx pos))
+      Position.named
+    @ [ ("slow", Array.make n_cells 52.0) ]
+  in
+  Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Metrics.set_enabled false) (fun () ->
+      List.iter
+        (fun (range_frac, steps) ->
+          let apply =
+            (Compensation.skew_tuning ~range_frac ~steps ctx).Compensation.fresh_apply ()
+          in
+          List.iter
+            (fun (map_label, systematic) ->
+              for seed = 1 to 6 do
+                let label =
+                  Printf.sprintf "range %.2f, %d steps, %s die %d" range_frac steps
+                    map_label seed
+                in
+                let d = Compensation.detect ctx sc ~systematic (Srng.create seed) in
+                let p0 = Metrics.counter_value passes in
+                let got = apply sc d in
+                let p = Metrics.counter_value passes - p0 in
+                let d_o = Compensation_oracle.detect o ~systematic (Srng.create seed) in
+                let expected = Compensation_oracle.skew_with ~range_frac ~steps o d_o in
+                Alcotest.(check bool) (label ^ ": meets") expected.Compensation.meets
+                  got.Compensation.meets;
+                Alcotest.(check int) (label ^ ": knob") expected.Compensation.knob
+                  got.Compensation.knob;
+                check_bits (label ^ ": power") expected.Compensation.power_mw
+                  got.Compensation.power_mw;
+                let ends =
+                  if d.Compensation.violating = 0 then []
+                  else
+                    speculation ~guess:o.Compensation_oracle.first_guess
+                      o.Compensation_oracle.skew_trace o.Compensation_oracle.skew_end
+                in
+                Alcotest.(check int) (label ^ ": passes") (List.length ends) p;
+                List.iter
+                  (fun e ->
+                    let l = spec_end_label e in
+                    Hashtbl.replace seen l
+                      (1 + Option.value ~default:0 (Hashtbl.find_opt seen l)))
+                  ends
+              done)
+            maps)
+        [ (0.10, 4); (0.30, 2); (0.05, 1); (0.50, 8); (0.02, 2); (0.0, 4);
+          (1e-13, 1) ]);
+  List.iter
+    (fun l ->
+      if not (Hashtbl.mem seen l) then Alcotest.failf "no speculation ends by %s" l)
+    [ "set changes at lane 1"; "set changes at lane 2"; "set changes at lane 3";
+      "meets at lane 0"; "saturation"; "iteration cap" ]
+
 (* Minor words per die per cell of the serial replay below — detect,
    then the island, chip-wide and skew applies — on the quick design
    (7,019 cells; OCaml 5.1, dune's default dev profile).  Before supply
@@ -519,7 +729,9 @@ let test_scratch_reuse () =
    (a closure per incremental worklist push) and 1.35 in the skew
    apply (a boxed float per skew-closure call).  It is now 0.05.  The
    bound is twice that, so re-boxing any per-cell float, the skew row
-   or the worklist fails the suite. *)
+   or the worklist fails the suite.  Since the skew settle prices
+   speculative lanes on the scratch's lane workspace and leases its
+   tune states, the replay takes 0.03. *)
 let max_words_per_die_cell = 0.1
 
 (* What the buffer strategy's apply adds to that replay, same design
@@ -527,10 +739,12 @@ let max_words_per_die_cell = 0.1
    tuple and boxed a float per improving endpoint, and ran twice for
    the failing stage: 2.62 words per die per cell.  It now scans a
    per-apply array of endpoint arrivals with an index loop, filled once
-   per die after the STA pass; what is left, 0.12, is mostly the one
-   boxed float per endpoint read out of the STA workspace.  The bound
-   is twice that. *)
-let max_buffer_words_per_die_cell = 0.23
+   per die after its own STA pass: 0.12, mostly one boxed float per
+   endpoint read out of the STA workspace.  It now reads the endpoint
+   delays [detect_lanes] gathered into the scratch without boxing, and
+   runs no pass: 0.003, the settle's closures.  The bound is about six
+   times that. *)
+let max_buffer_words_per_die_cell = 0.02
 
 let test_die_allocation_bound () =
   let t, v = Lazy.force env in
@@ -914,6 +1128,10 @@ let suite =
         test_tracked_scratch_matches_full_rescale;
       Alcotest.test_case "chip-wide stamp is per die" `Quick
         test_chipwide_stamp_per_die;
+      Alcotest.test_case "speculative skew settle = sequential" `Quick
+        test_speculative_skew_settle;
+      Alcotest.test_case "lane state across strategies" `Quick
+        test_lane_state_across_strategies;
       Alcotest.test_case "scratch reuse across ops" `Quick test_scratch_reuse;
       Alcotest.test_case "per-die allocation bound" `Quick
         test_die_allocation_bound;

@@ -381,6 +381,25 @@ let test_compare_ci_gates_noise () =
   let r = Result.get_ok (BC.compare ~base ~next ()) in
   Alcotest.(check (list string)) "within noise" [] (BC.regressions r)
 
+(* The rendered report ends by saying what one pair can show: its
+   noise bounds are within-process spreads, so a verdict is read as a
+   change only over alternating runs. *)
+let test_compare_render_caveat () =
+  let b = bench_file base_kernels in
+  let rendered = BC.render (Result.get_ok (BC.compare ~base:b ~next:b ())) in
+  let lines = String.split_on_char '\n' (String.trim rendered) in
+  Alcotest.(check string) "last line" BC.single_pair_caveat
+    (List.nth lines (List.length lines - 1));
+  let contains s sub =
+    let n = String.length sub in
+    let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+    at 0
+  in
+  Alcotest.(check bool) "says one pair cannot tell a change from noise" true
+    (contains BC.single_pair_caveat "one base/new pair cannot tell a change from noise");
+  Alcotest.(check bool) "asks for alternating runs" true
+    (contains BC.single_pair_caveat "alternating")
+
 let test_compare_one_sided () =
   let base = bench_file (("old-only", 10.0, 0.5, 9) :: base_kernels) in
   let next = bench_file (("new-only", 10.0, 0.5, 9) :: base_kernels) in
@@ -557,6 +576,8 @@ let suite =
         test_compare_ci_gates_noise;
       Alcotest.test_case "compare: one-sided kernels" `Quick
         test_compare_one_sided;
+      Alcotest.test_case "compare: single-pair caveat rendered" `Quick
+        test_compare_render_caveat;
       Alcotest.test_case "compare: schema-1 fallback" `Quick
         test_compare_schema1_fallback;
       Alcotest.test_case "compare: cli exit codes" `Slow

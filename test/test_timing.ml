@@ -313,15 +313,19 @@ let all_stages = [ Stage.Fetch; Stage.Decode; Stage.Execute; Stage.Writeback ]
 let wiggled base i lane =
   base.(i) *. (1.0 +. (0.1 *. sin (float_of_int ((i * 7) + (lane * 131)))))
 
-(* The clock skews of the equivalence tests: the ideal clock, and
-   per-flop offsets that move every flop's launch and capture edges by
-   different amounts. *)
+(* The clock skews of the equivalence tests, per lane and flop: the
+   ideal clock, per-flop offsets that move every flop's launch and
+   capture edges by different amounts, and offsets that differ from
+   lane to lane as well (the skew settle prices one tune state per
+   lane). *)
 let skews =
-  [ ("zero skew", fun (_ : int) -> 0.0);
-    ("skewed", fun cid -> 0.013 *. float_of_int ((cid * 5) mod 11)) ]
+  [ ("zero skew", fun (_ : int) (_ : int) -> 0.0);
+    ("skewed", fun _ cid -> 0.013 *. float_of_int ((cid * 5) mod 11));
+    ( "skewed per lane",
+      fun k cid -> 0.011 *. float_of_int (((cid * 5) + (k * 3)) mod 13) ) ]
 
-let set_skew_row sta ws skew =
-  let row = Sta.skew_row ws in
+let set_skew_row sta ws k skew =
+  let row = Sta.skew_row ws k in
   Array.iteri (fun slot cid -> row.(slot) <- skew cid) (Sta.flop_ids sta)
 
 (* Lane [lane] of a kernel workspace against a scalar oracle pass, bit
@@ -351,14 +355,15 @@ let check_lane_matches_oracle label sta ws lane o =
 
 let test_analyze_batch_matches_scalar () =
   (* Every lane of the lane-strided kernel must be bit-identical to the
-     scalar oracle pass over that lane's delay column, with the zero
-     skew row and a non-zero one: a 1-lane workspace, 1-3 lanes of a
-     4-lane one (a partial block in the 4-wide body), a partial block
-     (5 lanes of stride 8), and 1-9, 31 and 32 lanes of a 32-lane
-     workspace — below, at and past the 4-lane blocks, with every
-     remainder.  The unused lane columns of the delays hold nan, which
-     the extra lanes of a rounded-up block compute on and no lane in
-     use may see. *)
+     scalar oracle pass over that lane's delay column and skew row, with
+     zero skew rows, one non-zero row in every lane and a different row
+     per lane: a 1-lane workspace, 1-4 lanes of a 4-lane one (1-3 a
+     partial block in the 4-wide body), a partial block (5 lanes of
+     stride 8), and 1-9, 31 and 32 lanes of a 32-lane workspace —
+     below, at and past the 4-lane blocks, with every remainder.  The
+     unused lane columns of the delays hold nan and the unused skew
+     rows a huge offset, which the extra lanes of a rounded-up block
+     compute on and no lane in use may see. *)
   let _, sta = Lazy.force vex_sta in
   let base = Sta.nominal_delays sta in
   let n = Array.length base in
@@ -375,21 +380,23 @@ let test_analyze_batch_matches_scalar () =
       done;
       List.iter
         (fun (skew_label, skew) ->
-          set_skew_row sta ws skew;
+          for k = 0 to stride - 1 do
+            set_skew_row sta ws k (if k < lanes then skew k else fun _ -> 1e9)
+          done;
           if lanes = stride then Sta.analyze_into sta ws ~delays:block
           else Sta.analyze_into ~lanes sta ws ~delays:block;
           for k = 0 to lanes - 1 do
             for i = 0 to n - 1 do
               column.(i) <- wiggled base i k
             done;
-            Sta_oracle.analyze_into ~skew o ~delays:column;
+            Sta_oracle.analyze_into ~skew:(skew k) o ~delays:column;
             check_lane_matches_oracle
               (Printf.sprintf "%d of %d lanes, lane %d, %s" lanes stride k
                  skew_label)
               sta ws k o
           done)
         skews)
-    ([ (1, 1); (4, 1); (4, 2); (4, 3); (8, 5) ]
+    ([ (1, 1); (4, 1); (4, 2); (4, 3); (4, 4); (8, 5) ]
     @ List.map (fun lanes -> (32, lanes)) [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 31; 32 ])
 
 (* --- one timing graph per sizing run --- *)
