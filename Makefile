@@ -1,6 +1,6 @@
 # Convenience entry points; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-quick bench-mc bench-compare \
+.PHONY: all build test bench bench-quick bench-compare \
 	trace-quick telemetry-quick fmt-check clean
 
 all: build
@@ -20,12 +20,6 @@ bench:
 # fresh BENCH_ssta.json in the working directory.
 bench-quick:
 	dune exec bench/main.exe -- --quick kernels --json
-
-# Monte-Carlo kernels only: the scalar reference loop (fig3/mc-sample)
-# against the batched per-sample kernel, and their speedup ratio
-# (scaled-down design).
-bench-mc:
-	dune exec bench/main.exe -- --quick kernels-mc
 
 # Perf-regression observatory: regenerate a quick bench into
 # BENCH_new.json and compare it against the committed BENCH_ssta.json

@@ -13,9 +13,6 @@
      bench/main.exe kernels --json  -- also write BENCH_ssta.json (perf
                                         trajectory for future changes)
      bench/main.exe ... --out FILE  -- write the JSON somewhere else
-     bench/main.exe kernels-mc      -- only the MC kernels (scalar
-                                        reference loop vs batched) and
-                                        their speedup ratio
      bench/main.exe --quick ...     -- scaled-down design (fast smoke run)
 
    One Bechamel Test.make per table/figure kernel: the measured loop is
@@ -399,18 +396,10 @@ let print_sampling_calibration s =
 
 (* MC-related kernels carry [per_run > 1]: one staged run covers a full
    lane block, and the reported estimate is divided by [per_run] so
-   every fig3/table1 line stays ns per SAMPLE and the scalar reference
-   loop ([fig3/mc-sample]) compares directly with the batched kernel.
-   [fig3/mc-chunk-a-d] is ns per sample for all four positions of the
-   fused run: set it against four times [fig3/mc-sample-batched]. *)
-let mc_kernel_names =
-  [
-    "fig3/mc-sample"; "fig3/mc-sample-batched"; "fig3/mc-chunk-a-d";
-    "fig3/mc-sample-is";
-    "table1/sta-pass-into"; "table1/sta-batch-into";
-  ]
-
-let kernel_estimates ~quick ?(only = fun _ -> true) () =
+   every fig3/table1 line stays ns per SAMPLE.  [fig3/mc-chunk-a-d] is
+   ns per sample for all four positions of the fused run: set it
+   against four times [fig3/mc-sample-batched]. *)
+let kernel_estimates ~quick () =
   let open Bechamel in
   let open Toolkit in
   let t = context ~quick () in
@@ -423,7 +412,6 @@ let kernel_estimates ~quick ?(only = fun _ -> true) () =
   let lgates = Array.make n 0.0 in
   let delays = Array.make n 0.0 in
   let ws = Sta.workspace sta in
-  let rng = Srng.create 99 in
   let low =
     (Flow.netlist t).Pvtol_netlist.Netlist.lib.Pvtol_stdcell.Cell.process
       .Pvtol_stdcell.Process.vdd_low
@@ -438,12 +426,11 @@ let kernel_estimates ~quick ?(only = fun _ -> true) () =
   let field = Field.default in
   (* One island corner check at A on the scale tables of its target. *)
   let corner_check =
-    Slicing.corner_check ~corner_kappa:0.35 ~sta ~sampler ~clock:(Flow.clock t)
+    Slicing.corner_check ~sta ~sampler ~clock:(Flow.clock t)
       ~systematic
   in
   (* The vertical islands, forced before any timing starts. *)
-  let vertical = lazy (Flow.islands t Island.Vertical).Slicing.partition in
-  if only "fig4/eco-insert" then ignore (Lazy.force vertical);
+  let vertical = (Flow.islands t Island.Vertical).Slicing.partition in
   (* Batched-kernel scratch: one block of [lanes] samples per run. *)
   let lanes = 32 in
   let bws = Sta.workspace ~lanes sta in
@@ -463,8 +450,10 @@ let kernel_estimates ~quick ?(only = fun _ -> true) () =
   in
   (* Importance-sampled die at position B: the full per-die overhead of
      the smart-sampling layer — component pick, RNG replay for the
-     likelihood ratio, tilted systematic field — on top of the plain
-     fig3/mc-sample path, so the two lines diff to the IS tax. *)
+     likelihood ratio, tilted systematic field — on top of one die's
+     draw, two-supply scale and STA pass.  [compare/detect] times that
+     plain die through the library's own path, so the two lines diff
+     to roughly the IS tax. *)
   let systematic_b = Sampler.systematic_lgates sampler placement Position.point_b in
   let is_model =
     Smart_sampling.make
@@ -556,11 +545,6 @@ let kernel_estimates ~quick ?(only = fun _ -> true) () =
         fun () -> Sta.analyze_into sta ws ~delays:base );
       ( "table1/sta-batch-into", lanes,
         fun () -> Sta.analyze_into sta bws ~delays:bdelays );
-      ( "fig3/mc-sample", 1,
-        fun () ->
-          Sampler.sample_lgates sampler ~systematic rng lgates;
-          scale_supplies ();
-          Sta.analyze_into sta ws ~delays );
       ( "fig3/mc-sample-batched", lanes,
         fun () ->
           Srng.fill_gaussians brng gauss ~pos:0 ~len:(lanes * n);
@@ -599,7 +583,7 @@ let kernel_estimates ~quick ?(only = fun _ -> true) () =
       ( "fig4/eco-insert", 1,
         fun () ->
           ignore
-            (Level_shifter.insert (Lazy.force vertical) placement
+            (Level_shifter.insert vertical placement
                (Flow.netlist t)) );
       ( "table2/crossing-analysis", 1,
         fun () ->
@@ -651,7 +635,6 @@ let kernel_estimates ~quick ?(only = fun _ -> true) () =
                ~seed:place_config.Flow.place_seed place_netlist place_floorplan) );
     ]
   in
-  let tests = List.filter (fun (name, _, _) -> only name) tests in
   let per_run = List.map (fun (name, d, _) -> (name, d)) tests in
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 10) () in
   let instances = [ Instance.monotonic_clock ] in
@@ -709,17 +692,6 @@ let kernel_estimates ~quick ?(only = fun _ -> true) () =
   (* Hashtbl.fold order is unspecified: sort by kernel name so the
      report is stable run to run. *)
   List.sort (fun (a, _) (b, _) -> String.compare a b) rows
-
-(* Scalar-reference-vs-batched ratio from the per-sample kernel lines;
-   [None] until both kernels have estimates. *)
-let mc_engine_speedup rows =
-  match
-    (List.assoc_opt "fig3/mc-sample" rows,
-     List.assoc_opt "fig3/mc-sample-batched" rows)
-  with
-  | Some (Some scalar), Some (Some batched) when batched.BC.ns > 0.0 ->
-    Some (scalar.BC.ns /. batched.BC.ns)
-  | _ -> None
 
 (* Schema 2: every kernel line is {ns, ci, n} (or null), every
    throughput section carries its CI, so `pvtol bench compare` can gate
@@ -793,10 +765,6 @@ let bench_json rows mc wf tel smp =
                     ] ))
               smp.sc_lines
           @ [ ("vrf_is_over_mc", Json.Float smp.sc_vrf) ]) );
-      ( "mc_engine_speedup",
-        match mc_engine_speedup rows with
-        | Some s -> Json.Float s
-        | None -> Json.Null );
     ]
 
 let write_json ~file rows mc wf tel smp =
@@ -828,18 +796,9 @@ let warn_missing rows =
     missing;
   missing <> []
 
-let print_engine_speedup rows =
-  match mc_engine_speedup rows with
-  | Some s ->
-    Printf.printf
-      "\nMC kernel speedup (scalar reference / batched, per sample): %.2fx\n%!"
-      s
-  | None -> ()
-
 let kernels ~quick ~json ~out () =
   let rows = kernel_estimates ~quick () in
   print_kernel_rows rows;
-  print_engine_speedup rows;
   let mc = mc_throughput ~quick () in
   print_mc_report mc;
   let wf = wafer_throughput ~quick () in
@@ -849,16 +808,6 @@ let kernels ~quick ~json ~out () =
   let smp = sampling_calibration ~quick () in
   print_sampling_calibration smp;
   if json then write_json ~file:out rows mc wf tel smp;
-  if warn_missing rows then 1 else 0
-
-(* Just the MC kernels — the scalar reference loop against the batched
-   kernel — and their ratio ([make bench-mc]). *)
-let kernels_mc ~quick () =
-  let rows =
-    kernel_estimates ~quick ~only:(fun n -> List.mem n mc_kernel_names) ()
-  in
-  print_kernel_rows rows;
-  print_engine_speedup rows;
   if warn_missing rows then 1 else 0
 
 (* ------------------------------------------------------------------ *)
@@ -883,7 +832,6 @@ let () =
     print_string (Experiments.all c);
     exit (kernels ~quick ~json ~out ())
   | [ "kernels" ] -> exit (kernels ~quick ~json ~out ())
-  | [ "kernels-mc" ] -> exit (kernels_mc ~quick ())
   | names ->
     List.iter
       (fun name ->
@@ -894,7 +842,7 @@ let () =
           print_newline ()
         | None ->
           Printf.eprintf
-            "unknown exhibit %S (try: %s, kernels, kernels-mc)\n" name
+            "unknown exhibit %S (try: %s, kernels)\n" name
             (String.concat ", " (List.map fst exhibits));
           exit 1)
       names

@@ -143,8 +143,8 @@ let scratch c =
 
 (* What a timing graph keeps across ops: the scratches returned by
    finished fan-outs, and the design-time state of the skew and buffer
-   strategies (the clock tree's untuned skew, the nominal buffer sites
-   per [sites_per_stage]), computed by the first build on the graph.
+   strategies (the clock tree's untuned skew, the nominal buffer
+   sites), computed by the first build on the graph.
    The graph is an ephemeron key, so all of it goes with its flow. *)
 type skew_base = {
   row0 : float array;  (* per flop slot: the untuned skew, offset + 0.0 *)
@@ -156,7 +156,7 @@ type skew_base = {
 type graph_state = {
   mutable free : scratch list;
   mutable skew_base : skew_base option;
-  mutable sites : (int * int list) list;
+  mutable sites : int list option;
 }
 
 let graphs : (Sta.t, graph_state) Ephemeron.K1.Bucket.t =
@@ -169,7 +169,7 @@ let graph_state c =
       match Ephemeron.K1.Bucket.find graphs c.sta with
       | Some g -> g
       | None ->
-        let g = { free = []; skew_base = None; sites = [] } in
+        let g = { free = []; skew_base = None; sites = None } in
         Ephemeron.K1.Bucket.add graphs c.sta g;
         g)
 
@@ -638,13 +638,19 @@ let skew_tuning ?(range_frac = 0.10) ?(steps = 4) c =
 (* ------------------------------------------------------------------ *)
 (* Strategy 4: post-silicon tunable buffers                             *)
 
+(* Buffer sites per analyzed stage, trim stages per site, and each
+   trim's delay as a fraction of the clock. *)
+let sites_per_stage = 8
+let max_per_site = 4
+let trim_frac = 0.02
+
 (* Design-time site selection on the worst NOMINAL low-supply paths,
-   once per timing graph and site count: the library is characterised
-   at (vdd_low, nominal Lgate), so the STA's base delay vector IS the
-   nominal low-supply corner. *)
-let nominal_sites c sites_per_stage =
+   once per timing graph: the library is characterised at (vdd_low,
+   nominal Lgate), so the STA's base delay vector IS the nominal
+   low-supply corner. *)
+let nominal_sites c =
   once_per_graph c
-    (fun g -> List.assoc_opt sites_per_stage g.sites)
+    (fun g -> g.sites)
     (fun () ->
       let nominal = Sta.analyze c.sta ~delays:c.base in
       List.concat_map
@@ -652,10 +658,9 @@ let nominal_sites c sites_per_stage =
           List.map fst
             (Paths.worst_endpoints ~stage:s c.sta nominal ~k:sites_per_stage))
         analyzed)
-    (fun g sites -> g.sites <- (sites_per_stage, sites) :: g.sites)
+    (fun g sites -> g.sites <- Some sites)
 
-let tunable_buffers ?(sites_per_stage = 8) ?(max_per_site = 4)
-    ?(trim_frac = 0.02) c =
+let tunable_buffers c =
   let lib = (Sta.netlist c.sta).Netlist.lib in
   let n_caps = Array.length c.caps in
   let cap_of = Hashtbl.create n_caps in
@@ -663,7 +668,7 @@ let tunable_buffers ?(sites_per_stage = 8) ?(max_per_site = 4)
   (* Each site as its cap index: a site is a worst endpoint of an
      analyzed stage, so it is one of that stage's caps. *)
   let sites =
-    Array.of_list (List.map (Hashtbl.find cap_of) (nominal_sites c sites_per_stage))
+    Array.of_list (List.map (Hashtbl.find cap_of) (nominal_sites c))
   in
   let site_cap = Array.make n_caps 0 in
   Array.iter (fun j -> site_cap.(j) <- max_per_site) sites;

@@ -225,26 +225,19 @@ val skew_tuning :
     clock-rate switching and leakage.  The clock tree is synthesized
     once per timing graph. *)
 
-val tunable_buffers :
-  ?sites_per_stage:int ->
-  ?max_per_site:int ->
-  ?trim_frac:float ->
-  ctx ->
-  strategy
+val tunable_buffers : ctx -> strategy
 (** EffiTest-style post-silicon tunable buffers (arXiv:1705.04992):
     delay-trim stages inserted at design time on the worst low-supply
-    paths.  Sites are the [sites_per_stage] (default 8) worst nominal
-    low-supply endpoints of each analyzed stage
-    ({!Pvtol_timing.Paths.worst_endpoints}); each site carries
-    [max_per_site] (default 4) trim stages of [trim_frac] of the clock
-    each (default 0.02).  Per die, a greedy loop enables one trim at a
-    time on the binding endpoint of a failing stage until every stage
-    meets or the binding endpoint has no (more) trims — the die's
-    reported power/area cost is monotone in the buffers enabled.  It
-    runs no STA pass: it reads the endpoint delays {!detect} kept for
-    the selected lane.  [knob] = trim stages enabled.  The sites (one
-    nominal pass) are chosen once per timing graph and
-    [sites_per_stage]. *)
+    paths.  Sites are the 8 worst nominal low-supply endpoints of each
+    analyzed stage ({!Pvtol_timing.Paths.worst_endpoints}); each site
+    carries 4 trim stages of 2% of the clock each.  Per die, a greedy
+    loop enables one trim at a time on the binding endpoint of a
+    failing stage until every stage meets or the binding endpoint has
+    no (more) trims — the die's reported power/area cost is monotone in
+    the buffers enabled.  It runs no STA pass: it reads the endpoint
+    delays {!detect} kept for the selected lane.  [knob] = trim stages
+    enabled.  The sites (one nominal pass) are chosen once per timing
+    graph. *)
 
 (** {2 Strategy selection} *)
 

@@ -513,7 +513,7 @@ let ssta_crosscheck ctx =
           (Flow.placement t) pos
       in
       let an =
-        An.analyze ~sta:(Flow.sta t) ~sampler:(Flow.sampler t) ~systematic ()
+        An.analyze ~sta:(Flow.sta t) ~sampler:(Flow.sampler t) ~systematic
       in
       List.iter
         (fun s ->
@@ -667,7 +667,7 @@ let power_integrity ctx =
   let row name member =
     let r =
       Power_grid.analyze ~placement:(Flow.placement t) ~member ~current_ma
-        ~vdd:high ()
+        ~vdd:high
     in
     let members = ref 0 in
     for cid = 0 to n_cells - 1 do

@@ -36,7 +36,6 @@ type config = {
   gatesim_cycles : int;
   fir_taps : int;
   fir_samples : int;
-  corner_kappa : float;
 }
 
 let default_config =
@@ -50,7 +49,6 @@ let default_config =
     gatesim_cycles = 512;
     fir_taps = 16;
     fir_samples = 64;
-    corner_kappa = 0.35;
   }
 
 let quick_config =
@@ -133,7 +131,7 @@ let prepare ?(config = default_config) () =
     Sg.node g ~name:"design" (fun () -> Vex_core.build config.vex)
   in
   let placement0_n =
-    Sg.node g ~name:"placement" ~deps:[ "design" ] (fun () ->
+    Sg.node g ~name:"placement" (fun () ->
         let design = Sg.get design_n in
         let nl0 = design.Vex_core.netlist in
         let fp =
@@ -149,7 +147,7 @@ let prepare ?(config = default_config) () =
      re-times it round by round; the sta stage is its last round's
      graph, that of the sized netlist. *)
   let sizing_n =
-    Sg.node g ~name:"sizing" ~deps:[ "design"; "placement" ] (fun () ->
+    Sg.node g ~name:"sizing" (fun () ->
         let design = Sg.get design_n in
         let wire = Array.get (Placement.wire_lengths (Sg.get placement0_n)) in
         let sta0 =
@@ -165,25 +163,25 @@ let prepare ?(config = default_config) () =
         Sizing.fit ~clock:initial_clock sta0)
   in
   let netlist_n =
-    Sg.node g ~name:"netlist" ~deps:[ "sizing" ] (fun () ->
+    Sg.node g ~name:"netlist" (fun () ->
         Sta.netlist (Sg.get sizing_n).Sizing.sta)
   in
   let placement_n =
-    Sg.node g ~name:"placed" ~deps:[ "placement"; "netlist" ] (fun () ->
+    Sg.node g ~name:"placed" (fun () ->
         { (Sg.get placement0_n) with Placement.netlist = Sg.get netlist_n })
   in
   let sta_n =
-    Sg.node g ~name:"sta" ~deps:[ "sizing" ] (fun () -> (Sg.get sizing_n).Sizing.sta)
+    Sg.node g ~name:"sta" (fun () -> (Sg.get sizing_n).Sizing.sta)
   in
   let nominal_n =
-    Sg.node g ~name:"timing" ~deps:[ "sta" ] (fun () ->
+    Sg.node g ~name:"timing" (fun () ->
         let sta = Sg.get sta_n in
         Sta.analyze sta ~delays:(Sta.nominal_delays sta))
   in
   (* The nominal clock is set by the execute-stage critical path, which
      determines fmax (256 MHz in the paper's testbed). *)
   let clock_n =
-    Sg.node g ~name:"clock" ~deps:[ "timing" ] (fun () ->
+    Sg.node g ~name:"clock" (fun () ->
         let r = Sg.get nominal_n in
         match Sta.stage_delay r Stage.Execute with
         | Some d -> d
@@ -195,7 +193,7 @@ let prepare ?(config = default_config) () =
         Fir.run ~taps:config.fir_taps ~samples:config.fir_samples ())
   in
   let activity_n =
-    Sg.node g ~name:"activity" ~deps:[ "netlist"; "fir" ] (fun () ->
+    Sg.node g ~name:"activity" (fun () ->
         let netlist = Sg.get netlist_n in
         Gatesim.run ~cycles:config.gatesim_cycles netlist
           (trace_stimulus config netlist (Sg.get fir_n).Fir.trace))
@@ -204,7 +202,6 @@ let prepare ?(config = default_config) () =
      forced together share each chunk's gaussians. *)
   let mc_k =
     Sg.keyed_batch g ~name:"mc"
-      ~deps:(fun _ -> [ "sta"; "placed"; "sampler" ])
       ~key_label:(fun (p : Position.t) -> p.Position.label)
       (fun positions ->
         MC.run
@@ -214,25 +211,20 @@ let prepare ?(config = default_config) () =
           (List.map (fun p -> MC.job p) positions))
   in
   let scenarios_n =
-    Sg.node g ~name:"scenarios" ~deps:[ "clock"; "mc" ] (fun () ->
+    Sg.node g ~name:"scenarios" (fun () ->
         let clock = Sg.get clock_n in
         List.map (Scenario.classify ~clock) (Sg.get_keyed_many mc_k Position.named))
   in
   let islands_k =
     Sg.keyed g ~name:"islands"
-      ~deps:(fun _ -> [ "sta"; "placed"; "sampler"; "clock" ])
       ~key_label:Island.direction_name
       (fun direction ->
-        Slicing.generate ~corner_kappa:config.corner_kappa ~direction
-          ~sta:(Sg.get sta_n) ~placement:(Sg.get placement_n)
-          ~sampler:(Sg.get sampler_n) ~clock:(Sg.get clock_n)
-          ~targets:growth_targets ())
+        Slicing.generate ~direction ~sta:(Sg.get sta_n)
+          ~placement:(Sg.get placement_n) ~sampler:(Sg.get sampler_n)
+          ~clock:(Sg.get clock_n) ~targets:growth_targets)
   in
   let variant_k =
     Sg.keyed g ~name:"shifters"
-      ~deps:(fun d ->
-        [ "islands[" ^ Island.direction_name d ^ "]"; "netlist"; "placed";
-          "clock" ])
       ~key_label:Island.direction_name
       (fun direction ->
         let slicing = Sg.get_keyed islands_k direction in
@@ -275,14 +267,12 @@ let prepare ?(config = default_config) () =
         })
   in
   let logic_grouping_n =
-    Sg.node g ~name:"logic_grouping"
-      ~deps:[ "sta"; "placed"; "sampler"; "clock" ] (fun () ->
+    Sg.node g ~name:"logic_grouping" (fun () ->
         try
           Ok
-            (Logic_grouping.generate ~corner_kappa:config.corner_kappa
-               ~sta:(Sg.get sta_n) ~placement:(Sg.get placement_n)
-               ~sampler:(Sg.get sampler_n) ~clock:(Sg.get clock_n)
-               ~targets:growth_targets ())
+            (Logic_grouping.generate ~sta:(Sg.get sta_n)
+               ~placement:(Sg.get placement_n) ~sampler:(Sg.get sampler_n)
+               ~clock:(Sg.get clock_n) ~targets:growth_targets)
         with Logic_grouping.Infeasible m -> Error m)
   in
   (* The level-shifted design only adds buffers to the sized netlist, so
@@ -318,13 +308,6 @@ let prepare ?(config = default_config) () =
   in
   let power_k =
     Sg.keyed g ~name:"power"
-      ~deps:(fun (cfg, _) ->
-        match cfg with
-        | Baseline_low | Chip_wide_high ->
-          [ "netlist"; "placed"; "sampler"; "activity"; "clock" ]
-        | Islands (dir, _) ->
-          [ "shifters[" ^ Island.direction_name dir ^ "]"; "netlist"; "sampler";
-            "activity"; "clock" ])
       ~key_label:(fun (cfg, (pos : Position.t)) ->
         supply_label cfg ^ "@" ^ pos.Position.label)
       (fun (cfg, position) ->

@@ -31,7 +31,6 @@ type config = {
   gatesim_cycles : int;
   fir_taps : int;
   fir_samples : int;
-  corner_kappa : float;
 }
 
 val default_config : config

@@ -10,7 +10,7 @@ type t = {
 
 exception Infeasible of string
 
-let generate ?(corner_kappa = 0.35) ~sta ~placement ~sampler ~clock ~targets () =
+let generate ~sta ~placement ~sampler ~clock ~targets =
   let nl = Sta.netlist sta in
   let n = Netlist.cell_count nl in
   (* Unit ranking: worst nominal arrival over the unit's output nets —
@@ -39,7 +39,7 @@ let generate ?(corner_kappa = 0.35) ~sta ~placement ~sampler ~clock ~targets () 
     nl.Netlist.cells;
   let domains = Array.make n (List.length targets + 1) in
   let raised_units = Hashtbl.create 16 in
-  let check = Slicing.corner_check ~corner_kappa ~sta ~sampler ~clock in
+  let check = Slicing.corner_check ~sta ~sampler ~clock in
   let meets at_target k = at_target ~raised:(fun cid -> domains.(cid) <= k) in
   let units_per_scenario = Array.make (List.length targets) [] in
   List.iteri

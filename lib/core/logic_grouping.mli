@@ -26,13 +26,11 @@ type t = {
 exception Infeasible of string
 
 val generate :
-  ?corner_kappa:float ->
   sta:Pvtol_timing.Sta.t ->
   placement:Pvtol_place.Placement.t ->
   sampler:Pvtol_variation.Sampler.t ->
   clock:float ->
   targets:Slicing.target list ->
-  unit ->
   t
 (** Greedy unit selection: units are ranked by the worst corner arrival
     time of their cells' output nets, and added to the raised set until

@@ -10,8 +10,11 @@ type result = {
   iterations : int;
 }
 
-let analyze ?(grid = 24) ?(strap_resistance = 2.0) ~placement ~member
-    ~current_ma ~vdd () =
+(* Bins per core edge; ohm per strap segment. *)
+let grid = 24
+let strap_resistance = 2.0
+
+let analyze ~placement ~member ~current_ma ~vdd =
   let core = placement.Placement.floorplan.Pvtol_place.Floorplan.core in
   let bw = Geom.width core /. float_of_int grid in
   let bh = Geom.height core /. float_of_int grid in

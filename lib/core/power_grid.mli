@@ -23,14 +23,11 @@ type result = {
 }
 
 val analyze :
-  ?grid:int ->
-  ?strap_resistance:float ->
   placement:Pvtol_place.Placement.t ->
   member:(Pvtol_netlist.Netlist.cell_id -> bool) ->
   current_ma:(Pvtol_netlist.Netlist.cell_id -> float) ->
   vdd:float ->
-  unit ->
   result
 (** [member] selects the domain's cells; [current_ma] each cell's draw.
-    Defaults: 24x24 bin grid, 2 ohm per strap segment.  Deterministic
+    A 24x24 bin grid, 2 ohm per strap segment.  Deterministic
     Gauss-Seidel relaxation to 1 uV residual (bounded iterations). *)

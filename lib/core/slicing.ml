@@ -19,13 +19,18 @@ type outcome = {
 
 exception Infeasible of string
 
-let corner_scale ~sampler ~systematic ~corner_kappa ~vdd cid =
+let corner_kappa = 0.35
+
+(* Binary-search resolution of an island cut. *)
+let tolerance_um = 2.0
+
+let corner_scale ~sampler ~systematic ~vdd cid =
   let lgate_nm =
     systematic.(cid) +. (corner_kappa *. sampler.Sampler.sigma_rnd_nm)
   in
   Sampler.delay_scale sampler ~lgate_nm ~vdd:(vdd cid)
 
-let corner_check ~corner_kappa ~sta ~sampler ~clock =
+let corner_check ~sta ~sampler ~clock =
   let process = (Sta.netlist sta).Netlist.lib.Pvtol_stdcell.Cell.process in
   let vdd_low = process.Pvtol_stdcell.Process.vdd_low in
   let vdd_high = process.Pvtol_stdcell.Process.vdd_high in
@@ -36,7 +41,7 @@ let corner_check ~corner_kappa ~sta ~sampler ~clock =
   fun ~systematic ->
     let table vdd =
       Array.init n (fun i ->
-          corner_scale ~sampler ~systematic ~corner_kappa ~vdd:(fun _ -> vdd) i)
+          corner_scale ~sampler ~systematic ~vdd:(fun _ -> vdd) i)
     in
     let low = table vdd_low and high = table vdd_high in
     fun ~raised ->
@@ -91,14 +96,9 @@ let pick_side direction density =
          (fun (bs, bv) (s, v) -> if v > bv then (s, v) else (bs, bv))
          (Density.Left, neg_infinity) corners)
 
-let generate ?(corner_kappa = 0.35) ?(tolerance_um = 2.0) ~direction ?side ~sta
-    ~placement ~sampler ~clock ~targets () =
+let generate ~direction ~sta ~placement ~sampler ~clock ~targets =
   let core = placement.Placement.floorplan.Pvtol_place.Floorplan.core in
-  let side =
-    match side with
-    | Some s -> s
-    | None -> pick_side direction (Density.compute placement)
-  in
+  let side = pick_side direction (Density.compute placement) in
   (* Growth parameterised by the fraction t of the core consumed from
      the chosen side or corner. *)
   let region_of_t t = Island.region_of_fraction ~core direction side ~t in
@@ -113,7 +113,7 @@ let generate ?(corner_kappa = 0.35) ?(tolerance_um = 2.0) ~direction ?side ~sta
     | Island.Quadrant, _ -> Geom.width r
     | _ -> assert false
   in
-  let check = corner_check ~corner_kappa ~sta ~sampler ~clock in
+  let check = corner_check ~sta ~sampler ~clock in
   let checks = ref 0 in
   let meets at_target t =
     incr checks;

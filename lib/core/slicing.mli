@@ -10,7 +10,7 @@
 
     Compensation is checked with a deterministic corner STA: every cell
     takes its systematic Lgate at the scenario's die position plus
-    [corner_kappa] random sigmas (calibrated against the Monte-Carlo
+    {!corner_kappa} random sigmas (calibrated against the Monte-Carlo
     3-sigma per-stage delays), cells inside the candidate slice run at
     high Vdd, and every pipeline stage must meet the nominal clock. *)
 
@@ -31,17 +31,19 @@ exception Infeasible of string
 (** Raised when even the full core at high Vdd cannot compensate a
     target scenario. *)
 
+val corner_kappa : float
+(** 0.35: random sigmas added to the systematic Lgate at the
+    compensation corner. *)
+
 val corner_scale :
   sampler:Pvtol_variation.Sampler.t ->
   systematic:float array ->
-  corner_kappa:float ->
   vdd:(Netlist.cell_id -> float) ->
   Netlist.cell_id ->
   float
 (** Per-cell delay scale at the deterministic compensation corner. *)
 
 val corner_check :
-  corner_kappa:float ->
   sta:Pvtol_timing.Sta.t ->
   sampler:Pvtol_variation.Sampler.t ->
   clock:float ->
@@ -53,7 +55,7 @@ val corner_check :
     high Vdd where [raised] holds, run a full STA and require every
     analyzed stage within [clock] (+1e-9 ns).
 
-    Staged in three applications.  The first four arguments set up one
+    Staged in three applications.  The first three arguments set up one
     delay buffer and one 1-lane STA workspace.  Applying [~systematic]
     (once per target) tabulates the corner scale of every cell at low
     and at high Vdd.  Each [~raised] check then sets delay [i] to
@@ -63,18 +65,13 @@ val corner_check :
     share the buffer and the workspace, so run them one at a time. *)
 
 val generate :
-  ?corner_kappa:float ->
-  ?tolerance_um:float ->
   direction:Island.direction ->
-  ?side:Pvtol_place.Density.side ->
   sta:Pvtol_timing.Sta.t ->
   placement:Pvtol_place.Placement.t ->
   sampler:Pvtol_variation.Sampler.t ->
   clock:float ->
   targets:target list ->
-  unit ->
   outcome
-(** [targets] ordered least-severe first (scenario 1, 2, 3...).
-    Defaults: corner_kappa 0.35, cut tolerance 2 um, side from the
-    density map (restricted to the sides compatible with
-    [direction]). *)
+(** [targets] ordered least-severe first (scenario 1, 2, 3...).  Each
+    cut is searched to 2 um; the side comes from the density map,
+    restricted to the sides compatible with [direction]. *)

@@ -33,9 +33,8 @@ type graph = {
   mutable names : string list;
 }
 
-let create ?trace () =
-  let trace = match trace with Some t -> t | None -> Trace.create () in
-  { trace; registry = Mutex.create (); names = [] }
+let create () =
+  { trace = Trace.create (); registry = Mutex.create (); names = [] }
 
 let trace g = g.trace
 
@@ -46,11 +45,25 @@ let register g name =
   Mutex.unlock g.registry;
   if dup then invalid_arg (Printf.sprintf "Stage: duplicate node name %S" name)
 
-(* The chain of node names the current domain is forcing, innermost
-   first.  Per-domain, so keyed nodes computed on pool workers get
-   their own (short) chains. *)
-let stack_key : string list ref Domain.DLS.key =
+(* A compute in progress: its stage instance's name and the instances
+   it has forced so far, latest first. *)
+type frame = { fname : string; mutable forced : string list }
+
+(* The frames the current domain is computing, innermost first.
+   Per-domain, so keyed nodes computed on pool workers get their own
+   (short) chains. *)
+let stack_key : frame list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
+
+(* The names of the frames, outermost first. *)
+let chain () = List.rev_map (fun f -> f.fname) !(Domain.DLS.get stack_key)
+
+(* Record that the innermost compute on this domain forced [name],
+   whether the force computes, hits the memo or waits. *)
+let note_force name =
+  match !(Domain.DLS.get stack_key) with
+  | f :: _ when not (List.mem name f.forced) -> f.forced <- name :: f.forced
+  | _ -> ()
 
 (* [Running d]: domain [d] is computing the cell. *)
 type 'a state = Pending | Running of Domain.id | Done of 'a | Failed of error
@@ -67,10 +80,11 @@ let new_cell () =
 (* Compute [cells] (each already marked [Running] by this domain) with
    one call of [compute] under one span: each cell receives its own
    value, or all of them the one error. *)
-let run_owned g cells ~name ~deps compute =
+let run_owned g cells ~name compute =
   Metrics.incr m_computes;
   let stack = Domain.DLS.get stack_key in
-  stack := name :: !stack;
+  let frame = { fname = name; forced = [] } in
+  stack := frame :: !stack;
   let finish st =
     stack := List.tl !stack;
     List.iter
@@ -85,6 +99,7 @@ let run_owned g cells ~name ~deps compute =
     finish (fun _ -> Failed e);
     raise (Stage_error e)
   in
+  let deps () = List.rev frame.forced in
   match
     Trace.span g.trace ~name ~deps (fun () ->
         let vs = compute () in
@@ -100,7 +115,7 @@ let run_owned g cells ~name ~deps compute =
     (* Already attributed to the stage that actually failed. *)
     fail e
   | exception exn ->
-    fail { stage = name; chain = List.rev !stack; message = Printexc.to_string exn }
+    fail { stage = name; chain = chain (); message = Printexc.to_string exn }
 
 (* Wait for one cell's memoized value or error; [cell.lock] is held on
    entry.  A cell this domain is itself computing — alone or as one key
@@ -117,7 +132,7 @@ let rec await cell ~name ~first =
     raise (Stage_error e)
   | Running owner when owner = Domain.self () ->
     Mutex.unlock cell.lock;
-    let chain = List.rev (name :: !(Domain.DLS.get stack_key)) in
+    let chain = chain () @ [ name ] in
     raise (Stage_error { stage = name; chain; message = "dependency cycle" })
   | Running _ ->
     Condition.wait cell.cond cell.lock;
@@ -136,8 +151,9 @@ let claim cell =
    concurrent forcing domain blocks until the computing domain stores a
    result; re-entrant forcing from the same domain is a dependency
    cycle. *)
-let force_cell g cell ~name ~deps compute =
-  if claim cell then List.hd (run_owned g [ cell ] ~name ~deps (fun () -> [ compute () ]))
+let force_cell g cell ~name compute =
+  note_force name;
+  if claim cell then List.hd (run_owned g [ cell ] ~name (fun () -> [ compute () ]))
   else begin
     Mutex.lock cell.lock;
     await cell ~name ~first:true
@@ -146,17 +162,16 @@ let force_cell g cell ~name ~deps compute =
 type 'a node = {
   graph : graph;
   name : string;
-  deps : string list;
   compute : unit -> 'a;
   cell : 'a cell;
 }
 
-let node g ~name ?(deps = []) compute =
+let node g ~name compute =
   register g name;
-  { graph = g; name; deps; compute; cell = new_cell () }
+  { graph = g; name; compute; cell = new_cell () }
 
 let name n = n.name
-let get n = force_cell n.graph n.cell ~name:n.name ~deps:n.deps n.compute
+let get n = force_cell n.graph n.cell ~name:n.name n.compute
 
 let result n =
   match get n with v -> Ok v | exception Stage_error e -> Error e
@@ -170,27 +185,25 @@ let peek n =
 type ('k, 'a) keyed = {
   kgraph : graph;
   kname : string;
-  kdeps : 'k -> string list;
   key_label : 'k -> string;
   kcompute : 'k list -> 'a list;
   table : (string, 'a cell) Hashtbl.t;
   table_lock : Mutex.t;
 }
 
-let keyed_batch g ~name ?(deps = fun _ -> []) ~key_label compute =
+let keyed_batch g ~name ~key_label compute =
   register g name;
   {
     kgraph = g;
     kname = name;
-    kdeps = deps;
     key_label;
     kcompute = compute;
     table = Hashtbl.create 8;
     table_lock = Mutex.create ();
   }
 
-let keyed g ~name ?deps ~key_label compute =
-  keyed_batch g ~name ?deps ~key_label (List.map compute)
+let keyed g ~name ~key_label compute =
+  keyed_batch g ~name ~key_label (List.map compute)
 
 let instance_name k labels = k.kname ^ "[" ^ String.concat "," labels ^ "]"
 
@@ -208,18 +221,18 @@ let cell_of k label =
   cell
 
 let get_keyed_many k keys =
+  List.iter (fun key -> note_force (instance_name k [ k.key_label key ])) keys;
   let cells = List.map (fun key -> (key, cell_of k (k.key_label key))) keys in
   (* Claim every pending instance, each once, and compute them together. *)
   let owned = List.filter (fun (_, cell) -> claim cell) cells in
   let values =
     match owned with
     | [] -> []
-    | (key0, _) :: _ ->
+    | _ :: _ ->
       let keys, owned_cells = List.split owned in
       List.combine owned_cells
         (run_owned k.kgraph owned_cells
            ~name:(instance_name k (List.map k.key_label keys))
-           ~deps:(k.kdeps key0)
            (fun () -> k.kcompute keys))
   in
   List.map

@@ -3,17 +3,21 @@
     The methodology flow (paper Fig. 1) is an explicit pipeline:
     netlist generation, placement, STA, per-position Monte-Carlo SSTA,
     scenario classification, island slicing, level-shifter insertion,
-    power.  This module gives each step a {e named, typed node} with
-    explicit dependencies.  A node computes at most once per graph
+    power.  This module gives each step a {e named, typed node}.  A
+    node's compute function pulls its inputs by calling {!get} on the
+    upstream nodes it captured.  A node computes at most once per graph
     (thread-safe: a second domain forcing the same node blocks until
     the first stores the result); {e keyed} nodes memoize one instance
     per key (e.g. the Monte-Carlo stage per die position) and may be
     forced concurrently from pool workers for distinct keys.
 
     Every computation is recorded as a {!Pvtol_util.Trace} span (name,
-    declared dependencies, wall clock, heap allocation), so [--trace]
-    can show exactly where a run spent its time and that nothing ran
-    twice.
+    dependencies, wall clock, heap allocation), so [--trace] can show
+    exactly where a run spent its time and that nothing ran twice.  A
+    span's dependencies are the stage instances its compute forced, in
+    first-force order — a node's name, or ["name[label]"] per key of a
+    keyed node — whether each force computed, hit the memo or waited
+    on another domain.
 
     Stage boundaries are also error boundaries: an exception escaping a
     node's compute function is converted into {!Stage_error} carrying
@@ -38,8 +42,8 @@ val error_message : error -> string
 
 type graph
 
-val create : ?trace:Pvtol_util.Trace.t -> unit -> graph
-(** A fresh graph with its own (or the supplied) trace. *)
+val create : unit -> graph
+(** A fresh graph with its own trace. *)
 
 val trace : graph -> Pvtol_util.Trace.t
 
@@ -47,11 +51,9 @@ val trace : graph -> Pvtol_util.Trace.t
 
 type 'a node
 
-val node : graph -> name:string -> ?deps:string list -> (unit -> 'a) -> 'a node
-(** Declare a node.  [deps] names the upstream stages (recorded in the
-    trace span; purely declarative — the compute function pulls its
-    inputs by calling {!get} on the upstream nodes it captured).  Node
-    names must be unique per graph ([Invalid_argument] otherwise). *)
+val node : graph -> name:string -> (unit -> 'a) -> 'a node
+(** Declare a node.  Node names must be unique per graph
+    ([Invalid_argument] otherwise). *)
 
 val name : 'a node -> string
 
@@ -73,7 +75,6 @@ type ('k, 'a) keyed
 val keyed :
   graph ->
   name:string ->
-  ?deps:('k -> string list) ->
   key_label:('k -> string) ->
   ('k -> 'a) ->
   ('k, 'a) keyed
@@ -84,7 +85,6 @@ val keyed :
 val keyed_batch :
   graph ->
   name:string ->
-  ?deps:('k -> string list) ->
   key_label:('k -> string) ->
   ('k list -> 'a list) ->
   ('k, 'a) keyed

@@ -76,7 +76,7 @@ let grid_frac n i =
   if n <= 1 then 0.5 else float_of_int i /. float_of_int (n - 1)
 
 let cell_position cfg ~ix ~iy =
-  Position.at_xy ~x_frac:(grid_frac cfg.nx ix) ~y_frac:(grid_frac cfg.ny iy) ()
+  Position.at_xy ~x_frac:(grid_frac cfg.nx ix) ~y_frac:(grid_frac cfg.ny iy)
 
 (* Every cell's RNG stream depends only on (seed, field, ix, iy), never
    on traversal order or domain count. *)
@@ -615,7 +615,7 @@ let run_sampling ?pool ?on_round (t : Flow.t) ~position scfg =
   let sf = float_of_int s and qf = float_of_int q in
   let centre g =
     let mid i = (float_of_int i +. 0.5) /. sf in
-    Position.at_xy ~x_frac:(mid (g mod s)) ~y_frac:(mid (g / s)) ()
+    Position.at_xy ~x_frac:(mid (g mod s)) ~y_frac:(mid (g / s))
   in
   (* IS builds one mixture per stratum at its center position; the
      tilt is a z-space object, so the within-stratum position jitter
@@ -653,7 +653,7 @@ let run_sampling ?pool ?on_round (t : Flow.t) ~position scfg =
         ( (gx +. ((float_of_int st.st_px.(r) +. ux) /. qf)) /. sf,
           (gy +. ((float_of_int st.st_py.(r) +. uy) /. qf)) /. sf )
     in
-    Compensation.systematic_into ctx sc (Position.at_xy ~x_frac:fx ~y_frac:fy ())
+    Compensation.systematic_into ctx sc (Position.at_xy ~x_frac:fx ~y_frac:fy)
   in
   let fixed = Option.map (Compensation.systematic ctx) position in
   (* The die source of a round's [tally].  Per-die stream layout is

@@ -11,7 +11,8 @@ type t = {
 
 let[@inline] clamp_bin n b = if b < 0 then 0 else if b > n - 1 then n - 1 else b
 
-let compute ?(nx = 32) ?(ny = 32) (p : Placement.t) =
+let compute (p : Placement.t) =
+  let nx = 32 and ny = 32 in
   let core = p.Placement.floorplan.Floorplan.core in
   let bin_w = Geom.width core /. float_of_int nx in
   let bin_h = Geom.height core /. float_of_int ny in
@@ -30,30 +31,6 @@ let bin_area t = t.bin_w *. t.bin_h
 let density t ix iy = t.occupied.((iy * t.nx) + ix) /. bin_area t
 
 type side = Left | Right | Bottom | Top
-
-let densest_side t =
-  let third_x = t.nx / 3 and third_y = t.ny / 3 in
-  let sum pred =
-    let acc = ref 0.0 in
-    for iy = 0 to t.ny - 1 do
-      for ix = 0 to t.nx - 1 do
-        if pred ix iy then acc := !acc +. t.occupied.((iy * t.nx) + ix)
-      done
-    done;
-    !acc
-  in
-  let candidates =
-    [
-      (Left, sum (fun ix _ -> ix < third_x));
-      (Right, sum (fun ix _ -> ix >= t.nx - third_x));
-      (Bottom, sum (fun _ iy -> iy < third_y));
-      (Top, sum (fun _ iy -> iy >= t.ny - third_y));
-    ]
-  in
-  fst
-    (List.fold_left
-       (fun (bs, bv) (s, v) -> if v > bv then (s, v) else (bs, bv))
-       (Left, neg_infinity) candidates)
 
 let side_name = function
   | Left -> "left"

@@ -14,8 +14,8 @@ type t = {
   occupied : float array;  (** row-major [ny * nx], um^2 of cells *)
 }
 
-val compute : ?nx:int -> ?ny:int -> Placement.t -> t
-(** Default grid 32 x 32. *)
+val compute : Placement.t -> t
+(** A 32 x 32 grid. *)
 
 val clamp_bin : int -> int -> int
 (** [clamp_bin n b] is bin index [b] clamped into [[0, n-1]]: a position
@@ -26,9 +26,5 @@ val density : t -> int -> int -> float
 (** Occupied fraction of bin (ix, iy). *)
 
 type side = Left | Right | Bottom | Top
-
-val densest_side : t -> side
-(** Side whose near-edge third of the core holds the most cell area —
-    the starting side for greedy voltage-island slicing. *)
 
 val side_name : side -> string

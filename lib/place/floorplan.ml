@@ -8,11 +8,14 @@ type t = {
   utilization : float;
 }
 
-let create ?(row_height = 1.8) ?(site_width = 0.2) ?(utilization = 0.70)
-    ?(aspect = 1.0) ~cell_area () =
+(* um *)
+let row_height = 1.8
+let site_width = 0.2
+
+let create ?(utilization = 0.70) ~cell_area () =
   assert (cell_area > 0.0 && utilization > 0.0 && utilization <= 1.0);
   let total = cell_area /. utilization in
-  let height = sqrt (total /. aspect) in
+  let height = sqrt total in
   let n_rows = max 1 (int_of_float (Float.ceil (height /. row_height))) in
   let height = float_of_int n_rows *. row_height in
   let width_raw = total /. height in

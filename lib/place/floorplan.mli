@@ -10,17 +10,10 @@ type t = {
   utilization : float;           (** target, 0-1 *)
 }
 
-val create :
-  ?row_height:float ->
-  ?site_width:float ->
-  ?utilization:float ->
-  ?aspect:float ->
-  cell_area:float ->
-  unit ->
-  t
-(** Square-ish floorplan (width/height ratio [aspect], default 1.0)
-    whose row capacity is [cell_area / utilization].  Defaults:
-    row height 1.8 um, site 0.2 um, utilization 0.70. *)
+val create : ?utilization:float -> cell_area:float -> unit -> t
+(** Square-ish floorplan of 1.8 um rows and 0.2 um sites whose row
+    capacity is [cell_area / utilization] (default utilization
+    0.70). *)
 
 val row_y : t -> int -> float
 (** Lower edge of a row. *)

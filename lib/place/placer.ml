@@ -10,7 +10,7 @@ let[@inline] occ (occupied : float array) nx ny ix iy =
 let spread_step (p : Placement.t) =
   let fp = p.Placement.floorplan in
   let core = fp.Floorplan.core in
-  let d = Density.compute ~nx:32 ~ny:32 p in
+  let d = Density.compute p in
   let target = fp.Floorplan.utilization *. Density.bin_area d in
   let nx = d.Density.nx and ny = d.Density.ny in
   let occupied = d.Density.occupied in
@@ -40,7 +40,9 @@ let spread_step (p : Placement.t) =
 
 (* [sum_x], [sum_y] and [cnt] are per-cell scratch, zeroed here, so
    the iterations share one set. *)
-let attraction_step (p : Placement.t) ~damping ~sum_x ~sum_y ~cnt =
+let damping = 0.6
+
+let attraction_step (p : Placement.t) ~sum_x ~sum_y ~cnt =
   let nl = p.Placement.netlist in
   let ncells = Netlist.cell_count nl in
   let xs = p.Placement.xs and ys = p.Placement.ys in
@@ -153,7 +155,7 @@ let init_by_unit (p : Placement.t) rng =
   in
   split core glist
 
-let global_only ?(iterations = 48) ?(seed = 1) ?(damping = 0.6) nl fp =
+let global_only ?(iterations = 48) ?(seed = 1) nl fp =
   let p = Placement.create nl fp in
   let rng = Srng.create seed in
   init_by_unit p rng;
@@ -162,12 +164,12 @@ let global_only ?(iterations = 48) ?(seed = 1) ?(damping = 0.6) nl fp =
   and sum_y = Array.make ncells 0.0
   and cnt = Array.make ncells 0 in
   for _ = 1 to iterations do
-    attraction_step p ~damping ~sum_x ~sum_y ~cnt;
+    attraction_step p ~sum_x ~sum_y ~cnt;
     spread_step p
   done;
   p
 
-let place ?iterations ?seed ?damping ?padding nl fp =
-  let p = global_only ?iterations ?seed ?damping nl fp in
+let place ?iterations ?seed ?padding nl fp =
+  let p = global_only ?iterations ?seed nl fp in
   Legalize.run ?padding p;
   p

@@ -13,15 +13,16 @@
 open Pvtol_netlist
 
 val place :
-  ?iterations:int -> ?seed:int -> ?damping:float -> ?padding:float ->
+  ?iterations:int -> ?seed:int -> ?padding:float ->
   Netlist.t -> Floorplan.t ->
   Placement.t
 (** Global placement followed by row legalization (see {!Legalize};
-    [padding] reserves distributed ECO whitespace).  Defaults: 48
-    iterations, seed 1, damping 0.6, no padding.  Deterministic. *)
+    [padding] reserves distributed ECO whitespace).  Each iteration
+    moves a cell 0.6 of the way to its nets' centroid.  Defaults: 48
+    iterations, seed 1, no padding.  Deterministic. *)
 
 val global_only :
-  ?iterations:int -> ?seed:int -> ?damping:float -> Netlist.t -> Floorplan.t ->
+  ?iterations:int -> ?seed:int -> Netlist.t -> Floorplan.t ->
   Placement.t
 (** The force-directed phase alone, without legalization (useful for
     inspecting the spreading behaviour and in tests). *)

@@ -32,16 +32,10 @@ type result = {
   worst : gaussian;
 }
 
-let analyze ~sta ~sampler ~systematic ?vdd () =
+let analyze ~sta ~sampler ~systematic =
   let nl = Sta.netlist sta in
   let lib = nl.Netlist.lib in
-  let vdd =
-    match vdd with
-    | Some f -> f
-    | None ->
-      let low = lib.Pvtol_stdcell.Cell.process.Pvtol_stdcell.Process.vdd_low in
-      fun _ -> low
-  in
+  let v = lib.Pvtol_stdcell.Cell.process.Pvtol_stdcell.Process.vdd_low in
   let base = Sta.nominal_delays sta in
   let n = Netlist.cell_count nl in
   (* Per-cell delay distribution: the mean follows the systematic Lgate,
@@ -49,7 +43,6 @@ let analyze ~sta ~sampler ~systematic ?vdd () =
      of the random component. *)
   let delay = Array.make n { mean = 0.0; var = 0.0 } in
   for i = 0 to n - 1 do
-    let v = vdd i in
     let s0 = Sampler.delay_scale sampler ~lgate_nm:systematic.(i) ~vdd:v in
     let s1 =
       Sampler.delay_scale sampler

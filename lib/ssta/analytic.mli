@@ -33,11 +33,9 @@ val analyze :
   sta:Pvtol_timing.Sta.t ->
   sampler:Pvtol_variation.Sampler.t ->
   systematic:float array ->
-  ?vdd:(Netlist.cell_id -> float) ->
-  unit ->
   result
-(** Single-traversal statistical analysis at a die position (the
-    systematic per-cell Lgate array comes from
-    {!Pvtol_variation.Sampler.systematic_lgates}). *)
+(** Single-traversal statistical analysis at a die position, every
+    cell at the low supply (the systematic per-cell Lgate array comes
+    from {!Pvtol_variation.Sampler.systematic_lgates}). *)
 
 val three_sigma : gaussian -> float

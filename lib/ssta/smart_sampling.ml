@@ -49,8 +49,13 @@ let path_sensitivity sampler ~base ~systematic ~vdd (p : Paths.path) =
   let vals = Array.map (fun i -> Hashtbl.find tbl i) cells in
   (cells, vals)
 
-let tilts ?(k_endpoints = 48) ?(theta_frac = 0.9) ?(theta_cap = 8.0) ~sampler
-    ~sta ~base ~systematic ~vdd ~clock ~stages ~rare () =
+(* Worst endpoints traced per stage; the boundary back-off; the
+   distance (in sigmas) past which a component is dropped. *)
+let k_endpoints = 48
+let theta_frac = 0.9
+let theta_cap = 8.0
+
+let tilts ~sampler ~sta ~base ~systematic ~vdd ~clock ~stages ~rare () =
   if rare <= 0 then invalid_arg "Smart_sampling.tilts: rare must be positive";
   let n = Array.length base in
   let delays =

@@ -50,9 +50,6 @@ type tilt = {
 }
 
 val tilts :
-  ?k_endpoints:int ->
-  ?theta_frac:float ->
-  ?theta_cap:float ->
   sampler:Pvtol_variation.Sampler.t ->
   sta:Pvtol_timing.Sta.t ->
   base:float array ->
@@ -67,12 +64,11 @@ val tilts :
     [clock] at supply [vdd]" at the die position whose systematic Lgate
     field is [systematic].  One STA pass ranks the stages; each stage
     that is below the clock among the [rare] slowest contributes its
-    [k_endpoints] (default 48) worst endpoints; each endpoint's traced
-    critical path yields a sensitivity direction and a linearized
-    boundary distance, scaled by [theta_frac] (default 0.9 — backing
-    off the deterministic boundary toward the probabilistic one) and
-    dropped above [theta_cap] (default 8.0, where the event is beyond
-    reach and tilting would only waste samples).  Each near component
+    48 worst endpoints; each endpoint's traced critical path yields a
+    sensitivity direction and a linearized boundary distance, scaled
+    by 0.9 (backing off the deterministic boundary toward the
+    probabilistic one) and dropped above 8 sigmas (where the event is
+    beyond reach and tilting would only waste samples).  Each near component
     (theta at most 4.5) also contributes two ladder rungs at 1/2 and
     3/4 of its theta: they fill the density shadow between the origin
     and the tilted means, collapsing the above-1 weights that rare

@@ -11,7 +11,10 @@ type t = {
   levels : int;
 }
 
-let synthesize ?(max_leaves = 16) (p : Placement.t) ~flops =
+(* Flops per leaf cluster. *)
+let max_leaves = 16
+
+let synthesize (p : Placement.t) ~flops =
   let nl = p.Placement.netlist in
   let lib = nl.Netlist.lib in
   let buf = Cell_lib.find lib Pvtol_stdcell.Kind.Buf Cell_lib.X4 in

@@ -24,12 +24,8 @@ type t = {
   levels : int;
 }
 
-val synthesize :
-  ?max_leaves:int ->
-  Pvtol_place.Placement.t ->
-  flops:Netlist.cell_id array ->
-  t
-(** Default cluster size 16 flops. *)
+val synthesize : Pvtol_place.Placement.t -> flops:Netlist.cell_id array -> t
+(** Leaf clusters of at most 16 flops. *)
 
 val skew_of : t -> (Netlist.cell_id -> float)
 (** Per-flop arrival offset of the clock edge relative to the earliest

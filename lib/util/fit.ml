@@ -16,13 +16,13 @@ let min_samples = 8
 
 (* Build equiprobable-ish bins from the sample range, then merge bins whose
    expected count under the fitted normal is below 5. *)
-let chi2_gof ?(confidence = 0.95) ?bins:nbins xs normal =
+let chi2_gof xs normal =
   let n = Array.length xs in
   if n < min_samples then
     invalid_arg
       (Printf.sprintf "Fit.chi2_gof: %d samples, at least %d needed" n
          min_samples);
-  let h = Histo.of_samples ?bins:nbins xs in
+  let h = Histo.of_samples xs in
   let nb = Histo.bins h in
   let expected_of_bin i =
     let c = Histo.bin_center h i in
@@ -58,11 +58,11 @@ let chi2_gof ?(confidence = 0.95) ?bins:nbins xs normal =
     statistic := !statistic +. (d *. d /. max expected.(i) 1e-12)
   done;
   let dof = max 1 (k - 1 - 2) in
-  let alpha = 1.0 -. confidence in
+  let alpha = 1.0 -. 0.95 in
   let critical = Specfun.chi2_critical ~dof ~alpha in
   let p_value = 1.0 -. Specfun.chi2_cdf ~dof !statistic in
   { statistic = !statistic; dof; critical; p_value; accepted = !statistic <= critical }
 
-let fit_and_test ?confidence xs =
+let fit_and_test xs =
   let normal = fit_normal xs in
-  (normal, chi2_gof ?confidence xs normal)
+  (normal, chi2_gof xs normal)

@@ -20,10 +20,10 @@ val fit_normal : float array -> normal
 val min_samples : int
 (** The smallest sample {!chi2_gof} tests: 8. *)
 
-val chi2_gof : ?confidence:float -> ?bins:int -> float array -> normal -> gof
-(** Pearson test of the sample against the fitted normal.  Bins with
-    expected count below 5 are merged into their neighbours, as is
-    standard practice.  Default confidence 0.95.  [Invalid_argument]
+val chi2_gof : float array -> normal -> gof
+(** Pearson test of the sample against the fitted normal at 95%
+    confidence.  Bins with expected count below 5 are merged into their
+    neighbours, as is standard practice.  [Invalid_argument]
     below {!min_samples} samples. *)
 
-val fit_and_test : ?confidence:float -> float array -> normal * gof
+val fit_and_test : float array -> normal * gof

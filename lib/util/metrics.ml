@@ -9,11 +9,7 @@
    integer counts merge by exact addition, so deterministic workloads
    give bit-identical counters for any domain count. *)
 
-let enabled_flag =
-  ref
-    (match Sys.getenv_opt "PVTOL_METRICS" with
-    | Some ("1" | "true" | "on" | "yes") -> true
-    | _ -> false)
+let enabled_flag = ref false
 
 let enabled () = !enabled_flag
 let set_enabled b = enabled_flag := b
@@ -61,14 +57,6 @@ let counter_value c =
     (fun acc s -> acc + s.c_count)
     0
     (by_domain (fun s -> s.c_domain) (Atomic.get c.c_shards))
-
-(* --- gauges --- *)
-
-type gauge = { g_name : string; g_value : float Atomic.t }
-
-let make_gauge name = { g_name = name; g_value = Atomic.make 0.0 }
-let set g v = if !enabled_flag then Atomic.set g.g_value v
-let gauge_value g = Atomic.get g.g_value
 
 (* --- histograms --- *)
 
@@ -145,7 +133,7 @@ let histogram_sum h =
 
 (* --- registry --- *)
 
-type metric = C of counter | G of gauge | H of histogram
+type metric = C of counter | H of histogram
 
 let registry : (string, metric) Hashtbl.t = Hashtbl.create 32
 let registry_mu = Mutex.create ()
@@ -180,10 +168,6 @@ let counter name =
   register name (function C c -> Some c | _ -> None)
     (fun () -> C (make_counter name))
 
-let gauge name =
-  register name (function G g -> Some g | _ -> None)
-    (fun () -> G (make_gauge name))
-
 let histogram ?buckets name =
   register name (function H h -> Some h | _ -> None)
     (fun () -> H (make_histogram ?buckets name))
@@ -197,7 +181,7 @@ type histo_value = {
   count : int;
 }
 
-type value = Counter of int | Gauge of float | Histogram of histo_value
+type value = Counter of int | Histogram of histo_value
 type snapshot = (string * value) list
 
 let snapshot () =
@@ -209,7 +193,6 @@ let snapshot () =
          ( name,
            match m with
            | C c -> Counter (counter_value c)
-           | G g -> Gauge (gauge_value g)
            | H h ->
              Histogram
                {
@@ -224,11 +207,6 @@ let to_value (snap : snapshot) =
   let counters =
     List.filter_map
       (function n, Counter c -> Some (n, Json.Int c) | _ -> None)
-      snap
-  in
-  let gauges =
-    List.filter_map
-      (function n, Gauge g -> Some (n, Json.Float g) | _ -> None)
       snap
   in
   let histograms =
@@ -261,7 +239,6 @@ let to_value (snap : snapshot) =
   Json.Obj
     [
       ("counters", Json.Obj counters);
-      ("gauges", Json.Obj gauges);
       ("histograms", Json.Obj histograms);
     ]
 
@@ -279,7 +256,6 @@ let to_prometheus (snap : snapshot) =
       match v with
       | Counter c ->
         add "# TYPE %s counter\n%s %d\n" name name c
-      | Gauge g -> add "# TYPE %s gauge\n%s %s\n" name name (prom_float g)
       | Histogram h ->
         add "# TYPE %s histogram\n" name;
         let cum = ref 0 in

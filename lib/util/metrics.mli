@@ -1,5 +1,5 @@
-(** Process-wide metrics registry: named counters, gauges and
-    histograms over lock-free per-domain shards.
+(** Process-wide metrics registry: named counters and histograms over
+    lock-free per-domain shards.
 
     The registry is built for instrumenting hot paths (a Monte-Carlo
     sample, an STA pass, a pool chunk): when metrics are {e disabled}
@@ -13,9 +13,8 @@
     commutative addition, so deterministic workloads produce
     bit-identical counter values for every [PVTOL_DOMAINS] setting.
 
-    Enable with {!set_enabled} (the CLI does this for
-    [--metrics-out]) or by setting the [PVTOL_METRICS=1] environment
-    variable before start-up.
+    Enable with {!set_enabled} (the CLI does this for [--metrics-out]
+    and [--run-ledger]).
 
     Metric names must match [[a-zA-Z_][a-zA-Z0-9_]*] (the Prometheus
     charset).  Registering the same name twice returns the existing
@@ -23,7 +22,6 @@
     [Invalid_argument]. *)
 
 type counter
-type gauge
 type histogram
 
 val set_enabled : bool -> unit
@@ -37,9 +35,6 @@ val enabled : unit -> bool
 val counter : string -> counter
 (** Monotonically increasing integer count. *)
 
-val gauge : string -> gauge
-(** A single float value, last write wins. *)
-
 val histogram : ?buckets:float array -> string -> histogram
 (** Distribution over fixed bucket upper bounds (strictly increasing;
     an implicit [+inf] overflow bucket is appended).  Default buckets
@@ -51,13 +46,11 @@ val default_buckets : float array
 
 val incr : counter -> unit
 val add : counter -> int -> unit
-val set : gauge -> float -> unit
 val observe : histogram -> float -> unit
 
 (** {1 Reads (merge shards deterministically)} *)
 
 val counter_value : counter -> int
-val gauge_value : gauge -> float
 
 val histogram_count : histogram -> int
 val histogram_sum : histogram -> float
@@ -75,7 +68,7 @@ type histo_value = {
   count : int;
 }
 
-type value = Counter of int | Gauge of float | Histogram of histo_value
+type value = Counter of int | Histogram of histo_value
 
 type snapshot = (string * value) list
 (** Sorted by metric name. *)
@@ -83,7 +76,7 @@ type snapshot = (string * value) list
 val snapshot : unit -> snapshot
 
 val to_json : snapshot -> string
-(** [{"counters": {..}, "gauges": {..}, "histograms": {..}}]; histogram
+(** [{"counters": {..}, "histograms": {..}}]; histogram
     buckets carry non-cumulative counts and a ["+Inf"] overflow. *)
 
 val to_value : snapshot -> Json.t

@@ -1,11 +1,16 @@
-(** Descriptive statistics over float samples.
+(** Descriptive statistics over float samples. *)
 
-    [Running] is a numerically stable (Welford) online accumulator;
-    [of_array] computes the same summary in one pass over stored data
-    and additionally supports quantiles. *)
-
+(** Welford's numerically stable online update: the one accumulator
+    core, behind {!summarize} and {!Stream_stats.Welford} (which adds
+    merging and confidence intervals). *)
 module Running : sig
-  type t
+  type t = {
+    mutable n : int;
+    mutable mean : float;
+    mutable m2 : float;  (** sum of squared deviations from [mean] *)
+    mutable min : float;
+    mutable max : float;
+  }
 
   val create : unit -> t
   val add : t -> float -> unit

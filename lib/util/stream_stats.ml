@@ -1,22 +1,5 @@
 module Welford = struct
-  type t = {
-    mutable n : int;
-    mutable mean : float;
-    mutable m2 : float;
-    mutable min : float;
-    mutable max : float;
-  }
-
-  let create () =
-    { n = 0; mean = 0.0; m2 = 0.0; min = infinity; max = neg_infinity }
-
-  let add t x =
-    t.n <- t.n + 1;
-    let delta = x -. t.mean in
-    t.mean <- t.mean +. (delta /. float_of_int t.n);
-    t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-    if x < t.min then t.min <- x;
-    if x > t.max then t.max <- x
+  include Stats.Running
 
   (* Chan et al. pairwise update.  Only reads the source, only writes
      [into]; merging a fixed sequence of accumulators in a fixed order
@@ -43,13 +26,6 @@ module Welford = struct
         if src.max > into.max then into.max <- src.max
       end
     end
-
-  let count t = t.n
-  let mean t = t.mean
-  let variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int (t.n - 1)
-  let stddev t = sqrt (variance t)
-  let min t = t.min
-  let max t = t.max
 
   let ci_halfwidth ?(confidence = 0.95) t =
     if not (confidence > 0.0 && confidence < 1.0) then

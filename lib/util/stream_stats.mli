@@ -6,7 +6,7 @@
     space per metric:
 
     - {!Welford}: mean / unbiased variance / min / max by Welford's
-      online update (numerically identical to {!Stats.Running}), plus a
+      online update ({!Stats.Running}, the core of {!Stats.summarize}), plus a
       deterministic pairwise {!Welford.merge} (Chan et al.) so per-cell
       accumulators can be combined in a fixed order into wafer totals —
       independent of which pool worker produced them.

@@ -1,5 +1,3 @@
-type align = Left | Right
-
 type row = Cells of string list | Sep
 
 type t = { header : string list; mutable rows : row list }
@@ -11,16 +9,9 @@ let add_sep t = t.rows <- Sep :: t.rows
 let fcell ?(decimals = 3) v = Printf.sprintf "%.*f" decimals v
 let pcell ?(decimals = 2) v = Printf.sprintf "%.*f%%" decimals (v *. 100.0)
 
-let render ?aligns t =
+let render t =
   let rows = List.rev t.rows in
   let ncols = List.length t.header in
-  let aligns =
-    match aligns with
-    | Some a ->
-      assert (List.length a = ncols);
-      Array.of_list a
-    | None -> Array.init ncols (fun i -> if i = 0 then Left else Right)
-  in
   let widths = Array.make ncols 0 in
   let note_width cells =
     List.iteri
@@ -34,10 +25,8 @@ let render ?aligns t =
     let w = widths.(i) in
     let n = w - String.length c in
     if n <= 0 then c
-    else
-      match aligns.(i) with
-      | Left -> c ^ String.make n ' '
-      | Right -> String.make n ' ' ^ c
+    else if i = 0 then c ^ String.make n ' '
+    else String.make n ' ' ^ c
   in
   let hline () =
     Array.iteri
@@ -61,8 +50,6 @@ let render ?aligns t =
   hline ();
   List.iter (function Cells c -> emit c | Sep -> hline ()) rows;
   Buffer.contents buf
-
-let print ?aligns t = print_string (render ?aligns t)
 
 let bar_chart ?(width = 46) ?(unit_label = "") entries =
   let peak =

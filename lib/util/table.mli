@@ -2,8 +2,6 @@
     Every table/figure of the paper is printed through this module so
     the bench output is uniform and diffable. *)
 
-type align = Left | Right
-
 type t
 
 val create : header:string list -> t
@@ -11,11 +9,8 @@ val add_row : t -> string list -> unit
 val add_sep : t -> unit
 (** Insert a horizontal separator between row groups. *)
 
-val render : ?aligns:align list -> t -> string
-(** Render with one alignment per column (default: first column left,
-    the rest right). *)
-
-val print : ?aligns:align list -> t -> unit
+val render : t -> string
+(** Render the first column left-aligned, the rest right-aligned. *)
 
 val fcell : ?decimals:int -> float -> string
 (** Float cell formatting helper, fixed [decimals] (default 3). *)

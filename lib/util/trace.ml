@@ -44,7 +44,7 @@ type children = {
 let child_stack : children list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
 
-let span t ~name ?(deps = []) f =
+let span t ~name ?(deps = fun () -> []) f =
   let t0 = now () in
   let g0 = Gc.quick_stat () in
   (* [quick_stat]'s minor_words only advances at minor collections; the
@@ -70,7 +70,7 @@ let span t ~name ?(deps = []) f =
     record t
       {
         name;
-        deps;
+        deps = deps ();
         start_s = t0 -. t.created;
         dur_s = dur;
         self_s = Float.max 0.0 (dur -. children.c_s);

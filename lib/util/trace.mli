@@ -1,7 +1,7 @@
 (** Structured span tracing for the stage-graph flow.
 
     A trace collects one {!span} per completed unit of work: its name,
-    its declared dependencies, wall-clock start/duration, and the
+    its dependencies, wall-clock start/duration, and the
     minor/major-heap words allocated while it ran (from
     [Gc.quick_stat]; in a multi-domain program the GC counters are
     per-domain, so allocation figures are attributed to the domain that
@@ -10,7 +10,7 @@
 
 type span = {
   name : string;
-  deps : string list;   (** declared upstream stage names *)
+  deps : string list;   (** upstream stage names *)
   start_s : float;      (** seconds since the trace was created *)
   dur_s : float;        (** wall clock, including nested spans forced inside *)
   self_s : float;
@@ -38,9 +38,10 @@ type t
 
 val create : unit -> t
 
-val span : t -> name:string -> ?deps:string list -> (unit -> 'a) -> 'a
+val span : t -> name:string -> ?deps:(unit -> string list) -> (unit -> 'a) -> 'a
 (** Run the function and record a span (also on exception, with
-    [ok = false]; the exception is re-raised). *)
+    [ok = false]; the exception is re-raised).  [deps] is read when the
+    function returns, so it can list what the function used. *)
 
 val spans : t -> span list
 (** Completion order: every span finishes after the spans it forced. *)

@@ -15,10 +15,13 @@ let raw_eval (a, b, c, d, e) x y =
 (* Raw polynomial shape (before calibration): a shallow bowl falling
    along the +x+y diagonal, so the lower-left corner prints the longest
    (slowest) transistors.  Magnitudes are per-mm of a 28mm field. *)
-let default_shape = (-4.0e-4, -3.2e-4, -9.0e-3, -1.1e-2, -4.5e-4)
+let shape = (-4.0e-4, -3.2e-4, -9.0e-3, -1.1e-2, -4.5e-4)
 
-let create ?(field_mm = 28.0) ?(calibrate_mm = 14.0) ?(shape = default_shape)
-    ~l_nominal_nm ~max_dev_frac () =
+(* Exposure-field edge; the calibration region is the chip (Fig. 2). *)
+let field_mm = 28.0
+let calibrate_mm = 14.0
+
+let create ~l_nominal_nm ~max_dev_frac =
   (* Sample the raw shape over the calibration region, centre it, then
      scale its extremum to the deviation target. *)
   let n = 64 in
@@ -48,7 +51,7 @@ let create ?(field_mm = 28.0) ?(calibrate_mm = 14.0) ?(shape = default_shape)
     l_nominal_nm;
   }
 
-let default = create ~l_nominal_nm:65.0 ~max_dev_frac:0.055 ()
+let default = create ~l_nominal_nm:65.0 ~max_dev_frac:0.055
 
 (* [@inline] so the map kernel below evaluates the polynomial in
    registers: a float returned by an out-of-line call is boxed.  The
@@ -89,7 +92,10 @@ let extremes t =
   done;
   (!lo, !hi)
 
-let render_map ?(cells = 14) t ~chip_mm =
+(* Map cells along each chip edge. *)
+let cells = 14
+
+let render_map t ~chip_mm =
   let buf = Buffer.create 1024 in
   let lo, hi = extremes t in
   let glyphs = " .:-=+*#%@" in

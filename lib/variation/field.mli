@@ -25,15 +25,12 @@ type t = {
 val default : t
 (** 28 x 28 mm field, 65 nm nominal, calibrated to ±5.5%. *)
 
-val create :
-  ?field_mm:float -> ?calibrate_mm:float ->
-  ?shape:(float * float * float * float * float) ->
-  l_nominal_nm:float -> max_dev_frac:float -> unit -> t
-(** [create ~l_nominal_nm ~max_dev_frac ()] scales the raw polynomial
-    [shape] (defaults to a diagonal bowl with curvature and a cross
-    term) so that [max |f - l_nominal| = max_dev_frac * l_nominal]
-    over the square region of edge [calibrate_mm] (default: the chip
-    edge, 14 mm, so the chip map of Fig. 2 spans the quoted ±5.5%). *)
+val create : l_nominal_nm:float -> max_dev_frac:float -> t
+(** [create ~l_nominal_nm ~max_dev_frac] scales a raw polynomial (a
+    diagonal bowl with curvature and a cross term) over a 28 mm field
+    so that [max |f - l_nominal| = max_dev_frac * l_nominal] over the
+    square region of the chip edge, 14 mm, so the chip map of Fig. 2
+    spans the quoted ±5.5%. *)
 
 val systematic_nm : t -> x_mm:float -> y_mm:float -> float
 (** Systematic Lgate at a field coordinate, in nm (clamped to the
@@ -58,6 +55,6 @@ val deviation_frac : t -> x_mm:float -> y_mm:float -> float
 val extremes : t -> float * float
 (** (min, max) systematic Lgate over the field (grid-sampled). *)
 
-val render_map : ?cells:int -> t -> chip_mm:float -> string
+val render_map : t -> chip_mm:float -> string
 (** ASCII rendering of the Lgate map over a [chip_mm]-sized chip at the
-    field origin — the Fig. 2 reproduction. *)
+    field origin, 14 x 14 cells — the Fig. 2 reproduction. *)

@@ -2,14 +2,10 @@ type t = { label : string; origin_x_mm : float; origin_y_mm : float }
 
 let chip_mm = 14.0
 
-let at_xy ?label ~x_frac ~y_frac () =
-  let label =
-    (* %.6g keeps enough digits that distinct grid fractions map to
-       distinct labels — positions are memoized by label downstream. *)
-    match label with
-    | Some l -> l
-    | None -> Printf.sprintf "xy-%.6g-%.6g" x_frac y_frac
-  in
+let at_xy ~x_frac ~y_frac =
+  (* %.6g keeps enough digits that distinct grid fractions map to
+     distinct labels — positions are memoized by label downstream. *)
+  let label = Printf.sprintf "xy-%.6g-%.6g" x_frac y_frac in
   { label; origin_x_mm = x_frac *. chip_mm; origin_y_mm = y_frac *. chip_mm }
 
 let at_fraction ?label frac =

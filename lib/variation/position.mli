@@ -15,18 +15,18 @@ type t = {
 val chip_mm : float
 (** Chip edge length within the exposure field (14 mm, Fig. 2). *)
 
-val at_xy : ?label:string -> x_frac:float -> y_frac:float -> unit -> t
+val at_xy : x_frac:float -> y_frac:float -> t
 (** Core origin at an arbitrary point of the chip — the general form
     behind wafer-scale 2D sweeps.  [x_frac]/[y_frac] are fractions of
     the chip edge; nothing downstream (sampling, SSTA, scenario
     classification) assumes the die sits on the A-D diagonal.  The
-    default label encodes both fractions injectively, since keyed
-    stages memoize per position label. *)
+    label encodes both fractions injectively, since keyed stages
+    memoize per position label. *)
 
 val at_fraction : ?label:string -> float -> t
 (** Core origin at the given fraction of the chip diagonal
     (0 = lower-left corner, 1 = upper-right corner).  Equivalent to
-    [at_xy ~x_frac:frac ~y_frac:frac ()] up to the label. *)
+    [at_xy ~x_frac:frac ~y_frac:frac] up to the label. *)
 
 val x_frac : t -> float
 val y_frac : t -> float

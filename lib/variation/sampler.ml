@@ -8,17 +8,10 @@ type t = {
   sigma_rnd_nm : float;
 }
 
-let create ?field ?(process = Process.default) ?(three_sigma_rnd_frac = 0.065)
-    () =
-  let field =
-    match field with
-    | Some f -> f
-    | None ->
-      Field.create ~l_nominal_nm:process.Process.l_nominal_nm
-        ~max_dev_frac:0.055 ()
-  in
+let create ?(three_sigma_rnd_frac = 0.065) () =
+  let process = Process.default in
   {
-    field;
+    field = Field.default;
     process;
     sigma_rnd_nm = three_sigma_rnd_frac /. 3.0 *. process.Process.l_nominal_nm;
   }

@@ -14,14 +14,9 @@ type t = {
   sigma_rnd_nm : float;  (** random component sigma, nm *)
 }
 
-val create :
-  ?field:Field.t ->
-  ?process:Pvtol_stdcell.Process.t ->
-  ?three_sigma_rnd_frac:float ->
-  unit ->
-  t
-(** Defaults: the calibrated 65nm field, default process, random
-    3-sigma of 6.5% of nominal Lgate. *)
+val create : ?three_sigma_rnd_frac:float -> unit -> t
+(** The default process and {!Field.default}; random 3-sigma of 6.5%
+    of nominal Lgate by default. *)
 
 val systematic_lgates :
   t -> Pvtol_place.Placement.t -> Position.t -> float array

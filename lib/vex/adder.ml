@@ -20,7 +20,8 @@ let ripple t ?cin a b =
   done;
   (sum, !carry)
 
-let carry_select t ?(block = 8) ?cin a b =
+let carry_select t ?cin a b =
+  let block = 8 in
   let w = Array.length a in
   assert (Array.length b = w && w > 0);
   let cin = match cin with Some c -> c | None -> tie0 t in

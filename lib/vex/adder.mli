@@ -15,8 +15,8 @@ val ripple : t -> ?cin:net -> bus -> bus -> bus * net
 (** [ripple t a b] adds two equal-width buses; returns (sum, carry-out).
     Default carry-in 0. *)
 
-val carry_select : t -> ?block:int -> ?cin:net -> bus -> bus -> bus * net
-(** Carry-select adder with ripple blocks of [block] bits (default 8). *)
+val carry_select : t -> ?cin:net -> bus -> bus -> bus * net
+(** Carry-select adder with ripple blocks of 8 bits. *)
 
 val kogge_stone : t -> ?cin:net -> bus -> bus -> bus * net
 (** Kogge-Stone parallel-prefix adder: logarithmic depth, the structure

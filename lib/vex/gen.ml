@@ -41,12 +41,8 @@ let inv t a = gate t Kind.Inv [| a |]
 let buf t ?drive a = gate t ?drive Kind.Buf [| a |]
 let and2 t a b = gate t Kind.And2 [| a; b |]
 let or2 t a b = gate t Kind.Or2 [| a; b |]
-let nand2 t a b = gate t Kind.Nand2 [| a; b |]
-let nor2 t a b = gate t Kind.Nor2 [| a; b |]
 let xor2 t a b = gate t Kind.Xor2 [| a; b |]
 let xnor2 t a b = gate t Kind.Xnor2 [| a; b |]
-let aoi21 t a b c = gate t Kind.Aoi21 [| a; b; c |]
-let oai21 t a b c = gate t Kind.Oai21 [| a; b; c |]
 let mux2 t a b ~sel = gate t Kind.Mux2 [| a; b; sel |]
 let dff t d = gate t Kind.Dff [| d |]
 
@@ -74,10 +70,8 @@ let outputs t name bus =
 let reg_bus t bus = Array.map (dff t) bus
 let mux2_bus t a b ~sel = Array.map2 (fun x y -> mux2 t x y ~sel) a b
 
-let const_bus t v ~width =
-  Array.init width (fun i -> if (v lsr i) land 1 = 1 then tie1 t else tie0 t)
-
-let fanout_tree t ?(fanout = 8) ?(drive = Cell.X2) net n =
+let fanout_tree t ?(fanout = 8) net n =
+  let drive = Cell.X2 in
   assert (n > 0 && fanout >= 2);
   (* Grow drivers level by level until we can serve n sinks. *)
   let rec grow leaves =
@@ -104,4 +98,3 @@ let rec reduce_tree f t = function
 
 let and_tree t = function [] -> tie1 t | nets -> reduce_tree and2 t nets
 let or_tree t = function [] -> tie0 t | nets -> reduce_tree or2 t nets
-let xor_tree t = function [] -> tie0 t | nets -> reduce_tree xor2 t nets

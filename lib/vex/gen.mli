@@ -33,14 +33,8 @@ val inv : t -> net -> net
 val buf : t -> ?drive:Pvtol_stdcell.Cell.drive -> net -> net
 val and2 : t -> net -> net -> net
 val or2 : t -> net -> net -> net
-val nand2 : t -> net -> net -> net
-val nor2 : t -> net -> net -> net
 val xor2 : t -> net -> net -> net
 val xnor2 : t -> net -> net -> net
-val aoi21 : t -> net -> net -> net -> net
-(** [aoi21 a b c] = !(a*b + c) *)
-
-val oai21 : t -> net -> net -> net -> net
 val mux2 : t -> net -> net -> sel:net -> net
 (** [mux2 a b ~sel] = if sel then b else a *)
 
@@ -66,15 +60,13 @@ val reg_bus : t -> bus -> bus
 (** One DFF per bit. *)
 
 val mux2_bus : t -> bus -> bus -> sel:net -> bus
-val const_bus : t -> int -> width:int -> bus
-(** Tie-cell encoding of a constant (LSB first). *)
 
 (** {2 Fanout management} *)
 
-val fanout_tree : t -> ?fanout:int -> ?drive:Pvtol_stdcell.Cell.drive -> net -> int -> net array
+val fanout_tree : t -> ?fanout:int -> net -> int -> net array
 (** [fanout_tree t net n] returns [n] buffered copies of [net], built
-    as a balanced buffer tree with at most [fanout] (default 8) sinks
-    per driver.  Used for high-fanout control signals; register-file
+    as a balanced tree of X2 buffers with at most [fanout] (default 8)
+    sinks per driver.  Used for high-fanout control signals; register-file
     structures deliberately use a high [fanout] so their paths stay
     RC-dominated, as in synthesized (non-custom) register files. *)
 
@@ -82,4 +74,3 @@ val and_tree : t -> net list -> net
 (** Balanced AND reduction (returns tie1 for an empty list). *)
 
 val or_tree : t -> net list -> net
-val xor_tree : t -> net list -> net

@@ -15,11 +15,11 @@ type t = {
   mutable trace_rev : Int32.t array list;
 }
 
-let create ?(mem_size = 4096) program =
+let create program =
   {
     program;
     regs = Array.make Isa.n_regs 0;
-    mem = Array.make mem_size 0;
+    mem = Array.make 4096 0;
     pc = 0;
     trace_rev = [];
   }

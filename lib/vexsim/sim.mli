@@ -17,8 +17,8 @@ type stats = {
 
 type t
 
-val create : ?mem_size:int -> Isa.bundle array -> t
-(** Fresh machine: registers and data memory zeroed. *)
+val create : Isa.bundle array -> t
+(** Fresh machine: registers and 4096 words of data memory zeroed. *)
 
 val set_reg : t -> int -> int -> unit
 val get_reg : t -> int -> int

@@ -141,7 +141,8 @@ let memcpy ?(seed = 13) () =
   Array.iteri (fun i v -> if Sim.load sim (128 + i) <> v then ok := false) xs;
   finish ~name:"memcpy" ~source ~sim ~stats ~correct:!ok
 
-let all ?(seed = 3) () =
+let all () =
+  let seed = 3 in
   [
     fir ~seed ();
     dot_product ~seed:(seed + 1) ();

@@ -30,4 +30,4 @@ val vector_max : ?seed:int -> unit -> t
 val memcpy : ?seed:int -> unit -> t
 (** 96-word block copy — pure load/store streaming. *)
 
-val all : ?seed:int -> unit -> t list
+val all : unit -> t list

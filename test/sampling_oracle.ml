@@ -76,7 +76,6 @@ let run_sampling ?pool (t : Flow.t) ~mode (scfg : Wafer.sampling_config) =
       Position.at_xy
         ~x_frac:((float_of_int gx +. 0.5) /. sf)
         ~y_frac:((float_of_int gy +. 0.5) /. sf)
-        ()
   in
   let model_at pos =
     let systematic = Compensation.systematic ctx pos in
@@ -158,7 +157,7 @@ let run_sampling ?pool (t : Flow.t) ~mode (scfg : Wafer.sampling_config) =
                       +. ((float_of_int py.(r) +. uy) /. qf))
                       /. sf )
                 in
-                Position.at_xy ~x_frac:fx ~y_frac:fy ()
+                Position.at_xy ~x_frac:fx ~y_frac:fy
             in
             let systematic =
               match fixed_systematic with

@@ -153,7 +153,7 @@ let population () =
         dies := (d, outcomes) :: !dies
       done)
     [ Position.point_a; Position.point_b; Position.point_d;
-      Position.at_xy ~x_frac:0.1 ~y_frac:0.9 () ];
+      Position.at_xy ~x_frac:0.1 ~y_frac:0.9 ];
   (ctx, List.rev !dies)
 
 let test_passing_dies_touch_nothing () =
@@ -879,7 +879,7 @@ let mixed_sites () =
       {
         Wafer.position =
           Position.at_xy ~x_frac:(float_of_int i /. 7.0)
-            ~y_frac:(float_of_int (7 - i) /. 7.0) ();
+            ~y_frac:(float_of_int (7 - i) /. 7.0);
         streams = Array.init streams (fun f -> Srng.create ((100 * i) + f));
         dies_per_stream = dies;
       })

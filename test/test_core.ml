@@ -119,8 +119,7 @@ let test_slicing_compensates_at_corner () =
     Array.mapi
       (fun i b ->
         b
-        *. Slicing.corner_scale ~sampler:(Flow.sampler t) ~systematic
-             ~corner_kappa:(Flow.config t).Flow.corner_kappa ~vdd i)
+        *. Slicing.corner_scale ~sampler:(Flow.sampler t) ~systematic ~vdd i)
       base
   in
   let r = Sta.analyze (Flow.sta t) ~delays in
@@ -143,8 +142,7 @@ let test_slicing_infeasible () =
       (Slicing.generate ~direction:Island.Vertical ~sta:(Flow.sta t)
          ~placement:(Flow.placement t) ~sampler:(Flow.sampler t)
          ~clock:(Flow.clock t /. 2.0)
-         ~targets:[ { Slicing.scenario_index = 1; position = Position.point_a } ]
-         ());
+         ~targets:[ { Slicing.scenario_index = 1; position = Position.point_a } ]);
     Alcotest.fail "expected Infeasible"
   with Slicing.Infeasible _ -> ()
 
@@ -157,7 +155,6 @@ let test_slicing_infeasible () =
 let test_corner_check_oracle () =
   let t, _ = Lazy.force env in
   let sta = Flow.sta t and sampler = Flow.sampler t in
-  let corner_kappa = (Flow.config t).Flow.corner_kappa in
   let process = (Flow.netlist t).Netlist.lib.Pvtol_stdcell.Cell.process in
   let base = Sta.nominal_delays sta in
   let n = Array.length base in
@@ -169,7 +166,7 @@ let test_corner_check_oracle () =
         Sampler.systematic_lgates sampler (Flow.placement t) position
       in
       let at_clock clock =
-        Slicing.corner_check ~corner_kappa ~sta ~sampler ~clock ~systematic
+        Slicing.corner_check ~sta ~sampler ~clock ~systematic
       in
       let at_flow_clock = at_clock (Flow.clock t) in
       for _ = 1 to 4 do
@@ -183,13 +180,12 @@ let test_corner_check_oracle () =
         let delays =
           Array.init n (fun i ->
               base.(i)
-              *. Slicing.corner_scale ~sampler ~systematic ~corner_kappa ~vdd i)
+              *. Slicing.corner_scale ~sampler ~systematic ~vdd i)
         in
         let r = Sta.analyze sta ~delays in
         let table v =
           Array.init n (fun i ->
-              Slicing.corner_scale ~sampler ~systematic ~corner_kappa
-                ~vdd:(fun _ -> v) i)
+              Slicing.corner_scale ~sampler ~systematic ~vdd:(fun _ -> v) i)
         in
         let low = table process.Pvtol_stdcell.Process.vdd_low in
         let high = table process.Pvtol_stdcell.Process.vdd_high in
@@ -416,6 +412,18 @@ let test_stage_fires_once () =
         (Trace.find (Flow.trace t) name <> None))
     [ "design"; "placement"; "sizing"; "sta"; "timing"; "scenarios" ]
 
+(* A span's deps are the stages its compute forced: the shifter stage
+   reads the design's capture map, so it lists [design] too. *)
+let test_shifters_deps () =
+  let t, _ = Lazy.force env in
+  match Trace.find (Flow.trace t) "shifters[vertical]" with
+  | None -> Alcotest.fail "shifters[vertical] span missing"
+  | Some s ->
+    List.iter
+      (fun dep ->
+        Alcotest.(check bool) ("lists " ^ dep) true (List.mem dep s.Trace.deps))
+      [ "islands[vertical]"; "netlist"; "placed"; "clock"; "design" ]
+
 let test_no_recompute_downstream () =
   let t, _ = Lazy.force env in
   (* After a full pass over the usual exhibits, requesting a downstream
@@ -576,6 +584,7 @@ let suite =
       Alcotest.test_case "vdd via shifted design" `Quick test_vdd_assignment_via_shifted;
       Alcotest.test_case "degradation bounded" `Quick test_degradation_bounded;
       Alcotest.test_case "stage fires at most once" `Quick test_stage_fires_once;
+      Alcotest.test_case "shifters deps list design" `Quick test_shifters_deps;
       Alcotest.test_case "no downstream recompute" `Quick test_no_recompute_downstream;
       Alcotest.test_case "mc positions computed once (fig3, scenarios)" `Quick
         test_mc_positions_computed_once;

@@ -20,7 +20,7 @@ let env =
      let sta = Sta.of_placement p ~capture:v.Pvtol_vex.Vex_core.capture_stage in
      (p, sta, Sampler.create ()))
 
-let positions = Position.named @ [ Position.at_xy ~x_frac:0.3 ~y_frac:0.7 () ]
+let positions = Position.named @ [ Position.at_xy ~x_frac:0.3 ~y_frac:0.7 ]
 
 let test_mc_golden_vs_batched () =
   let p, sta, sampler = Lazy.force env in

@@ -115,7 +115,7 @@ let test_quadrant_generation () =
   let o =
     Slicing.generate ~direction:Island.Quadrant ~sta:(Flow.sta t)
       ~placement:(Flow.placement t) ~sampler:(Flow.sampler t)
-      ~clock:(Flow.clock t) ~targets:Flow.growth_targets ()
+      ~clock:(Flow.clock t) ~targets:Flow.growth_targets
   in
   let islands = o.Slicing.partition.Island.islands in
   Alcotest.(check int) "three islands" 3 (Array.length islands);
@@ -131,7 +131,7 @@ let test_logic_grouping () =
   let lg =
     Logic_grouping.generate ~sta:(Flow.sta t) ~placement:(Flow.placement t)
       ~sampler:(Flow.sampler t) ~clock:(Flow.clock t)
-      ~targets:Flow.growth_targets ()
+      ~targets:Flow.growth_targets
   in
   let n = Netlist.cell_count (Flow.netlist t) in
   Alcotest.(check int) "domain per cell" n (Array.length lg.Logic_grouping.domains);
@@ -252,7 +252,7 @@ let test_power_grid_slab () =
     PG.analyze ~placement:(Flow.placement t)
       ~member:(fun cid -> domains.(cid) <= 3)
       ~current_ma:(fun _ -> 0.002)
-      ~vdd:1.2 ()
+      ~vdd:1.2
   in
   Alcotest.(check int) "slab fully reachable" 0 r.PG.unreachable_bins;
   Alcotest.(check bool) "has pads" true (r.PG.pad_bins > 0);
@@ -263,7 +263,7 @@ let test_power_grid_slab () =
     PG.analyze ~placement:(Flow.placement t)
       ~member:(fun cid -> domains.(cid) <= 3)
       ~current_ma:(fun _ -> 0.004)
-      ~vdd:1.2 ()
+      ~vdd:1.2
   in
   Alcotest.(check bool) "resistive linearity" true
     (Float.abs (r2.PG.max_drop_mv -. (2.0 *. r.PG.max_drop_mv))
@@ -288,7 +288,7 @@ let test_power_grid_interior_island_unreachable () =
   let r =
     PG.analyze ~placement ~member
       ~current_ma:(fun _ -> 0.002)
-      ~vdd:1.2 ()
+      ~vdd:1.2
   in
   Alcotest.(check int) "no boundary pads" 0 r.PG.pad_bins;
   Alcotest.(check bool) "interior island unreachable" true

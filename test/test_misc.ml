@@ -4,6 +4,7 @@
 open Pvtol_netlist
 module Table = Pvtol_util.Table
 module Stats = Pvtol_util.Stats
+module Welford = Pvtol_util.Stream_stats.Welford
 module Cell = Pvtol_stdcell.Cell
 module Sta = Pvtol_timing.Sta
 
@@ -92,14 +93,14 @@ let test_netlist_pp_summary () =
 
 (* --- API corners --- *)
 
-let test_running_stats_empty_and_one () =
-  let acc = Stats.Running.create () in
-  Alcotest.(check int) "empty count" 0 (Stats.Running.count acc);
-  Alcotest.(check bool) "variance of 0 samples" true (Stats.Running.variance acc = 0.0);
-  Stats.Running.add acc 5.0;
-  Alcotest.(check bool) "variance of 1 sample" true (Stats.Running.variance acc = 0.0);
+let test_welford_empty_and_one () =
+  let acc = Welford.create () in
+  Alcotest.(check int) "empty count" 0 (Welford.count acc);
+  Alcotest.(check bool) "variance of 0 samples" true (Welford.variance acc = 0.0);
+  Welford.add acc 5.0;
+  Alcotest.(check bool) "variance of 1 sample" true (Welford.variance acc = 0.0);
   Alcotest.(check bool) "min=max=x" true
-    (Stats.Running.min acc = 5.0 && Stats.Running.max acc = 5.0)
+    (Welford.min acc = 5.0 && Welford.max acc = 5.0)
 
 let test_find_by_name () =
   let lib = Cell.default_library in
@@ -152,7 +153,7 @@ let suite =
       Alcotest.test_case "verilog file io" `Quick test_verilog_file_io;
       Alcotest.test_case "spef file io" `Quick test_spef_file_io;
       Alcotest.test_case "bar chart" `Quick test_bar_chart;
-      Alcotest.test_case "running stats corners" `Quick test_running_stats_empty_and_one;
+      Alcotest.test_case "running stats corners" `Quick test_welford_empty_and_one;
       Alcotest.test_case "find by name" `Quick test_find_by_name;
       Alcotest.test_case "scaled delays" `Quick test_scaled_delays;
       Alcotest.test_case "incremental no-op" `Quick test_incremental_no_insertions;

@@ -112,17 +112,6 @@ let test_density_conserves_area () =
   Alcotest.(check bool) "bins hold total area" true
     (Float.abs (total -. Netlist.area nl) < 1e-6)
 
-let test_densest_side_synthetic () =
-  (* All cells crowded on the left third must report Left. *)
-  let nl, fp, p = Lazy.force placed in
-  ignore nl;
-  let q = Placement.copy p in
-  Array.iteri
-    (fun i _ -> q.Placement.xs.(i) <- 0.05 *. Geom.width fp.Floorplan.core)
-    q.Placement.xs;
-  Alcotest.(check string) "left detected" "left"
-    (Density.side_name (Density.densest_side (Density.compute q)))
-
 (* --- DEF --- *)
 
 let test_def_roundtrip () =
@@ -371,7 +360,6 @@ let suite =
       Alcotest.test_case "hpwl small case" `Quick test_hpwl_small_case;
       Alcotest.test_case "wire length correction" `Quick test_wire_length_correction;
       Alcotest.test_case "density conserves area" `Quick test_density_conserves_area;
-      Alcotest.test_case "densest side synthetic" `Quick test_densest_side_synthetic;
       Alcotest.test_case "def roundtrip" `Quick test_def_roundtrip;
       Alcotest.test_case "def errors" `Quick test_def_errors;
       Alcotest.test_case "incremental insert" `Quick test_incremental_insert;

@@ -78,8 +78,8 @@ let simulate_population () =
   let cw = k.Compensation.cw.Compensation.fresh_apply () in
   let positions =
     [ Position.point_a; Position.point_b; Position.point_d;
-      Position.at_xy ~x_frac:0.1 ~y_frac:0.9 ();
-      Position.at_xy ~x_frac:0.9 ~y_frac:0.1 () ]
+      Position.at_xy ~x_frac:0.1 ~y_frac:0.9;
+      Position.at_xy ~x_frac:0.9 ~y_frac:0.1 ]
   in
   ( k,
     List.concat_map
@@ -216,7 +216,7 @@ let test_diagonal_position_equivalence () =
     (fun f ->
       let sys_diag = Compensation.systematic ctx (Position.at_fraction f) in
       let sys_xy =
-        Compensation.systematic ctx (Position.at_xy ~x_frac:f ~y_frac:f ())
+        Compensation.systematic ctx (Position.at_xy ~x_frac:f ~y_frac:f)
       in
       Alcotest.(check bool) "identical systematic arrays" true
         (sys_diag = sys_xy);

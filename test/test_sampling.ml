@@ -580,7 +580,7 @@ let test_analytic_crosscheck () =
     Pvtol_variation.Sampler.systematic_lgates sampler (Flow.placement t)
       Position.point_b
   in
-  let res = Analytic.analyze ~sta ~sampler ~systematic () in
+  let res = Analytic.analyze ~sta ~sampler ~systematic in
   let tails =
     List.filter_map
       (fun stage ->

@@ -159,7 +159,7 @@ let test_mc_fused_matches_lone () =
                               Position.point_a);
       ("C, all high", MC.job ~vdd:(fun _ -> high) Position.point_c);
       ("A again", MC.job Position.point_a);
-      ("off-diagonal", MC.job (Position.at_xy ~x_frac:0.2 ~y_frac:0.6 ()));
+      ("off-diagonal", MC.job (Position.at_xy ~x_frac:0.2 ~y_frac:0.6));
     ]
   in
   let gaussians = Metrics.counter "mc_gaussians_total" in
@@ -304,25 +304,25 @@ let test_analytic_clark_max () =
     (Float.abs (m.An.mean -. (1.0 /. sqrt Float.pi)) < 1e-9);
   (* Monte-Carlo validation of Clark's moments on an asymmetric pair. *)
   let rng = Pvtol_util.Srng.create 17 in
-  let acc = Pvtol_util.Stats.Running.create () in
+  let acc = Pvtol_util.Stream_stats.Welford.create () in
   let a = { An.mean = 1.0; var = 0.04 } and b = { An.mean = 1.1; var = 0.09 } in
   for _ = 1 to 40_000 do
     let x = Pvtol_util.Srng.gaussian_mu_sigma rng ~mu:a.An.mean ~sigma:(sqrt a.An.var) in
     let y = Pvtol_util.Srng.gaussian_mu_sigma rng ~mu:b.An.mean ~sigma:(sqrt b.An.var) in
-    Pvtol_util.Stats.Running.add acc (Float.max x y)
+    Pvtol_util.Stream_stats.Welford.add acc (Float.max x y)
   done;
   let m = An.clark_max a b in
   Alcotest.(check bool) "clark mean vs MC" true
-    (Float.abs (m.An.mean -. Pvtol_util.Stats.Running.mean acc) < 0.01);
+    (Float.abs (m.An.mean -. Pvtol_util.Stream_stats.Welford.mean acc) < 0.01);
   Alcotest.(check bool) "clark var vs MC" true
-    (Float.abs (m.An.var -. Pvtol_util.Stats.Running.variance acc) < 0.01)
+    (Float.abs (m.An.var -. Pvtol_util.Stream_stats.Welford.variance acc) < 0.01)
 
 let test_analytic_matches_mc () =
   let module An = Pvtol_ssta.Analytic in
   let _, _, p, sta, sampler = Lazy.force env in
   let mc = run ~samples:150 Position.point_a in
   let systematic = Sampler.systematic_lgates sampler p Position.point_a in
-  let an = An.analyze ~sta ~sampler ~systematic () in
+  let an = An.analyze ~sta ~sampler ~systematic in
   List.iter
     (fun s ->
       match (MC.stage_stats mc s, List.assoc_opt s an.An.stage_delay) with
@@ -340,7 +340,7 @@ let test_mc_off_diagonal () =
   (* [at_xy] on the x=y line is the same position as [at_fraction]:
      identical RNG protocol => bit-identical Monte-Carlo output. *)
   let r1 = run (Position.at_fraction 0.25) in
-  let r2 = run (Position.at_xy ~x_frac:0.25 ~y_frac:0.25 ()) in
+  let r2 = run (Position.at_xy ~x_frac:0.25 ~y_frac:0.25) in
   Alcotest.(check bool) "diagonal at_xy bit-identical" true
     (r1.MC.worst_samples = r2.MC.worst_samples);
   List.iter2
@@ -355,7 +355,7 @@ let test_mc_off_diagonal () =
      scenario ladder. *)
   List.iter
     (fun (x_frac, y_frac) ->
-      let r = run ~samples:80 (Position.at_xy ~x_frac ~y_frac ()) in
+      let r = run ~samples:80 (Position.at_xy ~x_frac ~y_frac) in
       Alcotest.(check int) "all analyzed stages present" 4
         (List.length r.MC.stages);
       List.iter
@@ -387,11 +387,11 @@ let test_mc_off_diagonal () =
       slow.MC.stages fast.MC.stages
   in
   check_faster "x axis"
-    (run (Position.at_xy ~x_frac:0.0 ~y_frac:0.5 ()))
-    (run (Position.at_xy ~x_frac:1.0 ~y_frac:0.5 ()));
+    (run (Position.at_xy ~x_frac:0.0 ~y_frac:0.5))
+    (run (Position.at_xy ~x_frac:1.0 ~y_frac:0.5));
   check_faster "y axis"
-    (run (Position.at_xy ~x_frac:0.5 ~y_frac:0.0 ()))
-    (run (Position.at_xy ~x_frac:0.5 ~y_frac:1.0 ()))
+    (run (Position.at_xy ~x_frac:0.5 ~y_frac:0.0))
+    (run (Position.at_xy ~x_frac:0.5 ~y_frac:1.0))
 
 let test_analytic_mc_differential () =
   (* Differential oracle: the single-traversal analytic SSTA against
@@ -408,7 +408,7 @@ let test_analytic_mc_differential () =
     (fun pos ->
       let mc = run ~samples:150 pos in
       let systematic = Sampler.systematic_lgates sampler p pos in
-      let an = An.analyze ~sta ~sampler ~systematic () in
+      let an = An.analyze ~sta ~sampler ~systematic in
       List.iter
         (fun (ss : MC.stage_stats) ->
           match List.assoc_opt ss.MC.stage an.An.stage_delay with

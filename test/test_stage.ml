@@ -34,8 +34,8 @@ let test_dependent_nodes_share () =
         incr runs;
         10)
   in
-  let left = Sg.node g ~name:"left" ~deps:[ "base" ] (fun () -> Sg.get base + 1) in
-  let right = Sg.node g ~name:"right" ~deps:[ "base" ] (fun () -> Sg.get base + 2) in
+  let left = Sg.node g ~name:"left" (fun () -> Sg.get base + 1) in
+  let right = Sg.node g ~name:"right" (fun () -> Sg.get base + 2) in
   Alcotest.(check int) "left" 11 (Sg.get left);
   Alcotest.(check int) "right" 12 (Sg.get right);
   Alcotest.(check int) "diamond base computed once" 1 !runs
@@ -105,23 +105,43 @@ let test_keyed_batch () =
 let test_trace_dependency_order () =
   let g = Sg.create () in
   let a = Sg.node g ~name:"a" (fun () -> 1) in
-  let b = Sg.node g ~name:"b" ~deps:[ "a" ] (fun () -> Sg.get a + 1) in
-  let c = Sg.node g ~name:"c" ~deps:[ "b" ] (fun () -> Sg.get b + 1) in
-  Alcotest.(check int) "c" 3 (Sg.get c);
+  let b = Sg.node g ~name:"b" (fun () -> Sg.get a + 1) in
+  (* [c] forces [b] (a compute), then [a] (a memo hit), then [b] again. *)
+  let c =
+    Sg.node g ~name:"c" (fun () ->
+        let vb = Sg.get b in
+        let va = Sg.get a in
+        vb + va + Sg.get b)
+  in
+  Alcotest.(check int) "c" 5 (Sg.get c);
   let names = List.map (fun (s : Trace.span) -> s.Trace.name) (Trace.spans (Sg.trace g)) in
   (* Completion order: upstream finishes before what forced it. *)
   Alcotest.(check (list string)) "completion order" [ "a"; "b"; "c" ] names;
   (match Trace.find (Sg.trace g) "c" with
   | Some s ->
-    Alcotest.(check (list string)) "declared deps recorded" [ "b" ] s.Trace.deps;
+    Alcotest.(check (list string)) "forced deps recorded" [ "b"; "a" ] s.Trace.deps;
     Alcotest.(check bool) "ok" true s.Trace.ok;
     Alcotest.(check bool) "duration sane" true (s.Trace.dur_s >= 0.0)
   | None -> Alcotest.fail "span c missing");
-  Alcotest.(check (list string)) "no duplicates" [] (Trace.duplicates (Sg.trace g))
+  Alcotest.(check (list string)) "no duplicates" [] (Trace.duplicates (Sg.trace g));
+  (* A keyed force is recorded per key, whether the keys compute as one
+     batch or hit the memo. *)
+  let k = Sg.keyed_batch g ~name:"k" ~key_label:string_of_int (List.map succ) in
+  let d =
+    Sg.node g ~name:"d" (fun () ->
+        let v2 = Sg.get_keyed k 2 in
+        v2 + List.length (Sg.get_keyed_many k [ 1; 2 ]))
+  in
+  Alcotest.(check int) "d" 5 (Sg.get d);
+  match Trace.find (Sg.trace g) "d" with
+  | Some s ->
+    Alcotest.(check (list string)) "keyed deps recorded" [ "k[2]"; "k[1]" ] s.Trace.deps
+  | None -> Alcotest.fail "span d missing"
 
 let test_trace_json () =
   let g = Sg.create () in
-  let a = Sg.node g ~name:"stage one" ~deps:[ "up" ] (fun () -> ()) in
+  let up = Sg.node g ~name:"up" (fun () -> ()) in
+  let a = Sg.node g ~name:"stage one" (fun () -> Sg.get up) in
   Sg.get a;
   let json = Trace.to_json (Sg.trace g) in
   List.iter
@@ -142,8 +162,8 @@ let test_error_names_failing_stage () =
         incr runs;
         failwith "bad liberty file")
   in
-  let mid = Sg.node g ~name:"mid" ~deps:[ "parse" ] (fun () -> Sg.get bad + 1) in
-  let top = Sg.node g ~name:"top" ~deps:[ "mid" ] (fun () -> Sg.get mid + 1) in
+  let mid = Sg.node g ~name:"mid" (fun () -> Sg.get bad + 1) in
+  let top = Sg.node g ~name:"top" (fun () -> Sg.get mid + 1) in
   (match Sg.result top with
   | Ok _ -> Alcotest.fail "expected failure"
   | Error e ->

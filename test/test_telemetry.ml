@@ -39,17 +39,10 @@ let test_registration () =
   Alcotest.check_raises "kind mismatch rejected"
     (Invalid_argument
        "Metrics: \"test_reregistered\" already registered as another kind")
-    (fun () -> ignore (Metrics.gauge "test_reregistered"));
+    (fun () -> ignore (Metrics.histogram "test_reregistered"));
   Alcotest.check_raises "bad name rejected"
     (Invalid_argument "Metrics: bad metric name \"bad name\"") (fun () ->
       ignore (Metrics.counter "bad name"))
-
-let test_gauge () =
-  let g = Metrics.gauge "test_gauge" in
-  with_metrics_enabled (fun () ->
-      Metrics.set g 1.5;
-      Metrics.set g 2.5);
-  Alcotest.(check (float 0.0)) "last write wins" 2.5 (Metrics.gauge_value g)
 
 let test_histogram_exact_counts () =
   let h = Metrics.histogram "test_histo_exact" ~buckets:[| 1.0; 2.0; 5.0 |] in
@@ -303,7 +296,7 @@ let test_warn_once_race () =
 let make_trace () =
   let tr = Trace.create () in
   Trace.span tr ~name:"outer" (fun () ->
-      Trace.span tr ~name:"inner" ~deps:[ "outer" ] (fun () -> ()));
+      Trace.span tr ~name:"inner" ~deps:(fun () -> [ "outer" ]) (fun () -> ()));
   Trace.span tr ~name:"late" (fun () -> ());
   tr
 
@@ -363,7 +356,6 @@ let suite =
     [
       Alcotest.test_case "counter basics" `Quick test_counter_basics;
       Alcotest.test_case "registration rules" `Quick test_registration;
-      Alcotest.test_case "gauge" `Quick test_gauge;
       Alcotest.test_case "histogram exact counts" `Quick
         test_histogram_exact_counts;
       qcheck prop_shard_merge_serial_reference;

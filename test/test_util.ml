@@ -4,6 +4,7 @@
 module Srng = Pvtol_util.Srng
 module Pool = Pvtol_util.Pool
 module Stats = Pvtol_util.Stats
+module Welford = Pvtol_util.Stream_stats.Welford
 module Specfun = Pvtol_util.Specfun
 module Fit = Pvtol_util.Fit
 module Histo = Pvtol_util.Histo
@@ -51,12 +52,12 @@ let test_srng_int_range () =
 
 let test_srng_gaussian_moments () =
   let g = Srng.create 3 in
-  let acc = Stats.Running.create () in
+  let acc = Welford.create () in
   for _ = 1 to 50_000 do
-    Stats.Running.add acc (Srng.gaussian g)
+    Welford.add acc (Srng.gaussian g)
   done;
-  check_approx ~eps:0.03 "gaussian mean" 0.0 (Stats.Running.mean acc);
-  check_approx ~eps:0.03 "gaussian stddev" 1.0 (Stats.Running.stddev acc)
+  check_approx ~eps:0.03 "gaussian mean" 0.0 (Welford.mean acc);
+  check_approx ~eps:0.03 "gaussian stddev" 1.0 (Welford.stddev acc)
 
 let test_srng_jump () =
   (* jump n == discarding n raw draws. *)

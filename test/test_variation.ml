@@ -7,6 +7,7 @@ module Sampler = Pvtol_variation.Sampler
 module Process = Pvtol_stdcell.Process
 module Srng = Pvtol_util.Srng
 module Stats = Pvtol_util.Stats
+module Welford = Pvtol_util.Stream_stats.Welford
 module Netlist = Pvtol_netlist.Netlist
 
 let field = Field.default
@@ -86,13 +87,13 @@ let test_sampling_moments () =
   let systematic = Sampler.systematic_lgates sampler p Position.point_b in
   let rng = Srng.create 31 in
   let out = Array.make (Array.length systematic) 0.0 in
-  let acc_err = Stats.Running.create () in
+  let acc_err = Welford.create () in
   for _ = 1 to 40 do
     Sampler.sample_lgates sampler ~systematic rng out;
-    Array.iteri (fun i v -> Stats.Running.add acc_err (v -. systematic.(i))) out
+    Array.iteri (fun i v -> Welford.add acc_err (v -. systematic.(i))) out
   done;
   (* Residuals are ~N(0, sigma_rnd). *)
-  let mean = Stats.Running.mean acc_err and sd = Stats.Running.stddev acc_err in
+  let mean = Welford.mean acc_err and sd = Welford.stddev acc_err in
   Alcotest.(check bool) "random mean ~ 0" true (Float.abs mean < 0.02);
   Alcotest.(check bool) "random sigma matches" true
     (Float.abs (sd -. sampler.Sampler.sigma_rnd_nm) < 0.02)
@@ -197,7 +198,7 @@ let test_systematic_map_bitwise () =
             (Field.systematic_nm sampler.Sampler.field ~x_mm ~y_mm)
             g)
         got)
-    (Position.at_xy ~x_frac:1.95 ~y_frac:(-0.1) () :: Position.named)
+    (Position.at_xy ~x_frac:1.95 ~y_frac:(-0.1) :: Position.named)
 
 let test_scale_batch_lanes () =
   (* The batched scale kernel runs blocks of four Horner chains; every
@@ -251,7 +252,7 @@ let test_scale_batch_lanes () =
   done
 
 let test_custom_budget () =
-  let f = Field.create ~l_nominal_nm:65.0 ~max_dev_frac:0.02 () in
+  let f = Field.create ~l_nominal_nm:65.0 ~max_dev_frac:0.02 in
   let lo, hi = Field.extremes f in
   ignore lo;
   Alcotest.(check bool) "custom budget respected on chip region" true
