@@ -1,12 +1,6 @@
-(* Benchmark / reproduction harness.
+(* Kernel benchmarks.
 
    Usage:
-     bench/main.exe                 -- every table & figure, then kernels
-     bench/main.exe <exhibit>        -- one of: fig2 table1 fig3 scenarios
-                                        razor fig4 table2 fig5 fig6 energy
-                                        validate ablation clocktree crosscheck
-                                        alternatives routing powergrid
-                                        workloads postsilicon wafer
      bench/main.exe kernels         -- Bechamel micro-benchmarks + the
                                         serial-vs-parallel Monte-Carlo
                                         throughput report
@@ -14,6 +8,9 @@
                                         trajectory for future changes)
      bench/main.exe ... --out FILE  -- write the JSON somewhere else
      bench/main.exe --quick ...     -- scaled-down design (fast smoke run)
+
+   The paper's tables and figures are rendered by `pvtol all` and
+   `pvtol <exhibit>`.
 
    One Bechamel Test.make per table/figure kernel: the measured loop is
    the computational core that regenerates that exhibit (field eval for
@@ -38,7 +35,6 @@
    rather than bare point estimates.  A kernel without an estimate is
    a warning and a nonzero exit, not a silent "(no estimate)". *)
 
-module Experiments = Pvtol_core.Experiments
 module Flow = Pvtol_core.Flow
 module Island = Pvtol_core.Island
 module Slicing = Pvtol_core.Slicing
@@ -69,7 +65,7 @@ let context ~quick () =
   | None ->
     let config = if quick then Flow.quick_config else Flow.default_config in
     Printf.printf "[preparing design flow%s...]\n%!" (if quick then " (quick)" else "");
-    let c = Experiments.make_context ~config () in
+    let c = Flow.prepare ~config () in
     ctx := Some c;
     c
 
@@ -409,19 +405,10 @@ let kernel_estimates ~quick () =
   let placement = Flow.placement t in
   let systematic = Sampler.systematic_lgates sampler placement Position.point_a in
   let n = Array.length base in
-  let lgates = Array.make n 0.0 in
-  let delays = Array.make n 0.0 in
   let ws = Sta.workspace sta in
   let low =
     (Flow.netlist t).Pvtol_netlist.Netlist.lib.Pvtol_stdcell.Cell.process
       .Pvtol_stdcell.Process.vdd_low
-  in
-  (* Fresh Lgates every run: every cell is scaled at both supplies, as
-     the per-die detection does, and the low vector is timed. *)
-  let high_delays = Array.make n 0.0 in
-  let scale_supplies () =
-    Pvtol_stdcell.Process.supply_delays sampler.Sampler.process ~base ~lgates
-      ~low:delays ~high:high_delays
   in
   let field = Field.default in
   (* One island corner check at A on the scale tables of its target. *)
@@ -448,21 +435,6 @@ let kernel_estimates ~quick () =
           ~vdd:(fun _ -> low))
       Position.named
   in
-  (* Importance-sampled die at position B: the full per-die overhead of
-     the smart-sampling layer — component pick, RNG replay for the
-     likelihood ratio, tilted systematic field — on top of one die's
-     draw, two-supply scale and STA pass.  [compare/detect] times that
-     plain die through the library's own path, so the two lines diff
-     to roughly the IS tax. *)
-  let systematic_b = Sampler.systematic_lgates sampler placement Position.point_b in
-  let is_model =
-    Smart_sampling.make
-      (Smart_sampling.tilts ~sampler ~sta ~base ~systematic:systematic_b
-         ~vdd:low ~clock:(Flow.clock t) ~stages:Compensation.analyzed ~rare:2 ())
-  in
-  let is_rng = Srng.create 99 in
-  let is_z = Array.make n 0.0 in
-  let is_sys = Array.make n 0.0 in
   (* Compensation-strategy kernels: one failing die is drawn up-front
      at the worst corner (retrying a few draws so the knobs have
      violations to chase), then each kernel re-applies its strategy to
@@ -521,7 +493,7 @@ let kernel_estimates ~quick () =
   let place_config = Flow.config sizing_flow in
   let place_netlist = sizing_design.Pvtol_vex.Vex_core.netlist in
   let place_floorplan =
-    Pvtol_place.Floorplan.create ~utilization:place_config.Flow.utilization
+    Pvtol_place.Floorplan.create ~utilization:Flow.utilization
       ~cell_area:(Pvtol_netlist.Netlist.area place_netlist) ()
   in
   let tests =
@@ -560,25 +532,6 @@ let kernel_estimates ~quick () =
                 ~out:bdelays;
               Sta.analyze_into sta bws ~delays:bdelays)
             batches_a_d );
-      ( "fig3/mc-sample-is", 1,
-        fun () ->
-          let comp = Smart_sampling.pick is_model is_rng in
-          let probe = Srng.copy is_rng in
-          Srng.fill_gaussians probe is_z ~pos:0 ~len:n;
-          let w = Smart_sampling.weight is_model ~comp ~z:is_z in
-          let sys =
-            match Smart_sampling.shift is_model ~comp with
-            | Either.Right () -> systematic_b
-            | Either.Left tl ->
-              Sampler.shifted_systematic sampler ~systematic:systematic_b
-                ~cells:tl.Smart_sampling.cells ~dir:tl.Smart_sampling.dir
-                ~theta:tl.Smart_sampling.theta ~out:is_sys;
-              is_sys
-          in
-          Sampler.sample_lgates sampler ~systematic:sys is_rng lgates;
-          scale_supplies ();
-          Sta.analyze_into sta ws ~delays;
-          ignore w );
       ( "fig4/corner-check", 1, fun () -> ignore (corner_check ~raised:(fun _ -> false)) );
       ( "fig4/eco-insert", 1,
         fun () ->
@@ -632,7 +585,7 @@ let kernel_estimates ~quick () =
           ignore
             (Pvtol_place.Placer.global_only
                ~iterations:place_config.Flow.place_iterations
-               ~seed:place_config.Flow.place_seed place_netlist place_floorplan) );
+               ~seed:Flow.place_seed place_netlist place_floorplan) );
     ]
   in
   let per_run = List.map (fun (name, d, _) -> (name, d)) tests in
@@ -812,8 +765,9 @@ let kernels ~quick ~json ~out () =
 
 (* ------------------------------------------------------------------ *)
 
-let exhibits =
-  List.map (fun (name, _, render) -> (name, render)) Experiments.exhibits
+let usage =
+  "usage: bench/main.exe kernels [--quick] [--json] [--out FILE]\n\
+   (the paper's exhibits: pvtol all, pvtol <exhibit>)\n"
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
@@ -827,22 +781,7 @@ let () =
   let out, args = extract_out [] args in
   let args = List.filter (fun a -> a <> "--quick" && a <> "--json") args in
   match args with
-  | [] ->
-    let c = context ~quick () in
-    print_string (Experiments.all c);
-    exit (kernels ~quick ~json ~out ())
   | [ "kernels" ] -> exit (kernels ~quick ~json ~out ())
-  | names ->
-    List.iter
-      (fun name ->
-        match List.assoc_opt name exhibits with
-        | Some f ->
-          let c = context ~quick () in
-          print_string (f c);
-          print_newline ()
-        | None ->
-          Printf.eprintf
-            "unknown exhibit %S (try: %s, kernels)\n" name
-            (String.concat ", " (List.map fst exhibits));
-          exit 1)
-      names
+  | _ ->
+    prerr_string usage;
+    exit 1

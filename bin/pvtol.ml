@@ -100,7 +100,7 @@ let common =
     file_opt "run-ledger"
       "Write a run ledger to $(docv) after the run: version and git \
        revision, argv and configuration, wall/CPU time, GC totals, \
-       per-stage time/allocation attribution, pool queue-wait totals and \
+       per-stage time/allocation attribution, pool worker-idle totals and \
        an MD5 digest of every emitted report.  Render it with \
        $(b,pvtol report FILE).  Implies metrics collection."
   in
@@ -347,7 +347,6 @@ let wafer_cmd =
               s_ci_target = ci_target;
               s_ci_metric = ci_metric;
               s_rare = rare_scenario;
-              s_confidence = 0.95;
               s_seed = wafer_seed;
               s_direction = direction;
             }

@@ -413,6 +413,10 @@ let voltage_islands (t : Flow.t) c (v : Flow.variant) =
 (* ------------------------------------------------------------------ *)
 (* Strategy 2: traditional chip-wide adaptation                         *)
 
+(* Everything to 1.2V whenever anything fails.  [knob] = 1 iff the die
+   needed the raise.  On a die the island strategy already settled on
+   this scratch it reads the settle's all-high lane; otherwise it runs
+   one 1-lane pass over the high-supply vector. *)
 let chip_wide c =
   {
     name = "chipwide";
@@ -660,6 +664,17 @@ let nominal_sites c =
         analyzed)
     (fun g sites -> g.sites <- Some sites)
 
+(* EffiTest-style post-silicon tunable buffers (arXiv:1705.04992):
+   delay-trim stages inserted at design time on the worst low-supply
+   paths.  Sites are the 8 worst nominal low-supply endpoints of each
+   analyzed stage ([Paths.worst_endpoints]); each site carries 4 trim
+   stages of 2% of the clock each.  Per die, a greedy loop enables one
+   trim at a time on the binding endpoint of a failing stage until
+   every stage meets or the binding endpoint has no (more) trims — the
+   die's reported power/area cost is monotone in the buffers enabled.
+   It runs no STA pass: it reads the endpoint delays [detect] kept for
+   the selected lane.  [knob] = trim stages enabled.  The sites (one
+   nominal pass) are chosen once per timing graph. *)
 let tunable_buffers c =
   let lib = (Sta.netlist c.sta).Netlist.lib in
   let n_caps = Array.length c.caps in

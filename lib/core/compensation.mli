@@ -176,13 +176,6 @@ val voltage_islands : Flow.t -> ctx -> Flow.variant -> strategy
     a partition of more than three islands (every flow slicing has
     three). *)
 
-val chip_wide : ctx -> strategy
-(** Traditional full-chip adaptation: everything to 1.2V whenever
-    anything fails.  [knob] = 1 iff the die needed the raise.  On a die
-    the island strategy already settled on this scratch it reads the
-    settle's all-high lane; otherwise it runs one 1-lane pass over the
-    high-supply vector. *)
-
 type kernel = {
   ctx : ctx;
   vi : strategy;  (** the paper's voltage islands *)
@@ -225,23 +218,20 @@ val skew_tuning :
     clock-rate switching and leakage.  The clock tree is synthesized
     once per timing graph. *)
 
-val tunable_buffers : ctx -> strategy
-(** EffiTest-style post-silicon tunable buffers (arXiv:1705.04992):
-    delay-trim stages inserted at design time on the worst low-supply
-    paths.  Sites are the 8 worst nominal low-supply endpoints of each
-    analyzed stage ({!Pvtol_timing.Paths.worst_endpoints}); each site
-    carries 4 trim stages of 2% of the clock each.  Per die, a greedy
-    loop enables one trim at a time on the binding endpoint of a
-    failing stage until every stage meets or the binding endpoint has
-    no (more) trims — the die's reported power/area cost is monotone in
-    the buffers enabled.  It runs no STA pass: it reads the endpoint
-    delays {!detect} kept for the selected lane.  [knob] = trim stages
-    enabled.  The sites (one nominal pass) are chosen once per timing
-    graph. *)
-
 (** {2 Strategy selection} *)
 
-type choice = Vi | Chipwide | Skew | Buffers
+type choice =
+  | Vi        (** {!voltage_islands} *)
+  | Chipwide  (** traditional full-chip adaptation: everything to 1.2V
+                  whenever anything fails; [knob] = 1 iff the die
+                  needed the raise *)
+  | Skew      (** {!skew_tuning} with its defaults *)
+  | Buffers   (** EffiTest-style post-silicon tunable buffers
+                  (arXiv:1705.04992): delay-trim stages on the 8 worst
+                  nominal low-supply endpoints of each analyzed stage,
+                  enabled greedily per die from the endpoint delays
+                  {!detect} kept, with no STA pass; [knob] = trim
+                  stages enabled *)
 
 val all_choices : choice list
 (** [Vi; Chipwide; Skew; Buffers] — the canonical comparison order. *)

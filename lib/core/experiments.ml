@@ -15,12 +15,9 @@ module Placement = Pvtol_place.Placement
 module Density = Pvtol_place.Density
 module Geom = Pvtol_util.Geom
 
-(* A context is just a flow handle: the stage graph memoizes every
+(* Every exhibit reads one flow handle: the stage graph memoizes every
    intermediate (including both slicing variants), so nothing needs to
    be precomputed or re-threaded by hand here. *)
-type context = Flow.t
-
-let make_context ?config () = Flow.prepare ?config ()
 let vertical t = Flow.variant t Island.Vertical
 let horizontal t = Flow.variant t Island.Horizontal
 

@@ -3,24 +3,19 @@
     rows/series the paper reports (see EXPERIMENTS.md for the
     side-by-side comparison).
 
-    A [context] is simply a {!Flow.t} handle: the stage graph memoizes
-    every intermediate (placement, STA, Monte Carlo per position, both
-    slicing variants, power per configuration), so each exhibit forces
-    only what it reads and the expensive work runs once per handle no
-    matter how many exhibits are rendered. *)
+    Every exhibit renders from a {!Flow.t} handle: the stage graph
+    memoizes every intermediate (placement, STA, Monte Carlo per
+    position, both slicing variants, power per configuration), so each
+    exhibit forces only what it reads and the expensive work runs once
+    per handle no matter how many exhibits are rendered. *)
 
-type context = Flow.t
-
-val make_context : ?config:Flow.config -> unit -> context
-(** [Flow.prepare]: cheap, declares the stage graph only. *)
-
-val exhibits : (string * string * (context -> string)) list
+val exhibits : (string * string * (Flow.t -> string)) list
 (** Every exhibit as [(name, one-line doc, render)], in paper order:
     the paper's figures and tables ([fig2] .. [energy]), then the
-    extensions.  The one registry {!all}, the CLI's exhibit subcommands
-    and the bench dispatcher read. *)
+    extensions.  The one registry {!all} and the CLI's exhibit
+    subcommands read. *)
 
-val all : context -> string
+val all : Flow.t -> string
 (** Every exhibit of {!exhibits}, in order, joined by blank lines
     (warms the Monte-Carlo stage for all die positions on the domain
     pool first).  Each exhibit runs under a {!Pvtol_util.Trace} span

@@ -21,16 +21,17 @@ module Gatesim = Pvtol_power.Gatesim
 module Power = Pvtol_power.Power
 module Fir = Pvtol_vexsim.Fir
 
+let place_seed = 1
+
+(* Initial row utilization.  Chosen below the paper's quoted ~70% so
+   that, after area recovery *adds back* the level-shifter area (26-31%
+   of the core, Table 2), the final utilization lands near 70% and
+   incremental placement stays local. *)
+let utilization = 0.48
+
 type config = {
   vex : Vex_core.config;
-  place_seed : int;
   place_iterations : int;
-  utilization : float;
-      (** Initial row utilization.  Chosen below the paper's quoted
-          ~70% so that, after area recovery *adds back* the
-          level-shifter area (26-31% of the core, Table 2), the final
-          utilization lands near 70% and incremental placement stays
-          local. *)
   mc_samples : int;
   mc_seed : int;
   gatesim_cycles : int;
@@ -41,9 +42,7 @@ type config = {
 let default_config =
   {
     vex = Vex_core.default_config;
-    place_seed = 1;
     place_iterations = 48;
-    utilization = 0.48;
     mc_samples = 400;
     mc_seed = 2024;
     gatesim_cycles = 512;
@@ -125,7 +124,7 @@ let trace_stimulus config netlist words =
 let prepare ?(config = default_config) () =
   Metrics.incr m_prepares;
   Log.debug "flow: preparing stage graph (mc_samples=%d, place_seed=%d)"
-    config.mc_samples config.place_seed;
+    config.mc_samples place_seed;
   let g = Sg.create () in
   let design_n =
     Sg.node g ~name:"design" (fun () -> Vex_core.build config.vex)
@@ -135,11 +134,11 @@ let prepare ?(config = default_config) () =
         let design = Sg.get design_n in
         let nl0 = design.Vex_core.netlist in
         let fp =
-          Floorplan.create ~utilization:config.utilization
+          Floorplan.create ~utilization
             ~cell_area:(Netlist.area nl0) ()
         in
         Placer.place ~iterations:config.place_iterations
-          ~seed:config.place_seed nl0 fp)
+          ~seed:place_seed nl0 fp)
   in
   (* The flow's one timing graph up to level-shifter insertion: sizing
      builds it from the unsized netlist and the initial placement's
@@ -211,7 +210,7 @@ let prepare ?(config = default_config) () =
           (List.map (fun p -> MC.job p) positions))
   in
   let scenarios_n =
-    Sg.node g ~name:"scenarios" (fun () ->
+    Sg.node g ~name:"ladder" (fun () ->
         let clock = Sg.get clock_n in
         List.map (Scenario.classify ~clock) (Sg.get_keyed_many mc_k Position.named))
   in

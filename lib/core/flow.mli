@@ -18,14 +18,17 @@
 open Pvtol_netlist
 module Position := Pvtol_variation.Position
 
+val place_seed : int
+(** The global placer's seed: 1. *)
+
+val utilization : float
+(** Initial row utilization, 0.48: below the paper's ~70% so the final
+    design (after level-shifter insertion, +26-31% area) lands near 70%
+    and incremental placement stays local. *)
+
 type config = {
   vex : Pvtol_vex.Vex_core.config;
-  place_seed : int;
   place_iterations : int;
-  utilization : float;
-      (** Initial row utilization; below the paper's ~70% so the final
-          design (after level-shifter insertion, +26-31% area) lands
-          near 70% and incremental placement stays local. *)
   mc_samples : int;
   mc_seed : int;
   gatesim_cycles : int;
@@ -143,7 +146,10 @@ val trace : t -> Pvtol_util.Trace.t
 (** The span trace of every stage computed so far on this handle.
     Callers add their own spans to it with {!Pvtol_util.Trace.span}
     (the CLI one per command, {!Experiments.all} one per exhibit); such
-    a span memoizes nothing, and the stages it forces nest inside it. *)
+    a span memoizes nothing, and the stages it forces nest inside it.
+    No stage is named like a command or an exhibit (the scenario
+    classification is the [ladder] stage), so every span name in a
+    trace is unique. *)
 
 val growth_targets : Slicing.target list
 (** The scenario ladder the islands compensate: island 1 for the

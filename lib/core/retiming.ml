@@ -1,5 +1,8 @@
 open Pvtol_netlist
 
+(* The VEX design's stage-level feedback loops: the execute forwarding
+   self-loop, the writeback -> decode -> execute register-file loop,
+   and the fetch <-> decode branch loop. *)
 let loops =
   [
     [ Stage.Execute ];

@@ -12,11 +12,6 @@
 
 open Pvtol_netlist
 
-val loops : Stage.t list list
-(** The VEX design's stage-level feedback loops: the execute forwarding
-    self-loop, the writeback -> decode -> execute register-file loop,
-    and the fetch <-> decode branch loop. *)
-
 type result = {
   t_unretimed : float;  (** max stage delay *)
   t_retimed : float;    (** best cycle time with optimal skews *)

@@ -10,7 +10,7 @@
 
     Compensation is checked with a deterministic corner STA: every cell
     takes its systematic Lgate at the scenario's die position plus
-    {!corner_kappa} random sigmas (calibrated against the Monte-Carlo
+    0.35 random sigmas (calibrated against the Monte-Carlo
     3-sigma per-stage delays), cells inside the candidate slice run at
     high Vdd, and every pipeline stage must meet the nominal clock. *)
 
@@ -30,10 +30,6 @@ type outcome = {
 exception Infeasible of string
 (** Raised when even the full core at high Vdd cannot compensate a
     target scenario. *)
-
-val corner_kappa : float
-(** 0.35: random sigmas added to the systematic Lgate at the
-    compensation corner. *)
 
 val corner_scale :
   sampler:Pvtol_variation.Sampler.t ->

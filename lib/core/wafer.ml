@@ -358,24 +358,18 @@ let run ?pool ?on_cell (t : Flow.t) (v : Flow.variant) cfg =
 type metric =
   | Yield_uncompensated
   | Yield_compensated
-  | Yield_chip_wide
   | Mean_raised
-  | Delay_p90
 
 let metric_name = function
   | Yield_uncompensated -> "uncompensated yield"
   | Yield_compensated -> "compensated yield"
-  | Yield_chip_wide -> "chip-wide yield"
   | Mean_raised -> "mean islands raised"
-  | Delay_p90 -> "P90 critical delay (ns)"
 
 let metric_value m (c : cell) =
   match m with
   | Yield_uncompensated -> c.yield_uncompensated
   | Yield_compensated -> c.yield_compensated
-  | Yield_chip_wide -> c.yield_chip_wide
   | Mean_raised -> c.mean_raised
-  | Delay_p90 -> c.delay_p90_ns
 
 let ramp = " .:-=+*#%@"
 
@@ -509,10 +503,11 @@ type sampling_config = {
   s_ci_target : float;
   s_ci_metric : ci_metric;
   s_rare : int;
-  s_confidence : float;
   s_seed : int;
   s_direction : Island.direction;
 }
+
+let confidence = 0.95
 
 let default_sampling_config =
   {
@@ -523,7 +518,6 @@ let default_sampling_config =
     s_ci_target = 0.001;
     s_ci_metric = Ci_yield;
     s_rare = 2;
-    s_confidence = 0.95;
     s_seed = 7;
     s_direction = Island.Vertical;
   }
@@ -724,7 +718,7 @@ let run_sampling ?pool ?on_round (t : Flow.t) ~position scfg =
   let pi_g = 1.0 /. float_of_int groups in
   let combine m =
     let mid, hw =
-      Smart_sampling.combine ~confidence:scfg.s_confidence
+      Smart_sampling.combine ~confidence
         (Array.map (fun ga -> (pi_g, ga.(m))) gaccs)
     in
     { mid; hw }
@@ -798,8 +792,8 @@ type on_round = round:int -> max_rounds:int -> ci_halfwidth:float -> unit
 let estimate ?pool ?on_round t cfg =
   run_sampling ?pool ?on_round t ~position:None cfg
 
-let estimate_at ?pool ?on_round t ~position cfg =
-  run_sampling ?pool ?on_round t ~position:(Some position) cfg
+let estimate_at ?pool t ~position cfg =
+  run_sampling ?pool t ~position:(Some position) cfg
 
 (* ------------------------------------------------------------------ *)
 (* Sampling report rendering                                            *)
@@ -835,7 +829,7 @@ let pp_sampling fmt r =
     (if r.sr_converged then "converged" else "round budget exhausted")
     (ci_metric_name c.s_ci_metric)
     (100.0 *. c.s_ci_target)
-    (100.0 *. c.s_confidence)
+    (100.0 *. confidence)
     r.sr_dies r.sr_effective_samples pp_interval r.sr_yield_uncompensated
     pp_interval r.sr_yield_compensated pp_interval r.sr_yield_chip_wide
     c.s_rare pp_interval r.sr_rare
@@ -875,7 +869,7 @@ let sampling_to_json r =
           ("ci_target", f c.s_ci_target);
           ("ci_metric", Json.Str (ci_metric_name c.s_ci_metric));
           ("rare_scenario", Json.Int c.s_rare);
-          ("confidence", f c.s_confidence);
+          ("confidence", f confidence);
           ("seed", Json.Int c.s_seed);
           ("direction", Json.Str (Island.direction_name c.s_direction)) ]
        @ position

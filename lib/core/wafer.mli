@@ -208,10 +208,12 @@ type sampling_config = {
   s_ci_target : float;     (** stop when the CI half-width reaches this *)
   s_ci_metric : ci_metric; (** which metric the stopping rule watches *)
   s_rare : int;            (** rare scenario: >= this many islands *)
-  s_confidence : float;    (** two-sided CI confidence, e.g. 0.95 *)
   s_seed : int;
   s_direction : Island.direction;
 }
+
+val confidence : float
+(** Two-sided confidence of every sampling CI and stopping rule: 0.95. *)
 
 val default_sampling_config : sampling_config
 (** mc, 4x4 strata, 16 dies/round, 64 rounds max, +-0.1% yield CI at
@@ -270,7 +272,6 @@ val estimate :
 
 val estimate_at :
   ?pool:Pvtol_util.Pool.t ->
-  ?on_round:on_round ->
   Flow.t ->
   position:Pvtol_variation.Position.t ->
   sampling_config ->
@@ -298,9 +299,7 @@ val sampling_to_json : sampling_report -> string
 type metric =
   | Yield_uncompensated
   | Yield_compensated
-  | Yield_chip_wide
   | Mean_raised
-  | Delay_p90
 
 val render_map : sweep -> metric -> string
 (** ASCII heat map of a per-cell metric over the grid (lower-left =

@@ -250,15 +250,6 @@ let is_comb c = not (Kind.is_sequential c.cell.Cell_lib.kind)
 
 let flops t = Array.of_list (List.filter (fun c -> not (is_comb c)) (Array.to_list t.cells))
 
-let fanout_cells t c =
-  Array.to_list t.nets.(c.fanout).sinks
-  |> List.map (fun (cid, pin) -> (t.cells.(cid), pin))
-
-let find_net t name =
-  Array.fold_left
-    (fun acc n -> match acc with Some _ -> acc | None -> if String.equal n.net_name name then Some n else None)
-    None t.nets
-
 let stats_by_stage t =
   List.filter_map
     (fun stage ->

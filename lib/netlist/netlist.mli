@@ -110,11 +110,6 @@ val flops : t -> cell array
 
 val is_comb : cell -> bool
 
-val fanout_cells : t -> cell -> (cell * int) list
-(** Cells (with pin index) driven by [c]'s output net. *)
-
-val find_net : t -> string -> net option
-
 val stats_by_stage : t -> (Stage.t * int * float) list
 (** (stage, cell count, area) for each stage present in the design. *)
 

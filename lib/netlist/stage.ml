@@ -25,6 +25,4 @@ let index = function
   | Pipe_regs -> 4
   | Reg_file -> 5
 
-let compare a b = Int.compare (index a) (index b)
 let equal a b = index a = index b
-let pp fmt t = Format.pp_print_string fmt (name t)

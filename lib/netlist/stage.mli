@@ -15,6 +15,4 @@ val all : t list
 val name : t -> string
 val of_name : string -> t option
 val index : t -> int
-val compare : t -> t -> int
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -28,7 +28,6 @@ let compute (p : Placement.t) =
   { nx; ny; bin_w; bin_h; occupied }
 
 let bin_area t = t.bin_w *. t.bin_h
-let density t ix iy = t.occupied.((iy * t.nx) + ix) /. bin_area t
 
 type side = Left | Right | Bottom | Top
 

@@ -22,8 +22,6 @@ val clamp_bin : int -> int -> int
     outside the grid counts in its edge bin. *)
 
 val bin_area : t -> float
-val density : t -> int -> int -> float
-(** Occupied fraction of bin (ix, iy). *)
 
 type side = Left | Right | Bottom | Top
 

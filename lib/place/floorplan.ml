@@ -37,8 +37,3 @@ let row_of_y t y =
   max 0 (min (t.n_rows - 1) i)
 
 let row_capacity t = Geom.width t.core
-
-let pp fmt t =
-  Format.fprintf fmt "core %.1f x %.1f um, %d rows (h=%.2f), util %.0f%%"
-    (Geom.width t.core) (Geom.height t.core) t.n_rows t.row_height
-    (100.0 *. t.utilization)

@@ -23,5 +23,3 @@ val row_of_y : t -> float -> int
 
 val row_capacity : t -> float
 (** Usable width of a row in um. *)
-
-val pp : Format.formatter -> t -> unit

@@ -21,10 +21,9 @@ let create netlist floorplan =
 let cell_width (c : Netlist.cell) (fp : Floorplan.t) =
   c.Netlist.cell.Pvtol_stdcell.Cell.area /. fp.Floorplan.row_height
 
-let pos t cid = Geom.point t.xs.(cid) t.ys.(cid)
-
-(* Pins are visited last sink first and driver last, straight from the
-   net's arrays: no per-net point list. *)
+(* Bounding box of a net's pins ([None] for dead or single-pin nets
+   without a placed driver).  Pins are visited last sink first and
+   driver last, straight from the net's arrays: no per-net point list. *)
 let net_bbox t nid =
   let net = t.netlist.Netlist.nets.(nid) in
   let sinks = net.Netlist.sinks in
@@ -68,5 +67,3 @@ let total_hpwl t =
   let acc = ref 0.0 in
   Array.iter (fun (n : Netlist.net) -> acc := !acc +. hpwl t n.Netlist.net_id) t.netlist.Netlist.nets;
   !acc
-
-let copy t = { t with xs = Array.copy t.xs; ys = Array.copy t.ys }

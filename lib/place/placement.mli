@@ -18,12 +18,6 @@ val create : Netlist.t -> Floorplan.t -> t
 val cell_width : Netlist.cell -> Floorplan.t -> float
 (** Footprint width of a cell: area / row height. *)
 
-val pos : t -> Netlist.cell_id -> Pvtol_util.Geom.point
-
-val net_bbox : t -> Netlist.net_id -> Pvtol_util.Geom.rect option
-(** Bounding box of a net's pins ([None] for dead or single-pin nets
-    without a placed driver). *)
-
 val hpwl : t -> Netlist.net_id -> float
 (** Half-perimeter wirelength of a net, um. *)
 
@@ -41,5 +35,3 @@ val wire_lengths : t -> float array
     index it wherever lengths are looked up per pin or per round. *)
 
 val total_hpwl : t -> float
-
-val copy : t -> t

@@ -17,9 +17,6 @@ type config = {
   seed : int;
 }
 
-val default_config : config
-(** 400 samples, seed 2024. *)
-
 type stage_stats = {
   stage : Stage.t;
   samples : float array;        (** per-sample worst path delay, ns *)
@@ -52,7 +49,8 @@ val run :
   placement:Pvtol_place.Placement.t ->
   job list ->
   result list
-(** One result per job, in job order.  [Invalid_argument] below
+(** One result per job, in job order.  [config] defaults to 400
+    samples, seed 2024.  [Invalid_argument] below
     {!Pvtol_util.Fit.min_samples} samples, before any work: every
     stage's sample is fitted and tested.
 

@@ -42,14 +42,6 @@ let classify ~clock (mc : Monte_carlo.result) =
     index = List.length violating;
   }
 
-let ladder ~run ~clock ~positions =
-  List.map (fun pos -> classify ~clock (run pos)) positions
-
-let worst_violation t =
-  List.fold_left
-    (fun acc s -> if s.violates then Float.max acc s.three_sigma else acc)
-    0.0 t.stage_slacks
-
 let pp fmt t =
   Format.fprintf fmt "position %s: scenario %d (%s)@."
     t.position.Pvtol_variation.Position.label t.index

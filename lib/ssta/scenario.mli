@@ -35,15 +35,4 @@ val classify : clock:float -> Monte_carlo.result -> t
 (** Classify one position's Monte-Carlo result.  Fetch is excluded, as
     in the paper (no memory model behind it). *)
 
-val ladder :
-  run:(Pvtol_variation.Position.t -> Monte_carlo.result) ->
-  clock:float ->
-  positions:Pvtol_variation.Position.t list ->
-  t list
-(** Classify a list of die positions (typically A, B, C, D). *)
-
-val worst_violation : t -> float
-(** Largest 3-sigma delay among violating stages (equals the boost the
-    compensation must deliver); 0.0 when nothing violates. *)
-
 val pp : Format.formatter -> t -> unit

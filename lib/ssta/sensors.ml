@@ -58,11 +58,3 @@ let select ?(min_criticality = 0.01) (mc : Monte_carlo.result) sta =
     area_overhead;
     area_overhead_frac = area_overhead /. Netlist.area nl;
   }
-
-let pp fmt plan =
-  Format.fprintf fmt "razor sensor plan: %d sites, %.0f um^2 (%.3f%% of core)@."
-    (List.length plan.sites) plan.area_overhead
-    (100.0 *. plan.area_overhead_frac);
-  List.iter
-    (fun (s, n) -> Format.fprintf fmt "  %-12s %d monitored flops@." (Stage.name s) n)
-    plan.per_stage

@@ -31,5 +31,3 @@ val select :
 (** Flops whose criticality exceeds [min_criticality] (default 0.01 =
     critical in at least 1% of samples), each under its capture stage in
     the timing graph the Monte-Carlo run used. *)
-
-val pp : Format.formatter -> plan -> unit

@@ -33,8 +33,6 @@ type library = {
   setup : float;              (** DFF setup time, ns *)
 }
 
-val drive_factor : drive -> float
-val drive_name : drive -> string
 val drive_of_name : string -> drive option
 
 val cell_name : t -> string

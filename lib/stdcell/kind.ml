@@ -79,5 +79,3 @@ let of_name s =
     | k :: rest -> if String.equal (name k) s then Some k else find rest
   in
   find all
-
-let pp fmt k = Format.pp_print_string fmt (name k)

@@ -44,5 +44,3 @@ val eval3 : t -> bool -> bool -> bool -> bool
 
 val name : t -> string
 val of_name : string -> t option
-
-val pp : Format.formatter -> t -> unit

@@ -32,12 +32,6 @@ type t = {
 
 let netlist t = t.nl
 
-let wireload_model nl nid =
-  let net = nl.Netlist.nets.(nid) in
-  let fanout = Array.length net.Netlist.sinks in
-  (* Representative 65nm wireload curve: a few um per sink. *)
-  4.0 +. (3.0 *. float_of_int fanout)
-
 let is_seq (c : Netlist.cell) = Kind.is_sequential c.Netlist.cell.Cell_lib.kind
 
 let topo_order (nl : Netlist.t) =

@@ -21,16 +21,13 @@ val build :
   wire_length:(Netlist.net_id -> float) ->
   capture:(Netlist.cell -> Stage.t option) ->
   t
-(** [wire_length] estimates each net's routed length in um (HPWL after
-    placement, a fanout-based wireload model before).  It is called
+(** [wire_length] estimates each net's routed length in um (the
+    placement's or the router's lengths).  It is called
     once per net and tabulated.  Counts one in [sta_builds_total]. *)
 
 val of_placement :
   Pvtol_place.Placement.t -> capture:(Netlist.cell -> Stage.t option) -> t
 (** Wire lengths from placed HPWL. *)
-
-val wireload_model : Netlist.t -> Netlist.net_id -> float
-(** Pre-placement fanout-based wireload estimate. *)
 
 val netlist : t -> Netlist.t
 

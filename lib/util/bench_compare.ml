@@ -27,25 +27,15 @@ let est_of_json = function
           (Option.bind (Json.member "n" o) Json.to_int)
       in
       Some { ns; ci; n })
-  | Json.Int i -> Some { ns = float_of_int i; ci = 0.0; n = 1 }
-  | Json.Float f -> Some { ns = f; ci = 0.0; n = 1 }
   | _ -> None
 
+(* Kernel estimates of one bench file's [.kernels]; kernels with a null
+   estimate are skipped. *)
 let kernels_of_json j =
-  match
-    Option.bind (Json.member "kernels" j) Json.to_obj
-  with
+  match Option.bind (Json.member "kernels" j) Json.to_obj with
   | Some fields ->
     Ok (List.filter_map (fun (k, v) -> Option.map (fun e -> (k, e)) (est_of_json v)) fields)
-  | None -> (
-    (* Schema-1 fallback: a flat name -> ns map with no uncertainty. *)
-    match Option.bind (Json.member "kernels_ns_per_run" j) Json.to_obj with
-    | Some fields ->
-      Ok
-        (List.filter_map
-           (fun (k, v) -> Option.map (fun e -> (k, e)) (est_of_json v))
-           fields)
-    | None -> Error "no \"kernels\" or \"kernels_ns_per_run\" section")
+  | None -> Error "no \"kernels\" section"
 
 let classify ~threshold_pct base next =
   let delta = next.ns -. base.ns in

@@ -5,9 +5,7 @@
     {e statistically}: a kernel only counts as regressed (or improved)
     when the delta clears both the relative [threshold_pct] and the
     combined CI half-widths — a shift that two noisy runs could
-    produce by chance stays "unchanged".  Legacy schema-1 files
-    (bare [kernels_ns_per_run] point estimates) are read with a zero
-    half-width, so only the threshold applies.
+    produce by chance stays "unchanged".
 
     Kernels present on only one side are reported ([Base_only] /
     [New_only]) but are never regressions — renaming or adding a
@@ -33,11 +31,6 @@ type report = {
 
 val default_threshold_pct : float
 (** 2.0 — a delta below ±2% never flags, however tight the CIs. *)
-
-val kernels_of_json : Json.t -> ((string * est) list, string) result
-(** Kernel estimates of one bench file; reads schema 2 ([.kernels])
-    and falls back to schema 1 ([.kernels_ns_per_run]).  Kernels with
-    a null estimate are skipped. *)
 
 val compare : ?threshold_pct:float -> base:Json.t -> next:Json.t ->
   unit -> (report, string) result

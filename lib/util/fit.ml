@@ -8,14 +8,17 @@ type gof = {
   accepted : bool;
 }
 
+(* Maximum-likelihood normal fit (sample mean / unbiased stddev). *)
 let fit_normal xs =
   let s = Stats.summarize xs in
   { mu = s.Stats.mean; sigma = s.Stats.stddev }
 
 let min_samples = 8
 
-(* Build equiprobable-ish bins from the sample range, then merge bins whose
-   expected count under the fitted normal is below 5. *)
+(* Pearson test of the sample against the fitted normal at 95%
+   confidence.  Build equiprobable-ish bins from the sample range, then
+   merge bins whose expected count under the fitted normal is below 5.
+   [Invalid_argument] below [min_samples] samples. *)
 let chi2_gof xs normal =
   let n = Array.length xs in
   if n < min_samples then

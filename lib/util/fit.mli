@@ -14,16 +14,12 @@ type gof = {
   accepted : bool;    (** statistic <= critical. *)
 }
 
-val fit_normal : float array -> normal
-(** Maximum-likelihood normal fit (sample mean / unbiased stddev). *)
-
 val min_samples : int
-(** The smallest sample {!chi2_gof} tests: 8. *)
-
-val chi2_gof : float array -> normal -> gof
-(** Pearson test of the sample against the fitted normal at 95%
-    confidence.  Bins with expected count below 5 are merged into their
-    neighbours, as is standard practice.  [Invalid_argument]
-    below {!min_samples} samples. *)
+(** The smallest sample {!fit_and_test} tests: 8. *)
 
 val fit_and_test : float array -> normal * gof
+(** Maximum-likelihood normal fit (sample mean / unbiased stddev), then
+    a Pearson test of the sample against it at 95% confidence.  Bins
+    with expected count below 5 are merged into their neighbours, as is
+    standard practice.  [Invalid_argument] below {!min_samples}
+    samples. *)

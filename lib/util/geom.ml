@@ -14,27 +14,6 @@ let center r = { x = (r.llx +. r.urx) /. 2.0; y = (r.lly +. r.ury) /. 2.0 }
 
 let contains r p = p.x >= r.llx && p.x < r.urx && p.y >= r.lly && p.y < r.ury
 
-let intersects a b =
-  a.llx < b.urx && b.llx < a.urx && a.lly < b.ury && b.lly < a.ury
-
-let union a b =
-  {
-    llx = min a.llx b.llx;
-    lly = min a.lly b.lly;
-    urx = max a.urx b.urx;
-    ury = max a.ury b.ury;
-  }
-
-let inter a b =
-  let llx = max a.llx b.llx
-  and lly = max a.lly b.lly
-  and urx = min a.urx b.urx
-  and ury = min a.ury b.ury in
-  if urx > llx && ury > lly then Some { llx; lly; urx; ury } else None
-
-let expand r m =
-  { llx = r.llx -. m; lly = r.lly -. m; urx = r.urx +. m; ury = r.ury +. m }
-
 let subsumes outer inner =
   inner.llx >= outer.llx && inner.lly >= outer.lly && inner.urx <= outer.urx
   && inner.ury <= outer.ury

@@ -19,12 +19,6 @@ val contains : rect -> point -> bool
 (** Closed on the lower/left edges, open on the upper/right edges, so a
     partition of a region assigns each point to exactly one part. *)
 
-val intersects : rect -> rect -> bool
-val union : rect -> rect -> rect
-val inter : rect -> rect -> rect option
-val expand : rect -> float -> rect
-(** Grow (or shrink, if negative) each side by the given margin. *)
-
 val subsumes : rect -> rect -> bool
 (** [subsumes outer inner] is true when [inner] lies within [outer]. *)
 

@@ -11,13 +11,10 @@
 
 type level = Error | Warn | Info | Debug
 
-val level_name : level -> string
 val level_of_string : string -> level option
 
 val set_level : level -> unit
 (** Messages above this level are dropped. *)
-
-val level_enabled : level -> bool
 
 val err : ('a, unit, string, unit) format4 -> 'a
 val warn : ('a, unit, string, unit) format4 -> 'a

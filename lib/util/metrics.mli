@@ -40,8 +40,6 @@ val histogram : ?buckets:float array -> string -> histogram
     an implicit [+inf] overflow bucket is appended).  Default buckets
     are exponential seconds from 10us to 10s. *)
 
-val default_buckets : float array
-
 (** {1 Updates (hot path; no-ops that allocate nothing when disabled)} *)
 
 val incr : counter -> unit

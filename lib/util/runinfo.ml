@@ -12,9 +12,10 @@ type t = {
 let schema = 1
 let version = "1.1.0"
 
-(* Pin the exact build when the tool runs inside its own checkout; a
-   missing git binary, a non-checkout working directory or any other
-   failure degrades to None rather than a hard error. *)
+(* [git describe --always --dirty] of the working directory: pins the
+   exact build when the tool runs inside its own checkout; a missing
+   git binary, a non-checkout working directory or any other failure
+   degrades to None rather than a hard error. *)
 let git_describe () =
   match
     let ic =
@@ -67,7 +68,7 @@ let iso8601 epoch =
     (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
     tm.Unix.tm_sec
 
-(* Pool attribution: queue-wait and job-latency totals recovered from
+(* Pool attribution: worker-idle and job-latency totals recovered from
    the metrics histograms (zero when metrics were disabled or the pool
    never ran a parallel job). *)
 let pool_json (snap : Metrics.snapshot) =
@@ -263,7 +264,7 @@ let render j =
       add "\n## Pool\n\n";
       add "- jobs: %.0f (%.0f chunks)\n" (getf p "jobs" 0.0)
         (getf p "chunks" 0.0);
-      add "- queue wait: %.3f s total over %.0f waits\n"
+      add "- worker idle: %.3f s total over %.0f waits\n"
         (getf p "queue_wait_s" 0.0) (getf p "queue_waits" 0.0);
       add "- job latency: %.3f s total over %.0f timed jobs\n"
         (getf p "job_s" 0.0) (getf p "jobs_timed" 0.0));

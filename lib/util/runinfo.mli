@@ -4,7 +4,7 @@
     behind what was run (version, git revision, argv), under which
     knobs (seed, [PVTOL_DOMAINS], …), what it cost
     (wall/CPU time, GC totals, per-stage time/allocation/GC-collection
-    attribution from the {!Trace}, pool queue-wait totals from the
+    attribution from the {!Trace}, pool worker-idle totals from the
     {!Metrics} histograms) and what it produced (an MD5 digest per
     emitted report, so two runs can be compared result-first).
 
@@ -21,14 +21,6 @@ type t
 
 val schema : int
 (** Version of the ledger JSON layout (the ["schema"] field). *)
-
-val version : string
-(** The tool version baked into the build. *)
-
-val git_describe : unit -> string option
-(** [git describe --always --dirty] of the working directory, when it
-    is a git checkout and the [git] binary is available; [None]
-    otherwise (never raises). *)
 
 val version_string : unit -> string
 (** ["<version> (git <describe>)"], or just the version when no git
@@ -53,7 +45,7 @@ val digest_hex : string -> string
 val to_json : ?trace:Trace.t -> ?metrics:Metrics.snapshot -> t -> Json.t
 (** Close the ledger: wall/CPU/GC deltas are taken now.  [trace]
     contributes the per-stage attribution table; [metrics] the embedded
-    snapshot and the pool queue-wait/job totals.  The collector stays
+    snapshot and the pool worker-idle/job totals.  The collector stays
     usable (a later [to_json] re-reads the clocks). *)
 
 val write :

@@ -8,9 +8,6 @@
 val erf : float -> float
 (** Error function. *)
 
-val erfc : float -> float
-(** Complementary error function. *)
-
 val normal_cdf : mu:float -> sigma:float -> float -> float
 (** CDF of the normal distribution with mean [mu] and std [sigma]. *)
 

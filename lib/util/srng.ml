@@ -83,8 +83,6 @@ let create_after ?(uniforms = 0) ~gaussians seed =
   end;
   g
 
-let gaussian_mu_sigma g ~mu ~sigma = mu +. (sigma *. gaussian g)
-
 let fill_gaussians g out ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Array.length out then
     invalid_arg "Srng.fill_gaussians: range out of bounds";

@@ -63,9 +63,6 @@ val create_after : ?uniforms:int -> gaussians:int -> int -> t
     layout.  The [u1 <= 1e-300] re-draw is ignored (probability
     2{^-53} per pair).  [Invalid_argument] on a negative count. *)
 
-val gaussian_mu_sigma : t -> mu:float -> sigma:float -> float
-(** Normal draw with the given mean and standard deviation. *)
-
 val fill_gaussians : t -> float array -> pos:int -> len:int -> unit
 (** [fill_gaussians g out ~pos ~len] writes [len] standard normal draws
     into [out.(pos .. pos+len-1)], {e bit-identical} to [len] successive

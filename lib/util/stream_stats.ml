@@ -74,8 +74,6 @@ module P2 = struct
       n = 0;
     }
 
-  let count t = t.n
-
   (* Piecewise-parabolic marker adjustment; falls back to linear when
      the parabola would cross a neighbour. *)
   let adjust t i d =
@@ -165,7 +163,6 @@ module Counter = struct
 
   let clamp t v = Stdlib.min (Array.length t - 1) (Stdlib.max 0 v)
   let add t v = t.(clamp t v) <- t.(clamp t v) + 1
-  let get t v = t.(v)
   let total t = Array.fold_left ( + ) 0 t
   let to_array t = Array.copy t
 

@@ -57,7 +57,6 @@ module P2 : sig
       ([Invalid_argument] otherwise). *)
 
   val add : t -> float -> unit
-  val count : t -> int
 
   val estimate : t -> float
   (** Current quantile estimate: exact (linear interpolation between
@@ -74,7 +73,6 @@ module Counter : sig
       outside the range are clamped into it. *)
 
   val add : t -> int -> unit
-  val get : t -> int -> int
   val total : t -> int
   val to_array : t -> int array
   (** A fresh copy of the per-value counts. *)

@@ -97,7 +97,3 @@ let incrementer t a =
     if i < w - 1 then carry := and2 t a.(i) !carry
   done;
   sum
-
-let subtractor t a b =
-  let nb = Array.map (inv t) b in
-  carry_select t ~cin:(tie1 t) a nb

@@ -24,6 +24,3 @@ val kogge_stone : t -> ?cin:net -> bus -> bus -> bus * net
 
 val incrementer : t -> bus -> bus
 (** [a + 1], used by the fetch-stage PC. *)
-
-val subtractor : t -> bus -> bus -> bus * net
-(** [a - b]; carry-out is the NOT-borrow flag. *)

@@ -38,8 +38,6 @@ val xnor2 : t -> net -> net -> net
 val mux2 : t -> net -> net -> sel:net -> net
 (** [mux2 a b ~sel] = if sel then b else a *)
 
-val dff : t -> net -> net
-
 val dff_deferred : t -> net * (net -> unit)
 (** Creates a flop whose D input is connected later:
     returns its Q net and a patch function that must be called exactly

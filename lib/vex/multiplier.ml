@@ -81,8 +81,4 @@ let partial_columns t ~ncols a b =
   done;
   columns
 
-let array_multiplier t a b =
-  let ncols = Array.length a + Array.length b in
-  reduce t (partial_columns t ~ncols a b)
-
 let truncated t ~width a b = reduce t (partial_columns t ~ncols:width a b)

@@ -1,13 +1,9 @@
-(** Array multiplier generator: AND-gate partial products reduced by a
-    carry-save adder array with a ripple final stage.  This is the
+(** Multiplier generator: AND-gate partial products reduced on a Dadda
+    schedule with a Kogge-Stone final stage.  This is the
     deepest combinational structure of the execute stage and, as in the
     paper's design, pins the global critical path there. *)
 
 open Gen
-
-val array_multiplier : t -> bus -> bus -> bus
-(** [array_multiplier t a b] returns the full (wa + wb)-bit unsigned
-    product. *)
 
 val truncated : t -> width:int -> bus -> bus -> bus
 (** Product truncated to [width] output bits (the VEX mul returns the

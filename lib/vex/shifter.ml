@@ -8,21 +8,3 @@ let fixed t dir k data =
   match dir with
   | Left -> Array.init w (fun i -> if i < k then zero else data.(i - k))
   | Right -> Array.init w (fun i -> if i + k < w then data.(i + k) else zero)
-
-let shift_layer t dir k sel data =
-  let shifted = fixed t dir k data in
-  mux2_bus t data shifted ~sel
-
-let barrel t ~dir ~amount data =
-  let w = Array.length data in
-  let levels = Array.length amount in
-  assert (1 lsl levels >= w || levels > 0);
-  (* Compute both directions layer by layer, selecting direction once at
-     the end; sel fanout is managed by the caller's buffer trees. *)
-  let left = ref data and right = ref data in
-  for l = 0 to levels - 1 do
-    let k = 1 lsl l in
-    left := shift_layer t Left k amount.(l) !left;
-    right := shift_layer t Right k amount.(l) !right
-  done;
-  mux2_bus t !left !right ~sel:dir

@@ -1,15 +1,11 @@
-(** Barrel shifter generator.  The execute-stage slots place a shifter
-    in series with the ALU for shift-and-accumulate instructions, as in
-    the paper's VEX configuration. *)
+(** Shifter building block.  The execute-stage slots place a barrel
+    shifter in series with the ALU for shift-and-accumulate
+    instructions, as in the paper's VEX configuration; {!Alu} layers
+    {!fixed} shifts into it, one mux2 layer per amount bit. *)
 
 open Gen
 
 type direction = Left | Right
-
-val barrel : t -> dir:net -> amount:bus -> bus -> bus
-(** [barrel t ~dir ~amount data] shifts [data] by [amount] (log2-width
-    control bus) in the direction selected by [dir] (0 = left,
-    1 = right logical).  Built as one mux2 layer per amount bit. *)
 
 val fixed : t -> direction -> int -> bus -> bus
 (** Shift by a compile-time constant (zero-filled); free of gates for

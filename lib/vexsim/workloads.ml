@@ -13,7 +13,7 @@ let mask32 v = v land 0xFFFFFFFF
 let finish ~name ~source ~sim ~stats ~correct =
   { name; source; stats; trace = Sim.trace sim; correct }
 
-let fir ?(seed = 3) () =
+let fir ~seed =
   let r = Fir.run ~seed () in
   {
     name = "fir";
@@ -23,7 +23,7 @@ let fir ?(seed = 3) () =
     correct = Fir.check r;
   }
 
-let dot_product ?(seed = 5) () =
+let dot_product ~seed =
   let n = 64 in
   let source =
     String.concat "\n"
@@ -50,7 +50,7 @@ let dot_product ?(seed = 5) () =
   finish ~name:"dot-product" ~source ~sim ~stats
     ~correct:(Sim.load sim 512 = expected)
 
-let iir_biquad ?(seed = 7) () =
+let iir_biquad ~seed =
   let n = 48 in
   (* Integer biquad: y = b0 x + b1 x1 + b2 x2 - a1 y1 - a2 y2 with the
      shift registers updated per sample.  r31 stays 0. *)
@@ -96,7 +96,7 @@ let iir_biquad ?(seed = 7) () =
   done;
   finish ~name:"iir-biquad" ~source ~sim ~stats ~correct:!ok
 
-let vector_max ?(seed = 11) () =
+let vector_max ~seed =
   let n = 96 in
   let source =
     String.concat "\n"
@@ -120,7 +120,7 @@ let vector_max ?(seed = 11) () =
   finish ~name:"vector-max" ~source ~sim ~stats
     ~correct:(Sim.load sim 512 = expected)
 
-let memcpy ?(seed = 13) () =
+let memcpy ~seed =
   let n = 96 in
   let source =
     String.concat "\n"
@@ -144,9 +144,9 @@ let memcpy ?(seed = 13) () =
 let all () =
   let seed = 3 in
   [
-    fir ~seed ();
-    dot_product ~seed:(seed + 1) ();
-    iir_biquad ~seed:(seed + 2) ();
-    vector_max ~seed:(seed + 3) ();
-    memcpy ~seed:(seed + 4) ();
+    fir ~seed;
+    dot_product ~seed:(seed + 1);
+    iir_biquad ~seed:(seed + 2);
+    vector_max ~seed:(seed + 3);
+    memcpy ~seed:(seed + 4);
   ]

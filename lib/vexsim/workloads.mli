@@ -14,20 +14,9 @@ type t = {
   correct : bool;         (** ISS result matches the reference *)
 }
 
-val fir : ?seed:int -> unit -> t
-(** The paper's benchmark (16 taps, 64 samples). *)
-
-val dot_product : ?seed:int -> unit -> t
-(** 64-element dot product — multiplier-heavy. *)
-
-val iir_biquad : ?seed:int -> unit -> t
-(** Direct-form-I biquad over 48 samples — feedback-limited ILP. *)
-
-val vector_max : ?seed:int -> unit -> t
-(** Running maximum of 96 elements — compare/branch-heavy, no
-    multiplies. *)
-
-val memcpy : ?seed:int -> unit -> t
-(** 96-word block copy — pure load/store streaming. *)
-
 val all : unit -> t list
+(** The five workloads, seeded 3 to 7 in this order: the paper's FIR
+    (16 taps, 64 samples); a 64-element dot product (multiplier-heavy);
+    a direct-form-I biquad over 48 samples (feedback-limited ILP); a
+    running maximum of 96 elements (compare/branch-heavy, no
+    multiplies); a 96-word block copy (pure load/store streaming). *)

@@ -102,7 +102,7 @@ let run_sampling ?pool (t : Flow.t) ~mode (scfg : Wafer.sampling_config) =
   let pi_g = 1.0 /. float_of_int groups in
   let combine m =
     let mid, hw =
-      Smart_sampling.combine ~confidence:scfg.Wafer.s_confidence
+      Smart_sampling.combine ~confidence:Wafer.confidence
         (Array.map (fun ga -> (pi_g, ga.ga_metrics.(m))) gaccs)
     in
     { Wafer.mid; hw }

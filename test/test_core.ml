@@ -410,7 +410,25 @@ let test_stage_fires_once () =
         (name ^ " appears in trace")
         true
         (Trace.find (Flow.trace t) name <> None))
-    [ "design"; "placement"; "sizing"; "sta"; "timing"; "scenarios" ]
+    [ "design"; "placement"; "sizing"; "sta"; "timing"; "ladder" ]
+
+(* The CLI runs each command under a span named by the command, and
+   [Experiments.all] each exhibit under a span named by its registry
+   key: a stage of the same name would put the name in a trace twice,
+   and [Trace.duplicates] would no longer mean "a stage ran twice". *)
+let test_stage_names_not_commands () =
+  let t, _ = Lazy.force env in
+  ignore (Flow.scenarios t);
+  let commands =
+    [ "all"; "summary"; "dump"; "wafer"; "compare" ]
+    @ List.map (fun (n, _, _) -> n) Experiments.exhibits
+  in
+  let clashes =
+    List.filter_map
+      (fun s -> if List.mem s.Trace.name commands then Some s.Trace.name else None)
+      (Trace.spans (Flow.trace t))
+  in
+  Alcotest.(check (list string)) "no stage named like a command" [] clashes
 
 (* A span's deps are the stages its compute forced: the shifter stage
    reads the design's capture map, so it lists [design] too. *)
@@ -584,6 +602,8 @@ let suite =
       Alcotest.test_case "vdd via shifted design" `Quick test_vdd_assignment_via_shifted;
       Alcotest.test_case "degradation bounded" `Quick test_degradation_bounded;
       Alcotest.test_case "stage fires at most once" `Quick test_stage_fires_once;
+      Alcotest.test_case "stage names are not commands" `Quick
+        test_stage_names_not_commands;
       Alcotest.test_case "shifters deps list design" `Quick test_shifters_deps;
       Alcotest.test_case "no downstream recompute" `Quick test_no_recompute_downstream;
       Alcotest.test_case "mc positions computed once (fig3, scenarios)" `Quick

@@ -412,19 +412,6 @@ let test_compare_one_sided () =
   Alcotest.(check bool) "base only" true (verdict "old-only" = BC.Base_only);
   Alcotest.(check bool) "new only" true (verdict "new-only" = BC.New_only)
 
-let test_compare_schema1_fallback () =
-  let legacy =
-    Result.get_ok
-      (Json.of_string
-         {|{"kernels_ns_per_run": {"alpha": 100.0, "beta": 2000.0}}|})
-  in
-  let r = Result.get_ok (BC.compare ~base:legacy ~next:legacy ()) in
-  Alcotest.(check int) "both kernels read" 2 (List.length r.BC.lines);
-  Alcotest.(check (list string)) "self-compare clean" [] (BC.regressions r);
-  match BC.compare ~base:(Json.Obj []) ~next:legacy () with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "kernel-free file accepted"
-
 (* The CLI exit codes CI gates on: 0 on a clean compare, 1 on a
    significant regression. *)
 let test_compare_cli_exit_codes () =
@@ -578,8 +565,6 @@ let suite =
         test_compare_one_sided;
       Alcotest.test_case "compare: single-pair caveat rendered" `Quick
         test_compare_render_caveat;
-      Alcotest.test_case "compare: schema-1 fallback" `Quick
-        test_compare_schema1_fallback;
       Alcotest.test_case "compare: cli exit codes" `Slow
         test_compare_cli_exit_codes;
       Alcotest.test_case "cli rejects non-positive counts" `Quick

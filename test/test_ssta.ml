@@ -251,8 +251,6 @@ let test_scenario_classification () =
   (* With an absurdly large clock nothing violates... *)
   let sc = Scenario.classify ~clock:1e9 r in
   Alcotest.(check int) "no violation at huge clock" 0 sc.Scenario.index;
-  Alcotest.(check bool) "worst_violation zero" true
-    (Scenario.worst_violation sc = 0.0);
   (* ...and with a tiny clock every analyzed stage violates. *)
   let sc2 = Scenario.classify ~clock:1e-9 r in
   Alcotest.(check int) "all violate at tiny clock" 3 sc2.Scenario.index;
@@ -307,8 +305,8 @@ let test_analytic_clark_max () =
   let acc = Pvtol_util.Stream_stats.Welford.create () in
   let a = { An.mean = 1.0; var = 0.04 } and b = { An.mean = 1.1; var = 0.09 } in
   for _ = 1 to 40_000 do
-    let x = Pvtol_util.Srng.gaussian_mu_sigma rng ~mu:a.An.mean ~sigma:(sqrt a.An.var) in
-    let y = Pvtol_util.Srng.gaussian_mu_sigma rng ~mu:b.An.mean ~sigma:(sqrt b.An.var) in
+    let x = a.An.mean +. (sqrt a.An.var *. Pvtol_util.Srng.gaussian rng) in
+    let y = b.An.mean +. (sqrt b.An.var *. Pvtol_util.Srng.gaussian rng) in
     Pvtol_util.Stream_stats.Welford.add acc (Float.max x y)
   done;
   let m = An.clark_max a b in

@@ -262,11 +262,6 @@ let test_clock_tree () =
   Alcotest.(check bool) "skew below 10% of clock" true
     (ct.CT.skew < 0.1 *. r.Sta.worst)
 
-let test_wireload_model () =
-  let nl = chain_netlist 1 in
-  let n0 = Sta.wireload_model nl 0 in
-  Alcotest.(check bool) "wireload positive" true (n0 > 0.0)
-
 let qcheck = QCheck_alcotest.to_alcotest
 
 let test_analyze_into_matches_analyze () =
@@ -666,5 +661,4 @@ let suite =
       Alcotest.test_case "uniform skew invisible" `Quick test_uniform_skew_is_invisible;
       Alcotest.test_case "capture skew relaxes" `Quick test_capture_skew_relaxes_endpoint;
       Alcotest.test_case "clock tree" `Quick test_clock_tree;
-      Alcotest.test_case "wireload model" `Quick test_wireload_model;
     ] )

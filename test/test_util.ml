@@ -256,7 +256,7 @@ let test_gamma_identities () =
 
 let test_fit_gaussian_accepted () =
   let g = Srng.create 21 in
-  let xs = Array.init 2000 (fun _ -> Srng.gaussian_mu_sigma g ~mu:10.0 ~sigma:2.0) in
+  let xs = Array.init 2000 (fun _ -> 10.0 +. (2.0 *. Srng.gaussian g)) in
   let normal, gof = Fit.fit_and_test xs in
   check_approx ~eps:0.15 "fit mu" 10.0 normal.Fit.mu;
   check_approx ~eps:0.15 "fit sigma" 2.0 normal.Fit.sigma;
@@ -296,12 +296,8 @@ let test_geom_basics () =
   Alcotest.(check bool) "contains inside" true (Geom.contains r (Geom.point 1.0 1.0));
   Alcotest.(check bool) "lower edge closed" true (Geom.contains r (Geom.point 0.0 0.0));
   Alcotest.(check bool) "upper edge open" false (Geom.contains r (Geom.point 4.0 1.0));
-  let r2 = Geom.rect ~llx:3.0 ~lly:1.0 ~urx:5.0 ~ury:3.0 in
-  Alcotest.(check bool) "intersects" true (Geom.intersects r r2);
-  (match Geom.inter r r2 with
-  | Some i -> check_approx "intersection area" 1.0 (Geom.area i)
-  | None -> Alcotest.fail "expected intersection");
-  Alcotest.(check bool) "subsumes" true (Geom.subsumes (Geom.expand r 1.0) r)
+  Alcotest.(check bool) "subsumes" true
+    (Geom.subsumes (Geom.rect ~llx:(-1.0) ~lly:(-1.0) ~urx:5.0 ~ury:3.0) r)
 
 let test_geom_partition_property =
   QCheck.Test.make ~name:"half-split assigns each point to exactly one side"
