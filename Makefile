@@ -11,12 +11,13 @@ build:
 test:
 	dune build && dune runtest
 
-# Full benchmark/reproduction suite (slow: full-size design flow).
+# Kernel micro-benchmarks on the full-size design (slow), writing
+# BENCH_ssta.json; end-to-end command timings are perfbench/'s.
 bench:
 	dune exec bench/main.exe -- kernels --json
 
-# CI smoke test for the parallel SSTA path: scaled-down design, kernel
-# micro-benchmarks, serial-vs-parallel Monte-Carlo throughput, and a
+# CI smoke test of the kernel bench: scaled-down design, kernel
+# micro-benchmarks, telemetry overhead and sampling calibration, and a
 # fresh BENCH_ssta.json in the working directory.
 bench-quick:
 	dune exec bench/main.exe -- --quick kernels --json
@@ -31,17 +32,16 @@ bench-compare:
 	  BENCH_new.json --threshold 10 --out bench-compare.md
 
 # Quick stage-graph trace: runs the scaled-down flow and prints the
-# span report (stage, wall clock, allocation, dependencies) to stderr,
-# leaving trace.json in the working directory.
+# span report (stage, wall clock, allocation, dependencies) to stderr.
 trace-quick:
 	dune exec bin/pvtol.exe -- --quick --trace
 
 # Telemetry smoke: run the scaled-down scenarios exhibit with metrics
-# on, leaving metrics.json and a Chrome trace (chrome://tracing /
-# Perfetto) in the working directory.
+# on, leaving the run ledger run.json (metrics and stage spans) and a
+# Chrome trace (chrome://tracing / Perfetto) in the working directory.
 telemetry-quick:
 	dune exec bin/pvtol.exe -- scenarios --quick \
-	  --metrics-out metrics.json --trace-chrome trace-chrome.json
+	  --run-ledger run.json --trace-chrome trace-chrome.json
 
 # `dune build @fmt` needs the ocamlformat binary; skip gracefully where
 # it isn't installed (see .ocamlformat).

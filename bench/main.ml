@@ -2,8 +2,8 @@
 
    Usage:
      bench/main.exe kernels         -- Bechamel micro-benchmarks + the
-                                        serial-vs-parallel Monte-Carlo
-                                        throughput report
+                                        telemetry-overhead and sampling
+                                        calibration reports
      bench/main.exe kernels --json  -- also write BENCH_ssta.json (perf
                                         trajectory for future changes)
      bench/main.exe ... --out FILE  -- write the JSON somewhere else
@@ -20,15 +20,13 @@
    Table 2, and a power pass for Figs. 5-6), plus the set-up layers:
    timing closure on the unsized design and the placer's
    force-directed phase, both on the quick design.  Kernel lines
-   are printed sorted by name so runs diff cleanly.  [Monte_carlo.run]
-   is additionally timed end-to-end with a 1-domain pool and with
-   the shared pool (PVTOL_DOMAINS / Domain.recommended_domain_count) to
-   report the parallel speedup; both runs produce bit-identical
-   samples.
+   are printed sorted by name so runs diff cleanly.  End-to-end
+   command timings (flow, wafer census, compare, tail yield) belong to
+   perfbench/.
 
    Every timing is statistical: kernels report the OLS point estimate
    plus a CI half-width over the raw per-sample times, and the
-   throughput sections repeat their runs and report mean +- CI
+   telemetry section repeats its runs and reports mean +- CI
    (Stream_stats.Welford).  The JSON file is schema-versioned
    ("schema": 2, per-kernel {ns, ci, n}) so `pvtol bench compare` can
    gate regressions against the committed baseline using the CIs
@@ -72,7 +70,7 @@ let context ~quick () =
 (* ------------------------------------------------------------------ *)
 (* Repeated statistical timings                                         *)
 
-(* Every throughput section repeats its timed run and reports the mean,
+(* A throughput section repeats its timed run and reports the mean,
    the normal-theory CI half-width and the repeat count, so comparisons
    between bench files can tell a real shift from run-to-run noise. *)
 type tput = { t_mean : float; t_ci : float; t_reps : int }
@@ -85,16 +83,6 @@ let tput_of w =
     t_reps = n;
   }
 
-(* One warm-up run (cold stage computes, page faults) then [reps] timed
-   repeats folded into a Welford accumulator. *)
-let timed_reps ~reps run =
-  ignore (run ());
-  let w = Welford.create () in
-  for _ = 1 to reps do
-    Welford.add w (run ())
-  done;
-  tput_of w
-
 let tput_json ~rate_key t =
   Json.Obj
     [
@@ -104,119 +92,6 @@ let tput_json ~rate_key t =
     ]
 
 let pp_tput t = Printf.sprintf "%10.1f ± %.1f (n=%d)" t.t_mean t.t_ci t.t_reps
-
-(* ------------------------------------------------------------------ *)
-(* Monte-Carlo throughput: serial vs parallel                           *)
-
-type mc_report = {
-  mc_samples : int;
-  domains : int;
-  serial : tput;    (* samples / second, 1-domain pool *)
-  parallel : tput;  (* samples / second, shared pool *)
-}
-
-(* The ratio of two 1-domain runs is noise, not a speedup: [None]. *)
-let speedup ~domains ~parallel ~serial =
-  if domains > 1 then Some (parallel.t_mean /. serial.t_mean) else None
-
-let mc_speedup r = speedup ~domains:r.domains ~parallel:r.parallel ~serial:r.serial
-
-let pp_speedup = function
-  | Some s -> Printf.sprintf "%.2fx" s
-  | None -> "n/a (1 domain)"
-
-let speedup_json = function Some s -> Json.Float s | None -> Json.Null
-
-let mc_throughput ~quick () =
-  let t = context ~quick () in
-  let samples = (Flow.config t).Flow.mc_samples in
-  let seed = (Flow.config t).Flow.mc_seed in
-  let time_run ~pool () =
-    let t0 = Unix.gettimeofday () in
-    let r =
-      List.hd
-        (MC.run
-           ~config:{ MC.samples; seed }
-           ~pool ~sampler:(Flow.sampler t) ~sta:(Flow.sta t)
-           ~placement:(Flow.placement t) [ MC.job Position.point_b ])
-    in
-    let dt = Unix.gettimeofday () -. t0 in
-    (float_of_int samples /. dt, r)
-  in
-  let serial_pool = Pool.create ~domains:1 () in
-  let _, r1 = time_run ~pool:serial_pool () in
-  let serial = timed_reps ~reps:4 (fun () -> fst (time_run ~pool:serial_pool ())) in
-  Pool.shutdown serial_pool;
-  let pool = Pool.shared () in
-  let _, r2 = time_run ~pool () in
-  if r1.MC.worst_samples <> r2.MC.worst_samples then
-    failwith "mc-parallel: samples differ from the 1-domain run";
-  let parallel = timed_reps ~reps:4 (fun () -> fst (time_run ~pool ())) in
-  { mc_samples = samples; domains = Pool.domains pool; serial; parallel }
-
-let print_mc_report r =
-  Printf.printf
-    "\nMonte-Carlo SSTA throughput (%d samples, bit-identical results):\n\
-    \  mc-serial    (1 domain)    %s samples/s\n\
-    \  mc-parallel  (%d domains)  %s samples/s\n\
-    \  speedup: %s\n%!"
-    r.mc_samples (pp_tput r.serial) r.domains (pp_tput r.parallel)
-    (pp_speedup (mc_speedup r))
-
-(* ------------------------------------------------------------------ *)
-(* Wafer-sweep throughput: serial vs parallel, dies / second            *)
-
-type wafer_report = {
-  wafer_dies : int;
-  wafer_grid : int * int;
-  wafer_domains : int;
-  wafer_serial : tput;    (* dies / second, 1-domain pool *)
-  wafer_parallel : tput;  (* dies / second, shared pool *)
-}
-
-let wafer_speedup r =
-  speedup ~domains:r.wafer_domains ~parallel:r.wafer_parallel ~serial:r.wafer_serial
-
-let wafer_throughput ~quick () =
-  let t = context ~quick () in
-  let v = Flow.variant t Island.Vertical in
-  let cfg =
-    if quick then { Wafer.default_config with Wafer.nx = 6; ny = 6; dies_per_cell = 8 }
-    else Wafer.default_config
-  in
-  let time_run ~pool () =
-    let t0 = Unix.gettimeofday () in
-    let s = Wafer.run ~pool t v cfg in
-    let dt = Unix.gettimeofday () -. t0 in
-    (float_of_int s.Wafer.dies /. dt, s)
-  in
-  let serial_pool = Pool.create ~domains:1 () in
-  let _, s1 = time_run ~pool:serial_pool () in
-  let wafer_serial =
-    timed_reps ~reps:2 (fun () -> fst (time_run ~pool:serial_pool ()))
-  in
-  Pool.shutdown serial_pool;
-  let pool = Pool.shared () in
-  let _, s2 = time_run ~pool () in
-  if s1 <> s2 then failwith "wafer-parallel: sweep differs from the 1-domain run";
-  let wafer_parallel = timed_reps ~reps:2 (fun () -> fst (time_run ~pool ())) in
-  {
-    wafer_dies = s1.Wafer.dies;
-    wafer_grid = (cfg.Wafer.nx, cfg.Wafer.ny);
-    wafer_domains = Pool.domains pool;
-    wafer_serial;
-    wafer_parallel;
-  }
-
-let print_wafer_report r =
-  let nx, ny = r.wafer_grid in
-  Printf.printf
-    "\nWafer sweep throughput (%dx%d grid, %d dies, bit-identical results):\n\
-    \  wafer-serial    (1 domain)    %s dies/s\n\
-    \  wafer-parallel  (%d domains)  %s dies/s\n\
-    \  speedup: %s\n%!"
-    nx ny r.wafer_dies (pp_tput r.wafer_serial) r.wafer_domains
-    (pp_tput r.wafer_parallel) (pp_speedup (wafer_speedup r))
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry overhead: MC throughput with metrics off vs on             *)
@@ -646,10 +521,10 @@ let kernel_estimates ~quick () =
      report is stable run to run. *)
   List.sort (fun (a, _) (b, _) -> String.compare a b) rows
 
-(* Schema 2: every kernel line is {ns, ci, n} (or null), every
+(* Schema 2: every kernel line is {ns, ci, n} (or null), the
    throughput section carries its CI, so `pvtol bench compare` can gate
    regressions statistically instead of on bare point estimates. *)
-let bench_json rows mc wf tel smp =
+let bench_json rows tel smp =
   let kernels =
     List.map
       (fun (name, est) ->
@@ -665,30 +540,10 @@ let bench_json rows mc wf tel smp =
               ] ))
       rows
   in
-  let nx, ny = wf.wafer_grid in
   Json.Obj
     [
       ("schema", Json.Int 2);
       ("kernels", Json.Obj kernels);
-      ( "monte_carlo",
-        Json.Obj
-          [
-            ("samples", Json.Int mc.mc_samples);
-            ("domains", Json.Int mc.domains);
-            ("serial", tput_json ~rate_key:"samples_per_sec" mc.serial);
-            ("parallel", tput_json ~rate_key:"samples_per_sec" mc.parallel);
-            ("speedup", speedup_json (mc_speedup mc));
-          ] );
-      ( "wafer",
-        Json.Obj
-          [
-            ("grid", Json.Str (Printf.sprintf "%dx%d" nx ny));
-            ("dies", Json.Int wf.wafer_dies);
-            ("domains", Json.Int wf.wafer_domains);
-            ("serial", tput_json ~rate_key:"dies_per_sec" wf.wafer_serial);
-            ("parallel", tput_json ~rate_key:"dies_per_sec" wf.wafer_parallel);
-            ("speedup", speedup_json (wafer_speedup wf));
-          ] );
       ( "telemetry",
         Json.Obj
           [
@@ -720,8 +575,8 @@ let bench_json rows mc wf tel smp =
           @ [ ("vrf_is_over_mc", Json.Float smp.sc_vrf) ]) );
     ]
 
-let write_json ~file rows mc wf tel smp =
-  Json.write_file file (bench_json rows mc wf tel smp);
+let write_json ~file rows tel smp =
+  Json.write_file file (bench_json rows tel smp);
   Printf.printf "[wrote %s]\n%!" file
 
 let print_kernel_rows rows =
@@ -752,15 +607,11 @@ let warn_missing rows =
 let kernels ~quick ~json ~out () =
   let rows = kernel_estimates ~quick () in
   print_kernel_rows rows;
-  let mc = mc_throughput ~quick () in
-  print_mc_report mc;
-  let wf = wafer_throughput ~quick () in
-  print_wafer_report wf;
   let tel = telemetry_throughput ~quick () in
   print_telemetry_report tel;
   let smp = sampling_calibration ~quick () in
   print_sampling_calibration smp;
-  if json then write_json ~file:out rows mc wf tel smp;
+  if json then write_json ~file:out rows tel smp;
   if warn_missing rows then 1 else 0
 
 (* ------------------------------------------------------------------ *)

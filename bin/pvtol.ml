@@ -51,13 +51,11 @@ let seed =
   let doc = "Random seed for the Monte-Carlo and stimulus streams." in
   Arg.(value & opt (some int) None & info [ "seed" ] ~doc)
 
-(* The six flags every command takes: the design size and the run
+(* The four flags every command takes: the design size and the run
    artifacts. *)
 type common = {
   quick : bool;
   trace : bool;
-  trace_out : string;
-  metrics_out : string option;
   trace_chrome : string option;
   run_ledger : string option;
 }
@@ -71,25 +69,13 @@ let common =
     let doc =
       "Report the stage graph after the run: every pipeline stage that \
        was computed, its wall-clock time, heap allocation and \
-       dependencies (to stderr), and write the same spans as \
-       $(b,trace.json)."
+       dependencies (to stderr).  $(b,--run-ledger) records the same \
+       spans as JSON."
     in
     Arg.(value & flag & info [ "trace" ] ~doc)
   in
-  let trace_out =
-    let doc = "File the JSON trace is written to when $(b,--trace) is set." in
-    Arg.(
-      value & opt string "trace.json" & info [ "trace-out" ] ~doc ~docv:"FILE")
-  in
   let file_opt name doc =
     Arg.(value & opt (some string) None & info [ name ] ~doc ~docv:"FILE")
-  in
-  let metrics_out =
-    file_opt "metrics-out"
-      "Enable the metrics registry and write a snapshot to $(docv) after \
-       the run (Prometheus text if the name ends in .prom or .txt, JSON \
-       otherwise).  Also prints a one-line summary of the non-zero \
-       counters to stderr."
   in
   let trace_chrome =
     file_opt "trace-chrome"
@@ -98,18 +84,18 @@ let common =
   in
   let run_ledger =
     file_opt "run-ledger"
-      "Write a run ledger to $(docv) after the run: version and git \
-       revision, argv and configuration, wall/CPU time, GC totals, \
-       per-stage time/allocation attribution, pool worker-idle totals and \
-       an MD5 digest of every emitted report.  Render it with \
-       $(b,pvtol report FILE).  Implies metrics collection."
+      "Enable the metrics registry and write a run ledger to $(docv) after \
+       the run: version and git revision, argv and configuration, \
+       wall/CPU time, GC totals, per-stage time/allocation attribution \
+       (the $(b,--trace) spans), pool worker-idle totals, the metrics \
+       snapshot and an MD5 digest of every emitted report.  Also prints a \
+       one-line summary of the non-zero counters to stderr.  Render it \
+       with $(b,pvtol report FILE)."
   in
-  let make quick trace trace_out metrics_out trace_chrome run_ledger =
-    { quick; trace; trace_out; metrics_out; trace_chrome; run_ledger }
+  let make quick trace trace_chrome run_ledger =
+    { quick; trace; trace_chrome; run_ledger }
   in
-  Term.(
-    const make $ quick $ trace $ trace_out $ metrics_out $ trace_chrome
-    $ run_ledger)
+  Term.(const make $ quick $ trace $ trace_chrome $ run_ledger)
 
 (* Run command [name]'s body [f] on a fresh flow handle, under one
    trace span named [name].  Then write every requested artifact, also
@@ -119,7 +105,7 @@ let common =
    line and exits 2; any other exception escapes.  [f] receives the
    run-ledger collector so commands can digest the reports they emit. *)
 let with_flow ~name ?samples ?seed c f =
-  if c.metrics_out <> None || c.run_ledger <> None then Metrics.set_enabled true;
+  if c.run_ledger <> None then Metrics.set_enabled true;
   let config = if c.quick then Flow.quick_config else Flow.default_config in
   let config =
     { config with
@@ -146,21 +132,13 @@ let with_flow ~name ?samples ?seed c f =
         Format.eprintf "%s written to %s@." what file)
   in
   attempt (fun () -> Trace.span trace ~name (fun () -> f ~ledger t));
-  if c.trace then
-    write "trace"
-      (fun file ->
-        Trace.write_json trace file;
-        Format.eprintf "%a@?" Trace.pp trace)
-      c.trace_out;
+  if c.trace then Format.eprintf "%a@?" Trace.pp trace;
   Option.iter (write "chrome trace" (Trace.write_chrome_json trace)) c.trace_chrome;
   Option.iter
-    (write "metrics" (fun file ->
-         Metrics.write ~file;
-         Format.eprintf "%s@." (Metrics.summary_line (Metrics.snapshot ()))))
-    c.metrics_out;
-  Option.iter
     (write "run ledger" (fun file ->
-         Runinfo.write ~trace ~metrics:(Metrics.snapshot ()) ledger ~file))
+         let metrics = Metrics.snapshot () in
+         Runinfo.write ~trace ~metrics ledger ~file;
+         Format.eprintf "%s@." (Metrics.summary_line metrics)))
     c.run_ledger;
   let fail m =
     Format.eprintf "pvtol: %s@." m;

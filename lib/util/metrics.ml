@@ -242,37 +242,6 @@ let to_value (snap : snapshot) =
       ("histograms", Json.Obj histograms);
     ]
 
-let to_json snap = Json.to_string (to_value snap)
-
-let prom_float f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.9g" f
-
-let to_prometheus (snap : snapshot) =
-  let buf = Buffer.create 1024 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  List.iter
-    (fun (name, v) ->
-      match v with
-      | Counter c ->
-        add "# TYPE %s counter\n%s %d\n" name name c
-      | Histogram h ->
-        add "# TYPE %s histogram\n" name;
-        let cum = ref 0 in
-        Array.iteri
-          (fun i c ->
-            cum := !cum + c;
-            let le =
-              if i < Array.length h.buckets then
-                Printf.sprintf "%g" h.buckets.(i)
-              else "+Inf"
-            in
-            add "%s_bucket{le=\"%s\"} %d\n" name le !cum)
-          h.counts;
-        add "%s_sum %s\n%s_count %d\n" name (prom_float h.sum) name h.count)
-    snap;
-  Buffer.contents buf
-
 let summary_line (snap : snapshot) =
   let parts =
     List.filter_map
@@ -283,11 +252,3 @@ let summary_line (snap : snapshot) =
   in
   "metrics: "
   ^ (match parts with [] -> "(no nonzero counters)" | _ -> String.concat " " parts)
-
-let write ~file =
-  let snap = snapshot () in
-  if Filename.check_suffix file ".prom" || Filename.check_suffix file ".txt"
-  then
-    Out_channel.with_open_text file (fun oc ->
-        output_string oc (to_prometheus snap))
-  else Json.write_file file (to_value snap)

@@ -13,8 +13,7 @@
     commutative addition, so deterministic workloads produce
     bit-identical counter values for every [PVTOL_DOMAINS] setting.
 
-    Enable with {!set_enabled} (the CLI does this for [--metrics-out]
-    and [--run-ledger]).
+    Enable with {!set_enabled} (the CLI does this for [--run-ledger]).
 
     Metric names must match [[a-zA-Z_][a-zA-Z0-9_]*] (the Prometheus
     charset).  Registering the same name twice returns the existing
@@ -73,22 +72,11 @@ type snapshot = (string * value) list
 
 val snapshot : unit -> snapshot
 
-val to_json : snapshot -> string
-(** [{"counters": {..}, "histograms": {..}}]; histogram
-    buckets carry non-cumulative counts and a ["+Inf"] overflow. *)
-
 val to_value : snapshot -> Json.t
-(** The {!to_json} payload as a {!Json} tree, for embedding inside a
-    larger document (the run ledger). *)
-
-val to_prometheus : snapshot -> string
-(** Prometheus text exposition format; histogram buckets are
-    cumulative with the standard [le] label. *)
+(** [{"counters": {..}, "histograms": {..}}] — the run ledger's
+    [metrics] object; histogram buckets carry non-cumulative counts
+    and a ["+Inf"] overflow. *)
 
 val summary_line : snapshot -> string
-(** One line of the nonzero counters, name-sorted — the footer exhibits
-    print when metrics are on. *)
-
-val write : file:string -> unit
-(** Snapshot the registry and write it to [file]: Prometheus text if
-    the name ends in [.prom] or [.txt], JSON otherwise. *)
+(** One line of the nonzero counters, name-sorted — the footer the CLI
+    prints when metrics are on. *)

@@ -158,10 +158,6 @@ let span_json s =
       ("compactions", Json.Int s.compactions); ("ok", Json.Bool s.ok);
       ("domain", Json.Int s.domain) ]
 
-let json_value t = Json.Obj [ ("spans", Json.List (List.map span_json (spans t))) ]
-let to_json t = Json.to_string (json_value t)
-let write_json t file = Json.write_file file (json_value t)
-
 (* ------------------------------------------------------------------ *)
 (* Chrome trace-event export (chrome://tracing, Perfetto).  One
    complete ("X") event per span on the track of the domain that

@@ -63,13 +63,7 @@ val pp : Format.formatter -> t -> unit
 
 val span_json : span -> Json.t
 (** One span as a JSON object with every field of {!span} — the
-    element of {!to_json}'s [spans] list and of the run ledger's
-    [stages]. *)
-
-val to_json : t -> string
-(** [{"spans": [..]}] in completion order. *)
-
-val write_json : t -> string -> unit
+    element of the run ledger's [stages] list. *)
 
 val to_chrome_json : t -> string
 (** Chrome trace-event (chrome://tracing / Perfetto) JSON: an array of

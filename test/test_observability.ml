@@ -6,6 +6,7 @@
 module Json = Pvtol_util.Json
 module Trace = Pvtol_util.Trace
 module Runinfo = Pvtol_util.Runinfo
+module Metrics = Pvtol_util.Metrics
 module BC = Pvtol_util.Bench_compare
 
 let contains ~sub s =
@@ -89,17 +90,21 @@ let test_json_members () =
 
 (* --- Trace edge cases ---------------------------------------------- *)
 
+(* The run ledger is the trace's JSON export: its [stages] list. *)
+let ledger_of_trace t =
+  Runinfo.to_json ~trace:t (Runinfo.create ~argv:[ "pvtol"; "test" ] ())
+
 let test_trace_empty () =
   let t = Trace.create () in
   let report = Format.asprintf "%a" Trace.pp t in
   Alcotest.(check bool) "pp total renders" true
     (String.length report > 0);
-  (match Json.of_string (Trace.to_json t) with
+  (match Json.of_string (Json.to_string (ledger_of_trace t)) with
   | Ok (Json.Obj fields) ->
-    Alcotest.(check bool) "empty spans list" true
-      (List.assoc "spans" fields = Json.List [])
-  | Ok _ -> Alcotest.fail "trace JSON is not an object"
-  | Error e -> Alcotest.failf "empty trace JSON invalid: %s" e);
+    Alcotest.(check bool) "empty stages list" true
+      (List.assoc "stages" fields = Json.List [])
+  | Ok _ -> Alcotest.fail "ledger JSON is not an object"
+  | Error e -> Alcotest.failf "empty-trace ledger JSON invalid: %s" e);
   match Json.of_string (Trace.to_chrome_json t) with
   | Ok (Json.List events) ->
     (* Only the process-metadata event: no spans, no domain tracks. *)
@@ -152,9 +157,11 @@ let test_trace_gc_fields () =
     && s.Trace.major_collections >= 0
     && s.Trace.compactions >= 0 && s.Trace.promoted_words >= 0.0);
   (* The new fields must survive the JSON exporter. *)
-  let j = Result.get_ok (Json.of_string (Trace.to_json t)) in
+  let j =
+    Result.get_ok (Json.of_string (Json.to_string (ledger_of_trace t)))
+  in
   let span_j =
-    match Option.bind (Json.member "spans" j) Json.to_list with
+    match Option.bind (Json.member "stages" j) Json.to_list with
     | Some [ s ] -> s
     | _ -> Alcotest.fail "expected exactly one exported span"
   in
@@ -208,6 +215,40 @@ let test_ledger_roundtrip () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "render accepted a non-ledger"
 
+(* The ledger is the one machine-readable run record: its [metrics] is
+   the registry's JSON export of the same snapshot and its [stages] the
+   trace's spans in start order, field for field, after a round trip
+   through the file. *)
+let test_ledger_holds_exports () =
+  let c = Metrics.counter "test_ledger_counter" in
+  let h = Metrics.histogram "test_ledger_histo" ~buckets:[| 1.0; 2.0 |] in
+  Metrics.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Metrics.set_enabled false)
+    (fun () ->
+      Metrics.add c 3;
+      List.iter (Metrics.observe h) [ 0.5; 1.5; 9.0 ]);
+  let trace = Trace.create () in
+  (* The outer span completes last: completion order is not start
+     order. *)
+  Trace.span trace ~name:"outer" (fun () ->
+      Trace.span trace ~name:"inner" (fun () -> ());
+      Trace.span trace ~name:"second" (fun () -> ()));
+  let metrics = Metrics.snapshot () in
+  let file = Filename.temp_file "pvtol_ledger" ".json" in
+  Runinfo.write ~trace ~metrics
+    (Runinfo.create ~argv:[ "pvtol"; "test" ] ())
+    ~file;
+  let ledger = Result.get_ok (Json.read_file file) in
+  Sys.remove file;
+  let reread v = Result.get_ok (Json.of_string (Json.to_string v)) in
+  let field name = Option.get (Json.member name ledger) in
+  Alcotest.(check bool) "metrics = Metrics.to_value" true
+    (field "metrics" = reread (Metrics.to_value metrics));
+  let stages = List.map Trace.span_json (Trace.sort_by_start trace) in
+  Alcotest.(check bool) "stages = span_json in start order" true
+    (field "stages" = reread (Json.List stages))
+
 (* End-to-end: the same run under PVTOL_DOMAINS 1/2/4 must produce the
    same report bytes, so the ledger's artifact digests are identical —
    the result-first comparison the ledger exists for. *)
@@ -247,8 +288,8 @@ let test_ledger_domain_stability () =
 
 (* Every artifact the CLI can write must parse: the wafer, sampler and
    comparison reports (including the degenerate one-die-per-stratum
-   sampler, whose half-widths are undefined), the metrics snapshot, both
-   trace exports and the run ledger. *)
+   sampler, whose half-widths are undefined), the Chrome trace and the
+   run ledger. *)
 let test_cli_artifacts_parse () =
   let dir = Filename.temp_file "pvtol_artifacts" "" in
   Sys.remove dir;
@@ -272,15 +313,13 @@ let test_cli_artifacts_parse () =
   (match
      run
        (Printf.sprintf
-          "wafer --quick --grid 2x2 --dies 2 --json %s --metrics-out %s \
-           --trace --trace-out %s --trace-chrome %s --run-ledger %s"
-          (q (file "wafer.json")) (q (file "metrics.json"))
-          (q (file "trace.json")) (q (file "chrome.json"))
+          "wafer --quick --grid 2x2 --dies 2 --json %s --trace \
+           --trace-chrome %s --run-ledger %s"
+          (q (file "wafer.json")) (q (file "chrome.json"))
           (q (file "ledger.json")))
-       [ "wafer.json"; "metrics.json"; "trace.json"; "chrome.json";
-         "ledger.json" ]
+       [ "wafer.json"; "chrome.json"; "ledger.json" ]
    with
-  | [ _; _; _; _; ledger ] ->
+  | [ _; _; ledger ] ->
     (* The command's own span attributes the sweep's time. *)
     let names =
       Option.value ~default:[]
@@ -533,8 +572,7 @@ let test_cli_run_failures_exit_2 () =
           (String.concat "\n" lines))
     [ "wafer --quick --grid 2x2 --dies 1 --json " ^ bad;
       "fig2 --run-ledger " ^ bad;
-      "fig2 --metrics-out " ^ bad;
-      "fig2 --trace --trace-out " ^ bad;
+      "fig2 --trace-chrome " ^ bad;
       "dump --quick -o " ^ Filename.quote missing ];
   Sys.remove err
 
@@ -551,6 +589,8 @@ let suite =
       Alcotest.test_case "span gc deltas" `Quick test_trace_gc_fields;
       Alcotest.test_case "span self allocation" `Quick test_trace_self_alloc;
       Alcotest.test_case "ledger round-trip" `Quick test_ledger_roundtrip;
+      Alcotest.test_case "ledger holds the metrics and trace exports" `Quick
+        test_ledger_holds_exports;
       Alcotest.test_case "ledger digests vs PVTOL_DOMAINS" `Slow
         test_ledger_domain_stability;
       Alcotest.test_case "every cli artifact parses" `Slow

@@ -143,7 +143,12 @@ let test_trace_json () =
   let up = Sg.node g ~name:"up" (fun () -> ()) in
   let a = Sg.node g ~name:"stage one" (fun () -> Sg.get up) in
   Sg.get a;
-  let json = Trace.to_json (Sg.trace g) in
+  let json =
+    Pvtol_util.(
+      Json.to_string
+        (Runinfo.to_json ~trace:(Sg.trace g)
+           (Runinfo.create ~argv:[ "pvtol"; "test" ] ())))
+  in
   List.iter
     (fun needle ->
       Alcotest.(check bool)

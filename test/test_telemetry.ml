@@ -7,6 +7,12 @@ module Log = Pvtol_util.Log
 module Trace = Pvtol_util.Trace
 module Pool = Pvtol_util.Pool
 module Srng = Pvtol_util.Srng
+module Json = Pvtol_util.Json
+module Runinfo = Pvtol_util.Runinfo
+
+(* A run ledger over [trace] and [metrics] — their one JSON export. *)
+let ledger ?trace ?metrics () =
+  Runinfo.to_json ?trace ?metrics (Runinfo.create ~argv:[ "pvtol"; "test" ] ())
 
 (* Every test that enables metrics must restore the disabled default,
    also on failure: later tests assert the zero-cost path. *)
@@ -218,7 +224,7 @@ let test_exports () =
       Metrics.observe h 1.5;
       Metrics.observe h 9.0);
   let snap = Metrics.snapshot () in
-  let json = Metrics.to_json snap in
+  let json = Json.to_string (ledger ~metrics:snap ()) in
   let has needle hay =
     let nl = String.length needle and hl = String.length hay in
     let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
@@ -227,12 +233,6 @@ let test_exports () =
   Alcotest.(check bool) "json has counter" true
     (has "\"test_export_counter\"" json);
   Alcotest.(check bool) "json has +Inf bucket" true (has "\"+Inf\"" json);
-  let prom = Metrics.to_prometheus snap in
-  Alcotest.(check bool) "prom has TYPE line" true
-    (has "# TYPE test_export_counter counter" prom);
-  (* Cumulative le buckets: 1 at le=1, 2 at le=2, 3 at +Inf. *)
-  Alcotest.(check bool) "prom buckets cumulative" true
-    (has "test_export_histo_bucket{le=\"+Inf\"} 3" prom);
   Alcotest.(check bool) "summary has nonzero counter" true
     (has "test_export_counter=1" (Metrics.summary_line snap))
 
@@ -322,7 +322,7 @@ let count_occurrences needle hay =
 
 let test_trace_json_domain () =
   let tr = make_trace () in
-  let json = Trace.to_json tr in
+  let json = Json.to_string (ledger ~trace:tr ()) in
   Alcotest.(check int) "every span has a domain field" 3
     (count_occurrences "\"domain\":" json);
   List.iter
@@ -365,7 +365,7 @@ let suite =
         test_disabled_path_allocates_nothing;
       Alcotest.test_case "compensation counters" `Quick
         test_compensation_counters;
-      Alcotest.test_case "json/prometheus/summary exports" `Quick test_exports;
+      Alcotest.test_case "ledger/summary exports" `Quick test_exports;
       Alcotest.test_case "log level filtering" `Quick test_log_levels;
       Alcotest.test_case "log level parsing" `Quick test_log_level_of_string;
       Alcotest.test_case "warn_once fires once under a race" `Quick
