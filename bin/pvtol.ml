@@ -548,7 +548,7 @@ let report_cmd =
   let run file =
     match Json.read_file file with
     | Error e ->
-      Printf.eprintf "pvtol report: %s\n" e;
+      Printf.eprintf "pvtol report: %s: %s\n" file e;
       exit 1
     | Ok j -> (
       match Runinfo.render j with
@@ -581,9 +581,14 @@ let bench_compare_cmd =
        when its delta exceeds both $(docv) and the combined CI \
        half-widths of the two runs."
     in
+    let pct =
+      checked_conv Arg.float
+        ~ok:(fun x -> Float.is_finite x && x >= 0.0)
+        ~what:"not a finite value >= 0"
+    in
     Arg.(
       value
-      & opt float Bench_compare.default_threshold_pct
+      & opt pct Bench_compare.default_threshold_pct
       & info [ "threshold" ] ~doc ~docv:"PCT")
   in
   let out =

@@ -5,7 +5,6 @@
 module Sg = Stage
 module Trace = Pvtol_util.Trace
 module Metrics = Pvtol_util.Metrics
-module Log = Pvtol_util.Log
 open Pvtol_netlist
 module Vex_core = Pvtol_vex.Vex_core
 module Floorplan = Pvtol_place.Floorplan
@@ -123,8 +122,6 @@ let trace_stimulus config netlist words =
 
 let prepare ?(config = default_config) () =
   Metrics.incr m_prepares;
-  Log.debug "flow: preparing stage graph (mc_samples=%d, place_seed=%d)"
-    config.mc_samples place_seed;
   let g = Sg.create () in
   let design_n =
     Sg.node g ~name:"design" (fun () -> Vex_core.build config.vex)

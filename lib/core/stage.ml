@@ -173,15 +173,6 @@ let node g ~name compute =
 let name n = n.name
 let get n = force_cell n.graph n.cell ~name:n.name n.compute
 
-let result n =
-  match get n with v -> Ok v | exception Stage_error e -> Error e
-
-let peek n =
-  Mutex.lock n.cell.lock;
-  let v = match n.cell.state with Done v -> Some v | _ -> None in
-  Mutex.unlock n.cell.lock;
-  v
-
 type ('k, 'a) keyed = {
   kgraph : graph;
   kname : string;
@@ -245,17 +236,3 @@ let get_keyed_many k keys =
     cells
 
 let get_keyed k key = List.hd (get_keyed_many k [ key ])
-
-let result_keyed k key =
-  match get_keyed k key with v -> Ok v | exception Stage_error e -> Error e
-
-let computed_keys k =
-  Mutex.lock k.table_lock;
-  let keys =
-    Hashtbl.fold
-      (fun label cell acc ->
-        match cell.state with Done _ -> label :: acc | _ -> acc)
-      k.table []
-  in
-  Mutex.unlock k.table_lock;
-  List.sort String.compare keys

@@ -61,13 +61,6 @@ val get : 'a node -> 'a
 (** Force the node: compute on first use, memoized thereafter.
     Raises {!Stage_error} if this node (or a dependency) failed. *)
 
-val result : 'a node -> ('a, error) result
-(** Like {!get} but returns the stage error instead of raising. *)
-
-val peek : 'a node -> 'a option
-(** The memoized value if the node has already completed; never
-    computes. *)
-
 (** {2 Keyed nodes} *)
 
 type ('k, 'a) keyed
@@ -104,8 +97,3 @@ val get_keyed_many : ('k, 'a) keyed -> 'k list -> 'a list
     computing them.  A compute that forces one of its own keys raises a
     dependency-cycle {!Stage_error}.  [get_keyed k key] is
     [get_keyed_many k [key]]. *)
-
-val result_keyed : ('k, 'a) keyed -> 'k -> ('a, error) result
-
-val computed_keys : ('k, 'a) keyed -> string list
-(** Labels of the instances computed so far (sorted). *)

@@ -13,33 +13,56 @@ type report = { threshold_pct : float; lines : line list }
 
 let default_threshold_pct = 2.0
 
-let est_of_json = function
-  | Json.Obj _ as o -> (
-    match Option.bind (Json.member "ns" o) Json.to_float with
-    | None -> None
-    | Some ns ->
-      let ci =
-        Option.value ~default:0.0
-          (Option.bind (Json.member "ci" o) Json.to_float)
+(* One kernel's estimate: [None] for the bench's [null] (no estimate),
+   else a finite mean > 0, a finite CI half-width >= 0 (0 when absent)
+   and a sample count >= 1 (1 when absent). *)
+let est_of_json name v =
+  let field f conv ~absent ~ok ~what =
+    match Option.map conv (Json.member f v) with
+    | None -> Option.to_result ~none:what absent
+    | Some (Some x) when ok x -> Ok x
+    | Some _ -> Error what
+  in
+  let ( let* ) = Result.bind in
+  Result.map_error (Printf.sprintf "kernel %S: %s" name)
+    (match v with
+    | Json.Null -> Ok None
+    | Json.Obj _ ->
+      let* ns =
+        field "ns" Json.to_float ~absent:None
+          ~ok:(fun x -> Float.is_finite x && x > 0.0)
+          ~what:"\"ns\" is not a finite number > 0"
       in
-      let n =
-        Option.value ~default:1
-          (Option.bind (Json.member "n" o) Json.to_int)
+      let* ci =
+        field "ci" Json.to_float ~absent:(Some 0.0)
+          ~ok:(fun x -> Float.is_finite x && x >= 0.0)
+          ~what:"\"ci\" is not a finite number >= 0"
       in
-      Some { ns; ci; n })
-  | _ -> None
+      let* n =
+        field "n" Json.to_int ~absent:(Some 1) ~ok:(fun n -> n >= 1)
+          ~what:"\"n\" is not an integer >= 1"
+      in
+      Ok (Some { ns; ci; n })
+    | _ -> Error "not an estimate object or null")
 
 (* Kernel estimates of one bench file's [.kernels]; kernels with a null
-   estimate are skipped. *)
+   estimate are skipped, and the first malformed one is the error. *)
 let kernels_of_json j =
   match Option.bind (Json.member "kernels" j) Json.to_obj with
-  | Some fields ->
-    Ok (List.filter_map (fun (k, v) -> Option.map (fun e -> (k, e)) (est_of_json v)) fields)
   | None -> Error "no \"kernels\" section"
+  | Some fields ->
+    List.fold_left
+      (fun acc (k, v) ->
+        Result.bind acc (fun l ->
+            Result.map
+              (function None -> l | Some e -> (k, e) :: l)
+              (est_of_json k v)))
+      (Ok []) fields
+    |> Result.map List.rev
 
 let classify ~threshold_pct base next =
   let delta = next.ns -. base.ns in
-  let pct = if base.ns > 0.0 then 100.0 *. delta /. base.ns else 0.0 in
+  let pct = 100.0 *. delta /. base.ns in
   let noise = base.ci +. next.ci in
   let verdict =
     if delta > noise && pct > threshold_pct then Regressed

@@ -34,6 +34,11 @@ val default_threshold_pct : float
 
 val compare : ?threshold_pct:float -> base:Json.t -> next:Json.t ->
   unit -> (report, string) result
+(** [Error] names the file (["base file"] or ["new file"]) and, for a
+    malformed kernel, the kernel: every estimate needs a finite ["ns"]
+    > 0, a finite ["ci"] >= 0 and an integer ["n"] >= 1 ([ci] and [n]
+    default to 0 and 1 when absent).  A [null] kernel is "no estimate"
+    and is skipped. *)
 
 val regressions : report -> string list
 (** Names of the kernels whose verdict is [Regressed]. *)

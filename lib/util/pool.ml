@@ -16,13 +16,45 @@ let inside_task : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
 let domains t = t.domains
 
-(* Telemetry: job/chunk counts are deterministic for a given workload;
-   the wait/latency histograms are wall-clock and only sampled when
-   metrics are enabled (gettimeofday stays off the disabled path). *)
+(* Telemetry: job/chunk counts are deterministic for a given workload
+   and live in the Metrics registry.  The wait/latency totals are
+   wall-clock, so they stay here, under one mutex: one update per job
+   per domain, only when metrics are enabled (gettimeofday stays off
+   the disabled path). *)
 let m_jobs = Metrics.counter "pool_jobs_total"
 let m_chunks = Metrics.counter "pool_chunks_total"
-let m_job_s = Metrics.histogram "pool_job_seconds"
-let m_queue_wait_s = Metrics.histogram "pool_queue_wait_seconds"
+
+type wall_totals = {
+  queue_wait_s : float;
+  queue_waits : int;
+  job_s : float;
+  jobs_timed : int;
+}
+
+let walls_mu = Mutex.create ()
+
+let walls =
+  ref { queue_wait_s = 0.0; queue_waits = 0; job_s = 0.0; jobs_timed = 0 }
+
+let wall_totals () =
+  Mutex.lock walls_mu;
+  let w = !walls in
+  Mutex.unlock walls_mu;
+  w
+
+(* Start of a timed interval: 0.0 (untimed) when metrics are off. *)
+let timer_start () = if Metrics.enabled () then Unix.gettimeofday () else 0.0
+
+(* Fold the interval since [t0] into the totals.  An interval that
+   began or ends with metrics off is dropped like any disabled
+   update. *)
+let record t0 update =
+  if t0 > 0.0 && Metrics.enabled () then begin
+    let dt = Unix.gettimeofday () -. t0 in
+    Mutex.lock walls_mu;
+    walls := update !walls dt;
+    Mutex.unlock walls_mu
+  end
 
 (* A bad PVTOL_DOMAINS is a user mistake worth one loud warning, not a
    silent fall-through to the hardware default.  The latch is an
@@ -55,7 +87,7 @@ let default_domain_count () =
   | None -> max 1 (Domain.recommended_domain_count ())
 
 let rec worker_loop t last_gen =
-  let wait_t0 = if Metrics.enabled () then Unix.gettimeofday () else 0.0 in
+  let wait_t0 = timer_start () in
   Mutex.lock t.lock;
   while (not t.stopped) && t.generation = last_gen do
     Condition.wait t.work_ready t.lock
@@ -65,8 +97,9 @@ let rec worker_loop t last_gen =
     let gen = t.generation in
     let job = t.job in
     Mutex.unlock t.lock;
-    if Metrics.enabled () then
-      Metrics.observe m_queue_wait_s (Unix.gettimeofday () -. wait_t0);
+    record wait_t0 (fun w dt ->
+        { w with queue_wait_s = w.queue_wait_s +. dt;
+                 queue_waits = w.queue_waits + 1 });
     (match job with
     | Some f -> ( try f () with _ -> () (* jobs capture their own errors *))
     | None -> ());
@@ -126,7 +159,7 @@ let shared () =
    for all of them to leave it. *)
 let run_job t job =
   Metrics.incr m_jobs;
-  let t0 = if Metrics.enabled () then Unix.gettimeofday () else 0.0 in
+  let t0 = timer_start () in
   Mutex.lock t.lock;
   t.job <- Some job;
   t.generation <- t.generation + 1;
@@ -140,8 +173,8 @@ let run_job t job =
   done;
   t.job <- None;
   Mutex.unlock t.lock;
-  if Metrics.enabled () then
-    Metrics.observe m_job_s (Unix.gettimeofday () -. t0)
+  record t0 (fun w dt ->
+      { w with job_s = w.job_s +. dt; jobs_timed = w.jobs_timed + 1 })
 
 (* Chunk counting lives in both execution paths so pool_chunks_total is
    the same for every domain count (the serial path serves 1-domain

@@ -18,7 +18,11 @@
     calling worker instead of deadlocking on the pool's own queue.
     Pools are otherwise for use from a single orchestrating domain;
     concurrent jobs on one pool from several domains are not
-    supported. *)
+    supported.
+
+    When metrics are enabled, the pool counts its jobs and chunks in
+    {!Metrics} ([pool_jobs_total], [pool_chunks_total]) and keeps its
+    own wall-clock totals ({!wall_totals}). *)
 
 type t
 
@@ -57,3 +61,20 @@ val parallel_chunks :
     If one or more chunks raise, the remaining chunks still run and
     the exception of the lowest-numbered failing chunk is re-raised in
     the caller; the pool stays usable. *)
+
+(** {1 Wall-clock totals} *)
+
+type wall_totals = {
+  queue_wait_s : float;  (** worker idle time between jobs, summed *)
+  queue_waits : int;     (** idle waits timed *)
+  job_s : float;         (** fan-out wall time of {!parallel_chunks} jobs *)
+  jobs_timed : int;      (** fan-outs timed *)
+}
+
+val wall_totals : unit -> wall_totals
+(** Process-wide totals over every pool.  They move only while
+    {!Metrics.enabled}: each parallel job adds its fan-out wall time
+    once and each worker its idle wait before the job, one update per
+    job per domain; the serial path is never timed.  With metrics
+    disabled no clock is read.  These are wall-clock figures, so they
+    live here rather than in the counter registry. *)

@@ -9,7 +9,7 @@ type t = {
   mutable artifacts : (string * string * int) list;  (* reverse order *)
 }
 
-let schema = 1
+let schema = 2
 let version = "1.1.0"
 
 (* [git describe --always --dirty] of the working directory: pins the
@@ -68,30 +68,20 @@ let iso8601 epoch =
     (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
     tm.Unix.tm_sec
 
-(* Pool attribution: worker-idle and job-latency totals recovered from
-   the metrics histograms (zero when metrics were disabled or the pool
-   never ran a parallel job). *)
+(* Pool attribution: job and chunk counts from the metrics snapshot,
+   worker-idle and job-latency totals from the pool itself (zero when
+   metrics were disabled or the pool never ran a parallel job). *)
 let pool_json (snap : Metrics.snapshot) =
-  let counter name =
-    match List.assoc_opt name snap with
-    | Some (Metrics.Counter c) -> c
-    | _ -> 0
-  in
-  let histo name =
-    match List.assoc_opt name snap with
-    | Some (Metrics.Histogram h) -> (h.Metrics.sum, h.Metrics.count)
-    | _ -> (0.0, 0)
-  in
-  let qw_sum, qw_count = histo "pool_queue_wait_seconds" in
-  let job_sum, job_count = histo "pool_job_seconds" in
+  let counter name = Option.value ~default:0 (List.assoc_opt name snap) in
+  let w = Pool.wall_totals () in
   Json.Obj
     [
       ("jobs", Json.Int (counter "pool_jobs_total"));
       ("chunks", Json.Int (counter "pool_chunks_total"));
-      ("queue_wait_s", Json.Float qw_sum);
-      ("queue_waits", Json.Int qw_count);
-      ("job_s", Json.Float job_sum);
-      ("jobs_timed", Json.Int job_count);
+      ("queue_wait_s", Json.Float w.Pool.queue_wait_s);
+      ("queue_waits", Json.Int w.Pool.queue_waits);
+      ("job_s", Json.Float w.Pool.job_s);
+      ("jobs_timed", Json.Int w.Pool.jobs_timed);
     ]
 
 let to_json ?trace ?metrics t =
@@ -164,17 +154,205 @@ let write ?trace ?metrics t ~file = Json.write_file file (to_json ?trace ?metric
 (* ------------------------------------------------------------------ *)
 (* Markdown rendering (pvtol report)                                    *)
 
-let getf j path default =
-  match Option.bind (Json.member path j) Json.to_float with
-  | Some f -> f
-  | None -> default
-
-let gets j path default =
-  match Option.bind (Json.member path j) Json.to_str with
-  | Some s -> s
-  | None -> default
+(* Members of a ledger that has [ledger_shape], which guarantees that
+   each one [markdown] reads is present with its type. *)
+let field j k = Option.get (Json.member k j)
+let num j k = Option.get (Json.to_float (field j k))
+let str j k = Option.get (Json.to_str (field j k))
+let items j k = Option.get (Json.to_list (field j k))
 
 let mwords w = w /. 1_000_000.0
+
+(* The ledger layout [to_json] writes, as far as [render] reads it:
+   [Fields] lists the members an object must have, [Opt] marks one it
+   may lack, [Map] is an object whose every value has one shape. *)
+type shape =
+  | Any
+  | Num
+  | Str
+  | Bool
+  | List of shape
+  | Map of shape
+  | Fields of (string * shape) list
+  | Opt of shape
+
+let nums names = List.map (fun n -> (n, Num)) names
+
+let ledger_shape =
+  Fields
+    ([ ("version", Str); ("argv", List Str); ("started_at", Str) ]
+    @ nums [ "wall_s"; "cpu_user_s"; "cpu_sys_s" ]
+    @ [
+        ( "gc",
+          Fields
+            (nums
+               [ "minor_words"; "major_words"; "promoted_words";
+                 "minor_collections"; "major_collections"; "compactions" ]) );
+        ("config", Map Any);
+        ( "stages",
+          List
+            (Fields
+               ([ ("name", Str); ("ok", Bool) ]
+               @ nums
+                   [ "dur_s"; "self_s"; "self_minor_words"; "self_major_words";
+                     "minor_collections"; "major_collections"; "domain" ])) );
+        ( "pool",
+          Opt
+            (Fields
+               (nums
+                  [ "jobs"; "chunks"; "queue_wait_s"; "queue_waits"; "job_s";
+                    "jobs_timed" ])) );
+        ("metrics", Opt (Fields [ ("counters", Map Num) ]));
+        ( "artifacts",
+          List (Fields [ ("name", Str); ("md5", Str); ("bytes", Num) ]) );
+      ])
+
+(* The first value under [path] that does not have its [shape]. *)
+let rec check path shape j =
+  let rec all f = function
+    | [] -> Ok ()
+    | x :: rest -> Result.bind (f x) (fun () -> all f rest)
+  in
+  let member k = if path = "" then k else path ^ "." ^ k in
+  let fail what = Error (Printf.sprintf "%s is not %s" path what) in
+  match (shape, j) with
+  | Any, _ | Num, (Json.Int _ | Json.Float _) | Str, Json.Str _
+  | Bool, Json.Bool _ ->
+    Ok ()
+  | Opt s, _ -> check path s j
+  | List s, Json.List items ->
+    all
+      (fun (i, x) -> check (Printf.sprintf "%s[%d]" path i) s x)
+      (List.mapi (fun i x -> (i, x)) items)
+  | Map s, Json.Obj kvs -> all (fun (k, v) -> check (member k) s v) kvs
+  | Fields fs, Json.Obj _ ->
+    all
+      (fun (k, s) ->
+        match (Json.member k j, s) with
+        | None, Opt _ -> Ok ()
+        | None, _ -> Error (member k ^ " is missing")
+        | Some v, _ -> check (member k) s v)
+      fs
+  | Num, _ -> fail "a number"
+  | Str, _ -> fail "a string"
+  | Bool, _ -> fail "a boolean"
+  | List _, _ -> fail "a list"
+  | (Map _ | Fields _), _ -> fail "an object"
+
+(* The markdown report of a ledger that has [ledger_shape]. *)
+let markdown j =
+  let buf = Buffer.create 2048 in
+  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  let argv = String.concat " " (List.filter_map Json.to_str (items j "argv")) in
+  add "# pvtol run ledger\n\n";
+  add "- **version:** %s" (str j "version");
+  (match Option.bind (Json.member "git" j) Json.to_str with
+  | Some g -> add " (git %s)\n" g
+  | None -> add "\n");
+  add "- **command:** `%s`\n" argv;
+  add "- **started:** %s\n" (str j "started_at");
+  add "- **wall:** %.3f s — **cpu:** %.3f s user + %.3f s sys\n"
+    (num j "wall_s") (num j "cpu_user_s") (num j "cpu_sys_s");
+  let gc = field j "gc" in
+  add
+    "- **GC:** %.1f MW minor, %.1f MW major, %.1f MW promoted; %.0f \
+     minor / %.0f major collections, %.0f compactions\n"
+    (mwords (num gc "minor_words"))
+    (mwords (num gc "major_words"))
+    (mwords (num gc "promoted_words"))
+    (num gc "minor_collections")
+    (num gc "major_collections")
+    (num gc "compactions");
+  (* Config table *)
+  (match Option.get (Json.to_obj (field j "config")) with
+  | [] -> ()
+  | fields ->
+    add "\n## Config\n\n| key | value |\n|---|---|\n";
+    List.iter
+      (fun (k, v) ->
+        let s =
+          match v with
+          | Json.Str s -> s
+          | Json.Int i -> string_of_int i
+          | Json.Float f -> Printf.sprintf "%g" f
+          | Json.Bool b -> string_of_bool b
+          | Json.Null -> "-"
+          | _ -> "…"
+        in
+        add "| %s | %s |\n" k s)
+      fields);
+  (* Stage table *)
+  (match items j "stages" with
+  | [] -> add "\n(no stages recorded)\n"
+  | stages ->
+    add
+      "\n## Stages\n\n| stage | dur (s) | self (s) | self minor (MW) | \
+       self major (MW) | gcs | domain |\n|---|---:|---:|---:|---:|---:|---:|\n";
+    List.iter
+      (fun s ->
+        add "| %s%s | %.3f | %.3f | %.2f | %.2f | %.0f/%.0f | %.0f |\n"
+          (str s "name")
+          (if field s "ok" = Json.Bool false then " **[FAILED]**" else "")
+          (num s "dur_s") (num s "self_s")
+          (mwords (num s "self_minor_words"))
+          (mwords (num s "self_major_words"))
+          (num s "minor_collections")
+          (num s "major_collections")
+          (num s "domain"))
+      stages;
+    let total_self =
+      List.fold_left (fun acc s -> acc +. num s "self_s") 0.0 stages
+    in
+    add "\n%d stages, %.3f s total stage self-time.\n" (List.length stages)
+      total_self);
+  (* Pool attribution *)
+  (match Json.member "pool" j with
+  | None -> ()
+  | Some p ->
+    add "\n## Pool\n\n";
+    add "- jobs: %.0f (%.0f chunks)\n" (num p "jobs")
+      (num p "chunks");
+    add "- worker idle: %.3f s total over %.0f waits\n"
+      (num p "queue_wait_s") (num p "queue_waits");
+    add "- job latency: %.3f s total over %.0f timed jobs\n"
+      (num p "job_s") (num p "jobs_timed"));
+  (* Metrics highlights: the biggest nonzero counters. *)
+  (match
+     Option.bind (Json.member "metrics" j) (Json.member "counters")
+     |> Fun.flip Option.bind Json.to_obj
+   with
+  | None | Some [] -> ()
+  | Some counters ->
+    let nonzero =
+      List.filter_map
+        (fun (k, v) ->
+          match Json.to_float v with
+          | Some f when f > 0.0 -> Some (k, f)
+          | _ -> None)
+        counters
+    in
+    if nonzero <> [] then begin
+      add "\n## Metrics highlights\n\n";
+      let sorted =
+        List.sort (fun (_, a) (_, b) -> Float.compare b a) nonzero
+      in
+      let top = List.filteri (fun i _ -> i < 12) sorted in
+      List.iter (fun (k, v) -> add "- `%s` = %.0f\n" k v) top;
+      if List.length sorted > List.length top then
+        add "- … %d more nonzero counters in the ledger\n"
+          (List.length sorted - List.length top)
+    end);
+  (* Artifacts *)
+  (match items j "artifacts" with
+  | [] -> ()
+  | arts ->
+    add "\n## Artifacts\n\n| artifact | bytes | md5 |\n|---|---:|---|\n";
+    List.iter
+      (fun a ->
+        add "| %s | %.0f | `%s` |\n" (str a "name")
+          (num a "bytes") (str a "md5"))
+      arts);
+  Buffer.contents buf
 
 let render j =
   match (Json.member "schema" j, Json.member "tool" j) with
@@ -183,126 +361,7 @@ let render j =
       (Printf.sprintf "unsupported run-ledger schema %d (this build reads %d)"
          s schema)
   | Some (Json.Int _), Some (Json.Str "pvtol") ->
-    let buf = Buffer.create 2048 in
-    let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-    let argv =
-      match Option.bind (Json.member "argv" j) Json.to_list with
-      | Some items ->
-        String.concat " "
-          (List.filter_map Json.to_str items)
-      | None -> "?"
-    in
-    add "# pvtol run ledger\n\n";
-    add "- **version:** %s" (gets j "version" "?");
-    (match Option.bind (Json.member "git" j) Json.to_str with
-    | Some g -> add " (git %s)\n" g
-    | None -> add "\n");
-    add "- **command:** `%s`\n" argv;
-    add "- **started:** %s\n" (gets j "started_at" "?");
-    add "- **wall:** %.3f s — **cpu:** %.3f s user + %.3f s sys\n"
-      (getf j "wall_s" 0.0) (getf j "cpu_user_s" 0.0) (getf j "cpu_sys_s" 0.0);
-    (match Json.member "gc" j with
-    | Some gc ->
-      add
-        "- **GC:** %.1f MW minor, %.1f MW major, %.1f MW promoted; %.0f \
-         minor / %.0f major collections, %.0f compactions\n"
-        (mwords (getf gc "minor_words" 0.0))
-        (mwords (getf gc "major_words" 0.0))
-        (mwords (getf gc "promoted_words" 0.0))
-        (getf gc "minor_collections" 0.0)
-        (getf gc "major_collections" 0.0)
-        (getf gc "compactions" 0.0)
-    | None -> ());
-    (* Config table *)
-    (match Option.bind (Json.member "config" j) Json.to_obj with
-    | Some [] | None -> ()
-    | Some fields ->
-      add "\n## Config\n\n| key | value |\n|---|---|\n";
-      List.iter
-        (fun (k, v) ->
-          let s =
-            match v with
-            | Json.Str s -> s
-            | Json.Int i -> string_of_int i
-            | Json.Float f -> Printf.sprintf "%g" f
-            | Json.Bool b -> string_of_bool b
-            | Json.Null -> "-"
-            | _ -> "…"
-          in
-          add "| %s | %s |\n" k s)
-        fields);
-    (* Stage table *)
-    (match Option.bind (Json.member "stages" j) Json.to_list with
-    | Some [] | None -> add "\n(no stages recorded)\n"
-    | Some stages ->
-      add
-        "\n## Stages\n\n| stage | dur (s) | self (s) | self minor (MW) | \
-         self major (MW) | gcs | domain |\n|---|---:|---:|---:|---:|---:|---:|\n";
-      List.iter
-        (fun s ->
-          add "| %s%s | %.3f | %.3f | %.2f | %.2f | %.0f/%.0f | %.0f |\n"
-            (gets s "name" "?")
-            (match Json.member "ok" s with
-            | Some (Json.Bool false) -> " **[FAILED]**"
-            | _ -> "")
-            (getf s "dur_s" 0.0) (getf s "self_s" 0.0)
-            (mwords (getf s "self_minor_words" 0.0))
-            (mwords (getf s "self_major_words" 0.0))
-            (getf s "minor_collections" 0.0)
-            (getf s "major_collections" 0.0)
-            (getf s "domain" 0.0))
-        stages;
-      let total_self =
-        List.fold_left (fun acc s -> acc +. getf s "self_s" 0.0) 0.0 stages
-      in
-      add "\n%d stages, %.3f s total stage self-time.\n" (List.length stages)
-        total_self);
-    (* Pool attribution *)
-    (match Json.member "pool" j with
-    | None -> ()
-    | Some p ->
-      add "\n## Pool\n\n";
-      add "- jobs: %.0f (%.0f chunks)\n" (getf p "jobs" 0.0)
-        (getf p "chunks" 0.0);
-      add "- worker idle: %.3f s total over %.0f waits\n"
-        (getf p "queue_wait_s" 0.0) (getf p "queue_waits" 0.0);
-      add "- job latency: %.3f s total over %.0f timed jobs\n"
-        (getf p "job_s" 0.0) (getf p "jobs_timed" 0.0));
-    (* Metrics highlights: the biggest nonzero counters. *)
-    (match
-       Option.bind (Json.member "metrics" j) (Json.member "counters")
-       |> Fun.flip Option.bind Json.to_obj
-     with
-    | None | Some [] -> ()
-    | Some counters ->
-      let nonzero =
-        List.filter_map
-          (fun (k, v) ->
-            match Json.to_float v with
-            | Some f when f > 0.0 -> Some (k, f)
-            | _ -> None)
-          counters
-      in
-      if nonzero <> [] then begin
-        add "\n## Metrics highlights\n\n";
-        let sorted =
-          List.sort (fun (_, a) (_, b) -> Float.compare b a) nonzero
-        in
-        let top = List.filteri (fun i _ -> i < 12) sorted in
-        List.iter (fun (k, v) -> add "- `%s` = %.0f\n" k v) top;
-        if List.length sorted > List.length top then
-          add "- … %d more nonzero counters in the ledger\n"
-            (List.length sorted - List.length top)
-      end);
-    (* Artifacts *)
-    (match Option.bind (Json.member "artifacts" j) Json.to_list with
-    | Some [] | None -> ()
-    | Some arts ->
-      add "\n## Artifacts\n\n| artifact | bytes | md5 |\n|---|---:|---|\n";
-      List.iter
-        (fun a ->
-          add "| %s | %.0f | `%s` |\n" (gets a "name" "?")
-            (getf a "bytes" 0.0) (gets a "md5" "?"))
-        arts);
-    Ok (Buffer.contents buf)
+    check "" ledger_shape j
+    |> Result.map_error (( ^ ) "broken run ledger: ")
+    |> Result.map (fun () -> markdown j)
   | _ -> Error "not a pvtol run ledger (missing schema/tool fields)"

@@ -4,8 +4,9 @@
     behind what was run (version, git revision, argv), under which
     knobs (seed, [PVTOL_DOMAINS], …), what it cost
     (wall/CPU time, GC totals, per-stage time/allocation/GC-collection
-    attribution from the {!Trace}, pool worker-idle totals from the
-    {!Metrics} histograms) and what it produced (an MD5 digest per
+    attribution from the {!Trace}, pool job counts from the {!Metrics}
+    counters and worker-idle totals from {!Pool.wall_totals}) and what
+    it produced (an MD5 digest per
     emitted report, so two runs can be compared result-first).
 
     A collector is created at the start of the run (it snapshots the
@@ -45,7 +46,8 @@ val digest_hex : string -> string
 val to_json : ?trace:Trace.t -> ?metrics:Metrics.snapshot -> t -> Json.t
 (** Close the ledger: wall/CPU/GC deltas are taken now.  [trace]
     contributes the per-stage attribution table; [metrics] the embedded
-    snapshot and the pool worker-idle/job totals.  The collector stays
+    counter snapshot and the pool object (its counts from the snapshot,
+    its worker-idle/job wall totals read from {!Pool.wall_totals} now).  The collector stays
     usable (a later [to_json] re-reads the clocks). *)
 
 val write :
@@ -55,4 +57,7 @@ val render : Json.t -> (string, string) result
 (** Render a parsed ledger as a markdown report: run header, config
     table, per-stage table (duration, self time, allocation, GC
     collections, domain), pool attribution, top metrics counters and
-    the artifact digests.  [Error] when the value is not a ledger. *)
+    the artifact digests.  [Error] when the value is not a ledger of
+    this {!schema}, or names the first field {!to_json} writes that is
+    missing or has the wrong type (a [pool] or [metrics] object is
+    checked when present). *)

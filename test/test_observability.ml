@@ -210,10 +210,45 @@ let test_ledger_roundtrip () =
     Alcotest.(check bool) "render has stage table" true
       (String.length md > 0 && contains ~sub:"stage-a" md)
   | Error e -> Alcotest.failf "render failed: %s" e);
-  (* ...and rejects a value that is not a ledger. *)
-  match Runinfo.render (Json.Obj [ ("schema", Json.Int 999) ]) with
+  (* ...and rejects a value that is not a ledger... *)
+  (match Runinfo.render (Json.Obj [ ("schema", Json.Int 999) ]) with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "render accepted a non-ledger"
+  | Ok _ -> Alcotest.fail "render accepted a non-ledger");
+  (* ...or a broken one, naming the first bad field. *)
+  let fields = Option.get (Json.to_obj j') in
+  let set k v = Json.Obj (List.remove_assoc k fields @ [ (k, v) ]) in
+  let header = [ ("schema", Json.Int Runinfo.schema); ("tool", Json.Str "pvtol") ] in
+  List.iter
+    (fun (what, broken, bad_field) ->
+      match Runinfo.render broken with
+      | Ok _ -> Alcotest.failf "render accepted %s" what
+      | Error e ->
+        Alcotest.(check bool) (what ^ ": names " ^ bad_field) true
+          (contains ~sub:bad_field e))
+    ([
+       ("a bare header", Json.Obj header, "version");
+       ( "a nameless stage",
+         set "stages" (Json.List [ Json.Obj [ ("dur_s", Json.Float 1.0) ] ]),
+         "stages[0].name" );
+       ("a string pool", set "pool" (Json.Str "pool"), "pool");
+       ( "a pool without jobs",
+         set "pool" (Json.Obj [ ("chunks", Json.Int 1) ]),
+         "pool.jobs" );
+       ("a metrics list", set "metrics" (Json.List []), "metrics");
+       ( "a string counter",
+         set "metrics"
+           (Json.Obj [ ("counters", Json.Obj [ ("c", Json.Str "1") ]) ]),
+         "metrics.counters.c" );
+     ]
+    @ List.map
+        (fun k -> ("a ledger without " ^ k, Json.Obj (List.remove_assoc k fields), k))
+        [ "version"; "argv"; "started_at"; "wall_s"; "cpu_user_s";
+          "cpu_sys_s"; "gc"; "config"; "stages"; "artifacts" ]
+    @ List.map
+        (fun (k, v) -> ("a mistyped " ^ k, set k v, k))
+        [ ("version", Json.Int 1); ("argv", Json.Str "pvtol");
+          ("wall_s", Json.Str "1"); ("gc", Json.List []);
+          ("config", Json.List []); ("artifacts", Json.Obj []) ])
 
 (* The ledger is the one machine-readable run record: its [metrics] is
    the registry's JSON export of the same snapshot and its [stages] the
@@ -221,13 +256,10 @@ let test_ledger_roundtrip () =
    through the file. *)
 let test_ledger_holds_exports () =
   let c = Metrics.counter "test_ledger_counter" in
-  let h = Metrics.histogram "test_ledger_histo" ~buckets:[| 1.0; 2.0 |] in
   Metrics.set_enabled true;
   Fun.protect
     ~finally:(fun () -> Metrics.set_enabled false)
-    (fun () ->
-      Metrics.add c 3;
-      List.iter (Metrics.observe h) [ 0.5; 1.5; 9.0 ]);
+    (fun () -> Metrics.add c 3);
   let trace = Trace.create () in
   (* The outer span completes last: completion order is not start
      order. *)
@@ -451,8 +483,53 @@ let test_compare_one_sided () =
   Alcotest.(check bool) "base only" true (verdict "old-only" = BC.Base_only);
   Alcotest.(check bool) "new only" true (verdict "new-only" = BC.New_only)
 
+(* A malformed estimate is an error naming the file and the kernel,
+   never a verdict: a zero or negative base mean would read a +100%
+   kernel as unchanged, and a string mean as a one-sided kernel.  A
+   null kernel is the bench's "no estimate" and is skipped. *)
+let test_compare_rejects_bad_estimates () =
+  let good = bench_file base_kernels in
+  let with_alpha fields =
+    match good with
+    | Json.Obj [ schema; ("kernels", Json.Obj (_ :: rest)) ] ->
+      Json.Obj [ schema; ("kernels", Json.Obj (("alpha", fields) :: rest)) ]
+    | _ -> assert false
+  in
+  let est ?(ns = Json.Float 100.0) ?(ci = Json.Float 2.0) ?(n = Json.Int 30) () =
+    with_alpha (Json.Obj [ ("ns", ns); ("ci", ci); ("n", n) ])
+  in
+  List.iter
+    (fun (what, bad, field) ->
+      (match BC.compare ~base:bad ~next:good () with
+      | Ok _ -> Alcotest.failf "%s accepted in base" what
+      | Error e ->
+        Alcotest.(check bool)
+          (what ^ " names base file, kernel and field")
+          true
+          (contains ~sub:"base file" e && contains ~sub:"\"alpha\"" e
+          && contains ~sub:field e));
+      match BC.compare ~base:good ~next:bad () with
+      | Ok _ -> Alcotest.failf "%s accepted in new" what
+      | Error e ->
+        Alcotest.(check bool) (what ^ " names new file") true
+          (contains ~sub:"new file" e))
+    [
+      ("zero ns", est ~ns:(Json.Int 0) (), "\"ns\"");
+      ("negative ns", est ~ns:(Json.Float (-5.0)) (), "\"ns\"");
+      ("string ns", est ~ns:(Json.Str "100") (), "\"ns\"");
+      ("negative ci", est ~ci:(Json.Float (-1.0)) (), "\"ci\"");
+      ("string ci", est ~ci:(Json.Str "2") (), "\"ci\"");
+      ("n = 0", est ~n:(Json.Int 0) (), "\"n\"");
+      ("missing ns", with_alpha (Json.Obj [ ("ci", Json.Float 1.0) ]), "\"ns\"");
+    ];
+  let r = Result.get_ok (BC.compare ~base:(with_alpha Json.Null) ~next:good ()) in
+  Alcotest.(check bool) "null estimate is no estimate" true
+    ((List.find (fun l -> l.BC.name = "alpha") r.BC.lines).BC.verdict
+    = BC.New_only)
+
 (* The CLI exit codes CI gates on: 0 on a clean compare, 1 on a
-   significant regression. *)
+   significant regression, 2 on a malformed estimate, 124 on a
+   threshold that is not a finite value >= 0. *)
 let test_compare_cli_exit_codes () =
   let write name j =
     let file = Filename.temp_file name ".json" in
@@ -469,15 +546,30 @@ let test_compare_cli_exit_codes () =
               else (name, ns, ci, n))
             base_kernels))
   in
-  let run a b =
+  let zero =
+    write "bench_zero"
+      (bench_file
+         (List.map
+            (fun (name, ns, ci, n) ->
+              if name = "alpha" then (name, 0.0, ci, n) else (name, ns, ci, n))
+            base_kernels))
+  in
+  let run ?(flags = "") a b =
     Sys.command
-      (Printf.sprintf "%s bench compare %s %s > /dev/null 2>&1"
-         (Filename.quote pvtol_exe) (Filename.quote a) (Filename.quote b))
+      (Printf.sprintf "%s bench compare %s %s %s > /dev/null 2>&1"
+         (Filename.quote pvtol_exe) flags (Filename.quote a) (Filename.quote b))
   in
   Alcotest.(check int) "self-compare exits 0" 0 (run base base);
   Alcotest.(check int) "regression exits 1" 1 (run base next);
-  Sys.remove base;
-  Sys.remove next
+  Alcotest.(check int) "zero-ns base exits 2" 2 (run zero next);
+  List.iter
+    (fun t ->
+      Alcotest.(check int) ("--threshold " ^ t ^ " exits 124") 124
+        (run ~flags:("--threshold=" ^ t) base next))
+    [ "nan"; "inf"; "-1" ];
+  Alcotest.(check int) "--threshold 0 is valid" 1
+    (run ~flags:"--threshold=0" base next);
+  List.iter Sys.remove [ base; next; zero ]
 
 (* Degenerate count flags are usage errors: exit 124 with cmdliner's
    one-line message naming the option, never an uncaught exception from
@@ -576,6 +668,43 @@ let test_cli_run_failures_exit_2 () =
       "dump --quick -o " ^ Filename.quote missing ];
   Sys.remove err
 
+(* A ledger that does not parse or lacks a field exits 1 with one
+   [pvtol report: FILE: ...] line; a written ledger renders. *)
+let test_cli_report_exit_codes () =
+  let ledger = Runinfo.to_json (Runinfo.create ~argv:[ "pvtol"; "test" ] ()) in
+  let full = Json.to_string ledger in
+  let err = Filename.temp_file "pvtol_report" ".txt" in
+  List.iter
+    (fun (what, content, expect) ->
+      let file = Filename.temp_file "pvtol_ledger" ".json" in
+      Out_channel.with_open_text file (fun oc -> output_string oc content);
+      let rc =
+        Sys.command
+          (Printf.sprintf "%s report %s > /dev/null 2> %s"
+             (Filename.quote pvtol_exe) (Filename.quote file)
+             (Filename.quote err))
+      in
+      Sys.remove file;
+      Alcotest.(check int) ("exit: " ^ what) expect rc;
+      let lines =
+        In_channel.with_open_text err In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (( <> ) "")
+      in
+      match (expect, lines) with
+      | 0, [] -> ()
+      | 1, [ line ] when String.starts_with ~prefix:"pvtol report: " line -> ()
+      | _ ->
+        Alcotest.failf "%s: unexpected stderr %S" what (String.concat "\n" lines))
+    [
+      ("a written ledger", full, 0);
+      ("a truncated ledger", String.sub full 0 (String.length full / 2), 1);
+      ( "a bare header",
+        Printf.sprintf {|{"schema":%d,"tool":"pvtol"}|} Runinfo.schema,
+        1 );
+    ];
+  Sys.remove err
+
 let suite =
   ( "observability",
     [
@@ -605,10 +734,14 @@ let suite =
         test_compare_one_sided;
       Alcotest.test_case "compare: single-pair caveat rendered" `Quick
         test_compare_render_caveat;
+      Alcotest.test_case "compare: malformed estimates rejected" `Quick
+        test_compare_rejects_bad_estimates;
       Alcotest.test_case "compare: cli exit codes" `Slow
         test_compare_cli_exit_codes;
       Alcotest.test_case "cli rejects non-positive counts" `Quick
         test_cli_rejects_nonpositive_counts;
+      Alcotest.test_case "cli report rejects broken ledgers" `Quick
+        test_cli_report_exit_codes;
       Alcotest.test_case "cli run failures exit 2" `Quick
         test_cli_run_failures_exit_2;
       Alcotest.test_case "cli progress line ends once" `Quick

@@ -9,6 +9,26 @@ let contains ~sub s =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
 
+(* The error forcing [f] raises; a value is a test failure. *)
+let stage_error what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: expected a stage error" what
+  | exception Sg.Stage_error e -> e
+
+(* Labels of the instances of keyed node [name] that [g] computed, read
+   off its trace: one ok span ["name[l1,l2,...]"] per compute. *)
+let computed_keys g name =
+  let prefix = name ^ "[" in
+  let p = String.length prefix in
+  List.concat_map
+    (fun (s : Trace.span) ->
+      let n = s.Trace.name in
+      if s.Trace.ok && String.length n > p && String.sub n 0 p = prefix then
+        String.split_on_char ',' (String.sub n p (String.length n - p - 1))
+      else [])
+    (Trace.spans (Sg.trace g))
+  |> List.sort String.compare
+
 (* --- memoization --- *)
 
 let test_node_runs_once () =
@@ -19,12 +39,12 @@ let test_node_runs_once () =
         incr runs;
         42)
   in
-  Alcotest.(check (option int)) "not computed yet" None (Sg.peek n);
+  let spans () = Trace.count (Sg.trace g) "a" in
+  Alcotest.(check (pair int int)) "not computed yet" (0, 0) (!runs, spans ());
   Alcotest.(check int) "value" 42 (Sg.get n);
   Alcotest.(check int) "again" 42 (Sg.get n);
   Alcotest.(check int) "computed once" 1 !runs;
-  Alcotest.(check (option int)) "peek sees it" (Some 42) (Sg.peek n);
-  Alcotest.(check int) "one span" 1 (Trace.count (Sg.trace g) "a")
+  Alcotest.(check int) "one span" 1 (spans ())
 
 let test_dependent_nodes_share () =
   let g = Sg.create () in
@@ -62,7 +82,7 @@ let test_keyed_isolation () =
   Alcotest.(check int) "key 2 again" 4 (Sg.get_keyed k 2);
   Alcotest.(check int) "key 2 ran once" 1 (Hashtbl.find runs 2);
   Alcotest.(check int) "key 3 ran once" 1 (Hashtbl.find runs 3);
-  Alcotest.(check (list string)) "computed keys" [ "2"; "3" ] (Sg.computed_keys k);
+  Alcotest.(check (list string)) "computed keys" [ "2"; "3" ] (computed_keys g "mc");
   Alcotest.(check int) "span per key" 1 (Trace.count (Sg.trace g) "mc[2]")
 
 let test_keyed_batch () =
@@ -84,7 +104,8 @@ let test_keyed_batch () =
   Alcotest.(check (list int)) "all memoized" [ 9; 4; 1 ]
     (Sg.get_keyed_many k [ 3; 2; 1 ]);
   Alcotest.(check int) "no further call" 2 (List.length !calls);
-  Alcotest.(check (list string)) "computed keys" [ "1"; "2"; "3" ] (Sg.computed_keys k);
+  Alcotest.(check (list string)) "computed keys" [ "1"; "2"; "3" ]
+    (computed_keys g "sq");
   Alcotest.(check int) "lone span" 1 (Trace.count (Sg.trace g) "sq[2]");
   Alcotest.(check int) "batch span" 1 (Trace.count (Sg.trace g) "sq[1,3]");
   (* A failing batch fails every key it claimed, memoized. *)
@@ -92,13 +113,11 @@ let test_keyed_batch () =
     Sg.keyed_batch g ~name:"bad" ~key_label:string_of_int (fun _ ->
         failwith "boom")
   in
-  (match Sg.get_keyed_many bad [ 1; 2 ] with
-  | _ -> Alcotest.fail "expected a stage error"
-  | exception Sg.Stage_error e ->
-    Alcotest.(check string) "batch attributed" "bad[1,2]" e.Sg.stage);
-  match Sg.result_keyed bad 2 with
-  | Ok _ -> Alcotest.fail "expected memoized failure"
-  | Error e -> Alcotest.(check string) "same error" "bad[1,2]" e.Sg.stage
+  let e = stage_error "batch" (fun () -> Sg.get_keyed_many bad [ 1; 2 ]) in
+  Alcotest.(check string) "batch attributed" "bad[1,2]" e.Sg.stage;
+  (* A recompute would be attributed to "bad[2]". *)
+  let e = stage_error "memoized" (fun () -> Sg.get_keyed bad 2) in
+  Alcotest.(check string) "same error" "bad[1,2]" e.Sg.stage
 
 (* --- tracing --- *)
 
@@ -169,18 +188,15 @@ let test_error_names_failing_stage () =
   in
   let mid = Sg.node g ~name:"mid" (fun () -> Sg.get bad + 1) in
   let top = Sg.node g ~name:"top" (fun () -> Sg.get mid + 1) in
-  (match Sg.result top with
-  | Ok _ -> Alcotest.fail "expected failure"
-  | Error e ->
-    Alcotest.(check string) "failing stage named" "parse" e.Sg.stage;
-    Alcotest.(check (list string)) "forcing chain outermost first"
-      [ "top"; "mid"; "parse" ] e.Sg.chain;
-    Alcotest.(check bool) "message kept" true
-      (contains ~sub:"bad liberty file" e.Sg.message));
+  let e = stage_error "top" (fun () -> Sg.get top) in
+  Alcotest.(check string) "failing stage named" "parse" e.Sg.stage;
+  Alcotest.(check (list string)) "forcing chain outermost first"
+    [ "top"; "mid"; "parse" ] e.Sg.chain;
+  Alcotest.(check bool) "message kept" true
+    (contains ~sub:"bad liberty file" e.Sg.message);
   (* The error is memoized: re-forcing re-raises without recomputing. *)
-  (match Sg.result bad with
-  | Ok _ -> Alcotest.fail "expected memoized failure"
-  | Error e -> Alcotest.(check string) "same stage" "parse" e.Sg.stage);
+  let e = stage_error "memoized" (fun () -> Sg.get bad) in
+  Alcotest.(check string) "same stage" "parse" e.Sg.stage;
   Alcotest.(check int) "failed stage ran once" 1 !runs;
   (* The failed span is recorded with ok = false. *)
   match Trace.find (Sg.trace g) "parse" with
@@ -190,12 +206,9 @@ let test_error_names_failing_stage () =
 let test_cycle_detected () =
   let g = Sg.create () in
   let rec cell = lazy (Sg.node g ~name:"loop" (fun () -> Sg.get (Lazy.force cell))) in
-  match Sg.result (Lazy.force cell) with
-  | Ok _ -> Alcotest.fail "cycle must not terminate normally"
-  | Error e ->
-    Alcotest.(check string) "cycle attributed" "loop" e.Sg.stage;
-    Alcotest.(check bool) "says cycle" true
-      (contains ~sub:"cycle" e.Sg.message)
+  let e = stage_error "cycle" (fun () -> Sg.get (Lazy.force cell)) in
+  Alcotest.(check string) "cycle attributed" "loop" e.Sg.stage;
+  Alcotest.(check bool) "says cycle" true (contains ~sub:"cycle" e.Sg.message)
 
 let test_batch_cycle_detected () =
   (* A batch that forces one of its own keys is a cycle, like a lone
@@ -208,15 +221,12 @@ let test_batch_cycle_detected () =
            keys))
   in
   let k = Lazy.force k in
-  (match Sg.get_keyed_many k [ 1; 2 ] with
-  | _ -> Alcotest.fail "cycle must not terminate normally"
-  | exception Sg.Stage_error e ->
-    Alcotest.(check string) "cycle attributed" "self[2]" e.Sg.stage;
-    Alcotest.(check (list string)) "chain" [ "self[1,2]"; "self[2]" ] e.Sg.chain;
-    Alcotest.(check bool) "says cycle" true (contains ~sub:"cycle" e.Sg.message));
-  match Sg.result_keyed k 1 with
-  | Ok _ -> Alcotest.fail "expected memoized failure"
-  | Error e -> Alcotest.(check string) "same error" "self[2]" e.Sg.stage
+  let e = stage_error "cycle" (fun () -> Sg.get_keyed_many k [ 1; 2 ]) in
+  Alcotest.(check string) "cycle attributed" "self[2]" e.Sg.stage;
+  Alcotest.(check (list string)) "chain" [ "self[1,2]"; "self[2]" ] e.Sg.chain;
+  Alcotest.(check bool) "says cycle" true (contains ~sub:"cycle" e.Sg.message);
+  let e = stage_error "memoized" (fun () -> Sg.get_keyed k 1) in
+  Alcotest.(check string) "same error" "self[2]" e.Sg.stage
 
 (* --- concurrency --- *)
 

@@ -1,6 +1,6 @@
-(* Telemetry layer: the metrics registry (shard merging, histograms,
-   the disabled fast path), the leveled logger (filtering, sinks, the
-   warn-once latch under a domain race) and the Chrome trace export. *)
+(* Telemetry layer: the counter registry (shard merging, the disabled
+   fast path), the pool's wall-clock totals, the warn-once latch under
+   a domain race and the Chrome trace export. *)
 
 module Metrics = Pvtol_util.Metrics
 module Log = Pvtol_util.Log
@@ -42,23 +42,9 @@ let test_registration () =
       Metrics.incr c;
       Metrics.incr c');
   Alcotest.(check int) "same name, same metric" 2 (Metrics.counter_value c);
-  Alcotest.check_raises "kind mismatch rejected"
-    (Invalid_argument
-       "Metrics: \"test_reregistered\" already registered as another kind")
-    (fun () -> ignore (Metrics.histogram "test_reregistered"));
   Alcotest.check_raises "bad name rejected"
     (Invalid_argument "Metrics: bad metric name \"bad name\"") (fun () ->
       ignore (Metrics.counter "bad name"))
-
-let test_histogram_exact_counts () =
-  let h = Metrics.histogram "test_histo_exact" ~buckets:[| 1.0; 2.0; 5.0 |] in
-  with_metrics_enabled (fun () ->
-      List.iter (Metrics.observe h) [ 0.5; 1.0; 1.5; 2.0; 10.0 ]);
-  (* le semantics: a value equal to a bound lands in that bucket. *)
-  Alcotest.(check (array int))
-    "bucket counts" [| 2; 2; 0; 1 |] (Metrics.histogram_counts h);
-  Alcotest.(check int) "total count" 5 (Metrics.histogram_count h);
-  Alcotest.(check (float 1e-9)) "sum" 15.0 (Metrics.histogram_sum h)
 
 (* The shared test pool: worker domains (and their DLS shards) persist
    across the QCheck iterations, which is exactly the production
@@ -83,29 +69,24 @@ let prop_shard_merge_serial_reference =
 
 let test_deterministic_across_domain_counts () =
   let c = Metrics.counter "test_domain_invariant" in
-  let h = Metrics.histogram "test_domain_invariant_h" ~buckets:[| 10.0 |] in
   let run domains =
     let pool = Pool.create ~domains () in
     let before = Metrics.counter_value c in
-    let hcount = Metrics.histogram_count h in
     with_metrics_enabled (fun () ->
         ignore
           (Pool.parallel_chunks pool ~chunks:64
              ~init:(fun ~worker:_ -> ())
-             ~f:(fun () i ->
-               Metrics.add c i;
-               Metrics.observe h (float_of_int (i mod 16)))));
+             ~f:(fun () i -> Metrics.add c i)));
     Pool.shutdown pool;
-    (Metrics.counter_value c - before, Metrics.histogram_count h - hcount)
+    Metrics.counter_value c - before
   in
   let r1 = run 1 in
-  Alcotest.(check (pair int int)) "2 domains = 1 domain" r1 (run 2);
-  Alcotest.(check (pair int int)) "4 domains = 1 domain" r1 (run 4)
+  Alcotest.(check int) "2 domains = 1 domain" r1 (run 2);
+  Alcotest.(check int) "4 domains = 1 domain" r1 (run 4)
 
 let test_disabled_path_allocates_nothing () =
   Metrics.set_enabled false;
   let c = Metrics.counter "test_noalloc_counter" in
-  let h = Metrics.histogram "test_noalloc_histo" in
   let n = 100_000 in
   let minor_delta f =
     let a = (Gc.quick_stat ()).Gc.minor_words in
@@ -123,14 +104,51 @@ let test_disabled_path_allocates_nothing () =
   in
   let updates =
     minor_delta (fun () ->
-        for i = 1 to n do
+        for _ = 1 to n do
           Metrics.incr c;
-          Metrics.add c 2;
-          Metrics.observe h (float_of_int i)
+          Metrics.add c 2
         done)
   in
   Alcotest.(check (float 0.0)) "disabled updates allocate zero words" base
     updates
+
+(* The pool's wall-clock totals: one parallel job on a 2-domain pool
+   adds one timed job and the worker's idle wait before it; with
+   metrics off nothing moves; the ledger's [pool] object reads them. *)
+let test_pool_wall_totals () =
+  let job pool =
+    ignore
+      (Pool.parallel_chunks pool ~chunks:4
+         ~init:(fun ~worker:_ -> ())
+         ~f:(fun () i -> i))
+  in
+  let w0 = Pool.wall_totals () in
+  let pool, w1 =
+    with_metrics_enabled (fun () ->
+        let pool = Pool.create ~domains:2 () in
+        job pool;
+        (pool, Pool.wall_totals ()))
+  in
+  Alcotest.(check int) "one timed job" 1
+    (w1.Pool.jobs_timed - w0.Pool.jobs_timed);
+  Alcotest.(check bool) "at least one idle wait" true
+    (w1.Pool.queue_waits > w0.Pool.queue_waits);
+  Alcotest.(check bool) "non-negative seconds" true
+    (w1.Pool.job_s >= w0.Pool.job_s
+    && w1.Pool.queue_wait_s >= w0.Pool.queue_wait_s);
+  job pool;
+  Pool.shutdown pool;
+  Alcotest.(check bool) "disabled job leaves the totals" true
+    (Pool.wall_totals () = w1);
+  let pool_field name =
+    Json.member "pool" (ledger ~metrics:(Metrics.snapshot ()) ())
+    |> Fun.flip Option.bind (Json.member name)
+  in
+  Alcotest.(check bool) "ledger pool carries the totals" true
+    (pool_field "queue_wait_s" = Some (Json.Float w1.Pool.queue_wait_s)
+    && pool_field "queue_waits" = Some (Json.Int w1.Pool.queue_waits)
+    && pool_field "job_s" = Some (Json.Float w1.Pool.job_s)
+    && pool_field "jobs_timed" = Some (Json.Int w1.Pool.jobs_timed))
 
 (* The compensation-strategy counters from [Pvtol_core.Compensation]:
    registered under their catalogue names (re-registration is
@@ -217,12 +235,7 @@ let test_compensation_counters () =
 
 let test_exports () =
   let c = Metrics.counter "test_export_counter" in
-  let h = Metrics.histogram "test_export_histo" ~buckets:[| 1.0; 2.0 |] in
-  with_metrics_enabled (fun () ->
-      Metrics.incr c;
-      Metrics.observe h 0.5;
-      Metrics.observe h 1.5;
-      Metrics.observe h 9.0);
+  with_metrics_enabled (fun () -> Metrics.incr c);
   let snap = Metrics.snapshot () in
   let json = Json.to_string (ledger ~metrics:snap ()) in
   let has needle hay =
@@ -232,7 +245,6 @@ let test_exports () =
   in
   Alcotest.(check bool) "json has counter" true
     (has "\"test_export_counter\"" json);
-  Alcotest.(check bool) "json has +Inf bucket" true (has "\"+Inf\"" json);
   Alcotest.(check bool) "summary has nonzero counter" true
     (has "test_export_counter=1" (Metrics.summary_line snap))
 
@@ -242,41 +254,13 @@ let test_exports () =
 (* Capture through a custom sink; always restore the default. *)
 let with_captured_log f =
   let captured = ref [] in
-  Log.set_sink (fun level msg -> captured := (level, msg) :: !captured);
-  Fun.protect
-    ~finally:(fun () ->
-      Log.set_sink Log.default_sink;
-      Log.set_level Log.Warn)
-    (fun () -> f ());
+  Log.set_sink (fun msg -> captured := msg :: !captured);
+  Fun.protect ~finally:(fun () -> Log.set_sink Log.default_sink) f;
   List.rev !captured
-
-let test_log_levels () =
-  let captured =
-    with_captured_log (fun () ->
-        Log.set_level Log.Warn;
-        Log.err "e %d" 1;
-        Log.warn "w";
-        Log.info "i";
-        Log.debug "d";
-        Log.set_level Log.Debug;
-        Log.debug "d2")
-  in
-  Alcotest.(check (list string))
-    "threshold filters" [ "e 1"; "w"; "d2" ]
-    (List.map snd captured);
-  Alcotest.(check bool) "levels recorded" true
-    (List.map fst captured = [ Log.Error; Log.Warn; Log.Debug ])
-
-let test_log_level_of_string () =
-  Alcotest.(check bool) "parses names" true
-    (Log.level_of_string "WARN" = Some Log.Warn
-    && Log.level_of_string "debug" = Some Log.Debug
-    && Log.level_of_string "nonsense" = None)
 
 let test_warn_once_race () =
   let captured =
     with_captured_log (fun () ->
-        Log.set_level Log.Warn;
         let once = Log.once () in
         let domains =
           Array.init 4 (fun d ->
@@ -356,18 +340,15 @@ let suite =
     [
       Alcotest.test_case "counter basics" `Quick test_counter_basics;
       Alcotest.test_case "registration rules" `Quick test_registration;
-      Alcotest.test_case "histogram exact counts" `Quick
-        test_histogram_exact_counts;
       qcheck prop_shard_merge_serial_reference;
       Alcotest.test_case "counts invariant in domain count" `Quick
         test_deterministic_across_domain_counts;
       Alcotest.test_case "disabled path allocates nothing" `Quick
         test_disabled_path_allocates_nothing;
+      Alcotest.test_case "pool wall totals" `Quick test_pool_wall_totals;
       Alcotest.test_case "compensation counters" `Quick
         test_compensation_counters;
       Alcotest.test_case "ledger/summary exports" `Quick test_exports;
-      Alcotest.test_case "log level filtering" `Quick test_log_levels;
-      Alcotest.test_case "log level parsing" `Quick test_log_level_of_string;
       Alcotest.test_case "warn_once fires once under a race" `Quick
         test_warn_once_race;
       Alcotest.test_case "trace sort_by_start" `Quick test_sort_by_start;
