@@ -435,7 +435,7 @@ let kernel_estimates ~quick () =
       ( "compare/detect-batch", Compensation.batch_lanes,
         fun () ->
           for k = 0 to Compensation.batch_lanes - 1 do
-            Compensation.draw comp_ctx det_sc k ~systematic:comp_sys det_rng
+            Compensation.draw comp_ctx det_sc k ~systematic:comp_sys ~raw:ignore det_rng
           done;
           Compensation.detect_lanes comp_ctx det_sc Compensation.batch_lanes );
       ( "compare/apply-vi", 1, fun () -> ignore (apply_vi comp_sc comp_d) );

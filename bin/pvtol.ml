@@ -629,13 +629,58 @@ let bench_compare_cmd =
           any kernel regressed significantly.")
     Term.(const run $ base $ next $ threshold $ out)
 
+let bench_pairs_cmd =
+  let runs opt_name side =
+    let doc =
+      Printf.sprintf
+        "A perfbench $(b,--json) record of the %s side; repeat once per \
+         run, in pair order."
+        side
+    in
+    Arg.(value & opt_all file [] & info [ opt_name ] ~doc ~docv:"FILE")
+  in
+  let run base next =
+    let read file =
+      match Json.read_file file with
+      | Ok j -> (file, j)
+      | Error e ->
+        Printf.eprintf "pvtol bench pairs: %s: %s\n" file e;
+        exit 2
+    in
+    match
+      Bench_compare.pairs ~base:(List.map read base) ~next:(List.map read next)
+    with
+    | Error e ->
+      Printf.eprintf "pvtol bench pairs: %s\n" (Bench_compare.pair_error_message e);
+      exit 2
+    | Ok report ->
+      print_string (Bench_compare.render_pairs report);
+      if
+        List.exists
+          (fun st -> st.Bench_compare.pair_verdict = Bench_compare.Loss)
+          report.Bench_compare.stats
+      then exit 1
+  in
+  Cmd.v
+    (Cmd.info "pairs"
+       ~doc:
+         "Judge alternating base/new perfbench runs of one workload: per \
+          metric each side's median and quartiles, the pair wins and the \
+          Hodges-Lehmann shift with its signed-rank interval.  A metric \
+          is a $(b,gain) (or a $(b,loss)) when one side wins at least 9 \
+          in 10 pairs and the shift exceeds the base side's interquartile \
+          range, and no gain counts while more new ops fail.  Exits 1 \
+          on a loss, 2 on unreadable or incomplete records or on runs \
+          of different workloads or settings.")
+    Term.(const run $ runs "base" "base" $ runs "new" "new")
+
 let bench_cmd =
   Cmd.group
     (Cmd.info "bench"
        ~doc:
-         "Perf-regression observatory over the statistical bench \
-          reports ($(b,BENCH_ssta.json)).")
-    [ bench_compare_cmd ]
+         "Perf-regression observatory: statistical kernel reports \
+          ($(b,BENCH_ssta.json)) and alternating perfbench pairs.")
+    [ bench_compare_cmd; bench_pairs_cmd ]
 
 let main =
   let doc =

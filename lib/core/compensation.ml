@@ -240,14 +240,14 @@ let rec popcount m = if m = 0 then 0 else (m land 1) + popcount (m lsr 1)
 
 let violating_in ws k clock = popcount (failing_mask ws k clock)
 
-let draw c sc k ~systematic rng =
+let draw c sc k ~systematic ~raw rng =
   if k < 0 || k >= batch_lanes then
     invalid_arg "Compensation.draw: lane out of range";
   (* One random Lgate realisation for this die; every strategy below
      re-times the same realisation.  The single [sample_lgates] call is
      the die's only RNG consumption, so per-die streams are identical
      for every strategy subset a caller evaluates. *)
-  Sampler.sample_lgates c.sampler ~systematic rng sc.lgates;
+  Sampler.sample_lgates c.sampler ~systematic ~raw rng sc.lgates;
   Process.supply_delays c.sampler.Sampler.process ~base:c.base
     ~lgates:sc.lgates ~low:sc.lows.(k) ~high:sc.highs.(k)
 
@@ -305,7 +305,7 @@ let select sc k =
   sc.detects.(k)
 
 let detect c sc ~systematic rng =
-  draw c sc 0 ~systematic rng;
+  draw c sc 0 ~systematic ~raw:ignore rng;
   detect_lanes c sc 1;
   select sc 0
 

@@ -105,12 +105,14 @@ val systematic_into :
 val batch_lanes : int
 (** The widest detect batch, and the lanes of an island settle: 4. *)
 
-val draw :
-  ctx -> scratch -> int -> systematic:float array -> Pvtol_util.Srng.t -> unit
-(** [draw ctx sc k ~systematic rng]: one die's random Lgate realisation
+val draw : ctx -> scratch -> int -> systematic:float array ->
+  raw:(float array -> unit) -> Pvtol_util.Srng.t -> unit
+(** [draw ctx sc k ~systematic ~raw rng]: one die's random Lgate realisation
     from [rng] (exactly one {!Pvtol_variation.Sampler.sample_lgates}
-    call — strategies consume no RNG, so the per-die stream is
-    identical for every strategy subset), scaled at both supplies
+    call, whose raw gaussians [raw] sees: an importance-sampled die
+    prices its weight there, others pass [ignore];
+    strategies consume no RNG, so the per-die stream is identical for
+    every strategy subset), scaled at both supplies
     ({!Pvtol_stdcell.Process.supply_delays}) into lane [k]'s vectors.
     [systematic] is read before [draw] returns; it may be the scratch's
     own {!systematic_into} buffer.  [Invalid_argument] unless

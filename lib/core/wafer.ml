@@ -172,11 +172,13 @@ type on_cell = completed:int -> total:int -> unit
 (* [site sc c s]: site [c]'s accumulator, before its first die (may draw
    from [s]'s streams).  [die acc sc k i rng]: the map die [i] of [rng]
    is detected at, as lane [k] of its batch; the map is consumed before
-   the next hook runs.  [record acc k d outcomes]: lane [k]'s detect and
-   outcomes, in strategy order. *)
+   the next hook runs.  [raw z]: that die's raw gaussians, from its
+   [draw].  [record acc k d outcomes]: lane [k]'s detect and outcomes,
+   in strategy order. *)
 type 'acc source = {
   site : Compensation.scratch -> int -> site -> 'acc;
   die : 'acc -> Compensation.scratch -> int -> int -> Srng.t -> float array;
+  raw : float array -> unit;
   record : 'acc -> int -> Compensation.detect -> Compensation.outcome array -> unit;
 }
 
@@ -188,6 +190,7 @@ let site_tally ctx strategies =
         map := Compensation.systematic_into ctx sc site.position;
         tally_create strategies);
     die = (fun _ _ _ _ _ -> !map);
+    raw = ignore;
     record = (fun ta _ d outcomes -> tally_die ta d outcomes);
   }
 
@@ -254,7 +257,7 @@ let tally ?pool ?on_cell ctx strategies source sites =
             for i = 0 to site.dies_per_stream - 1 do
               let k = !m in
               let systematic = src.die acc sc k i rng in
-              Compensation.draw ctx sc k ~systematic rng;
+              Compensation.draw ctx sc k ~systematic ~raw:src.raw rng;
               lane_site.(k) <- j;
               m := k + 1;
               if !m = Compensation.batch_lanes then flush ()
@@ -654,12 +657,12 @@ let run_sampling ?pool ?on_round (t : Flow.t) ~position scfg =
      fixed per method: lhs prefixes the stratum's round with its two
      axis permutations, is prefixes each die with its component pick,
      and every die consumes two jitter uniforms (also at a fixed site)
-     and exactly [n] gaussians.  [record] reads the die's weight. *)
+     and exactly [n] gaussians.  [die] leaves its lane, mixture and
+     component to [raw], which prices the weight [record] reads. *)
   let source _ _ =
-    let zbuf = Array.make n 0.0 and sysbuf = Array.make n 0.0 in
-    (* Per lane: the weight [die] prices and [record] reads, a batch
-       later. *)
+    let sysbuf = Array.make n 0.0 in
     let weight = Array.make Compensation.batch_lanes 1.0 in
+    let lane = ref 0 and model = ref Smart_sampling.plain and comp = ref (-1) in
     {
       site =
         (fun _ g site ->
@@ -672,34 +675,26 @@ let run_sampling ?pool ?on_round (t : Flow.t) ~position scfg =
           { st_g = g; st_px; st_py; st_acc = gacc_create () });
       die =
         (fun st sc k r rng ->
-          let model = models.(st.st_g) in
-          let comp =
-            match scfg.s_method with
-            | Smart_sampling.Is -> Smart_sampling.pick model rng
-            | Smart_sampling.Mc | Smart_sampling.Lhs -> -1
-          in
+          lane := k;
+          model := models.(st.st_g);
+          comp :=
+            (match scfg.s_method with
+            | Smart_sampling.Is -> Smart_sampling.pick !model rng
+            | Smart_sampling.Mc | Smart_sampling.Lhs -> -1);
           let ux = Srng.uniform rng in
           let uy = Srng.uniform rng in
           let systematic =
             match fixed with Some map -> map | None -> field_map sc st r ux uy
           in
-          weight.(k) <- 1.0;
-          if Smart_sampling.n_components model = 0 then systematic
-          else begin
-            (* Draw-ahead replay: price the balance-heuristic weight on
-               the raw gaussians detect is about to consume, then
-               realise the tilt as a shifted systematic field. *)
-            let pre = Srng.copy rng in
-            Srng.fill_gaussians pre zbuf ~pos:0 ~len:n;
-            weight.(k) <- Smart_sampling.weight model ~comp ~z:zbuf;
-            match Smart_sampling.shift model ~comp with
-            | Either.Right () -> systematic
-            | Either.Left tilt ->
-              Sampler.shifted_systematic sampler ~systematic
-                ~cells:tilt.Smart_sampling.cells ~dir:tilt.Smart_sampling.dir
-                ~theta:tilt.Smart_sampling.theta ~out:sysbuf;
-              sysbuf
-          end);
+          match Smart_sampling.shift !model ~comp:!comp with
+          | Either.Right () -> systematic
+          | Either.Left tilt ->
+            Sampler.shifted_systematic sampler ~systematic
+              ~cells:tilt.Smart_sampling.cells ~dir:tilt.Smart_sampling.dir
+              ~theta:tilt.Smart_sampling.theta ~out:sysbuf;
+            sysbuf);
+      raw =
+        (fun z -> weight.(!lane) <- Smart_sampling.weight !model ~comp:!comp ~z);
       record =
         (fun st k d outcomes ->
           (* w * y is exactly w or 0: weights are finite and positive. *)

@@ -121,10 +121,10 @@ type 'acc source
 (** A die source: where a site's dies sit, what each weighs and how the
     site accumulates them into an ['acc].  {!tally} makes one per
     worker, like a strategy's [fresh_apply].  The sampling estimator's
-    draws each die's position jitter, IS component and weight;
-    {!site_tally} is the trivial one.  A batch asks a source for every
-    die's map before it records the first, so a source keeps per-die
-    state per lane (the estimator's weight). *)
+    draws each die's position jitter and IS component, and weighs the
+    die's raw gaussians; {!site_tally} is the trivial one.  A batch asks
+    a source for every die's map before it records the first, so a
+    source keeps per-die state per lane (the estimator's weight). *)
 
 val site_tally : Compensation.ctx -> Compensation.strategy array -> tally source
 (** The trivial source: every die at its site's map, counted in a
@@ -145,7 +145,7 @@ val tally :
     Dies run in batches of up to {!Compensation.batch_lanes}, in
     (site, stream, die) order: per die the source's map (it may draw
     from the stream first) and {!Compensation.draw} into the die's
-    lane, then one {!Compensation.detect_lanes} for the batch, then per
+    lane (the source sees its raw gaussians), then one {!Compensation.detect_lanes} for the batch, then per
     die {!Compensation.select}, each strategy's apply in array order
     and the source recording the outcomes.  Every die, draw and
     accumulator sees exactly what a per-die loop of

@@ -16,11 +16,10 @@
       unbiased: [E_q w f = E_p f] for every integrand.  The shift is
       realised {e without touching the die kernel}: the tilted mean
       [sigma * theta * u] is folded into the systematic Lgate field
-      ({!Pvtol_variation.Sampler.shifted_systematic}) while the RNG
-      stream is replayed via {!Pvtol_util.Srng.copy} +
-      {!Pvtol_util.Srng.fill_gaussians} to recover the raw draw's
-      projections for the likelihood ratio — bit-compatible with the
-      die kernel, which consumes the identical gaussian stream.
+      ({!Pvtol_variation.Sampler.shifted_systematic}), and the
+      likelihood ratio is priced on the raw draw the die kernel itself
+      consumes ({!Pvtol_variation.Sampler.sample_lgates} shows its
+      gaussians to the caller before adding them to the field).
     - {b Tilt construction}: one component per worst endpoint
       ({!Pvtol_timing.Paths.worst_endpoints}) of each analyzed stage
       that sits below the clock among the [rare] slowest; its direction
@@ -105,7 +104,7 @@ val weight : model -> comp:int -> z:float array -> float
 (** Balance-heuristic likelihood ratio of one die:
     [1 / (alpha + sum_j beta_j exp (theta_j <u_j, z_total> -
     theta_j^2 / 2))] where [z] is the die's {e raw} standard-normal
-    draw (recovered by stream replay) and [z_total] adds the realised
+    draw (before the tilt's shift) and [z_total] adds the realised
     shift of component [comp] through the precomputed Gram matrix.
     Bounded by [1 / alpha]; equal to 1 on {!plain}. *)
 

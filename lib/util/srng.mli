@@ -19,9 +19,8 @@ val copy : t -> t
     Box-Muller half.  Combined with {!fill_gaussians} this gives a
     {e draw-ahead replay}: a consumer about to hand [g] to a kernel can
     [fill_gaussians (copy g)] to observe the exact gaussians the kernel
-    is about to consume without disturbing [g] — the importance-sampling
-    layer recovers each die's raw draw this way to price its likelihood
-    ratio. *)
+    is about to consume without disturbing [g] — the tests check the
+    sampling seam against such replays. *)
 
 val jump : t -> int -> unit
 (** [jump g n] advances [g] past the next [n] raw draws in O(1) —

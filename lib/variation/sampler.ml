@@ -26,7 +26,7 @@ let systematic_lgates t (p : Placement.t) pos =
   systematic_lgates_into t p pos ~out;
   out
 
-let sample_lgates t ~systematic rng out =
+let sample_lgates t ~systematic ~raw rng out =
   let n = Array.length systematic in
   if Array.length out <> n || out == systematic then
     invalid_arg "Sampler.sample_lgates: out must be a distinct array of the \
@@ -35,6 +35,7 @@ let sample_lgates t ~systematic rng out =
      calls, so this is the per-cell [systematic + sigma * gaussian]
      loop, and leaves [rng] in the same state. *)
   Srng.fill_gaussians rng out ~pos:0 ~len:n;
+  raw out;
   let sigma = t.sigma_rnd_nm in
   for i = 0 to n - 1 do
     Array.unsafe_set out i

@@ -28,13 +28,14 @@ val systematic_lgates_into :
 (** {!systematic_lgates} written into [out] (one entry per placed cell)
     without allocating — for per-die loops that keep one map buffer. *)
 
-val sample_lgates :
-  t -> systematic:float array -> Pvtol_util.Srng.t -> float array -> unit
+val sample_lgates : t -> systematic:float array -> raw:(float array -> unit) ->
+  Pvtol_util.Srng.t -> float array -> unit
 (** Fill the output array with systematic + fresh random draws:
     [out.(i) <- systematic.(i) +. sigma_rnd_nm *. gaussian rng] for
     [i = 0 .. n-1] in order, bit for bit, drawn in bulk through
-    {!Pvtol_util.Srng.fill_gaussians} so nothing is allocated.  Raises
-    [Invalid_argument] if [out] is [systematic] or differs in length. *)
+    {!Pvtol_util.Srng.fill_gaussians} (no per-cell allocation); [raw out]
+    sees the raw draws first (it must neither keep nor write [out]).
+    Raises [Invalid_argument] if [out] is [systematic] or differs in length. *)
 
 val shifted_systematic :
   t ->

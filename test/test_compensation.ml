@@ -498,8 +498,8 @@ let test_chipwide_stamp_per_die () =
     got.Compensation.meets;
   (* The same two dies as lanes 0 and 1 of one batch: chip-wide on B
      must not read the stamp the settle left on A. *)
-  Compensation.draw ctx sc 0 ~systematic:slow (Srng.create 1);
-  Compensation.draw ctx sc 1 ~systematic (Srng.create seed_b);
+  Compensation.draw ctx sc 0 ~systematic:slow ~raw:ignore (Srng.create 1);
+  Compensation.draw ctx sc 1 ~systematic ~raw:ignore (Srng.create seed_b);
   Compensation.detect_lanes ctx sc 2;
   let d_a = Compensation.select sc 0 in
   ignore (vi sc d_a);
@@ -562,7 +562,7 @@ let test_lane_state_across_strategies () =
   let detect_batch () =
     List.iteri
       (fun k ((_, systematic, seed), _, _, _) ->
-        Compensation.draw ctx sc k ~systematic (Srng.create seed))
+        Compensation.draw ctx sc k ~systematic ~raw:ignore (Srng.create seed))
       dies;
     Compensation.detect_lanes ctx sc Compensation.batch_lanes
   in

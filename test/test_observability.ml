@@ -571,6 +571,162 @@ let test_compare_cli_exit_codes () =
     (run ~flags:"--threshold=0" base next);
   List.iter Sys.remove [ base; next; zero ]
 
+(* --- bench pairs --------------------------------------------------- *)
+
+(* Ten alternating runs a side, spread like perfbench's op_s on a
+   2-core machine. *)
+let pair_base = [| 0.86; 0.82; 0.90; 0.84; 0.88; 0.81; 0.93; 0.85; 0.87; 0.89 |]
+
+let test_pairs_constant_shift () =
+  let next = Array.map (fun x -> x -. 0.15) pair_base in
+  let s = BC.pair_stat ~metric:"op_s" ~base:pair_base ~next in
+  Alcotest.(check int) "wins" 10 s.BC.wins;
+  Alcotest.(check (float 1e-12)) "shift" (-0.15) s.BC.shift;
+  Alcotest.(check bool) "CI excludes 0" true (s.BC.shift_hi < 0.0);
+  Alcotest.(check bool) "CI holds the shift" true
+    (s.BC.shift_lo <= s.BC.shift && s.BC.shift <= s.BC.shift_hi);
+  Alcotest.(check bool) "coverage >= 95%" true (s.BC.coverage >= 0.95);
+  Alcotest.(check bool) "gain" true (s.BC.pair_verdict = BC.Gain);
+  let worse = BC.pair_stat ~metric:"op_s" ~base:next ~next:pair_base in
+  Alcotest.(check bool) "the mirror is a loss" true (worse.BC.pair_verdict = BC.Loss)
+
+let test_pairs_identical () =
+  let s = BC.pair_stat ~metric:"op_s" ~base:pair_base ~next:(Array.copy pair_base) in
+  Alcotest.(check int) "wins" 0 s.BC.wins;
+  Alcotest.(check (float 0.0)) "shift" 0.0 s.BC.shift;
+  Alcotest.(check bool) "CI contains 0" true
+    (s.BC.shift_lo <= 0.0 && 0.0 <= s.BC.shift_hi);
+  Alcotest.(check bool) "unresolved" true (s.BC.pair_verdict = BC.Unresolved)
+
+let test_pairs_eight_of_ten () =
+  (* Eight large wins and two small losses: the shift clears the IQR,
+     but eight in ten is not a gain. *)
+  let next = Array.mapi (fun i x -> if i < 8 then x -. 0.2 else x +. 0.01) pair_base in
+  let s = BC.pair_stat ~metric:"op_s" ~base:pair_base ~next in
+  Alcotest.(check int) "wins" 8 s.BC.wins;
+  Alcotest.(check bool) "shift beyond the base IQR" true
+    (-.s.BC.shift > s.BC.base_q.BC.q3 -. s.BC.base_q.BC.q1);
+  Alcotest.(check bool) "not a gain" true (s.BC.pair_verdict = BC.Unresolved);
+  (* Nine wins, but a shift inside the base IQR: no gain either. *)
+  let small = Array.mapi (fun i x -> if i < 9 then x -. 0.01 else x +. 0.01) pair_base in
+  Alcotest.(check bool) "shift inside the IQR" true
+    ((BC.pair_stat ~metric:"op_s" ~base:pair_base ~next:small).BC.pair_verdict
+    = BC.Unresolved)
+
+(* A perfbench [--json] record: one op per entry of [problems]. *)
+let perfbench_record ?(workload = "yield_is") ?(seed = 7) ?(seconds = 13.0)
+    ?(quick = false) ?(problems = [ []; [] ]) metrics =
+  Json.Obj
+    [ ("workload", Json.Str workload); ("seed", Json.Int seed);
+      ("seconds", Json.Float seconds); ("trace", Json.Bool false);
+      ("quick", Json.Bool quick); ("domains", Json.Int 2);
+      ( "ops",
+        Json.List
+          (List.map
+             (fun ps ->
+               Json.Obj
+                 [ ("seconds", Json.Float 0.8);
+                   ("problems", Json.List (List.map (fun p -> Json.Str p) ps)) ])
+             problems) );
+      ( "metrics",
+        Json.Obj
+          (List.map
+             (fun (name, v) ->
+               (name, Json.Obj [ ("value", Json.Float v); ("unit", Json.Str "s") ]))
+             metrics) ) ]
+
+let test_pairs_records () =
+  let side f =
+    Array.to_list
+      (Array.mapi
+         (fun i x ->
+           (Printf.sprintf "run%d.json" i, perfbench_record [ ("op_s", f x); ("setup_s", 2.5) ]))
+         pair_base)
+  in
+  let base = side Fun.id and next = side (fun x -> x -. 0.15) in
+  (match BC.pairs ~base ~next with
+  | Error e -> Alcotest.fail (BC.pair_error_message e)
+  | Ok r ->
+    Alcotest.(check (pair int int)) "failed ops" (0, 0) (r.BC.base_failed, r.BC.next_failed);
+    Alcotest.(check string) "workload" "yield_is" r.BC.p_workload;
+    Alcotest.(check (list int)) "seeds" [ 7 ] r.BC.seeds;
+    Alcotest.(check (list string)) "metrics in record order" [ "op_s"; "setup_s" ]
+      (List.map (fun st -> st.BC.metric) r.BC.stats);
+    let md = BC.render_pairs r in
+    Alcotest.(check bool) "table names the gain" true
+      (contains ~sub:"| op_s |" md && contains ~sub:"**gain**" md));
+  let expect_error label want got =
+    match got with
+    | Ok _ -> Alcotest.failf "%s: accepted" label
+    | Error e -> Alcotest.(check bool) (label ^ ": " ^ BC.pair_error_message e) true (want e)
+  in
+  expect_error "workload mismatch"
+    (function BC.Workload_mismatch _ -> true | _ -> false)
+    (BC.pairs ~base
+       ~next:(("census.json", perfbench_record ~workload:"wafer_census" [ ("op_s", 1.0); ("setup_s", 2.5) ])
+              :: List.tl next));
+  (* A faster new side whose ops fail more often gains nothing. *)
+  (match
+     BC.pairs ~base
+       ~next:(("failing.json",
+               perfbench_record ~problems:[ []; [ "digest mismatch" ] ]
+                 [ ("op_s", 0.5); ("setup_s", 2.5) ])
+              :: List.tl next)
+   with
+  | Error e -> Alcotest.fail (BC.pair_error_message e)
+  | Ok r ->
+    Alcotest.(check (pair int int)) "failed ops" (0, 1) (r.BC.base_failed, r.BC.next_failed);
+    Alcotest.(check bool) "no gain while more new ops fail" true
+      (List.for_all (fun st -> st.BC.pair_verdict <> BC.Gain) r.BC.stats));
+  expect_error "shorter window"
+    (function BC.Setting_mismatch { setting = "seconds"; _ } -> true | _ -> false)
+    (BC.pairs ~base
+       ~next:(("short.json", perfbench_record ~seconds:1.0 [ ("op_s", 1.0); ("setup_s", 2.5) ])
+              :: List.tl next));
+  expect_error "quick design"
+    (function BC.Setting_mismatch { setting = "quick"; _ } -> true | _ -> false)
+    (BC.pairs ~base
+       ~next:(("quick.json", perfbench_record ~quick:true [ ("op_s", 1.0); ("setup_s", 2.5) ])
+              :: List.tl next));
+  expect_error "missing metric"
+    (function BC.Missing_metric { metric = "setup_s"; _ } -> true | _ -> false)
+    (BC.pairs ~base ~next:(("short.json", perfbench_record [ ("op_s", 1.0) ]) :: List.tl next));
+  expect_error "unpaired"
+    (function BC.Unpaired { base = 10; next = 9 } -> true | _ -> false)
+    (BC.pairs ~base ~next:(List.tl next));
+  expect_error "not a record"
+    (function BC.Bad_record _ -> true | _ -> false)
+    (BC.pairs ~base ~next:(("x.json", Json.Obj []) :: List.tl next))
+
+(* The CLI: 0 on a gain, 1 on a loss, 2 on mismatched workloads or
+   settings or a missing metric. *)
+let test_pairs_cli_exit_codes () =
+  let write name j =
+    let file = Filename.temp_file name ".json" in
+    Json.write_file file j;
+    file
+  in
+  let side f =
+    Array.to_list
+      (Array.map (fun x -> write "pairs" (perfbench_record [ ("op_s", f x) ])) pair_base)
+  in
+  let base = side Fun.id and next = side (fun x -> x -. 0.15) in
+  let census = write "pairs_census" (perfbench_record ~workload:"wafer_census" [ ("op_s", 1.0) ]) in
+  let bare = write "pairs_bare" (perfbench_record []) in
+  let quick = write "pairs_quick" (perfbench_record ~quick:true [ ("op_s", 0.5) ]) in
+  let run b n =
+    let args flag = List.map (fun f -> flag ^ "=" ^ Filename.quote f) in
+    Sys.command
+      (Printf.sprintf "%s bench pairs %s > /dev/null 2>&1" (Filename.quote pvtol_exe)
+         (String.concat " " (args "--base" b @ args "--new" n)))
+  in
+  Alcotest.(check int) "gain exits 0" 0 (run base next);
+  Alcotest.(check int) "loss exits 1" 1 (run next base);
+  Alcotest.(check int) "mismatched workloads exit 2" 2 (run base (census :: List.tl next));
+  Alcotest.(check int) "missing metric exits 2" 2 (run base (bare :: List.tl next));
+  Alcotest.(check int) "mismatched settings exit 2" 2 (run base (quick :: List.tl next));
+  List.iter Sys.remove (census :: bare :: quick :: base @ next)
+
 (* Degenerate count flags are usage errors: exit 124 with cmdliner's
    one-line message naming the option, never an uncaught exception from
    a stage that was handed a zero budget. *)
@@ -738,6 +894,13 @@ let suite =
         test_compare_rejects_bad_estimates;
       Alcotest.test_case "compare: cli exit codes" `Slow
         test_compare_cli_exit_codes;
+      Alcotest.test_case "pairs: constant shift found" `Quick
+        test_pairs_constant_shift;
+      Alcotest.test_case "pairs: identical sides" `Quick test_pairs_identical;
+      Alcotest.test_case "pairs: 8 wins in 10 is no gain" `Quick
+        test_pairs_eight_of_ten;
+      Alcotest.test_case "pairs: perfbench records" `Quick test_pairs_records;
+      Alcotest.test_case "pairs: cli exit codes" `Quick test_pairs_cli_exit_codes;
       Alcotest.test_case "cli rejects non-positive counts" `Quick
         test_cli_rejects_nonpositive_counts;
       Alcotest.test_case "cli report rejects broken ledgers" `Quick

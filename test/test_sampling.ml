@@ -355,11 +355,14 @@ let test_domain_invariance () =
 
 (* Every round of [Wafer.estimate*] is one [Wafer.tally] with the
    estimator's die source; [Sampling_oracle] is the round loop it
-   replaced.  Whole reports must be byte-equal for every method, both
-   entry points and both pool sizes — once at the full budget on the
-   rare metric, once stopping early on yield — and the folded run must
-   count every die it ran in [wafer_sampling_dies_total] and detect as
-   many dies as the oracle. *)
+   replaced, pricing each IS weight on a replay of the die's stream.
+   Whole reports must be byte-equal for every method, both entry points
+   and both pool sizes — once at the full budget on the rare metric,
+   once stopping early on yield, and once at 3 dies per round, where a
+   detect batch spans two strata and a round's last batch runs two
+   lanes, so a weight recorded on the wrong lane shows — and the folded
+   run must count every die it ran in [wafer_sampling_dies_total] and
+   detect as many dies as the oracle. *)
 let test_oracle_equivalence () =
   let t = Lazy.force flow in
   let sampling_dies = Metrics.counter "wafer_sampling_dies_total" in
@@ -410,10 +413,56 @@ let test_oracle_equivalence () =
                         o.Wafer.sr_dies counted;
                       Alcotest.(check int) (label ^ ": dies detected") o_detected
                         r_detected)
-                    [ ("full budget", full); ("early stop", early) ])
+                    [ ("full budget", full); ("early stop", early);
+                      ("3 dies per round", { full with Wafer.s_dies_per_round = 3 }) ])
                 entries)
             [ Smart_sampling.Mc; Smart_sampling.Is; Smart_sampling.Lhs ]))
     [ 1; 2 ]
+
+(* ------------------------------------------------------------------ *)
+(* IS where the mixture is empty                                        *)
+
+(* The tilt components at [position] for [rare], built through the
+   library the way the estimator builds its mixture. *)
+let tilts_at t position ~rare =
+  let sta = Flow.sta t and sampler = Flow.sampler t in
+  let nl = Flow.netlist t in
+  Smart_sampling.tilts ~sampler ~sta
+    ~base:(Pvtol_timing.Sta.nominal_delays sta)
+    ~systematic:
+      (Pvtol_variation.Sampler.systematic_lgates sampler (Flow.placement t)
+         position)
+    ~vdd:nl.Pvtol_netlist.Netlist.lib.Pvtol_stdcell.Cell.process
+           .Pvtol_stdcell.Process.vdd_low
+    ~clock:(Flow.clock t) ~stages:Pvtol_ssta.Scenario.analyzed_stages ~rare ()
+
+(* At B the slowest analyzed stage already fails the clock, so the
+   event ">= 1 stage violating" is deterministically common: [tilts]
+   finds nothing to shift toward and the IS estimator samples plain.
+   Every weight is then exactly 1, so each stratum's mean weight is 1
+   and the effective sample count is the die count; and the report is
+   the round-loop oracle's, whose weight replay meets no component. *)
+let test_is_empty_mixture () =
+  let t = Lazy.force flow in
+  let rare = 1 and position = Position.point_b in
+  Alcotest.(check int) "components at B, rare 1" 0
+    (Smart_sampling.n_components (Smart_sampling.make (tilts_at t position ~rare)));
+  let cfg =
+    { (sampling_cfg Smart_sampling.Is) with Wafer.s_rare = rare; s_dies_per_round = 3 }
+  in
+  let r = Wafer.estimate_at t ~position cfg in
+  let o = Sampling_oracle.estimate_at t ~position cfg in
+  Array.iteri
+    (fun g (sg : Wafer.sampling_group) ->
+      Alcotest.(check int) (Printf.sprintf "group %d components" g) 0
+        sg.Wafer.sg_components;
+      Alcotest.(check (float 0.0)) (Printf.sprintf "group %d mean weight" g) 1.0
+        sg.Wafer.sg_mean_weight)
+    r.Wafer.sr_groups;
+  Alcotest.(check (float 0.0)) "effective samples = dies"
+    (float_of_int r.Wafer.sr_dies) r.Wafer.sr_effective_samples;
+  Alcotest.(check string) "report = oracle" (Wafer.sampling_to_json o)
+    (Wafer.sampling_to_json r)
 
 (* ------------------------------------------------------------------ *)
 (* lhs on the whole-wafer yield                                         *)
@@ -630,6 +679,7 @@ let suite =
         test_oracle_equivalence;
       Alcotest.test_case "lhs whole-wafer gain" `Quick test_lhs_whole_wafer_gain;
       Alcotest.test_case "rare scenario range" `Quick test_rare_scenario_range;
+      Alcotest.test_case "is with an empty mixture" `Quick test_is_empty_mixture;
     ]
     @
     if not slow_enabled then []

@@ -89,7 +89,7 @@ let test_sampling_moments () =
   let out = Array.make (Array.length systematic) 0.0 in
   let acc_err = Welford.create () in
   for _ = 1 to 40 do
-    Sampler.sample_lgates sampler ~systematic rng out;
+    Sampler.sample_lgates sampler ~systematic ~raw:ignore rng out;
     Array.iteri (fun i v -> Welford.add acc_err (v -. systematic.(i))) out
   done;
   (* Residuals are ~N(0, sigma_rnd). *)
@@ -152,7 +152,9 @@ let prop_supply_delays_bitwise =
 let test_sample_lgates_bitwise () =
   (* [sample_lgates] draws in bulk; it must equal the per-cell
      [systematic + sigma * gaussian] loop bit for bit and leave the
-     stream where that loop does, cached Box-Muller half included. *)
+     stream where that loop does, cached Box-Muller half included.  Its
+     [raw] hook, where an importance-sampled die prices its weight,
+     runs once, on exactly the gaussians a replay of the stream draws. *)
   let sampler = Sampler.create () in
   let sigma = sampler.Sampler.sigma_rnd_nm in
   List.iter
@@ -167,8 +169,19 @@ let test_sample_lgates_bitwise () =
       let expect =
         Array.init n (fun i -> systematic.(i) +. (sigma *. Srng.gaussian a))
       in
+      let replay = Array.make n nan in
+      Srng.fill_gaussians (Srng.copy b) replay ~pos:0 ~len:n;
       let got = Array.make n nan in
-      Sampler.sample_lgates sampler ~systematic b got;
+      let seen = ref [] in
+      Sampler.sample_lgates sampler ~systematic
+        ~raw:(fun z -> seen := Array.copy z :: !seen)
+        b got;
+      (match !seen with
+      | [ z ] ->
+        Array.iteri
+          (fun i e -> check_bits (Printf.sprintf "%s gaussian %d" label i) e z.(i))
+          replay
+      | l -> Alcotest.failf "%s: raw ran %d times" label (List.length l));
       Array.iteri
         (fun i e -> check_bits (Printf.sprintf "%s cell %d" label i) e got.(i))
         expect;
