@@ -566,69 +566,6 @@ let report_cmd =
           artifact digests.")
     Term.(const run $ file)
 
-let bench_compare_cmd =
-  let base =
-    let doc = "Baseline $(b,BENCH_ssta.json)." in
-    Arg.(required & pos 0 (some file) None & info [] ~doc ~docv:"BASE")
-  in
-  let next =
-    let doc = "Candidate $(b,BENCH_ssta.json) to compare against BASE." in
-    Arg.(required & pos 1 (some file) None & info [] ~doc ~docv:"NEW")
-  in
-  let threshold =
-    let doc =
-      "Relative regression threshold in percent: a kernel only flags \
-       when its delta exceeds both $(docv) and the combined CI \
-       half-widths of the two runs."
-    in
-    let pct =
-      checked_conv Arg.float
-        ~ok:(fun x -> Float.is_finite x && x >= 0.0)
-        ~what:"not a finite value >= 0"
-    in
-    Arg.(
-      value
-      & opt pct Bench_compare.default_threshold_pct
-      & info [ "threshold" ] ~doc ~docv:"PCT")
-  in
-  let out =
-    let doc = "Also write the markdown comparison table to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "out" ] ~doc ~docv:"FILE")
-  in
-  let run base next threshold out =
-    let read name file =
-      match Json.read_file file with
-      | Ok j -> j
-      | Error e ->
-        Printf.eprintf "pvtol bench compare: %s file: %s\n" name e;
-        exit 2
-    in
-    let base_j = read "base" base and next_j = read "new" next in
-    match
-      Bench_compare.compare ~threshold_pct:threshold ~base:base_j ~next:next_j
-        ()
-    with
-    | Error e ->
-      Printf.eprintf "pvtol bench compare: %s\n" e;
-      exit 2
-    | Ok report ->
-      let md = Bench_compare.render report in
-      print_string md;
-      Option.iter
-        (fun file ->
-          Out_channel.with_open_text file (fun oc -> output_string oc md))
-        out;
-      if Bench_compare.regressions report <> [] then exit 1
-  in
-  Cmd.v
-    (Cmd.info "compare"
-       ~doc:
-         "Compare two bench reports kernel by kernel: a kernel is \
-          $(b,regressed)/$(b,improved) only when the delta clears both \
-          the CI half-widths and $(b,--threshold); exits nonzero when \
-          any kernel regressed significantly.")
-    Term.(const run $ base $ next $ threshold $ out)
-
 let bench_pairs_cmd =
   let runs opt_name side =
     let doc =
@@ -678,9 +615,9 @@ let bench_cmd =
   Cmd.group
     (Cmd.info "bench"
        ~doc:
-         "Perf-regression observatory: statistical kernel reports \
-          ($(b,BENCH_ssta.json)) and alternating perfbench pairs.")
-    [ bench_compare_cmd; bench_pairs_cmd ]
+         "Perf-regression verdict over alternating base/new perfbench \
+          runs.")
+    [ bench_pairs_cmd ]
 
 let main =
   let doc =

@@ -18,14 +18,6 @@
 open Pvtol_netlist
 module Position := Pvtol_variation.Position
 
-val place_seed : int
-(** The global placer's seed: 1. *)
-
-val utilization : float
-(** Initial row utilization, 0.48: below the paper's ~70% so the final
-    design (after level-shifter insertion, +26-31% area) lands near 70%
-    and incremental placement stays local. *)
-
 type config = {
   vex : Pvtol_vex.Vex_core.config;
   place_iterations : int;

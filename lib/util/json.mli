@@ -1,6 +1,6 @@
 (** Minimal JSON tree: one shared emitter and parser for every report
-    the tools write or read (the run ledger, [BENCH_ssta.json], the
-    [pvtol report] / [pvtol bench compare] readers).
+    the tools write or read (the run ledger, perfbench's [--json]
+    record, the [pvtol report] / [pvtol bench pairs] readers).
 
     The emitter escapes strings correctly and {e rejects} non-finite
     floats — a NaN or infinity in a benchmark estimate or a ledger

@@ -1,7 +1,7 @@
 (* Observability: the shared JSON tree, trace edge cases, the run
-   ledger and the bench-compare regression gate.  The end-to-end cases
+   ledger and the alternating-pairs perf verdict.  The end-to-end cases
    drive the installed pvtol binary (a dune dep of this test) so the
-   exit codes the CI gate relies on are pinned here. *)
+   exit codes CI relies on are pinned here. *)
 
 module Json = Pvtol_util.Json
 module Trace = Pvtol_util.Trace
@@ -394,183 +394,6 @@ let test_cli_artifacts_parse () =
        [ "compare.json" ]);
   Sys.rmdir dir
 
-(* --- bench compare ------------------------------------------------- *)
-
-let bench_file kernels =
-  Json.Obj
-    [
-      ("schema", Json.Int 2);
-      ( "kernels",
-        Json.Obj
-          (List.map
-             (fun (name, ns, ci, n) ->
-               ( name,
-                 Json.Obj
-                   [
-                     ("ns", Json.Float ns);
-                     ("ci", Json.Float ci);
-                     ("n", Json.Int n);
-                   ] ))
-             kernels) );
-    ]
-
-let base_kernels =
-  [ ("alpha", 100.0, 2.0, 30); ("beta", 2000.0, 30.0, 30);
-    ("gamma", 50.0, 1.0, 30) ]
-
-let test_compare_identical () =
-  let b = bench_file base_kernels in
-  let r = Result.get_ok (BC.compare ~base:b ~next:b ()) in
-  Alcotest.(check (list string)) "no regressions" [] (BC.regressions r);
-  List.iter
-    (fun l ->
-      Alcotest.(check bool) (l.BC.name ^ " unchanged") true
-        (l.BC.verdict = BC.Unchanged))
-    r.BC.lines
-
-(* The acceptance case: one kernel inflated 10%, well past its CI,
-   flags exactly that kernel and nothing else. *)
-let test_compare_flags_inflated_kernel () =
-  let next =
-    bench_file
-      (List.map
-         (fun (name, ns, ci, n) ->
-           if name = "beta" then (name, ns *. 1.10, ci, n)
-           else (name, ns, ci, n))
-         base_kernels)
-  in
-  let r =
-    Result.get_ok (BC.compare ~base:(bench_file base_kernels) ~next ())
-  in
-  Alcotest.(check (list string)) "exactly beta" [ "beta" ] (BC.regressions r)
-
-(* A delta inside the combined CI half-widths is noise, not a
-   regression, even when it clears the relative threshold. *)
-let test_compare_ci_gates_noise () =
-  let base = bench_file [ ("noisy", 100.0, 20.0, 5) ] in
-  let next = bench_file [ ("noisy", 110.0, 20.0, 5) ] in
-  let r = Result.get_ok (BC.compare ~base ~next ()) in
-  Alcotest.(check (list string)) "within noise" [] (BC.regressions r)
-
-(* The rendered report ends by saying what one pair can show: its
-   noise bounds are within-process spreads, so a verdict is read as a
-   change only over alternating runs. *)
-let test_compare_render_caveat () =
-  let b = bench_file base_kernels in
-  let rendered = BC.render (Result.get_ok (BC.compare ~base:b ~next:b ())) in
-  let lines = String.split_on_char '\n' (String.trim rendered) in
-  Alcotest.(check string) "last line" BC.single_pair_caveat
-    (List.nth lines (List.length lines - 1));
-  let contains s sub =
-    let n = String.length sub in
-    let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
-    at 0
-  in
-  Alcotest.(check bool) "says one pair cannot tell a change from noise" true
-    (contains BC.single_pair_caveat "one base/new pair cannot tell a change from noise");
-  Alcotest.(check bool) "asks for alternating runs" true
-    (contains BC.single_pair_caveat "alternating")
-
-let test_compare_one_sided () =
-  let base = bench_file (("old-only", 10.0, 0.5, 9) :: base_kernels) in
-  let next = bench_file (("new-only", 10.0, 0.5, 9) :: base_kernels) in
-  let r = Result.get_ok (BC.compare ~base ~next ()) in
-  Alcotest.(check (list string)) "one-sided never regresses" []
-    (BC.regressions r);
-  let verdict name =
-    (List.find (fun l -> l.BC.name = name) r.BC.lines).BC.verdict
-  in
-  Alcotest.(check bool) "base only" true (verdict "old-only" = BC.Base_only);
-  Alcotest.(check bool) "new only" true (verdict "new-only" = BC.New_only)
-
-(* A malformed estimate is an error naming the file and the kernel,
-   never a verdict: a zero or negative base mean would read a +100%
-   kernel as unchanged, and a string mean as a one-sided kernel.  A
-   null kernel is the bench's "no estimate" and is skipped. *)
-let test_compare_rejects_bad_estimates () =
-  let good = bench_file base_kernels in
-  let with_alpha fields =
-    match good with
-    | Json.Obj [ schema; ("kernels", Json.Obj (_ :: rest)) ] ->
-      Json.Obj [ schema; ("kernels", Json.Obj (("alpha", fields) :: rest)) ]
-    | _ -> assert false
-  in
-  let est ?(ns = Json.Float 100.0) ?(ci = Json.Float 2.0) ?(n = Json.Int 30) () =
-    with_alpha (Json.Obj [ ("ns", ns); ("ci", ci); ("n", n) ])
-  in
-  List.iter
-    (fun (what, bad, field) ->
-      (match BC.compare ~base:bad ~next:good () with
-      | Ok _ -> Alcotest.failf "%s accepted in base" what
-      | Error e ->
-        Alcotest.(check bool)
-          (what ^ " names base file, kernel and field")
-          true
-          (contains ~sub:"base file" e && contains ~sub:"\"alpha\"" e
-          && contains ~sub:field e));
-      match BC.compare ~base:good ~next:bad () with
-      | Ok _ -> Alcotest.failf "%s accepted in new" what
-      | Error e ->
-        Alcotest.(check bool) (what ^ " names new file") true
-          (contains ~sub:"new file" e))
-    [
-      ("zero ns", est ~ns:(Json.Int 0) (), "\"ns\"");
-      ("negative ns", est ~ns:(Json.Float (-5.0)) (), "\"ns\"");
-      ("string ns", est ~ns:(Json.Str "100") (), "\"ns\"");
-      ("negative ci", est ~ci:(Json.Float (-1.0)) (), "\"ci\"");
-      ("string ci", est ~ci:(Json.Str "2") (), "\"ci\"");
-      ("n = 0", est ~n:(Json.Int 0) (), "\"n\"");
-      ("missing ns", with_alpha (Json.Obj [ ("ci", Json.Float 1.0) ]), "\"ns\"");
-    ];
-  let r = Result.get_ok (BC.compare ~base:(with_alpha Json.Null) ~next:good ()) in
-  Alcotest.(check bool) "null estimate is no estimate" true
-    ((List.find (fun l -> l.BC.name = "alpha") r.BC.lines).BC.verdict
-    = BC.New_only)
-
-(* The CLI exit codes CI gates on: 0 on a clean compare, 1 on a
-   significant regression, 2 on a malformed estimate, 124 on a
-   threshold that is not a finite value >= 0. *)
-let test_compare_cli_exit_codes () =
-  let write name j =
-    let file = Filename.temp_file name ".json" in
-    Json.write_file file j;
-    file
-  in
-  let base = write "bench_base" (bench_file base_kernels) in
-  let next =
-    write "bench_next"
-      (bench_file
-         (List.map
-            (fun (name, ns, ci, n) ->
-              if name = "alpha" then (name, ns *. 1.10, ci, n)
-              else (name, ns, ci, n))
-            base_kernels))
-  in
-  let zero =
-    write "bench_zero"
-      (bench_file
-         (List.map
-            (fun (name, ns, ci, n) ->
-              if name = "alpha" then (name, 0.0, ci, n) else (name, ns, ci, n))
-            base_kernels))
-  in
-  let run ?(flags = "") a b =
-    Sys.command
-      (Printf.sprintf "%s bench compare %s %s %s > /dev/null 2>&1"
-         (Filename.quote pvtol_exe) flags (Filename.quote a) (Filename.quote b))
-  in
-  Alcotest.(check int) "self-compare exits 0" 0 (run base base);
-  Alcotest.(check int) "regression exits 1" 1 (run base next);
-  Alcotest.(check int) "zero-ns base exits 2" 2 (run zero next);
-  List.iter
-    (fun t ->
-      Alcotest.(check int) ("--threshold " ^ t ^ " exits 124") 124
-        (run ~flags:("--threshold=" ^ t) base next))
-    [ "nan"; "inf"; "-1" ];
-  Alcotest.(check int) "--threshold 0 is valid" 1
-    (run ~flags:"--threshold=0" base next);
-  List.iter Sys.remove [ base; next; zero ]
-
 (* --- bench pairs --------------------------------------------------- *)
 
 (* Ten alternating runs a side, spread like perfbench's op_s on a
@@ -698,34 +521,72 @@ let test_pairs_records () =
     (function BC.Bad_record _ -> true | _ -> false)
     (BC.pairs ~base ~next:(("x.json", Json.Obj []) :: List.tl next))
 
-(* The CLI: 0 on a gain, 1 on a loss, 2 on mismatched workloads or
-   settings or a missing metric. *)
-let test_pairs_cli_exit_codes () =
-  let write name j =
-    let file = Filename.temp_file name ".json" in
-    Json.write_file file j;
-    file
-  in
-  let side f =
+(* The [pvtol bench pairs] CLI over perfbench records written to temp
+   files: ten base and ten new records (the new side 0.15 s faster),
+   and [run] sends stderr to [err]. *)
+let pairs_write name j =
+  let file = Filename.temp_file name ".json" in
+  Json.write_file file j;
+  file
+
+let with_pairs_cli f =
+  let side g =
     Array.to_list
-      (Array.map (fun x -> write "pairs" (perfbench_record [ ("op_s", f x) ])) pair_base)
+      (Array.map (fun x -> pairs_write "pairs" (perfbench_record [ ("op_s", g x) ])) pair_base)
   in
   let base = side Fun.id and next = side (fun x -> x -. 0.15) in
-  let census = write "pairs_census" (perfbench_record ~workload:"wafer_census" [ ("op_s", 1.0) ]) in
-  let bare = write "pairs_bare" (perfbench_record []) in
-  let quick = write "pairs_quick" (perfbench_record ~quick:true [ ("op_s", 0.5) ]) in
+  let err = Filename.temp_file "pairs_err" ".txt" in
   let run b n =
     let args flag = List.map (fun f -> flag ^ "=" ^ Filename.quote f) in
     Sys.command
-      (Printf.sprintf "%s bench pairs %s > /dev/null 2>&1" (Filename.quote pvtol_exe)
-         (String.concat " " (args "--base" b @ args "--new" n)))
+      (Printf.sprintf "%s bench pairs %s > /dev/null 2> %s" (Filename.quote pvtol_exe)
+         (String.concat " " (args "--base" b @ args "--new" n))
+         (Filename.quote err))
   in
-  Alcotest.(check int) "gain exits 0" 0 (run base next);
-  Alcotest.(check int) "loss exits 1" 1 (run next base);
-  Alcotest.(check int) "mismatched workloads exit 2" 2 (run base (census :: List.tl next));
-  Alcotest.(check int) "missing metric exits 2" 2 (run base (bare :: List.tl next));
-  Alcotest.(check int) "mismatched settings exit 2" 2 (run base (quick :: List.tl next));
-  List.iter Sys.remove (census :: bare :: quick :: base @ next)
+  f ~base ~next ~err run;
+  List.iter Sys.remove (err :: base @ next)
+
+(* The CLI: 0 on a gain, 1 on a loss, 2 on mismatched workloads or
+   settings or a missing metric. *)
+let test_pairs_cli_exit_codes () =
+  with_pairs_cli (fun ~base ~next ~err:_ run ->
+    let census = pairs_write "pairs_census" (perfbench_record ~workload:"wafer_census" [ ("op_s", 1.0) ]) in
+    let bare = pairs_write "pairs_bare" (perfbench_record []) in
+    let quick = pairs_write "pairs_quick" (perfbench_record ~quick:true [ ("op_s", 0.5) ]) in
+    Alcotest.(check int) "gain exits 0" 0 (run base next);
+    Alcotest.(check int) "loss exits 1" 1 (run next base);
+    Alcotest.(check int) "mismatched workloads exit 2" 2 (run base (census :: List.tl next));
+    Alcotest.(check int) "missing metric exits 2" 2 (run base (bare :: List.tl next));
+    Alcotest.(check int) "mismatched settings exit 2" 2 (run base (quick :: List.tl next));
+    List.iter Sys.remove [ census; bare; quick ])
+
+(* A file that is not JSON or a record without ops exits 2 with one
+   [pvtol bench pairs:] line on stderr. *)
+let test_pairs_cli_unreadable () =
+  with_pairs_cli (fun ~base ~next ~err run ->
+    let no_ops =
+      pairs_write "pairs_no_ops"
+        (match perfbench_record [ ("op_s", 1.0) ] with
+        | Json.Obj fields -> Json.Obj (List.remove_assoc "ops" fields)
+        | j -> j)
+    in
+    let not_json = Filename.temp_file "pairs_not_json" ".json" in
+    Out_channel.with_open_text not_json (fun oc -> output_string oc "op_s 1.0\n");
+    List.iter
+      (fun (label, file) ->
+        Alcotest.(check int) (label ^ " exits 2") 2 (run base (file :: List.tl next));
+        let lines =
+          In_channel.with_open_text err In_channel.input_all
+          |> String.split_on_char '\n'
+          |> List.filter (( <> ) "")
+        in
+        match lines with
+        | [ line ] when String.starts_with ~prefix:"pvtol bench pairs: " line -> ()
+        | _ ->
+          Alcotest.failf "%s: expected one pvtol bench pairs: line on stderr, got %S"
+            label (String.concat "\n" lines))
+      [ ("not JSON", not_json); ("no ops", no_ops) ];
+    List.iter Sys.remove [ no_ops; not_json ])
 
 (* Degenerate count flags are usage errors: exit 124 with cmdliner's
    one-line message naming the option, never an uncaught exception from
@@ -880,27 +741,6 @@ let suite =
         test_ledger_domain_stability;
       Alcotest.test_case "every cli artifact parses" `Slow
         test_cli_artifacts_parse;
-      Alcotest.test_case "compare: identical files" `Quick
-        test_compare_identical;
-      Alcotest.test_case "compare: inflated kernel flagged" `Quick
-        test_compare_flags_inflated_kernel;
-      Alcotest.test_case "compare: CI gates noise" `Quick
-        test_compare_ci_gates_noise;
-      Alcotest.test_case "compare: one-sided kernels" `Quick
-        test_compare_one_sided;
-      Alcotest.test_case "compare: single-pair caveat rendered" `Quick
-        test_compare_render_caveat;
-      Alcotest.test_case "compare: malformed estimates rejected" `Quick
-        test_compare_rejects_bad_estimates;
-      Alcotest.test_case "compare: cli exit codes" `Slow
-        test_compare_cli_exit_codes;
-      Alcotest.test_case "pairs: constant shift found" `Quick
-        test_pairs_constant_shift;
-      Alcotest.test_case "pairs: identical sides" `Quick test_pairs_identical;
-      Alcotest.test_case "pairs: 8 wins in 10 is no gain" `Quick
-        test_pairs_eight_of_ten;
-      Alcotest.test_case "pairs: perfbench records" `Quick test_pairs_records;
-      Alcotest.test_case "pairs: cli exit codes" `Quick test_pairs_cli_exit_codes;
       Alcotest.test_case "cli rejects non-positive counts" `Quick
         test_cli_rejects_nonpositive_counts;
       Alcotest.test_case "cli report rejects broken ledgers" `Quick
@@ -909,4 +749,13 @@ let suite =
         test_cli_run_failures_exit_2;
       Alcotest.test_case "cli progress line ends once" `Quick
         test_cli_progress_line_ends_once;
+      Alcotest.test_case "pairs: perfbench records" `Quick test_pairs_records;
+      Alcotest.test_case "pairs: cli exit codes" `Quick test_pairs_cli_exit_codes;
+      Alcotest.test_case "pairs: unreadable records exit 2" `Quick
+        test_pairs_cli_unreadable;
+      Alcotest.test_case "pairs: constant shift found" `Quick
+        test_pairs_constant_shift;
+      Alcotest.test_case "pairs: identical sides" `Quick test_pairs_identical;
+      Alcotest.test_case "pairs: 8 wins in 10 is no gain" `Quick
+        test_pairs_eight_of_ten;
     ] )

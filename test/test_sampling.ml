@@ -583,8 +583,8 @@ let test_differential_oracle () =
 
 let test_variance_reduction_factor () =
   (* On the rare scenario at B the IS estimator must beat brute force
-     by at least 5x in per-die variance (the acceptance criterion the
-     bench section pins).  Deterministic: fixed seeds, fixed budgets. *)
+     by at least 5x in per-die variance (the sampling calibration's
+     acceptance floor).  Deterministic: fixed seeds, fixed budgets. *)
   let t = Lazy.force flow in
   let pool = Pool.shared () in
   let is_r =
