@@ -83,7 +83,7 @@ let run ?pool (t : Flow.t) (v : Flow.variant) cfg =
   in
   let total =
     Wafer.tally_total strategies
-      (Wafer.tally ?pool ctx strategies Wafer.site_tally
+      (Wafer.tally ?pool ctx strategies Wafer.site_verdicts
          (Wafer.grid_sites ~who:"Compare.run" v (wafer_config cfg)))
   in
   Metrics.add m_compare_dies total.Wafer.n_dies;

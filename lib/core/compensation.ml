@@ -67,6 +67,7 @@ type scratch = {
   block : float array;  (* cells x [batch_lanes], cell-major *)
   systematic_buf : float array;  (* [systematic_into]'s map *)
   lgates : float array;
+  fit : Sampler.die_fit;  (* [draw]'s per-die fit *)
   lows : float array array;  (* per lane: the die's delays at vdd_low *)
   highs : float array array;  (* per lane: at vdd_high *)
   detects : detect array;  (* per lane: the latest batch's verdicts *)
@@ -126,6 +127,7 @@ let scratch c =
     block = Array.make (c.n_cells * batch_lanes) 0.0;
     systematic_buf = Array.make c.n_cells 0.0;
     lgates = Array.make c.n_cells 0.0;
+    fit = Sampler.die_fit c.sampler;
     lows;
     highs;
     detects = Array.make batch_lanes { violating = 0; worst_low_ns = 0.0 };
@@ -240,7 +242,7 @@ let rec popcount m = if m = 0 then 0 else (m land 1) + popcount (m lsr 1)
 
 let violating_in ws k clock = popcount (failing_mask ws k clock)
 
-let draw c sc k ~systematic ~raw rng =
+let draw c sc k ~exact_low ~systematic ~raw rng =
   if k < 0 || k >= batch_lanes then
     invalid_arg "Compensation.draw: lane out of range";
   (* One random Lgate realisation for this die; every strategy below
@@ -248,7 +250,7 @@ let draw c sc k ~systematic ~raw rng =
      the die's only RNG consumption, so per-die streams are identical
      for every strategy subset a caller evaluates. *)
   Sampler.sample_lgates c.sampler ~systematic ~raw rng sc.lgates;
-  Process.supply_delays c.sampler.Sampler.process ~base:c.base
+  Sampler.scale_die sc.fit ~exact_low ~base:c.base
     ~lgates:sc.lgates ~low:sc.lows.(k) ~high:sc.highs.(k)
 
 (* Lane [k]'s verdict, read off a finished pass, and what the skew and
@@ -305,7 +307,7 @@ let select sc k =
   sc.detects.(k)
 
 let detect c sc ~systematic rng =
-  draw c sc 0 ~systematic ~raw:ignore rng;
+  draw c sc 0 ~exact_low:true ~systematic ~raw:ignore rng;
   detect_lanes c sc 1;
   select sc 0
 

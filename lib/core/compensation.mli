@@ -18,16 +18,19 @@
     A strategy's precomputed state is immutable and safe to share
     across domains; everything mutable lives in the {!scratch} each
     concurrent caller leases, so [fresh_apply] allocates nothing.
-    {!detect} scales the die at both supplies at once; the island
+    {!detect} scales the die at both supplies at once, through a
+    per-die fit of the delay model (the low supply exact where a
+    caller reports its delay value); the island
     strategy prices every raise it may need, and the all-high
     configuration, as the lanes of one STA pass, and chip-wide reads
     that all-high verdict.  Skew tuning prices four speculative tune
     states per pass, and tunable buffers re-time nothing: they read the
     endpoint delays of {!detect}'s own pass.  Every lane is
-    bit-identical to a 1-lane pass over its configuration, so every
-    outcome is bit-identical to the sequential, one-pass-per-state
-    settle (the test oracle) and to the golden-pinned [Postsilicon.run]
-    study. *)
+    bit-identical to a 1-lane pass over its configuration, and the
+    fitted delays are within [1e-12] relative of the exact model, so
+    every outcome equals that of the sequential, one-pass-per-state
+    settle over exact delays (the test oracle; the tests hold them bit
+    for bit) and of the golden-pinned [Postsilicon.run] study. *)
 
 open Pvtol_netlist
 
@@ -45,7 +48,8 @@ type ctx
 type scratch
 (** Per-caller mutable state shared by {!detect} and the strategies:
     a 1-lane and a {!batch_lanes}-lane STA workspace, the
-    systematic-map and Lgate buffers, per lane a die's delay vectors at
+    systematic-map and Lgate buffers, the per-die fit's coefficients,
+    per lane a die's delay vectors at
     the low and the high supply, and the lane block of a batched detect
     and of the island settle; per lane the endpoint delays of the
     analyzed stages' capture flops that {!detect_lanes} keeps of its
@@ -105,15 +109,21 @@ val systematic_into :
 val batch_lanes : int
 (** The widest detect batch, and the lanes of an island settle: 4. *)
 
-val draw : ctx -> scratch -> int -> systematic:float array ->
+val draw : ctx -> scratch -> int -> exact_low:bool -> systematic:float array ->
   raw:(float array -> unit) -> Pvtol_util.Srng.t -> unit
-(** [draw ctx sc k ~systematic ~raw rng]: one die's random Lgate realisation
-    from [rng] (exactly one {!Pvtol_variation.Sampler.sample_lgates}
-    call, whose raw gaussians [raw] sees: an importance-sampled die
-    prices its weight there, others pass [ignore];
-    strategies consume no RNG, so the per-die stream is identical for
-    every strategy subset), scaled at both supplies
-    ({!Pvtol_stdcell.Process.supply_delays}) into lane [k]'s vectors.
+(** [draw ctx sc k ~exact_low ~systematic ~raw rng]: one die's random
+    Lgate realisation from [rng] (exactly one
+    {!Pvtol_variation.Sampler.sample_lgates} call, whose raw gaussians
+    [raw] sees: an importance-sampled die prices its weight there,
+    others pass [ignore]; strategies consume no RNG, so the per-die
+    stream is identical for every strategy subset), scaled at both
+    supplies into lane [k]'s vectors through the die's own fit
+    ({!Pvtol_variation.Sampler.scale_die}: within [1e-12] relative of
+    the exact model).  With [exact_low] the low supply is the exact
+    {!Pvtol_stdcell.Process.scale_into}, bit for bit, so the die's
+    [worst_low_ns] is the exact model's: a caller that reports that
+    value (the census's delay moments) passes [true], one that reads
+    only verdicts [false].
     [systematic] is read before [draw] returns; it may be the scratch's
     own {!systematic_into} buffer.  [Invalid_argument] unless
     [0 <= k < batch_lanes]. *)
@@ -138,8 +148,8 @@ val select : scratch -> int -> detect
     applying strategies to it. *)
 
 val detect : ctx -> scratch -> systematic:float array -> Pvtol_util.Srng.t -> detect
-(** One die as a batch of one: {!draw} into lane 0, {!detect_lanes}
-    [1], {!select} [0]. *)
+(** One die as a batch of one: {!draw} into lane 0 with an exact low
+    supply (the census's draw), {!detect_lanes} [1], {!select} [0]. *)
 
 (** {2 The strategy interface} *)
 

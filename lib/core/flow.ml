@@ -120,7 +120,7 @@ let trace_stimulus config netlist words =
   Gatesim.trace_stimulus netlist ~words
     ~fallback:(Gatesim.random_stimulus ~seed:(config.mc_seed + 1))
 
-let prepare ?(config = default_config) () =
+let prepare ?(config = default_config) ?(sampler = Sampler.create ()) () =
   Metrics.incr m_prepares;
   let g = Sg.create () in
   let design_n =
@@ -183,7 +183,7 @@ let prepare ?(config = default_config) () =
         | Some d -> d
         | None -> r.Sta.worst)
   in
-  let sampler_n = Sg.node g ~name:"sampler" (fun () -> Sampler.create ()) in
+  let sampler_n = Sg.node g ~name:"sampler" (fun () -> sampler) in
   let fir_n =
     Sg.node g ~name:"fir" (fun () ->
         Fir.run ~taps:config.fir_taps ~samples:config.fir_samples ())

@@ -39,8 +39,11 @@ type t
 (** A flow handle: the stage graph plus its memo.  Values are computed
     on first access and shared by every later accessor call. *)
 
-val prepare : ?config:config -> unit -> t
-(** Declare the stage graph.  No stage is computed until accessed. *)
+val prepare : ?config:config -> ?sampler:Pvtol_variation.Sampler.t -> unit -> t
+(** Declare the stage graph.  No stage is computed until accessed.
+    [sampler] (default {!Pvtol_variation.Sampler.create} [()]) is the
+    variation model every stage and die reads; the CLI always uses the
+    default, tests pass degenerate ones (zero sigma). *)
 
 (** {2 Front-half stages} *)
 

@@ -45,7 +45,7 @@ let run ?(n_chips = 40) ?(seed = 7) ?pool (t : Flow.t) (v : Flow.variant) =
   let tallies =
     Wafer.tally ?pool k.Compensation.ctx
       [| k.Compensation.vi; k.Compensation.cw |]
-      Wafer.site_tally (Array.map site starts)
+      Wafer.site_verdicts (Array.map site starts)
   in
   let chip (frac, _) (ta : Wafer.tally) =
     let vi = ta.Wafer.strategies.(0) and cw = ta.Wafer.strategies.(1) in

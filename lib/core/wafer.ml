@@ -155,17 +155,20 @@ let tally_outcome st (o : Compensation.outcome) =
   Welford.add st.area o.Compensation.area_um2;
   Counter.add st.knobs o.Compensation.knob
 
-let tally_die ta (d : Compensation.detect) outcomes =
+let tally_verdicts ta (d : Compensation.detect) outcomes =
   ta.n_dies <- ta.n_dies + 1;
   if d.Compensation.violating = 0 then
     ta.n_uncompensated <- ta.n_uncompensated + 1;
-  Welford.add ta.delay_ns d.Compensation.worst_low_ns;
-  P2.add ta.delay_p50 d.Compensation.worst_low_ns;
-  P2.add ta.delay_p90 d.Compensation.worst_low_ns;
   Counter.add ta.violating d.Compensation.violating;
   for i = 0 to Array.length outcomes - 1 do
     tally_outcome ta.strategies.(i) outcomes.(i)
   done
+
+let tally_die ta (d : Compensation.detect) outcomes =
+  Welford.add ta.delay_ns d.Compensation.worst_low_ns;
+  P2.add ta.delay_p50 d.Compensation.worst_low_ns;
+  P2.add ta.delay_p90 d.Compensation.worst_low_ns;
+  tally_verdicts ta d outcomes
 
 type on_cell = completed:int -> total:int -> unit
 
@@ -174,15 +177,18 @@ type on_cell = completed:int -> total:int -> unit
    is detected at, as lane [k] of its batch; the map is consumed before
    the next hook runs.  [raw z]: that die's raw gaussians, from its
    [draw].  [record acc k d outcomes]: lane [k]'s detect and outcomes,
-   in strategy order. *)
+   in strategy order.  [reads_delay]: [record] reads the detect's
+   [worst_low_ns] value, not only its verdict, so the source's dies
+   scale their low supply exactly. *)
 type 'acc source = {
   site : Compensation.scratch -> int -> site -> 'acc;
   die : 'acc -> Compensation.scratch -> int -> int -> Srng.t -> float array;
   raw : float array -> unit;
   record : 'acc -> int -> Compensation.detect -> Compensation.outcome array -> unit;
+  reads_delay : bool;
 }
 
-let site_tally ctx strategies =
+let site_source ctx strategies ~reads_delay record =
   let map = ref [||] in
   {
     site =
@@ -191,8 +197,15 @@ let site_tally ctx strategies =
         tally_create strategies);
     die = (fun _ _ _ _ _ -> !map);
     raw = ignore;
-    record = (fun ta _ d outcomes -> tally_die ta d outcomes);
+    record = (fun ta _ d outcomes -> record ta d outcomes);
+    reads_delay;
   }
+
+let site_tally ctx strategies =
+  site_source ctx strategies ~reads_delay:true tally_die
+
+let site_verdicts ctx strategies =
+  site_source ctx strategies ~reads_delay:false tally_verdicts
 
 let no_outcome =
   { Compensation.meets = false; knob = 0; power_mw = 0.0; area_um2 = 0.0 }
@@ -257,7 +270,8 @@ let tally ?pool ?on_cell ctx strategies source sites =
             for i = 0 to site.dies_per_stream - 1 do
               let k = !m in
               let systematic = src.die acc sc k i rng in
-              Compensation.draw ctx sc k ~systematic ~raw:src.raw rng;
+              Compensation.draw ctx sc k ~exact_low:src.reads_delay
+                ~systematic ~raw:src.raw rng;
               lane_site.(k) <- j;
               m := k + 1;
               if !m = Compensation.batch_lanes then flush ()
@@ -705,6 +719,7 @@ let run_sampling ?pool ?on_round (t : Flow.t) ~position scfg =
           Welford.add acc.(2) (if cw.Compensation.meets then w else 0.0);
           Welford.add acc.(3) (if d.violating >= scfg.s_rare then w else 0.0);
           Welford.add acc.(weight_stream) w);
+      reads_delay = false;
     }
   in
   let strategies = [| k.Compensation.vi; k.Compensation.cw |] in

@@ -122,13 +122,25 @@ type 'acc source
     site accumulates them into an ['acc].  {!tally} makes one per
     worker, like a strategy's [fresh_apply].  The sampling estimator's
     draws each die's position jitter and IS component, and weighs the
-    die's raw gaussians; {!site_tally} is the trivial one.  A batch asks
-    a source for every die's map before it records the first, so a
-    source keeps per-die state per lane (the estimator's weight). *)
+    die's raw gaussians; {!site_tally} and {!site_verdicts} are the
+    trivial ones.  A batch asks a source for every die's map before it
+    records the first, so a source keeps per-die state per lane (the
+    estimator's weight).  What a source records also sets how its dies
+    scale ({!Compensation.draw}'s [exact_low]): a source that records
+    a die's [worst_low_ns] value gets the exact low supply, one that
+    records only verdicts and outcomes the per-die fit at both. *)
 
 val site_tally : Compensation.ctx -> Compensation.strategy array -> tally source
-(** The trivial source: every die at its site's map, counted in a
-    {!tally}. *)
+(** The census's source: every die at its site's map, counted in a
+    {!tally}, delay moments included, so its dies keep an exact low
+    supply. *)
+
+val site_verdicts :
+  Compensation.ctx -> Compensation.strategy array -> tally source
+(** {!site_tally} without the delay moments ([delay_ns], [delay_p50]
+    and [delay_p90] stay empty): verdicts and outcomes only, so its
+    dies scale both supplies through the fit.  {!Compare.run} and
+    {!Postsilicon.run} count their dies with it. *)
 
 val tally :
   ?pool:Pvtol_util.Pool.t -> ?on_cell:on_cell ->
@@ -137,8 +149,9 @@ val tally :
   site array ->
   'acc array
 (** [tally ctx strategies source sites]: the library's one site x
-    stream x die loop.  The census {!run} and {!Compare.run} sweep the
-    grid's sites with {!site_tally}, {!Postsilicon.run} one site per
+    stream x die loop.  The census {!run} sweeps the grid's sites with
+    {!site_tally} and {!Compare.run} with {!site_verdicts},
+    {!Postsilicon.run} one site per
     diagonal chip, and each round of the sampling estimator one site per
     stratum with its own source.  Per site: the source's fresh
     accumulator, then [dies_per_stream] dies from each stream in order.

@@ -58,10 +58,9 @@ let theta_cap = 8.0
 let tilts ~sampler ~sta ~base ~systematic ~vdd ~clock ~stages ~rare () =
   if rare <= 0 then invalid_arg "Smart_sampling.tilts: rare must be positive";
   let n = Array.length base in
-  let delays =
-    Array.init n (fun i ->
-        base.(i) *. Sampler.delay_scale sampler ~lgate_nm:systematic.(i) ~vdd)
-  in
+  let delays = Array.make n 0.0 in
+  Pvtol_stdcell.Process.scale_into sampler.Sampler.process ~vdd ~base
+    ~lgates:systematic ~out:delays;
   let res = Sta.analyze sta ~delays in
   let ranked =
     List.filter_map
@@ -69,7 +68,10 @@ let tilts ~sampler ~sta ~base ~systematic ~vdd ~clock ~stages ~rare () =
       stages
     |> List.sort (fun (_, a) (_, b) -> compare b a)
   in
-  if List.length ranked < rare then [||]
+  (* Without a random component there is nothing to tilt: a zero-sigma
+     die is its systematic map, and every sensitivity would be 0 / 0. *)
+  if List.length ranked < rare || not (sampler.Sampler.sigma_rnd_nm > 0.0)
+  then [||]
   else begin
     (* The event "at least [rare] stages violate" is bound by the
        rare-th slowest stage; only the stages below the clock among the

@@ -72,8 +72,9 @@ val tilts :
     3/4 of its theta: they fill the density shadow between the origin
     and the tilted means, collapsing the above-1 weights that rare
     draws in that region would otherwise carry.  Empty when the event
-    is already deterministically common or unreachably rare — the
-    caller falls back to plain sampling. *)
+    is already deterministically common or unreachably rare, or the
+    sampler has no random component (zero sigma) — the caller falls
+    back to plain sampling. *)
 
 (** {2 Mixture model and likelihood-ratio weights} *)
 

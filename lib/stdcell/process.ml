@@ -26,8 +26,8 @@ let[@inline] vth_eff t ~vdd ~lgate_nm =
 
 (* Eq. 3 given the two supply-independent factors of a gate length,
    [len = lgate ** 1.5] and [dibl = exp (-alpha_dibl * lgate)]: the one
-   copy of the expression, so the two-supply kernel below and the
-   scalar path agree bit for bit.  [@inline] so the array kernel
+   copy of the expression, so the array kernel below and the scalar
+   path agree bit for bit.  [@inline] so the array kernel
    evaluates the alpha-power law in registers: a float returned by an
    out-of-line call is boxed. *)
 let[@inline] raw_delay_of t ~vdd ~len ~dibl =
@@ -38,26 +38,27 @@ let[@inline] raw_delay t ~vdd ~lgate_nm =
   raw_delay_of t ~vdd ~len:(lgate_nm ** 1.5)
     ~dibl:(exp (-.t.alpha_dibl *. lgate_nm))
 
-(* The normalising corner is constant per process: callers evaluate it
-   once per call site, never once per cell. *)
-let nominal_raw_delay t = raw_delay t ~vdd:t.vdd_low ~lgate_nm:t.l_nominal_nm
+(* The normalising corner is constant per process.  The scalar
+   [delay_scale] re-evaluates it on every call, three transcendental
+   calls; [scale_into] once per array, so per-cell loops go through
+   [scale_into].  [@inline] so that [scale_into] keeps it unboxed. *)
+let[@inline] nominal_raw_delay t =
+  raw_delay t ~vdd:t.vdd_low ~lgate_nm:t.l_nominal_nm
 
 let delay_scale t ~vdd ~lgate_nm =
   raw_delay t ~vdd ~lgate_nm /. nominal_raw_delay t
 
-let supply_delays t ~base ~lgates ~low ~high =
+let scale_into t ~vdd ~base ~lgates ~out =
   let n = Array.length base in
-  if Array.length lgates <> n || Array.length low <> n || Array.length high <> n
-  then invalid_arg "Process.supply_delays: array lengths differ";
+  if Array.length lgates <> n || Array.length out <> n then
+    invalid_arg "Process.scale_into: array lengths differ";
   let nominal = nominal_raw_delay t in
-  let vl = t.vdd_low and vh = t.vdd_high in
   (* Unsafe accesses are sound: every array was checked to length [n]. *)
   for i = 0 to n - 1 do
     let lgate_nm = Array.unsafe_get lgates i in
     let len = lgate_nm ** 1.5 and dibl = exp (-.t.alpha_dibl *. lgate_nm) in
-    let b = Array.unsafe_get base i in
-    Array.unsafe_set low i (b *. (raw_delay_of t ~vdd:vl ~len ~dibl /. nominal));
-    Array.unsafe_set high i (b *. (raw_delay_of t ~vdd:vh ~len ~dibl /. nominal))
+    Array.unsafe_set out i
+      (Array.unsafe_get base i *. (raw_delay_of t ~vdd ~len ~dibl /. nominal))
   done
 
 let leakage_scale t ~vdd ~lgate_nm =

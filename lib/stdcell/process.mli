@@ -46,21 +46,15 @@ val delay_scale : t -> vdd:float -> lgate_nm:float -> float
 (** Eq. 3, normalized to 1.0 at (vdd_low, l_nominal_nm).  Values < 1
     mean the cell got faster (e.g. under vdd_high). *)
 
-val supply_delays :
-  t ->
-  base:float array ->
-  lgates:float array ->
-  low:float array ->
-  high:float array ->
+val scale_into :
+  t -> vdd:float -> base:float array -> lgates:float array -> out:float array ->
   unit
-(** One die's delays at both supplies, the per-die array kernel of
+(** One die's delays at one supply, the exact per-die array kernel of
     Eq. 3: for every cell [i],
-    [low.(i) <- base.(i) *. delay_scale t ~vdd:t.vdd_low ~lgate_nm:lgates.(i)]
-    and the same at [t.vdd_high] into [high], bit for bit.  The
-    supply-independent factors [lgate ** 1.5] and
-    [exp (-. alpha_dibl *. lgate)] are computed once per cell and
-    shared by the two supplies, so the second supply costs one [**]
-    per cell.  Allocates nothing.  Raises [Invalid_argument] if the
+    [out.(i) <- base.(i) *. delay_scale t ~vdd ~lgate_nm:lgates.(i)],
+    bit for bit, with the normalising corner evaluated once per call
+    (three transcendental calls per cell).  [out] may be [lgates] or
+    [base].  Allocates nothing.  Raises [Invalid_argument] if the
     arrays differ in length. *)
 
 val leakage_scale : t -> vdd:float -> lgate_nm:float -> float

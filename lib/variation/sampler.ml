@@ -91,35 +91,63 @@ type batch = {
   polys : poly array;
 }
 
-(* Chebyshev interpolation of [f] on [lo, hi] at [degree + 1] nodes,
-   converted to monomial coefficients in u = (2x - lo - hi)/(hi - lo).
-   The conversion loses ~2^degree worth of conditioning in the worst
-   case, but the coefficients decay geometrically here, so the observed
-   end-to-end error stays at a few ULPs (pinned by the tests). *)
-let fit_poly ~degree ~lo ~hi f =
+(* The work arrays of a fit: the Chebyshev nodes on [-1, 1], the
+   cosine table of the transform, the node values, the Chebyshev
+   coefficients and three rows of the monomial conversion. *)
+type fit_work = {
+  w_nodes : float array;
+  w_cos : float array;  (* (degree + 1) x (degree + 1), row k = degree k *)
+  w_fx : float array;
+  w_cheb : float array;
+  w_tprev : float array;
+  w_tcur : float array;
+  w_tnext : float array;
+}
+
+let fit_work ~degree =
   let n = degree + 1 in
-  let fx =
-    Array.init n (fun j ->
-        let u = cos (Float.pi *. (float_of_int j +. 0.5) /. float_of_int n) in
-        f (((lo +. hi) /. 2.0) +. ((hi -. lo) /. 2.0 *. u)))
-  in
-  let c =
-    Array.init n (fun k ->
-        let s = ref 0.0 in
-        for j = 0 to n - 1 do
-          s :=
-            !s
-            +. fx.(j)
-               *. cos
-                    (Float.pi *. float_of_int k
-                    *. (float_of_int j +. 0.5)
-                    /. float_of_int n)
-        done;
-        2.0 /. float_of_int n *. !s)
-  in
+  {
+    w_nodes =
+      Array.init n (fun j ->
+          cos (Float.pi *. (float_of_int j +. 0.5) /. float_of_int n));
+    w_cos =
+      Array.init (n * n) (fun kj ->
+          let k = kj / n and j = kj mod n in
+          cos
+            (Float.pi *. float_of_int k
+            *. (float_of_int j +. 0.5)
+            /. float_of_int n));
+    w_fx = Array.make n 0.0;
+    w_cheb = Array.make n 0.0;
+    w_tprev = Array.make n 0.0;
+    w_tcur = Array.make n 0.0;
+    w_tnext = Array.make n 0.0;
+  }
+
+(* Chebyshev interpolation of the node values [w.w_fx] (the function at
+   [lo + (hi - lo) (1 + w_nodes.(j)) / 2], the [degree + 1] Chebyshev
+   nodes of [lo, hi]), converted to monomial coefficients in
+   u = (2x - lo - hi)/(hi - lo) and written into [mono].  The
+   conversion loses ~2^degree worth of conditioning in the worst case,
+   but the coefficients decay geometrically here, so the observed
+   end-to-end error stays at a few ULPs (pinned by the tests).
+   Allocates nothing. *)
+let mono_of_nodes w ~mono =
+  let n = Array.length w.w_fx in
+  let degree = n - 1 in
+  let c = w.w_cheb and fx = w.w_fx in
+  for k = 0 to n - 1 do
+    let s = ref 0.0 in
+    for j = 0 to n - 1 do
+      s := !s +. (fx.(j) *. w.w_cos.((k * n) + j))
+    done;
+    c.(k) <- 2.0 /. float_of_int n *. !s
+  done;
   c.(0) <- c.(0) /. 2.0;
-  let mono = Array.make n 0.0 in
-  let tprev = Array.make n 0.0 and tcur = Array.make n 0.0 in
+  let tprev = w.w_tprev and tcur = w.w_tcur and tnext = w.w_tnext in
+  Array.fill mono 0 n 0.0;
+  Array.fill tprev 0 n 0.0;
+  Array.fill tcur 0 n 0.0;
   tprev.(0) <- 1.0;
   mono.(0) <- c.(0);
   if n > 1 then begin
@@ -127,7 +155,6 @@ let fit_poly ~degree ~lo ~hi f =
     for i = 0 to n - 1 do
       mono.(i) <- mono.(i) +. (c.(1) *. tcur.(i))
     done;
-    let tnext = Array.make n 0.0 in
     for k = 2 to degree do
       Array.fill tnext 0 n 0.0;
       for i = 0 to n - 2 do
@@ -142,7 +169,22 @@ let fit_poly ~degree ~lo ~hi f =
         mono.(i) <- mono.(i) +. (c.(k) *. tcur.(i))
       done
     done
-  end;
+  end
+
+(* The fit's Chebyshev nodes of [lo, hi], into [out]. *)
+let[@inline] nodes_into w ~lo ~hi ~out =
+  for j = 0 to Array.length w.w_nodes - 1 do
+    out.(j) <- ((lo +. hi) /. 2.0) +. ((hi -. lo) /. 2.0 *. w.w_nodes.(j))
+  done
+
+(* Chebyshev interpolation of [f] on [lo, hi]: MC's per-position fit. *)
+let fit_poly ~degree ~lo ~hi f =
+  let w = fit_work ~degree in
+  let x = Array.make (degree + 1) 0.0 in
+  nodes_into w ~lo ~hi ~out:x;
+  Array.iteri (fun j x -> w.w_fx.(j) <- f x) x;
+  let mono = Array.make (degree + 1) 0.0 in
+  mono_of_nodes w ~mono;
   mono
 
 (* Cap on distinct supply values given their own interpolant; a design
@@ -281,3 +323,159 @@ let scale_delays_batch b ~gauss ~samples ~stride ~out =
       done
     end
   done
+
+(* ------------------------------------------------------------------ *)
+(* Per-die fitted scale path.
+
+   A post-silicon die is one Lgate vector scaled at both supplies.  Its
+   cells all lie inside the die's own window [min, max] of [lgates], so
+   one degree-12 interpolant per supply over that window needs no
+   out-of-window fallback; the fit itself costs 13 exact evaluations
+   per supply.  A die whose window is empty or too narrow to map onto
+   [-1, 1] takes the exact kernel. *)
+
+(* A window narrower than this fraction of its Lgate is flat up to
+   rounding: its centre rounds by a sizeable part of its half-width, so
+   [u] would land well outside [-1, 1] (a window one ULP wide reads
+   2e-9 relative off through the fit).  A real die's window spans
+   nanometres. *)
+let flat_window = 1e-9
+
+type die_fit = {
+  process : Process.t;
+  vdd_low : float;  (* [process]'s supplies, boxed in this mixed record *)
+  vdd_high : float;  (* so that passing them to [Process] allocates nothing *)
+  work : fit_work;
+  ones : float array;  (* unit base: [Process.scale_into] at the nodes *)
+  node_lg : float array;  (* the window's fit nodes, nm *)
+  low_mono : float array;
+  high_mono : float array;
+}
+
+let die_fit (t : t) =
+  let n = poly_degree + 1 in
+  {
+    process = t.process;
+    vdd_low = t.process.Process.vdd_low;
+    vdd_high = t.process.Process.vdd_high;
+    work = fit_work ~degree:poly_degree;
+    ones = Array.make n 1.0;
+    node_lg = Array.make n 0.0;
+    low_mono = Array.make n 0.0;
+    high_mono = Array.make n 0.0;
+  }
+
+(* [vdd]'s delay scale interpolated over [lo, hi], into [mono]. *)
+let[@inline] fit_window f ~lo ~hi ~vdd ~mono =
+  nodes_into f.work ~lo ~hi ~out:f.node_lg;
+  Process.scale_into f.process ~vdd ~base:f.ones ~lgates:f.node_lg
+    ~out:f.work.w_fx;
+  mono_of_nodes f.work ~mono
+
+(* Horner's rule is one dependent multiply-add chain per value, so a
+   lone chain waits on its own latency; the kernels below run four
+   independent chains at once (four cells, or two cells at two
+   supplies) and finish the last cells one by one.  Unsafe accesses are
+   sound: [scale_die] checked every length. *)
+
+let[@inline] horner mono u =
+  let a = ref (Array.unsafe_get mono poly_degree) in
+  for j = poly_degree - 1 downto 0 do
+    a := (!a *. u) +. Array.unsafe_get mono j
+  done;
+  !a
+
+(* [out.(i) <- base.(i) *. mono(u_i)] for every cell. *)
+let[@inline] horner_into mono ~mid ~inv_half ~base ~lgates ~out =
+  let n = Array.length base in
+  let top = Array.unsafe_get mono poly_degree in
+  let i = ref 0 in
+  while !i + 3 < n do
+    let i0 = !i in
+    let u0 = (Array.unsafe_get lgates i0 -. mid) *. inv_half in
+    let u1 = (Array.unsafe_get lgates (i0 + 1) -. mid) *. inv_half in
+    let u2 = (Array.unsafe_get lgates (i0 + 2) -. mid) *. inv_half in
+    let u3 = (Array.unsafe_get lgates (i0 + 3) -. mid) *. inv_half in
+    let a0 = ref top and a1 = ref top and a2 = ref top and a3 = ref top in
+    for j = poly_degree - 1 downto 0 do
+      let c = Array.unsafe_get mono j in
+      a0 := (!a0 *. u0) +. c;
+      a1 := (!a1 *. u1) +. c;
+      a2 := (!a2 *. u2) +. c;
+      a3 := (!a3 *. u3) +. c
+    done;
+    Array.unsafe_set out i0 (Array.unsafe_get base i0 *. !a0);
+    Array.unsafe_set out (i0 + 1) (Array.unsafe_get base (i0 + 1) *. !a1);
+    Array.unsafe_set out (i0 + 2) (Array.unsafe_get base (i0 + 2) *. !a2);
+    Array.unsafe_set out (i0 + 3) (Array.unsafe_get base (i0 + 3) *. !a3);
+    i := i0 + 4
+  done;
+  for i = !i to n - 1 do
+    let u = (Array.unsafe_get lgates i -. mid) *. inv_half in
+    Array.unsafe_set out i (Array.unsafe_get base i *. horner mono u)
+  done
+
+(* Both supplies of every cell, [lm] into [low] and [hm] into [high]. *)
+let[@inline] horner2_into lm hm ~mid ~inv_half ~base ~lgates ~low ~high =
+  let n = Array.length base in
+  let ltop = Array.unsafe_get lm poly_degree
+  and htop = Array.unsafe_get hm poly_degree in
+  let i = ref 0 in
+  while !i + 1 < n do
+    let i0 = !i in
+    let u0 = (Array.unsafe_get lgates i0 -. mid) *. inv_half in
+    let u1 = (Array.unsafe_get lgates (i0 + 1) -. mid) *. inv_half in
+    let a0 = ref ltop and a1 = ref ltop and b0 = ref htop and b1 = ref htop in
+    for j = poly_degree - 1 downto 0 do
+      let cl = Array.unsafe_get lm j and ch = Array.unsafe_get hm j in
+      a0 := (!a0 *. u0) +. cl;
+      a1 := (!a1 *. u1) +. cl;
+      b0 := (!b0 *. u0) +. ch;
+      b1 := (!b1 *. u1) +. ch
+    done;
+    let base0 = Array.unsafe_get base i0
+    and base1 = Array.unsafe_get base (i0 + 1) in
+    Array.unsafe_set low i0 (base0 *. !a0);
+    Array.unsafe_set low (i0 + 1) (base1 *. !a1);
+    Array.unsafe_set high i0 (base0 *. !b0);
+    Array.unsafe_set high (i0 + 1) (base1 *. !b1);
+    i := i0 + 2
+  done;
+  for i = !i to n - 1 do
+    let u = (Array.unsafe_get lgates i -. mid) *. inv_half in
+    let b = Array.unsafe_get base i in
+    Array.unsafe_set low i (b *. horner lm u);
+    Array.unsafe_set high i (b *. horner hm u)
+  done
+
+let scale_die f ~exact_low ~base ~lgates ~low ~high =
+  let n = Array.length base in
+  if Array.length lgates <> n || Array.length low <> n || Array.length high <> n
+  then invalid_arg "Sampler.scale_die: array lengths differ";
+  (* Every empty array is the one atom, so only [n > 0] can alias. *)
+  if n > 0 && (low == lgates || high == lgates || low == high) then
+    invalid_arg "Sampler.scale_die: low, high and lgates must be distinct";
+  let lo = ref infinity and hi = ref neg_infinity in
+  for i = 0 to n - 1 do
+    let lg = Array.unsafe_get lgates i in
+    if lg < !lo then lo := lg;
+    if lg > !hi then hi := lg
+  done;
+  let lo = !lo and hi = !hi in
+  let p = f.process and vl = f.vdd_low and vh = f.vdd_high in
+  if not (hi -. lo > flat_window *. Float.abs hi) then begin
+    Process.scale_into p ~vdd:vl ~base ~lgates ~out:low;
+    Process.scale_into p ~vdd:vh ~base ~lgates ~out:high
+  end
+  else begin
+    let mid = (lo +. hi) /. 2.0 and inv_half = 2.0 /. (hi -. lo) in
+    fit_window f ~lo ~hi ~vdd:vh ~mono:f.high_mono;
+    if exact_low then begin
+      Process.scale_into p ~vdd:vl ~base ~lgates ~out:low;
+      horner_into f.high_mono ~mid ~inv_half ~base ~lgates ~out:high
+    end
+    else begin
+      fit_window f ~lo ~hi ~vdd:vl ~mono:f.low_mono;
+      horner2_into f.low_mono f.high_mono ~mid ~inv_half ~base ~lgates ~low ~high
+    end
+  end

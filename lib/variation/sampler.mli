@@ -103,3 +103,43 @@ val scale_delays_batch :
     [~samples:1 ~stride:1] call on its own gaussian column.  A block
     with any lane outside the fit window, and the last
     [samples mod 4] lanes, are evaluated lane by lane. *)
+
+(** {2 Per-die fitted path}
+
+    A post-silicon die ({!Pvtol_core.Compensation.draw}) is one Lgate
+    vector scaled at both supplies.  Instead of three transcendental
+    calls per cell and supply, {!scale_die} fits one degree-12
+    Chebyshev interpolant per supply over the die's own window
+    [[min, max]] of its Lgates and evaluates it by Horner's rule.
+    Every cell lies inside its die's window, so no fallback is needed:
+    the fit matches the exact kernel to within [1e-12] relative at
+    both supplies (observed a few [1e-15] on the full design). *)
+
+type die_fit
+(** The mutable scratch of one caller's per-die fit of a sampler's
+    process: the fit's work arrays and one coefficient row per supply.
+    Not shareable across domains. *)
+
+val die_fit : t -> die_fit
+(** A fresh scratch for [t]'s dies. *)
+
+val scale_die :
+  die_fit ->
+  exact_low:bool ->
+  base:float array ->
+  lgates:float array ->
+  low:float array ->
+  high:float array ->
+  unit
+(** [scale_die f ~exact_low ~base ~lgates ~low ~high]: one die's
+    delays at [vdd_low] into [low] and at [vdd_high] into [high], the
+    high supply through the per-die fit.  With [exact_low] the low
+    supply is {!Pvtol_stdcell.Process.scale_into}, bit for bit: a
+    caller that reports a die's delay {e value} (the census's delay
+    moments) keeps it exact, one that reads only verdicts fits both
+    supplies, two interleaved Horner chains per cell.  A die whose
+    window is empty or flat up to rounding ([hi - lo <= 1e-9 |hi|]:
+    one cell, or every Lgate equal) is scaled exactly at both
+    supplies.  Allocates nothing.
+    [Invalid_argument] if the arrays differ in length or [low], [high]
+    and [lgates] are not distinct. *)

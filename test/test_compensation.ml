@@ -498,8 +498,10 @@ let test_chipwide_stamp_per_die () =
     got.Compensation.meets;
   (* The same two dies as lanes 0 and 1 of one batch: chip-wide on B
      must not read the stamp the settle left on A. *)
-  Compensation.draw ctx sc 0 ~systematic:slow ~raw:ignore (Srng.create 1);
-  Compensation.draw ctx sc 1 ~systematic ~raw:ignore (Srng.create seed_b);
+  Compensation.draw ctx sc 0 ~exact_low:true ~systematic:slow ~raw:ignore
+    (Srng.create 1);
+  Compensation.draw ctx sc 1 ~exact_low:true ~systematic ~raw:ignore
+    (Srng.create seed_b);
   Compensation.detect_lanes ctx sc 2;
   let d_a = Compensation.select sc 0 in
   ignore (vi sc d_a);
@@ -562,7 +564,8 @@ let test_lane_state_across_strategies () =
   let detect_batch () =
     List.iteri
       (fun k ((_, systematic, seed), _, _, _) ->
-        Compensation.draw ctx sc k ~systematic ~raw:ignore (Srng.create seed))
+        Compensation.draw ctx sc k ~exact_low:true ~systematic ~raw:ignore
+          (Srng.create seed))
       dies;
     Compensation.detect_lanes ctx sc Compensation.batch_lanes
   in
@@ -731,7 +734,9 @@ let test_speculative_skew_settle () =
    bound is twice that, so re-boxing any per-cell float, the skew row
    or the worklist fails the suite.  Since the skew settle prices
    speculative lanes on the scratch's lane workspace and leases its
-   tune states, the replay takes 0.03. *)
+   tune states, the replay takes 0.03.  The per-die delay fit keeps
+   its coefficients in the scratch, so the replay with the fitted draw
+   takes 0.03 as well, and the bound holds both draws. *)
 let max_words_per_die_cell = 0.1
 
 (* What the buffer strategy's apply adds to that replay, same design
@@ -755,7 +760,17 @@ let test_die_allocation_bound () =
   let skew = apply Compensation.Skew and buffers = apply Compensation.Buffers in
   let n_cells = Pvtol_netlist.Netlist.cell_count (Flow.netlist t) in
   let raised = ref 0 and tuned = ref 0 and trimmed = ref 0 in
-  let run ~with_buffers =
+  (* [exact_low]: the census's draw, through [detect]; else the fitted
+     draw of [Compare], [Postsilicon] and the sampling estimator. *)
+  let die ~exact_low ~systematic rng =
+    if exact_low then Compensation.detect ctx sc ~systematic rng
+    else begin
+      Compensation.draw ctx sc 0 ~exact_low ~systematic ~raw:ignore rng;
+      Compensation.detect_lanes ctx sc 1;
+      Compensation.select sc 0
+    end
+  in
+  let run ~exact_low ~with_buffers =
     let dies = ref 0 in
     for iy = 0 to census_cfg.Wafer.ny - 1 do
       for ix = 0 to census_cfg.Wafer.nx - 1 do
@@ -765,7 +780,7 @@ let test_die_allocation_bound () =
         in
         let rng = Srng.create (Wafer.cell_seed census_cfg ~field:0 ~ix ~iy) in
         for _ = 1 to census_cfg.Wafer.dies_per_cell do
-          let d = Compensation.detect ctx sc ~systematic rng in
+          let d = die ~exact_low ~systematic rng in
           raised := !raised + (vi sc d).Compensation.knob;
           ignore (cw sc d);
           tuned := !tuned + (skew sc d).Compensation.knob;
@@ -777,25 +792,31 @@ let test_die_allocation_bound () =
     done;
     !dies
   in
-  let words_per_die_cell ~with_buffers =
-    ignore (run ~with_buffers);
+  let words_per_die_cell ~exact_low ~with_buffers =
+    ignore (run ~exact_low ~with_buffers);
     let w0 = Gc.minor_words () in
-    let dies = run ~with_buffers in
+    let dies = run ~exact_low ~with_buffers in
     (Gc.minor_words () -. w0) /. float_of_int (dies * n_cells)
   in
-  let per = words_per_die_cell ~with_buffers:false in
-  let per_buffers = words_per_die_cell ~with_buffers:true -. per in
+  List.iter
+    (fun exact_low ->
+      let draw = if exact_low then "exact-low draw" else "fitted draw" in
+      let per = words_per_die_cell ~exact_low ~with_buffers:false in
+      let per_buffers =
+        words_per_die_cell ~exact_low ~with_buffers:true -. per
+      in
+      if per > max_words_per_die_cell then
+        Alcotest.failf "%s: %.3f minor words per die per cell (bound %.2f)"
+          draw per max_words_per_die_cell;
+      if per_buffers > max_buffer_words_per_die_cell then
+        Alcotest.failf
+          "%s, buffers apply: %.3f minor words per die per cell (bound %.2f)"
+          draw per_buffers max_buffer_words_per_die_cell)
+    [ true; false ];
   (* The replay must exercise what the bounds guard. *)
   Alcotest.(check bool) "replay raises islands" true (!raised > 0);
   Alcotest.(check bool) "replay tunes skew" true (!tuned > 0);
-  Alcotest.(check bool) "replay trims buffers" true (!trimmed > 0);
-  if per > max_words_per_die_cell then
-    Alcotest.failf "%.3f minor words per die per cell (bound %.2f)" per
-      max_words_per_die_cell;
-  if per_buffers > max_buffer_words_per_die_cell then
-    Alcotest.failf
-      "buffers apply: %.3f minor words per die per cell (bound %.2f)"
-      per_buffers max_buffer_words_per_die_cell
+  Alcotest.(check bool) "replay trims buffers" true (!trimmed > 0)
 
 (* --- batched detect: [Wafer.tally] vs a per-die loop --- *)
 
@@ -1041,6 +1062,182 @@ let test_batched_postsilicon_matches_per_die () =
         [ 1; 2 ])
     [ 9; 11 ]
 
+(* --- the fitted die kernel against the census's exact-low one --- *)
+
+module Smart_sampling = Pvtol_ssta.Smart_sampling
+
+(* Every die [dies] hands over (its map and its stream, positioned at
+   its draw), drawn with the census's exact low supply and with both
+   supplies fitted, four lanes per pass as [Wafer.tally] batches them:
+   the same verdicts, violating counts and outcome bits for every
+   strategy, and worst low delays within [Engine_diff.rel_bound].
+   [dies] runs once per kernel, so it makes its streams afresh. *)
+let check_fitted_verdicts label t v choices dies =
+  let ctx = Compensation.context t in
+  let strategies =
+    Array.of_list (List.map (Compensation.build t ctx v) choices)
+  in
+  let run ~exact_low =
+    let sc = Compensation.scratch ctx in
+    let applies =
+      Array.map (fun s -> s.Compensation.fresh_apply ()) strategies
+    in
+    let out = ref [] and m = ref 0 in
+    let flush () =
+      Compensation.detect_lanes ctx sc !m;
+      for k = 0 to !m - 1 do
+        let d = Compensation.select sc k in
+        out := (d, Array.map (fun apply -> apply sc d) applies) :: !out
+      done;
+      m := 0
+    in
+    dies (fun systematic rng ->
+        Compensation.draw ctx sc !m ~exact_low ~systematic ~raw:ignore rng;
+        incr m;
+        if !m = Compensation.batch_lanes then flush ());
+    if !m > 0 then flush ();
+    Array.of_list (List.rev !out)
+  in
+  let exact = run ~exact_low:true and fitted = run ~exact_low:false in
+  Alcotest.(check int) (label ^ ": dies") (Array.length exact)
+    (Array.length fitted);
+  if not (Array.exists (fun (d, _) -> d.Compensation.violating > 0) exact) then
+    Alcotest.failf "%s: no failing die" label;
+  Engine_diff.check_floats ~label:(label ^ ": worst low delay")
+    (Array.map (fun (d, _) -> d.Compensation.worst_low_ns) exact)
+    (Array.map (fun (d, _) -> d.Compensation.worst_low_ns) fitted);
+  Array.iteri
+    (fun i ((de : Compensation.detect), oe) ->
+      let df, of_ = fitted.(i) in
+      let l = Printf.sprintf "%s die %d" label i in
+      Alcotest.(check int) (l ^ ": violating") de.Compensation.violating
+        df.Compensation.violating;
+      Array.iteri
+        (fun j (e : Compensation.outcome) ->
+          let g = of_.(j) in
+          let l = l ^ " " ^ strategies.(j).Compensation.name in
+          Alcotest.(check bool) (l ^ ": meets") e.Compensation.meets
+            g.Compensation.meets;
+          Alcotest.(check int) (l ^ ": knob") e.Compensation.knob
+            g.Compensation.knob;
+          check_bits (l ^ ": power") e.Compensation.power_mw
+            g.Compensation.power_mw;
+          check_bits (l ^ ": area") e.Compensation.area_um2
+            g.Compensation.area_um2)
+        oe)
+    exact
+
+let test_fitted_verdicts () =
+  (* A compare grid with every strategy (3x3 cells x 2 dies), and one
+     importance-sampling round at B (2x2 strata x 4 dies, each stratum
+     on its own substream: component pick, jitter uniforms, the tilted
+     map, then the die), as [Wafer.estimate_at] draws them. *)
+  let t, v = Lazy.force env in
+  let grid =
+    { Wafer.nx = 3; ny = 3; dies_per_cell = 2; fields = 1; seed = 7;
+      direction = Island.Vertical }
+  in
+  let ctx = Compensation.context t in
+  check_fitted_verdicts "compare grid" t v Compensation.all_choices (fun die ->
+      Array.iter
+        (fun (site : Wafer.site) ->
+          let systematic = Compensation.systematic ctx site.Wafer.position in
+          Array.iter
+            (fun rng ->
+              for _ = 1 to site.Wafer.dies_per_stream do
+                die systematic rng
+              done)
+            site.Wafer.streams)
+        (Wafer.grid_sites ~who:"test" v grid));
+  let sampler = Flow.sampler t and sta = Flow.sta t in
+  let systematic = Compensation.systematic ctx Position.point_b in
+  let model =
+    Smart_sampling.make
+      (Smart_sampling.tilts ~sampler ~sta ~base:(Sta.nominal_delays sta)
+         ~systematic ~vdd:sampler.Sampler.process.Pvtol_stdcell.Process.vdd_low
+         ~clock:(Flow.clock t) ~stages:Compensation.analyzed ~rare:2 ())
+  in
+  Alcotest.(check bool) "B has a mixture" true (Smart_sampling.n_components model > 0);
+  let shifted = Array.make (Array.length systematic) 0.0 in
+  check_fitted_verdicts "IS round at B" t v
+    [ Compensation.Vi; Compensation.Chipwide ] (fun die ->
+      for g = 0 to 3 do
+        let rng = Srng.create (Srng.substream_seed 7 [ 0; g / 2; g mod 2 ]) in
+        for _ = 1 to 4 do
+          let comp = Smart_sampling.pick model rng in
+          ignore (Srng.uniform rng);
+          ignore (Srng.uniform rng);
+          match Smart_sampling.shift model ~comp with
+          | Either.Right () -> die systematic rng
+          | Either.Left tilt ->
+            Sampler.shifted_systematic sampler ~systematic
+              ~cells:tilt.Smart_sampling.cells ~dir:tilt.Smart_sampling.dir
+              ~theta:tilt.Smart_sampling.theta ~out:shifted;
+            die shifted rng
+        done
+      done)
+
+(* --- degenerate physics --- *)
+
+let test_zero_sigma_reports () =
+  (* A sampler with no random component: every die of a site is its
+     systematic map.  The census, the comparison over every strategy,
+     the diagonal study and one importance-sampling round must still
+     report finite numbers only (no NaN, no infinity, no [null]). *)
+  let sampler = Sampler.create ~three_sigma_rnd_frac:0.0 () in
+  let t = Flow.prepare ~config:Flow.quick_config ~sampler () in
+  let v = Flow.variant t Island.Vertical in
+  let rec finite path (j : Pvtol_util.Json.t) =
+    match j with
+    | Pvtol_util.Json.Null -> Alcotest.failf "%s: null" path
+    | Pvtol_util.Json.Float f when not (Float.is_finite f) ->
+      Alcotest.failf "%s: %h" path f
+    | Pvtol_util.Json.List l -> List.iteri (fun i x -> finite (Printf.sprintf "%s[%d]" path i) x) l
+    | Pvtol_util.Json.Obj o -> List.iter (fun (k, x) -> finite (path ^ "." ^ k) x) o
+    | _ -> ()
+  in
+  let check_report label ~text ~json =
+    let lower = String.lowercase_ascii text in
+    List.iter
+      (fun bad ->
+        let n = String.length bad in
+        for i = 0 to String.length lower - n do
+          if String.sub lower i n = bad then
+            Alcotest.failf "%s: %S in the report:\n%s" label bad text
+        done)
+      [ "nan"; "inf" ];
+    match json with
+    | None -> ()
+    | Some json -> (
+      match Pvtol_util.Json.of_string json with
+      | Ok j -> finite label j
+      | Error e -> Alcotest.failf "%s: JSON does not parse: %s" label e)
+  in
+  let w =
+    Wafer.run t v
+      { Wafer.nx = 2; ny = 2; dies_per_cell = 3; fields = 1; seed = 7;
+        direction = Island.Vertical }
+  in
+  check_report "census" ~text:(Format.asprintf "%a" Wafer.pp w)
+    ~json:(Some (Wafer.to_json w));
+  let r =
+    Compare.run t v
+      { Compare.nx = 2; ny = 2; dies_per_cell = 2; fields = 1; seed = 7;
+        direction = Island.Vertical; choices = Compensation.all_choices }
+  in
+  check_report "compare" ~text:(Compare.render r) ~json:(Some (Compare.to_json r));
+  let p = Postsilicon.run ~n_chips:6 t v in
+  check_report "postsilicon" ~text:(Format.asprintf "%a" Postsilicon.pp p)
+    ~json:None;
+  let s =
+    Wafer.estimate_at t ~position:Position.point_b
+      { Wafer.default_sampling_config with
+        Wafer.s_method = Smart_sampling.Is; s_strata = 2; s_dies_per_round = 3;
+        s_max_rounds = 1 }
+  in
+  check_report "IS round" ~text:(Format.asprintf "%a" Wafer.pp_sampling s)
+    ~json:(Some (Wafer.sampling_to_json s))
+
 (* --- harness behaviour --- *)
 
 let test_compare_validation () =
@@ -1141,6 +1338,10 @@ let suite =
         test_batched_compare_matches_per_die;
       Alcotest.test_case "batched tally = per-die loop (postsilicon)" `Quick
         test_batched_postsilicon_matches_per_die;
+      Alcotest.test_case "fitted dies = exact-low verdicts" `Quick
+        test_fitted_verdicts;
+      Alcotest.test_case "zero sigma: finite reports" `Quick
+        test_zero_sigma_reports;
       Alcotest.test_case "compare validation" `Quick test_compare_validation;
       Alcotest.test_case "choice names roundtrip" `Quick
         test_choice_names_roundtrip;

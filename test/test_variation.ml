@@ -107,12 +107,19 @@ let test_delay_scale_consistency () =
 let check_bits label expected got =
   if expected <> got then Alcotest.failf "%s: expected %h, got %h" label expected got
 
-(* [Process.supply_delays] against the scalar [Process.delay_scale] at
-   both supplies, bit for bit. *)
+(* The exact die kernel at both supplies: the oracle of the fitted
+   [Sampler.scale_die], and the census's low supply bit for bit. *)
+let supply_delays process ~base ~lgates ~low ~high =
+  Process.scale_into process ~vdd:process.Process.vdd_low ~base ~lgates ~out:low;
+  Process.scale_into process ~vdd:process.Process.vdd_high ~base ~lgates
+    ~out:high
+
+(* [supply_delays] against the scalar [Process.delay_scale] at both
+   supplies, bit for bit. *)
 let check_supply_delays process ~base ~lgates =
   let n = Array.length lgates in
   let low = Array.make n nan and high = Array.make n nan in
-  Process.supply_delays process ~base ~lgates ~low ~high;
+  supply_delays process ~base ~lgates ~low ~high;
   List.for_all
     (fun (vdd, out) ->
       List.for_all
@@ -125,18 +132,17 @@ let check_supply_delays process ~base ~lgates =
     [ (process.Process.vdd_low, low); (process.Process.vdd_high, high) ]
 
 let test_supply_delays_bitwise () =
-  (* The two-supply kernel shares [lgate ** 1.5] and the DIBL
-     exponential between the supplies; each vector must still be the
-     scalar model per cell, for Lgates far outside the Monte-Carlo
-     window (the batched fit's range) too. *)
+  (* The array kernel evaluates the normalising corner once per call;
+     each vector must still be the scalar model per cell, for Lgates
+     far outside any die's window too. *)
   let process = (Sampler.create ()).Sampler.process in
   let lgates = [| 65.0; 66.0; 64.0; 58.3; 71.9; 40.0; 95.0; 65.0 +. 1e-9 |] in
   let base = Array.init (Array.length lgates) (fun i -> 0.05 +. (0.01 *. float_of_int i)) in
   Alcotest.(check bool) "both supplies bitwise" true
     (check_supply_delays process ~base ~lgates);
   Alcotest.check_raises "length mismatch"
-    (Invalid_argument "Process.supply_delays: array lengths differ") (fun () ->
-      Process.supply_delays process ~base ~lgates:[| 65.0 |] ~low:base ~high:base)
+    (Invalid_argument "Process.scale_into: array lengths differ") (fun () ->
+      supply_delays process ~base ~lgates:[| 65.0 |] ~low:base ~high:base)
 
 let prop_supply_delays_bitwise =
   QCheck.Test.make ~name:"supply_delays = delay_scale, random" ~count:500
@@ -148,6 +154,184 @@ let prop_supply_delays_bitwise =
       let base = Array.mapi (fun i _ -> b *. float_of_int (i + 1)) lgates in
       check_supply_delays process ~base ~lgates
       && check_supply_delays Process.paper_literal ~base ~lgates)
+
+(* --- the per-die fit against the exact kernel --- *)
+
+(* The documented bound of [Sampler.scale_die]'s fitted supplies. *)
+let fit_bound = 1e-12
+
+let rel_err e g = if e = g then 0.0 else Float.abs (g -. e) /. Float.abs e
+
+(* [scale_die] on one die, both ways, against [supply_delays]: the
+   fitted supplies within [fit_bound] relative and finite, and with
+   [exact_low] the low vector the exact one bit for bit. *)
+let check_die_fit label sampler ~base ~lgates =
+  let n = Array.length lgates in
+  let process = sampler.Sampler.process in
+  let low = Array.make n nan and high = Array.make n nan in
+  supply_delays process ~base ~lgates ~low ~high;
+  let fit = Sampler.die_fit sampler in
+  List.iter
+    (fun exact_low ->
+      let flow = Array.make n nan and fhigh = Array.make n nan in
+      Sampler.scale_die fit ~exact_low ~base ~lgates ~low:flow ~high:fhigh;
+      let l = Printf.sprintf "%s, exact_low %b" label exact_low in
+      List.iter
+        (fun (supply, e, g) ->
+          Array.iteri
+            (fun i e ->
+              let g = g.(i) in
+              if not (Float.is_finite g) then
+                Alcotest.failf "%s: %s cell %d not finite (%h)" l supply i g;
+              let r = rel_err e g in
+              if r > fit_bound then
+                Alcotest.failf "%s: %s cell %d off by %.3g relative" l supply i r)
+            e)
+        [ ("low", low, flow); ("high", high, fhigh) ];
+      if exact_low then
+        Array.iteri
+          (fun i e -> check_bits (Printf.sprintf "%s: exact low cell %d" l i) e flow.(i))
+          low)
+    [ false; true ]
+
+(* The quick design's placement, nominal delays and flow. *)
+let quick_die =
+  lazy
+    (let t, _ = Lazy.force Test_extensions.env in
+     ( Pvtol_core.Flow.placement t,
+       Pvtol_timing.Sta.nominal_delays (Pvtol_core.Flow.sta t),
+       t ))
+
+let die_lgates sampler ~systematic seed =
+  let out = Array.make (Array.length systematic) 0.0 in
+  Sampler.sample_lgates sampler ~systematic ~raw:ignore (Srng.create seed) out;
+  out
+
+let test_die_fit_positions () =
+  (* Dies of the quick design at the four named positions, under the
+     default process and [Process.paper_literal], and at position B
+     under the point-B importance-sampling mixture's widest tilt (the
+     largest [theta]): the shifted map widens the die's window. *)
+  let placement, base, t = Lazy.force quick_die in
+  let default = Sampler.create () in
+  let literal = { default with Sampler.process = Process.paper_literal } in
+  List.iter
+    (fun (pname, sampler) ->
+      List.iter
+        (fun pos ->
+          let systematic = Sampler.systematic_lgates sampler placement pos in
+          for seed = 1 to 3 do
+            check_die_fit
+              (Printf.sprintf "%s %s die %d" pname pos.Position.label seed)
+              sampler ~base ~lgates:(die_lgates sampler ~systematic seed)
+          done)
+        Position.named)
+    [ ("default", default); ("paper_literal", literal) ];
+  let sta = Pvtol_core.Flow.sta t in
+  let systematic = Sampler.systematic_lgates default placement Position.point_b in
+  let tilts =
+    Pvtol_ssta.Smart_sampling.tilts ~sampler:default ~sta ~base ~systematic
+      ~vdd:default.Sampler.process.Process.vdd_low
+      ~clock:(Pvtol_core.Flow.clock t)
+      ~stages:Pvtol_ssta.Scenario.analyzed_stages ~rare:3 ()
+  in
+  if Array.length tilts = 0 then Alcotest.fail "no tilt at B";
+  let widest =
+    Array.fold_left
+      (fun (a : Pvtol_ssta.Smart_sampling.tilt) (b : Pvtol_ssta.Smart_sampling.tilt) ->
+        if b.theta > a.theta then b else a)
+      tilts.(0) tilts
+  in
+  let shifted = Array.make (Array.length systematic) 0.0 in
+  Sampler.shifted_systematic default ~systematic ~cells:widest.cells
+    ~dir:widest.dir ~theta:widest.theta ~out:shifted;
+  for seed = 1 to 3 do
+    check_die_fit
+      (Printf.sprintf "B shifted by theta %.2f, die %d" widest.theta seed)
+      default ~base ~lgates:(die_lgates default ~systematic:shifted seed)
+  done
+
+let test_die_fit_degenerate () =
+  (* Windows with nothing to fit (no cell, one cell, every Lgate equal,
+     one or four ULPs wide) take the exact kernel; windows just past
+     the flat threshold, and a micrometre wide, still fit within the
+     bound; and a zero-sigma sampler's dies are their systematic map. *)
+  let default = Sampler.create () in
+  let base n = Array.init n (fun i -> 0.04 +. (0.001 *. float_of_int i)) in
+  List.iter
+    (fun (label, lgates) ->
+      check_die_fit label default ~base:(base (Array.length lgates)) ~lgates)
+    [ ("one cell", [| 66.3 |]);
+      ("flat", Array.make 9 64.2);
+      ("one ULP", [| 65.0; Float.succ 65.0; 65.0; Float.succ 65.0 |]);
+      ("four ULPs",
+       Array.init 7 (fun i ->
+           if i mod 2 = 0 then 65.0
+           else Float.succ (Float.succ (Float.succ (Float.succ 65.0)))));
+      ("empty", [||]);
+      ("just past flat", [| 65.0; 65.0 *. (1.0 +. 2e-9); 65.0 *. (1.0 +. 1e-9) |]);
+      ("a micrometre", [| 65.0; 65.0 +. 1e-6; 65.0 +. 5e-7 |]) ];
+  let placement, base, _ = Lazy.force quick_die in
+  let zero = Sampler.create ~three_sigma_rnd_frac:0.0 () in
+  List.iter
+    (fun pos ->
+      let systematic = Sampler.systematic_lgates zero placement pos in
+      let lgates = die_lgates zero ~systematic 5 in
+      Array.iteri
+        (fun i e -> check_bits (Printf.sprintf "zero sigma cell %d" i) e lgates.(i))
+        systematic;
+      check_die_fit ("zero sigma " ^ pos.Position.label) zero ~base ~lgates)
+    Position.named;
+  let lgates = [| 65.0; 66.0 |] and out = Array.make 2 0.0 in
+  Alcotest.check_raises "aliased vectors"
+    (Invalid_argument "Sampler.scale_die: low, high and lgates must be distinct")
+    (fun () ->
+      Sampler.scale_die (Sampler.die_fit default) ~exact_low:false
+        ~base:[| 1.0; 1.0 |] ~lgates ~low:out ~high:out)
+
+let test_die_fit_allocation () =
+  (* The fit's coefficients, nodes and supplies live in its scratch:
+     a die allocates nothing, fitted, exact-low or flat. *)
+  let sampler = Sampler.create () in
+  let fit = Sampler.die_fit sampler in
+  let n = 257 in
+  let base = Array.make n 0.05 and low = Array.make n 0.0 in
+  let high = Array.make n 0.0 in
+  let spread = Array.init n (fun i -> 60.0 +. (0.05 *. float_of_int i)) in
+  List.iter
+    (fun (label, lgates, exact_low) ->
+      let die () =
+        Sampler.scale_die fit ~exact_low ~base ~lgates ~low ~high
+      in
+      die ();
+      let w0 = Gc.minor_words () in
+      for _ = 1 to 10 do
+        die ()
+      done;
+      let words = Gc.minor_words () -. w0 in
+      (* [Gc.minor_words] boxes its own result: two words. *)
+      if words > 2.0 then
+        Alcotest.failf "%s: %.0f minor words over ten dies" label words)
+    [ ("fitted", spread, false); ("exact low", spread, true);
+      ("flat", Array.make n 65.0, false) ]
+
+let prop_die_fit =
+  (* Random dies: a systematic level anywhere the field reaches (±6% of
+     nominal), a random sigma up to the default's, and up to a 10-sigma
+     tail, so windows run from a fraction of a nanometre to the widest
+     a tilted die meets. *)
+  QCheck.Test.make ~name:"scale_die = exact kernel, random dies" ~count:200
+    QCheck.(
+      quad (float_range 61.0 69.0) (float_range 0.0 1.5) (float_range 0.0 10.0)
+        (array_of_size Gen.(int_range 1 64) (float_range (-1.0) 1.0)))
+    (fun (centre, sigma, tail, zs) ->
+      let sampler = Sampler.create () in
+      let lgates = Array.map (fun z -> centre +. (sigma *. tail *. z)) zs in
+      let base = Array.mapi (fun i _ -> 0.02 +. (0.003 *. float_of_int i)) lgates in
+      check_die_fit "random" sampler ~base ~lgates;
+      let literal = { sampler with Sampler.process = Process.paper_literal } in
+      check_die_fit "random, paper_literal" literal ~base ~lgates;
+      true)
 
 let test_sample_lgates_bitwise () =
   (* [sample_lgates] draws in bulk; it must equal the per-cell
@@ -288,6 +472,13 @@ let suite =
       Alcotest.test_case "supply_delays = delay_scale" `Quick
         test_supply_delays_bitwise;
       QCheck_alcotest.to_alcotest prop_supply_delays_bitwise;
+      Alcotest.test_case "die fit = exact kernel (A-D, IS tilt)" `Quick
+        test_die_fit_positions;
+      Alcotest.test_case "die fit degenerate windows" `Quick
+        test_die_fit_degenerate;
+      Alcotest.test_case "die fit allocates nothing" `Quick
+        test_die_fit_allocation;
+      QCheck_alcotest.to_alcotest prop_die_fit;
       Alcotest.test_case "sample_lgates = per-cell gaussian loop" `Quick
         test_sample_lgates_bitwise;
       Alcotest.test_case "systematic map = per-cell field" `Quick
