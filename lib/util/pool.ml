@@ -67,9 +67,12 @@ let warn_env s reason =
     "ignoring PVTOL_DOMAINS=%S (%s); using %d domains" s reason
     (max 1 (Domain.recommended_domain_count ()))
 
+(* An empty value counts as unset: OCaml's [Unix] has no [unsetenv], so
+   a caller that clears the variable can only set it to "". *)
 let env_domain_count () =
   match Sys.getenv_opt "PVTOL_DOMAINS" with
   | None -> None
+  | Some s when String.trim s = "" -> None
   | Some s -> (
     match int_of_string_opt (String.trim s) with
     | Some n when n >= 1 -> Some (min n 64)

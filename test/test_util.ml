@@ -454,7 +454,9 @@ let test_pool_default_count () =
 
 let test_pool_env_parsing () =
   (* Unix.putenv mutates the process environment, which is what
-     Sys.getenv_opt reads.  Restore the previous value afterwards. *)
+     Sys.getenv_opt reads.  Restore the previous value afterwards; an
+     unset variable comes back as "" ([Unix] has no unsetenv), which
+     the pool reads as unset. *)
   let old = Sys.getenv_opt "PVTOL_DOMAINS" in
   let restore () = Unix.putenv "PVTOL_DOMAINS" (Option.value ~default:"" old) in
   Fun.protect ~finally:restore (fun () ->
