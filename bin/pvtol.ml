@@ -354,7 +354,7 @@ let wafer_cmd =
             json_file
         | None ->
         let cfg =
-          { Wafer.nx; ny; dies_per_cell; fields; seed = wafer_seed; direction }
+          { Wafer.nx; ny; dies_per_cell; fields; seed = wafer_seed }
         in
         (* Cells complete on pool workers; one mutex keeps the \r
            status line whole.  ETA extrapolates the mean cell time. *)
@@ -465,7 +465,6 @@ let compare_cmd =
             dies_per_cell;
             fields;
             seed = compare_seed;
-            direction;
             choices = strategies;
           }
         in

@@ -59,9 +59,8 @@ let () =
   let rewritten =
     Sdf.rewrite nl sdf_text ~f:(fun c d ->
         d
-        *. Sampler.delay_scale (Flow.sampler t)
-             ~lgate_nm:systematic.(c.Netlist.id)
-             ~vdd:1.0)
+        *. Pvtol_stdcell.Process.delay_scale (Flow.sampler t).Sampler.process ~vdd:1.0
+             ~lgate_nm:systematic.(c.Netlist.id))
   in
   let slow = Sdf.of_string nl rewritten in
   let r0 = Sta.analyze (Flow.sta t) ~delays in

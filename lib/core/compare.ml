@@ -15,7 +15,6 @@ type config = {
   dies_per_cell : int;
   fields : int;
   seed : int;
-  direction : Island.direction;
   choices : Compensation.choice list;
 }
 
@@ -26,7 +25,6 @@ let default_config =
     dies_per_cell = 12;
     fields = 1;
     seed = 7;
-    direction = Island.Vertical;
     choices = Compensation.all_choices;
   }
 
@@ -41,7 +39,6 @@ let wafer_config cfg : Wafer.config =
     dies_per_cell = cfg.dies_per_cell;
     fields = cfg.fields;
     seed = cfg.seed;
-    direction = cfg.direction;
   }
 
 type strategy_result = {
@@ -59,6 +56,7 @@ type strategy_result = {
 
 type report = {
   config : config;
+  direction : Island.direction;
   clock_ns : float;
   dies : int;
   yield_uncompensated : float;
@@ -84,7 +82,7 @@ let run ?pool (t : Flow.t) (v : Flow.variant) cfg =
   let total =
     Wafer.tally_total strategies
       (Wafer.tally ?pool ctx strategies Wafer.site_verdicts
-         (Wafer.grid_sites ~who:"Compare.run" v (wafer_config cfg)))
+         (Wafer.grid_sites ~who:"Compare.run" (wafer_config cfg)))
   in
   Metrics.add m_compare_dies total.Wafer.n_dies;
   let dies = float_of_int total.Wafer.n_dies in
@@ -104,6 +102,7 @@ let run ?pool (t : Flow.t) (v : Flow.variant) cfg =
   in
   {
     config = cfg;
+    direction = v.Flow.direction;
     clock_ns = Compensation.clock ctx;
     dies = total.Wafer.n_dies;
     yield_uncompensated = float_of_int total.Wafer.n_uncompensated /. dies;
@@ -146,7 +145,7 @@ let render r =
     "strategy comparison: %dx%d grid x %d dies/cell x %d field(s) = %d dies \
      (%s slicing, clock %.3f ns)\n%s"
     cfg.nx cfg.ny cfg.dies_per_cell cfg.fields r.dies
-    (Island.direction_name cfg.direction)
+    (Island.direction_name r.direction)
     r.clock_ns
     (Table.render tbl)
 
@@ -166,7 +165,7 @@ let to_json r =
   in
   Json.to_string
     (Json.Obj
-       (Wafer.config_fields (wafer_config r.config)
+       (Wafer.config_fields (wafer_config r.config) ~direction:r.direction
        @ [ ("clock_ns", f r.clock_ns); ("dies", Json.Int r.dies);
            ("yield_uncompensated", f r.yield_uncompensated);
            ("power_baseline_mw", f r.power_baseline_mw);

@@ -21,13 +21,12 @@ type config = {
   dies_per_cell : int;
   fields : int;
   seed : int;
-  direction : Island.direction;
   choices : Compensation.choice list;  (** evaluated in list order *)
 }
 
 val default_config : config
 (** {!Wafer.default_config}'s geometry (8x8, 12 dies/cell, 1 field,
-    seed 7, vertical) with every strategy selected. *)
+    seed 7) with every strategy selected. *)
 
 type strategy_result = {
   name : string;
@@ -44,6 +43,7 @@ type strategy_result = {
 
 type report = {
   config : config;
+  direction : Island.direction;  (** the variant's slicing *)
   clock_ns : float;
   dies : int;
   yield_uncompensated : float;  (** dies passing with no knob at all *)
@@ -54,8 +54,8 @@ type report = {
 val run :
   ?pool:Pvtol_util.Pool.t -> Flow.t -> Flow.variant -> config -> report
 (** Evaluate the selected strategies over the grid.  [Invalid_argument]
-    if the grid is empty, the choice list is empty or contains
-    duplicates, or the variant's direction does not match the config. *)
+    if the grid is empty or the choice list is empty or contains
+    duplicates.  The [vi] strategy deploys the variant's slicing. *)
 
 val render : report -> string
 (** ASCII yield-vs-power table, one row per strategy (plus the

@@ -367,10 +367,9 @@ let compensation_check ctx =
         let domains = Island.domains part (Flow.placement t) in
         List.map
           (fun (raised, pos) ->
-            let vdd =
-              Island.vdd_assignment ~domains ~raised ~lib:(Flow.netlist t).Netlist.lib
-            in
-            (v.Flow.direction, raised, MC.job ~vdd pos))
+            ( v.Flow.direction,
+              raised,
+              MC.job ~raised:(fun cid -> domains.(cid) <= raised) pos ))
           [ (1, Position.point_c); (2, Position.point_b); (3, Position.point_a) ])
       [ vertical ctx; horizontal ctx ]
   in

@@ -24,12 +24,6 @@ let corner_kappa = 0.35
 (* Binary-search resolution of an island cut. *)
 let tolerance_um = 2.0
 
-let corner_scale ~sampler ~systematic ~vdd cid =
-  let lgate_nm =
-    systematic.(cid) +. (corner_kappa *. sampler.Sampler.sigma_rnd_nm)
-  in
-  Sampler.delay_scale sampler ~lgate_nm ~vdd:(vdd cid)
-
 let corner_check ~sta ~sampler ~clock =
   let process = (Sta.netlist sta).Netlist.lib.Pvtol_stdcell.Cell.process in
   let vdd_low = process.Pvtol_stdcell.Process.vdd_low in
@@ -39,14 +33,18 @@ let corner_check ~sta ~sampler ~clock =
   let delays = Array.make n 0.0 in
   let ws = Sta.workspace sta in
   fun ~systematic ->
-    let table vdd =
-      Array.init n (fun i ->
-          corner_scale ~sampler ~systematic ~vdd:(fun _ -> vdd) i)
+    let shift = corner_kappa *. sampler.Sampler.sigma_rnd_nm in
+    let lgates = Array.map (fun lg -> lg +. shift) systematic in
+    let at vdd =
+      let out = Array.make n 0.0 in
+      Pvtol_stdcell.Process.scale_into sampler.Sampler.process ~vdd ~base
+        ~lgates ~out;
+      out
     in
-    let low = table vdd_low and high = table vdd_high in
+    let low = at vdd_low and high = at vdd_high in
     fun ~raised ->
       for i = 0 to n - 1 do
-        delays.(i) <- base.(i) *. if raised i then high.(i) else low.(i)
+        delays.(i) <- if raised i then high.(i) else low.(i)
       done;
       Sta.analyze_into sta ws ~delays;
       List.for_all

@@ -31,14 +31,6 @@ exception Infeasible of string
 (** Raised when even the full core at high Vdd cannot compensate a
     target scenario. *)
 
-val corner_scale :
-  sampler:Pvtol_variation.Sampler.t ->
-  systematic:float array ->
-  vdd:(Netlist.cell_id -> float) ->
-  Netlist.cell_id ->
-  float
-(** Per-cell delay scale at the deterministic compensation corner. *)
-
 val corner_check :
   sta:Pvtol_timing.Sta.t ->
   sampler:Pvtol_variation.Sampler.t ->
@@ -47,16 +39,16 @@ val corner_check :
   raised:(Netlist.cell_id -> bool) ->
   bool
 (** The compensation check both island generators accept a candidate
-    with: scale every cell by {!corner_scale} under [systematic], at
-    high Vdd where [raised] holds, run a full STA and require every
-    analyzed stage within [clock] (+1e-9 ns).
+    with: every cell at its corner Lgate [systematic + 0.35 sigma_rnd],
+    at high Vdd where [raised] holds, through a full STA that must keep
+    every analyzed stage within [clock] (+1e-9 ns).
 
     Staged in three applications.  The first three arguments set up one
     delay buffer and one 1-lane STA workspace.  Applying [~systematic]
-    (once per target) tabulates the corner scale of every cell at low
-    and at high Vdd.  Each [~raised] check then sets delay [i] to
-    [base.(i) *. table.(i)] from the table of its supply, the same
-    float as [base.(i) *. corner_scale ... i], and runs one
+    (once per target) builds the corner delay of every cell at low and
+    at high Vdd, two {!Pvtol_stdcell.Process.scale_into} calls over the
+    nominal delays.  Each [~raised] check then picks every cell's delay
+    from the vector of its supply and runs one
     {!Pvtol_timing.Sta.analyze_into} on the reused workspace.  Checks
     share the buffer and the workspace, so run them one at a time. *)
 

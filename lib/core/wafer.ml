@@ -27,12 +27,9 @@ type config = {
   dies_per_cell : int;
   fields : int;
   seed : int;
-  direction : Island.direction;
 }
 
-let default_config =
-  { nx = 8; ny = 8; dies_per_cell = 12; fields = 1; seed = 7;
-    direction = Island.Vertical }
+let default_config = { nx = 8; ny = 8; dies_per_cell = 12; fields = 1; seed = 7 }
 
 type cell = {
   ix : int;
@@ -55,6 +52,7 @@ type cell = {
 
 type sweep = {
   config : config;
+  direction : Island.direction;
   n_islands : int;
   clock_ns : float;
   cells : cell array;
@@ -88,11 +86,9 @@ type site = {
   dies_per_stream : int;
 }
 
-let grid_sites ~who (v : Flow.variant) cfg =
+let grid_sites ~who cfg =
   if cfg.nx <= 0 || cfg.ny <= 0 || cfg.dies_per_cell <= 0 || cfg.fields <= 0
   then invalid_arg (who ^ ": grid, dies and fields must be positive");
-  if v.Flow.direction <> cfg.direction then
-    invalid_arg (who ^ ": variant direction does not match the config");
   Array.init (cfg.nx * cfg.ny) (fun c ->
       let ix = c mod cfg.nx and iy = c / cfg.nx in
       {
@@ -324,7 +320,7 @@ let run ?pool ?on_cell (t : Flow.t) (v : Flow.variant) cfg =
   let strategies = [| k.Compensation.vi; k.Compensation.cw |] in
   let tallies =
     tally ?pool ?on_cell k.Compensation.ctx strategies site_tally
-      (grid_sites ~who:"Wafer.run" v cfg)
+      (grid_sites ~who:"Wafer.run" cfg)
   in
   let total = tally_total strategies tallies in
   Metrics.add m_cells (Array.length tallies);
@@ -355,6 +351,7 @@ let run ?pool ?on_cell (t : Flow.t) (v : Flow.variant) cfg =
   let vi = total.strategies.(0) and cw = total.strategies.(1) in
   {
     config = cfg;
+    direction = v.Flow.direction;
     n_islands = k.Compensation.vi.Compensation.max_knob;
     clock_ns = Compensation.clock k.Compensation.ctx;
     cells = Array.mapi cell tallies;
@@ -430,7 +427,7 @@ let pp fmt s =
      saved)@.\
     \  critical delay: mean %.3f ns  sigma %.3f ns  range [%.3f, %.3f] ns@."
     cfg.nx cfg.ny cfg.dies_per_cell cfg.fields s.dies
-    (Island.direction_name cfg.direction)
+    (Island.direction_name s.direction)
     s.clock_ns
     (100.0 *. s.yield_uncompensated)
     (100.0 *. s.yield_compensated)
@@ -447,12 +444,12 @@ let pp fmt s =
 (* ------------------------------------------------------------------ *)
 (* JSON export                                                          *)
 
-let config_fields cfg =
+let config_fields cfg ~direction =
   [ ("grid", Json.Obj [ ("nx", Json.Int cfg.nx); ("ny", Json.Int cfg.ny) ]);
     ("dies_per_cell", Json.Int cfg.dies_per_cell);
     ("fields", Json.Int cfg.fields);
     ("seed", Json.Int cfg.seed);
-    ("direction", Json.Str (Island.direction_name cfg.direction)) ]
+    ("direction", Json.Str (Island.direction_name direction)) ]
 
 let ints a = Json.List (Array.to_list (Array.map (fun n -> Json.Int n) a))
 
@@ -493,7 +490,7 @@ let to_json s =
   in
   Json.to_string
     (Json.Obj
-       (config_fields s.config
+       (config_fields s.config ~direction:s.direction
        @ [ ("n_islands", Json.Int s.n_islands); ("clock_ns", f s.clock_ns);
            ("wafer", wafer);
            ("cells", Json.List (Array.to_list (Array.map cell s.cells))) ]))
@@ -628,32 +625,33 @@ let run_sampling ?pool ?on_round (t : Flow.t) ~position scfg =
     let mid i = (float_of_int i +. 0.5) /. sf in
     Position.at_xy ~x_frac:(mid (g mod s)) ~y_frac:(mid (g / s))
   in
+  (* A fixed site's map is one array for the whole run, read by its
+     mixture and by every die. *)
+  let fixed = Option.map (Compensation.systematic ctx) position in
   (* IS builds one mixture per stratum at its center position; the
      tilt is a z-space object, so the within-stratum position jitter
      does not disturb its exactness.  mc / lhs sample untilted. *)
-  let model_at pos =
-    let systematic = Compensation.systematic ctx pos in
+  let model_of systematic =
     Smart_sampling.make
       (Smart_sampling.tilts ~sampler ~sta ~base ~systematic ~vdd:low ~clock
          ~stages:Scenario.analyzed_stages ~rare:scfg.s_rare ())
   in
   let models =
-    match (scfg.s_method, position) with
-    | Smart_sampling.Is, Some p ->
+    match (scfg.s_method, fixed) with
+    | Smart_sampling.Is, Some systematic ->
       (* One position, one mixture — shared by every substream. *)
-      Array.make groups (model_at p)
+      Array.make groups (model_of systematic)
     | Smart_sampling.Is, None ->
       Pool.parallel_chunks pool ~chunks:groups
         ~init:(fun ~worker:_ -> ())
-        ~f:(fun () g -> model_at (centre g))
+        ~f:(fun () g -> model_of (Compensation.systematic ctx (centre g)))
     | (Smart_sampling.Mc | Smart_sampling.Lhs), _ ->
       Array.make groups Smart_sampling.plain
   in
   (* The map of die [r] of a stratum, placed on the field by its two
      jitter uniforms.  mc: i.i.d. uniform over the field — the strata are
      only independent substreams of one plain sample; is: uniform inside
-     the stratum; lhs: inside the stratum's sub-cell of the round's plan.
-     A fixed site's map is one array for the whole run. *)
+     the stratum; lhs: inside the stratum's sub-cell of the round's plan. *)
   let field_map sc st r ux uy =
     let gx = float_of_int (st.st_g mod s) and gy = float_of_int (st.st_g / s) in
     let fx, fy =
@@ -666,7 +664,6 @@ let run_sampling ?pool ?on_round (t : Flow.t) ~position scfg =
     in
     Compensation.systematic_into ctx sc (Position.at_xy ~x_frac:fx ~y_frac:fy)
   in
-  let fixed = Option.map (Compensation.systematic ctx) position in
   (* The die source of a round's [tally].  Per-die stream layout is
      fixed per method: lhs prefixes the stratum's round with its two
      axis permutations, is prefixes each die with its component pick,

@@ -25,11 +25,10 @@ type config = {
   fields : int;           (** exposure-field replicas (same systematic
                               map, independent random draws) *)
   seed : int;
-  direction : Island.direction;  (** slicing variant being deployed *)
 }
 
 val default_config : config
-(** 8x8 grid, 12 dies per cell, one field, seed 7, vertical slicing. *)
+(** 8x8 grid, 12 dies per cell, one field, seed 7. *)
 
 type cell = {
   ix : int;
@@ -52,6 +51,7 @@ type cell = {
 
 type sweep = {
   config : config;
+  direction : Island.direction;  (** the deployed variant's slicing *)
   n_islands : int;
   clock_ns : float;
   cells : cell array;     (** row-major: [cells.(iy * nx + ix)] *)
@@ -86,11 +86,10 @@ type site = {
   dies_per_stream : int;
 }
 
-val grid_sites : who:string -> Flow.variant -> config -> site array
+val grid_sites : who:string -> config -> site array
 (** The grid's sites, row-major: each at its {!cell_position}, one
     {!cell_seed} stream per field, [dies_per_cell] dies per stream.
-    [Invalid_argument] (prefixed by [who]) if the grid is empty or the
-    variant's direction does not match the config. *)
+    [Invalid_argument] (prefixed by [who]) if the grid is empty. *)
 
 type strategy_tally = {
   mutable meets : int;         (** dies meeting timing under the strategy *)
@@ -322,10 +321,11 @@ val pp : Format.formatter -> sweep -> unit
 (** Wafer-level summary: yields, mean raised, power, delay spread and
     the scenario histogram. *)
 
-val config_fields : config -> (string * Pvtol_util.Json.t) list
-(** The config as the leading report fields ([grid], [dies_per_cell],
-    [fields], [seed], [direction]) shared by {!to_json} and
-    {!Compare.to_json}. *)
+val config_fields :
+  config -> direction:Island.direction -> (string * Pvtol_util.Json.t) list
+(** The config and the deployed slicing as the leading report fields
+    ([grid], [dies_per_cell], [fields], [seed], [direction]) shared by
+    {!to_json} and {!Compare.to_json}. *)
 
 val to_json : sweep -> string
 (** The whole sweep as a JSON document (wafer aggregates plus one

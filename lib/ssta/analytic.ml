@@ -41,18 +41,21 @@ let analyze ~sta ~sampler ~systematic =
   (* Per-cell delay distribution: the mean follows the systematic Lgate,
      the standard deviation is the first-order sensitivity to one sigma
      of the random component. *)
-  let delay = Array.make n { mean = 0.0; var = 0.0 } in
-  for i = 0 to n - 1 do
-    let s0 = Sampler.delay_scale sampler ~lgate_nm:systematic.(i) ~vdd:v in
-    let s1 =
-      Sampler.delay_scale sampler
-        ~lgate_nm:(systematic.(i) +. sampler.Sampler.sigma_rnd_nm)
-        ~vdd:v
-    in
-    let mean = base.(i) *. s0 in
-    let sigma = base.(i) *. Float.abs (s1 -. s0) in
-    delay.(i) <- { mean; var = sigma *. sigma }
-  done;
+  let scale lgates =
+    let out = Array.make n 0.0 in
+    Pvtol_stdcell.Process.scale_into sampler.Sampler.process ~vdd:v
+      ~base:(Array.make n 1.0) ~lgates ~out;
+    out
+  in
+  let s0 = scale systematic in
+  let s1 =
+    scale (Array.map (fun lg -> lg +. sampler.Sampler.sigma_rnd_nm) systematic)
+  in
+  let delay =
+    Array.init n (fun i ->
+        let sigma = base.(i) *. Float.abs (s1.(i) -. s0.(i)) in
+        { mean = base.(i) *. s0.(i); var = sigma *. sigma })
+  in
   let zero = { mean = 0.0; var = 0.0 } in
   let arrival = Array.make (Netlist.net_count nl) zero in
   let shift g dt = { g with mean = g.mean +. dt } in

@@ -31,9 +31,9 @@ type result = {
   endpoint_critical_count : (Netlist.cell_id, int) Hashtbl.t;
 }
 
-type job = { position : Position.t; vdd : (Netlist.cell_id -> float) option }
+type job = { position : Position.t; raised : Netlist.cell_id -> bool }
 
-let job ?vdd position = { position; vdd }
+let job ?(raised = fun _ -> false) position = { position; raised }
 
 (* Samples per chunk.  Fixed — never derived from the domain count — so
    chunk boundaries, and therefore every RNG draw, are identical no
@@ -66,7 +66,6 @@ let run ?(config = default_config) ?pool ~sampler ~sta ~placement jobs =
       (Printf.sprintf "Monte_carlo.run: %d samples, at least %d needed"
          config.samples Fit.min_samples);
   let nl = Sta.netlist sta in
-  let low = nl.Netlist.lib.Pvtol_stdcell.Cell.process.Pvtol_stdcell.Process.vdd_low in
   let n = Netlist.cell_count nl in
   let base = Sta.nominal_delays sta in
   (* Endpoint sets are precomputed once: the per-sample loop must not
@@ -88,17 +87,16 @@ let run ?(config = default_config) ?pool ~sampler ~sta ~placement jobs =
     List.map (fun (s, eps) -> (s, eps, Array.map (Array.get slot_of) eps))
       active_stages
   in
-  (* Per-job scale state (polynomial fits) is immutable after
+  (* Per-job scale state (one fit per job) is immutable after
      construction; workers share it read-only. *)
   let jobs =
     Array.of_list
       (List.map
-         (fun { position; vdd } ->
+         (fun { position; raised } ->
            let systematic = Sampler.systematic_lgates sampler placement position in
-           let vdd = match vdd with Some f -> f | None -> fun _ -> low in
            {
              j_position = position;
-             batch = Sampler.batch sampler ~base ~systematic ~vdd;
+             batch = Sampler.batch sampler ~base ~systematic ~raised;
              worst = Array.make config.samples 0.0;
              stage_samples =
                List.map (fun _ -> Array.make config.samples 0.0) active_stages;

@@ -38,8 +38,9 @@ type job
 (** One die position under one supply map: a Monte-Carlo run computes
     one {!result} per job. *)
 
-val job : ?vdd:(Netlist.cell_id -> float) -> Pvtol_variation.Position.t -> job
-(** [vdd] defaults to the library's low supply for every cell. *)
+val job : ?raised:(Netlist.cell_id -> bool) -> Pvtol_variation.Position.t -> job
+(** Cells where [raised] holds run at the sampler process's [vdd_high],
+    the others at its [vdd_low]; by default every cell is low. *)
 
 val run :
   ?config:config ->
@@ -62,7 +63,7 @@ val run :
     draws the chunk's gaussians in sample-major order, {e once for all
     jobs} (common random numbers: every job reads the same stream).
     Then, job by job, it scales them with that job's
-    {!Pvtol_variation.Sampler.batch} delay-scale fit, propagates all
+    {!Pvtol_variation.Sampler.batch} fit of both supplies, propagates all
     lanes in one 32-lane STA pass ({!Pvtol_timing.Sta.analyze_into})
     and counts endpoint criticality.  A job's arithmetic never reads
     another job's, so each result is {e bit-identical} to a run of the

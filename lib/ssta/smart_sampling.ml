@@ -28,6 +28,7 @@ type tilt = {
    d(path delay)/d(z_i) = base_i * d(scale)/d(Lgate) * sigma_rnd for
    each hop cell i (central difference; the scale model is smooth). *)
 let path_sensitivity sampler ~base ~systematic ~vdd (p : Paths.path) =
+  let process = sampler.Sampler.process in
   let sigma = sampler.Sampler.sigma_rnd_nm in
   let h_nm = 0.25 *. sigma in
   let tbl = Hashtbl.create 32 in
@@ -36,9 +37,10 @@ let path_sensitivity sampler ~base ~systematic ~vdd (p : Paths.path) =
       let i = h.Paths.cell in
       if not (Hashtbl.mem tbl i) then begin
         let dscale =
-          (Sampler.delay_scale sampler ~lgate_nm:(systematic.(i) +. h_nm) ~vdd
-          -. Sampler.delay_scale sampler ~lgate_nm:(systematic.(i) -. h_nm)
-               ~vdd)
+          (Pvtol_stdcell.Process.delay_scale process ~vdd
+             ~lgate_nm:(systematic.(i) +. h_nm)
+          -. Pvtol_stdcell.Process.delay_scale process ~vdd
+               ~lgate_nm:(systematic.(i) -. h_nm))
           /. (2.0 *. h_nm)
         in
         Hashtbl.replace tbl i (base.(i) *. dscale *. sigma)

@@ -40,8 +40,13 @@ let[@inline] raw_delay t ~vdd ~lgate_nm =
 
 (* The normalising corner is constant per process.  The scalar
    [delay_scale] re-evaluates it on every call, three transcendental
-   calls; [scale_into] once per array, so per-cell loops go through
-   [scale_into].  [@inline] so that [scale_into] keeps it unboxed. *)
+   calls; [scale_into] once per array, so dense per-cell loops go
+   through [scale_into]: the census's exact low supply, the node values
+   of every [Sampler] fit (on a unit base), the corner check's delay
+   vectors ([Slicing.corner_check]), the analytic SSTA's per-cell
+   scales and the importance sampler's tilt base.  The scalar is left
+   to sparse callers.  [@inline] so that [scale_into] keeps it
+   unboxed. *)
 let[@inline] nominal_raw_delay t =
   raw_delay t ~vdd:t.vdd_low ~lgate_nm:t.l_nominal_nm
 

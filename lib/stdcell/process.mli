@@ -44,7 +44,9 @@ val vth_eff : t -> vdd:float -> lgate_nm:float -> float
 
 val delay_scale : t -> vdd:float -> lgate_nm:float -> float
 (** Eq. 3, normalized to 1.0 at (vdd_low, l_nominal_nm).  Values < 1
-    mean the cell got faster (e.g. under vdd_high). *)
+    mean the cell got faster (e.g. under vdd_high).  For sparse
+    callers; a loop over every cell goes through {!scale_into}, which
+    [~base] of ones makes bit for bit this function. *)
 
 val scale_into :
   t -> vdd:float -> base:float array -> lgates:float array -> out:float array ->

@@ -150,11 +150,22 @@ let of_string s =
       Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
     end
   in
+  (* Exactly four hex digits: [int_of_string] would also take '_'. *)
   let hex4 () =
     if !pos + 4 > n then fail "truncated \\u escape";
-    let v = int_of_string ("0x" ^ String.sub s !pos 4) in
+    let v = ref 0 in
+    for i = !pos to !pos + 3 do
+      let d =
+        match s.[i] with
+        | '0' .. '9' as c -> Char.code c - Char.code '0'
+        | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+        | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+        | _ -> fail "bad \\u escape"
+      in
+      v := (!v lsl 4) lor d
+    done;
     pos := !pos + 4;
-    v
+    !v
   in
   let parse_string () =
     expect '"';
@@ -178,7 +189,7 @@ let of_string s =
          | 'r' -> Buffer.add_char buf '\r'
          | 't' -> Buffer.add_char buf '\t'
          | 'u' ->
-           let hi = try hex4 () with _ -> fail "bad \\u escape" in
+           let hi = hex4 () in
            let cp =
              (* A high surrogate must pair with a following \uDC00-DFFF
                 low surrogate to form one code point. *)
@@ -187,11 +198,12 @@ let of_string s =
                  !pos + 2 <= n && s.[!pos] = '\\' && s.[!pos + 1] = 'u'
                then begin
                  pos := !pos + 2;
-                 let lo = try hex4 () with _ -> fail "bad \\u escape" in
+                 let lo = hex4 () in
                  if lo < 0xDC00 || lo > 0xDFFF then fail "bad surrogate pair";
                  0x10000 + ((hi - 0xD800) lsl 10) + (lo - 0xDC00)
                end
                else fail "lone high surrogate"
+             else if hi >= 0xDC00 && hi <= 0xDFFF then fail "lone low surrogate"
              else hi
            in
            utf8_of_code buf cp

@@ -51,50 +51,34 @@ let shifted_systematic t ~systematic ~cells ~dir ~theta ~out =
     out.(i) <- out.(i) +. (t.sigma_rnd_nm *. theta *. dir.(k))
   done
 
-let delay_scale t ~lgate_nm ~vdd = Process.delay_scale t.process ~vdd ~lgate_nm
-
 (* ------------------------------------------------------------------ *)
-(* Batched structure-of-arrays scale path.
+(* Fitted scale path.
 
-   [delay_scale] costs an [exp] and two [( ** )] per (cell, sample) —
-   and it is a smooth function of Lgate alone once the cell's supply is
-   fixed.  The batched path replaces it with a per-supply Chebyshev
-   interpolant evaluated by Horner's rule: over the few-sigma Lgate
-   window the Monte-Carlo sampler can actually produce, a degree-12 fit
-   agrees with the exact model to ~3e-14 relative (the nearest complex
+   [Process.delay_scale] costs an [exp] and two [( ** )] per cell and
+   supply, and once the supply is fixed it is a smooth function of
+   Lgate alone.  Both users of the scale model in bulk — Monte Carlo's
+   lanes and a post-silicon die's cells — replace it with a [fit]: a
+   window [[lo, hi]] of Lgate and one degree-12 Chebyshev interpolant
+   per supply over it, evaluated by Horner's rule.  The nearest complex
    singularity of the alpha-power expression is dozens of half-widths
-   away, so Chebyshev coefficients decay by ~10x per degree).  Lanes
-   that land outside the fitted window — a >10-sigma random draw —
-   fall back to the exact scalar path, so the approximation bound is
-   unconditional. *)
+   away, so the Chebyshev coefficients decay by ~10x per degree and
+   the fit agrees with the exact model to a few 1e-15..1e-14 relative.
+   One routine ([refit]) builds every fit: the window's Chebyshev nodes,
+   the exact array kernel [Process.scale_into] on a unit base at each
+   supply, and the conversion to monomial coefficients. *)
 
 let poly_degree = 12
 
-(* Half-width margin around the systematic Lgate range, in random-sigma
-   units.  P(|z| > 10 sigma) < 1e-23: the exact fallback is effectively
-   never taken, it only bounds the error when it would be. *)
-let fit_margin_sigmas = 10.0
-
-type poly = {
-  p_vdd : float;
-  p_lo : float;
-  p_hi : float;
-  mono : float array;  (* monomial coefficients in u = scaled Lgate *)
-}
-
-type batch = {
-  bt : t;
-  b_base : float array;
-  b_systematic : float array;
-  b_vdd : float array;
-  b_poly : int array;  (* per cell: index into [polys], -1 = exact eval *)
-  polys : poly array;
-}
-
-(* The work arrays of a fit: the Chebyshev nodes on [-1, 1], the
-   cosine table of the transform, the node values, the Chebyshev
-   coefficients and three rows of the monomial conversion. *)
+(* The scratch of [refit]: the Chebyshev nodes on [-1, 1], the cosine
+   table of the transform, the node values, the Chebyshev coefficients
+   and three rows of the monomial conversion, plus the process, its two
+   supplies (boxed in this mixed record so that passing them to
+   [Process] allocates nothing), a unit base and the window's nodes in
+   nm. *)
 type fit_work = {
+  process : Process.t;
+  vdd_low : float;
+  vdd_high : float;
   w_nodes : float array;
   w_cos : float array;  (* (degree + 1) x (degree + 1), row k = degree k *)
   w_fx : float array;
@@ -102,11 +86,16 @@ type fit_work = {
   w_tprev : float array;
   w_tcur : float array;
   w_tnext : float array;
+  ones : float array;
+  node_lg : float array;
 }
 
-let fit_work ~degree =
-  let n = degree + 1 in
+let fit_work (t : t) =
+  let n = poly_degree + 1 in
   {
+    process = t.process;
+    vdd_low = t.process.Process.vdd_low;
+    vdd_high = t.process.Process.vdd_high;
     w_nodes =
       Array.init n (fun j ->
           cos (Float.pi *. (float_of_int j +. 0.5) /. float_of_int n));
@@ -122,6 +111,22 @@ let fit_work ~degree =
     w_tprev = Array.make n 0.0;
     w_tcur = Array.make n 0.0;
     w_tnext = Array.make n 0.0;
+    ones = Array.make n 1.0;
+    node_lg = Array.make n 0.0;
+  }
+
+type fit = {
+  window : float array;  (* [| lo; hi |]: a float array, so a refit stores
+                            the window without allocating *)
+  low_mono : float array;  (* monomial coefficients in u = scaled Lgate *)
+  high_mono : float array;
+}
+
+let fit_create () =
+  {
+    window = [| nan; nan |];
+    low_mono = Array.make (poly_degree + 1) 0.0;
+    high_mono = Array.make (poly_degree + 1) 0.0;
   }
 
 (* Chebyshev interpolation of the node values [w.w_fx] (the function at
@@ -171,27 +176,61 @@ let mono_of_nodes w ~mono =
     done
   end
 
-(* The fit's Chebyshev nodes of [lo, hi], into [out]. *)
-let[@inline] nodes_into w ~lo ~hi ~out =
-  for j = 0 to Array.length w.w_nodes - 1 do
-    out.(j) <- ((lo +. hi) /. 2.0) +. ((hi -. lo) /. 2.0 *. w.w_nodes.(j))
-  done
+(* [vdd]'s delay scale interpolated over [f]'s window, into [mono]. *)
+let fit_row w f ~vdd ~mono =
+  let lo = f.window.(0) and hi = f.window.(1) in
+  let half = (hi -. lo) /. 2.0 and mid = (lo +. hi) /. 2.0 in
+  for j = 0 to poly_degree do
+    w.node_lg.(j) <- mid +. (half *. w.w_nodes.(j))
+  done;
+  Process.scale_into w.process ~vdd ~base:w.ones ~lgates:w.node_lg ~out:w.w_fx;
+  mono_of_nodes w ~mono
 
-(* Chebyshev interpolation of [f] on [lo, hi]: MC's per-position fit. *)
-let fit_poly ~degree ~lo ~hi f =
-  let w = fit_work ~degree in
-  let x = Array.make (degree + 1) 0.0 in
-  nodes_into w ~lo ~hi ~out:x;
-  Array.iteri (fun j x -> w.w_fx.(j) <- f x) x;
-  let mono = Array.make (degree + 1) 0.0 in
-  mono_of_nodes w ~mono;
-  mono
+(* Refit [f]'s rows over its window [[lo, hi]]: the high supply
+   always, the low supply unless [exact_low] (whose caller scales it
+   exactly).  Allocates nothing. *)
+let[@inline] refit w f ~lo ~hi ~exact_low =
+  f.window.(0) <- lo;
+  f.window.(1) <- hi;
+  fit_row w f ~vdd:w.vdd_high ~mono:f.high_mono;
+  if not exact_low then fit_row w f ~vdd:w.vdd_low ~mono:f.low_mono
 
-(* Cap on distinct supply values given their own interpolant; a design
-   with more (no current caller has > 2) evaluates the extras exactly. *)
-let max_polys = 16
+(* Horner's rule is one dependent multiply-add chain per value, so a
+   lone chain waits on its own latency; the kernels below run four
+   independent chains at once (four lanes or cells, or two cells at two
+   supplies) and finish the rest one by one, each with [horner]'s op
+   sequence. *)
 
-let batch t ~base ~systematic ~vdd =
+let[@inline] horner mono u =
+  let a = ref (Array.unsafe_get mono poly_degree) in
+  for j = poly_degree - 1 downto 0 do
+    a := (!a *. u) +. Array.unsafe_get mono j
+  done;
+  !a
+
+(* ------------------------------------------------------------------ *)
+(* Monte Carlo: one fit per job.
+
+   A job's cells sit at fixed systematic Lgates and its lanes add
+   random draws, so one fit over the systematic range widened by
+   [fit_margin_sigmas] random sigmas covers every lane the sampler can
+   realistically produce.  Lanes that land outside the window — a
+   >10-sigma draw — fall back to the exact scalar model, so the
+   approximation bound is unconditional. *)
+
+(* P(|z| > 10 sigma) < 1e-23: the exact fallback is effectively never
+   taken, it only bounds the error when it would be. *)
+let fit_margin_sigmas = 10.0
+
+type batch = {
+  bt : t;
+  b_base : float array;
+  b_systematic : float array;
+  b_raised : bool array;  (* per cell: at the high supply *)
+  b_fit : fit;
+}
+
+let batch t ~base ~systematic ~raised =
   let n = Array.length base in
   assert (Array.length systematic = n);
   let lo = ref infinity and hi = ref neg_infinity in
@@ -201,53 +240,27 @@ let batch t ~base ~systematic ~vdd =
       if s > !hi then hi := s)
     systematic;
   let margin = fit_margin_sigmas *. t.sigma_rnd_nm in
-  let lo = !lo -. margin and hi = !hi +. margin in
-  let b_vdd = Array.init n vdd in
-  let polys = ref [] and n_polys = ref 0 in
-  let b_poly =
-    Array.map
-      (fun v ->
-        match List.assoc_opt v !polys with
-        | Some i -> i
-        | None ->
-          if !n_polys >= max_polys then -1
-          else begin
-            let i = !n_polys in
-            polys := (v, i) :: !polys;
-            incr n_polys;
-            i
-          end)
-      b_vdd
-  in
-  let polys =
-    Array.init !n_polys (fun i ->
-        let v, _ = List.find (fun (_, j) -> j = i) !polys in
-        {
-          p_vdd = v;
-          p_lo = lo;
-          p_hi = hi;
-          mono =
-            fit_poly ~degree:poly_degree ~lo ~hi (fun lg ->
-                delay_scale t ~lgate_nm:lg ~vdd:v);
-        })
-  in
-  { bt = t; b_base = base; b_systematic = systematic; b_vdd; b_poly; polys }
+  let f = fit_create () in
+  refit (fit_work t) f ~lo:(!lo -. margin) ~hi:(!hi +. margin) ~exact_low:false;
+  {
+    bt = t;
+    b_base = base;
+    b_systematic = systematic;
+    b_raised = Array.init n raised;
+    b_fit = f;
+  }
 
 (* Lane [k]'s scaled delay of cell [i]: the exact model outside the
    fitted window, else Horner's rule on the interpolant. *)
-let[@inline] scale_lane b p ~mid ~inv_half ~sys ~base ~gauss ~n ~i ~out ~row k =
+let[@inline] scale_lane b mono ~raised ~lo ~hi ~mid ~inv_half ~sys ~base ~gauss
+    ~n ~i ~out ~row k =
   let lg = sys +. (b.bt.sigma_rnd_nm *. Array.unsafe_get gauss ((k * n) + i)) in
-  if lg < p.p_lo || lg > p.p_hi then
-    out.(row + k) <- base *. delay_scale b.bt ~lgate_nm:lg ~vdd:p.p_vdd
-  else begin
-    let mono = p.mono in
-    let u = (lg -. mid) *. inv_half in
-    let acc = ref (Array.unsafe_get mono poly_degree) in
-    for j = poly_degree - 1 downto 0 do
-      acc := (!acc *. u) +. Array.unsafe_get mono j
-    done;
-    Array.unsafe_set out (row + k) (base *. !acc)
+  if lg < lo || lg > hi then begin
+    let p = b.bt.process in
+    let vdd = if raised then p.Process.vdd_high else p.Process.vdd_low in
+    out.(row + k) <- base *. Process.delay_scale p ~vdd ~lgate_nm:lg
   end
+  else Array.unsafe_set out (row + k) (base *. horner mono ((lg -. mid) *. inv_half))
 
 let scale_delays_batch b ~gauss ~samples ~stride ~out =
   let n = Array.length b.b_base in
@@ -255,6 +268,10 @@ let scale_delays_batch b ~gauss ~samples ~stride ~out =
   assert (Array.length gauss >= samples * n);
   assert (Array.length out >= n * stride);
   let sigma = b.bt.sigma_rnd_nm in
+  let f = b.b_fit in
+  let lo = f.window.(0) and hi = f.window.(1) in
+  let mid = (lo +. hi) /. 2.0 in
+  let inv_half = 2.0 /. (hi -. lo) in
   (* Cell-outer, lane-inner: the per-cell constants (base, systematic,
      coefficient row) are hoisted once per row of [stride] lanes, the
      output row is contiguous, and the strided reads of [gauss] stay
@@ -267,72 +284,62 @@ let scale_delays_batch b ~gauss ~samples ~stride ~out =
     let sys = Array.unsafe_get b.b_systematic i in
     let base = Array.unsafe_get b.b_base i in
     let row = i * stride in
-    let pi = Array.unsafe_get b.b_poly i in
-    if pi < 0 then
-      for k = 0 to samples - 1 do
-        let lg = sys +. (sigma *. Array.unsafe_get gauss ((k * n) + i)) in
-        out.(row + k) <- base *. delay_scale b.bt ~lgate_nm:lg ~vdd:b.b_vdd.(i)
-      done
-    else begin
-      let p = Array.unsafe_get b.polys pi in
-      let mono = p.mono in
-      let lo = p.p_lo and hi = p.p_hi in
-      let mid = (lo +. hi) /. 2.0 in
-      let inv_half = 2.0 /. (hi -. lo) in
-      (* Blocks of four lanes run four independent Horner chains, each
-         with [scale_lane]'s op sequence, so every coefficient is
-         loaded once per block.  A block with any lane outside the
-         window, and the last [samples mod 4] lanes, go lane by lane. *)
-      let k = ref 0 in
-      while !k < blocked do
-        let k0 = !k in
-        let g = (k0 * n) + i in
-        let lg0 = sys +. (sigma *. Array.unsafe_get gauss g) in
-        let lg1 = sys +. (sigma *. Array.unsafe_get gauss (g + n)) in
-        let lg2 = sys +. (sigma *. Array.unsafe_get gauss (g + (2 * n))) in
-        let lg3 = sys +. (sigma *. Array.unsafe_get gauss (g + (3 * n))) in
-        if
-          lg0 < lo || lg0 > hi || lg1 < lo || lg1 > hi || lg2 < lo || lg2 > hi
-          || lg3 < lo || lg3 > hi
-        then
-          for k = k0 to k0 + 3 do
-            scale_lane b p ~mid ~inv_half ~sys ~base ~gauss ~n ~i ~out ~row k
-          done
-        else begin
-          let u0 = (lg0 -. mid) *. inv_half and u1 = (lg1 -. mid) *. inv_half in
-          let u2 = (lg2 -. mid) *. inv_half and u3 = (lg3 -. mid) *. inv_half in
-          let top = Array.unsafe_get mono poly_degree in
-          let a0 = ref top and a1 = ref top and a2 = ref top and a3 = ref top in
-          for j = poly_degree - 1 downto 0 do
-            let c = Array.unsafe_get mono j in
-            a0 := (!a0 *. u0) +. c;
-            a1 := (!a1 *. u1) +. c;
-            a2 := (!a2 *. u2) +. c;
-            a3 := (!a3 *. u3) +. c
-          done;
-          let o = row + k0 in
-          Array.unsafe_set out o (base *. !a0);
-          Array.unsafe_set out (o + 1) (base *. !a1);
-          Array.unsafe_set out (o + 2) (base *. !a2);
-          Array.unsafe_set out (o + 3) (base *. !a3)
-        end;
-        k := k0 + 4
-      done;
-      for k = blocked to samples - 1 do
-        scale_lane b p ~mid ~inv_half ~sys ~base ~gauss ~n ~i ~out ~row k
-      done
-    end
+    let raised = Array.unsafe_get b.b_raised i in
+    let mono = if raised then f.high_mono else f.low_mono in
+    (* Blocks of four lanes run four independent Horner chains, so
+       every coefficient is loaded once per block.  A block with any
+       lane outside the window, and the last [samples mod 4] lanes, go
+       lane by lane. *)
+    let k = ref 0 in
+    while !k < blocked do
+      let k0 = !k in
+      let g = (k0 * n) + i in
+      let lg0 = sys +. (sigma *. Array.unsafe_get gauss g) in
+      let lg1 = sys +. (sigma *. Array.unsafe_get gauss (g + n)) in
+      let lg2 = sys +. (sigma *. Array.unsafe_get gauss (g + (2 * n))) in
+      let lg3 = sys +. (sigma *. Array.unsafe_get gauss (g + (3 * n))) in
+      if
+        lg0 < lo || lg0 > hi || lg1 < lo || lg1 > hi || lg2 < lo || lg2 > hi
+        || lg3 < lo || lg3 > hi
+      then
+        for k = k0 to k0 + 3 do
+          scale_lane b mono ~raised ~lo ~hi ~mid ~inv_half ~sys ~base ~gauss ~n
+            ~i ~out ~row k
+        done
+      else begin
+        let u0 = (lg0 -. mid) *. inv_half and u1 = (lg1 -. mid) *. inv_half in
+        let u2 = (lg2 -. mid) *. inv_half and u3 = (lg3 -. mid) *. inv_half in
+        let top = Array.unsafe_get mono poly_degree in
+        let a0 = ref top and a1 = ref top and a2 = ref top and a3 = ref top in
+        for j = poly_degree - 1 downto 0 do
+          let c = Array.unsafe_get mono j in
+          a0 := (!a0 *. u0) +. c;
+          a1 := (!a1 *. u1) +. c;
+          a2 := (!a2 *. u2) +. c;
+          a3 := (!a3 *. u3) +. c
+        done;
+        let o = row + k0 in
+        Array.unsafe_set out o (base *. !a0);
+        Array.unsafe_set out (o + 1) (base *. !a1);
+        Array.unsafe_set out (o + 2) (base *. !a2);
+        Array.unsafe_set out (o + 3) (base *. !a3)
+      end;
+      k := k0 + 4
+    done;
+    for k = blocked to samples - 1 do
+      scale_lane b mono ~raised ~lo ~hi ~mid ~inv_half ~sys ~base ~gauss ~n ~i
+        ~out ~row k
+    done
   done
 
 (* ------------------------------------------------------------------ *)
-(* Per-die fitted scale path.
+(* Post-silicon dies: one fit per die.
 
    A post-silicon die is one Lgate vector scaled at both supplies.  Its
    cells all lie inside the die's own window [min, max] of [lgates], so
-   one degree-12 interpolant per supply over that window needs no
-   out-of-window fallback; the fit itself costs 13 exact evaluations
-   per supply.  A die whose window is empty or too narrow to map onto
-   [-1, 1] takes the exact kernel. *)
+   a fit over that window needs no out-of-window fallback; the refit
+   costs 13 exact evaluations per supply.  A die whose window is empty
+   or too narrow to map onto [-1, 1] takes the exact kernel. *)
 
 (* A window narrower than this fraction of its Lgate is flat up to
    rounding: its centre rounds by a sizeable part of its half-width, so
@@ -341,49 +348,11 @@ let scale_delays_batch b ~gauss ~samples ~stride ~out =
    nanometres. *)
 let flat_window = 1e-9
 
-type die_fit = {
-  process : Process.t;
-  vdd_low : float;  (* [process]'s supplies, boxed in this mixed record *)
-  vdd_high : float;  (* so that passing them to [Process] allocates nothing *)
-  work : fit_work;
-  ones : float array;  (* unit base: [Process.scale_into] at the nodes *)
-  node_lg : float array;  (* the window's fit nodes, nm *)
-  low_mono : float array;
-  high_mono : float array;
-}
+type die_fit = { work : fit_work; fit : fit }
 
-let die_fit (t : t) =
-  let n = poly_degree + 1 in
-  {
-    process = t.process;
-    vdd_low = t.process.Process.vdd_low;
-    vdd_high = t.process.Process.vdd_high;
-    work = fit_work ~degree:poly_degree;
-    ones = Array.make n 1.0;
-    node_lg = Array.make n 0.0;
-    low_mono = Array.make n 0.0;
-    high_mono = Array.make n 0.0;
-  }
+let die_fit t = { work = fit_work t; fit = fit_create () }
 
-(* [vdd]'s delay scale interpolated over [lo, hi], into [mono]. *)
-let[@inline] fit_window f ~lo ~hi ~vdd ~mono =
-  nodes_into f.work ~lo ~hi ~out:f.node_lg;
-  Process.scale_into f.process ~vdd ~base:f.ones ~lgates:f.node_lg
-    ~out:f.work.w_fx;
-  mono_of_nodes f.work ~mono
-
-(* Horner's rule is one dependent multiply-add chain per value, so a
-   lone chain waits on its own latency; the kernels below run four
-   independent chains at once (four cells, or two cells at two
-   supplies) and finish the last cells one by one.  Unsafe accesses are
-   sound: [scale_die] checked every length. *)
-
-let[@inline] horner mono u =
-  let a = ref (Array.unsafe_get mono poly_degree) in
-  for j = poly_degree - 1 downto 0 do
-    a := (!a *. u) +. Array.unsafe_get mono j
-  done;
-  !a
+(* Unsafe accesses are sound: [scale_die] checked every length. *)
 
 (* [out.(i) <- base.(i) *. mono(u_i)] for every cell. *)
 let[@inline] horner_into mono ~mid ~inv_half ~base ~lgates ~out =
@@ -448,7 +417,7 @@ let[@inline] horner2_into lm hm ~mid ~inv_half ~base ~lgates ~low ~high =
     Array.unsafe_set high i (b *. horner hm u)
   done
 
-let scale_die f ~exact_low ~base ~lgates ~low ~high =
+let scale_die d ~exact_low ~base ~lgates ~low ~high =
   let n = Array.length base in
   if Array.length lgates <> n || Array.length low <> n || Array.length high <> n
   then invalid_arg "Sampler.scale_die: array lengths differ";
@@ -462,20 +431,20 @@ let scale_die f ~exact_low ~base ~lgates ~low ~high =
     if lg > !hi then hi := lg
   done;
   let lo = !lo and hi = !hi in
-  let p = f.process and vl = f.vdd_low and vh = f.vdd_high in
+  let w = d.work and f = d.fit in
+  let p = w.process and vl = w.vdd_low and vh = w.vdd_high in
   if not (hi -. lo > flat_window *. Float.abs hi) then begin
     Process.scale_into p ~vdd:vl ~base ~lgates ~out:low;
     Process.scale_into p ~vdd:vh ~base ~lgates ~out:high
   end
   else begin
     let mid = (lo +. hi) /. 2.0 and inv_half = 2.0 /. (hi -. lo) in
-    fit_window f ~lo ~hi ~vdd:vh ~mono:f.high_mono;
+    refit w f ~lo ~hi ~exact_low;
     if exact_low then begin
       Process.scale_into p ~vdd:vl ~base ~lgates ~out:low;
       horner_into f.high_mono ~mid ~inv_half ~base ~lgates ~out:high
     end
-    else begin
-      fit_window f ~lo ~hi ~vdd:vl ~mono:f.low_mono;
-      horner2_into f.low_mono f.high_mono ~mid ~inv_half ~base ~lgates ~low ~high
-    end
+    else
+      horner2_into f.low_mono f.high_mono ~mid ~inv_half ~base ~lgates ~low
+        ~high
   end

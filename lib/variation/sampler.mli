@@ -53,34 +53,38 @@ val shifted_systematic :
     die kernel realises the importance-sampling tilt exactly, without
     touching any sampling loop. *)
 
-val delay_scale :
-  t -> lgate_nm:float -> vdd:float -> float
-(** Delay multiplier relative to the nominal corner. *)
+(** {2 Fitted scale path}
 
-(** {2 Batched structure-of-arrays path}
-
-    The Monte-Carlo run replaces the per-(cell, sample)
-    transcendental delay-scale evaluation with a per-supply Chebyshev
-    interpolant over the reachable Lgate window.  The interpolant
-    matches {!delay_scale} to within [1e-12] relative (observed
-    ~[3e-14]); lanes whose Lgate falls outside the fitted window —
-    beyond a 10-sigma random excursion — are evaluated exactly, so the
-    bound is unconditional. *)
+    Monte Carlo's lanes and a post-silicon die's cells replace the
+    three transcendental calls of
+    {!Pvtol_stdcell.Process.delay_scale} per cell and supply with one
+    fit: a window [[lo, hi]] of Lgate and one degree-12 Chebyshev
+    interpolant per supply over it, evaluated by Horner's rule.  One
+    routine builds every fit: the window's Chebyshev nodes, then
+    {!Pvtol_stdcell.Process.scale_into} on a unit base at each supply,
+    then the conversion to monomial coefficients.  A Monte-Carlo job
+    fits once over its systematic range widened by ten random sigmas
+    ({!batch}); a die refits over its own [[min, max]]
+    ({!scale_die}). *)
 
 type batch
-(** Precomputed per-die scaling state: base delays, systematic Lgates,
-    per-cell supply, and one fitted polynomial per distinct supply
-    value.  Immutable after {!batch}; safe to share across domains. *)
+(** One Monte-Carlo job's scaling state: base delays, systematic
+    Lgates, the per-cell supply and the job's fit.  Immutable after
+    {!batch}; safe to share across domains. *)
 
 val batch :
   t ->
   base:float array ->
   systematic:float array ->
-  vdd:(int -> float) ->
+  raised:(int -> bool) ->
   batch
-(** [batch t ~base ~systematic ~vdd] fits the fast delay-scale
-    polynomials for one die position.  Cost is O(cells + degree^2 per
-    distinct supply); amortized over every sample of the run. *)
+(** [batch t ~base ~systematic ~raised] fits both supplies of [t]'s
+    process over [[min systematic - 10 sigma, max systematic + 10
+    sigma]]; cell [i] runs at [vdd_high] where [raised i] holds, else
+    at [vdd_low].  The fit matches the exact model to within [1e-12]
+    relative (observed ~[3e-14]); a lane whose Lgate falls outside the
+    window is evaluated exactly, so the bound is unconditional.  Cost
+    is O(cells + degree^2); amortized over every sample of the run. *)
 
 val scale_delays_batch :
   batch ->
@@ -104,21 +108,18 @@ val scale_delays_batch :
     with any lane outside the fit window, and the last
     [samples mod 4] lanes, are evaluated lane by lane. *)
 
-(** {2 Per-die fitted path}
+(** {2 Per-die fit}
 
     A post-silicon die ({!Pvtol_core.Compensation.draw}) is one Lgate
-    vector scaled at both supplies.  Instead of three transcendental
-    calls per cell and supply, {!scale_die} fits one degree-12
-    Chebyshev interpolant per supply over the die's own window
-    [[min, max]] of its Lgates and evaluates it by Horner's rule.
-    Every cell lies inside its die's window, so no fallback is needed:
-    the fit matches the exact kernel to within [1e-12] relative at
-    both supplies (observed a few [1e-15] on the full design). *)
+    vector scaled at both supplies.  Every cell lies inside its die's
+    window, so no fallback is needed: the fit matches the exact kernel
+    to within [1e-12] relative at both supplies (observed a few
+    [1e-15] on the full design). *)
 
 type die_fit
 (** The mutable scratch of one caller's per-die fit of a sampler's
-    process: the fit's work arrays and one coefficient row per supply.
-    Not shareable across domains. *)
+    process: the fit routine's work arrays and one fit, refitted per
+    die.  Not shareable across domains. *)
 
 val die_fit : t -> die_fit
 (** A fresh scratch for [t]'s dies. *)

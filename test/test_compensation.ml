@@ -32,12 +32,11 @@ let geometry = (3, 2, 5, 1, 7)
 
 let compare_cfg choices =
   let nx, ny, dies_per_cell, fields, seed = geometry in
-  { Compare.nx; ny; dies_per_cell; fields; seed;
-    direction = Island.Vertical; choices }
+  { Compare.nx; ny; dies_per_cell; fields; seed; choices }
 
 let wafer_cfg =
   let nx, ny, dies_per_cell, fields, seed = geometry in
-  { Wafer.nx; ny; dies_per_cell; fields; seed; direction = Island.Vertical }
+  { Wafer.nx; ny; dies_per_cell; fields; seed }
 
 let result_of r name =
   match
@@ -350,8 +349,7 @@ let speculation ~guess trace stop =
 (* The census geometry of the tracked-scratch tests: 3x3 cells x 4
    dies on the quick design. *)
 let census_cfg =
-  { Wafer.nx = 3; ny = 3; dies_per_cell = 4; fields = 1; seed = 7;
-    direction = Island.Vertical }
+  { Wafer.nx = 3; ny = 3; dies_per_cell = 4; fields = 1; seed = 7 }
 
 let test_tracked_scratch_matches_full_rescale () =
   (* The lane settle (both supplies scaled once per die, the island
@@ -932,9 +930,8 @@ let test_batched_tally_matches_per_die () =
   let pair = [| Compensation.Vi; Compensation.Chipwide |] in
   let all = Array.of_list Compensation.all_choices in
   let grid dies () =
-    Wafer.grid_sites ~who:"test" v
-      { Wafer.nx = 2; ny = 2; dies_per_cell = dies; fields = 2; seed = 7;
-        direction = Island.Vertical }
+    Wafer.grid_sites ~who:"test"
+      { Wafer.nx = 2; ny = 2; dies_per_cell = dies; fields = 2; seed = 7 }
   in
   let cases =
     [ ("mixed sites", mixed_sites, pair);
@@ -968,16 +965,15 @@ let test_batched_compare_matches_per_die () =
   let t, v = Lazy.force env in
   let cfg =
     { Compare.nx = 3; ny = 1; dies_per_cell = 3; fields = 2; seed = 7;
-      direction = Island.Vertical; choices = Compensation.all_choices }
+      choices = Compensation.all_choices }
   in
   let ctx = Compensation.context t in
   let strategies =
     Array.of_list (List.map (Compensation.build t ctx v) cfg.Compare.choices)
   in
   let sites =
-    Wafer.grid_sites ~who:"test" v
-      { Wafer.nx = 3; ny = 1; dies_per_cell = 3; fields = 2; seed = 7;
-        direction = Island.Vertical }
+    Wafer.grid_sites ~who:"test"
+      { Wafer.nx = 3; ny = 1; dies_per_cell = 3; fields = 2; seed = 7 }
   in
   let total =
     Wafer.tally_total strategies (per_die_tallies ctx strategies sites)
@@ -1134,8 +1130,7 @@ let test_fitted_verdicts () =
      map, then the die), as [Wafer.estimate_at] draws them. *)
   let t, v = Lazy.force env in
   let grid =
-    { Wafer.nx = 3; ny = 3; dies_per_cell = 2; fields = 1; seed = 7;
-      direction = Island.Vertical }
+    { Wafer.nx = 3; ny = 3; dies_per_cell = 2; fields = 1; seed = 7 }
   in
   let ctx = Compensation.context t in
   check_fitted_verdicts "compare grid" t v Compensation.all_choices (fun die ->
@@ -1148,7 +1143,7 @@ let test_fitted_verdicts () =
                 die systematic rng
               done)
             site.Wafer.streams)
-        (Wafer.grid_sites ~who:"test" v grid));
+        (Wafer.grid_sites ~who:"test" grid));
   let sampler = Flow.sampler t and sta = Flow.sta t in
   let systematic = Compensation.systematic ctx Position.point_b in
   let model =
@@ -1215,15 +1210,14 @@ let test_zero_sigma_reports () =
   in
   let w =
     Wafer.run t v
-      { Wafer.nx = 2; ny = 2; dies_per_cell = 3; fields = 1; seed = 7;
-        direction = Island.Vertical }
+      { Wafer.nx = 2; ny = 2; dies_per_cell = 3; fields = 1; seed = 7 }
   in
   check_report "census" ~text:(Format.asprintf "%a" Wafer.pp w)
     ~json:(Some (Wafer.to_json w));
   let r =
     Compare.run t v
       { Compare.nx = 2; ny = 2; dies_per_cell = 2; fields = 1; seed = 7;
-        direction = Island.Vertical; choices = Compensation.all_choices }
+        choices = Compensation.all_choices }
   in
   check_report "compare" ~text:(Compare.render r) ~json:(Some (Compare.to_json r));
   let p = Postsilicon.run ~n_chips:6 t v in
@@ -1252,10 +1246,7 @@ let test_compare_validation () =
     { (compare_cfg Compensation.all_choices) with Compare.nx = 0 };
   expect_invalid "no strategies" (compare_cfg []);
   expect_invalid "duplicate strategy"
-    (compare_cfg [ Compensation.Vi; Compensation.Vi ]);
-  expect_invalid "direction mismatch"
-    { (compare_cfg Compensation.all_choices) with
-      Compare.direction = Island.Horizontal }
+    (compare_cfg [ Compensation.Vi; Compensation.Vi ])
 
 let test_choice_names_roundtrip () =
   List.iter

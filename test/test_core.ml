@@ -102,6 +102,14 @@ let test_vdd_assignment_monotone () =
 
 (* --- slicing --- *)
 
+(* The corner check's per-cell oracle: one cell's delay scale at the
+   compensation corner (systematic Lgate plus 0.35 random sigmas)
+   through the scalar model, under a per-cell supply. *)
+let corner_scale ~sampler ~systematic ~vdd cid =
+  let lgate_nm = systematic.(cid) +. (0.35 *. sampler.Sampler.sigma_rnd_nm) in
+  Pvtol_stdcell.Process.delay_scale sampler.Sampler.process ~vdd:(vdd cid)
+    ~lgate_nm
+
 let test_slicing_compensates_at_corner () =
   let t, v = Lazy.force env in
   let part = v.Flow.slicing.Slicing.partition in
@@ -119,7 +127,7 @@ let test_slicing_compensates_at_corner () =
     Array.mapi
       (fun i b ->
         b
-        *. Slicing.corner_scale ~sampler:(Flow.sampler t) ~systematic ~vdd i)
+        *. corner_scale ~sampler:(Flow.sampler t) ~systematic ~vdd i)
       base
   in
   let r = Sta.analyze (Flow.sta t) ~delays in
@@ -146,12 +154,15 @@ let test_slicing_infeasible () =
     Alcotest.fail "expected Infeasible"
   with Slicing.Infeasible _ -> ()
 
-(* The corner check's per-target scale tables and reused workspace
+(* The corner check's per-target delay vectors and reused workspace
    against the per-check path they replaced: [corner_scale] under a
-   per-cell supply closure, then a fresh [Sta.analyze].  The check only
-   returns a verdict, so it is asked at the two clocks that straddle
-   the oracle's worst stage delay: it must pass at the smallest clock
-   whose +1e-9 slack covers that delay and fail one float below. *)
+   per-cell supply closure, then a fresh [Sta.analyze].  The vectors
+   the check picks from — [Process.scale_into] over the nominal delays
+   at each supply — must equal the oracle's delays bit for bit.  The
+   check only returns a verdict, so it is asked at the two clocks that
+   straddle the oracle's worst stage delay: it must pass at the
+   smallest clock whose +1e-9 slack covers that delay and fail one
+   float below. *)
 let test_corner_check_oracle () =
   let t, _ = Lazy.force env in
   let sta = Flow.sta t and sampler = Flow.sampler t in
@@ -179,18 +190,24 @@ let test_corner_check_oracle () =
         in
         let delays =
           Array.init n (fun i ->
-              base.(i)
-              *. Slicing.corner_scale ~sampler ~systematic ~vdd i)
+              base.(i) *. corner_scale ~sampler ~systematic ~vdd i)
         in
         let r = Sta.analyze sta ~delays in
         let table v =
-          Array.init n (fun i ->
-              Slicing.corner_scale ~sampler ~systematic ~vdd:(fun _ -> v) i)
+          let out = Array.make n 0.0 in
+          Pvtol_stdcell.Process.scale_into sampler.Sampler.process ~vdd:v
+            ~base
+            ~lgates:
+              (Array.map
+                 (fun lg -> lg +. (0.35 *. sampler.Sampler.sigma_rnd_nm))
+                 systematic)
+            ~out;
+          out
         in
         let low = table process.Pvtol_stdcell.Process.vdd_low in
         let high = table process.Pvtol_stdcell.Process.vdd_high in
         let tabled =
-          Array.init n (fun i -> base.(i) *. if raised i then high.(i) else low.(i))
+          Array.init n (fun i -> if raised i then high.(i) else low.(i))
         in
         Alcotest.(check string) "table delays bitwise" (Marshal.to_string delays [])
           (Marshal.to_string tabled []);
@@ -222,6 +239,88 @@ let test_corner_check_oracle () =
           (at_clock (Float.pred !c) ~raised)
       done)
     [ Position.point_a; Position.point_d ]
+
+(* The analytic SSTA with its per-cell scales taken one cell at a time
+   through the scalar model, as it did before they came from two
+   [Process.scale_into] calls: the oracle [Analytic.analyze] must match
+   bit for bit. *)
+let analytic_oracle ~sta ~sampler ~systematic =
+  let module An = Pvtol_ssta.Analytic in
+  let nl = Sta.netlist sta in
+  let lib = nl.Netlist.lib in
+  let v = lib.Pvtol_stdcell.Cell.process.Pvtol_stdcell.Process.vdd_low in
+  let scale lgate_nm =
+    Pvtol_stdcell.Process.delay_scale sampler.Sampler.process ~vdd:v ~lgate_nm
+  in
+  let base = Sta.nominal_delays sta in
+  let delay =
+    Array.mapi
+      (fun i b ->
+        let s0 = scale systematic.(i) in
+        let s1 = scale (systematic.(i) +. sampler.Sampler.sigma_rnd_nm) in
+        let sigma = b *. Float.abs (s1 -. s0) in
+        { An.mean = b *. s0; var = sigma *. sigma })
+      base
+  in
+  let zero = { An.mean = 0.0; var = 0.0 } in
+  let shift g dt = { g with An.mean = g.An.mean +. dt } in
+  let arrival = Array.make (Netlist.net_count nl) zero in
+  Array.iter
+    (fun cid -> arrival.(nl.Netlist.cells.(cid).Netlist.fanout) <- delay.(cid))
+    (Sta.flop_ids sta);
+  Array.iter
+    (fun cid ->
+      let c = nl.Netlist.cells.(cid) in
+      let acc = ref None in
+      Array.iteri
+        (fun pin nid ->
+          let a = shift arrival.(nid) (Sta.pin_wire_delay sta cid pin) in
+          acc := Some (match !acc with None -> a | Some g -> An.clark_max g a))
+        c.Netlist.fanins;
+      let acc = Option.value !acc ~default:zero in
+      arrival.(c.Netlist.fanout) <-
+        { An.mean = acc.An.mean +. delay.(cid).An.mean;
+          var = acc.An.var +. delay.(cid).An.var })
+    (Sta.comb_order sta);
+  let per_stage = Hashtbl.create 8 and worst = ref None in
+  Array.iter
+    (fun cid ->
+      let d_pin = nl.Netlist.cells.(cid).Netlist.fanins.(0) in
+      let ep =
+        shift arrival.(d_pin)
+          (Sta.pin_wire_delay sta cid 0 +. lib.Pvtol_stdcell.Cell.setup)
+      in
+      let join = function None -> ep | Some g -> An.clark_max g ep in
+      worst := Some (join !worst);
+      Option.iter
+        (fun stage ->
+          Hashtbl.replace per_stage stage
+            (join (Hashtbl.find_opt per_stage stage)))
+        (Sta.capture_stage_of sta cid))
+    (Sta.flop_ids sta);
+  {
+    An.stage_delay =
+      List.filter_map
+        (fun s -> Option.map (fun g -> (s, g)) (Hashtbl.find_opt per_stage s))
+        Stage.all;
+    worst = Option.get !worst;
+  }
+
+let test_analytic_oracle () =
+  let t, _ = Lazy.force env in
+  let sta = Flow.sta t and sampler = Flow.sampler t in
+  List.iter
+    (fun position ->
+      let systematic =
+        Sampler.systematic_lgates sampler (Flow.placement t) position
+      in
+      Alcotest.(check string)
+        (position.Position.label ^ " bitwise")
+        (Marshal.to_string (analytic_oracle ~sta ~sampler ~systematic) [])
+        (Marshal.to_string
+           (Pvtol_ssta.Analytic.analyze ~sta ~sampler ~systematic)
+           []))
+    Position.[ point_a; point_b; point_c; point_d ]
 
 (* ECO placement of each slicing's shifters against the list oracle:
    the same old placement, shifted netlist and targets — each shifter's
@@ -618,6 +717,8 @@ let suite =
         test_corner_check_oracle;
       Alcotest.test_case "eco placement = list oracle (quick)" `Quick
         test_eco_oracle_quick;
+      Alcotest.test_case "analytic = per-cell oracle (A-D)" `Quick
+        test_analytic_oracle;
     ]
     @
     if Sys.getenv_opt "PVTOL_SLOW_TESTS" <> Some "1" then []

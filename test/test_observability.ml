@@ -66,6 +66,18 @@ let test_json_parse_escapes () =
       "caf\xc3\xa9 \xf0\x9f\x98\x80 \n\t\\" s
   | Ok _ -> Alcotest.fail "parsed to a non-string"
   | Error e -> Alcotest.failf "escape parse failed: %s" e);
+  (* A \u escape is exactly four hex digits, and a low surrogate only
+     closes a pair. *)
+  (match Json.of_string {|"\u00e9\uD83D\uDE00\u0123"|} with
+  | Ok (Json.Str s) ->
+    Alcotest.(check string) "\\u escapes decode" "\xc3\xa9\xf0\x9f\x98\x80\xc4\xa3" s
+  | _ -> Alcotest.fail "\\u escapes rejected");
+  List.iter
+    (fun text ->
+      match Json.of_string text with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s accepted" text)
+    [ {|"\u1_23"|}; {|"\uDC00"|}; {|"a\udfff"|} ];
   (match Json.of_string "{\"a\": 1} trailing" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "trailing garbage accepted");

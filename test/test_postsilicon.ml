@@ -370,6 +370,7 @@ let test_wafer_cell_independence () =
   let expected =
     {
       Wafer.config = cfg;
+      direction = v.Pvtol_core.Flow.direction;
       n_islands = n;
       clock_ns = Flow.clock t;
       cells;
@@ -495,9 +496,7 @@ let test_wafer_validation () =
     with Invalid_argument _ -> ()
   in
   expect_invalid "empty grid" { wafer_cfg with Wafer.nx = 0 };
-  expect_invalid "no dies" { wafer_cfg with Wafer.dies_per_cell = 0 };
-  expect_invalid "direction mismatch"
-    { wafer_cfg with Wafer.direction = Island.Horizontal }
+  expect_invalid "no dies" { wafer_cfg with Wafer.dies_per_cell = 0 }
 
 let suite =
   ( "postsilicon",

@@ -21,11 +21,11 @@ let env =
      in
      (v, nl, p, sta, Sampler.create ()))
 
-let run ?(samples = 60) ?(seed = 5) ?vdd position =
+let run ?(samples = 60) ?(seed = 5) ?raised position =
   let _, _, p, sta, sampler = Lazy.force env in
   List.hd
     (MC.run ~config:{ MC.samples; seed } ~sampler ~sta ~placement:p
-       [ MC.job ?vdd position ])
+       [ MC.job ?raised position ])
 
 (* Golden values captured from the serial Monte-Carlo loop (one
    sequential SplitMix64 stream over all samples, exact delay scale,
@@ -92,6 +92,86 @@ let test_mc_domain_invariance () =
                   [ MC.job Position.point_a ]))))
     [ 1; 2; 4 ]
 
+(* Golden values of the library's fitted run (one Chebyshev fit per
+   job, 4-lane Horner blocks) for samples=60, seed=5, point A, small
+   VEX: all cells low, and odd cells high.  The oracle check above
+   holds the library within 1e-9 of the exact path; these pins hold it
+   bit for bit, so a one-ULP change in the fit coefficients shows. *)
+type mc_pin = {
+  worst_0 : float;
+  worst_59 : float;
+  worst_sum : float;
+  stage_means : (Stage.t * float) list;
+  crit_checksum : int;
+  crit_size : int;
+}
+
+let fitted_pins =
+  [
+    ( "all low",
+      None,
+      {
+        worst_0 = 0x1.bfe39f066e2e6p+1;
+        worst_59 = 0x1.c3f1388923c27p+1;
+        worst_sum = 0x1.a369ed8005fap+7;
+        stage_means =
+          [
+            (Stage.Fetch, 0x1.5def8212cd50bp+0);
+            (Stage.Decode, 0x1.714671bf8111cp+0);
+            (Stage.Execute, 0x1.bf5fec444aa45p+1);
+            (Stage.Writeback, 0x1.6e286acd91aadp+1);
+          ];
+        crit_checksum = 2637444;
+        crit_size = 81;
+      } );
+    ( "odd cells high",
+      Some (fun cid -> cid mod 2 = 1),
+      {
+        worst_0 = 0x1.a29af42d9377bp+1;
+        worst_59 = 0x1.a57f7489d2ce3p+1;
+        worst_sum = 0x1.8a1588fd005bp+7;
+        stage_means =
+          [
+            (Stage.Fetch, 0x1.4cb9606a3e90cp+0);
+            (Stage.Decode, 0x1.518ebceef97b7p+0);
+            (Stage.Execute, 0x1.a45b3cc999facp+1);
+            (Stage.Writeback, 0x1.55febfb751a72p+1);
+          ];
+        crit_checksum = 2350838;
+        crit_size = 88;
+      } );
+  ]
+
+let test_mc_fitted_golden () =
+  let check_bits what expected got =
+    if expected <> got then
+      Alcotest.failf "%s: expected %h, got %h" what expected got
+  in
+  List.iter
+    (fun (label, raised, pin) ->
+      let r = run ?raised Position.point_a in
+      check_bits (label ^ ": worst_samples.(0)") pin.worst_0
+        r.MC.worst_samples.(0);
+      check_bits (label ^ ": worst_samples.(59)") pin.worst_59
+        r.MC.worst_samples.(59);
+      check_bits (label ^ ": worst_samples sum") pin.worst_sum
+        (Array.fold_left ( +. ) 0.0 r.MC.worst_samples);
+      List.iter
+        (fun (stage, mean) ->
+          match MC.stage_stats r stage with
+          | None -> Alcotest.failf "%s: stage %s missing" label (Stage.name stage)
+          | Some ss ->
+            check_bits
+              (Printf.sprintf "%s: %s mean" label (Stage.name stage))
+              mean ss.MC.summary.Pvtol_util.Stats.mean)
+        pin.stage_means;
+      let acc = ref 0 in
+      Hashtbl.iter (fun cid n -> acc := !acc + (cid * n)) r.MC.endpoint_critical_count;
+      Alcotest.(check int) (label ^ ": criticality checksum") pin.crit_checksum !acc;
+      Alcotest.(check int) (label ^ ": criticality table size") pin.crit_size
+        (Hashtbl.length r.MC.endpoint_critical_count))
+    fitted_pins
+
 let test_mc_batched_domain_invariance () =
   (* The library run must be bit-identical for every domain count:
      chunks own disjoint sample slices and draw from jump-ahead RNG
@@ -147,17 +227,13 @@ let test_mc_fused_matches_lone () =
   let module Pool = Pvtol_util.Pool in
   let module Metrics = Pvtol_util.Metrics in
   let _, nl, p, sta, sampler = Lazy.force env in
-  let proc = nl.Netlist.lib.Pvtol_stdcell.Cell.process in
-  let high = proc.Pvtol_stdcell.Process.vdd_high
-  and low = proc.Pvtol_stdcell.Process.vdd_low in
   let config = { MC.samples = 150; seed = 11 } in
   let jobs =
     [
       ("A", MC.job Position.point_a);
       ("B", MC.job Position.point_b);
-      ("A, odd cells high", MC.job ~vdd:(fun cid -> if cid mod 2 = 1 then high else low)
-                              Position.point_a);
-      ("C, all high", MC.job ~vdd:(fun _ -> high) Position.point_c);
+      ("A, odd cells high", MC.job ~raised:(fun cid -> cid mod 2 = 1) Position.point_a);
+      ("C, all high", MC.job ~raised:(fun _ -> true) Position.point_c);
       ("A again", MC.job Position.point_a);
       ("off-diagonal", MC.job (Position.at_xy ~x_frac:0.2 ~y_frac:0.6));
     ]
@@ -236,10 +312,8 @@ let test_mc_three_sigma_above_mean () =
     r.MC.stages
 
 let test_mc_high_vdd_shifts_down () =
-  let _, nl, _, _, _ = Lazy.force env in
-  let p = nl.Netlist.lib.Pvtol_stdcell.Cell.process in
   let low = run Position.point_a in
-  let high = run ~vdd:(fun _ -> p.Pvtol_stdcell.Process.vdd_high) Position.point_a in
+  let high = run ~raised:(fun _ -> true) Position.point_a in
   List.iter2
     (fun (l : MC.stage_stats) (h : MC.stage_stats) ->
       Alcotest.(check bool) "high vdd faster" true
@@ -471,6 +545,8 @@ let suite =
       Alcotest.test_case "mc rejects too few samples" `Quick test_mc_min_samples;
       Alcotest.test_case "mc domain-count invariance + serial golden" `Quick
         test_mc_domain_invariance;
+      Alcotest.test_case "mc fitted run golden (low, two-supply)" `Quick
+        test_mc_fitted_golden;
       Alcotest.test_case "mc batched domain-count invariance" `Quick
         test_mc_batched_domain_invariance;
       Alcotest.test_case "mc fused jobs = lone runs (1/2 domains)" `Quick

@@ -98,11 +98,24 @@ let test_sampling_moments () =
   Alcotest.(check bool) "random sigma matches" true
     (Float.abs (sd -. sampler.Sampler.sigma_rnd_nm) < 0.02)
 
+(* The array kernel on a unit base is the scalar model bit for bit:
+   the fits' node values, the corner check's and the analytic SSTA's
+   per-cell scales all rest on it. *)
 let test_delay_scale_consistency () =
-  let sampler = Sampler.create () in
-  let s = Sampler.delay_scale sampler ~lgate_nm:67.0 ~vdd:1.1 in
-  let expected = Process.delay_scale sampler.Sampler.process ~vdd:1.1 ~lgate_nm:67.0 in
-  Alcotest.(check bool) "matches process model" true (Float.abs (s -. expected) < 1e-12)
+  let process = (Sampler.create ()).Sampler.process in
+  let lgates = Array.init 41 (fun i -> 55.0 +. (0.5 *. float_of_int i)) in
+  let n = Array.length lgates in
+  let out = Array.make n 0.0 in
+  List.iter
+    (fun vdd ->
+      Process.scale_into process ~vdd ~base:(Array.make n 1.0) ~lgates ~out;
+      Array.iteri
+        (fun i lgate_nm ->
+          if out.(i) <> Process.delay_scale process ~vdd ~lgate_nm then
+            Alcotest.failf "vdd %g, lgate %g: %h <> %h" vdd lgate_nm out.(i)
+              (Process.delay_scale process ~vdd ~lgate_nm))
+        lgates)
+    [ process.Process.vdd_low; 1.1; process.Process.vdd_high ]
 
 let check_bits label expected got =
   if expected <> got then Alcotest.failf "%s: expected %h, got %h" label expected got
@@ -409,8 +422,9 @@ let test_scale_batch_lanes () =
   let n = 37 and stride = 32 in
   let base = Array.init n (fun i -> 0.03 +. (0.002 *. float_of_int i)) in
   let systematic = Array.init n (fun i -> 63.5 +. (0.11 *. float_of_int i)) in
-  let vdd i = if i mod 3 = 0 then high else low in
-  let batch = Sampler.batch sampler ~base ~systematic ~vdd in
+  let raised i = i mod 3 = 0 in
+  let vdd i = if raised i then high else low in
+  let batch = Sampler.batch sampler ~base ~systematic ~raised in
   let gauss = Array.make (stride * n) 0.0 in
   Srng.fill_gaussians (Srng.create 31) gauss ~pos:0 ~len:(stride * n);
   (* Lane 5 of cell 3: fifty random sigmas, far past the window. *)
@@ -442,9 +456,8 @@ let test_scale_batch_lanes () =
       check_bits
         (Printf.sprintf "%d lanes, out-of-window lane" lanes)
         (base.(far_cell)
-        *. Sampler.delay_scale sampler
-             ~lgate_nm:(systematic.(far_cell) +. (sampler.Sampler.sigma_rnd_nm *. 50.0))
-             ~vdd:(vdd far_cell))
+        *. Process.delay_scale process ~vdd:(vdd far_cell)
+             ~lgate_nm:(systematic.(far_cell) +. (sampler.Sampler.sigma_rnd_nm *. 50.0)))
         out.((far_cell * stride) + far_lane)
   done
 
