@@ -47,25 +47,30 @@ type detect = {
 
 (* [draw] scales a die at both supplies into its lane's own vectors;
    [detect_lanes] times up to [batch_lanes] drawn dies as the lanes of
-   one STA pass and keeps their verdicts; [select] makes one of them the
-   die the strategies re-time, by pointing [low_delays]/[high_delays] at
-   its vectors.  The island settle prices its supply configurations as
-   the lanes of one pass over [block], each entry a select between the
-   two vectors.  Each batch numbers its lanes' dies from [batch] on,
-   [batch_lanes] numbers per batch; [die] names the selected one, and
-   [high_die] the one whose all-high verdict [high_meets] holds (-1:
-   none), so chip-wide reads the verdict the settle already priced.
-   [detect_lanes] also keeps each lane's capture flops' endpoint
-   delays, which the skew settle's first guess and the buffer settle
-   read for the selected [lane]; the skew settle keeps
-   its tune states in [tunes] and prices them on [lanes_ws], whose skew
-   rows it sets back to zero, and the buffer settle its trims in
-   [trims]. *)
+   one STA pass, keeps their verdicts, records their number in [dies]
+   and numbers the batch ([batch]); [select] makes one of them the die
+   the strategies re-time, by pointing [low_delays]/[high_delays] at
+   its vectors.  The island strategy's first apply on a batch settles
+   every failing die of it ([settle]): per lane the raise it stopped at
+   ([raised], [meets]) and its all-high verdict ([high_meets]).
+   [settled] is the batch the latest settle covered, so chip-wide reads
+   the verdict the settle already has, and [settled_on] the island
+   domains it raised.  While it runs, [todo] holds per lane what is
+   left to price, [raised] the next raise and [mono] whether the die's
+   high-supply delays are at most its low-supply ones on every cell;
+   [pass_die]/[pass_raise] name each lane of a pass over [block], each
+   entry a select between two vectors.  [detect_lanes] also keeps each
+   lane's capture flops' endpoint delays, which the skew settle's first
+   guess and the buffer settle read for the selected [lane]; the skew
+   settle keeps its tune states in [tunes] and prices them on
+   [lanes_ws], whose skew rows it sets back to zero, and the buffer
+   settle its trims in [trims]. *)
 type scratch = {
-  ws : Sta.workspace;  (* 1 lane: a lone die's detect, chip-wide's own *)
+  ws : Sta.workspace;  (* 1 lane: a lone die's detect, a 1-lane settle pass, chip-wide's own *)
   lanes_ws : Sta.workspace;  (* [batch_lanes] lanes: a batch's detect, the settles *)
   block : float array;  (* cells x [batch_lanes], cell-major *)
   systematic_buf : float array;  (* [systematic_into]'s map *)
+  shifted_buf : float array;  (* [shifted_into]'s map *)
   lgates : float array;
   fit : Sampler.die_fit;  (* [draw]'s per-die fit *)
   lows : float array array;  (* per lane: the die's delays at vdd_low *)
@@ -74,13 +79,20 @@ type scratch = {
   arrivals : float array;  (* [batch_lanes] x caps, lane-major: endpoint delays at vdd_low *)
   tunes : float array;  (* [batch_lanes] x caps, lane-major: skew tune states *)
   trims : int array;  (* per cap: buffer trims *)
+  raised : int array;  (* per lane: the island settle's raise *)
+  meets : bool array;  (* per lane: whether that raise meets *)
+  high_meets : bool array;  (* per lane: the all-high verdict *)
+  todo : int array;  (* per lane: [todo_raise] and [todo_high] bits *)
+  mono : bool array;  (* per lane: high <= low on every cell *)
+  pass_die : int array;  (* per pass lane: the batch lane it prices *)
+  pass_raise : int array;  (* per pass lane: its raise, [all_high] for all-high *)
   mutable low_delays : float array;  (* the selected die's [lows] entry *)
   mutable high_delays : float array;
   mutable lane : int;
+  mutable dies : int;
   mutable batch : int;
-  mutable die : int;
-  mutable high_die : int;
-  mutable high_meets : bool;
+  mutable settled : int;
+  mutable settled_on : int array;
 }
 
 type outcome = {
@@ -90,63 +102,13 @@ type outcome = {
   area_um2 : float;
 }
 
-let context (t : Flow.t) =
-  let sta = Flow.sta t in
-  let power_chip_wide = Flow.power_mw t ~position:Position.point_b Flow.Chip_wide_high in
-  let power_baseline = Flow.power_mw t ~position:Position.point_b Flow.Baseline_low in
-  let stage_caps = List.map (Sta.stage_endpoint_ids sta) analyzed in
-  let cap_bounds = Array.make (List.length analyzed + 1) 0 in
-  List.iteri
-    (fun i caps -> cap_bounds.(i + 1) <- cap_bounds.(i) + Array.length caps)
-    stage_caps;
-  {
-    sampler = Flow.sampler t;
-    placement = Flow.placement t;
-    sta;
-    clock = Flow.clock t;
-    base = Sta.nominal_delays sta;
-    n_cells = Netlist.cell_count (Flow.netlist t);
-    power_chip_wide;
-    power_baseline;
-    caps = Array.concat stage_caps;
-    cap_bounds;
-  }
-
-(* Lanes of a detect batch and of a settle block: every flow slicing
-   has three islands (the growth targets), so a settle prices at most
-   three raises plus the all-high configuration. *)
-let batch_lanes = 4
-
-let scratch c =
-  let lows = Array.init batch_lanes (fun _ -> Array.make c.n_cells 0.0) in
-  let highs = Array.init batch_lanes (fun _ -> Array.make c.n_cells 0.0) in
-  let n_caps = Array.length c.caps in
-  {
-    ws = Sta.workspace c.sta;
-    lanes_ws = Sta.workspace ~lanes:batch_lanes c.sta;
-    block = Array.make (c.n_cells * batch_lanes) 0.0;
-    systematic_buf = Array.make c.n_cells 0.0;
-    lgates = Array.make c.n_cells 0.0;
-    fit = Sampler.die_fit c.sampler;
-    lows;
-    highs;
-    detects = Array.make batch_lanes { violating = 0; worst_low_ns = 0.0 };
-    arrivals = Array.make (batch_lanes * n_caps) 0.0;
-    tunes = Array.make (batch_lanes * n_caps) 0.0;
-    trims = Array.make n_caps 0;
-    low_delays = lows.(0);
-    high_delays = highs.(0);
-    lane = 0;
-    batch = 0;
-    die = 0;
-    high_die = -1;
-    high_meets = false;
-  }
-
-(* What a timing graph keeps across ops: the scratches returned by
-   finished fan-outs, and the design-time state of the skew and buffer
-   strategies (the clock tree's untuned skew, the nominal buffer
-   sites), computed by the first build on the graph.
+(* What a timing graph keeps across ops: its context, the scratches
+   returned by finished fan-outs, the island domains of each partition
+   a strategy was built on, and the design-time state of the skew and
+   buffer strategies (the clock tree's untuned skew, the nominal buffer
+   sites), computed by the first build on the graph.  Each is a
+   cell-sized array or holds some, so an op that rebuilt them would
+   grow the major heap by that much.
    The graph is an ephemeron key, so all of it goes with its flow. *)
 type skew_base = {
   row0 : float array;  (* per flop slot: the untuned skew, offset + 0.0 *)
@@ -156,7 +118,9 @@ type skew_base = {
 }
 
 type graph_state = {
+  mutable ctx : ctx option;
   mutable free : scratch list;
+  mutable domains : (Island.partition * int array) list;
   mutable skew_base : skew_base option;
   mutable sites : int list option;
 }
@@ -166,19 +130,21 @@ let graphs : (Sta.t, graph_state) Ephemeron.K1.Bucket.t =
 
 let graph_lock = Mutex.create ()
 
-let graph_state c =
+let graph_state sta =
   Mutex.protect graph_lock (fun () ->
-      match Ephemeron.K1.Bucket.find graphs c.sta with
+      match Ephemeron.K1.Bucket.find graphs sta with
       | Some g -> g
       | None ->
-        let g = { free = []; skew_base = None; sites = None } in
-        Ephemeron.K1.Bucket.add graphs c.sta g;
+        let g =
+          { ctx = None; free = []; domains = []; skew_base = None; sites = None }
+        in
+        Ephemeron.K1.Bucket.add graphs sta g;
         g)
 
 (* [find g], else [make ()] kept by [keep g]; [make] runs outside the
    lock, and a racing build's value (the same one) is dropped. *)
-let once_per_graph c find make keep =
-  let g = graph_state c in
+let once_per_graph sta find make keep =
+  let g = graph_state sta in
   match Mutex.protect graph_lock (fun () -> find g) with
   | Some x -> x
   | None ->
@@ -190,8 +156,75 @@ let once_per_graph c find make keep =
           keep g x;
           x)
 
+let context (t : Flow.t) =
+  let sta = Flow.sta t in
+  once_per_graph sta
+    (fun g -> g.ctx)
+    (fun () ->
+      let power_chip_wide =
+        Flow.power_mw t ~position:Position.point_b Flow.Chip_wide_high
+      in
+      let power_baseline =
+        Flow.power_mw t ~position:Position.point_b Flow.Baseline_low
+      in
+      let stage_caps = List.map (Sta.stage_endpoint_ids sta) analyzed in
+      let cap_bounds = Array.make (List.length analyzed + 1) 0 in
+      List.iteri
+        (fun i caps -> cap_bounds.(i + 1) <- cap_bounds.(i) + Array.length caps)
+        stage_caps;
+      {
+        sampler = Flow.sampler t;
+        placement = Flow.placement t;
+        sta;
+        clock = Flow.clock t;
+        base = Sta.nominal_delays sta;
+        n_cells = Netlist.cell_count (Flow.netlist t);
+        power_chip_wide;
+        power_baseline;
+        caps = Array.concat stage_caps;
+        cap_bounds;
+      })
+    (fun g c -> g.ctx <- Some c)
+
+(* Lanes of a detect batch and of a settle pass. *)
+let batch_lanes = 4
+
+let scratch c =
+  let lows = Array.init batch_lanes (fun _ -> Array.make c.n_cells 0.0) in
+  let highs = Array.init batch_lanes (fun _ -> Array.make c.n_cells 0.0) in
+  let n_caps = Array.length c.caps in
+  {
+    ws = Sta.workspace c.sta;
+    lanes_ws = Sta.workspace ~lanes:batch_lanes c.sta;
+    block = Array.make (c.n_cells * batch_lanes) 0.0;
+    systematic_buf = Array.make c.n_cells 0.0;
+    shifted_buf = Array.make c.n_cells 0.0;
+    lgates = Array.make c.n_cells 0.0;
+    fit = Sampler.die_fit c.sampler;
+    lows;
+    highs;
+    detects = Array.make batch_lanes { violating = 0; worst_low_ns = 0.0 };
+    arrivals = Array.make (batch_lanes * n_caps) 0.0;
+    tunes = Array.make (batch_lanes * n_caps) 0.0;
+    trims = Array.make n_caps 0;
+    raised = Array.make batch_lanes 0;
+    meets = Array.make batch_lanes false;
+    high_meets = Array.make batch_lanes false;
+    todo = Array.make batch_lanes 0;
+    mono = Array.make batch_lanes false;
+    pass_die = Array.make batch_lanes 0;
+    pass_raise = Array.make batch_lanes 0;
+    low_delays = lows.(0);
+    high_delays = highs.(0);
+    lane = 0;
+    dies = 0;
+    batch = 0;
+    settled = -1;
+    settled_on = [||];
+  }
+
 let with_scratches c f =
-  let g = graph_state c in
+  let g = graph_state c.sta in
   let leased = ref [] in
   let lease () =
     let reused =
@@ -212,6 +245,7 @@ let with_scratches c f =
     (fun () -> f lease)
 
 let clock c = c.clock
+let nominal_delays c = c.base
 let power_baseline_mw c = c.power_baseline
 let power_chip_wide_mw c = c.power_chip_wide
 
@@ -222,6 +256,11 @@ let systematic_into c sc position =
   Sampler.systematic_lgates_into c.sampler c.placement position
     ~out:sc.systematic_buf;
   sc.systematic_buf
+
+let shifted_into c sc ~systematic ~cells ~dir ~theta =
+  Sampler.shifted_systematic c.sampler ~systematic ~cells ~dir ~theta
+    ~out:sc.shifted_buf;
+  sc.shifted_buf
 
 (* Analyzed stages failing in lane [k] of a finished pass: bit [i] of
    the mask is stage [i] of [analyzed]. *)
@@ -252,6 +291,14 @@ let draw c sc k ~exact_low ~systematic ~raw rng =
   Sampler.sample_lgates c.sampler ~systematic ~raw rng sc.lgates;
   Sampler.scale_die sc.fit ~exact_low ~base:c.base
     ~lgates:sc.lgates ~low:sc.lows.(k) ~high:sc.highs.(k)
+
+let load c sc k ~low ~high =
+  if k < 0 || k >= batch_lanes then
+    invalid_arg "Compensation.load: lane out of range";
+  if Array.length low <> c.n_cells || Array.length high <> c.n_cells then
+    invalid_arg "Compensation.load: vectors sized for another design";
+  Array.blit low 0 sc.lows.(k) 0 c.n_cells;
+  Array.blit high 0 sc.highs.(k) 0 c.n_cells
 
 (* Lane [k]'s verdict, read off a finished pass, and what the skew and
    buffer settles keep of it: its capture flops' endpoint delays. *)
@@ -296,14 +343,14 @@ let detect_lanes c sc m =
   for k = 0 to m - 1 do
     sc.detects.(k) <- verdict c sc ws k
   done;
-  sc.batch <- sc.batch + batch_lanes;
+  sc.dies <- m;
+  sc.batch <- sc.batch + 1;
   Metrics.add m_dies m
 
 let select sc k =
   sc.low_delays <- sc.lows.(k);
   sc.high_delays <- sc.highs.(k);
   sc.lane <- k;
-  sc.die <- sc.batch + k;
   sc.detects.(k)
 
 let detect c sc ~systematic rng =
@@ -340,42 +387,121 @@ let element_power_mw lib (cell : Cell.t) ~clock ~toggle_rate =
 (* ------------------------------------------------------------------ *)
 (* Strategy 1: the paper's voltage islands                              *)
 
-(* One failing die's island settle, from [r0 >= 1] raised islands: lane
-   [r - r0] of one pass holds islands [1..r] at the high supply, for
-   [r = r0 .. n_islands], and the last lane the all-high configuration,
-   whose verdict is stamped for chip-wide.  The first raise whose lane
-   meets wins, else every island with its verdict.  Each lane is
-   bit-identical to a 1-lane pass over its own supply configuration. *)
-let settle c sc ~domains ~n_islands r0 =
-  let lanes = n_islands - r0 + 2 in
-  let block = sc.block in
-  let low = sc.low_delays and high = sc.high_delays in
-  for i = 0 to c.n_cells - 1 do
-    let row = i * batch_lanes and dom = domains.(i) in
-    for k = 0 to lanes - 2 do
-      if dom <= r0 + k then block.(row + k) <- high.(i)
-      else block.(row + k) <- low.(i)
-    done;
-    block.(row + lanes - 1) <- high.(i)
-  done;
-  let ws = sc.lanes_ws in
-  Sta.analyze_into ~lanes c.sta ws ~delays:block;
-  Metrics.add m_settle_lanes lanes;
-  sc.high_die <- sc.die;
-  sc.high_meets <- violating_in ws (lanes - 1) c.clock = 0;
-  let rec first r =
-    if r >= n_islands then (n_islands, violating_in ws (r - r0) c.clock = 0)
-    else if violating_in ws (r - r0) c.clock = 0 then (r, true)
-    else first (r + 1)
+(* The island settle of a detect batch: the sensors report each die's
+   scenario, the controller raises that many islands, [r0 =
+   min violating n_islands], and keeps raising one more while
+   violations persist.  Every failing die of the batch is priced at
+   once: a pass holds one lane per die still failing, at its next
+   raise (lane [j]: islands [1..pass_raise.(j)] of die [pass_die.(j)]
+   at the high supply), so most dies, which meet at [r0], cost one
+   lane.  A die prices its all-high configuration (for chip-wide) only
+   if none of its raises met: where a raise meets, all-high meets too,
+   since its delays are at most that raise's cell by cell and the STA
+   pass is a composition of max and round-to-nearest adds, both
+   monotone.  That holds for a die whose high-supply delays are at most
+   its low-supply ones on every cell, which the first pass checks as
+   it fills; a die that fails the check prices its all-high lane
+   anyway.  A pass of one lane runs on the 1-lane workspace.  Each lane
+   is bit-identical to a 1-lane pass over its own supply
+   configuration, so every verdict is the sequential rule's. *)
+let todo_raise = 1
+let todo_high = 2
+let all_high = max_int
+
+(* Lanes of the next pass: per die still to settle, in lane order, its
+   next raise, then its all-high configuration; at most [batch_lanes],
+   the rest wait for a later pass. *)
+let gather sc =
+  let lanes = ref 0 in
+  let add k r =
+    if !lanes < batch_lanes then begin
+      sc.pass_die.(!lanes) <- k;
+      sc.pass_raise.(!lanes) <- r;
+      sc.todo.(k) <- sc.todo.(k) land lnot (if r = all_high then todo_high else todo_raise);
+      incr lanes
+    end
   in
-  first r0
+  for k = 0 to sc.dies - 1 do
+    if sc.todo.(k) land todo_raise <> 0 then add k sc.raised.(k);
+    if sc.todo.(k) land todo_high <> 0 then add k all_high
+  done;
+  !lanes
+
+(* Pass lane [j]'s delays into [dst] at [off + i * stride] for cell [i];
+   with [check], whether the die's high supply is at most its low one on
+   every cell ([not (h <= l)] also catches a NaN). *)
+let fill c sc ~domains ~dst ~off ~stride ~check j =
+  let k = sc.pass_die.(j) and r = sc.pass_raise.(j) in
+  let low = sc.lows.(k) and high = sc.highs.(k) in
+  let mono = ref true in
+  for i = 0 to c.n_cells - 1 do
+    let h = high.(i) and l = low.(i) in
+    if check && not (h <= l) then mono := false;
+    dst.(off + (i * stride)) <- (if domains.(i) <= r then h else l)
+  done;
+  if check then sc.mono.(k) <- !mono
+
+let settle c sc ~domains ~n_islands =
+  for k = 0 to sc.dies - 1 do
+    let v = sc.detects.(k).violating in
+    sc.raised.(k) <- min v n_islands;
+    sc.meets.(k) <- false;
+    sc.todo.(k) <- (if v > 0 then todo_raise else 0)
+  done;
+  let first = ref true and lanes = ref (gather sc) in
+  while !lanes > 0 do
+    let lanes_n = !lanes and check = !first in
+    let ws =
+      if lanes_n = 1 then begin
+        let delays =
+          if sc.pass_raise.(0) = all_high then sc.highs.(sc.pass_die.(0))
+          else begin
+            fill c sc ~domains ~dst:sc.block ~off:0 ~stride:1 ~check 0;
+            sc.block
+          end
+        in
+        Sta.analyze_into c.sta sc.ws ~delays;
+        sc.ws
+      end
+      else begin
+        for j = 0 to lanes_n - 1 do
+          fill c sc ~domains ~dst:sc.block ~off:j ~stride:batch_lanes ~check j
+        done;
+        Sta.analyze_into ~lanes:lanes_n c.sta sc.lanes_ws ~delays:sc.block;
+        sc.lanes_ws
+      end
+    in
+    Metrics.add m_settle_lanes lanes_n;
+    for j = 0 to lanes_n - 1 do
+      let k = sc.pass_die.(j) and r = sc.pass_raise.(j) in
+      let ok = violating_in ws j c.clock = 0 in
+      if check && not sc.mono.(k) then sc.todo.(k) <- sc.todo.(k) lor todo_high;
+      if r = all_high then sc.high_meets.(k) <- ok
+      else if ok then begin
+        sc.meets.(k) <- true;
+        if sc.mono.(k) then sc.high_meets.(k) <- true
+      end
+      else if r < n_islands then begin
+        sc.raised.(k) <- r + 1;
+        sc.todo.(k) <- sc.todo.(k) lor todo_raise
+      end
+      else if sc.mono.(k) then sc.todo.(k) <- sc.todo.(k) lor todo_high
+    done;
+    first := false;
+    lanes := gather sc
+  done;
+  sc.settled <- sc.batch;
+  sc.settled_on <- domains
 
 let voltage_islands (t : Flow.t) c (v : Flow.variant) =
   let part = v.Flow.slicing.Slicing.partition in
-  let domains = Island.domains part c.placement in
+  let domains =
+    once_per_graph c.sta
+      (fun g -> List.assq_opt part g.domains)
+      (fun () -> Island.domains part c.placement)
+      (fun g d -> g.domains <- (part, d) :: g.domains)
+  in
   let n_islands = Array.length part.Island.islands in
-  if n_islands + 1 > batch_lanes then
-    invalid_arg "Compensation.voltage_islands: more islands than settle lanes";
   (* Power per compensation level, computed once (chip leakage varies
      with position but the dominant switching term does not). *)
   let power_of_raised =
@@ -395,12 +521,16 @@ let voltage_islands (t : Flow.t) c (v : Flow.variant) =
         (* The sensors report the scenario; the controller raises that
            many islands, then — because Razor keeps monitoring in situ —
            keeps raising one more while violations persist (closed-loop
-           post-silicon testing).  [settle] reads that sequential rule
-           off the lanes of one pass. *)
+           post-silicon testing).  The batch's first apply settles all
+           its failing dies; the others read their lane. *)
         let raised, meets =
           if d.violating = 0 then (0, true)
           else if n_islands = 0 then (0, false)
-          else settle c sc ~domains ~n_islands (min d.violating n_islands)
+          else begin
+            if sc.settled <> sc.batch || sc.settled_on != domains then
+              settle c sc ~domains ~n_islands;
+            (sc.raised.(sc.lane), sc.meets.(sc.lane))
+          end
         in
         if raised > 0 then Metrics.incr m_vi_applied;
         Metrics.add m_raised raised;
@@ -417,8 +547,8 @@ let voltage_islands (t : Flow.t) c (v : Flow.variant) =
 
 (* Everything to 1.2V whenever anything fails.  [knob] = 1 iff the die
    needed the raise.  On a die the island strategy already settled on
-   this scratch it reads the settle's all-high lane; otherwise it runs
-   one 1-lane pass over the high-supply vector. *)
+   this scratch it reads the settle's all-high verdict; otherwise it
+   runs one 1-lane pass over the high-supply vector. *)
 let chip_wide c =
   {
     name = "chipwide";
@@ -436,7 +566,7 @@ let chip_wide c =
             area_um2 = 0.0 }
         else begin
           let meets =
-            if sc.high_die = sc.die then sc.high_meets
+            if sc.settled = sc.batch then sc.high_meets.(sc.lane)
             else begin
               Sta.analyze_into c.sta sc.ws ~delays:sc.high_delays;
               violating_in sc.ws 0 c.clock = 0
@@ -464,7 +594,7 @@ let kernel (t : Flow.t) (v : Flow.variant) =
    fan-in cone (0 for a cone of primary inputs only), which bounds how
    late the untuned clock can launch its data. *)
 let skew_base c =
-  once_per_graph c
+  once_per_graph c.sta
     (fun g -> g.skew_base)
     (fun () ->
       let nl = Sta.netlist c.sta in
@@ -655,7 +785,7 @@ let trim_frac = 0.02
    nominal Lgate), so the STA's base delay vector IS the nominal
    low-supply corner. *)
 let nominal_sites c =
-  once_per_graph c
+  once_per_graph c.sta
     (fun g -> g.sites)
     (fun () ->
       let nominal = Sta.analyze c.sta ~delays:c.base in

@@ -20,10 +20,10 @@
     concurrent caller leases, so [fresh_apply] allocates nothing.
     {!detect} scales the die at both supplies at once, through a
     per-die fit of the delay model (the low supply exact where a
-    caller reports its delay value); the island
-    strategy prices every raise it may need, and the all-high
-    configuration, as the lanes of one STA pass, and chip-wide reads
-    that all-high verdict.  Skew tuning prices four speculative tune
+    caller reports its delay value); the island strategy settles a
+    detect batch's failing dies together, one lane per die per pass,
+    from each die's scenario raise on (its all-high configuration only
+    where no raise met), and chip-wide reads that all-high verdict.  Skew tuning prices four speculative tune
     states per pass, and tunable buffers re-time nothing: they read the
     endpoint delays of {!detect}'s own pass.  Every lane is
     bit-identical to a 1-lane pass over its configuration, and the
@@ -53,7 +53,8 @@ type scratch
     the low and the high supply, and the lane block of a batched detect
     and of the island settle; per lane the endpoint delays of the
     analyzed stages' capture flops that {!detect_lanes} keeps of its
-    pass; and the skew settle's {!batch_lanes} tune
+    pass, and the island settle's raise and verdicts; and the skew
+    settle's {!batch_lanes} tune
     states and the buffer settle's trims, both per capture flop.  One
     per concurrent simulator.  {!draw} fills a lane's two delay vectors
     and {!select} makes a lane the current die; the island strategy
@@ -78,7 +79,10 @@ type outcome = {
 
 val context : Flow.t -> ctx
 (** Forces the flow stages every strategy reads (netlist, placement,
-    STA, sampler, clock, baseline and chip-wide power at position B). *)
+    STA, sampler, clock, baseline and chip-wide power at position B).
+    Built once per timing graph: a later call on the same flow returns
+    the same context, so an op allocates none of its cell-sized
+    arrays. *)
 
 val scratch : ctx -> scratch
 (** A fresh scratch. *)
@@ -93,6 +97,11 @@ val with_scratches : ctx -> ((unit -> scratch) -> 'a) -> 'a
     domain. *)
 
 val clock : ctx -> float
+
+val nominal_delays : ctx -> float array
+(** The timing graph's nominal delay per cell, the base every die
+    scales: the context's own array, not to be mutated. *)
+
 val power_baseline_mw : ctx -> float
 val power_chip_wide_mw : ctx -> float
 
@@ -106,8 +115,17 @@ val systematic_into :
     returned: no allocation, for loops that move the die every few dies.
     The buffer is overwritten by the next call on the same scratch. *)
 
+val shifted_into :
+  ctx -> scratch -> systematic:float array -> cells:int array ->
+  dir:float array -> theta:float -> float array
+(** {!Pvtol_variation.Sampler.shifted_systematic} of [systematic]
+    written into the scratch's own shift buffer, which is returned: an
+    importance-sampled die's tilted map without a per-round array.
+    [systematic] may be the {!systematic_into} buffer.  The buffer is
+    overwritten by the next call on the same scratch. *)
+
 val batch_lanes : int
-(** The widest detect batch, and the lanes of an island settle: 4. *)
+(** The widest detect batch, and of an island settle pass: 4. *)
 
 val draw : ctx -> scratch -> int -> exact_low:bool -> systematic:float array ->
   raw:(float array -> unit) -> Pvtol_util.Srng.t -> unit
@@ -128,6 +146,13 @@ val draw : ctx -> scratch -> int -> exact_low:bool -> systematic:float array ->
     own {!systematic_into} buffer.  [Invalid_argument] unless
     [0 <= k < batch_lanes]. *)
 
+val load : ctx -> scratch -> int -> low:float array -> high:float array -> unit
+(** [load ctx sc k ~low ~high]: lane [k] holds the die whose delays
+    are [low] at the low supply and [high] at the high one (copied), in
+    place of a {!draw}: a die whose delays come from elsewhere, such as
+    one the delay model cannot produce.  [Invalid_argument] unless
+    [0 <= k < batch_lanes] and both vectors have a delay per cell. *)
+
 val detect_lanes : ctx -> scratch -> int -> unit
 (** [detect_lanes ctx sc m]: the sensor verdicts of the dies drawn into
     lanes [0, m), re-timed at the low supply as the lanes of one STA
@@ -143,9 +168,8 @@ val detect_lanes : ctx -> scratch -> int -> unit
 val select : scratch -> int -> detect
 (** [select sc k]: lane [k]'s verdict from the latest {!detect_lanes},
     making its die the one the strategies re-time: their applies read
-    lane [k]'s delay vectors and kept endpoint delays, and the island
-    settle's all-high stamp names this die.  Select each lane before
-    applying strategies to it. *)
+    lane [k]'s delay vectors, kept endpoint delays and island settle.
+    Select each lane before applying strategies to it. *)
 
 val detect : ctx -> scratch -> systematic:float array -> Pvtol_util.Srng.t -> detect
 (** One die as a batch of one: {!draw} into lane 0 with an exact low
@@ -176,17 +200,22 @@ type strategy = {
 
 val voltage_islands : Flow.t -> ctx -> Flow.variant -> strategy
 (** The paper's scheme, the pre-refactor settle rule: raise islands
-    [1..r] starting at the detected scenario [r0], escalating while
-    violations persist.  A failing die is priced by one STA pass of
-    [n_islands - r0 + 2] lanes (raises [r0..n_islands] and the all-high
-    configuration, counted per lane in [sta_analyze_total] and in
-    [compensation_settle_lanes_total]); the first
-    raise that meets wins.  [knob] = islands raised; power from the
+    [1..r] starting at the detected scenario [r0 = min violating
+    n_islands], escalating while violations persist; the first raise
+    that meets wins.  The first apply after a {!detect_lanes} settles
+    every failing die of the batch: each pass holds one lane per die
+    still failing, at its next raise, and a die adds its all-high lane
+    (the verdict chip-wide reads) only when none of its raises met, or
+    when its high-supply delay exceeds its low-supply one on some cell.
+    A pass of one lane runs on the 1-lane workspace.  So a failing die
+    costs the raises the sequential rule tries, plus one lane when none
+    met, counted in [sta_analyze_total] and in
+    [compensation_settle_lanes_total]; the batch's other dies read the
+    lane their settle left.  [knob] = islands raised; power from the
     memoized per-raised-level power stages; static area = the variant's
     level-shifter area.  Adds the islands raised to
-    [postsilicon_islands_raised_total].  Raises [Invalid_argument] for
-    a partition of more than three islands (every flow slicing has
-    three). *)
+    [postsilicon_islands_raised_total].  The partition's island domains
+    are computed once per timing graph. *)
 
 type kernel = {
   ctx : ctx;

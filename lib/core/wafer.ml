@@ -607,13 +607,12 @@ let run_sampling ?pool ?on_round (t : Flow.t) ~position scfg =
   let sampler = Flow.sampler t in
   let sta = Flow.sta t in
   let nl = Flow.netlist t in
-  let n = Pvtol_netlist.Netlist.cell_count nl in
   let clock = Compensation.clock ctx in
   let low =
     nl.Pvtol_netlist.Netlist.lib.Pvtol_stdcell.Cell.process
       .Pvtol_stdcell.Process.vdd_low
   in
-  let base = Pvtol_timing.Sta.nominal_delays sta in
+  let base = Compensation.nominal_delays ctx in
   let pool = match pool with Some p -> p | None -> Pool.shared () in
   (* A fixed site keeps the stratum grid as parallel substreams of one
      position (the pooled estimate), so long runs use the whole pool. *)
@@ -671,7 +670,6 @@ let run_sampling ?pool ?on_round (t : Flow.t) ~position scfg =
      and exactly [n] gaussians.  [die] leaves its lane, mixture and
      component to [raw], which prices the weight [record] reads. *)
   let source _ _ =
-    let sysbuf = Array.make n 0.0 in
     let weight = Array.make Compensation.batch_lanes 1.0 in
     let lane = ref 0 and model = ref Smart_sampling.plain and comp = ref (-1) in
     {
@@ -700,10 +698,9 @@ let run_sampling ?pool ?on_round (t : Flow.t) ~position scfg =
           match Smart_sampling.shift !model ~comp:!comp with
           | Either.Right () -> systematic
           | Either.Left tilt ->
-            Sampler.shifted_systematic sampler ~systematic
+            Compensation.shifted_into ctx sc ~systematic
               ~cells:tilt.Smart_sampling.cells ~dir:tilt.Smart_sampling.dir
-              ~theta:tilt.Smart_sampling.theta ~out:sysbuf;
-            sysbuf);
+              ~theta:tilt.Smart_sampling.theta);
       raw =
         (fun z -> weight.(!lane) <- Smart_sampling.weight !model ~comp:!comp ~z);
       record =

@@ -346,6 +346,20 @@ let speculation ~guess trace stop =
   in
   if n = 0 then [] else pass 0 guess []
 
+(* The lanes the island settle prices for a die of verdict [d] whose
+   sequential settle ended at [o]: the raises it tried, from the
+   scenario raise [min violating n_islands] to the one it stopped at,
+   and the all-high configuration only when none met.  A die whose
+   high-supply delays exceed its low-supply ones somewhere adds the
+   all-high lane anyway, which a die of the delay model never does
+   (the qcheck in [Test_variation]). *)
+let settle_lanes ~n_islands (d : Compensation.detect) (o : Compensation.outcome) =
+  let v = d.Compensation.violating in
+  if v = 0 || n_islands = 0 then 0
+  else
+    o.Compensation.knob - min v n_islands + 1
+    + if o.Compensation.meets then 0 else 1
+
 (* The census geometry of the tracked-scratch tests: 3x3 cells x 4
    dies on the quick design. *)
 let census_cfg =
@@ -353,16 +367,17 @@ let census_cfg =
 
 let test_tracked_scratch_matches_full_rescale () =
   (* The lane settle (both supplies scaled once per die, the island
-     raises and the all-high configuration priced as lanes of one pass,
-     chip-wide reading the all-high lane, skew on speculative lanes of
-     the kept low vector, buffers on the kept endpoint delays) against
-     the sequential rescale-everything oracle, die by die: same detect
-     verdicts, same outcome bits for every strategy in [all_choices]
-     order, and exactly the STA work the lane settle implies — one pass
-     for detect, [n_islands - r0 + 2] lanes for a failing die's island
-     settle, none for chip-wide after it, four lanes per speculative
-     pass of the skew settle ({!speculation} of the oracle's sequential
-     one) and none for buffers. *)
+     raises priced from the scenario raise on and the all-high
+     configuration only where none met, chip-wide reading the settle's
+     all-high verdict, skew on speculative lanes of the kept low vector,
+     buffers on the kept endpoint delays) against the sequential
+     rescale-everything oracle, die by die: same detect verdicts, same
+     outcome bits for every strategy in [all_choices] order, and
+     exactly the STA work the lane settle implies — one pass for
+     detect, {!settle_lanes} for a failing die's island settle, none for
+     chip-wide after it, four lanes per speculative pass of the skew
+     settle ({!speculation} of the oracle's sequential one) and none
+     for buffers. *)
   let t, v = Lazy.force env in
   let ctx = Compensation.context t in
   let sc = Compensation.scratch ctx in
@@ -409,15 +424,12 @@ let test_tracked_scratch_matches_full_rescale () =
             lib_work := !lib_work + w + List.fold_left (fun a (_, w) -> a + w) 0 outs;
             expected_work :=
               !expected_work + 1
-              + List.fold_left
-                  (fun a (ch, _) ->
+              + List.fold_left2
+                  (fun a (ch, _) (expected, _) ->
                     a
                     +
                     match ch with
-                    | Compensation.Vi ->
-                      if failing > 0 && n_islands > 0 then
-                        n_islands - min failing n_islands + 2
-                      else 0
+                    | Compensation.Vi -> settle_lanes ~n_islands d expected
                     | Compensation.Chipwide | Compensation.Buffers -> 0
                     | Compensation.Skew ->
                       if failing = 0 then 0
@@ -427,7 +439,7 @@ let test_tracked_scratch_matches_full_rescale () =
                             (speculation ~guess:o.Compensation_oracle.first_guess
                                o.Compensation_oracle.skew_trace
                                o.Compensation_oracle.skew_end))
-                  0 applies;
+                  0 applies outs_o;
             Alcotest.(check int) (label ^ ": violating") d_o.Compensation.violating
               d.Compensation.violating;
             check_bits (label ^ ": worst low") d_o.Compensation.worst_low_ns
@@ -923,8 +935,8 @@ let test_batched_tally_matches_per_die () =
      per-die loop, accumulator for accumulator: on mixed sites and on
      2-field grids of 1, 2, 3 and 5 dies per cell, with the paper's two
      strategies and with all four, on 1 and 2 domains.  Chip-wide ahead
-     of the islands reads the settle's all-high stamp only if it names
-     its own die, not another lane of the batch. *)
+     of the islands reads the settle's all-high verdict only once the
+     settle covered its batch, and then its own lane's. *)
   let t, v = Lazy.force env in
   let ctx = Compensation.context t in
   let pair = [| Compensation.Vi; Compensation.Chipwide |] in
@@ -957,6 +969,186 @@ let test_batched_tally_matches_per_die () =
             expected got)
         [ 1; 2 ])
     cases
+
+let test_batched_settle_lanes () =
+  (* The tracked-scratch test's lane accounting through [Wafer.tally]
+     on 4-die batches: the census geometry (4 dies per cell), so every
+     site is one detect batch whose failing dies the island strategy
+     settles together, with chip-wide after it.  The STA work is one
+     lane per die for the batch's detect plus {!settle_lanes} per
+     failing die of the sequential oracle, nothing for chip-wide, on 1
+     and 2 domains. *)
+  let t, v = Lazy.force env in
+  let ctx = Compensation.context t in
+  let strategies =
+    Array.map (Compensation.build t ctx v) [| Compensation.Vi; Compensation.Chipwide |]
+  in
+  let n_islands =
+    Array.length v.Flow.slicing.Pvtol_core.Slicing.partition.Island.islands
+  in
+  let o = Compensation_oracle.create t v in
+  let sites () = Wafer.grid_sites ~who:"test" census_cfg in
+  let dies = ref 0 and lanes = ref 0 and escalated = ref 0 in
+  Array.iter
+    (fun (site : Wafer.site) ->
+      let systematic = Compensation_oracle.systematic o site.Wafer.position in
+      Array.iter
+        (fun rng ->
+          for _ = 1 to site.Wafer.dies_per_stream do
+            let d = Compensation_oracle.detect o ~systematic rng in
+            let l =
+              settle_lanes ~n_islands d
+                (Compensation_oracle.apply o Compensation.Vi d)
+            in
+            incr dies;
+            lanes := !lanes + l;
+            if l > 1 then incr escalated
+          done)
+        site.Wafer.streams)
+    (sites ());
+  Alcotest.(check bool) "some die settles past its first pass" true
+    (!escalated > 0);
+  let analyzes = Metrics.counter "sta_analyze_total" in
+  let settled = Metrics.counter "compensation_settle_lanes_total" in
+  Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Metrics.set_enabled false) (fun () ->
+      List.iter
+        (fun domains ->
+          let a0 = Metrics.counter_value analyzes in
+          let s0 = Metrics.counter_value settled in
+          ignore
+            (with_pool domains (fun pool ->
+                 Wafer.tally ~pool ctx strategies Wafer.site_tally (sites ())));
+          let l = Printf.sprintf "%d domains" domains in
+          Alcotest.(check int) (l ^ ": settle lanes") !lanes
+            (Metrics.counter_value settled - s0);
+          Alcotest.(check int) (l ^ ": STA analyses") (!dies + !lanes)
+            (Metrics.counter_value analyzes - a0))
+        [ 1; 2 ])
+
+let test_settle_keeps_all_high_lane () =
+  (* The settle skips a die's all-high lane where one of its raises
+     meets, which holds only if its high-supply delays are at most its
+     low-supply ones on every cell.  Dies loaded with their exact
+     delays at both supplies, two of them planted with high-supply
+     delays four times their low-supply ones on every cell outside the
+     islands (cells no raise touches, so the raises' verdicts stand),
+     as the four lanes of one batch: each die's raise and verdict, and
+     chip-wide's verdict after the settle, must be those of a
+     sequential 1-lane settle over the same vectors, and the settle
+     prices the planted dies' all-high lanes although a raise met.  At
+     least one planted die must meet at a raise and fail all-high, so
+     a settle that derived its all-high verdict fails here. *)
+  let t, v = Lazy.force env in
+  let ctx = Compensation.context t in
+  let sc = Compensation.scratch ctx in
+  let apply ch = (Compensation.build t ctx v ch).Compensation.fresh_apply () in
+  let vi = apply Compensation.Vi and cw = apply Compensation.Chipwide in
+  let sta = Flow.sta t and sampler = Flow.sampler t in
+  let process = sampler.Sampler.process in
+  let part = v.Flow.slicing.Pvtol_core.Slicing.partition in
+  let n_islands = Array.length part.Island.islands in
+  let domains = Island.domains part (Flow.placement t) in
+  let base = Compensation.nominal_delays ctx in
+  let n = Array.length base in
+  let clock = Compensation.clock ctx in
+  let ws = Sta.workspace sta in
+  let meets delays =
+    Sta.analyze_into sta ws ~delays;
+    List.for_all
+      (fun s ->
+        match Sta.ws_stage_delay ws s 0 with
+        | Some d -> not (d > clock +. 1e-12)
+        | None -> true)
+      Compensation.analyzed
+  in
+  let die systematic seed ~plant =
+    let lgates = Array.make n 0.0 in
+    Sampler.sample_lgates sampler ~systematic ~raw:ignore (Srng.create seed) lgates;
+    let low = Array.make n 0.0 and high = Array.make n 0.0 in
+    Pvtol_stdcell.Process.scale_into process ~vdd:process.Pvtol_stdcell.Process.vdd_low
+      ~base ~lgates ~out:low;
+    Pvtol_stdcell.Process.scale_into process
+      ~vdd:process.Pvtol_stdcell.Process.vdd_high ~base ~lgates ~out:high;
+    if plant then
+      Array.iteri (fun i d -> if d > n_islands then high.(i) <- 4.0 *. low.(i)) domains;
+    (low, high)
+  in
+  (* The sequential rule over one die's vectors: the raise it stops at,
+     whether that meets, the all-high verdict, the lanes the settle
+     prices. *)
+  let reference ~planted (low, high) =
+    let violating =
+      Sta.analyze_into sta ws ~delays:low;
+      List.length
+        (List.filter
+           (fun s ->
+             match Sta.ws_stage_delay ws s 0 with
+             | Some d -> d > clock +. 1e-12
+             | None -> false)
+           Compensation.analyzed)
+    in
+    let r0 = min violating n_islands in
+    let raised r = Array.init n (fun i -> if domains.(i) <= r then high.(i) else low.(i)) in
+    let rec settle r =
+      if r >= n_islands then (n_islands, meets (raised n_islands))
+      else if meets (raised r) then (r, true)
+      else settle (r + 1)
+    in
+    let r, ok = settle r0 in
+    let lanes = r - r0 + 1 + if planted || not ok then 1 else 0 in
+    (violating, r, ok, meets high, lanes)
+  in
+  let candidates =
+    List.concat_map
+      (fun pos ->
+        let systematic = Compensation.systematic ctx pos in
+        List.init 16 (fun i -> (systematic, i + 1)))
+      [ Position.point_a; Position.point_d ]
+  in
+  (* Failing dies that meet at a raise: two to plant, two to keep. *)
+  let rec pick acc = function
+    | _ when List.length acc = Compensation.batch_lanes -> List.rev acc
+    | [] -> Alcotest.fail "too few failing dies that meet at a raise"
+    | (systematic, seed) :: rest ->
+      let vectors = die systematic seed ~plant:false in
+      let violating, _, ok, _, _ = reference ~planted:false vectors in
+      pick (if violating > 0 && ok then (systematic, seed) :: acc else acc) rest
+  in
+  let dies =
+    List.mapi
+      (fun k (systematic, seed) ->
+        let planted = k mod 2 = 1 in
+        let vectors = die systematic seed ~plant:planted in
+        (planted, vectors, reference ~planted vectors))
+      (pick [] candidates)
+  in
+  List.iteri
+    (fun k (_, (low, high), _) -> Compensation.load ctx sc k ~low ~high)
+    dies;
+  Compensation.detect_lanes ctx sc Compensation.batch_lanes;
+  let settled = Metrics.counter "compensation_settle_lanes_total" in
+  let expected_lanes = ref 0 and got_lanes = ref 0 and decisive = ref 0 in
+  Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Metrics.set_enabled false) (fun () ->
+      List.iteri
+        (fun k (planted, _, (violating, r, ok, high_ok, lanes)) ->
+          let label = Printf.sprintf "lane %d%s" k (if planted then " (planted)" else "") in
+          let d = Compensation.select sc k in
+          Alcotest.(check int) (label ^ ": violating") violating d.Compensation.violating;
+          let s0 = Metrics.counter_value settled in
+          let got = vi sc d in
+          got_lanes := !got_lanes + Metrics.counter_value settled - s0;
+          expected_lanes := !expected_lanes + lanes;
+          Alcotest.(check int) (label ^ ": raised") r got.Compensation.knob;
+          Alcotest.(check bool) (label ^ ": meets") ok got.Compensation.meets;
+          Alcotest.(check bool) (label ^ ": chip-wide") high_ok
+            (cw sc d).Compensation.meets;
+          if planted && ok && not high_ok then incr decisive)
+        dies);
+  Alcotest.(check int) "settle lanes" !expected_lanes !got_lanes;
+  Alcotest.(check bool) "a planted die meets at a raise and fails all-high" true
+    (!decisive > 0)
 
 let test_batched_compare_matches_per_die () =
   (* [Compare.run] with every strategy on a 2-field grid whose sites
@@ -1325,6 +1517,10 @@ let suite =
         test_die_allocation_bound;
       Alcotest.test_case "batched tally = per-die loop (census)" `Quick
         test_batched_tally_matches_per_die;
+      Alcotest.test_case "batched settle lanes = oracle raises" `Quick
+        test_batched_settle_lanes;
+      Alcotest.test_case "settle keeps a non-monotone die's all-high lane" `Quick
+        test_settle_keeps_all_high_lane;
       Alcotest.test_case "batched tally = per-die loop (compare)" `Quick
         test_batched_compare_matches_per_die;
       Alcotest.test_case "batched tally = per-die loop (postsilicon)" `Quick

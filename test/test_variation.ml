@@ -346,6 +346,34 @@ let prop_die_fit =
       check_die_fit "random, paper_literal" literal ~base ~lgates;
       true)
 
+let prop_die_fit_high_below_low =
+  (* The island settle skips a die's all-high lane where a raise meets,
+     which rests on the die's high-supply delay being at most its
+     low-supply one on every cell: random dies of the default sampler's
+     sigma out to a 10-sigma tail, fitted and exact-low, under the
+     default process and [Process.paper_literal]. *)
+  QCheck.Test.make ~name:"scale_die: high <= low on every cell" ~count:200
+    QCheck.(
+      triple (float_range 61.0 69.0) (float_range 0.0 10.0)
+        (array_of_size Gen.(int_range 1 64) (float_range (-1.0) 1.0)))
+    (fun (centre, tail, zs) ->
+      let default = Sampler.create () in
+      let sigma = default.Sampler.sigma_rnd_nm in
+      let lgates = Array.map (fun z -> centre +. (sigma *. tail *. z)) zs in
+      let n = Array.length lgates in
+      let base = Array.init n (fun i -> 0.02 +. (0.003 *. float_of_int i)) in
+      let literal = { default with Sampler.process = Process.paper_literal } in
+      List.for_all
+        (fun sampler ->
+          let fit = Sampler.die_fit sampler in
+          List.for_all
+            (fun exact_low ->
+              let low = Array.make n nan and high = Array.make n nan in
+              Sampler.scale_die fit ~exact_low ~base ~lgates ~low ~high;
+              Array.for_all2 (fun h l -> h <= l) high low)
+            [ false; true ])
+        [ default; literal ])
+
 let test_sample_lgates_bitwise () =
   (* [sample_lgates] draws in bulk; it must equal the per-cell
      [systematic + sigma * gaussian] loop bit for bit and leave the
@@ -492,6 +520,7 @@ let suite =
       Alcotest.test_case "die fit allocates nothing" `Quick
         test_die_fit_allocation;
       QCheck_alcotest.to_alcotest prop_die_fit;
+      QCheck_alcotest.to_alcotest prop_die_fit_high_below_low;
       Alcotest.test_case "sample_lgates = per-cell gaussian loop" `Quick
         test_sample_lgates_bitwise;
       Alcotest.test_case "systematic map = per-cell field" `Quick
